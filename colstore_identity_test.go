@@ -2,6 +2,7 @@ package privateclean_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -159,5 +160,94 @@ func TestColstoreEstimateIdentityConj(t *testing.T) {
 	}
 	if !sameBits(da, db) {
 		t.Errorf("direct sum: %x != %x", math.Float64bits(da), math.Float64bits(db))
+	}
+}
+
+// TestColstoreEstimateIdentityExtensions extends the identity to the
+// aggregates answered from the per-code sorted runs, the per-bin moments and
+// the row-order gather: median and quantiles (including q = 0 and 1), var
+// and std, GROUP BY and GROUP BY bin, cached (cold and warm) and uncached.
+func TestColstoreEstimateIdentityExtensions(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	r, err := workload.MultiAttr(rng, workload.MultiAttrConfig{S: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, meta, err := privacy.Privatize(rng, r, privacy.Uniform(r.Schema(), 0.15, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	csvRel, colRel := colstoreTwin(t, v)
+	preds := []estimator.Predicate{
+		{}, // no WHERE
+		estimator.Eq("section", workload.SectionValue(0)),
+		estimator.In("section", workload.SectionValue(1), workload.SectionValue(4), workload.SectionValue(9)),
+		estimator.NotEq("instructor", relation.Null),
+	}
+	groups := func(t *testing.T, name string, a, b map[string]estimator.Estimate, aerr, berr error) {
+		t.Helper()
+		if (aerr == nil) != (berr == nil) || len(a) != len(b) {
+			t.Fatalf("%s: csv %d groups (%v), colstore %d groups (%v)", name, len(a), aerr, len(b), berr)
+		}
+		for k, e := range a {
+			checkEstimate(t, name+"/"+k, e, b[k], nil, nil)
+		}
+	}
+	bins := func(t *testing.T, name string, a, b []estimator.BinEstimate, aerr, berr error) {
+		t.Helper()
+		if (aerr == nil) != (berr == nil) || len(a) != len(b) {
+			t.Fatalf("%s: csv %d bins (%v), colstore %d bins (%v)", name, len(a), aerr, len(b), berr)
+		}
+		for i := range a {
+			checkEstimate(t, name+"/"+a[i].Label, a[i].Est, b[i].Est, nil, nil)
+		}
+	}
+	for _, cached := range []bool{false, true} {
+		csvEst := &estimator.Estimator{Meta: meta}
+		colEst := &estimator.Estimator{Meta: meta}
+		if cached {
+			csvEst.Cache, colEst.Cache = estimator.NewChannelCache(), estimator.NewChannelCache()
+		}
+		for pass := 0; pass < 2; pass++ {
+			for i, p := range preds {
+				name := fmt.Sprintf("cached=%v/pass%d/p%d", cached, pass, i)
+				for _, q := range []float64{0, 0.1, 0.5, 0.9, 1} {
+					a, aerr := csvEst.Percentile(csvRel, "value", p, q)
+					b, berr := colEst.Percentile(colRel, "value", p, q)
+					checkEstimate(t, fmt.Sprintf("%s/quantile-%v", name, q), a, b, aerr, berr)
+					da, aerr := estimator.DirectPercentile(csvRel, "value", p, q)
+					db, berr := estimator.DirectPercentile(colRel, "value", p, q)
+					checkEstimate(t, fmt.Sprintf("%s/direct-quantile-%v", name, q), estimator.Estimate{Value: da}, estimator.Estimate{Value: db}, aerr, berr)
+				}
+				a, aerr := csvEst.Median(csvRel, "value", p)
+				b, berr := colEst.Median(colRel, "value", p)
+				checkEstimate(t, name+"/median", a, b, aerr, berr)
+				a, aerr = csvEst.Var(csvRel, "value", p)
+				b, berr = colEst.Var(colRel, "value", p)
+				checkEstimate(t, name+"/var", a, b, aerr, berr)
+				a, aerr = csvEst.Std(csvRel, "value", p)
+				b, berr = colEst.Std(colRel, "value", p)
+				checkEstimate(t, name+"/std", a, b, aerr, berr)
+			}
+			name := fmt.Sprintf("cached=%v/pass%d", cached, pass)
+			ga, aerr := csvEst.GroupCounts(csvRel, "instructor")
+			gb, berr := colEst.GroupCounts(colRel, "instructor")
+			groups(t, name+"/group-count", ga, gb, aerr, berr)
+			ga, aerr = csvEst.GroupSums(csvRel, "instructor", "value")
+			gb, berr = colEst.GroupSums(colRel, "instructor", "value")
+			groups(t, name+"/group-sum", ga, gb, aerr, berr)
+			ga, aerr = csvEst.GroupAvgs(csvRel, "instructor", "value")
+			gb, berr = colEst.GroupAvgs(colRel, "instructor", "value")
+			groups(t, name+"/group-avg", ga, gb, aerr, berr)
+			ba, aerr := csvEst.GroupBinCounts(csvRel, "value")
+			bb, berr := colEst.GroupBinCounts(colRel, "value")
+			bins(t, name+"/bin-count", ba, bb, aerr, berr)
+			ba, aerr = csvEst.GroupBinSums(csvRel, "value", "value")
+			bb, berr = colEst.GroupBinSums(colRel, "value", "value")
+			bins(t, name+"/bin-sum", ba, bb, aerr, berr)
+			ba, aerr = csvEst.GroupBinAvgs(csvRel, "value", "value")
+			bb, berr = colEst.GroupBinAvgs(colRel, "value", "value")
+			bins(t, name+"/bin-avg", ba, bb, aerr, berr)
+		}
 	}
 }

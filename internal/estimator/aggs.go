@@ -1,0 +1,248 @@
+package estimator
+
+import (
+	"slices"
+	"sync"
+
+	"privateclean/internal/relation"
+	"privateclean/internal/stats"
+)
+
+// This file is the per-code aggregate layer of the resident estimators. The
+// Eq. 3/5/7 estimators read the private relation only through per-value
+// marginals — counts and sums per distinct value, plus the column moments —
+// so each table below is built in one pass per view and every later query
+// folds it in O(domain), memoized in the estimator's ChannelCache when one
+// is attached (built per call otherwise).
+
+// codeAggs holds one numeric column's non-NaN aggregates, per code of a
+// discrete attribute's dictionary (sums) and over the whole column.
+type codeAggs struct {
+	sums  []float64 // per code, accumulated in row order; nil without a dictionary
+	n     int       // non-NaN cells
+	total float64   // row-order sum, stats.Sum's value
+
+	col      []float64 // read again by the first moments call
+	varOnce  sync.Once
+	mean     float64 // stats.Mean's value, once moments has run
+	variance float64 // stats.Variance's value, once moments has run
+}
+
+// buildCodeAggs makes one row-order pass; the variance, which needs two
+// more, waits for the first moments call.
+func buildCodeAggs(ix *relation.DiscreteIndex, col []float64) *codeAggs {
+	var sums []float64
+	var total float64
+	n := 0
+	if ix == nil {
+		for _, x := range col {
+			if x == x {
+				total += x
+				n++
+			}
+		}
+	} else {
+		sums = make([]float64, ix.N())
+		for i, c := range ix.Codes {
+			if x := col[i]; x == x {
+				sums[c] += x
+				total += x
+				n++
+			}
+		}
+	}
+	return &codeAggs{sums: sums, n: n, total: total, col: col}
+}
+
+// perCode returns attr's dictionary and the per-code aggregates of agg over
+// it.
+func perCode(c *ChannelCache, rel *relation.Relation, attr, agg string) (*relation.DiscreteIndex, *codeAggs, error) {
+	ix, err := rel.DiscreteIndex(attr)
+	if err != nil {
+		return nil, nil, err
+	}
+	a, err := columnAggs(c, rel, ix, attr, agg)
+	return ix, a, err
+}
+
+// columnAggs returns the aggregates of agg grouped by ix (attr's
+// dictionary), or ungrouped when ix is nil.
+func columnAggs(c *ChannelCache, rel *relation.Relation, ix *relation.DiscreteIndex, attr, agg string) (*codeAggs, error) {
+	col, err := rel.Numeric(agg)
+	if err != nil {
+		return nil, err
+	}
+	return memo(c, entryKey{kindPerCode, attr, agg}, sourceOf(ix, col, nil), func() *codeAggs {
+		return buildCodeAggs(ix, col)
+	}), nil
+}
+
+// fold sums the per-code sums over sel and over its complement, adding in
+// ascending code order — the sorted-value order Statistics.sumMatches uses,
+// so both paths fold the same sums in the same order.
+func (a *codeAggs) fold(sel selection) (matched, complement float64) {
+	for c, s := range a.sums {
+		if sel.has(uint32(c)) {
+			matched += s
+		} else {
+			complement += s
+		}
+	}
+	return matched, complement
+}
+
+// moments returns the column's mean and variance, or stats.ErrEmpty when
+// every cell is NaN.
+func (a *codeAggs) moments() (mean, variance float64, err error) {
+	if a.n == 0 {
+		return 0, 0, stats.ErrEmpty
+	}
+	a.varOnce.Do(func() {
+		a.mean = a.total / float64(a.n)
+		a.variance, _ = stats.Variance(a.col)
+	})
+	return a.mean, a.variance, nil
+}
+
+// binMoments holds per-bin (n, Σy, Σy²) of a numeric column y over the bins
+// of a column x, counting rows where both cells are non-NaN.
+type binMoments struct {
+	n            []int
+	sums, sumsqs []float64
+}
+
+func buildBinMoments(edges, xs, ys []float64) *binMoments {
+	nb := len(edges) - 1
+	m := &binMoments{n: make([]int, nb), sums: make([]float64, nb), sumsqs: make([]float64, nb)}
+	for i, x := range xs {
+		y := ys[i]
+		if x != x || y != y {
+			continue
+		}
+		k := binIndex(edges, x)
+		m.n[k]++
+		m.sums[k] += y
+		m.sumsqs[k] += y * y
+	}
+	return m
+}
+
+// codeRuns holds one numeric column's non-NaN cells grouped by code and
+// sorted ascending within each code: code c's run is vals[off[c]:off[c+1]].
+// Without a dictionary there is one run, the whole column sorted.
+type codeRuns struct {
+	off  []int
+	vals []float64
+}
+
+// buildCodeRuns keeps the cells of the codes in keep only; the runs of the
+// other codes are empty.
+func buildCodeRuns(ix *relation.DiscreteIndex, col []float64, keep selection) *codeRuns {
+	n := 1
+	if ix != nil {
+		n = ix.N()
+	}
+	code := func(i int) uint32 {
+		if ix == nil {
+			return 0
+		}
+		return ix.Codes[i]
+	}
+	off := make([]int, n+1)
+	for i, x := range col {
+		if c := code(i); x == x && keep.has(c) {
+			off[c+1]++
+		}
+	}
+	for c := 0; c < n; c++ {
+		off[c+1] += off[c]
+	}
+	vals := make([]float64, off[n])
+	next := slices.Clone(off[:n])
+	for i, x := range col {
+		if c := code(i); x == x && keep.has(c) {
+			vals[next[c]] = x
+			next[c]++
+		}
+	}
+	for c := 0; c < n; c++ {
+		slices.Sort(vals[off[c]:off[c+1]])
+	}
+	return &codeRuns{off: off, vals: vals}
+}
+
+// merge returns the selected codes' cells in ascending order: a pairwise
+// bottom-up merge of their runs, O(m·log k) for m cells in k runs. The
+// result may alias the runs and must not be written.
+func (r *codeRuns) merge(sel selection) []float64 {
+	var runs [][]float64
+	total := 0
+	for c := 0; c+1 < len(r.off); c++ {
+		if lo, hi := r.off[c], r.off[c+1]; hi > lo && sel.has(uint32(c)) {
+			runs = append(runs, r.vals[lo:hi])
+			total += hi - lo
+		}
+	}
+	var bufs [2][]float64
+	for level := 0; len(runs) > 1; level++ {
+		if bufs[level&1] == nil {
+			bufs[level&1] = make([]float64, 0, total)
+		}
+		dst := bufs[level&1][:0]
+		next := runs[:0]
+		for i := 0; i < len(runs); i += 2 {
+			start := len(dst)
+			if i+1 < len(runs) {
+				dst = mergeTwo(dst, runs[i], runs[i+1])
+			} else {
+				dst = append(dst, runs[i]...)
+			}
+			next = append(next, dst[start:])
+		}
+		runs = next
+	}
+	if len(runs) == 0 {
+		return nil
+	}
+	return runs[0]
+}
+
+// mergeTwo appends the ascending merge of a and b to dst.
+func mergeTwo(dst, a, b []float64) []float64 {
+	for len(a) > 0 && len(b) > 0 {
+		if b[0] < a[0] {
+			dst, b = append(dst, b[0]), b[1:]
+		} else {
+			dst, a = append(dst, a[0]), a[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
+}
+
+// sortedMatched returns the non-NaN agg cells of rows satisfying pred (all
+// rows when pred.Match is nil) in ascending order, merged from the memoized
+// sorted runs. The result must not be written.
+func sortedMatched(c *ChannelCache, rel *relation.Relation, agg string, pred Predicate) ([]float64, error) {
+	col, err := rel.Numeric(agg)
+	if err != nil {
+		return nil, err
+	}
+	var ix *relation.DiscreteIndex
+	attr, sel := "", selection{all: true}
+	if pred.Match != nil {
+		if ix, err = rel.DiscreteIndex(pred.Attr); err != nil {
+			return nil, err
+		}
+		attr, sel = pred.Attr, compileSelection(ix, pred)
+	}
+	// A cached table serves every later predicate, so it keeps every code;
+	// a one-shot build keeps only the selected ones.
+	keep := sel
+	if c != nil {
+		keep = selection{all: true}
+	}
+	runs := memo(c, entryKey{kindRuns, attr, agg}, sourceOf(ix, col, nil), func() *codeRuns {
+		return buildCodeRuns(ix, col, keep)
+	})
+	return runs.merge(sel), nil
+}

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"privateclean/internal/faults"
+	"privateclean/internal/relation"
 	"privateclean/internal/stats"
 )
 
@@ -119,12 +120,9 @@ func (e *Estimator) PercentileStats(st *Statistics, agg string, pred Predicate, 
 			unbiased[k] = float64(c)
 		}
 	} else {
-		ch, err := e.channel(pred)
+		ch, err := e.invertible(pred)
 		if err != nil {
 			return Estimate{}, err
-		}
-		if ch.denom <= 0 {
-			return Estimate{}, fmt.Errorf("estimator: p = %v leaves no signal to invert (τ_p = τ_n)", ch.p)
 		}
 		denom = ch.denom
 		matched, err = st.binnedMatched(h, agg, pred)
@@ -234,19 +232,6 @@ func binLabel(edges []float64, k int) string {
 	return fmt.Sprintf("[%g, %g)", edges[k], edges[k+1])
 }
 
-// binCounts scans a numeric column into the bin layout, skipping NaN cells.
-func binCounts(edges []float64, col []float64) (counts []int, n int) {
-	counts = make([]int, len(edges)-1)
-	for _, x := range col {
-		if math.IsNaN(x) {
-			continue
-		}
-		counts[binIndex(edges, x)]++
-		n++
-	}
-	return counts, n
-}
-
 // binCountEstimates wraps per-bin counts with a multinomial sampling
 // interval: count_k ± z·sqrt(n·p̂(1−p̂)). The counts are direct (the
 // numeric channel adds noise to the values, not the counts; the Laplace
@@ -271,17 +256,16 @@ func (e *Estimator) binCountEstimates(edges []float64, counts []int, n int) ([]B
 
 // GroupBinCounts answers count(1) GROUP BY bin(attr) over the resident
 // relation, binning the private numeric column with the released edges.
-func (e *Estimator) GroupBinCounts(rel rowSource, attr string) ([]BinEstimate, error) {
-	edges, err := e.binEdges(attr)
+func (e *Estimator) GroupBinCounts(rel *relation.Relation, attr string) ([]BinEstimate, error) {
+	edges, m, err := e.groupBinMoments(rel, attr, attr)
 	if err != nil {
 		return nil, err
 	}
-	col, err := rel.Numeric(attr)
-	if err != nil {
-		return nil, err
+	n := 0
+	for _, c := range m.n {
+		n += c
 	}
-	counts, n := binCounts(edges, col)
-	return e.binCountEstimates(edges, counts, n)
+	return e.binCountEstimates(edges, m.n, n)
 }
 
 // GroupBinCountsStats answers count(1) GROUP BY bin(attr) over sufficient
@@ -301,14 +285,15 @@ func (e *Estimator) GroupBinCountsStats(st *Statistics, attr string) ([]BinEstim
 }
 
 // GroupBinSums answers sum(agg) GROUP BY bin(attr) over the resident
-// relation: one pass accumulating per-bin count, sum, and squared sum of
-// agg over rows whose attr cell is binnable (both cells non-NaN), with a
-// CLT interval z·sqrt(n_k·var_k) per bin.
-func (e *Estimator) GroupBinSums(rel rowSource, attr, agg string) ([]BinEstimate, error) {
-	edges, n, sums, sumsqs, err := e.groupBinMoments(rel, attr, agg)
+// relation from the per-bin count, sum, and squared sum of agg over rows
+// whose attr cell is binnable (both cells non-NaN), with a CLT interval
+// z·sqrt(n_k·var_k) per bin.
+func (e *Estimator) GroupBinSums(rel *relation.Relation, attr, agg string) ([]BinEstimate, error) {
+	edges, m, err := e.groupBinMoments(rel, attr, agg)
 	if err != nil {
 		return nil, err
 	}
+	n, sums, sumsqs := m.n, m.sums, m.sumsqs
 	z, err := stats.ZScore(e.confidence())
 	if err != nil {
 		return nil, err
@@ -333,11 +318,12 @@ func (e *Estimator) GroupBinSums(rel rowSource, attr, agg string) ([]BinEstimate
 // GroupBinAvgs answers avg(agg) GROUP BY bin(attr) over the resident
 // relation. Bins with no binnable rows are omitted, mirroring GroupAvgs'
 // treatment of empty groups.
-func (e *Estimator) GroupBinAvgs(rel rowSource, attr, agg string) ([]BinEstimate, error) {
-	edges, n, sums, sumsqs, err := e.groupBinMoments(rel, attr, agg)
+func (e *Estimator) GroupBinAvgs(rel *relation.Relation, attr, agg string) ([]BinEstimate, error) {
+	edges, m, err := e.groupBinMoments(rel, attr, agg)
 	if err != nil {
 		return nil, err
 	}
+	n, sums, sumsqs := m.n, m.sums, m.sumsqs
 	z, err := stats.ZScore(e.confidence())
 	if err != nil {
 		return nil, err
@@ -362,39 +348,23 @@ func (e *Estimator) GroupBinAvgs(rel rowSource, attr, agg string) ([]BinEstimate
 	return out, nil
 }
 
-// groupBinMoments is the shared one-pass kernel of GroupBinSums/GroupBinAvgs.
-func (e *Estimator) groupBinMoments(rel rowSource, attr, agg string) (edges []float64, n []int, sums, sumsqs []float64, err error) {
-	edges, err = e.binEdges(attr)
+// groupBinMoments returns attr's released bin edges and the per-bin
+// moments of agg over them, the table every binned GROUP BY reads.
+func (e *Estimator) groupBinMoments(rel *relation.Relation, attr, agg string) ([]float64, *binMoments, error) {
+	edges, err := e.binEdges(attr)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
 	xs, err := rel.Numeric(attr)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
-	ys := xs
-	if agg != attr {
-		ys, err = rel.Numeric(agg)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
+	ys, err := rel.Numeric(agg)
+	if err != nil {
+		return nil, nil, err
 	}
-	nb := len(edges) - 1
-	n = make([]int, nb)
-	sums = make([]float64, nb)
-	sumsqs = make([]float64, nb)
-	for i, x := range xs {
-		if math.IsNaN(x) {
-			continue
-		}
-		y := ys[i]
-		if math.IsNaN(y) {
-			continue
-		}
-		k := binIndex(edges, x)
-		n[k]++
-		sums[k] += y
-		sumsqs[k] += y * y
-	}
-	return edges, n, sums, sumsqs, nil
+	m := memo(e.Cache, entryKey{kindBin, attr, agg}, sourceOf(nil, xs, ys), func() *binMoments {
+		return buildBinMoments(edges, xs, ys)
+	})
+	return edges, m, nil
 }

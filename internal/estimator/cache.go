@@ -2,50 +2,71 @@ package estimator
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"privateclean/internal/relation"
 )
 
-// ChannelCache memoizes the two deterministic, per-predicate computations
-// behind every corrected estimate:
+// ChannelCache memoizes the deterministic computations behind every
+// corrected estimate on a resident relation:
 //
-//   - the resolved response channel (p, N, l) — which may walk the cleaning
-//     provenance graph to compute a weighted vertex cut; and
-//   - the materialized match bitset of a predicate over a column's
-//     dictionary encoding (one bit per row, population count precomputed).
+//   - the resolved response channel (p, N, l) of a predicate — which may
+//     walk the cleaning provenance graph to compute a weighted vertex cut;
+//   - the per-code aggregates of a (discrete attribute, numeric column)
+//     pair: per-code sums plus the column's moments (aggs.go), from which
+//     count, sum, avg and GROUP BY fold in O(domain);
+//   - the per-bin moments of a (binned attribute, numeric column) pair;
+//   - the per-code sorted value runs of a pair, which quantiles merge; and
+//   - the match bitset of a predicate (one bit per row), which only
+//     conjunctions need.
 //
-// Both are pure functions of (attribute, predicate) for a fixed view, so a
-// long-lived query server attaches one cache to its Estimator and every
-// repeated predicate resolves in two map lookups: a cached count is just the
-// bitset's stored popcount, a cached sum a branch-per-row scan with no
-// predicate evaluation, and a conjunction a word-wise AND of the operand
-// bitsets. Results are identical with and without the cache; the CLI's
-// one-shot query path simply leaves it nil.
+// All are pure functions of the view, so a long-lived query server attaches
+// one cache to its Estimator and a repeated query resolves in a few map
+// lookups. Results are identical with and without the cache: with none (the
+// CLI's one-shot path) the same builders run on every call.
 //
-// Keys are the predicate's rendered description, which is canonical for
-// Eq/NotEq/In/And/Not-built predicates (values render quoted, so no two
-// distinct value sets collide); the match-all nil predicate gets its own
-// reserved key. Fn-built predicates are NOT cached — a UDF name does not
-// uniquely determine the wrapped function — and neither is a hand-built
-// Predicate with a Match func but no description; both bypass the cache and
-// are recomputed per call.
+// Channel and bitset keys are the predicate's rendered description, which
+// is canonical for Eq/NotEq/In/And/Not-built predicates (values render
+// quoted, so no two distinct value sets collide); the match-all nil
+// predicate gets its own reserved key. Fn-built predicates are NOT cached —
+// a UDF name does not uniquely determine the wrapped function — and neither
+// is a hand-built Predicate with a Match func but no description; both are
+// recomputed per call.
 //
-// The cache is safe for concurrent use. Bitsets are validated against the
-// column's current *DiscreteIndex identity, so a relation write (which
-// replaces the index) transparently invalidates the stale entry.
+// The cache is safe for concurrent use, and concurrent misses on one table
+// build it once. Tables are validated against the *DiscreteIndex and
+// numeric backing arrays they were built from, so a relation write that
+// replaces a column's index or backing array rebuilds the entry rather than
+// serving it stale.
 type ChannelCache struct {
-	mu    sync.RWMutex
-	chans map[predKey]channelVal
-	bits  map[predKey]bitsEntry
+	mu      sync.RWMutex
+	chans   map[predKey]channelVal
+	entries map[entryKey]*entry
+	hits    [numKinds]atomic.Int64
+	misses  [numKinds]atomic.Int64
 }
 
 // NewChannelCache returns an empty cache ready for concurrent use.
 func NewChannelCache() *ChannelCache {
 	return &ChannelCache{
-		chans: make(map[predKey]channelVal),
-		bits:  make(map[predKey]bitsEntry),
+		chans:   make(map[predKey]channelVal),
+		entries: make(map[entryKey]*entry),
 	}
 }
+
+// kind classifies cache entries for Stats.
+type kind int
+
+const (
+	kindChannel kind = iota
+	kindBitset
+	kindPerCode
+	kindBin
+	kindRuns
+	numKinds
+)
+
+var kindNames = [numKinds]string{"channel", "bitset", "per-code", "bin", "runs"}
 
 type predKey struct {
 	attr string
@@ -65,9 +86,74 @@ type channelVal struct {
 	denom float64
 }
 
-type bitsEntry struct {
-	ix *relation.DiscreteIndex // index the bitset was built against
-	b  *rowBits
+// entryKey names one memoized table: its kind, the attribute it is grouped
+// by, and the numeric column it aggregates (for bitsets, the predicate's
+// description).
+type entryKey struct {
+	kind kind
+	attr string
+	sub  string
+}
+
+// source identifies the data a table was built from: the dictionary it is
+// grouped by and the first cells of the numeric columns it reads. A table
+// is served only to callers reading the same source.
+type source struct {
+	ix   *relation.DiscreteIndex
+	x, y *float64
+	rows int
+}
+
+func sourceOf(ix *relation.DiscreteIndex, x, y []float64) source {
+	s := source{ix: ix, rows: len(x)}
+	if len(x) > 0 {
+		s.x = &x[0]
+	}
+	if len(y) > 0 {
+		s.y = &y[0]
+	}
+	return s
+}
+
+type entry struct {
+	src  source
+	once sync.Once
+	val  any
+}
+
+// memo returns the table stored under k for src, building it on a miss.
+// Concurrent misses on one key wait for a single build. A nil cache builds
+// on every call.
+func memo[T any](c *ChannelCache, k entryKey, src source, build func() T) T {
+	if c == nil {
+		return build()
+	}
+	c.mu.RLock()
+	e, hit := c.entries[k]
+	hit = hit && e.src == src
+	c.mu.RUnlock()
+	if !hit {
+		c.mu.Lock()
+		// Another miss may have inserted the entry since the read lock.
+		if e2, ok := c.entries[k]; ok && e2.src == src {
+			e, hit = e2, true
+		} else {
+			e = &entry{src: src}
+			c.entries[k] = e
+		}
+		c.mu.Unlock()
+	}
+	c.count(k.kind, hit)
+	e.once.Do(func() { e.val = build() })
+	return e.val.(T)
+}
+
+func (c *ChannelCache) count(k kind, hit bool) {
+	if hit {
+		c.hits[k].Add(1)
+	} else {
+		c.misses[k].Add(1)
+	}
 }
 
 // predCacheKey returns the cache key for pred and whether pred is cacheable.
@@ -87,8 +173,9 @@ func predCacheKey(pred Predicate) (predKey, bool) {
 
 func (c *ChannelCache) getChannel(k predKey) (channelVal, bool) {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
 	v, ok := c.chans[k]
+	c.mu.RUnlock()
+	c.count(kindChannel, ok)
 	return v, ok
 }
 
@@ -103,57 +190,47 @@ func (c *ChannelCache) putChannel(k predKey, v channelVal) {
 func (c *ChannelCache) Len() (channels, tables int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.chans), len(c.bits)
+	for k := range c.entries {
+		if k.kind == kindBitset {
+			tables++
+		}
+	}
+	return len(c.chans), tables
 }
 
-// bitsFor returns the (possibly cached) match bitset of pred over ix. An
-// entry built against a superseded index — the column was rewritten and
-// re-encoded — is rebuilt, never served stale.
+// CacheStats is the activity of one kind of ChannelCache entry: lookups
+// answered from the cache, lookups that built (or resolved) the entry, and
+// the entries resident now.
+type CacheStats struct {
+	Kind                  string
+	Hits, Misses, Entries int64
+}
+
+// Stats reports hits, misses and resident entries for each kind of entry —
+// channel, bitset, per-code, bin and runs — in that order.
+func (c *ChannelCache) Stats() []CacheStats {
+	out := make([]CacheStats, numKinds)
+	c.mu.RLock()
+	out[kindChannel].Entries = int64(len(c.chans))
+	for k := range c.entries {
+		out[k.kind].Entries++
+	}
+	c.mu.RUnlock()
+	for k := range out {
+		out[k].Kind = kindNames[k]
+		out[k].Hits = c.hits[k].Load()
+		out[k].Misses = c.misses[k].Load()
+	}
+	return out
+}
+
+// bitsFor returns the (possibly cached) match bitset of pred over ix.
 func (c *ChannelCache) bitsFor(ix *relation.DiscreteIndex, pred Predicate) *rowBits {
 	k, cacheable := predCacheKey(pred)
 	if !cacheable {
+		c = nil
+	}
+	return memo(c, entryKey{kindBitset, k.attr, k.desc}, sourceOf(ix, nil, nil), func() *rowBits {
 		return bitsFromSelection(ix.Codes, compileSelection(ix, pred))
-	}
-	c.mu.RLock()
-	e, ok := c.bits[k]
-	c.mu.RUnlock()
-	if ok && e.ix == ix {
-		return e.b
-	}
-	b := bitsFromSelection(ix.Codes, compileSelection(ix, pred))
-	c.mu.Lock()
-	c.bits[k] = bitsEntry{ix: ix, b: b}
-	c.mu.Unlock()
-	return b
-}
-
-// countMatches is countMatches routed through the estimator's cache (when
-// attached); behavior is otherwise identical to the package function. A
-// cache hit answers from the bitset's precomputed population count.
-func (e *Estimator) countMatches(rel *relation.Relation, pred Predicate) (int, error) {
-	if e.Cache == nil {
-		return countMatches(rel, pred)
-	}
-	ix, err := rel.DiscreteIndex(pred.Attr)
-	if err != nil {
-		return 0, err
-	}
-	return e.Cache.bitsFor(ix, pred).ones, nil
-}
-
-// sumMatches is sumMatches routed through the estimator's cache.
-func (e *Estimator) sumMatches(rel *relation.Relation, agg string, pred Predicate) (matched, complement float64, err error) {
-	if e.Cache == nil {
-		return sumMatches(rel, agg, pred)
-	}
-	ix, err := rel.DiscreteIndex(pred.Attr)
-	if err != nil {
-		return 0, 0, err
-	}
-	vals, err := rel.Numeric(agg)
-	if err != nil {
-		return 0, 0, err
-	}
-	matched, complement = sumBits(vals, e.Cache.bitsFor(ix, pred))
-	return matched, complement, nil
+	})
 }

@@ -204,7 +204,12 @@ func DirectSumConj(rel *relation.Relation, agg string, preds ...Predicate) (floa
 	if err != nil {
 		return 0, err
 	}
-	s, _ := sumBits(vals, b)
+	s := 0.0
+	for r, x := range vals {
+		if x == x && b.get(r) {
+			s += x
+		}
+	}
 	return s, nil
 }
 

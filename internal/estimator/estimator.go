@@ -56,51 +56,30 @@ func (e Estimate) Hi() float64 { return e.Value + e.CI }
 // String renders the estimate as "value ± ci".
 func (e Estimate) String() string { return fmt.Sprintf("%.6g ± %.3g", e.Value, e.CI) }
 
-// countMatches returns the number of rows of rel whose pred.Attr value
-// satisfies pred. The predicate is compiled to a selection over the column's
-// dictionary and resolved from the dictionary's per-code row counts when
-// available — O(domain) — falling back to a tight loop over the code vector
-// (vector.go).
-func countMatches(rel *relation.Relation, pred Predicate) (int, error) {
+// DirectCount returns the nominal count of rows satisfying pred — the
+// baseline estimator the paper calls Direct.
+func DirectCount(rel *relation.Relation, pred Predicate) (float64, error) {
 	ix, err := rel.DiscreteIndex(pred.Attr)
 	if err != nil {
 		return 0, err
 	}
-	return countSelection(ix, compileSelection(ix, pred)), nil
-}
-
-// sumMatches returns the sum of agg over rows satisfying pred and over rows
-// not satisfying it. NaN aggregate cells contribute zero.
-func sumMatches(rel *relation.Relation, agg string, pred Predicate) (matched, complement float64, err error) {
-	ix, err := rel.DiscreteIndex(pred.Attr)
-	if err != nil {
-		return 0, 0, err
-	}
-	vals, err := rel.Numeric(agg)
-	if err != nil {
-		return 0, 0, err
-	}
-	matched, complement = sumSelected(ix.Codes, vals, compileSelection(ix, pred))
-	return matched, complement, nil
-}
-
-// DirectCount returns the nominal count of rows satisfying pred — the
-// baseline estimator the paper calls Direct.
-func DirectCount(rel *relation.Relation, pred Predicate) (float64, error) {
-	c, err := countMatches(rel, pred)
-	return float64(c), err
+	return float64(countSelection(ix, compileSelection(ix, pred))), nil
 }
 
 // DirectSum returns the nominal sum of agg over rows satisfying pred.
 func DirectSum(rel *relation.Relation, agg string, pred Predicate) (float64, error) {
-	m, _, err := sumMatches(rel, agg, pred)
-	return m, err
+	ix, a, err := perCode(nil, rel, pred.Attr, agg)
+	if err != nil {
+		return 0, err
+	}
+	m, _ := a.fold(compileSelection(ix, pred))
+	return m, nil
 }
 
 // DirectAvg returns the nominal mean of agg over rows satisfying pred.
 // With zero matching rows it returns an error.
 func DirectAvg(rel *relation.Relation, agg string, pred Predicate) (float64, error) {
-	c, err := countMatches(rel, pred)
+	c, err := DirectCount(rel, pred)
 	if err != nil {
 		return 0, err
 	}
@@ -111,7 +90,7 @@ func DirectAvg(rel *relation.Relation, agg string, pred Predicate) (float64, err
 	if err != nil {
 		return 0, err
 	}
-	return s / float64(c), nil
+	return s / c, nil
 }
 
 // Estimator is the PrivateClean bias-corrected estimator, parameterized by
@@ -130,11 +109,13 @@ type Estimator struct {
 	// edge weights (the "PC-U" ablation of Figure 7). The default weighted
 	// cut is correct for multi-attribute cleaning.
 	UnweightedCut bool
-	// Cache, when non-nil, memoizes resolved channels (p, N, l) and
-	// per-predicate match tables across queries. Results are identical with
+	// Cache, when non-nil, memoizes resolved channels (p, N, l) and the
+	// per-view aggregate tables across queries. Results are identical with
 	// or without it. Attach one (NewChannelCache) only while Meta, Prov, and
-	// the relation's predicate columns are not being mutated — the long-lived
-	// query-serving case. The cache itself is safe for concurrent use.
+	// the relation's columns are not being mutated — the long-lived
+	// query-serving case: a rewritten discrete column is detected, an
+	// in-place numeric write is not. The cache itself is safe for
+	// concurrent use.
 	Cache *ChannelCache
 }
 
@@ -220,6 +201,16 @@ func (e *Estimator) confidence() float64 {
 	return e.Confidence
 }
 
+// invertible resolves pred's channel and rejects one with no signal to
+// invert (τ_p = τ_n).
+func (e *Estimator) invertible(pred Predicate) (channelVal, error) {
+	ch, err := e.channel(pred)
+	if err == nil && ch.denom <= 0 {
+		err = fmt.Errorf("estimator: p = %v leaves no signal to invert (τ_p = τ_n)", ch.p)
+	}
+	return ch, err
+}
+
 // Count implements the Eq. 3 count estimator:
 //
 //	ĉ = (c_private − S·τ_n) / (τ_p − τ_n),  τ_p − τ_n = 1 − p
@@ -228,18 +219,15 @@ func (e *Estimator) confidence() float64 {
 //
 //	ĉ ± z · (1/(1−p)) · sqrt(S·s_p·(1−s_p)).
 func (e *Estimator) Count(rel *relation.Relation, pred Predicate) (Estimate, error) {
-	ch, err := e.channel(pred)
+	ch, err := e.invertible(pred)
 	if err != nil {
 		return Estimate{}, err
 	}
-	if ch.denom <= 0 {
-		return Estimate{}, fmt.Errorf("estimator: p = %v leaves no signal to invert (τ_p = τ_n)", ch.p)
-	}
-	cPriv, err := e.countMatches(rel, pred)
+	cPriv, err := DirectCount(rel, pred)
 	if err != nil {
 		return Estimate{}, err
 	}
-	return e.countEstimate(ch, float64(cPriv), float64(rel.NumRows()))
+	return e.countEstimate(ch, cPriv, float64(rel.NumRows()))
 }
 
 // countEstimate is the Eq. 3 scalar math, shared by the relation-backed and
@@ -277,37 +265,34 @@ func (e *Estimator) countEstimate(ch channelVal, cPriv, s float64) (Estimate, er
 // the private relation (the 1/(1−p) factor carries the channel inversion
 // into the interval, matching the paper's analytic bound in Eq. 6).
 func (e *Estimator) Sum(rel *relation.Relation, agg string, pred Predicate) (Estimate, error) {
-	ch, err := e.channel(pred)
+	ch, err := e.invertible(pred)
 	if err != nil {
 		return Estimate{}, err
 	}
-	if ch.denom <= 0 {
-		return Estimate{}, fmt.Errorf("estimator: p = %v leaves no signal to invert (τ_p = τ_n)", ch.p)
-	}
-	hp, hpc, err := e.sumMatches(rel, agg, pred)
+	hp, hpc, cPriv, muP, varP, err := e.sumInputs(rel, agg, pred)
 	if err != nil {
 		return Estimate{}, err
+	}
+	return e.sumEstimate(ch, hp, hpc, cPriv, float64(rel.NumRows()), muP, varP)
+}
+
+// sumInputs reads what the Eq. 5 estimators need from the per-code layer:
+// the private sums of agg over pred and its complement, the matching row
+// count, and agg's column mean and variance.
+func (e *Estimator) sumInputs(rel *relation.Relation, agg string, pred Predicate) (hp, hpc, cPriv, muP, varP float64, err error) {
+	ix, a, err := perCode(e.Cache, rel, pred.Attr, agg)
+	if err != nil {
+		return 0, 0, 0, 0, 0, err
 	}
 	if rel.NumRows() == 0 {
-		return Estimate{}, fmt.Errorf("estimator: empty relation")
+		return 0, 0, 0, 0, 0, fmt.Errorf("estimator: empty relation")
 	}
-	cPriv, err := e.countMatches(rel, pred)
-	if err != nil {
-		return Estimate{}, err
+	if muP, varP, err = a.moments(); err != nil {
+		return 0, 0, 0, 0, 0, err
 	}
-	col, err := rel.Numeric(agg)
-	if err != nil {
-		return Estimate{}, err
-	}
-	muP, err := stats.Mean(col)
-	if err != nil {
-		return Estimate{}, err
-	}
-	varP, err := stats.Variance(col)
-	if err != nil {
-		return Estimate{}, err
-	}
-	return e.sumEstimate(ch, hp, hpc, float64(cPriv), float64(rel.NumRows()), muP, varP)
+	sel := compileSelection(ix, pred)
+	hp, hpc = a.fold(sel)
+	return hp, hpc, float64(countSelection(ix, sel)), muP, varP, nil
 }
 
 // sumEstimate is the Eq. 5 scalar math, shared by the relation-backed and
@@ -351,37 +336,17 @@ func (e *Estimator) SumIgnoringFalsePositives(rel *relation.Relation, agg string
 	if err != nil {
 		return Estimate{}, err
 	}
-	hp, _, err := e.sumMatches(rel, agg, pred)
+	hp, _, cPriv, muP, varP, err := e.sumInputs(rel, agg, pred)
 	if err != nil {
 		return Estimate{}, err
-	}
-	s := float64(rel.NumRows())
-	if s == 0 {
-		return Estimate{}, fmt.Errorf("estimator: empty relation")
 	}
 	tauP := ch.denom + ch.tauN
 	if tauP <= 0 {
 		return Estimate{}, fmt.Errorf("estimator: τ_p = %v leaves no signal to invert", tauP)
 	}
 	est := hp / tauP
-
-	cPriv, err := e.countMatches(rel, pred)
-	if err != nil {
-		return Estimate{}, err
-	}
-	sp := float64(cPriv) / s
-	col, err := rel.Numeric(agg)
-	if err != nil {
-		return Estimate{}, err
-	}
-	muP, err := stats.Mean(col)
-	if err != nil {
-		return Estimate{}, err
-	}
-	varP, err := stats.Variance(col)
-	if err != nil {
-		return Estimate{}, err
-	}
+	s := float64(rel.NumRows())
+	sp := cPriv / s
 	z, err := stats.ZScore(e.confidence())
 	if err != nil {
 		return Estimate{}, err
@@ -439,11 +404,11 @@ func (e *Estimator) TotalCount(rel *relation.Relation) Estimate {
 // (unbiased per Section 5.1: GRR noise is zero-mean). The interval reflects
 // the injected Laplace noise and sampling variance.
 func (e *Estimator) TotalSum(rel *relation.Relation, agg string) (Estimate, error) {
-	col, err := rel.Numeric(agg)
+	a, err := columnAggs(e.Cache, rel, nil, "", agg)
 	if err != nil {
 		return Estimate{}, err
 	}
-	varP, err := stats.Variance(col)
+	_, varP, err := a.moments()
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -452,20 +417,16 @@ func (e *Estimator) TotalSum(rel *relation.Relation, agg string) (Estimate, erro
 		return Estimate{}, err
 	}
 	s := float64(rel.NumRows())
-	return Estimate{Value: stats.Sum(col), CI: z * math.Sqrt(s*varP)}, nil
+	return Estimate{Value: a.total, CI: z * math.Sqrt(s*varP)}, nil
 }
 
 // TotalAvg estimates a predicate-free mean with the Direct estimator.
 func (e *Estimator) TotalAvg(rel *relation.Relation, agg string) (Estimate, error) {
-	col, err := rel.Numeric(agg)
+	a, err := columnAggs(e.Cache, rel, nil, "", agg)
 	if err != nil {
 		return Estimate{}, err
 	}
-	m, err := stats.Mean(col)
-	if err != nil {
-		return Estimate{}, err
-	}
-	varP, err := stats.Variance(col)
+	m, varP, err := a.moments()
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -484,13 +445,18 @@ func (e *Estimator) TotalAvg(rel *relation.Relation, agg string) (Estimate, erro
 // distinct value of attr in the (cleaned) private relation. This powers the
 // TPC-DS experiment's GROUP BY queries (Section 8.3.4).
 func (e *Estimator) GroupCounts(rel *relation.Relation, attr string) (map[string]Estimate, error) {
-	domain, err := rel.Domain(attr)
+	ix, err := rel.DiscreteIndex(attr)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]Estimate, len(domain))
-	for _, v := range domain {
-		est, err := e.Count(rel, Eq(attr, v))
+	counts := codeCounts(ix)
+	out := make(map[string]Estimate, ix.N())
+	for c, v := range ix.Domain {
+		ch, err := e.invertible(Eq(attr, v))
+		if err != nil {
+			return nil, err
+		}
+		est, err := e.countEstimate(ch, float64(counts[c]), float64(rel.NumRows()))
 		if err != nil {
 			return nil, err
 		}
@@ -514,9 +480,8 @@ func DirectGroupCounts(rel *relation.Relation, attr string) (map[string]float64,
 }
 
 // GroupSums estimates sum(agg) ... GROUP BY attr: one corrected sum per
-// distinct value of attr in the (cleaned) private relation. All groups
-// share a single vectorized pass over the code vector (groupAggregates)
-// instead of one relation scan per distinct value.
+// distinct value of attr in the (cleaned) private relation, every group
+// read from one per-code aggregate table.
 func (e *Estimator) GroupSums(rel *relation.Relation, attr, agg string) (map[string]Estimate, error) {
 	g, err := e.groupPass(rel, attr, agg)
 	if err != nil {
@@ -534,7 +499,7 @@ func (e *Estimator) GroupSums(rel *relation.Relation, attr, agg string) (map[str
 }
 
 // GroupAvgs estimates avg(agg) ... GROUP BY attr with the corrected ratio
-// estimator per group, from the same single vectorized pass as GroupSums.
+// estimator per group, from the same per-code table as GroupSums.
 // Groups whose estimated count is zero are omitted; every other failure
 // (missing aggregate column, bad metadata) propagates.
 func (e *Estimator) GroupAvgs(rel *relation.Relation, attr, agg string) (map[string]Estimate, error) {
@@ -569,52 +534,39 @@ func (e *Estimator) GroupAvgs(rel *relation.Relation, attr, agg string) (map[str
 }
 
 // groupPass holds the shared per-code aggregates and column moments of one
-// vectorized GROUP BY evaluation.
+// GROUP BY evaluation.
 type groupPass struct {
-	ix        *relation.DiscreteIndex
-	counts    []int
-	sums      []float64
-	total     float64
-	rows      float64
-	muP, varP float64
+	ix         *relation.DiscreteIndex
+	counts     []uint32
+	a          *codeAggs
+	rows       float64
+	mean, varP float64
 }
 
 func (e *Estimator) groupPass(rel *relation.Relation, attr, agg string) (*groupPass, error) {
-	ix, err := rel.DiscreteIndex(attr)
-	if err != nil {
-		return nil, err
-	}
-	col, err := rel.Numeric(agg)
+	ix, a, err := perCode(e.Cache, rel, attr, agg)
 	if err != nil {
 		return nil, err
 	}
 	if rel.NumRows() == 0 {
 		return nil, fmt.Errorf("estimator: empty relation")
 	}
-	muP, err := stats.Mean(col)
+	mean, varP, err := a.moments()
 	if err != nil {
 		return nil, err
 	}
-	varP, err := stats.Variance(col)
-	if err != nil {
-		return nil, err
-	}
-	counts, sums, total := groupAggregates(ix, col)
-	return &groupPass{ix: ix, counts: counts, sums: sums, total: total,
-		rows: float64(rel.NumRows()), muP: muP, varP: varP}, nil
+	return &groupPass{ix: ix, counts: codeCounts(ix), a: a, rows: float64(rel.NumRows()), mean: mean, varP: varP}, nil
 }
 
-// groupSumEstimate is one group's Eq. 5 inversion from the shared pass.
+// groupSumEstimate is one group's Eq. 5 inversion from the shared pass. The
+// complement sum is the row-order column total minus the group's sum.
 func (e *Estimator) groupSumEstimate(g *groupPass, code int, v, attr string) (Estimate, error) {
-	ch, err := e.channel(Eq(attr, v))
+	ch, err := e.invertible(Eq(attr, v))
 	if err != nil {
 		return Estimate{}, err
 	}
-	if ch.denom <= 0 {
-		return Estimate{}, fmt.Errorf("estimator: p = %v leaves no signal to invert (τ_p = τ_n)", ch.p)
-	}
-	hp := g.sums[code]
-	return e.sumEstimate(ch, hp, g.total-hp, float64(g.counts[code]), g.rows, g.muP, g.varP)
+	hp := g.a.sums[code]
+	return e.sumEstimate(ch, hp, g.a.total-hp, float64(g.counts[code]), g.rows, g.mean, g.varP)
 }
 
 // DirectGroupSums returns the nominal per-group sums.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"privateclean/internal/relation"
 	"privateclean/internal/stats"
 )
 
@@ -20,9 +21,10 @@ import (
 // (e.g. bootstrap, see the paper's references [3,47]); the estimates here
 // are reported with bootstrap intervals over the private rows.
 
-// matchedValues collects the aggregate values of rows satisfying pred
-// (all rows when pred.Match is nil), skipping NaN cells.
-func matchedValues(rel rowSource, agg string, pred Predicate) ([]float64, error) {
+// matchedValues collects, in row order, the non-NaN agg cells of rows
+// satisfying pred (all rows when pred.Match is nil), testing each row's
+// dictionary code against the compiled selection.
+func matchedValues(rel *relation.Relation, agg string, pred Predicate) ([]float64, error) {
 	vals, err := rel.Numeric(agg)
 	if err != nil {
 		return nil, err
@@ -36,24 +38,34 @@ func matchedValues(rel rowSource, agg string, pred Predicate) ([]float64, error)
 		}
 		return out, nil
 	}
-	col, err := rel.Discrete(pred.Attr)
+	ix, err := rel.DiscreteIndex(pred.Attr)
 	if err != nil {
 		return nil, err
 	}
-	var out []float64
-	for i, v := range col {
-		if pred.Match(v) && !math.IsNaN(vals[i]) {
-			out = append(out, vals[i])
+	// Branch-free gather: every row's cell is written at the cursor, which
+	// advances on matching codes only (the last slot absorbs the writes
+	// after the final match); NaN cells are dropped in a second pass.
+	sel := compileSelection(ix, pred)
+	advance := make([]int, ix.N())
+	for c := range advance {
+		if sel.has(uint32(c)) {
+			advance[c] = 1
 		}
 	}
-	return out, nil
-}
-
-// rowSource is the subset of *relation.Relation the extension estimators
-// need.
-type rowSource interface {
-	Numeric(name string) ([]float64, error)
-	Discrete(name string) ([]string, error)
+	out := make([]float64, countSelection(ix, sel)+1)
+	k := 0
+	for i, c := range ix.Codes {
+		out[k] = vals[i]
+		k += advance[c]
+	}
+	n := 0
+	for _, x := range out[:k] {
+		if x == x {
+			out[n] = x
+			n++
+		}
+	}
+	return out[:n], nil
 }
 
 // Median estimates the median of agg over rows satisfying pred. Because the
@@ -61,25 +73,25 @@ type rowSource interface {
 // private values is a consistent estimator of the true median (up to the
 // predicate's randomized-response mixing, which is not corrected — the
 // paper's extension treats order statistics as noise-robust only).
-func (e *Estimator) Median(rel rowSource, agg string, pred Predicate) (Estimate, error) {
+func (e *Estimator) Median(rel *relation.Relation, agg string, pred Predicate) (Estimate, error) {
 	return e.Percentile(rel, agg, pred, 0.5)
 }
 
 // Percentile estimates the q-th percentile (q in [0,1]) of agg over rows
 // satisfying pred, with a CLT interval for the sample quantile using the
 // asymptotic density-free binomial bound.
-func (e *Estimator) Percentile(rel rowSource, agg string, pred Predicate, q float64) (Estimate, error) {
+func (e *Estimator) Percentile(rel *relation.Relation, agg string, pred Predicate, q float64) (Estimate, error) {
 	if q < 0 || q > 1 {
 		return Estimate{}, fmt.Errorf("estimator: percentile %v out of [0,1]", q)
 	}
-	vals, err := matchedValues(rel, agg, pred)
+	vals, err := sortedMatched(e.Cache, rel, agg, pred)
 	if err != nil {
 		return Estimate{}, err
 	}
 	if len(vals) == 0 {
 		return Estimate{}, fmt.Errorf("estimator: no rows satisfy %s", pred)
 	}
-	point, err := stats.Quantile(vals, q)
+	point, err := stats.QuantileSorted(vals, q)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -100,11 +112,11 @@ func (e *Estimator) Percentile(rel rowSource, agg string, pred Predicate, q floa
 	if hiQ > 1 {
 		hiQ = 1
 	}
-	lo, err := stats.Quantile(vals, loQ)
+	lo, err := stats.QuantileSorted(vals, loQ)
 	if err != nil {
 		return Estimate{}, err
 	}
-	hi, err := stats.Quantile(vals, hiQ)
+	hi, err := stats.QuantileSorted(vals, hiQ)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -116,7 +128,7 @@ func (e *Estimator) Percentile(rel rowSource, agg string, pred Predicate, q floa
 // the known Laplace noise variance 2b² (var(x+y) = var(x)+var(y) for
 // independent x, y). The estimate is clamped at 0: sampling noise can push
 // the raw difference slightly negative for near-constant columns.
-func (e *Estimator) Var(rel rowSource, agg string, pred Predicate) (Estimate, error) {
+func (e *Estimator) Var(rel *relation.Relation, agg string, pred Predicate) (Estimate, error) {
 	if e.Meta == nil {
 		return Estimate{}, fmt.Errorf("estimator: nil view metadata")
 	}
@@ -131,27 +143,26 @@ func (e *Estimator) Var(rel rowSource, agg string, pred Predicate) (Estimate, er
 	if len(vals) < 2 {
 		return Estimate{}, fmt.Errorf("estimator: variance needs >= 2 rows, have %d", len(vals))
 	}
-	raw, err := stats.Variance(vals)
-	if err != nil {
-		return Estimate{}, err
-	}
-	noiseVar := stats.LaplaceVariance(nm.B)
-	v := raw - noiseVar
-	if v < 0 {
-		v = 0
-	}
-	// CLT interval for a sample variance: sd ~= sqrt((m4 - raw^2)/n) where
-	// m4 is the fourth central moment.
+	// One pass after the mean accumulates the second central moment —
+	// stats.Variance's value, vals holding no NaN — and the fourth, which
+	// the CLT interval for a sample variance needs: sd ~= sqrt((m4 -
+	// raw^2)/n).
 	mean, err := stats.Mean(vals)
 	if err != nil {
 		return Estimate{}, err
 	}
-	var m4 float64
+	var ss, m4 float64
 	for _, x := range vals {
 		d := x - mean
+		ss += d * d
 		m4 += d * d * d * d
 	}
+	raw := ss / float64(len(vals))
 	m4 /= float64(len(vals))
+	v := raw - stats.LaplaceVariance(nm.B)
+	if v < 0 {
+		v = 0
+	}
 	z, err := stats.ZScore(e.confidence())
 	if err != nil {
 		return Estimate{}, err
@@ -162,7 +173,7 @@ func (e *Estimator) Var(rel rowSource, agg string, pred Predicate) (Estimate, er
 
 // Std estimates the standard deviation of agg over rows satisfying pred via
 // the square root of the corrected variance (delta-method interval).
-func (e *Estimator) Std(rel rowSource, agg string, pred Predicate) (Estimate, error) {
+func (e *Estimator) Std(rel *relation.Relation, agg string, pred Predicate) (Estimate, error) {
 	v, err := e.Var(rel, agg, pred)
 	if err != nil {
 		return Estimate{}, err
@@ -176,25 +187,25 @@ func (e *Estimator) Std(rel rowSource, agg string, pred Predicate) (Estimate, er
 }
 
 // DirectMedian is the uncorrected baseline median.
-func DirectMedian(rel rowSource, agg string, pred Predicate) (float64, error) {
+func DirectMedian(rel *relation.Relation, agg string, pred Predicate) (float64, error) {
 	return DirectPercentile(rel, agg, pred, 0.5)
 }
 
 // DirectPercentile is the uncorrected baseline q-th quantile.
-func DirectPercentile(rel rowSource, agg string, pred Predicate, q float64) (float64, error) {
-	vals, err := matchedValues(rel, agg, pred)
+func DirectPercentile(rel *relation.Relation, agg string, pred Predicate, q float64) (float64, error) {
+	vals, err := sortedMatched(nil, rel, agg, pred)
 	if err != nil {
 		return 0, err
 	}
 	if len(vals) == 0 {
 		return 0, fmt.Errorf("estimator: no rows satisfy %s", pred)
 	}
-	return stats.Quantile(vals, q)
+	return stats.QuantileSorted(vals, q)
 }
 
 // DirectVar is the uncorrected baseline variance (it includes the injected
 // noise variance 2b²).
-func DirectVar(rel rowSource, agg string, pred Predicate) (float64, error) {
+func DirectVar(rel *relation.Relation, agg string, pred Predicate) (float64, error) {
 	vals, err := matchedValues(rel, agg, pred)
 	if err != nil {
 		return 0, err

@@ -235,8 +235,12 @@ func TestChannelCacheEquivalence(t *testing.T) {
 	check(t) // cold cache
 	check(t) // warm cache
 
-	if chans, tables := cached.Cache.Len(); chans == 0 || tables == 0 {
-		t.Fatalf("cache unused: %d channels, %d tables resident", chans, tables)
+	// Count and Sum are served from channels and the per-code table; they
+	// pin no match bitsets.
+	st := cached.Cache.Stats()
+	if chans, tables := cached.Cache.Len(); chans == 0 || tables != 0 || st[kindPerCode].Entries == 0 {
+		t.Fatalf("cache use: %d channels, %d bitsets, %d per-code tables resident; want channels and per-code tables, no bitsets",
+			chans, tables, st[kindPerCode].Entries)
 	}
 
 	// Hammer the shared cached estimator from many goroutines (the race

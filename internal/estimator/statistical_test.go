@@ -172,7 +172,7 @@ func collectWith(t *testing.T, v *relation.Relation, meta *privacy.ViewMeta, joi
 // (it removes mixing, not discretization, so the truth is binned too).
 func binnedQuantileTruth(t *testing.T, edges, matched []float64, q float64) float64 {
 	t.Helper()
-	counts, _ := binCounts(edges, matched)
+	counts := buildBinMoments(edges, matched, matched).n
 	fs := make([]float64, len(counts))
 	for i, c := range counts {
 		fs[i] = float64(c)
@@ -491,7 +491,7 @@ func TestStatisticalRegressionSuite(t *testing.T) {
 }
 
 // mustMatched is matchedValues with the error folded into the test.
-func mustMatched(t *testing.T, rel rowSource, agg string, pred Predicate) []float64 {
+func mustMatched(t *testing.T, rel *relation.Relation, agg string, pred Predicate) []float64 {
 	t.Helper()
 	vs, err := matchedValues(rel, agg, pred)
 	if err != nil {

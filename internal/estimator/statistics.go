@@ -582,12 +582,9 @@ func collectInto(c *Collector, it relation.Iterator) (*Statistics, error) {
 // CountStats is Count over sufficient statistics instead of a resident
 // relation.
 func (e *Estimator) CountStats(st *Statistics, pred Predicate) (Estimate, error) {
-	ch, err := e.channel(pred)
+	ch, err := e.invertible(pred)
 	if err != nil {
 		return Estimate{}, err
-	}
-	if ch.denom <= 0 {
-		return Estimate{}, fmt.Errorf("estimator: p = %v leaves no signal to invert (τ_p = τ_n)", ch.p)
 	}
 	cPriv, err := st.countMatches(pred)
 	if err != nil {
@@ -598,12 +595,9 @@ func (e *Estimator) CountStats(st *Statistics, pred Predicate) (Estimate, error)
 
 // SumStats is Sum over sufficient statistics.
 func (e *Estimator) SumStats(st *Statistics, agg string, pred Predicate) (Estimate, error) {
-	ch, err := e.channel(pred)
+	ch, err := e.invertible(pred)
 	if err != nil {
 		return Estimate{}, err
-	}
-	if ch.denom <= 0 {
-		return Estimate{}, fmt.Errorf("estimator: p = %v leaves no signal to invert (τ_p = τ_n)", ch.p)
 	}
 	hp, hpc, err := st.sumMatches(agg, pred)
 	if err != nil {

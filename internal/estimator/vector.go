@@ -8,21 +8,16 @@ import (
 
 // This file is the vectorized predicate executor. Predicates are compiled
 // once per (dictionary, predicate) pair into a selection — a description of
-// the matching domain codes — and then evaluated as tight loops over the
-// column's uint32 code vector, with no per-row function calls or string
-// compares. The selection picks the cheapest representation for its shape:
-// match-all and match-none short-circuit, an equality compares codes
-// directly, anything larger indexes a per-code bool table (a branch-free
-// load; faster in practice than comparing even two codes per row). Counting
-// skips the row scan entirely when the dictionary carries per-code row
-// counts. Row scans can also be materialized into a rowBits bitset, which
-// the ChannelCache retains so repeated queries and conjunction
-// intersections reuse the same evaluation.
-//
-// The loops preserve the exact accumulation order of the scalar code they
-// replaced (ascending row order, NaN skipped before the match branch), so
-// estimates are bit-for-bit identical with and without vectorization —
-// the property the colstore byte-identity tests pin down.
+// the matching domain codes — so no estimator evaluates a predicate per row.
+// The per-code aggregate layer (aggs.go) folds a selection over per-code
+// tables in O(domain); conjunctions, which need the rows each predicate
+// matches, materialize it into a rowBits bitset with a tight loop over the
+// column's uint32 code vector, which the ChannelCache retains for repeated
+// queries and intersections. The selection picks the cheapest
+// representation for its shape: match-all and match-none short-circuit, an
+// equality compares codes directly, anything larger indexes a per-code bool
+// table (a branch-free load; faster in practice than comparing even two
+// codes per row).
 
 // selection is a compiled predicate over one dictionary encoding: which
 // domain codes match. Exactly one representation is active: all, a single
@@ -61,102 +56,45 @@ func compileSelection(ix *relation.DiscreteIndex, pred Predicate) selection {
 	}
 }
 
-// countSelection counts the rows matching sel. With per-code counts on the
-// dictionary this is an O(domain) sum; otherwise it scans the code vector.
+// has reports whether code c matches.
+func (s selection) has(c uint32) bool {
+	switch {
+	case s.all:
+		return true
+	case s.table != nil:
+		return s.table[c]
+	case len(s.codes) == 1:
+		return s.codes[0] == c
+	}
+	return false
+}
+
+// countSelection counts the rows matching sel: an O(domain) sum over the
+// per-code row counts.
 func countSelection(ix *relation.DiscreteIndex, sel selection) int {
 	if sel.all {
 		return len(ix.Codes)
 	}
-	if ix.Counts != nil {
-		switch {
-		case sel.table != nil:
-			n := uint32(0)
-			for c, in := range sel.table {
-				if in {
-					n += ix.Counts[c]
-				}
-			}
-			return int(n)
-		case len(sel.codes) == 1:
-			return int(ix.Counts[sel.codes[0]])
-		default:
-			return 0
-		}
-	}
-	return countSelected(ix.Codes, sel)
-}
-
-// countSelected counts the rows whose code matches sel by scanning the code
-// vector — the fallback for dictionaries without materialized counts.
-func countSelected(codes []uint32, sel selection) int {
 	n := 0
-	switch {
-	case sel.all:
-		return len(codes)
-	case sel.table != nil:
-		table := sel.table
-		for _, c := range codes {
-			if table[c] {
-				n++
-			}
-		}
-	case len(sel.codes) == 1:
-		m := sel.codes[0]
-		for _, c := range codes {
-			if c == m {
-				n++
-			}
+	for c, k := range codeCounts(ix) {
+		if sel.has(uint32(c)) {
+			n += int(k)
 		}
 	}
 	return n
 }
 
-// sumSelected accumulates vals over the selection and its complement in
-// ascending row order, skipping NaN cells before the match branch — the
-// exact semantics (and therefore bit-exact results) of the scalar loop it
-// replaces.
-func sumSelected(codes []uint32, vals []float64, sel selection) (matched, complement float64) {
-	switch {
-	case sel.all:
-		for _, x := range vals {
-			if x == x { // not NaN
-				matched += x
-			}
-		}
-	case sel.table != nil:
-		table := sel.table
-		for i, c := range codes {
-			x := vals[i]
-			if x != x {
-				continue
-			}
-			if table[c] {
-				matched += x
-			} else {
-				complement += x
-			}
-		}
-	case len(sel.codes) == 1:
-		m := sel.codes[0]
-		for i, c := range codes {
-			x := vals[i]
-			if x != x {
-				continue
-			}
-			if c == m {
-				matched += x
-			} else {
-				complement += x
-			}
-		}
-	default: // empty selection: everything is complement
-		for _, x := range vals {
-			if x == x {
-				complement += x
-			}
-		}
+// codeCounts returns the per-code row counts of ix, counting the code
+// vector when the index carries none.
+func codeCounts(ix *relation.DiscreteIndex) []uint32 {
+	if ix.Counts != nil {
+		return ix.Counts
 	}
-	return matched, complement
+	counts := make([]uint32, ix.N())
+	for _, c := range ix.Codes {
+		counts[c]++
+	}
+	return counts
 }
 
 // rowBits is a materialized match bitset: one bit per row, plus the
@@ -229,62 +167,6 @@ func popcount(words []uint64) int {
 	return n
 }
 
-// sumBits accumulates vals over a bitset and its complement in ascending row
-// order with the NaN-first skip, matching sumSelected exactly.
-func sumBits(vals []float64, b *rowBits) (matched, complement float64) {
-	for w, word := range b.words {
-		base := w << 6
-		end := base + 64
-		if end > b.rows {
-			end = b.rows
-		}
-		for r := base; r < end; r++ {
-			x := vals[r]
-			if x != x {
-				continue
-			}
-			if word&(1<<(uint(r)&63)) != 0 {
-				matched += x
-			} else {
-				complement += x
-			}
-		}
-	}
-	return matched, complement
-}
-
-// groupAggregates is the one-pass GROUP BY kernel over a dictionary-coded
-// column: per-code row counts and per-code aggregate sums, plus the
-// column's row-order total, in a single scan of the code vector. NaN
-// aggregate cells are skipped before the code dispatch, matching the scalar
-// loops. GroupSums/GroupAvgs build every group's (h_p, h_p^c, c_priv) from
-// this one pass instead of re-scanning the relation once per distinct
-// value; the complement sum total − sums[c] re-associates the additions
-// relative to a per-value scan, which moves estimates by float rounding
-// (~1e-16 relative), the same caveat the statistics path documents.
-func groupAggregates(ix *relation.DiscreteIndex, vals []float64) (counts []int, sums []float64, total float64) {
-	counts = make([]int, ix.N())
-	sums = make([]float64, ix.N())
-	if ix.Counts != nil {
-		for c, n := range ix.Counts {
-			counts[c] = int(n)
-		}
-	} else {
-		for _, c := range ix.Codes {
-			counts[c]++
-		}
-	}
-	for i, c := range ix.Codes {
-		x := vals[i]
-		if x != x {
-			continue
-		}
-		sums[c] += x
-		total += x
-	}
-	return counts, sums, total
-}
-
 // bitsForPredicate compiles pred against the column's dictionary and
 // materializes the match bitset, routed through the estimator's cache when
 // one is attached and the predicate is cacheable.
@@ -293,8 +175,5 @@ func (e *Estimator) bitsForPredicate(rel *relation.Relation, pred Predicate) (*r
 	if err != nil {
 		return nil, err
 	}
-	if e != nil && e.Cache != nil {
-		return e.Cache.bitsFor(ix, pred), nil
-	}
-	return bitsFromSelection(ix.Codes, compileSelection(ix, pred)), nil
+	return e.Cache.bitsFor(ix, pred), nil
 }

@@ -40,32 +40,35 @@ func vectorRel(t testing.TB, rows int) *relation.Relation {
 	return rel
 }
 
-// naiveEval is the reference implementation: per-row string evaluation with
-// the same NaN-first accumulation order.
+// naiveEval is the reference implementation: per-row string evaluation,
+// per-value sums accumulated in row order with NaN cells skipped, folded
+// into the matched and complement sums in sorted-value order.
 func naiveEval(rel *relation.Relation, pred Predicate, agg string) (count int, matched, complement float64) {
 	col := rel.MustDiscrete(pred.Attr)
 	vals := rel.MustNumeric(agg)
+	sums := map[string]float64{}
 	for i, v := range col {
-		ok := pred.Match == nil || pred.Match(v)
-		if ok {
+		if pred.Match == nil || pred.Match(v) {
 			count++
 		}
-		x := vals[i]
-		if math.IsNaN(x) {
-			continue
+		if x := vals[i]; !math.IsNaN(x) {
+			sums[v] += x
 		}
-		if ok {
-			matched += x
+	}
+	domain, _ := rel.Domain(pred.Attr) // sorted
+	for _, v := range domain {
+		if pred.Match == nil || pred.Match(v) {
+			matched += sums[v]
 		} else {
-			complement += x
+			complement += sums[v]
 		}
 	}
 	return count, matched, complement
 }
 
-// TestVectorizedMatchesNaive pins the vectorized executor to the reference
+// TestVectorizedMatchesNaive pins the compiled selection to the reference
 // semantics bit for bit, across every selection representation (match-all,
-// match-none, single code, table) and both the direct and bitset paths.
+// match-none, single code, table): counts, per-code sum folds, and bitsets.
 func TestVectorizedMatchesNaive(t *testing.T) {
 	rel := vectorRel(t, 997) // odd size: exercises the partial last bitset word
 	preds := []Predicate{
@@ -76,19 +79,15 @@ func TestVectorizedMatchesNaive(t *testing.T) {
 		In("cat", "v00", "v02", "v04", "v06", "v08", "v10", "v12"),
 		Not(Eq("cat", "v03")),
 	}
-	ix, err := rel.DiscreteIndex("cat")
+	ix, a, err := perCode(nil, rel, "cat", "x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := rel.MustNumeric("x")
 	for _, pred := range preds {
 		wantCount, wantM, wantC := naiveEval(rel, pred, "x")
 		sel := compileSelection(ix, pred)
-		if got := countSelected(ix.Codes, sel); got != wantCount {
-			t.Errorf("%s: countSelected = %d, want %d", pred, got, wantCount)
-		}
 		// The O(domain) count from materialized dictionary counts and the
-		// fallback scan over a count-less index must agree with the scan.
+		// fallback over a count-less index must agree with the scan.
 		if got := countSelection(ix, sel); got != wantCount {
 			t.Errorf("%s: countSelection = %d, want %d", pred, got, wantCount)
 		}
@@ -96,17 +95,13 @@ func TestVectorizedMatchesNaive(t *testing.T) {
 		if got := countSelection(bare, sel); got != wantCount {
 			t.Errorf("%s: countSelection (no counts) = %d, want %d", pred, got, wantCount)
 		}
-		gotM, gotC := sumSelected(ix.Codes, vals, sel)
-		if gotM != wantM || gotC != wantC {
-			t.Errorf("%s: sumSelected = (%v, %v), want (%v, %v)", pred, gotM, gotC, wantM, wantC)
+		gotM, gotC := a.fold(sel)
+		if math.Float64bits(gotM) != math.Float64bits(wantM) || math.Float64bits(gotC) != math.Float64bits(wantC) {
+			t.Errorf("%s: fold = (%v, %v), want (%v, %v)", pred, gotM, gotC, wantM, wantC)
 		}
 		b := bitsFromSelection(ix.Codes, sel)
 		if b.ones != wantCount {
 			t.Errorf("%s: bitset ones = %d, want %d", pred, b.ones, wantCount)
-		}
-		gotM, gotC = sumBits(vals, b)
-		if gotM != wantM || gotC != wantC {
-			t.Errorf("%s: sumBits = (%v, %v), want (%v, %v)", pred, gotM, gotC, wantM, wantC)
 		}
 		for i := 0; i < rel.NumRows(); i++ {
 			want := pred.Match == nil || pred.Match(rel.MustDiscrete("cat")[i])

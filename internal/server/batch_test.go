@@ -115,7 +115,7 @@ func TestBatchMixedValidity(t *testing.T) {
 		"SELECT bogus(1) FROM R",                      // parse error
 		"",                                            // empty
 		"SELECT sum(nope) FROM R WHERE category = 'a'", // unknown aggregate column
-		"SELECT count(1) FROM R",                      // valid (total)
+		"SELECT count(1) FROM R",                       // valid (total)
 	}
 	resp, br, _ := postBatch(t, srv.URL, queries)
 	if resp.StatusCode != http.StatusOK {
@@ -184,21 +184,28 @@ func TestBatchRejections(t *testing.T) {
 }
 
 // TestBatchPopulatesSharedCache asserts the amortization the endpoint
-// exists for: after one batch, the estimator's channel cache holds entries
-// for the workload's predicates.
+// exists for: after one batch, the estimator's cache holds the channels of
+// the workload's predicates and the per-code table its sums read, and no
+// match bitset (only conjunctions need those).
 func TestBatchPopulatesSharedCache(t *testing.T) {
 	s := newTestServer(t, nil)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	resp, _, _ := postBatch(t, srv.URL, []string{
 		"SELECT count(1) FROM R WHERE category = 'a'",
-		"SELECT count(1) FROM R WHERE category = 'b'",
+		"SELECT sum(value) FROM R WHERE category = 'b'",
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	chans, tables := s.est.Cache.Len()
-	if chans == 0 || tables == 0 {
-		t.Fatalf("cache after batch: channels=%d tables=%d, want both > 0", chans, tables)
+	perCode := int64(0)
+	for _, k := range s.est.Cache.Stats() {
+		if k.Kind == "per-code" {
+			perCode = k.Entries
+		}
+	}
+	if chans != 2 || tables != 0 || perCode != 1 {
+		t.Fatalf("cache after batch: channels=%d bitsets=%d per-code=%d, want 2, 0, 1", chans, tables, perCode)
 	}
 }

@@ -108,6 +108,10 @@ type Server struct {
 	mu      sync.Mutex
 	httpSrv *http.Server
 
+	// cacheMu serializes publishing the estimator cache's counters, which
+	// adds each counter's growth since the previous scrape.
+	cacheMu sync.Mutex
+
 	// testHook, when set, runs inside each /v1/query execution after
 	// admission; tests use it to hold requests in flight deterministically.
 	testHook func()
@@ -149,7 +153,8 @@ func New(cfg Config) (*Server, error) {
 	tel.Redact.Allow("/v1/query", "/v1/query/batch", "/v1/describe", "/v1/statusz", "/v1/tracez",
 		"/healthz", "/metrics",
 		"timeout", "shed", "method_not_allowed", "not_found", "serve", "serve_query", "serve_batch", "drain",
-		"200", "400", "404", "405", "408", "422", "429", "500", "503")
+		"200", "400", "404", "405", "408", "422", "429", "500", "503",
+		"channel", "bitset", "per-code", "bin", "runs")
 	return &Server{
 		start: time.Now(),
 		rel:   cfg.Rel,
@@ -499,8 +504,25 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.publishCacheStats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = s.tel.Metrics.WritePrometheus(w)
+}
+
+// publishCacheStats copies the estimator cache's hit, miss and entry counts,
+// by kind of entry, onto the metrics registry.
+func (s *Server) publishCacheStats() {
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	reg := s.tel.Metrics
+	for _, k := range s.est.Cache.Stats() {
+		kind := telemetry.L("kind", k.Kind)
+		hits := reg.Counter("privateclean_channel_cache_hits_total", "Estimator cache lookups answered from the cache, by kind of entry.", kind)
+		hits.Add(float64(k.Hits) - hits.Value())
+		misses := reg.Counter("privateclean_channel_cache_misses_total", "Estimator cache lookups that built the entry, by kind of entry.", kind)
+		misses.Add(float64(k.Misses) - misses.Value())
+		reg.Gauge("privateclean_channel_cache_entries", "Estimator cache entries resident, by kind of entry.", kind).Set(float64(k.Entries))
+	}
 }
 
 // Serve accepts connections on l until Shutdown. It returns

@@ -356,14 +356,25 @@ func TestMetricsHygiene(t *testing.T) {
 	const secret = "XYZZYSECRET"
 	postQuery(t, ts.URL, fmt.Sprintf("SELECT count(1) FROM R WHERE category = '%s'", secret))
 	postQuery(t, ts.URL, "SELECT count(1) FROM R WHERE category = 'a'")
+	postQuery(t, ts.URL, fmt.Sprintf("SELECT sum(value) FROM R WHERE category = '%s'", secret))
+	postQuery(t, ts.URL, "SELECT sum(value) FROM R WHERE category = 'a'")
+	postQuery(t, ts.URL, fmt.Sprintf("SELECT median(value) FROM R WHERE category = '%s'", secret))
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		text := string(body)
+		if strings.Contains(text, secret) || strings.Contains(text, "SELECT") || strings.Contains(text, "[redacted") {
+			t.Fatalf("metrics leak query contents:\n%s", text)
+		}
+		return text
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	text := string(body)
+	text := scrape()
 	for _, want := range []string{
 		"privateclean_http_requests_total",
 		"privateclean_http_request_seconds",
@@ -371,13 +382,27 @@ func TestMetricsHygiene(t *testing.T) {
 		"privateclean_queries_total",
 		`path="/v1/query"`,
 		`status="200"`,
+		// The estimator cache, by kind: the counts resolved two channels
+		// that the sums reused, the two sums shared one per-code table, the
+		// median built one set of sorted runs, and nothing pinned a bitset.
+		`privateclean_channel_cache_misses_total{kind="channel"} 2`,
+		`privateclean_channel_cache_hits_total{kind="channel"} 2`,
+		`privateclean_channel_cache_misses_total{kind="per-code"} 1`,
+		`privateclean_channel_cache_hits_total{kind="per-code"} 1`,
+		`privateclean_channel_cache_misses_total{kind="runs"} 1`,
+		`privateclean_channel_cache_entries{kind="per-code"} 1`,
+		`privateclean_channel_cache_entries{kind="runs"} 1`,
+		`privateclean_channel_cache_entries{kind="bitset"} 0`,
+		`privateclean_channel_cache_entries{kind="bin"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
 		}
 	}
-	if strings.Contains(text, secret) || strings.Contains(text, "SELECT") {
-		t.Fatalf("metrics leak query contents:\n%s", text)
+	// A later scrape publishes only the growth since the last one.
+	postQuery(t, ts.URL, "SELECT sum(value) FROM R WHERE category = 'a'")
+	if text := scrape(); !strings.Contains(text, `privateclean_channel_cache_hits_total{kind="per-code"} 2`) {
+		t.Fatalf("per-code hits after one more sum:\n%s", text)
 	}
 }
 
