@@ -1,7 +1,7 @@
 GO ?= go
 
-# Per-target budget for the fuzz smoke; nine targets keep the whole pass
-# around 45 seconds.
+# Per-target budget for the fuzz smoke; ten targets keep the whole pass
+# around 50 seconds.
 FUZZ_TIME ?= 5s
 
 # Minimum total statement coverage; CI fails below this. Raise it when
@@ -47,6 +47,7 @@ collect-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/query/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/query/ -run '^$$' -fuzz '^FuzzCompilePredicate$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/query/ -run '^$$' -fuzz '^FuzzQueryAcrossSources$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz '^FuzzReadPolicies$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz '^FuzzMetaJSON$$' -fuzztime $(FUZZ_TIME)

@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -273,6 +272,64 @@ func (cf *csvFlags) load(path string) (*relation.Relation, error) {
 	return r, nil
 }
 
+// viewFlags bundles the flags of the subcommands that answer queries from a
+// private view: exactly one of -in, -col or -stats, plus the view's
+// metadata, provenance and interval confidence.
+type viewFlags struct {
+	in, metaPath, provPath, statsPath, colPath *string
+	confidence                                 *float64
+}
+
+func addViewFlags(fs *flag.FlagSet) *viewFlags {
+	return &viewFlags{
+		in:         fs.String("in", "", "cleaned private CSV (required unless -stats or -col)"),
+		metaPath:   fs.String("meta", "", "view metadata JSON (required)"),
+		provPath:   fs.String("prov", "", "provenance JSON (optional)"),
+		statsPath:  fs.String("stats", "", "sufficient-statistics JSON from 'privateclean stats' (alternative to -in)"),
+		colPath:    fs.String("col", "", ".pcol columnar file from 'privateclean pack' (alternative to -in; opened via mmap, no parsing)"),
+		confidence: fs.Float64("confidence", 0.95, "confidence level for intervals"),
+	}
+}
+
+// ok reports whether the metadata and exactly one input are named.
+func (vf *viewFlags) ok() bool {
+	return countSet(*vf.in, *vf.statsPath, *vf.colPath) == 1 && *vf.metaPath != ""
+}
+
+// paths lists the file flags, for the redaction allow-list.
+func (vf *viewFlags) paths() []string {
+	return []string{*vf.in, *vf.metaPath, *vf.provPath, *vf.statsPath, *vf.colPath}
+}
+
+// open loads the named input as a query source, then the metadata and the
+// provenance (nil without -prov). done releases a .pcol mapping: call it
+// only once no query can still read the source.
+func (vf *viewFlags) open(cf *csvFlags) (src query.Source, meta *privacy.ViewMeta, prov *provenance.Store, done func(), err error) {
+	done = func() {}
+	switch {
+	case *vf.statsPath != "":
+		src.Stats, err = readStats(*vf.statsPath)
+	case *vf.colPath != "":
+		var view *colstore.View
+		if view, err = colstore.Open(*vf.colPath); err == nil {
+			src.Rel, done = view.Relation(), func() { view.Close() }
+		}
+	default:
+		src.Rel, err = cf.load(*vf.in)
+	}
+	if err == nil {
+		meta, err = readMeta(*vf.metaPath)
+	}
+	if err == nil && *vf.provPath != "" {
+		prov, err = readProv(*vf.provPath)
+	}
+	if err != nil {
+		done()
+		return query.Source{}, nil, nil, func() {}, err
+	}
+	return src, meta, prov, done, nil
+}
+
 // readMeta loads and validates released view metadata; anything wrong with
 // it — unreadable, undecodable, or inconsistent — is a metadata fault.
 func readMeta(path string) (*privacy.ViewMeta, error) {
@@ -506,20 +563,6 @@ func countSet(vals ...string) int {
 		}
 	}
 	return n
-}
-
-// printGroupRows prints a discrete GROUP BY result in sorted key order with
-// the direct-comparison column: counts render as integers, sums and
-// averages with full precision. Keys present only in the direct map (e.g.
-// zero-estimate groups GroupAvgs omits) are not printed.
-func printGroupRows(agg query.AggKind, groups map[string]estimator.Estimate, direct map[string]float64) {
-	format := "%-24s privateclean=%s direct=%.6g\n"
-	if agg == query.AggCount {
-		format = "%-24s privateclean=%s direct=%.0f\n"
-	}
-	for _, k := range sortedKeys(groups) {
-		fmt.Printf(format, k, groups[k], direct[k])
-	}
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -1030,19 +1073,14 @@ func readStats(path string) (*estimator.Statistics, error) {
 
 func cmdQuery(args []string) (err error) {
 	fs := flag.NewFlagSet("query", flag.ContinueOnError)
-	in := fs.String("in", "", "cleaned private CSV (required unless -stats or -col)")
-	metaPath := fs.String("meta", "", "view metadata JSON (required)")
-	provPath := fs.String("prov", "", "provenance JSON (optional)")
-	statsPath := fs.String("stats", "", "sufficient-statistics JSON from 'privateclean stats' (alternative to -in)")
-	colPath := fs.String("col", "", ".pcol columnar file from 'privateclean pack' (alternative to -in; opened via mmap, no parsing)")
-	confidence := fs.Float64("confidence", 0.95, "confidence level for intervals")
+	vf := addViewFlags(fs)
 	cf := addCSVFlags(fs)
 	tf := addTelFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return faults.Wrap(faults.ErrUsage, err)
 	}
 	sql := strings.Join(fs.Args(), " ")
-	if countSet(*in, *statsPath, *colPath) != 1 || *metaPath == "" || sql == "" {
+	if !vf.ok() || sql == "" {
 		return faults.Errorf(faults.ErrUsage, "query: -meta, a SQL string, and exactly one of -in, -stats, or -col are required")
 	}
 	tel, err := tf.setup()
@@ -1050,348 +1088,59 @@ func cmdQuery(args []string) (err error) {
 		return err
 	}
 	defer tf.finish(&err)
-	tel.Redact.Allow(*in, *metaPath, *provPath, *statsPath, *colPath)
-	var r *relation.Relation
-	var st *estimator.Statistics
-	switch {
-	case *statsPath != "":
-		if st, err = readStats(*statsPath); err != nil {
-			return err
-		}
-	case *colPath != "":
-		view, verr := colstore.Open(*colPath)
-		if verr != nil {
-			return verr
-		}
-		defer view.Close()
-		r = view.Relation()
-	default:
-		if r, err = cf.load(*in); err != nil {
-			return err
-		}
-	}
-	meta, err := readMeta(*metaPath)
+	tel.Redact.Allow(vf.paths()...)
+	src, meta, prov, done, err := vf.open(cf)
 	if err != nil {
 		return err
 	}
-	var prov *provenance.Store
-	if *provPath != "" {
-		if prov, err = readProv(*provPath); err != nil {
-			return err
-		}
-	}
+	defer done()
 
 	q, err := query.Parse(sql)
 	if err != nil {
 		return err
 	}
-	// The CLI estimates directly (it needs the direct-comparison numbers the
-	// Analyst API does not expose), so it mirrors Analyst.Run's span + metrics.
 	sp := tel.Trace.StartSpan(nil, "query_estimate", telemetry.A("agg", q.Agg.String()))
-	start := time.Now()
-	defer func() {
-		sp.End()
-		tel.Metrics.Counter("privateclean_queries_total", "Estimated queries, by aggregate.",
-			telemetry.L("agg", q.Agg.String())).Inc()
-		tel.Metrics.Histogram("privateclean_query_seconds", "Wall time of query estimation.",
-			telemetry.DurationBuckets).Observe(time.Since(start).Seconds())
-	}()
-	est := &estimator.Estimator{Meta: meta, Prov: prov, Confidence: *confidence}
-
-	if st != nil {
-		return queryStats(est, st, q)
-	}
-
-	if len(q.AndWhere) > 0 {
-		preds, err := query.CompileConjunction(q.Conds(), nil)
-		if err != nil {
-			return err
-		}
-		var pc estimator.Estimate
-		switch q.Agg {
-		case query.AggCount:
-			pc, err = est.CountConj(r, preds...)
-		case query.AggSum:
-			pc, err = est.SumConj(r, q.AggAttr, preds...)
-		case query.AggAvg:
-			pc, err = est.AvgConj(r, q.AggAttr, preds...)
-		default:
-			return faults.Errorf(faults.ErrBadQuery, "query: %s does not support AND conjunctions", q.Agg)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("privateclean = %s\n", pc)
-		return nil
-	}
-
-	if q.GroupBy != "" {
-		if q.GroupBin {
-			var bins []estimator.BinEstimate
-			switch q.Agg {
-			case query.AggCount:
-				bins, err = est.GroupBinCounts(r, q.GroupBy)
-			case query.AggSum:
-				bins, err = est.GroupBinSums(r, q.GroupBy, q.AggAttr)
-			case query.AggAvg:
-				bins, err = est.GroupBinAvgs(r, q.GroupBy, q.AggAttr)
-			default:
-				return faults.Errorf(faults.ErrBadQuery,
-					"query: GROUP BY bin(%s) supports count(1), sum, and avg only", q.GroupBy)
-			}
-			if err != nil {
-				return err
-			}
-			for _, b := range bins {
-				fmt.Printf("%-24s privateclean=%s\n", b.Label, b.Est)
-			}
-			return nil
-		}
-		var groups map[string]estimator.Estimate
-		var direct map[string]float64
-		switch q.Agg {
-		case query.AggCount:
-			if groups, err = est.GroupCounts(r, q.GroupBy); err == nil {
-				direct, err = estimator.DirectGroupCounts(r, q.GroupBy)
-			}
-		case query.AggSum:
-			if groups, err = est.GroupSums(r, q.GroupBy, q.AggAttr); err == nil {
-				direct, err = estimator.DirectGroupSums(r, q.GroupBy, q.AggAttr)
-			}
-		case query.AggAvg:
-			if groups, err = est.GroupAvgs(r, q.GroupBy, q.AggAttr); err == nil {
-				direct, err = estimator.DirectGroupAvgs(r, q.GroupBy, q.AggAttr)
-			}
-		default:
-			return faults.Errorf(faults.ErrBadQuery, "query: GROUP BY supports count(1), sum, and avg only")
-		}
-		if err != nil {
-			return err
-		}
-		printGroupRows(q.Agg, groups, direct)
-		return nil
-	}
-
-	if q.Where == nil {
-		switch q.Agg {
-		case query.AggCount, query.AggSum, query.AggAvg:
-			var e estimator.Estimate
-			switch q.Agg {
-			case query.AggCount:
-				e = est.TotalCount(r)
-			case query.AggSum:
-				e, err = est.TotalSum(r, q.AggAttr)
-			case query.AggAvg:
-				e, err = est.TotalAvg(r, q.AggAttr)
-			}
-			if err != nil {
-				return err
-			}
-			fmt.Printf("privateclean = %s\n", e)
-			return nil
-		}
-		// median/quantile/var/std fall through to the predicate path with the
-		// match-all predicate.
-	}
-
-	var pred estimator.Predicate
-	if q.Where != nil {
-		pred, err = query.CompilePredicate(q.Where, nil)
-		if err != nil {
-			return err
-		}
-	}
-	var pc estimator.Estimate
-	var direct float64
-	switch q.Agg {
-	case query.AggCount:
-		pc, err = est.Count(r, pred)
-		if err == nil {
-			direct, err = estimator.DirectCount(r, pred)
-		}
-	case query.AggSum:
-		pc, err = est.Sum(r, q.AggAttr, pred)
-		if err == nil {
-			direct, err = estimator.DirectSum(r, q.AggAttr, pred)
-		}
-	case query.AggAvg:
-		pc, err = est.Avg(r, q.AggAttr, pred)
-		if err == nil {
-			direct, err = estimator.DirectAvg(r, q.AggAttr, pred)
-		}
-	case query.AggMedian:
-		pc, err = est.Median(r, q.AggAttr, pred)
-		direct = pc.Value
-	case query.AggQuantile:
-		pc, err = est.Percentile(r, q.AggAttr, pred, q.Q)
-		direct = pc.Value
-	case query.AggVar:
-		pc, err = est.Var(r, q.AggAttr, pred)
-		if err == nil {
-			direct, err = estimator.DirectVar(r, q.AggAttr, pred)
-		}
-	case query.AggStd:
-		pc, err = est.Std(r, q.AggAttr, pred)
-		if err == nil {
-			var dv float64
-			dv, err = estimator.DirectVar(r, q.AggAttr, pred)
-			direct = math.Sqrt(dv)
-		}
-	default:
-		return faults.Errorf(faults.ErrBadQuery, "query: unsupported aggregate %s", q.Agg)
-	}
+	defer sp.End()
+	est := &estimator.Estimator{Meta: meta, Prov: prov, Confidence: *vf.confidence}
+	ans, err := query.Run(tel, est, src, q, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("privateclean = %s\ndirect       = %.6g\n", pc, direct)
-	return nil
+	return printAnswer(q.Agg, ans)
 }
 
-// queryStats answers a parsed query from sufficient statistics, printing in
-// the same format as the relation-backed path. Quantiles need recorded
-// histograms (stats -meta), conjunctions need a recorded joint (stats
-// -conj); aggregates that genuinely need the raw rows (var, std, binned
-// GROUP BY sum/avg) are typed bad-query errors naming -in/-col. The
-// dispatch mirrors the server's executeStats exactly.
-func queryStats(est *estimator.Estimator, st *estimator.Statistics, q *query.Query) error {
-	if len(q.AndWhere) > 0 {
-		preds, err := query.CompileConjunction(q.Conds(), nil)
+// printAnswer renders an answer with the Direct comparison the CLI shows
+// beside the PrivateClean estimate. Discrete GROUP BY rows print in sorted
+// key order, counts as integers, sums and averages with full precision;
+// keys present only in the direct map (zero-estimate groups GroupAvgs
+// omits) are not printed. Binned groups, conjunctions and whole-column
+// aggregates print the estimate alone.
+func printAnswer(agg query.AggKind, a *query.Answer) error {
+	switch {
+	case a.Shape == query.ShapeBin:
+		for _, b := range a.Bins {
+			fmt.Printf("%-24s privateclean=%s\n", b.Label, b.Est)
+		}
+	case a.Shape == query.ShapeGroup:
+		direct, err := a.GroupDirect()
 		if err != nil {
 			return err
 		}
-		if len(preds) == 1 {
-			// Conjuncts over one attribute merge into a single marginal
-			// predicate, answerable without a joint distribution.
-			return queryStatsScalar(est, st, q, preds[0], true)
+		format := "%-24s privateclean=%s direct=%.6g\n"
+		if agg == query.AggCount {
+			format = "%-24s privateclean=%s direct=%.0f\n"
 		}
-		var pc estimator.Estimate
-		switch q.Agg {
-		case query.AggCount:
-			pc, err = est.CountConjStats(st, preds...)
-		case query.AggSum:
-			pc, err = est.SumConjStats(st, q.AggAttr, preds...)
-		case query.AggAvg:
-			pc, err = est.AvgConjStats(st, q.AggAttr, preds...)
-		default:
-			return faults.Errorf(faults.ErrBadQuery, "query: %s does not support AND conjunctions", q.Agg)
+		for _, k := range sortedKeys(a.Groups) {
+			fmt.Printf(format, k, a.Groups[k], direct[k])
 		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("privateclean = %s\n", pc)
-		return nil
-	}
-	if q.GroupBy != "" {
-		if q.GroupBin {
-			if q.Agg != query.AggCount {
-				return faults.Errorf(faults.ErrBadQuery,
-					"query: %s GROUP BY bin(%s) needs per-bin numeric moments the statistics do not record; query the view with -in/-col", q.Agg, q.GroupBy)
-			}
-			bins, err := est.GroupBinCountsStats(st, q.GroupBy)
-			if err != nil {
-				return err
-			}
-			for _, b := range bins {
-				fmt.Printf("%-24s privateclean=%s\n", b.Label, b.Est)
-			}
-			return nil
-		}
-		var groups map[string]estimator.Estimate
-		var direct map[string]float64
-		var err error
-		switch q.Agg {
-		case query.AggCount:
-			if groups, err = est.GroupCountsStats(st, q.GroupBy); err == nil {
-				direct, err = estimator.DirectGroupCountsStats(st, q.GroupBy)
-			}
-		case query.AggSum:
-			if groups, err = est.GroupSumsStats(st, q.GroupBy, q.AggAttr); err == nil {
-				direct, err = estimator.DirectGroupSumsStats(st, q.GroupBy, q.AggAttr)
-			}
-		case query.AggAvg:
-			if groups, err = est.GroupAvgsStats(st, q.GroupBy, q.AggAttr); err == nil {
-				direct, err = estimator.DirectGroupAvgsStats(st, q.GroupBy, q.AggAttr)
-			}
-		default:
-			return faults.Errorf(faults.ErrBadQuery, "query: GROUP BY supports count(1), sum, and avg only")
-		}
-		if err != nil {
-			return err
-		}
-		printGroupRows(q.Agg, groups, direct)
-		return nil
-	}
-	var pred estimator.Predicate
-	if q.Where != nil {
-		var err error
-		pred, err = query.CompilePredicate(q.Where, nil)
-		if err != nil {
-			return err
-		}
-	}
-	return queryStatsScalar(est, st, q, pred, q.Where != nil)
-}
-
-// queryStatsScalar answers a scalar aggregate over statistics under a single
-// predicate (zero-value pred with havePred false means match-all),
-// mirroring the server's statsScalar.
-func queryStatsScalar(est *estimator.Estimator, st *estimator.Statistics, q *query.Query, pred estimator.Predicate, havePred bool) error {
-	var pc estimator.Estimate
-	var direct float64
-	var err error
-	haveDirect := true
-	switch q.Agg {
-	case query.AggCount:
-		if !havePred {
-			pc = est.TotalCountStats(st)
-			haveDirect = false
-		} else {
-			pc, err = est.CountStats(st, pred)
-			if err == nil {
-				direct, err = estimator.DirectCountStats(st, pred)
-			}
-		}
-	case query.AggSum:
-		if !havePred {
-			pc, err = est.TotalSumStats(st, q.AggAttr)
-			haveDirect = false
-		} else {
-			pc, err = est.SumStats(st, q.AggAttr, pred)
-			if err == nil {
-				direct, err = estimator.DirectSumStats(st, q.AggAttr, pred)
-			}
-		}
-	case query.AggAvg:
-		if !havePred {
-			pc, err = est.TotalAvgStats(st, q.AggAttr)
-			haveDirect = false
-		} else {
-			pc, err = est.AvgStats(st, q.AggAttr, pred)
-			if err == nil {
-				direct, err = estimator.DirectAvgStats(st, q.AggAttr, pred)
-			}
-		}
-	case query.AggMedian:
-		pc, err = est.MedianStats(st, q.AggAttr, pred)
-		if err == nil {
-			direct, err = estimator.DirectMedianStats(st, q.AggAttr, pred)
-		}
-	case query.AggQuantile:
-		pc, err = est.PercentileStats(st, q.AggAttr, pred, q.Q)
-		if err == nil {
-			direct, err = estimator.DirectPercentileStats(st, q.AggAttr, pred, q.Q)
-		}
+	case a.Shape == query.ShapeConj || a.Total:
+		fmt.Printf("privateclean = %s\n", a.Estimate)
 	default:
-		return faults.Errorf(faults.ErrBadQuery,
-			"query: %s needs the raw private rows, which statistics do not carry; query the view with -in/-col", q.Agg)
+		direct, err := a.Direct()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("privateclean = %s\ndirect       = %.6g\n", a.Estimate, direct)
 	}
-	if err != nil {
-		return err
-	}
-	if !haveDirect {
-		fmt.Printf("privateclean = %s\n", pc)
-		return nil
-	}
-	fmt.Printf("privateclean = %s\ndirect       = %.6g\n", pc, direct)
 	return nil
 }

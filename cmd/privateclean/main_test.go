@@ -237,6 +237,19 @@ func TestExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The same view as a .pcol and as sufficient statistics, so the
+	// bad-query rows cover all three query inputs.
+	col := filepath.Join(dir, "out.pcol")
+	stats := filepath.Join(dir, "stats.json")
+	for _, args := range [][]string{
+		{"pack", "-in", out, "-out", col, "-discrete", "score"},
+		{"stats", "-in", out, "-out", stats, "-discrete", "score"},
+	} {
+		if err := run(args); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	cases := []struct {
 		name string
 		args []string
@@ -257,6 +270,18 @@ func TestExitCodes(t *testing.T) {
 			"-p", "2"}, faults.ExitBadParams},
 		{"bad_query", []string{"query", "-in", out, "-meta", metaPath, "-discrete", "score",
 			"SELECT nonsense"}, faults.ExitBadQuery},
+		{"unknown_udf_in", []string{"query", "-in", out, "-meta", metaPath, "-discrete", "score",
+			"SELECT count(1) FROM R WHERE nosuch(major)"}, faults.ExitBadQuery},
+		{"unknown_column_in", []string{"query", "-in", out, "-meta", metaPath, "-discrete", "score",
+			"SELECT count(1) FROM R WHERE nosuch = 'x'"}, faults.ExitBadQuery},
+		{"unknown_udf_col", []string{"query", "-col", col, "-meta", metaPath,
+			"SELECT count(1) FROM R WHERE nosuch(major)"}, faults.ExitBadQuery},
+		{"unknown_column_col", []string{"query", "-col", col, "-meta", metaPath,
+			"SELECT count(1) FROM R WHERE nosuch = 'x'"}, faults.ExitBadQuery},
+		{"unknown_udf_stats", []string{"query", "-stats", stats, "-meta", metaPath,
+			"SELECT count(1) FROM R WHERE nosuch(major)"}, faults.ExitBadQuery},
+		{"unknown_column_stats", []string{"query", "-stats", stats, "-meta", metaPath,
+			"SELECT count(1) FROM R WHERE nosuch = 'x'"}, faults.ExitBadQuery},
 		{"ok", []string{"minsize", "-n", "25", "-p", "0.25"}, faults.ExitOK},
 	}
 	for _, tc := range cases {

@@ -12,11 +12,7 @@ import (
 	"time"
 
 	"privateclean/internal/atomicio"
-	"privateclean/internal/colstore"
-	"privateclean/internal/estimator"
 	"privateclean/internal/faults"
-	"privateclean/internal/provenance"
-	"privateclean/internal/relation"
 	"privateclean/internal/server"
 	"privateclean/internal/telemetry"
 )
@@ -29,12 +25,7 @@ var serveNotify func(net.Addr)
 // over HTTP until SIGINT/SIGTERM, then drains in-flight requests and exits.
 func cmdServe(args []string) (err error) {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	in := fs.String("in", "", "cleaned private CSV (required unless -stats or -col)")
-	metaPath := fs.String("meta", "", "view metadata JSON (required)")
-	provPath := fs.String("prov", "", "provenance JSON (optional)")
-	statsPath := fs.String("stats", "", "sufficient-statistics JSON from 'privateclean stats' (alternative to -in)")
-	colPath := fs.String("col", "", ".pcol columnar file from 'privateclean pack' (alternative to -in; opened via mmap, no parsing)")
-	confidence := fs.Float64("confidence", 0.95, "confidence level for intervals")
+	vf := addViewFlags(fs)
 	addr := fs.String("addr", ":8080", "listen address (host:port; use :0 for an ephemeral port)")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once serving (for scripts; robust with :0)")
 	timeout := fs.Duration("timeout", server.DefaultTimeout, "per-query deadline before a 408 response")
@@ -47,7 +38,7 @@ func cmdServe(args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return faults.Wrap(faults.ErrUsage, err)
 	}
-	if countSet(*in, *statsPath, *colPath) != 1 || *metaPath == "" {
+	if !vf.ok() {
 		return faults.Errorf(faults.ErrUsage, "serve: -meta and exactly one of -in, -stats, or -col are required")
 	}
 	tel, err := tf.setup()
@@ -55,49 +46,24 @@ func cmdServe(args []string) (err error) {
 		return err
 	}
 	defer tf.finish(&err)
-	tel.Redact.Allow(*in, *metaPath, *provPath, *statsPath, *colPath, *addr)
-
-	var r *relation.Relation
-	var st *estimator.Statistics
-	switch {
-	case *statsPath != "":
-		if st, err = readStats(*statsPath); err != nil {
-			return err
-		}
-	case *colPath != "":
-		view, verr := colstore.Open(*colPath)
-		if verr != nil {
-			return verr
-		}
-		// The mapping must outlive every in-flight query; it is released when
-		// serve returns, after the server has drained.
-		defer view.Close()
-		r = view.Relation()
-	default:
-		if r, err = cf.load(*in); err != nil {
-			return err
-		}
-	}
-	meta, err := readMeta(*metaPath)
+	tel.Redact.Allow(append(vf.paths(), *addr)...)
+	// A .pcol mapping must outlive every in-flight query; it is released
+	// when serve returns, after the server has drained.
+	src, meta, prov, done, err := vf.open(cf)
 	if err != nil {
 		return err
 	}
-	var prov *provenance.Store
-	if *provPath != "" {
-		if prov, err = readProv(*provPath); err != nil {
-			return err
-		}
-	}
+	defer done()
 
 	if *drain > 0 && *drainTimeout == server.DefaultDrainTimeout {
 		*drainTimeout = *drain
 	}
 	srv, err := server.New(server.Config{
-		Rel:          r,
-		Stats:        st,
+		Rel:          src.Rel,
+		Stats:        src.Stats,
 		Meta:         meta,
 		Prov:         prov,
-		Confidence:   *confidence,
+		Confidence:   *vf.confidence,
 		Timeout:      *timeout,
 		MaxInFlight:  *maxInflight,
 		DrainTimeout: *drainTimeout,
@@ -125,10 +91,10 @@ func cmdServe(args []string) (err error) {
 	case bound := <-ready:
 		fmt.Printf("serving on %s\n", bound)
 		rows := 0
-		if st != nil {
-			rows = st.Rows
+		if src.Stats != nil {
+			rows = src.Stats.Rows
 		} else {
-			rows = r.NumRows()
+			rows = src.Rel.NumRows()
 		}
 		tel.Log.Info("serve started", "op", "serve", "rows", rows)
 		if *addrFile != "" {

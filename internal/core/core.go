@@ -21,9 +21,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
-	"time"
 
 	"privateclean/internal/cleaning"
 	"privateclean/internal/estimator"
@@ -190,10 +188,13 @@ type QueryResult struct {
 	// Groups holds per-group results for GROUP BY queries; Scalar results
 	// leave it nil.
 	Groups map[string]GroupEstimate
+	// Bins holds the per-bin estimates of a GROUP BY bin(a) query, in bin
+	// order; other results leave it nil.
+	Bins []estimator.BinEstimate
 }
 
-// IsGroupBy reports whether the result is per-group.
-func (r *QueryResult) IsGroupBy() bool { return r.Groups != nil }
+// IsGroupBy reports whether the result is per-group (Groups or Bins).
+func (r *QueryResult) IsGroupBy() bool { return r.Groups != nil || r.Bins != nil }
 
 // Query parses and estimates one SQL query against the cleaned private
 // relation.
@@ -205,170 +206,33 @@ func (a *Analyst) Query(sql string) (*QueryResult, error) {
 	return a.Run(q)
 }
 
-// Run estimates an already-parsed query.
+// Run estimates an already-parsed query through the query executor, the
+// one the CLI and the query server use. Refusals are typed
+// faults.ErrBadQuery errors.
 func (a *Analyst) Run(q *query.Query) (*QueryResult, error) {
 	sp := a.tel.Trace.StartSpan(nil, "query_estimate", telemetry.A("agg", q.Agg.String()))
-	start := time.Now()
-	defer func() {
-		sp.End()
-		a.tel.Metrics.Counter("privateclean_queries_total", "Estimated queries, by aggregate.",
-			telemetry.L("agg", q.Agg.String())).Inc()
-		a.tel.Metrics.Histogram("privateclean_query_seconds", "Wall time of query estimation.",
-			telemetry.DurationBuckets).Observe(time.Since(start).Seconds())
-	}()
-	res := &QueryResult{Query: q}
-	est := a.Estimator()
-
-	if len(q.AndWhere) > 0 {
-		return a.runConjunction(q, est)
-	}
-
-	if q.GroupBy != "" {
-		var pc map[string]estimator.Estimate
-		var direct map[string]float64
-		var err error
-		switch q.Agg {
-		case query.AggCount:
-			pc, err = est.GroupCounts(a.rel, q.GroupBy)
-			if err == nil {
-				direct, err = estimator.DirectGroupCounts(a.rel, q.GroupBy)
-			}
-		case query.AggSum:
-			pc, err = est.GroupSums(a.rel, q.GroupBy, q.AggAttr)
-			if err == nil {
-				direct, err = estimator.DirectGroupSums(a.rel, q.GroupBy, q.AggAttr)
-			}
-		case query.AggAvg:
-			pc, err = est.GroupAvgs(a.rel, q.GroupBy, q.AggAttr)
-			if err == nil {
-				direct, err = estimator.DirectGroupAvgs(a.rel, q.GroupBy, q.AggAttr)
-			}
-		default:
-			return nil, fmt.Errorf("core: GROUP BY supports count, sum, and avg, got %s", q.Agg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.Groups = make(map[string]GroupEstimate, len(pc))
-		for k, e := range pc {
-			res.Groups[k] = GroupEstimate{PrivateClean: e, Direct: direct[k]}
-		}
-		return res, nil
-	}
-
-	if q.Where == nil {
-		all := estimator.Predicate{} // nil Match selects every row
-		switch q.Agg {
-		case query.AggCount:
-			res.PrivateClean = est.TotalCount(a.rel)
-			res.Direct = res.PrivateClean.Value
-		case query.AggSum:
-			e, err := est.TotalSum(a.rel, q.AggAttr)
-			if err != nil {
-				return nil, err
-			}
-			res.PrivateClean = e
-			res.Direct = e.Value
-		case query.AggAvg:
-			e, err := est.TotalAvg(a.rel, q.AggAttr)
-			if err != nil {
-				return nil, err
-			}
-			res.PrivateClean = e
-			res.Direct = e.Value
-		case query.AggMedian:
-			e, err := est.Median(a.rel, q.AggAttr, all)
-			if err != nil {
-				return nil, err
-			}
-			res.PrivateClean = e
-			res.Direct = e.Value
-		case query.AggVar:
-			e, err := est.Var(a.rel, q.AggAttr, all)
-			if err != nil {
-				return nil, err
-			}
-			d, err := estimator.DirectVar(a.rel, q.AggAttr, all)
-			if err != nil {
-				return nil, err
-			}
-			res.PrivateClean, res.Direct = e, d
-		case query.AggStd:
-			e, err := est.Std(a.rel, q.AggAttr, all)
-			if err != nil {
-				return nil, err
-			}
-			d, err := estimator.DirectVar(a.rel, q.AggAttr, all)
-			if err != nil {
-				return nil, err
-			}
-			res.PrivateClean, res.Direct = e, math.Sqrt(d)
-		}
-		return res, nil
-	}
-
-	pred, err := query.CompilePredicate(q.Where, a.udfs)
+	defer sp.End()
+	ans, err := query.Run(a.tel, a.Estimator(), query.Source{Rel: a.rel}, q, a.udfs)
 	if err != nil {
 		return nil, err
 	}
-	switch q.Agg {
-	case query.AggCount:
-		e, err := est.Count(a.rel, pred)
+	res := &QueryResult{Query: q, Bins: ans.Bins}
+	switch ans.Shape {
+	case query.ShapeBin: // binned groups report no Direct value
+	case query.ShapeGroup:
+		direct, err := ans.GroupDirect()
 		if err != nil {
 			return nil, err
 		}
-		d, err := estimator.DirectCount(a.rel, pred)
-		if err != nil {
+		res.Groups = make(map[string]GroupEstimate, len(ans.Groups))
+		for k, e := range ans.Groups {
+			res.Groups[k] = GroupEstimate{PrivateClean: e, Direct: direct[k]}
+		}
+	default:
+		if res.Direct, err = ans.Direct(); err != nil {
 			return nil, err
 		}
-		res.PrivateClean, res.Direct = e, d
-	case query.AggSum:
-		e, err := est.Sum(a.rel, q.AggAttr, pred)
-		if err != nil {
-			return nil, err
-		}
-		d, err := estimator.DirectSum(a.rel, q.AggAttr, pred)
-		if err != nil {
-			return nil, err
-		}
-		res.PrivateClean, res.Direct = e, d
-	case query.AggAvg:
-		e, err := est.Avg(a.rel, q.AggAttr, pred)
-		if err != nil {
-			return nil, err
-		}
-		d, err := estimator.DirectAvg(a.rel, q.AggAttr, pred)
-		if err != nil {
-			return nil, err
-		}
-		res.PrivateClean, res.Direct = e, d
-	case query.AggMedian:
-		e, err := est.Median(a.rel, q.AggAttr, pred)
-		if err != nil {
-			return nil, err
-		}
-		res.PrivateClean = e
-		res.Direct = e.Value
-	case query.AggVar:
-		e, err := est.Var(a.rel, q.AggAttr, pred)
-		if err != nil {
-			return nil, err
-		}
-		d, err := estimator.DirectVar(a.rel, q.AggAttr, pred)
-		if err != nil {
-			return nil, err
-		}
-		res.PrivateClean, res.Direct = e, d
-	case query.AggStd:
-		e, err := est.Std(a.rel, q.AggAttr, pred)
-		if err != nil {
-			return nil, err
-		}
-		d, err := estimator.DirectVar(a.rel, q.AggAttr, pred)
-		if err != nil {
-			return nil, err
-		}
-		res.PrivateClean, res.Direct = e, math.Sqrt(d)
+		res.PrivateClean = ans.Estimate
 	}
 	return res, nil
 }
@@ -378,10 +242,12 @@ func (a *Analyst) Run(q *query.Query) (*QueryResult, error) {
 // view of GroupCounts. Negative corrected counts (possible for values with
 // near-zero support) are clamped at zero.
 func (a *Analyst) Histogram(attr string) (map[string]estimator.Estimate, error) {
-	groups, err := a.Estimator().GroupCounts(a.rel, attr)
+	ans, err := query.Run(a.tel, a.Estimator(), query.Source{Rel: a.rel},
+		&query.Query{Agg: query.AggCount, GroupBy: attr}, nil)
 	if err != nil {
 		return nil, err
 	}
+	groups := ans.Groups
 	for k, e := range groups {
 		if e.Value < 0 {
 			e.Value = 0
@@ -495,49 +361,4 @@ func ExplainQuery(sql string, viewMeta *privacy.ViewMeta, prov *provenance.Store
 		ex.TauP = denom + tauN
 	}
 	return ex, nil
-}
-
-// runConjunction estimates a query whose WHERE clause is a conjunction over
-// several discrete attributes (the Section 10 SPJ-view extension).
-func (a *Analyst) runConjunction(q *query.Query, est *estimator.Estimator) (*QueryResult, error) {
-	res := &QueryResult{Query: q}
-	preds, err := query.CompileConjunction(q.Conds(), a.udfs)
-	if err != nil {
-		return nil, err
-	}
-	switch q.Agg {
-	case query.AggCount:
-		e, err := est.CountConj(a.rel, preds...)
-		if err != nil {
-			return nil, err
-		}
-		d, err := estimator.DirectCountConj(a.rel, preds...)
-		if err != nil {
-			return nil, err
-		}
-		res.PrivateClean, res.Direct = e, d
-	case query.AggSum:
-		e, err := est.SumConj(a.rel, q.AggAttr, preds...)
-		if err != nil {
-			return nil, err
-		}
-		d, err := estimator.DirectSumConj(a.rel, q.AggAttr, preds...)
-		if err != nil {
-			return nil, err
-		}
-		res.PrivateClean, res.Direct = e, d
-	case query.AggAvg:
-		e, err := est.AvgConj(a.rel, q.AggAttr, preds...)
-		if err != nil {
-			return nil, err
-		}
-		d, err := estimator.DirectAvgConj(a.rel, q.AggAttr, preds...)
-		if err != nil {
-			return nil, err
-		}
-		res.PrivateClean, res.Direct = e, d
-	default:
-		return nil, fmt.Errorf("core: %s does not support AND conjunctions", q.Agg)
-	}
-	return res, nil
 }

@@ -2,10 +2,8 @@ package server
 
 import (
 	"sort"
-	"time"
 
 	"privateclean/internal/estimator"
-	"privateclean/internal/faults"
 	"privateclean/internal/query"
 	"privateclean/internal/telemetry"
 )
@@ -68,255 +66,30 @@ type queryResponse struct {
 	Groups     []groupEstimate `json:"groups,omitempty"`
 }
 
-// execute parses and estimates one query against the resident view, under
-// the handler's "serve_query" span (which may continue a remote trace; the
-// caller ends it). The aggregate dispatch mirrors the `privateclean query`
-// CLI exactly — same estimator entry points, same restrictions — so a
+// execute parses one query and answers it through the query executor,
+// under the handler's "serve_query" span (which may continue a remote
+// trace; the caller ends it). The executor is the one the CLI calls, so a
 // served estimate is byte-identical to the CLI's for the same view and
 // query.
 func (s *Server) execute(sp *telemetry.Span, sql string) (*queryResponse, error) {
 	q, err := query.Parse(sql)
 	if err != nil {
-		return nil, faults.Wrap(faults.ErrBadQuery, err)
+		return nil, err
 	}
 	sp.Set("agg", q.Agg.String())
-	start := time.Now()
-	defer func() {
-		s.tel.Metrics.Counter("privateclean_queries_total", "Estimated queries, by aggregate.",
-			telemetry.L("agg", q.Agg.String())).Inc()
-		s.tel.Metrics.Histogram("privateclean_query_seconds", "Wall time of query estimation.",
-			telemetry.DurationBuckets).Observe(time.Since(start).Seconds())
-	}()
-
+	ans, err := query.Run(s.tel, s.est, query.Source{Rel: s.rel, Stats: s.stats}, q, s.udfs)
+	if err != nil {
+		return nil, err
+	}
 	resp := &queryResponse{Query: sql, Agg: q.Agg.String(), Confidence: s.est.Confidence}
-
-	if s.stats != nil {
-		return s.executeStats(resp, q)
-	}
-
-	if len(q.AndWhere) > 0 {
-		preds, err := query.CompileConjunction(q.Conds(), s.udfs)
-		if err != nil {
-			return nil, faults.Wrap(faults.ErrBadQuery, err)
-		}
-		var pc estimator.Estimate
-		switch q.Agg {
-		case query.AggCount:
-			pc, err = s.est.CountConj(s.rel, preds...)
-		case query.AggSum:
-			pc, err = s.est.SumConj(s.rel, q.AggAttr, preds...)
-		case query.AggAvg:
-			pc, err = s.est.AvgConj(s.rel, q.AggAttr, preds...)
-		default:
-			return nil, faults.Errorf(faults.ErrBadQuery, "query: %s does not support AND conjunctions", q.Agg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		e := toJSON(pc)
-		resp.Estimate = &e
-		return resp, nil
-	}
-
-	if q.GroupBy != "" {
-		if q.GroupBin {
-			var bins []estimator.BinEstimate
-			switch q.Agg {
-			case query.AggCount:
-				bins, err = s.est.GroupBinCounts(s.rel, q.GroupBy)
-			case query.AggSum:
-				bins, err = s.est.GroupBinSums(s.rel, q.GroupBy, q.AggAttr)
-			case query.AggAvg:
-				bins, err = s.est.GroupBinAvgs(s.rel, q.GroupBy, q.AggAttr)
-			default:
-				return nil, faults.Errorf(faults.ErrBadQuery,
-					"query: GROUP BY bin(%s) supports count(1), sum, and avg only", q.GroupBy)
-			}
-			if err != nil {
-				return nil, err
-			}
-			resp.Groups = binGroups(bins)
-			return resp, nil
-		}
-		var groups map[string]estimator.Estimate
-		switch q.Agg {
-		case query.AggCount:
-			groups, err = s.est.GroupCounts(s.rel, q.GroupBy)
-		case query.AggSum:
-			groups, err = s.est.GroupSums(s.rel, q.GroupBy, q.AggAttr)
-		case query.AggAvg:
-			groups, err = s.est.GroupAvgs(s.rel, q.GroupBy, q.AggAttr)
-		default:
-			return nil, faults.Errorf(faults.ErrBadQuery, "query: GROUP BY supports count(1), sum, and avg only")
-		}
-		if err != nil {
-			return nil, err
-		}
-		resp.Groups = sortedGroups(groups)
-		return resp, nil
-	}
-
-	var pred estimator.Predicate
-	if q.Where != nil {
-		pred, err = query.CompilePredicate(q.Where, s.udfs)
-		if err != nil {
-			return nil, faults.Wrap(faults.ErrBadQuery, err)
-		}
-	}
-	var pc estimator.Estimate
-	switch q.Agg {
-	case query.AggCount:
-		if q.Where == nil {
-			pc = s.est.TotalCount(s.rel)
-		} else {
-			pc, err = s.est.Count(s.rel, pred)
-		}
-	case query.AggSum:
-		if q.Where == nil {
-			pc, err = s.est.TotalSum(s.rel, q.AggAttr)
-		} else {
-			pc, err = s.est.Sum(s.rel, q.AggAttr, pred)
-		}
-	case query.AggAvg:
-		if q.Where == nil {
-			pc, err = s.est.TotalAvg(s.rel, q.AggAttr)
-		} else {
-			pc, err = s.est.Avg(s.rel, q.AggAttr, pred)
-		}
-	case query.AggMedian:
-		pc, err = s.est.Median(s.rel, q.AggAttr, pred)
-	case query.AggQuantile:
-		pc, err = s.est.Percentile(s.rel, q.AggAttr, pred, q.Q)
-	case query.AggVar:
-		pc, err = s.est.Var(s.rel, q.AggAttr, pred)
-	case query.AggStd:
-		pc, err = s.est.Std(s.rel, q.AggAttr, pred)
+	switch ans.Shape {
+	case query.ShapeGroup:
+		resp.Groups = sortedGroups(ans.Groups)
+	case query.ShapeBin:
+		resp.Groups = binGroups(ans.Bins)
 	default:
-		return nil, faults.Errorf(faults.ErrBadQuery, "query: unsupported aggregate %s", q.Agg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	e := toJSON(pc)
-	resp.Estimate = &e
-	return resp, nil
-}
-
-// executeStats answers from sufficient statistics. The dispatch mirrors the
-// `privateclean query -stats` CLI: count/sum/avg with single predicates,
-// totals, GROUP BY count/sum/avg, binned quantiles and GROUP BY bin counts
-// (when the statistics carry histograms), and two-attribute conjunctions
-// (when they carry the pairwise joint); anything needing the raw rows is
-// the analyst's bad-query problem, with the error naming the flag that
-// records what's missing.
-func (s *Server) executeStats(resp *queryResponse, q *query.Query) (*queryResponse, error) {
-	if len(q.AndWhere) > 0 {
-		preds, err := query.CompileConjunction(q.Conds(), s.udfs)
-		if err != nil {
-			return nil, faults.Wrap(faults.ErrBadQuery, err)
-		}
-		if len(preds) == 1 {
-			// Conjuncts over one attribute merge into a single marginal
-			// predicate, answerable without a joint distribution.
-			return s.statsScalar(resp, q, preds[0])
-		}
-		var pc estimator.Estimate
-		switch q.Agg {
-		case query.AggCount:
-			pc, err = s.est.CountConjStats(s.stats, preds...)
-		case query.AggSum:
-			pc, err = s.est.SumConjStats(s.stats, q.AggAttr, preds...)
-		case query.AggAvg:
-			pc, err = s.est.AvgConjStats(s.stats, q.AggAttr, preds...)
-		default:
-			return nil, faults.Errorf(faults.ErrBadQuery, "query: %s does not support AND conjunctions", q.Agg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		e := toJSON(pc)
+		e := toJSON(ans.Estimate)
 		resp.Estimate = &e
-		return resp, nil
 	}
-	if q.GroupBy != "" {
-		if q.GroupBin {
-			if q.Agg != query.AggCount {
-				return nil, faults.Errorf(faults.ErrBadQuery,
-					"query: %s GROUP BY bin(%s) needs per-bin numeric moments the statistics do not record; query the view with -in/-col", q.Agg, q.GroupBy)
-			}
-			bins, err := s.est.GroupBinCountsStats(s.stats, q.GroupBy)
-			if err != nil {
-				return nil, err
-			}
-			resp.Groups = binGroups(bins)
-			return resp, nil
-		}
-		var groups map[string]estimator.Estimate
-		var err error
-		switch q.Agg {
-		case query.AggCount:
-			groups, err = s.est.GroupCountsStats(s.stats, q.GroupBy)
-		case query.AggSum:
-			groups, err = s.est.GroupSumsStats(s.stats, q.GroupBy, q.AggAttr)
-		case query.AggAvg:
-			groups, err = s.est.GroupAvgsStats(s.stats, q.GroupBy, q.AggAttr)
-		default:
-			return nil, faults.Errorf(faults.ErrBadQuery, "query: GROUP BY supports count(1), sum, and avg only")
-		}
-		if err != nil {
-			return nil, err
-		}
-		resp.Groups = sortedGroups(groups)
-		return resp, nil
-	}
-	var pred estimator.Predicate
-	if q.Where != nil {
-		var err error
-		pred, err = query.CompilePredicate(q.Where, s.udfs)
-		if err != nil {
-			return nil, faults.Wrap(faults.ErrBadQuery, err)
-		}
-	}
-	return s.statsScalar(resp, q, pred)
-}
-
-// statsScalar answers a scalar aggregate over sufficient statistics under a
-// single (possibly zero-value, meaning match-all) predicate.
-func (s *Server) statsScalar(resp *queryResponse, q *query.Query, pred estimator.Predicate) (*queryResponse, error) {
-	havePred := pred.Attr != "" || pred.Match != nil
-	var pc estimator.Estimate
-	var err error
-	switch q.Agg {
-	case query.AggCount:
-		if !havePred {
-			pc = s.est.TotalCountStats(s.stats)
-		} else {
-			pc, err = s.est.CountStats(s.stats, pred)
-		}
-	case query.AggSum:
-		if !havePred {
-			pc, err = s.est.TotalSumStats(s.stats, q.AggAttr)
-		} else {
-			pc, err = s.est.SumStats(s.stats, q.AggAttr, pred)
-		}
-	case query.AggAvg:
-		if !havePred {
-			pc, err = s.est.TotalAvgStats(s.stats, q.AggAttr)
-		} else {
-			pc, err = s.est.AvgStats(s.stats, q.AggAttr, pred)
-		}
-	case query.AggMedian:
-		pc, err = s.est.MedianStats(s.stats, q.AggAttr, pred)
-	case query.AggQuantile:
-		pc, err = s.est.PercentileStats(s.stats, q.AggAttr, pred, q.Q)
-	default:
-		return nil, faults.Errorf(faults.ErrBadQuery,
-			"query: %s needs the raw private rows, which statistics do not carry; query the view with -in/-col", q.Agg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	e := toJSON(pc)
-	resp.Estimate = &e
 	return resp, nil
 }

@@ -68,9 +68,10 @@ type Config struct {
 	// it must not be mutated while the server is running.
 	Rel *relation.Relation
 	// Stats serves from sufficient statistics instead of a resident
-	// relation: count/sum/avg (with single predicates, totals, and GROUP BY
-	// count) work; median/var/std and AND conjunctions are rejected as bad
-	// queries. Mutually exclusive with Rel.
+	// relation. It answers what the statistics column of the query
+	// executor's dispatch table supports (see query.Run); the rest are
+	// typed bad queries naming the flag or input that would answer them.
+	// Mutually exclusive with Rel.
 	Stats *estimator.Statistics
 	// Meta is the GRR view metadata released with the relation.
 	Meta *privacy.ViewMeta
