@@ -118,6 +118,11 @@ type Service struct {
 	lastFold    time.Time
 	lastCompact time.Time
 
+	// decodeFallbacks counts /v1/report batches that decoded through
+	// encoding/json because their body was not in the compact canonical
+	// encoding.
+	decodeFallbacks *telemetry.Counter
+
 	// testHook, when set, runs inside /v1/report handling after admission;
 	// tests use it to hold requests in flight deterministically.
 	testHook func()
@@ -215,6 +220,8 @@ func New(cfg Config) (*Service, error) {
 		maxBatch: cfg.MaxBatchReports,
 		start:    time.Now(),
 		ackTimes: make(map[string]time.Time),
+		decodeFallbacks: tel.Metrics.Counter("privateclean_collect_decode_fallback_total",
+			"Report batches decoded by encoding/json because the body was not compact canonical JSON (whitespace, escapes, other field-name case)."),
 	}
 	// Startup replay: seal whatever the previous process left in the active
 	// segment, then fold every sealed segment. After this the statistics
@@ -579,16 +586,26 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST a JSON batch to /v1/report")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBytes))
+	// Read one byte past the bound so an oversized body is refused whole
+	// rather than decoded from a truncated prefix.
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBytes+1))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad_batch", "reading request body: "+err.Error())
 		return
 	}
-	var b Batch
-	if err := json.Unmarshal(body, &b); err != nil {
+	if len(body) > maxBatchBytes {
+		s.writeError(w, http.StatusRequestEntityTooLarge, "bad_batch",
+			fmt.Sprintf("body exceeds the %d-byte bound", maxBatchBytes))
+		return
+	}
+	b, fast, err := unmarshalBatch(body)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad_batch",
 			`body must be JSON {"batch_id", "mechanism", "reports": [...]}: `+err.Error())
 		return
+	}
+	if !fast {
+		s.decodeFallbacks.Inc()
 	}
 	if status, code, msg := s.validateBatch(&b); status != 0 {
 		s.writeError(w, status, code, msg)
@@ -633,9 +650,10 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Re-marshal canonically: the WAL stores this struct's rendering, not
-	// the client's raw bytes, so replay decodes exactly what validation saw.
-	payload, err := json.Marshal(Batch{ID: b.ID, Mechanism: b.Mechanism, Reports: b.Reports, TraceID: b.TraceID})
+	// Re-marshal canonically: the WAL stores this struct's json.Marshal
+	// rendering, not the client's raw bytes, so replay decodes exactly what
+	// validation saw.
+	payload, err := marshalBatch(&b, len(body))
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "internal", "encoding batch: "+err.Error())
 		return

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"privateclean/internal/estimator"
 	"privateclean/internal/faults"
@@ -48,7 +49,7 @@ func newTestService(t *testing.T, dir string, mutate func(*Config)) *Service {
 
 // makeBatches privatizes rows client-side with a deterministic per-row RNG,
 // so every test run (and every crash-recovery rerun) ships identical reports.
-func makeBatches(t *testing.T, meta *privacy.ViewMeta, seed int64, nBatches, perBatch int) []Batch {
+func makeBatches(t testing.TB, meta *privacy.ViewMeta, seed int64, nBatches, perBatch int) []Batch {
 	t.Helper()
 	mech := privacy.MechanismFingerprint(meta)
 	majors := []string{"CS", "EE", "ME"}
@@ -489,5 +490,135 @@ func TestServiceMetricsCount(t *testing.T) {
 	}
 	if !strings.Contains(metrics, "privateclean_collect_reports_accepted_total 6") {
 		t.Fatalf("reports counter wrong:\n%s", metrics)
+	}
+	// Canonical bodies take the fast decoder; an indented one falls back.
+	if !strings.Contains(metrics, "privateclean_collect_decode_fallback_total 0") {
+		t.Fatalf("decode fallback counter wrong after canonical bodies:\n%s", metrics)
+	}
+	indented, err := json.MarshalIndent(makeBatches(t, collectMeta(), 5, 1, 2)[0], "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(t, h, http.MethodPost, "/v1/report", indented); rec.Code != http.StatusOK {
+		t.Fatalf("indented batch = %d (%s)", rec.Code, rec.Body)
+	}
+	metrics = do(t, h, http.MethodGet, "/metrics", nil).Body.String()
+	if !strings.Contains(metrics, "privateclean_collect_decode_fallback_total 1") {
+		t.Fatalf("decode fallback counter wrong after an indented body:\n%s", metrics)
+	}
+}
+
+// TestServiceOversizedBody: a body past the byte bound is refused with 413
+// naming the bound, never decoded from a truncated prefix; a body of exactly
+// the bound is read whole.
+func TestServiceOversizedBody(t *testing.T) {
+	s := newTestService(t, t.TempDir(), nil)
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	body, err := json.Marshal(makeBatches(t, collectMeta(), 7, 1, 2)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Trailing whitespace keeps the padded body valid JSON at any length.
+	pad := func(n int) []byte { return append(bytes.Clone(body), bytes.Repeat([]byte(" "), n-len(body))...) }
+
+	rec := do(t, h, http.MethodPost, "/v1/report", pad(maxBatchBytes+1))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of %d bytes = %d, want 413 (%s)", maxBatchBytes+1, rec.Code, rec.Body)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+		t.Fatal(err)
+	}
+	if eb.Error.Code != "bad_batch" || !strings.Contains(eb.Error.Message, fmt.Sprint(maxBatchBytes)) {
+		t.Fatalf("413 body %+v must be bad_batch naming the %d-byte bound", eb.Error, maxBatchBytes)
+	}
+	if rec := do(t, h, http.MethodPost, "/v1/report", pad(maxBatchBytes)); rec.Code != http.StatusOK {
+		t.Fatalf("body of exactly %d bytes = %d, want 200 (%s)", maxBatchBytes, rec.Code, rec.Body)
+	}
+}
+
+// TestServiceFoldDoesNotBlock holds a fold between its checkpoint write and
+// its swap and checks that readers and acks carry on meanwhile, answering
+// from the pre-fold state until the swap.
+func TestServiceFoldDoesNotBlock(t *testing.T) {
+	s := newTestService(t, t.TempDir(), nil)
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	batches := makeBatches(t, collectMeta(), 8, 3, 4)
+	mustPost(t, h, batches[0])
+	before := getStats(t, h)
+	mustPost(t, h, batches[1])
+	late, err := json.Marshal(batches[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	s.store.foldHook = func() {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+	}
+	folded := make(chan error, 1)
+	go func() {
+		_, err := s.Compact()
+		folded <- err
+	}()
+	<-entered
+
+	readers := make(chan error, 1)
+	go func() {
+		readers <- func() error {
+			if s.store.HasBatch(batches[1].ID) {
+				return errors.New("HasBatch sees a batch before its fold swaps in")
+			}
+			if seq := s.store.AppliedSeq(); seq != 1 {
+				return fmt.Errorf("AppliedSeq = %d during the fold, want the pre-fold 1", seq)
+			}
+			got, err := s.store.MarshalStats()
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(got, before) {
+				return errors.New("MarshalStats moved before the fold swapped in")
+			}
+			if rec := do(t, h, http.MethodPost, "/v1/report", late); rec.Code != http.StatusOK {
+				return fmt.Errorf("POST during a fold = %d (%s)", rec.Code, rec.Body)
+			}
+			return nil
+		}()
+	}()
+	select {
+	case err := <-readers:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("readers and acks blocked behind a held fold")
+	}
+	close(release)
+	if err := <-folded; err != nil {
+		t.Fatal(err)
+	}
+	if !s.store.HasBatch(batches[1].ID) {
+		t.Fatal("HasBatch misses a batch after its fold swapped in")
+	}
+	after, err := s.store.MarshalStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(after, before) {
+		t.Fatal("MarshalStats unchanged after the fold swapped in")
+	}
+	var st estimator.Statistics
+	if err := json.Unmarshal(getStats(t, h), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Rows != 12 {
+		t.Fatalf("rows = %d after three batches, want 12", st.Rows)
 	}
 }

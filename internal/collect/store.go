@@ -54,15 +54,29 @@ type checkpointFile struct {
 // folded is skipped individually (the same batch logged in two segments by a
 // client retry). The set of folded IDs grows with the number of batches;
 // that is the price of exactly-once without client cooperation.
+//
+// Readers never wait on a fold. Folds serialize on fmu and do all their
+// work — decoding, accumulating, the checkpoint write — against a private
+// copy; mu guards only the published state and is held just long enough to
+// read it or to swap a finished fold in. A published collector is never
+// mutated again, so readers may use it after releasing mu.
 type Store struct {
 	path      string
 	schema    relation.Schema
 	mechanism string
 
+	// fmu serializes folds. Only a fold holding fmu writes the published
+	// state, so a fold may read batches and coll without mu.
+	fmu sync.Mutex
+
 	mu      sync.Mutex
 	applied uint64
 	batches map[string]struct{}
 	coll    *estimator.Collector
+
+	// foldHook, when set, runs inside Fold after the checkpoint lands and
+	// before the swap; tests use it to hold a fold in flight.
+	foldHook func()
 }
 
 // OpenStore loads (or initializes) the store checkpoint at path. schema is
@@ -123,8 +137,9 @@ func (s *Store) AppliedSeq() uint64 {
 }
 
 // HasBatch reports whether a batch ID has already been folded. Ingestion
-// uses it to short-circuit duplicates cheaply; it is advisory only — the
-// fold path re-checks under its own lock.
+// uses it to short-circuit duplicates cheaply; it is advisory only — a batch
+// a fold is still applying reads as new until the fold swaps in, and the
+// fold path re-checks every ID.
 func (s *Store) HasBatch(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -136,8 +151,8 @@ func (s *Store) HasBatch(id string) bool {
 // decode failure is not line noise — it is a version skew or a bug, and it
 // poisons the segment as corrupt.
 func decodeBatch(payload []byte) (Batch, error) {
-	var b Batch
-	if err := json.Unmarshal(payload, &b); err != nil {
+	b, _, err := unmarshalBatch(payload)
+	if err != nil {
 		return Batch{}, faults.Wrap(faults.ErrCorruptCheckpoint, fmt.Errorf("collect: wal record: %w", err))
 	}
 	if b.ID == "" {
@@ -181,11 +196,13 @@ type FoldedBatch struct {
 // and the in-memory watermark, batch set, and collector swap over only after
 // the checkpoint rename lands. On any error nothing moves — Compact cannot
 // watermark-delete a segment no durable checkpoint covers, and retrying the
-// same Fold neither loses nor double-counts a batch.
+// same Fold neither loses nor double-counts a batch. Only the swap takes the
+// reader lock, so HasBatch, MarshalStats and the rest answer from the
+// previous state while a fold runs.
 func (s *Store) Fold(seq uint64, payloads [][]byte) (folded []FoldedBatch, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if seq <= s.applied {
+	s.fmu.Lock()
+	defer s.fmu.Unlock()
+	if seq <= s.AppliedSeq() {
 		return nil, nil
 	}
 	staged, err := cloneCollector(s.coll)
@@ -232,6 +249,11 @@ func (s *Store) Fold(seq uint64, payloads [][]byte) (folded []FoldedBatch, err e
 	if err := atomicio.WriteJSON(s.path, ck); err != nil {
 		return nil, err
 	}
+	if s.foldHook != nil {
+		s.foldHook()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.coll = staged
 	s.applied = seq
 	for id := range newIDs {
@@ -259,13 +281,18 @@ func cloneCollector(c *estimator.Collector) (*estimator.Collector, error) {
 	return estimator.NewCollectorFrom(&copied)
 }
 
-// MarshalStats renders the current statistics as JSON under the store lock,
-// in exactly the format `privateclean stats` writes, so the bytes can be
-// saved to a file and fed to `query -stats` / `serve -stats` directly.
-func (s *Store) MarshalStats() ([]byte, error) {
+// collector returns the published collector, which no one mutates.
+func (s *Store) collector() *estimator.Collector {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data, err := json.MarshalIndent(s.coll.Statistics(), "", "  ")
+	return s.coll
+}
+
+// MarshalStats renders the current statistics as JSON, in exactly the
+// format `privateclean stats` writes, so the bytes can be saved to a file
+// and fed to `query -stats` / `serve -stats` directly.
+func (s *Store) MarshalStats() ([]byte, error) {
+	data, err := json.MarshalIndent(s.collector().Statistics(), "", "  ")
 	if err != nil {
 		return nil, faults.Wrap(faults.ErrInternal, err)
 	}
@@ -274,9 +301,7 @@ func (s *Store) MarshalStats() ([]byte, error) {
 
 // Rows returns the number of folded report rows.
 func (s *Store) Rows() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.coll.Statistics().Rows
+	return s.collector().Statistics().Rows
 }
 
 // BatchCount returns the number of distinct folded batches.
