@@ -100,7 +100,7 @@ func TestColstoreEstimateIdentitySynthetic(t *testing.T) {
 		{"in3", estimator.In("category", workload.CategoryValue(0), workload.CategoryValue(3), workload.CategoryValue(7))},
 		{"noteq", estimator.NotEq("category", workload.CategoryValue(1))},
 	}
-	for pass := 0; pass < 2; pass++ { // second pass hits the bitset cache
+	for pass := 0; pass < 2; pass++ { // second pass hits the warm cache
 		for _, pc := range preds {
 			a, aerr := csvEst.Count(csvRel, pc.p)
 			b, berr := colEst.Count(colRel, pc.p)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"privateclean/internal/faults"
 	"privateclean/internal/relation"
@@ -85,12 +84,7 @@ func (st *Statistics) binnedMatched(h *Histogram, agg string, pred Predicate) ([
 		return nil, fmt.Errorf("estimator: no statistics for discrete attribute %q", pred.Attr)
 	}
 	matched := make([]float64, len(h.Counts))
-	domain := make([]string, 0, len(vs))
-	for v := range vs {
-		domain = append(domain, v)
-	}
-	sort.Strings(domain)
-	for _, v := range domain {
+	for _, v := range sortedKeys(vs) {
 		if pred.Match != nil && !pred.Match(v) {
 			continue
 		}

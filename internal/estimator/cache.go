@@ -17,15 +17,16 @@ import (
 //     count, sum, avg and GROUP BY fold in O(domain);
 //   - the per-bin moments of a (binned attribute, numeric column) pair;
 //   - the per-code sorted value runs of a pair, which quantiles merge; and
-//   - the match bitset of a predicate (one bit per row), which only
-//     conjunctions need.
+//   - the joint table of a conjunction's attribute set (sorted by name)
+//     with or without a numeric column: per-cell counts and moments,
+//     which every conjunction over those attributes folds.
 //
 // All are pure functions of the view, so a long-lived query server attaches
 // one cache to its Estimator and a repeated query resolves in a few map
 // lookups. Results are identical with and without the cache: with none (the
 // CLI's one-shot path) the same builders run on every call.
 //
-// Channel and bitset keys are the predicate's rendered description, which
+// Channel keys are the predicate's rendered description, which
 // is canonical for Eq/NotEq/In/And/Not-built predicates (values render
 // quoted, so no two distinct value sets collide); the match-all nil
 // predicate gets its own reserved key. Fn-built predicates are NOT cached —
@@ -59,14 +60,14 @@ type kind int
 
 const (
 	kindChannel kind = iota
-	kindBitset
+	kindJoint
 	kindPerCode
 	kindBin
 	kindRuns
 	numKinds
 )
 
-var kindNames = [numKinds]string{"channel", "bitset", "per-code", "bin", "runs"}
+var kindNames = [numKinds]string{"channel", "joint", "per-code", "bin", "runs"}
 
 type predKey struct {
 	attr string
@@ -87,8 +88,8 @@ type channelVal struct {
 }
 
 // entryKey names one memoized table: its kind, the attribute it is grouped
-// by, and the numeric column it aggregates (for bitsets, the predicate's
-// description).
+// by (for joint tables, the NUL-joined attribute set), and the numeric
+// column it aggregates.
 type entryKey struct {
 	kind kind
 	attr string
@@ -185,13 +186,20 @@ func (c *ChannelCache) putChannel(k predKey, v channelVal) {
 	c.chans[k] = v
 }
 
-// Len reports how many channels and match bitsets are resident (for tests
-// and server introspection).
+// forget drops the table stored under k.
+func (c *ChannelCache) forget(k entryKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.entries, k)
+}
+
+// Len reports how many channels and conjunction joint tables are resident
+// (for tests and server introspection).
 func (c *ChannelCache) Len() (channels, tables int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for k := range c.entries {
-		if k.kind == kindBitset {
+		if k.kind == kindJoint {
 			tables++
 		}
 	}
@@ -207,7 +215,7 @@ type CacheStats struct {
 }
 
 // Stats reports hits, misses and resident entries for each kind of entry —
-// channel, bitset, per-code, bin and runs — in that order.
+// channel, joint, per-code, bin and runs — in that order.
 func (c *ChannelCache) Stats() []CacheStats {
 	out := make([]CacheStats, numKinds)
 	c.mu.RLock()
@@ -222,15 +230,4 @@ func (c *ChannelCache) Stats() []CacheStats {
 		out[k].Misses = c.misses[k].Load()
 	}
 	return out
-}
-
-// bitsFor returns the (possibly cached) match bitset of pred over ix.
-func (c *ChannelCache) bitsFor(ix *relation.DiscreteIndex, pred Predicate) *rowBits {
-	k, cacheable := predCacheKey(pred)
-	if !cacheable {
-		c = nil
-	}
-	return memo(c, entryKey{kindBitset, k.attr, k.desc}, sourceOf(ix, nil, nil), func() *rowBits {
-		return bitsFromSelection(ix.Codes, compileSelection(ix, pred))
-	})
 }

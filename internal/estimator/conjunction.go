@@ -1,8 +1,11 @@
 package estimator
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"privateclean/internal/relation"
 	"privateclean/internal/stats"
@@ -34,146 +37,314 @@ import (
 //
 // unbiased estimators of the conjunction's count and sum. Confidence
 // intervals use the CLT over the iid per-row weight terms.
+//
+// A row's weight depends only on its tuple of observed codes, so every sum
+// above groups by joint cell: ĉ = Σ_cells w·n, Σw² = Σ_cells w²·n, and the
+// sum terms read each cell's Σx and Σx². Both sources fold a jointTable —
+// built in one row pass per view on the resident path, converted once from
+// the recorded JointStats over statistics — through jointTable.fold, in
+// ascending code-tuple order, which over sorted dictionaries is the
+// sorted-value order. The nominal (Direct) answers fold the same table
+// with weights 1 and 0.
 
-// conjChannel resolves the per-attribute inverse-channel weights for one
-// predicate. The predicate's rows are pre-evaluated into a match bitset
-// (served from the ChannelCache when attached), so the weight-product scan
-// below is branch-on-bit with no per-row predicate calls.
-type conjChannel struct {
-	pred   Predicate
-	bits   *rowBits
-	wTrue  float64 // weight when the private value satisfies the predicate
-	wFalse float64 // weight otherwise
+// jointTable is the joint distribution of k discrete attributes, sorted by
+// name: its cells in ascending code-tuple order, each with its row count
+// and, when built over a numeric column, that column's moments.
+type jointTable struct {
+	ixs   []*relation.DiscreteIndex // the dictionaries the codes index
+	codes [][]uint32                // codes[i][j]: attribute i's code in cell j
+	n     []float64                 // rows per cell
+	x     *cellMoments              // nil for a count-only table
 }
 
-func (e *Estimator) conjChannels(rel *relation.Relation, preds []Predicate) ([]conjChannel, error) {
-	if len(preds) == 0 {
-		return nil, fmt.Errorf("estimator: conjunction needs at least one predicate")
-	}
-	seen := make(map[string]bool, len(preds))
-	chans := make([]conjChannel, len(preds))
-	for i, pred := range preds {
-		if seen[pred.Attr] {
-			return nil, fmt.Errorf("estimator: conjunction has two predicates on %q; combine them into one", pred.Attr)
-		}
-		seen[pred.Attr] = true
-		ch, err := e.channel(pred)
-		if err != nil {
-			return nil, err
-		}
-		if ch.denom <= 0 {
-			return nil, fmt.Errorf("estimator: p = %v on %q leaves no signal to invert", ch.p, pred.Attr)
-		}
-		// The nil-means-match-all predicate contract holds here too: channel
-		// resolved l = N for it and the compiled selection matches every row,
-		// so the weights come out right.
-		bits, err := e.bitsForPredicate(rel, pred)
-		if err != nil {
-			return nil, err
-		}
-		tauN := ch.tauN
-		chans[i] = conjChannel{
-			pred:   pred,
-			bits:   bits,
-			wTrue:  (1 - tauN) / ch.denom,
-			wFalse: -tauN / ch.denom,
-		}
-	}
-	return chans, nil
+// cellMoments holds one numeric column's per-cell non-NaN sum, sum of
+// squares and count, each accumulated in row order.
+type cellMoments struct {
+	sums, sumSqs, nonNaN []float64
 }
 
-// conjWeights computes the per-row weight product and accumulates the
-// count/sum statistics. vals may be nil for count-only queries. NaN
-// aggregate cells contribute nothing to the sum terms, so the sum-variance
-// denominator counts only the rows that actually entered the sum.
-func conjStatistics(chans []conjChannel, vals []float64, rows int) (count, sum, countVar, sumVar float64) {
+// conjSums is a folded conjunction: its count and sum estimates and their
+// CLT variances.
+type conjSums struct{ count, sum, countVar, sumVar float64 }
+
+// fold accumulates the conjunction statistics with per-code weights ws[i]
+// of attribute i and the moments x (nil: the count terms only). rows is the
+// relation's row count S. Zero-weight cells contribute nothing to the
+// count and sum terms, so a nominal fold skips the unmatched cells.
+func (t *jointTable) fold(ws [][]float64, x *cellMoments, rows int) conjSums {
 	var cAcc, hAcc, c2Acc, h2Acc float64
 	var sumRows float64 // rows with a non-NaN aggregate cell
-	for r := 0; r < rows; r++ {
-		w := 1.0
-		for i := range chans {
-			if chans[i].bits.get(r) {
-				w *= chans[i].wTrue
-			} else {
-				w *= chans[i].wFalse
-			}
+	for j, n := range t.n {
+		if x != nil {
+			sumRows += x.nonNaN[j]
 		}
-		cAcc += w
-		c2Acc += w * w
-		if vals != nil {
-			x := vals[r]
-			if math.IsNaN(x) {
-				continue
-			}
-			sumRows++
-			hAcc += w * x
-			h2Acc += w * x * w * x
+		w := ws[0][t.codes[0][j]]
+		for i := 1; i < len(ws); i++ {
+			w *= ws[i][t.codes[i][j]]
+		}
+		if w == 0 {
+			continue
+		}
+		cAcc += w * n
+		c2Acc += w * w * n
+		if x != nil {
+			hAcc += w * x.sums[j]
+			h2Acc += w * w * x.sumSqs[j]
 		}
 	}
-	s := float64(rows)
-	countVar = c2Acc - cAcc*cAcc/s
+	s := conjSums{count: cAcc, sum: hAcc, countVar: max(0, c2Acc-cAcc*cAcc/float64(rows))}
 	if sumRows > 0 {
-		sumVar = h2Acc - hAcc*hAcc/sumRows
+		s.sumVar = max(0, h2Acc-hAcc*hAcc/sumRows)
 	}
-	if countVar < 0 {
-		countVar = 0
-	}
-	if sumVar < 0 {
-		sumVar = 0
-	}
-	return cAcc, hAcc, countVar, sumVar
+	return s
 }
 
-// CountConj estimates count(1) under the conjunction of the given
-// single-attribute predicates (each on a distinct discrete attribute).
-// With one predicate it coincides with Count up to the confidence-interval
-// formula.
-func (e *Estimator) CountConj(rel *relation.Relation, preds ...Predicate) (Estimate, error) {
-	chans, err := e.conjChannels(rel, preds)
+// buildJoint makes the joint table of the dictionaries ixs (over col when
+// non-nil) in one row pass. When the code space Π|D_i| is no larger than
+// the row count it accumulates into a dense mixed-radix array, otherwise
+// into a map keyed by the big-endian code tuple; either way only the
+// non-empty cells are kept.
+func buildJoint(ixs []*relation.DiscreteIndex, col []float64) *jointTable {
+	rows := len(ixs[0].Codes)
+	size := 1
+	for _, ix := range ixs {
+		if n := ix.N(); n == 0 || size > rows/n {
+			return buildSparseJoint(ixs, col)
+		}
+		size *= ix.N()
+	}
+	acc := make([]cellAcc, size)
+	m := 0 // non-empty cells
+	for r := 0; r < rows; r++ {
+		cell := 0
+		for _, ix := range ixs {
+			cell = cell*len(ix.Domain) + int(ix.Codes[r])
+		}
+		if acc[cell].n == 0 {
+			m++
+		}
+		acc[cell].add(col, r)
+	}
+	keep := make([]int, 0, m)
+	for cell := range acc {
+		if acc[cell].n > 0 {
+			keep = append(keep, cell)
+		}
+	}
+	t := newJointTable(ixs, acc, keep, col != nil)
+	for j, cell := range keep {
+		for i := len(ixs) - 1; i >= 0; i-- {
+			t.codes[i][j] = uint32(cell % ixs[i].N())
+			cell /= ixs[i].N()
+		}
+	}
+	return t
+}
+
+// buildSparseJoint is buildJoint's path for a code space larger than the
+// row count.
+func buildSparseJoint(ixs []*relation.DiscreteIndex, col []float64) *jointTable {
+	rows, k := len(ixs[0].Codes), len(ixs)
+	cells := make(map[string]int)
+	var acc []cellAcc
+	var tuples []uint32 // cell j's code tuple at [j*k, (j+1)*k)
+	key := make([]byte, 4*k)
+	for r := 0; r < rows; r++ {
+		for i, ix := range ixs {
+			binary.BigEndian.PutUint32(key[4*i:], ix.Codes[r])
+		}
+		cell, ok := cells[string(key)]
+		if !ok {
+			cell = len(acc)
+			cells[string(key)] = cell
+			acc = append(acc, cellAcc{})
+			for _, ix := range ixs {
+				tuples = append(tuples, ix.Codes[r])
+			}
+		}
+		acc[cell].add(col, r)
+	}
+	order := make([]int, len(acc))
+	for j := range order {
+		order[j] = j
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return slices.Compare(tuples[a*k:(a+1)*k], tuples[b*k:(b+1)*k])
+	})
+	t := newJointTable(ixs, acc, order, col != nil)
+	for j, cell := range order {
+		for i := range ixs {
+			t.codes[i][j] = tuples[cell*k+i]
+		}
+	}
+	return t
+}
+
+// cellAcc accumulates one cell during a build: its row count and the
+// column's non-NaN sum, sum of squares and count.
+type cellAcc struct{ n, sum, sumSq, nonNaN float64 }
+
+// add counts row r of col (nil: count only).
+func (a *cellAcc) add(col []float64, r int) {
+	a.n++
+	if col != nil {
+		if x := col[r]; x == x {
+			a.sum += x
+			a.sumSq += x * x
+			a.nonNaN++
+		}
+	}
+}
+
+// newJointTable lays out the accumulated cells listed in order, leaving
+// their codes to the caller.
+func newJointTable(ixs []*relation.DiscreteIndex, acc []cellAcc, order []int, moments bool) *jointTable {
+	m := len(order)
+	t := &jointTable{ixs: ixs, codes: make([][]uint32, len(ixs)), n: make([]float64, m)}
+	for i := range ixs {
+		t.codes[i] = make([]uint32, m)
+	}
+	if moments {
+		t.x = &cellMoments{sums: make([]float64, m), sumSqs: make([]float64, m), nonNaN: make([]float64, m)}
+	}
+	for j, cell := range order {
+		a := &acc[cell]
+		t.n[j] = a.n
+		if moments {
+			t.x.sums[j], t.x.sumSqs[j], t.x.nonNaN[j] = a.sum, a.sumSq, a.nonNaN
+		}
+	}
+	return t
+}
+
+// jointFor returns the (possibly cached) joint table of the dictionaries
+// ixs of attrs (sorted by name), over col when agg is not "". memo checks
+// the first dictionary and the column; a later dictionary replaced by a
+// relation write is caught here and its table rebuilt.
+func (c *ChannelCache) jointFor(attrs []string, ixs []*relation.DiscreteIndex, agg string, col []float64) *jointTable {
+	k := entryKey{kindJoint, strings.Join(attrs, "\x00"), agg}
+	src := sourceOf(ixs[0], col, nil)
+	build := func() *jointTable { return buildJoint(ixs, col) }
+	t := memo(c, k, src, build)
+	if !slices.Equal(t.ixs, ixs) {
+		c.forget(k)
+		t = memo(c, k, src, build)
+	}
+	return t
+}
+
+// weightFunc resolves a predicate's weights: wTrue for a private value
+// that satisfies it, wFalse otherwise.
+type weightFunc func(Predicate) (wTrue, wFalse float64, err error)
+
+// conjWeight is the inverse-channel weight of the corrected estimators.
+func (e *Estimator) conjWeight(pred Predicate) (wTrue, wFalse float64, err error) {
+	ch, err := e.channel(pred)
 	if err != nil {
-		return Estimate{}, err
+		return 0, 0, err
 	}
-	if rel.NumRows() == 0 {
-		return Estimate{}, fmt.Errorf("estimator: empty relation")
+	if ch.denom <= 0 {
+		return 0, 0, fmt.Errorf("estimator: p = %v on %q leaves no signal to invert", ch.p, pred.Attr)
 	}
-	count, _, countVar, _ := conjStatistics(chans, nil, rel.NumRows())
+	return (1 - ch.tauN) / ch.denom, -ch.tauN / ch.denom, nil
+}
+
+// nominalWeight weights the rows the nominal (Direct) answers count: 1 on a
+// match, 0 otherwise.
+func nominalWeight(Predicate) (float64, float64, error) { return 1, 0, nil }
+
+// checkConj validates a conjunction's shape, shared by every source and by
+// the corrected and nominal answers: at least one predicate, and at most
+// one per attribute.
+func checkConj(preds []Predicate) error {
+	if len(preds) == 0 {
+		return fmt.Errorf("estimator: conjunction needs at least one predicate")
+	}
+	seen := make(map[string]bool, len(preds))
+	for _, pred := range preds {
+		if seen[pred.Attr] {
+			return fmt.Errorf("estimator: conjunction has two predicates on %q; combine them into one", pred.Attr)
+		}
+		seen[pred.Attr] = true
+	}
+	return nil
+}
+
+// codeWeights evaluates a conjunct once per code of ix.
+func codeWeights(ix *relation.DiscreteIndex, pred Predicate, wTrue, wFalse float64) []float64 {
+	sel := compileSelection(ix, pred)
+	w := make([]float64, ix.N())
+	for c := range w {
+		if sel.has(uint32(c)) {
+			w[c] = wTrue
+		} else {
+			w[c] = wFalse
+		}
+	}
+	return w
+}
+
+// residentConj validates a conjunction over rel, resolves each conjunct's
+// weights and dictionary in the given order, and folds the joint table of
+// its attributes (sorted by name): the count terms only when agg is "".
+// nonEmpty rejects an empty relation (the corrected estimators need S > 0).
+func residentConj(c *ChannelCache, rel *relation.Relation, agg string, preds []Predicate, weight weightFunc, nonEmpty bool) (conjSums, error) {
+	if err := checkConj(preds); err != nil {
+		return conjSums{}, err
+	}
+	type term struct {
+		attr string
+		ix   *relation.DiscreteIndex
+		w    []float64
+	}
+	terms := make([]term, len(preds))
+	for i, pred := range preds {
+		wTrue, wFalse, err := weight(pred)
+		if err != nil {
+			return conjSums{}, err
+		}
+		// The nil-means-match-all predicate contract holds here too: channel
+		// resolves l = N for it and its selection matches every code.
+		ix, err := rel.DiscreteIndex(pred.Attr)
+		if err != nil {
+			return conjSums{}, err
+		}
+		terms[i] = term{pred.Attr, ix, codeWeights(ix, pred, wTrue, wFalse)}
+	}
+	if nonEmpty && rel.NumRows() == 0 {
+		return conjSums{}, fmt.Errorf("estimator: empty relation")
+	}
+	var col []float64
+	if agg != "" {
+		var err error
+		if col, err = rel.Numeric(agg); err != nil {
+			return conjSums{}, err
+		}
+	}
+	slices.SortFunc(terms, func(a, b term) int { return strings.Compare(a.attr, b.attr) })
+	attrs := make([]string, len(terms))
+	ixs := make([]*relation.DiscreteIndex, len(terms))
+	ws := make([][]float64, len(terms))
+	for i, t := range terms {
+		attrs[i], ixs[i], ws[i] = t.attr, t.ix, t.w
+	}
+	t := c.jointFor(attrs, ixs, agg, col)
+	return t.fold(ws, t.x, rel.NumRows()), nil
+}
+
+// estimates turns folded conjunction sums into the count and sum
+// estimates with their CLT intervals.
+func (e *Estimator) estimates(s conjSums) (c, h Estimate, err error) {
 	z, err := stats.ZScore(e.confidence())
 	if err != nil {
-		return Estimate{}, err
+		return Estimate{}, Estimate{}, err
 	}
-	return Estimate{Value: count, CI: z * math.Sqrt(countVar)}, nil
+	return Estimate{Value: s.count, CI: z * math.Sqrt(s.countVar)}, Estimate{Value: s.sum, CI: z * math.Sqrt(s.sumVar)}, nil
 }
 
-// SumConj estimates sum(agg) under the conjunction of the given
-// predicates.
-func (e *Estimator) SumConj(rel *relation.Relation, agg string, preds ...Predicate) (Estimate, error) {
-	chans, err := e.conjChannels(rel, preds)
-	if err != nil {
-		return Estimate{}, err
-	}
-	if rel.NumRows() == 0 {
-		return Estimate{}, fmt.Errorf("estimator: empty relation")
-	}
-	vals, err := rel.Numeric(agg)
-	if err != nil {
-		return Estimate{}, err
-	}
-	_, sum, _, sumVar := conjStatistics(chans, vals, rel.NumRows())
-	z, err := stats.ZScore(e.confidence())
-	if err != nil {
-		return Estimate{}, err
-	}
-	return Estimate{Value: sum, CI: z * math.Sqrt(sumVar)}, nil
-}
-
-// AvgConj estimates avg(agg) under the conjunction as the ratio of SumConj
-// and CountConj with a delta-method interval.
-func (e *Estimator) AvgConj(rel *relation.Relation, agg string, preds ...Predicate) (Estimate, error) {
-	h, err := e.SumConj(rel, agg, preds...)
-	if err != nil {
-		return Estimate{}, err
-	}
-	c, err := e.CountConj(rel, preds...)
+// conjAvg is the ratio of the conjunction's sum and count estimates with a
+// delta-method interval.
+func conjAvg(c, h Estimate, err error) (Estimate, error) {
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -184,68 +355,62 @@ func (e *Estimator) AvgConj(rel *relation.Relation, agg string, preds ...Predica
 	return Estimate{Value: v, CI: ratioCI(v, h, c)}, nil
 }
 
-// DirectCountConj is the nominal conjunction count: the word-wise AND of
-// the per-predicate match bitsets, answered by population count.
-func DirectCountConj(rel *relation.Relation, preds ...Predicate) (float64, error) {
-	b, err := conjBits(rel, preds)
+// conj answers a resident conjunction's count and (when agg is not "") sum.
+func (e *Estimator) conj(rel *relation.Relation, agg string, preds []Predicate) (c, h Estimate, err error) {
+	s, err := residentConj(e.Cache, rel, agg, preds, e.conjWeight, true)
 	if err != nil {
-		return 0, err
+		return Estimate{}, Estimate{}, err
 	}
-	return float64(b.ones), nil
+	return e.estimates(s)
 }
 
-// DirectSumConj is the nominal conjunction sum over the intersected bitset.
+// CountConj estimates count(1) under the conjunction of the given
+// single-attribute predicates (each on a distinct discrete attribute).
+// With one predicate it coincides with Count up to the confidence-interval
+// formula.
+func (e *Estimator) CountConj(rel *relation.Relation, preds ...Predicate) (Estimate, error) {
+	c, _, err := e.conj(rel, "", preds)
+	return c, err
+}
+
+// SumConj estimates sum(agg) under the conjunction of the given
+// predicates.
+func (e *Estimator) SumConj(rel *relation.Relation, agg string, preds ...Predicate) (Estimate, error) {
+	_, h, err := e.conj(rel, agg, preds)
+	return h, err
+}
+
+// AvgConj estimates avg(agg) under the conjunction as the ratio of SumConj
+// and CountConj with a delta-method interval, both read from one fold.
+func (e *Estimator) AvgConj(rel *relation.Relation, agg string, preds ...Predicate) (Estimate, error) {
+	return conjAvg(e.conj(rel, agg, preds))
+}
+
+// DirectCountConj is the nominal conjunction count: the joint table folded
+// with weights 1 and 0.
+func DirectCountConj(rel *relation.Relation, preds ...Predicate) (float64, error) {
+	s, err := residentConj(nil, rel, "", preds, nominalWeight, false)
+	return s.count, err
+}
+
+// DirectSumConj is the nominal conjunction sum, folded per joint cell.
 func DirectSumConj(rel *relation.Relation, agg string, preds ...Predicate) (float64, error) {
-	b, err := conjBits(rel, preds)
-	if err != nil {
-		return 0, err
-	}
-	vals, err := rel.Numeric(agg)
-	if err != nil {
-		return 0, err
-	}
-	s := 0.0
-	for r, x := range vals {
-		if x == x && b.get(r) {
-			s += x
-		}
-	}
-	return s, nil
+	s, err := residentConj(nil, rel, agg, preds, nominalWeight, false)
+	return s.sum, err
 }
 
 // DirectAvgConj is the nominal conjunction average.
 func DirectAvgConj(rel *relation.Relation, agg string, preds ...Predicate) (float64, error) {
-	c, err := DirectCountConj(rel, preds...)
-	if err != nil {
-		return 0, err
-	}
-	if c == 0 {
-		return 0, fmt.Errorf("estimator: no rows satisfy the conjunction")
-	}
-	s, err := DirectSumConj(rel, agg, preds...)
-	if err != nil {
-		return 0, err
-	}
-	return s / c, nil
+	return nominalAvg(residentConj(nil, rel, agg, preds, nominalWeight, false))
 }
 
-// conjBits evaluates each predicate into a bitset and intersects them.
-func conjBits(rel *relation.Relation, preds []Predicate) (*rowBits, error) {
-	if len(preds) == 0 {
-		return nil, fmt.Errorf("estimator: conjunction needs at least one predicate")
+// nominalAvg is the nominal conjunction average of a nominal fold.
+func nominalAvg(s conjSums, err error) (float64, error) {
+	if err != nil {
+		return 0, err
 	}
-	var acc *rowBits
-	for _, pred := range preds {
-		ix, err := rel.DiscreteIndex(pred.Attr)
-		if err != nil {
-			return nil, err
-		}
-		b := bitsFromSelection(ix.Codes, compileSelection(ix, pred))
-		if acc == nil {
-			acc = b
-		} else {
-			acc = acc.intersect(b)
-		}
+	if s.count == 0 {
+		return 0, fmt.Errorf("estimator: no rows satisfy the conjunction")
 	}
-	return acc, nil
+	return s.sum / s.count, nil
 }

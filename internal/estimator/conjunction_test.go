@@ -203,6 +203,32 @@ func TestConjunctionErrors(t *testing.T) {
 	}
 }
 
+// The nominal conjunctions validate like the corrected ones: two
+// predicates on one attribute are refused, where the Direct family used to
+// intersect them into a count of zero.
+func TestDirectConjRejectsRepeatedAttribute(t *testing.T) {
+	r := conjRel(t)
+	est := &Estimator{Meta: &privacy.ViewMeta{Discrete: map[string]privacy.DiscreteMeta{
+		"major": {Name: "major", P: 0.2, Domain: []string{"CS", "EE", "ME"}},
+	}}}
+	preds := []Predicate{Eq("major", "EE"), Eq("major", "ME")}
+	_, want := est.CountConj(r, preds...)
+	if want == nil {
+		t.Fatal("CountConj accepted two predicates on one attribute")
+	}
+	_, err1 := DirectCountConj(r, preds...)
+	_, err2 := DirectSumConj(r, "score", preds...)
+	_, err3 := DirectAvgConj(r, "score", preds...)
+	for i, err := range []error{err1, err2, err3} {
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("Direct conjunction %d: error %v, want %v", i, err, want)
+		}
+	}
+	if _, err := DirectCountConj(r); err == nil {
+		t.Error("DirectCountConj accepted no predicates")
+	}
+}
+
 func TestConjunctionCICoverage(t *testing.T) {
 	r := conjRel(t)
 	preds := []Predicate{Eq("major", "EE"), Eq("section", "2")}

@@ -236,10 +236,10 @@ func TestChannelCacheEquivalence(t *testing.T) {
 	check(t) // warm cache
 
 	// Count and Sum are served from channels and the per-code table; they
-	// pin no match bitsets.
+	// pin no joint tables.
 	st := cached.Cache.Stats()
 	if chans, tables := cached.Cache.Len(); chans == 0 || tables != 0 || st[kindPerCode].Entries == 0 {
-		t.Fatalf("cache use: %d channels, %d bitsets, %d per-code tables resident; want channels and per-code tables, no bitsets",
+		t.Fatalf("cache use: %d channels, %d joint tables, %d per-code tables resident; want channels and per-code tables, no joint tables",
 			chans, tables, st[kindPerCode].Entries)
 	}
 

@@ -27,13 +27,16 @@ import (
 var residentSchema = relation.MustSchema(
 	relation.Column{Name: "cat", Kind: relation.Discrete},
 	relation.Column{Name: "grp", Kind: relation.Discrete},
+	relation.Column{Name: "sec", Kind: relation.Discrete},
 	relation.Column{Name: "x", Kind: relation.Numeric},
 )
 
 // randomResident builds a small random relation over residentSchema and its
 // view metadata. The cat domain has 1..maxDomain values (one value is a
-// one-value domain); NaN cells, tied values, zeros, a code whose cells are
-// all NaN and a single-row code occur at random.
+// one-value domain) and sec has up to three, so the joint table of a
+// three-attribute conjunction is sometimes denser and sometimes sparser
+// than the rows; NaN cells, tied values, zeros, a code whose cells are all
+// NaN and a single-row code occur at random.
 func randomResident(rng *rand.Rand, rows, maxDomain int) (*relation.Relation, *privacy.ViewMeta) {
 	k := 1 + rng.Intn(maxDomain)
 	var cats, grps []string
@@ -73,9 +76,13 @@ func randomResident(rng *rand.Rand, rows, maxDomain int) (*relation.Relation, *p
 		grps[i], grps[j] = grps[j], grps[i]
 		xs[i], xs[j] = xs[j], xs[i]
 	})
+	secs := make([]string, len(cats))
+	for i := range secs {
+		secs[i] = fmt.Sprintf("s%d", rng.Intn(3))
+	}
 	rel, err := relation.FromColumns(residentSchema,
 		map[string][]float64{"x": xs},
-		map[string][]string{"cat": cats, "grp": grps})
+		map[string][]string{"cat": cats, "grp": grps, "sec": secs})
 	if err != nil {
 		panic(err)
 	}
@@ -85,6 +92,7 @@ func randomResident(rng *rand.Rand, rows, maxDomain int) (*relation.Relation, *p
 			// The released domains carry values absent from the view.
 			"cat": {Name: "cat", P: []float64{0, 0.1, 0.3, 0.5}[rng.Intn(4)], Domain: append(append([]string(nil), catDomain...), "zz")},
 			"grp": {Name: "grp", P: 0.2, Domain: []string{"g0", "g1", "g2"}},
+			"sec": {Name: "sec", P: 0.3, Domain: []string{"s0", "s1", "s2"}},
 		},
 		Numeric: map[string]privacy.NumericMeta{
 			"x": {Name: "x", B: 1, Delta: 200, Lo: -100, Bins: 1 + rng.Intn(6)},
@@ -119,7 +127,7 @@ func loadTwins(t testing.TB, rel *relation.Relation) (csvRel, colRel *relation.R
 	if err := csvio.Write(&csvBuf, rel); err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[string]relation.Kind{"cat": relation.Discrete, "grp": relation.Discrete, "x": relation.Numeric}
+	kinds := map[string]relation.Kind{"cat": relation.Discrete, "grp": relation.Discrete, "sec": relation.Discrete, "x": relation.Numeric}
 	csvRel, err := csvio.Read(bytes.NewReader(csvBuf.Bytes()), csvio.Options{ForceKinds: kinds})
 	if err != nil {
 		t.Fatal(err)
@@ -175,6 +183,15 @@ func (tr transcript) bins(key string, bs []BinEstimate, err error) {
 
 var residentQs = []float64{0, 0.25, 0.5, 0.9, 1}
 
+// residentConjs returns the two- and three-attribute conjunctions built on
+// a cat predicate.
+func residentConjs(p Predicate) [][]Predicate {
+	return [][]Predicate{
+		{p, Eq("grp", "g0")},
+		{In("sec", "s0", "s2"), p, NotEq("grp", "g1")},
+	}
+}
+
 // residentTranscript evaluates every resident family through the estimator.
 func residentTranscript(e *Estimator, rel *relation.Relation, preds []Predicate) transcript {
 	tr := transcript{}
@@ -209,17 +226,19 @@ func residentTranscript(e *Estimator, rel *relation.Relation, preds []Predicate)
 		tr.est("std"+k, v, err)
 		d, err = DirectVar(rel, "x", p)
 		tr.put("dvar"+k, err, d)
-		conj := []Predicate{p, Eq("grp", "g0")}
-		c, err = e.CountConj(rel, conj...)
-		tr.est("conj-count"+k, c, err)
-		s, err = e.SumConj(rel, "x", conj...)
-		tr.est("conj-sum"+k, s, err)
-		a, err = e.AvgConj(rel, "x", conj...)
-		tr.est("conj-avg"+k, a, err)
-		d, err = DirectCountConj(rel, conj...)
-		tr.put("dconj-count"+k, err, d)
-		d, err = DirectSumConj(rel, "x", conj...)
-		tr.put("dconj-sum"+k, err, d)
+		for _, conj := range residentConjs(p) {
+			ck := fmt.Sprintf("%s/%d", k, len(conj))
+			c, err = e.CountConj(rel, conj...)
+			tr.est("conj-count"+ck, c, err)
+			s, err = e.SumConj(rel, "x", conj...)
+			tr.est("conj-sum"+ck, s, err)
+			a, err = e.AvgConj(rel, "x", conj...)
+			tr.est("conj-avg"+ck, a, err)
+			d, err = DirectCountConj(rel, conj...)
+			tr.put("dconj-count"+ck, err, d)
+			d, err = DirectSumConj(rel, "x", conj...)
+			tr.put("dconj-sum"+ck, err, d)
+		}
 	}
 	tr.est("total-count", e.TotalCount(rel), nil)
 	t, err := e.TotalSum(rel, "x")
@@ -443,37 +462,65 @@ func naiveVar(e *Estimator, rel *relation.Relation, agg string, pred Predicate) 
 	return Estimate{Value: v, CI: z * math.Sqrt(math.Max(0, m4-raw*raw)/float64(len(vals)))}, nil
 }
 
-// naiveConj evaluates the conjunction estimators over bitsets set by
-// per-row string evaluation.
+// naiveConj evaluates the conjunction estimators row by row: a row's
+// weight is the product, in predicate order, of each conjunct's weight for
+// the row's string, and its terms accumulate in row order.
 func naiveConj(e *Estimator, rel *relation.Relation, agg string, preds []Predicate) (count, sum Estimate, dcount, dsum float64, err error) {
-	chans, err := e.conjChannels(rel, preds)
-	if err != nil {
+	if err = checkConj(preds); err != nil {
 		return
 	}
-	all := make([]bool, rel.NumRows())
-	for i := range all {
-		all[i] = true
+	type term struct {
+		match         []bool
+		wTrue, wFalse float64
 	}
-	for i := range chans {
-		m, _ := naiveMatch(rel, chans[i].pred)
-		b := newRowBits(rel.NumRows())
-		for r, ok := range m {
-			if ok {
-				b.words[r>>6] |= 1 << (uint(r) & 63)
-			}
-			all[r] = all[r] && ok
+	terms := make([]term, len(preds))
+	for i, p := range preds {
+		wTrue, wFalse, werr := e.conjWeight(p)
+		if werr != nil {
+			err = werr
+			return
 		}
-		chans[i].bits = b
+		m, merr := naiveMatchCol(rel, p)
+		if merr != nil {
+			err = merr
+			return
+		}
+		terms[i] = term{m, wTrue, wFalse}
 	}
 	if rel.NumRows() == 0 {
 		err = errors.New("empty relation")
 		return
 	}
 	col := rel.MustNumeric(agg)
-	c, s, cv, sv := conjStatistics(chans, col, rel.NumRows())
+	all := make([]bool, rel.NumRows())
+	var cAcc, hAcc, c2Acc, h2Acc, sumRows float64
+	for r := range all {
+		w, ok := 1.0, true
+		for _, t := range terms {
+			if t.match[r] {
+				w *= t.wTrue
+			} else {
+				w *= t.wFalse
+				ok = false
+			}
+		}
+		all[r] = ok
+		cAcc += w
+		c2Acc += w * w
+		if x := col[r]; !math.IsNaN(x) {
+			sumRows++
+			hAcc += w * x
+			h2Acc += w * x * w * x
+		}
+	}
+	countVar := math.Max(0, c2Acc-cAcc*cAcc/float64(len(all)))
+	sumVar := 0.0
+	if sumRows > 0 {
+		sumVar = math.Max(0, h2Acc-hAcc*hAcc/sumRows)
+	}
 	z, _ := stats.ZScore(e.confidence())
 	dsum, _ = naiveSums(col, all)
-	return Estimate{Value: c, CI: z * math.Sqrt(cv)}, Estimate{Value: s, CI: z * math.Sqrt(sv)}, countTrue(all), dsum, nil
+	return Estimate{Value: cAcc, CI: z * math.Sqrt(countVar)}, Estimate{Value: hAcc, CI: z * math.Sqrt(sumVar)}, countTrue(all), dsum, nil
 }
 
 // naiveGroups evaluates GROUP BY attr per distinct value by row scan; the
@@ -553,7 +600,8 @@ func naiveBins(e *Estimator, rel *relation.Relation, tr transcript, attr, agg st
 	}
 }
 
-// naiveTranscript is residentTranscript computed by the reference.
+// naiveTranscript is residentTranscript computed by the reference, less the
+// conjunction averages.
 func naiveTranscript(e *Estimator, rel *relation.Relation, preds []Predicate) transcript {
 	tr := transcript{}
 	for i, p := range preds {
@@ -609,20 +657,13 @@ func naiveTranscript(e *Estimator, rel *relation.Relation, preds []Predicate) tr
 			raw, _ := stats.Variance(vals)
 			tr.put("dvar"+k, nil, raw)
 		}
-		conj := []Predicate{p, Eq("grp", "g0")}
-		cc, cs, dc, ds, err := naiveConj(e, rel, "x", conj)
-		tr.est("conj-count"+k, cc, err)
-		tr.est("conj-sum"+k, cs, err)
-		tr.put("dconj-count"+k, err, dc)
-		tr.put("dconj-sum"+k, err, ds)
-		if err == nil && cc.Value == 0 {
-			err = ErrZeroEstimatedCount
-		}
-		if err != nil {
-			tr.put("conj-avg"+k, err)
-		} else {
-			r := cs.Value / cc.Value
-			tr.est("conj-avg"+k, Estimate{Value: r, CI: ratioCI(r, cs, cc)}, nil)
+		for _, conj := range residentConjs(p) {
+			ck := fmt.Sprintf("%s/%d", k, len(conj))
+			cc, cs, dc, ds, err := naiveConj(e, rel, "x", conj)
+			tr.est("conj-count"+ck, cc, err)
+			tr.est("conj-sum"+ck, cs, err)
+			tr.put("dconj-count"+ck, err, dc)
+			tr.put("dconj-sum"+ck, err, ds)
 		}
 	}
 	col := rel.MustNumeric("x")
@@ -644,9 +685,9 @@ func naiveTranscript(e *Estimator, rel *relation.Relation, preds []Predicate) tr
 
 // reassociated reports whether a key's value may differ from the row-order
 // reference by summation re-association: predicate sums and averages fold
-// per-code sums in code order.
+// per-code sums in code order, and conjunctions fold per joint cell.
 func reassociated(key string) bool {
-	for _, f := range []string{"sum/", "avg/", "sumfp/", "dsum/", "davg/"} {
+	for _, f := range []string{"sum/", "avg/", "sumfp/", "dsum/", "davg/", "conj-", "dconj-sum/"} {
 		if strings.HasPrefix(key, f) {
 			return true
 		}
@@ -654,10 +695,33 @@ func reassociated(key string) bool {
 	return false
 }
 
-// diffTranscripts reports the first keys on which got and want differ:
-// bit-for-bit, or (with tol > 0, on re-associated keys) within tol relative
-// to max(|got|, |want|, scale). Error texts are compared when exact.
-func diffTranscripts(got, want transcript, exactErrs bool, tol, scale float64) []string {
+// tolerance is how far an estimator transcript may be from the row-order
+// reference. The zero tolerance demands identical bits and error texts.
+type tolerance struct {
+	rel   float64 // relative tolerance on re-associated keys
+	scale float64 // floor of the magnitude rel applies to
+	// varScale floors the magnitude of a conjunction's squared interval: the
+	// interval is the square root of a variance that may cancel to rounding
+	// residue, so it is compared squared, on the scale it cancels from.
+	varScale float64
+}
+
+// within reports whether value i of key k may read a where the reference
+// reads b.
+func (tol tolerance) within(k string, i int, a, b float64) bool {
+	if tol.rel == 0 || !reassociated(k) {
+		return false
+	}
+	sc := tol.scale
+	if i == 1 && strings.HasPrefix(k, "conj-") {
+		a, b, sc = a*a, b*b, tol.varScale
+	}
+	return math.Abs(a-b) <= tol.rel*math.Max(math.Max(math.Abs(a), math.Abs(b)), sc)
+}
+
+// diffTranscripts reports the first keys on which got and want differ by
+// more than tol allows. Error texts are compared when exactErrs is set.
+func diffTranscripts(got, want transcript, exactErrs bool, tol tolerance) []string {
 	keys := map[string]bool{}
 	for k := range got {
 		keys[k] = true
@@ -670,6 +734,10 @@ func diffTranscripts(got, want transcript, exactErrs bool, tol, scale float64) [
 		g, okg := got[k]
 		w, okw := want[k]
 		switch {
+		case tol.rel > 0 && strings.HasPrefix(k, "conj-avg"):
+			// The reference has none: an average is derived from the
+			// conjunction's count and sum (checkConjAvgs), and ill-conditioned
+			// wherever the count nearly cancels.
 		case !okg || !okw:
 			diffs = append(diffs, fmt.Sprintf("%s: present %v vs %v (%+v vs %+v)", k, okg, okw, g, w))
 		case (g.err == "") != (w.err == "") || (exactErrs && g.err != w.err):
@@ -679,10 +747,7 @@ func diffTranscripts(got, want transcript, exactErrs bool, tol, scale float64) [
 		default:
 			for i := range g.vals {
 				a, b := g.vals[i], w.vals[i]
-				if math.Float64bits(a) == math.Float64bits(b) {
-					continue
-				}
-				if tol > 0 && reassociated(k) && math.Abs(a-b) <= tol*math.Max(math.Max(math.Abs(a), math.Abs(b)), scale) {
+				if math.Float64bits(a) == math.Float64bits(b) || tol.within(k, i, a, b) {
 					continue
 				}
 				diffs = append(diffs, fmt.Sprintf("%s[%d]: %v (%x) vs %v (%x)", k, i, a, math.Float64bits(a), b, math.Float64bits(b)))
@@ -705,6 +770,7 @@ func checkResident(t *testing.T, rng *rand.Rand, rows, maxDomain int) {
 	csvRel, colRel := loadTwins(t, rel)
 
 	want := residentTranscript(&Estimator{Meta: meta}, csvRel, preds)
+	checkConjAvgs(t, want)
 	configs := []struct {
 		name string
 		e    *Estimator
@@ -716,7 +782,7 @@ func checkResident(t *testing.T, rng *rand.Rand, rows, maxDomain int) {
 	}
 	for _, c := range configs {
 		for pass := 0; pass < 2; pass++ { // a cached estimator's second pass is warm
-			if d := diffTranscripts(residentTranscript(c.e, c.rel, preds), want, true, 0, 0); len(d) > 0 {
+			if d := diffTranscripts(residentTranscript(c.e, c.rel, preds), want, true, tolerance{}); len(d) > 0 {
 				t.Fatalf("%s pass %d differs from csv uncached:\n%s", c.name, pass, strings.Join(d, "\n"))
 			}
 		}
@@ -729,12 +795,39 @@ func checkResident(t *testing.T, rng *rand.Rand, rows, maxDomain int) {
 		}
 	}
 	scale *= 4 // the channel inversion divides by 1-p >= 1/2, twice for avg
+	// A conjunction weighs a row by at most three factors of at most 2, so
+	// its variances cancel from Σw²·x² <= scale² or Σw² <= 64·rows.
+	tol := tolerance{rel: 1e-12, scale: scale, varScale: scale*scale + 64*float64(csvRel.NumRows())}
 	ref := naiveTranscript(&Estimator{Meta: meta}, csvRel, preds)
-	if d := diffTranscripts(want, ref, false, 1e-12, scale); len(d) > 0 {
+	if d := diffTranscripts(want, ref, false, tol); len(d) > 0 {
 		t.Fatalf("resident estimators differ from the row-scan reference:\n%s", strings.Join(d, "\n"))
 	}
 
 	checkStatsFold(t, rng, csvRel, preds)
+}
+
+// checkConjAvgs requires every conjunction average in tr to be the ratio of
+// the transcript's own conjunction sum and count, bit for bit, or to fail
+// as they do.
+func checkConjAvgs(t *testing.T, tr transcript) {
+	t.Helper()
+	for k, got := range tr {
+		rest, ok := strings.CutPrefix(k, "conj-avg")
+		if !ok {
+			continue
+		}
+		c, h := tr["conj-count"+rest], tr["conj-sum"+rest]
+		want := transcript{}
+		if h.err != "" {
+			want[k] = h
+		} else {
+			a, err := conjAvg(Estimate{Value: c.vals[0], CI: c.vals[1]}, Estimate{Value: h.vals[0], CI: h.vals[1]}, nil)
+			want.est(k, a, err)
+		}
+		if d := diffTranscripts(transcript{k: got}, want, true, tolerance{}); len(d) > 0 {
+			t.Fatalf("AvgConj is not the ratio of SumConj and CountConj: %s", d[0])
+		}
+	}
 }
 
 // checkStatsFold requires the resident per-code fold and the statistics
@@ -797,9 +890,10 @@ func FuzzResidentCacheIdentity(f *testing.F) {
 }
 
 // Count, sum, avg, GROUP BY, binned GROUP BY, quantile and var are served
-// from per-code, bin and run tables; only conjunctions materialize (and
-// pin) match bitsets. A cached GROUP BY count used to pin one rows/8-byte
-// bitset per group.
+// from per-code, bin and run tables and pin no joint table. Conjunctions
+// pin one joint table per (attribute set, column), however many distinct
+// predicates they are asked under; they used to pin one rows/8-byte match
+// bitset per distinct predicate.
 func TestResidentAggregatesPinNoBitsets(t *testing.T) {
 	rel := vectorRel(t, 500)
 	catDom, _ := rel.Domain("cat")
@@ -829,7 +923,7 @@ func TestResidentAggregatesPinNoBitsets(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, tables := e.Cache.Len(); tables != 0 {
-			t.Fatalf("pass %d: %d bitsets pinned by non-conjunction aggregates", pass, tables)
+			t.Fatalf("pass %d: %d joint tables pinned by non-conjunction aggregates", pass, tables)
 		}
 	}
 	st := e.Cache.Stats()
@@ -846,15 +940,33 @@ func TestResidentAggregatesPinNoBitsets(t *testing.T) {
 		}
 	}
 
-	conj := []Predicate{pred, Eq("other", "g1")}
-	_, err1 := e.CountConj(rel, conj...)
-	_, err2 := e.SumConj(rel, "x", conj...)
-	_, err3 := e.AvgConj(rel, "x", conj...)
-	if err := errors.Join(err1, err2, err3); err != nil {
-		t.Fatal(err)
+	nonChannel := func() (n int64) {
+		for _, k := range e.Cache.Stats()[kindChannel+1:] {
+			n += k.Entries
+		}
+		return n
+	}
+	before := nonChannel()
+	for i := 0; i < 50; i++ { // 50 distinct (cat, other) predicate pairs, in either order
+		conj := []Predicate{In("cat", catDom[i%20], "v19"), Eq("other", fmt.Sprintf("g%d", i/20))}
+		if i%2 == 1 {
+			conj[0], conj[1] = conj[1], conj[0]
+		}
+		_, err1 := e.CountConj(rel, conj...)
+		_, err2 := e.SumConj(rel, "x", conj...)
+		_, err3 := e.AvgConj(rel, "x", conj...)
+		if err := errors.Join(err1, err2, err3); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, tables := e.Cache.Len(); tables != 2 {
-		t.Fatalf("conjunction pinned %d bitsets, want one per predicate (2)", tables)
+		t.Fatalf("conjunctions pinned %d joint tables, want one per column, x or none (2)", tables)
+	}
+	if got := nonChannel(); got != before+2 {
+		t.Fatalf("non-channel entries grew from %d to %d over 50 conjunctions, want +2", before, got)
+	}
+	if j := e.Cache.Stats()[kindJoint]; j.Kind != "joint" || j.Misses != 2 || j.Hits != 148 {
+		t.Fatalf("joint: %+v, want 2 misses and 148 hits", j)
 	}
 }
 
@@ -906,5 +1018,34 @@ func TestCachedTablesFollowDiscreteRewrite(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("cached Sum after rewrite = %+v, want %+v", got, want)
+	}
+}
+
+// A joint table is rebuilt when any of its dictionaries is replaced, not
+// only the first attribute's.
+func TestCachedJointFollowsDiscreteRewrite(t *testing.T) {
+	rel := vectorRel(t, 200)
+	catDom, _ := rel.Domain("cat")
+	meta := &privacy.ViewMeta{Discrete: map[string]privacy.DiscreteMeta{
+		"cat":   {Name: "cat", P: 0.2, Domain: catDom},
+		"other": {Name: "other", P: 0.2, Domain: []string{"g0", "g1", "g2", "g9"}},
+	}}
+	cached := &Estimator{Meta: meta, Cache: NewChannelCache()}
+	conj := []Predicate{In("cat", "v01", "v02"), Eq("other", "g9")}
+	if _, err := cached.CountConj(rel, conj...); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := rel.SetDiscrete("other", i, "g9"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err1 := cached.CountConj(rel, conj...)
+	want, err2 := (&Estimator{Meta: meta}).CountConj(rel, conj...)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if got != want {
+		t.Fatalf("cached CountConj after rewrite = %+v, want %+v", got, want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"privateclean/internal/faults"
 	"privateclean/internal/relation"
@@ -111,6 +112,10 @@ type JointStats struct {
 	A     string                           `json:"a"`
 	B     string                           `json:"b"`
 	Cells map[string]map[string]*JointCell `json:"cells"`
+
+	// table is Cells as a sorted joint table, converted on the first
+	// conjunction query (conjstats.go) and cleared by Collector.Add.
+	table atomic.Pointer[statsJoint]
 }
 
 // Statistics is the serializable sufficient-statistics summary of one
@@ -179,12 +184,17 @@ func (st *Statistics) Domain(attr string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("estimator: no statistics for discrete attribute %q", attr)
 	}
-	out := make([]string, 0, len(vs))
-	for v := range vs {
-		out = append(out, v)
+	return sortedKeys(vs), nil
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(out)
-	return out, nil
+	sort.Strings(keys)
+	return keys
 }
 
 // moments returns the recorded moments of a numeric attribute.
@@ -223,12 +233,7 @@ func (st *Statistics) sumMatches(agg string, pred Predicate) (matched, complemen
 	if _, err := st.moments(agg); err != nil {
 		return 0, 0, err
 	}
-	domain := make([]string, 0, len(vs))
-	for v := range vs {
-		domain = append(domain, v)
-	}
-	sort.Strings(domain)
-	for _, v := range domain {
+	for _, v := range sortedKeys(vs) {
 		x := vs[v].Sums[agg]
 		if pred.Match == nil || pred.Match(v) {
 			matched += x
@@ -505,6 +510,7 @@ func (c *Collector) Add(win *relation.Relation) error {
 	}
 	for _, pair := range c.opts.Joints {
 		j := c.st.Joints[jointKey(pair[0], pair[1])]
+		j.table.Store(nil)
 		colA := win.MustDiscrete(pair[0])
 		colB := win.MustDiscrete(pair[1])
 		for i := range colA {

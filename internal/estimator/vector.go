@@ -1,23 +1,16 @@
 package estimator
 
-import (
-	"math/bits"
-
-	"privateclean/internal/relation"
-)
+import "privateclean/internal/relation"
 
 // This file is the vectorized predicate executor. Predicates are compiled
 // once per (dictionary, predicate) pair into a selection — a description of
 // the matching domain codes — so no estimator evaluates a predicate per row.
 // The per-code aggregate layer (aggs.go) folds a selection over per-code
-// tables in O(domain); conjunctions, which need the rows each predicate
-// matches, materialize it into a rowBits bitset with a tight loop over the
-// column's uint32 code vector, which the ChannelCache retains for repeated
-// queries and intersections. The selection picks the cheapest
-// representation for its shape: match-all and match-none short-circuit, an
-// equality compares codes directly, anything larger indexes a per-code bool
-// table (a branch-free load; faster in practice than comparing even two
-// codes per row).
+// tables in O(domain), and conjunctions turn each conjunct's selection into
+// per-code weights over a joint table (conjunction.go). The selection
+// picks the cheapest representation for its shape: match-all and
+// match-none short-circuit, an equality compares one code, anything larger
+// indexes a per-code bool table.
 
 // selection is a compiled predicate over one dictionary encoding: which
 // domain codes match. Exactly one representation is active: all, a single
@@ -95,85 +88,4 @@ func codeCounts(ix *relation.DiscreteIndex) []uint32 {
 		counts[c]++
 	}
 	return counts
-}
-
-// rowBits is a materialized match bitset: one bit per row, plus the
-// precomputed population count. It is immutable once built, so the
-// ChannelCache can hand one instance to any number of concurrent readers.
-type rowBits struct {
-	words []uint64
-	rows  int
-	ones  int
-}
-
-// newRowBits returns an all-zero bitset over rows rows.
-func newRowBits(rows int) *rowBits {
-	return &rowBits{words: make([]uint64, (rows+63)/64), rows: rows}
-}
-
-// get reports whether row i is set.
-func (b *rowBits) get(i int) bool {
-	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// bitsFromSelection evaluates sel over a code vector into a bitset.
-func bitsFromSelection(codes []uint32, sel selection) *rowBits {
-	b := newRowBits(len(codes))
-	if sel.all {
-		for i := range b.words {
-			b.words[i] = ^uint64(0)
-		}
-		if tail := uint(len(codes)) & 63; tail != 0 && len(b.words) > 0 {
-			b.words[len(b.words)-1] = (1 << tail) - 1
-		}
-		b.ones = len(codes)
-		return b
-	}
-	switch {
-	case sel.table != nil:
-		table := sel.table
-		for i, c := range codes {
-			if table[c] {
-				b.words[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-	case len(sel.codes) == 1:
-		m := sel.codes[0]
-		for i, c := range codes {
-			if c == m {
-				b.words[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-	}
-	b.ones = popcount(b.words)
-	return b
-}
-
-// intersect returns a new bitset with the rows set in both operands.
-func (b *rowBits) intersect(o *rowBits) *rowBits {
-	out := newRowBits(b.rows)
-	for i := range out.words {
-		out.words[i] = b.words[i] & o.words[i]
-	}
-	out.ones = popcount(out.words)
-	return out
-}
-
-func popcount(words []uint64) int {
-	n := 0
-	for _, w := range words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// bitsForPredicate compiles pred against the column's dictionary and
-// materializes the match bitset, routed through the estimator's cache when
-// one is attached and the predicate is cacheable.
-func (e *Estimator) bitsForPredicate(rel *relation.Relation, pred Predicate) (*rowBits, error) {
-	ix, err := rel.DiscreteIndex(pred.Attr)
-	if err != nil {
-		return nil, err
-	}
-	return e.Cache.bitsFor(ix, pred), nil
 }

@@ -68,9 +68,9 @@ func naiveEval(rel *relation.Relation, pred Predicate, agg string) (count int, m
 
 // TestVectorizedMatchesNaive pins the compiled selection to the reference
 // semantics bit for bit, across every selection representation (match-all,
-// match-none, single code, table): counts, per-code sum folds, and bitsets.
+// match-none, single code, table): counts and per-code sum folds.
 func TestVectorizedMatchesNaive(t *testing.T) {
-	rel := vectorRel(t, 997) // odd size: exercises the partial last bitset word
+	rel := vectorRel(t, 997)
 	preds := []Predicate{
 		{Attr: "cat"}, // nil Match: match-all
 		Eq("cat", "v03"),
@@ -99,39 +99,58 @@ func TestVectorizedMatchesNaive(t *testing.T) {
 		if math.Float64bits(gotM) != math.Float64bits(wantM) || math.Float64bits(gotC) != math.Float64bits(wantC) {
 			t.Errorf("%s: fold = (%v, %v), want (%v, %v)", pred, gotM, gotC, wantM, wantC)
 		}
-		b := bitsFromSelection(ix.Codes, sel)
-		if b.ones != wantCount {
-			t.Errorf("%s: bitset ones = %d, want %d", pred, b.ones, wantCount)
-		}
-		for i := 0; i < rel.NumRows(); i++ {
-			want := pred.Match == nil || pred.Match(rel.MustDiscrete("cat")[i])
-			if b.get(i) != want {
-				t.Fatalf("%s: bit %d = %v, want %v", pred, i, b.get(i), want)
-			}
-		}
 	}
 }
 
-func TestConjBitsMatchesNaive(t *testing.T) {
-	rel := vectorRel(t, 500)
-	preds := []Predicate{In("cat", "v01", "v02", "v03", "v04", "v05", "v06"), Eq("other", "g1")}
-	b, err := conjBits(rel, preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := rel.MustDiscrete("cat")
-	other := rel.MustDiscrete("other")
-	want := 0
-	for i := 0; i < rel.NumRows(); i++ {
-		m := preds[0].Match(cat[i]) && preds[1].Match(other[i])
-		if m {
-			want++
+// TestConjJointMatchesNaive pins the joint table to a per-row reference:
+// one cell per non-empty (cat, other) code tuple, in ascending tuple order,
+// holding the rows' count and the row-order non-NaN moments of x. 500 rows
+// take the dense build (20 x 3 codes), 40 rows the sparse one, and the
+// sparse build of the 500 rows must equal the dense.
+func TestConjJointMatchesNaive(t *testing.T) {
+	for _, rows := range []int{500, 40} {
+		rel := vectorRel(t, rows)
+		var ixs []*relation.DiscreteIndex
+		for _, attr := range []string{"cat", "other"} {
+			ix, err := rel.DiscreteIndex(attr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ixs = append(ixs, ix)
 		}
-		if b.get(i) != m {
-			t.Fatalf("row %d: intersected bit = %v, want %v", i, b.get(i), m)
+		col := rel.MustNumeric("x")
+		type cell struct{ n, sum, sumSq, nonNaN float64 }
+		want := map[[2]uint32]*cell{}
+		for r, x := range col {
+			k := [2]uint32{ixs[0].Codes[r], ixs[1].Codes[r]}
+			c := want[k]
+			if c == nil {
+				c = &cell{}
+				want[k] = c
+			}
+			c.n++
+			if !math.IsNaN(x) {
+				c.sum += x
+				c.sumSq += x * x
+				c.nonNaN++
+			}
 		}
-	}
-	if b.ones != want {
-		t.Fatalf("intersection ones = %d, want %d", b.ones, want)
+		tables := map[string]*jointTable{"built": buildJoint(ixs, col), "sparse": buildSparseJoint(ixs, col)}
+		for name, tab := range tables {
+			if len(tab.n) != len(want) {
+				t.Fatalf("%d rows, %s: %d cells, want %d", rows, name, len(tab.n), len(want))
+			}
+			for j := range tab.n {
+				k := [2]uint32{tab.codes[0][j], tab.codes[1][j]}
+				if j > 0 && (k[0] < tab.codes[0][j-1] || k[0] == tab.codes[0][j-1] && k[1] <= tab.codes[1][j-1]) {
+					t.Fatalf("%d rows, %s: cell %d %v out of tuple order", rows, name, j, k)
+				}
+				w := want[k]
+				got := cell{tab.n[j], tab.x.sums[j], tab.x.sumSqs[j], tab.x.nonNaN[j]}
+				if w == nil || got != *w {
+					t.Fatalf("%d rows, %s: cell %v = %+v, want %+v", rows, name, k, got, w)
+				}
+			}
+		}
 	}
 }

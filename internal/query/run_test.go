@@ -304,15 +304,15 @@ func checkAcrossSources(t *testing.T, s *sources, sql string) {
 	// the same error kind, or estimates that match
 	//   - bit for bit for counts (value and interval) and for scalar sum and
 	//     avg values, which fold the same sums in the same order;
+	//   - bit for bit, Direct included, for conjunctions over two attributes
+	//     (statistics answer one attribute as a marginal), which fold the
+	//     same joint cells in the same order through one function;
 	//   - in rendering (sameInterval) for sum and avg intervals, which use
 	//     the column variance: two-pass over resident rows, one-pass moments
 	//     over statistics;
 	//   - in rendering for GROUP BY sum and avg values, whose resident
 	//     complement sum is the column total minus the group's sum while
-	//     statistics fold the other groups;
-	//   - in rendering for conjunctions over two attributes (statistics
-	//     answer one attribute as a marginal), which accumulate per row on
-	//     the resident path and per joint cell over statistics.
+	//     statistics fold the other groups.
 	if q.Agg != AggCount && q.Agg != AggSum && q.Agg != AggAvg || q.GroupBin && q.Agg != AggCount ||
 		shapeOn(q, resident) != shapeOn(q, statistics) {
 		return
@@ -323,18 +323,13 @@ func checkAcrossSources(t *testing.T, s *sources, sql string) {
 	if errs[0] != nil {
 		return
 	}
-	if ans[0].Shape == ShapeConj {
-		if a, b := ans[0].Estimate, ans[2].Estimate; !sameInterval(a, b) {
-			t.Fatalf("%s: resident %s, statistics %s", sql, a, b)
-		}
-		return
-	}
-	count := q.Agg == AggCount
-	if err := sameEstimates(ans[0], ans[2], count || ans[0].Shape == ShapeScalar, count); err != nil {
+	exact := q.Agg == AggCount || ans[0].Shape == ShapeConj
+	if err := sameEstimates(ans[0], ans[2], exact || ans[0].Shape == ShapeScalar, exact); err != nil {
 		t.Fatalf("%s: resident and statistics differ: %v", sql, err)
 	}
-	// Direct counts are integers, exact on every source.
-	if a, b := directBits(ans[0]), directBits(ans[2]); count && a != b {
+	// Direct counts are integers, exact on every source, and Direct
+	// conjunctions fold the same joint cells.
+	if a, b := directBits(ans[0]), directBits(ans[2]); exact && a != b {
 		t.Fatalf("%s: resident Direct %s, statistics Direct %s", sql, a, b)
 	}
 }

@@ -41,9 +41,9 @@ type batchResponse struct {
 // per-query timeout scaled by the workload size; individual failures (parse
 // errors, unknown attributes, even a panic) are per-item typed errors and
 // never fail the surrounding batch. Amortization is the point: every query
-// shares the relation's dictionary encodings and the estimator's
-// channel/bitset cache, so a workload's repeated predicates are evaluated
-// once.
+// shares the relation's dictionary encodings and the estimator's cache of
+// channels and per-view tables, so a workload's repeated predicates are
+// evaluated once.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)

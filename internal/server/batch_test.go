@@ -186,7 +186,7 @@ func TestBatchRejections(t *testing.T) {
 // TestBatchPopulatesSharedCache asserts the amortization the endpoint
 // exists for: after one batch, the estimator's cache holds the channels of
 // the workload's predicates and the per-code table its sums read, and no
-// match bitset (only conjunctions need those).
+// joint table (only conjunctions build those).
 func TestBatchPopulatesSharedCache(t *testing.T) {
 	s := newTestServer(t, nil)
 	srv := httptest.NewServer(s.Handler())
@@ -206,6 +206,6 @@ func TestBatchPopulatesSharedCache(t *testing.T) {
 		}
 	}
 	if chans != 2 || tables != 0 || perCode != 1 {
-		t.Fatalf("cache after batch: channels=%d bitsets=%d per-code=%d, want 2, 0, 1", chans, tables, perCode)
+		t.Fatalf("cache after batch: channels=%d joint=%d per-code=%d, want 2, 0, 1", chans, tables, perCode)
 	}
 }

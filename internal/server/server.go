@@ -155,7 +155,7 @@ func New(cfg Config) (*Server, error) {
 		"/healthz", "/metrics",
 		"timeout", "shed", "method_not_allowed", "not_found", "serve", "serve_query", "serve_batch", "drain",
 		"200", "400", "404", "405", "408", "422", "429", "500", "503",
-		"channel", "bitset", "per-code", "bin", "runs")
+		"channel", "joint", "per-code", "bin", "runs")
 	return &Server{
 		start: time.Now(),
 		rel:   cfg.Rel,

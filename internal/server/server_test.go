@@ -384,7 +384,7 @@ func TestMetricsHygiene(t *testing.T) {
 		`status="200"`,
 		// The estimator cache, by kind: the counts resolved two channels
 		// that the sums reused, the two sums shared one per-code table, the
-		// median built one set of sorted runs, and nothing pinned a bitset.
+		// median built one set of sorted runs, and nothing built a joint table.
 		`privateclean_channel_cache_misses_total{kind="channel"} 2`,
 		`privateclean_channel_cache_hits_total{kind="channel"} 2`,
 		`privateclean_channel_cache_misses_total{kind="per-code"} 1`,
@@ -392,7 +392,7 @@ func TestMetricsHygiene(t *testing.T) {
 		`privateclean_channel_cache_misses_total{kind="runs"} 1`,
 		`privateclean_channel_cache_entries{kind="per-code"} 1`,
 		`privateclean_channel_cache_entries{kind="runs"} 1`,
-		`privateclean_channel_cache_entries{kind="bitset"} 0`,
+		`privateclean_channel_cache_entries{kind="joint"} 0`,
 		`privateclean_channel_cache_entries{kind="bin"} 0`,
 	} {
 		if !strings.Contains(text, want) {
