@@ -1,7 +1,7 @@
 GO ?= go
 
-# Per-target budget for the fuzz smoke; eleven targets keep the whole pass
-# around 55 seconds.
+# Per-target budget for the fuzz smoke; twelve targets keep the whole pass
+# around 60 seconds.
 FUZZ_TIME ?= 5s
 
 # Minimum total statement coverage; CI fails below this. Raise it when
@@ -55,6 +55,7 @@ fuzz-smoke:
 	$(GO) test ./internal/colstore/ -run '^$$' -fuzz '^FuzzColstoreRead$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/privacy/ -run '^$$' -fuzz '^FuzzMechanismMeta$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/estimator/ -run '^$$' -fuzz '^FuzzResidentCacheIdentity$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/estimator/ -run '^$$' -fuzz '^FuzzSelectionValueSet$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/collect/ -run '^$$' -fuzz '^FuzzBatchCodec$$' -fuzztime $(FUZZ_TIME)
 
 # The benchmark harness is a nested module, so `go test ./...` never builds

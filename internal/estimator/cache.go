@@ -14,7 +14,9 @@ import (
 //     walk the cleaning provenance graph to compute a weighted vertex cut;
 //   - the per-code aggregates of a (discrete attribute, numeric column)
 //     pair: per-code sums plus the column's moments (aggs.go), from which
-//     count, sum, avg and GROUP BY fold in O(domain);
+//     count, sum, avg and GROUP BY fold in O(domain), and, built by the
+//     first var/std, per-code counts and central moments, from which
+//     var/std fold in O(domain);
 //   - the per-bin moments of a (binned attribute, numeric column) pair;
 //   - the per-code sorted value runs of a pair, which quantiles merge; and
 //   - the joint table of a conjunction's attribute set (sorted by name)

@@ -17,56 +17,11 @@ import (
 //     var(x + noise) = var(x) + 2b², and subtracting the known noise
 //     variance de-biases the estimate.
 //
-// Confidence intervals for these aggregates require empirical methods
-// (e.g. bootstrap, see the paper's references [3,47]); the estimates here
-// are reported with bootstrap intervals over the private rows.
-
-// matchedValues collects, in row order, the non-NaN agg cells of rows
-// satisfying pred (all rows when pred.Match is nil), testing each row's
-// dictionary code against the compiled selection.
-func matchedValues(rel *relation.Relation, agg string, pred Predicate) ([]float64, error) {
-	vals, err := rel.Numeric(agg)
-	if err != nil {
-		return nil, err
-	}
-	if pred.Match == nil {
-		out := make([]float64, 0, len(vals))
-		for _, x := range vals {
-			if !math.IsNaN(x) {
-				out = append(out, x)
-			}
-		}
-		return out, nil
-	}
-	ix, err := rel.DiscreteIndex(pred.Attr)
-	if err != nil {
-		return nil, err
-	}
-	// Branch-free gather: every row's cell is written at the cursor, which
-	// advances on matching codes only (the last slot absorbs the writes
-	// after the final match); NaN cells are dropped in a second pass.
-	sel := compileSelection(ix, pred)
-	advance := make([]int, ix.N())
-	for c := range advance {
-		if sel.has(uint32(c)) {
-			advance[c] = 1
-		}
-	}
-	out := make([]float64, countSelection(ix, sel)+1)
-	k := 0
-	for i, c := range ix.Codes {
-		out[k] = vals[i]
-		k += advance[c]
-	}
-	n := 0
-	for _, x := range out[:k] {
-		if x == x {
-			out[n] = x
-			n++
-		}
-	}
-	return out[:n], nil
-}
+// The paper leaves their confidence intervals to empirical methods (e.g.
+// bootstrap, its references [3,47]). Here they are asymptotic instead:
+// percentiles take the binomial order-statistic bound over the private
+// matched values, and var the CLT interval of a sample variance, from the
+// matched cells' fourth central moment.
 
 // Median estimates the median of agg over rows satisfying pred. Because the
 // Laplace mechanism's noise has median zero, the sample median of the
@@ -136,29 +91,16 @@ func (e *Estimator) Var(rel *relation.Relation, agg string, pred Predicate) (Est
 	if !ok {
 		return Estimate{}, fmt.Errorf("estimator: no numeric metadata for attribute %q", agg)
 	}
-	vals, err := matchedValues(rel, agg, pred)
+	n, raw, m4, err := matchedMoments(e.Cache, rel, agg, pred)
 	if err != nil {
 		return Estimate{}, err
 	}
-	if len(vals) < 2 {
-		return Estimate{}, fmt.Errorf("estimator: variance needs >= 2 rows, have %d", len(vals))
+	if n < 2 {
+		return Estimate{}, fmt.Errorf("estimator: variance needs >= 2 rows, have %d", int(n))
 	}
-	// One pass after the mean accumulates the second central moment —
-	// stats.Variance's value, vals holding no NaN — and the fourth, which
-	// the CLT interval for a sample variance needs: sd ~= sqrt((m4 -
-	// raw^2)/n).
-	mean, err := stats.Mean(vals)
-	if err != nil {
-		return Estimate{}, err
-	}
-	var ss, m4 float64
-	for _, x := range vals {
-		d := x - mean
-		ss += d * d
-		m4 += d * d * d * d
-	}
-	raw := ss / float64(len(vals))
-	m4 /= float64(len(vals))
+	// raw is the second central moment of the matched cells — stats.Variance's
+	// value up to re-association — and m4 the fourth, which the CLT interval
+	// for a sample variance needs: sd ~= sqrt((m4 - raw^2)/n).
 	v := raw - stats.LaplaceVariance(nm.B)
 	if v < 0 {
 		v = 0
@@ -167,7 +109,7 @@ func (e *Estimator) Var(rel *relation.Relation, agg string, pred Predicate) (Est
 	if err != nil {
 		return Estimate{}, err
 	}
-	se := math.Sqrt(math.Max(0, m4-raw*raw) / float64(len(vals)))
+	se := math.Sqrt(math.Max(0, m4-raw*raw) / n)
 	return Estimate{Value: v, CI: z * se}, nil
 }
 
@@ -206,12 +148,12 @@ func DirectPercentile(rel *relation.Relation, agg string, pred Predicate, q floa
 // DirectVar is the uncorrected baseline variance (it includes the injected
 // noise variance 2b²).
 func DirectVar(rel *relation.Relation, agg string, pred Predicate) (float64, error) {
-	vals, err := matchedValues(rel, agg, pred)
+	n, raw, _, err := matchedMoments(nil, rel, agg, pred)
 	if err != nil {
 		return 0, err
 	}
-	if len(vals) < 2 {
-		return 0, fmt.Errorf("estimator: variance needs >= 2 rows, have %d", len(vals))
+	if n < 2 {
+		return 0, fmt.Errorf("estimator: variance needs >= 2 rows, have %d", int(n))
 	}
-	return stats.Variance(vals)
+	return raw, nil
 }

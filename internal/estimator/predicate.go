@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -22,6 +23,11 @@ type Predicate struct {
 	// semantics (Fn wraps an arbitrary closure behind a name), so a
 	// ChannelCache must not key on it.
 	noCache bool
+	// values is the exact matching value set of Eq and In, sorted and
+	// deduplicated (empty, not nil, for an empty In), so compileSelection
+	// can look each value up in a sorted domain instead of calling Match
+	// on every domain value. It is nil for every other predicate.
+	values []string
 }
 
 // String renders the predicate.
@@ -35,9 +41,10 @@ func (p Predicate) String() string {
 // Eq builds the predicate attr = value.
 func Eq(attr, value string) Predicate {
 	return Predicate{
-		Attr:  attr,
-		Match: func(v string) bool { return v == value },
-		desc:  fmt.Sprintf("%s = %q", attr, value),
+		Attr:   attr,
+		Match:  func(v string) bool { return v == value },
+		desc:   fmt.Sprintf("%s = %q", attr, value),
+		values: []string{value},
 	}
 }
 
@@ -56,7 +63,8 @@ func In(attr string, values ...string) Predicate {
 	for _, v := range values {
 		set[v] = struct{}{}
 	}
-	sorted := append([]string(nil), values...)
+	sorted := make([]string, len(values))
+	copy(sorted, values)
 	sort.Strings(sorted)
 	// Values are quoted so the rendering is unambiguous: without quotes,
 	// In("cat", "b, c") and In("cat", "b", "c") would render identically and
@@ -71,7 +79,8 @@ func In(attr string, values ...string) Predicate {
 			_, ok := set[v]
 			return ok
 		},
-		desc: fmt.Sprintf("%s IN (%s)", attr, strings.Join(quoted, ", ")),
+		desc:   fmt.Sprintf("%s IN (%s)", attr, strings.Join(quoted, ", ")),
+		values: slices.Compact(sorted),
 	}
 }
 

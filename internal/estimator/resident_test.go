@@ -315,25 +315,6 @@ func naiveSums(col []float64, m []bool) (hp, hpc float64) {
 	return hp, hpc
 }
 
-// naiveValues gathers the non-NaN cells of the matched rows in row order.
-func naiveValues(rel *relation.Relation, agg string, pred Predicate) ([]float64, error) {
-	col, err := rel.Numeric(agg)
-	if err != nil {
-		return nil, err
-	}
-	m, err := naiveMatch(rel, pred)
-	if err != nil {
-		return nil, err
-	}
-	var out []float64
-	for i, x := range col {
-		if m[i] && !math.IsNaN(x) {
-			out = append(out, x)
-		}
-	}
-	return out, nil
-}
-
 func naiveCount(e *Estimator, rel *relation.Relation, pred Predicate) (Estimate, error) {
 	ch, err := e.invertible(pred)
 	if err != nil {
@@ -420,7 +401,7 @@ func naiveSumFP(e *Estimator, rel *relation.Relation, agg string, pred Predicate
 // naivePercentile is the order-statistic estimator as three copy-and-sort
 // quantiles of the row-scanned values.
 func naivePercentile(e *Estimator, rel *relation.Relation, agg string, pred Predicate, q float64) (Estimate, error) {
-	vals, err := naiveValues(rel, agg, pred)
+	vals, err := matchedValues(rel, agg, pred)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -442,7 +423,7 @@ func naivePercentile(e *Estimator, rel *relation.Relation, agg string, pred Pred
 // naiveVar is the noise-corrected variance with its fourth-moment interval,
 // each moment in its own pass.
 func naiveVar(e *Estimator, rel *relation.Relation, agg string, pred Predicate) (Estimate, error) {
-	vals, err := naiveValues(rel, agg, pred)
+	vals, err := matchedValues(rel, agg, pred)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -653,7 +634,7 @@ func naiveTranscript(e *Estimator, rel *relation.Relation, preds []Predicate) tr
 				ci = v.CI / (2 * sd)
 			}
 			tr.put("std"+k, nil, sd, ci)
-			vals, _ := naiveValues(rel, "x", p)
+			vals, _ := matchedValues(rel, "x", p)
 			raw, _ := stats.Variance(vals)
 			tr.put("dvar"+k, nil, raw)
 		}
@@ -684,10 +665,11 @@ func naiveTranscript(e *Estimator, rel *relation.Relation, preds []Predicate) tr
 }
 
 // reassociated reports whether a key's value may differ from the row-order
-// reference by summation re-association: predicate sums and averages fold
-// per-code sums in code order, and conjunctions fold per joint cell.
+// reference by summation re-association: predicate sums, averages and
+// variances fold per-code sums and central moments in code order, and
+// conjunctions fold per joint cell.
 func reassociated(key string) bool {
-	for _, f := range []string{"sum/", "avg/", "sumfp/", "dsum/", "davg/", "conj-", "dconj-sum/"} {
+	for _, f := range []string{"sum/", "avg/", "sumfp/", "dsum/", "davg/", "var/", "std/", "dvar/", "conj-", "dconj-sum/"} {
 		if strings.HasPrefix(key, f) {
 			return true
 		}
@@ -704,17 +686,31 @@ type tolerance struct {
 	// interval is the square root of a variance that may cancel to rounding
 	// residue, so it is compared squared, on the scale it cancels from.
 	varScale float64
+	// momentScale floors the magnitude of var's squared interval, the square
+	// root of z²·(m4 − m2²)/n, which cancels to rounding residue when the
+	// matched cells take two values.
+	momentScale float64
 }
 
-// within reports whether value i of key k may read a where the reference
-// reads b.
-func (tol tolerance) within(k string, i int, a, b float64) bool {
+// within reports whether value i of key k may read got[i] where the
+// reference reads want[i].
+func (tol tolerance) within(k string, i int, got, want []float64) bool {
 	if tol.rel == 0 || !reassociated(k) {
 		return false
 	}
-	sc := tol.scale
-	if i == 1 && strings.HasPrefix(k, "conj-") {
-		a, b, sc = a*a, b*b, tol.varScale
+	a, b, sc := got[i], want[i], tol.scale
+	if i == 1 {
+		switch {
+		case strings.HasPrefix(k, "conj-"):
+			a, b, sc = a*a, b*b, tol.varScale
+		case strings.HasPrefix(k, "std/"):
+			// std's interval is var's divided by 2·std: compare the var
+			// interval it came from.
+			a, b = 2*got[0]*a, 2*want[0]*b
+			fallthrough
+		case strings.HasPrefix(k, "var/"):
+			a, b, sc = a*a, b*b, tol.momentScale
+		}
 	}
 	return math.Abs(a-b) <= tol.rel*math.Max(math.Max(math.Abs(a), math.Abs(b)), sc)
 }
@@ -747,7 +743,7 @@ func diffTranscripts(got, want transcript, exactErrs bool, tol tolerance) []stri
 		default:
 			for i := range g.vals {
 				a, b := g.vals[i], w.vals[i]
-				if math.Float64bits(a) == math.Float64bits(b) || tol.within(k, i, a, b) {
+				if math.Float64bits(a) == math.Float64bits(b) || tol.within(k, i, g.vals, w.vals) {
 					continue
 				}
 				diffs = append(diffs, fmt.Sprintf("%s[%d]: %v (%x) vs %v (%x)", k, i, a, math.Float64bits(a), b, math.Float64bits(b)))
@@ -788,16 +784,20 @@ func checkResident(t *testing.T, rng *rand.Rand, rows, maxDomain int) {
 		}
 	}
 
-	scale := 0.0
+	scale, maxAbs := 0.0, 0.0
 	for _, x := range csvRel.MustNumeric("x") {
 		if !math.IsNaN(x) {
 			scale += math.Abs(x)
+			maxAbs = math.Max(maxAbs, math.Abs(x))
 		}
 	}
 	scale *= 4 // the channel inversion divides by 1-p >= 1/2, twice for avg
 	// A conjunction weighs a row by at most three factors of at most 2, so
-	// its variances cancel from Σw²·x² <= scale² or Σw² <= 64·rows.
-	tol := tolerance{rel: 1e-12, scale: scale, varScale: scale*scale + 64*float64(csvRel.NumRows())}
+	// its variances cancel from Σw²·x² <= scale² or Σw² <= 64·rows. var's
+	// squared interval cancels from z²·m4 <= 4·(2·max|x|)⁴ (z² < 4 at the
+	// default 95%).
+	tol := tolerance{rel: 1e-12, scale: scale, varScale: scale*scale + 64*float64(csvRel.NumRows()),
+		momentScale: 64 * math.Pow(maxAbs, 4)}
 	ref := naiveTranscript(&Estimator{Meta: meta}, csvRel, preds)
 	if d := diffTranscripts(want, ref, false, tol); len(d) > 0 {
 		t.Fatalf("resident estimators differ from the row-scan reference:\n%s", strings.Join(d, "\n"))
@@ -890,7 +890,7 @@ func FuzzResidentCacheIdentity(f *testing.F) {
 }
 
 // Count, sum, avg, GROUP BY, binned GROUP BY, quantile and var are served
-// from per-code, bin and run tables and pin no joint table. Conjunctions
+// from per-code (var from its central moments), bin and run tables and pin no joint table. Conjunctions
 // pin one joint table per (attribute set, column), however many distinct
 // predicates they are asked under; they used to pin one rows/8-byte match
 // bitset per distinct predicate.
@@ -931,7 +931,7 @@ func TestResidentAggregatesPinNoBitsets(t *testing.T) {
 		k                     kind
 		entries, misses, hits int64
 	}{
-		{kindPerCode, 2, 2, 8}, // (cat, x) and the column alone
+		{kindPerCode, 2, 2, 10}, // (cat, x) and the column alone
 		{kindBin, 1, 1, 5},
 		{kindRuns, 1, 1, 1},
 	} {
@@ -978,9 +978,10 @@ func TestCacheBuildsOnceUnderConcurrentMisses(t *testing.T) {
 		Numeric:  map[string]privacy.NumericMeta{"x": {Name: "x", B: 1}},
 	}, Cache: NewChannelCache()}
 	var wg sync.WaitGroup
+	vars := make([]Estimate, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			if _, err := e.Sum(rel, "x", Eq("cat", "v01")); err != nil {
 				t.Error(err)
@@ -988,13 +989,25 @@ func TestCacheBuildsOnceUnderConcurrentMisses(t *testing.T) {
 			if _, err := e.Median(rel, "x", Eq("cat", "v01")); err != nil {
 				t.Error(err)
 			}
-		}()
+			var err error
+			if vars[g], err = e.Var(rel, "x", In("cat", "v01", "v02")); err != nil {
+				t.Error(err)
+			}
+		}(g)
 	}
 	wg.Wait()
 	st := e.Cache.Stats()
-	for _, k := range []kind{kindPerCode, kindRuns} {
-		if st[k].Misses != 1 || st[k].Hits != 7 {
-			t.Errorf("%s: %d misses, %d hits; want 1 and 7", kindNames[k], st[k].Misses, st[k].Hits)
+	for _, c := range []struct {
+		k            kind
+		misses, hits int64
+	}{{kindPerCode, 1, 15}, {kindRuns, 1, 7}} { // Sum and Var share the per-code table
+		if st[c.k].Misses != c.misses || st[c.k].Hits != c.hits {
+			t.Errorf("%s: %d misses, %d hits; want %d and %d", kindNames[c.k], st[c.k].Misses, st[c.k].Hits, c.misses, c.hits)
+		}
+	}
+	for g, v := range vars {
+		if v != vars[0] {
+			t.Fatalf("goroutine %d: var %v, goroutine 0: %v", g, v, vars[0])
 		}
 	}
 }

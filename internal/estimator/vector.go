@@ -1,6 +1,10 @@
 package estimator
 
-import "privateclean/internal/relation"
+import (
+	"slices"
+
+	"privateclean/internal/relation"
+)
 
 // This file is the vectorized predicate executor. Predicates are compiled
 // once per (dictionary, predicate) pair into a selection — a description of
@@ -21,8 +25,10 @@ type selection struct {
 	table []bool   // per-code membership, used for 2+ matched codes
 }
 
-// compileSelection evaluates pred once per distinct domain value and picks
-// the evaluation strategy. A nil Match means match-all (the package-wide
+// compileSelection finds the domain codes pred matches and picks the
+// evaluation strategy. Eq and In look their value set up in the sorted
+// domain, O(k log N) for k values; every other predicate is evaluated once
+// per distinct domain value. A nil Match means match-all (the package-wide
 // nil-predicate contract).
 func compileSelection(ix *relation.DiscreteIndex, pred Predicate) selection {
 	if pred.Match == nil {
@@ -30,11 +36,22 @@ func compileSelection(ix *relation.DiscreteIndex, pred Predicate) selection {
 	}
 	table := make([]bool, ix.N())
 	last, nm := 0, 0
-	for c, v := range ix.Domain {
-		if pred.Match(v) {
-			table[c] = true
-			last = c
-			nm++
+	mark := func(c int) {
+		table[c] = true
+		last = c
+		nm++
+	}
+	if pred.values != nil {
+		for _, v := range pred.values {
+			if c, ok := slices.BinarySearch(ix.Domain, v); ok {
+				mark(c)
+			}
+		}
+	} else {
+		for c, v := range ix.Domain {
+			if pred.Match(v) {
+				mark(c)
+			}
 		}
 	}
 	switch nm {

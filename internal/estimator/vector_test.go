@@ -1,11 +1,15 @@
 package estimator
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
+	"privateclean/internal/colstore"
 	"privateclean/internal/relation"
 )
 
@@ -153,4 +157,112 @@ func TestConjJointMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// selectionTwins returns cat's dictionary from rel itself (the index a CSV
+// load builds) and from rel written to a .pcol and decoded (the index a
+// colstore load adopts).
+func selectionTwins(t testing.TB, rel *relation.Relation) map[string]*relation.DiscreteIndex {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := colstore.Write(&buf, rel); err != nil {
+		t.Fatal(err)
+	}
+	colRel, err := colstore.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]*relation.DiscreteIndex{}
+	for name, r := range map[string]*relation.Relation{"in": rel, "col": colRel} {
+		if out[name], err = r.DiscreteIndex("cat"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// checkValueSetSelection requires the value-set selection of pred (an Eq or
+// In) to equal the selection compiled by calling Match on every domain
+// value, representation included.
+func checkValueSetSelection(t testing.TB, name string, ix *relation.DiscreteIndex, pred Predicate) {
+	t.Helper()
+	if pred.values == nil {
+		t.Fatalf("%s: %s carries no value set", name, pred)
+	}
+	walk := pred
+	walk.values = nil
+	got, want := compileSelection(ix, pred), compileSelection(ix, walk)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s, domain %q, %s: value-set selection %+v, Match walk %+v", name, ix.Domain, pred, got, want)
+	}
+}
+
+// TestValueSetSelectionMatchesWalk pins the binary-searched Eq/In
+// selection to the Match-over-domain one over an in-memory and a
+// colstore-loaded index: absent and duplicate values, one-code, all-code
+// and no-code matches, and an empty domain.
+func TestValueSetSelectionMatchesWalk(t *testing.T) {
+	rel := vectorRel(t, 400)
+	dom, _ := rel.Domain("cat")
+	preds := []Predicate{
+		Eq("cat", "v03"),
+		Eq("cat", "no-such-value"),
+		Eq("cat", ""),
+		In("cat"),
+		In("cat", "absent", "v03", "zz"),
+		In("cat", "v01", "v01", "v05", "v05", "v01"),
+		In("cat", "v07", "v07"),
+		In("cat", "v07", "nope"),
+		In("cat", dom...),
+		In("cat", append([]string{"a", "v99"}, dom...)...),
+		In("cat", dom[:len(dom)-1]...),
+	}
+	for name, ix := range selectionTwins(t, rel) {
+		for _, pred := range preds {
+			checkValueSetSelection(t, name, ix, pred)
+		}
+	}
+	empty, err := relation.FromColumns(relation.MustSchema(relation.Column{Name: "cat", Kind: relation.Discrete}),
+		nil, map[string][]string{"cat": {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ix := range selectionTwins(t, empty) {
+		if ix.N() != 0 {
+			t.Fatalf("%s: empty relation has domain %q", name, ix.Domain)
+		}
+		for _, pred := range []Predicate{Eq("cat", "a"), In("cat"), In("cat", "a", "b")} {
+			checkValueSetSelection(t, name, ix, pred)
+		}
+	}
+}
+
+// FuzzSelectionValueSet drives checkValueSetSelection from a fuzzed column
+// (comma-separated cells; "" is the empty relation) and a fuzzed value list
+// (comma-separated, duplicates and absent values allowed), as an In and as
+// an Eq of each value.
+func FuzzSelectionValueSet(f *testing.F) {
+	f.Add("a,b,c,a", "a,c")
+	f.Add("a,b,c", "b,b,zz")
+	f.Add("x", "x")
+	f.Add("", "a")
+	f.Add("a,b", "")
+	f.Fuzz(func(t *testing.T, cells, values string) {
+		col := []string{}
+		if cells != "" {
+			col = strings.Split(cells, ",")
+		}
+		rel, err := relation.FromColumns(relation.MustSchema(relation.Column{Name: "cat", Kind: relation.Discrete}),
+			nil, map[string][]string{"cat": col})
+		if err != nil {
+			t.Skip(err)
+		}
+		vals := strings.Split(values, ",")
+		for name, ix := range selectionTwins(t, rel) {
+			checkValueSetSelection(t, name, ix, In("cat", vals...))
+			for _, v := range vals {
+				checkValueSetSelection(t, name, ix, Eq("cat", v))
+			}
+		}
+	})
 }

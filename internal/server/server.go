@@ -33,6 +33,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -224,37 +225,40 @@ func (r *statusRecorder) WriteHeader(code int) {
 // and in-flight gauge. Labels carry only the route and the numeric status
 // class — never request contents.
 func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
+	// The route's gauge and histogram are resolved once; only the request
+	// counter, labelled by status, is looked up per request.
+	inflight := s.tel.Metrics.Gauge("privateclean_http_inflight",
+		"Requests currently being handled.", telemetry.L("path", path))
+	seconds := s.tel.Metrics.Histogram("privateclean_http_request_seconds",
+		"Wall time of HTTP request handling.",
+		telemetry.DurationBuckets, telemetry.L("path", path))
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		inflight := s.tel.Metrics.Gauge("privateclean_http_inflight",
-			"Requests currently being handled.", telemetry.L("path", path))
 		inflight.Add(1)
 		defer func() {
 			inflight.Add(-1)
 			s.tel.Metrics.Counter("privateclean_http_requests_total",
 				"HTTP requests, by route and status.",
-				telemetry.L("path", path), telemetry.L("status", fmt.Sprintf("%d", rec.status))).Inc()
-			s.tel.Metrics.Histogram("privateclean_http_request_seconds",
-				"Wall time of HTTP request handling.",
-				telemetry.DurationBuckets, telemetry.L("path", path)).Observe(time.Since(start).Seconds())
+				telemetry.L("path", path), telemetry.L("status", strconv.Itoa(rec.status))).Inc()
+			seconds.Observe(time.Since(start).Seconds())
 		}()
 		h(rec, r)
 	}
 }
 
-// writeJSON marshals v before touching the ResponseWriter, so an encoding
-// failure (e.g. a non-finite float that slipped past sanitization) surfaces
-// as a 500 error body instead of a truncated response behind a success
-// status.
+// writeJSON marshals v, compact, before touching the ResponseWriter, so an
+// encoding failure (e.g. a non-finite float that slipped past sanitization)
+// surfaces as a 500 error body instead of a truncated response behind a
+// success status.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.MarshalIndent(v, "", "  ")
+	body, err := json.Marshal(v)
 	if err != nil {
 		status = http.StatusInternalServerError
-		body, _ = json.MarshalIndent(errorBody{Error: errorInfo{
+		body, _ = json.Marshal(errorBody{Error: errorInfo{
 			Code:    "internal",
 			Message: "encoding response: " + err.Error(),
-		}}, "", "  ")
+		}})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -58,16 +58,18 @@ var metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
 // lookup returns (creating if needed) the instrument for name+labels,
 // panicking on misuse (invalid name, type clash) — metric registration is
-// code, not input, so a bug should fail loudly in tests.
+// code, not input, so a bug should fail loudly in tests. The name is
+// checked when its family is created, so a lookup of a registered family
+// skips the regexp.
 func (reg *Registry) lookup(name, help, typ string, labels []Label, make func() instrument) instrument {
-	if !metricNameRE.MatchString(name) {
-		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
-	}
 	ls := reg.renderLabels(labels)
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	fam, ok := reg.fams[name]
 	if !ok {
+		if !metricNameRE.MatchString(name) {
+			panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
+		}
 		fam = &family{name: name, help: help, typ: typ, insts: map[string]instrument{}}
 		reg.fams[name] = fam
 	}
