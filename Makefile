@@ -1,7 +1,7 @@
 GO ?= go
 
-# Per-target budget for the fuzz smoke; twelve targets keep the whole pass
-# around 60 seconds.
+# Per-target budget for the fuzz smoke; thirteen targets keep the whole pass
+# around 65 seconds.
 FUZZ_TIME ?= 5s
 
 # Minimum total statement coverage; CI fails below this. Raise it when
@@ -57,6 +57,7 @@ fuzz-smoke:
 	$(GO) test ./internal/estimator/ -run '^$$' -fuzz '^FuzzResidentCacheIdentity$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/estimator/ -run '^$$' -fuzz '^FuzzSelectionValueSet$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/collect/ -run '^$$' -fuzz '^FuzzBatchCodec$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/collect/ -run '^$$' -fuzz '^FuzzFoldMatchesReference$$' -fuzztime $(FUZZ_TIME)
 
 # The benchmark harness is a nested module, so `go test ./...` never builds
 # it: vet and unit-test it, then run query-resident and ingest for two

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"reflect"
+	"math"
+	"net/http"
+	"sort"
 	"testing"
+
+	"privateclean/internal/privacy"
 )
 
 // codecSeeds are the inputs FuzzBatchCodec starts from (and `go test`
@@ -46,33 +50,101 @@ var codecSeeds = []string{
 	`null`,
 	`[]`,
 	``,
+	// A literal "NULL" is a value, distinct from an absent attribute.
+	`{"batch_id":"b","mechanism":"m","reports":[{"discrete":{"major":"NULL","minor":"x"}},{"discrete":{"minor":"NULL"}}]}`,
+	`{"batch_id":"b","mechanism":"m","reports":[{"discrete":{"major":""}},{"discrete":{"":"x"}}]}`,
+	`{"batch_id":"b","mechanism":"m","reports":[{"numeric":{"score":1}},{"discrete":{"minor":"y"}},{}]}`,
+	`{"batch_id":"b","mechanism":"m","reports":[{"discrete":{"major":"x"}},{"discrete":{"zeta":"x","alpha":"y"},"numeric":{"aa":1}},{"discrete":{"beta":"z"}}]}`,
+	`{"batch_id":"b","mechanism":"m","reports":[{"numeric":{"zz":1,"score":2,"yy":3}}]}`,
+	`{"batch_id":"b","mechanism":"m","reports":[{"numeric":{"score":1,"score":2},"discrete":{"major":"a","minor":"b","major":"c"}}]}`,
+	`{"batch_id":"b","mechanism":"m","reports":[{"numeric":{"score":1}}],"reports":[{"numeric":{"score":2}}]}`,
 }
 
-// checkCodec holds one input to the reference: whatever the fast decoder
-// accepts, json.Unmarshal accepts to a deeply equal Batch; whatever
-// unmarshalBatch returns matches json.Unmarshal, error text included; and
-// every decoded Batch encodes to json.Marshal's bytes.
-func checkCodec(t *testing.T, data []byte) {
-	t.Helper()
-	got, _, gotErr := unmarshalBatch(data)
-	var want Batch
-	wantErr := json.Unmarshal(data, &want)
-	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-		t.Fatalf("decode %q: error %v, encoding/json says %v", data, gotErr, wantErr)
+// codecService is the validation context of the codec tests: mechanism "m"
+// (the seeds' own) over attributes the seeds name, so most seeds get past
+// validation and exercise the encoder.
+func codecService() *Service {
+	meta := &privacy.ViewMeta{
+		Discrete: map[string]privacy.DiscreteMeta{"major": {}, "minor": {}, `ma"jor`: {}},
+		Numeric:  map[string]privacy.NumericMeta{"score": {}, "a": {}, "b": {}, "c": {}, "d": {}, "e": {}},
 	}
-	if gotErr != nil {
+	schema, err := SchemaFor(meta)
+	if err != nil {
+		panic(err)
+	}
+	return &Service{meta: meta, mech: "m", schema: schema, codec: newBatchSchema(schema), maxBatch: DefaultMaxBatchReports}
+}
+
+// refAck is the /v1/report decode and validation as the reference renders
+// it: json.Unmarshal into a Batch, the map-walking validation, and
+// json.Marshal for the WAL payload. Within a report it names the smallest
+// unknown attribute, discrete before numeric.
+func refAck(s *Service, body []byte) (status int, code, msg string, payload []byte) {
+	var b Batch
+	if err := json.Unmarshal(body, &b); err != nil {
+		return http.StatusBadRequest, "bad_batch",
+			`body must be JSON {"batch_id", "mechanism", "reports": [...]}: ` + err.Error(), nil
+	}
+	switch {
+	case b.ID == "" || len(b.ID) > maxBatchIDLen:
+		return http.StatusBadRequest, "bad_batch", fmt.Sprintf("batch_id must be 1..%d bytes", maxBatchIDLen), nil
+	case b.Mechanism != s.mech:
+		return http.StatusUnprocessableEntity, "mechanism_mismatch",
+			"batch was randomized under a different mechanism than this collector serves", nil
+	case len(b.Reports) == 0:
+		return http.StatusBadRequest, "bad_batch", "batch has no reports", nil
+	case len(b.Reports) > s.maxBatch:
+		return http.StatusRequestEntityTooLarge, "bad_batch",
+			fmt.Sprintf("batch of %d reports exceeds the %d-report bound", len(b.Reports), s.maxBatch), nil
+	}
+	for i, rep := range b.Reports {
+		for _, name := range sortedNames(rep.Discrete) {
+			if _, ok := s.meta.Discrete[name]; !ok {
+				return http.StatusUnprocessableEntity, "bad_batch",
+					fmt.Sprintf("report %d: unknown discrete attribute %q", i, name), nil
+			}
+		}
+		for _, name := range sortedNames(rep.Numeric) {
+			if _, ok := s.meta.Numeric[name]; !ok {
+				return http.StatusUnprocessableEntity, "bad_batch",
+					fmt.Sprintf("report %d: unknown numeric attribute %q", i, name), nil
+			}
+			if x := rep.Numeric[name]; math.IsNaN(x) || math.IsInf(x, 0) {
+				return http.StatusUnprocessableEntity, "bad_batch",
+					fmt.Sprintf("report %d: non-finite value for %q", i, name), nil
+			}
+		}
+	}
+	payload, err := json.Marshal(b)
+	if err != nil {
+		panic(err) // a decoded batch holds only finite numbers
+	}
+	return 0, "", "", payload
+}
+
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// checkCodec holds one body to the reference: the same (status, code,
+// message), and for an accepted batch the same WAL payload bytes.
+func checkCodec(t *testing.T, s *Service, body []byte) {
+	t.Helper()
+	b, _, status, code, msg := s.decodeReport(body)
+	wantStatus, wantCode, wantMsg, wantPayload := refAck(s, body)
+	if status != wantStatus || code != wantCode || msg != wantMsg {
+		t.Fatalf("ack %q:\n got %d %s %q\nwant %d %s %q", body, status, code, msg, wantStatus, wantCode, wantMsg)
+	}
+	if status != 0 {
 		return
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decode %q:\n got %#v\nwant %#v", data, got, want)
-	}
-	enc, encErr := marshalBatch(&got, len(data))
-	ref, refErr := json.Marshal(want)
-	if fmt.Sprint(encErr) != fmt.Sprint(refErr) {
-		t.Fatalf("encode %#v: error %v, encoding/json says %v", got, encErr, refErr)
-	}
-	if !bytes.Equal(enc, ref) {
-		t.Fatalf("encode %#v:\n got %s\nwant %s", got, enc, ref)
+	if got := s.codec.appendBatch(nil, &b); !bytes.Equal(got, wantPayload) {
+		t.Fatalf("payload of %q:\n got %s\nwant %s", body, got, wantPayload)
 	}
 }
 
@@ -84,6 +156,7 @@ func TestBatchCodecFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := codecService()
 	for _, tc := range []struct {
 		in   string
 		fast bool
@@ -91,60 +164,83 @@ func TestBatchCodecFastPath(t *testing.T) {
 		{string(canonical), true},
 		{`{"reports":[],"mechanism":"m","batch_id":"b"}`, true},
 		{`{"batch_id":"b","mechanism":"m","reports":[{"discrete":{"major":"é"}}]}`, true},
+		{`{"batch_id":"b","mechanism":"m","reports":[{"discrete":{"zeta":"x","alpha":"y"}}]}`, true},
 		{`{"batch_id":"b","mechanism":"m","reports":null}`, false},
 		{`{"batch_id": "b","mechanism":"m","reports":[]}`, false},
 		{`{"batch_id":"\u0062","mechanism":"m","reports":[]}`, false},
 		{`{"Batch_ID":"b","mechanism":"m","reports":[]}`, false},
 		{`{"batch_id":"b","mechanism":"m","reports":[{"numeric":{"x":1e400}}]}`, false},
 	} {
-		if _, fast, _ := unmarshalBatch([]byte(tc.in)); fast != tc.fast {
-			t.Errorf("unmarshalBatch(%s): fast = %v, want %v", tc.in, fast, tc.fast)
+		d := batchDecoder{bs: s.codec}
+		var b batchCols
+		if fast, _ := d.decode(&b, []byte(tc.in)); fast != tc.fast {
+			t.Errorf("decode(%s): fast = %v, want %v", tc.in, fast, tc.fast)
 		}
 	}
 }
 
 // TestBatchCodecPrivatizedBatches runs the reference check over batches of
-// real randomized reports, multi-key maps and Laplace-noised floats
+// real randomized reports, multi-key reports and Laplace-noised floats
 // included.
 func TestBatchCodecPrivatizedBatches(t *testing.T) {
-	for _, b := range makeBatches(t, collectMeta(), 6, 4, 32) {
+	meta := collectMeta()
+	schema, err := SchemaFor(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Service{meta: meta, mech: privacy.MechanismFingerprint(meta), schema: schema,
+		codec: newBatchSchema(schema), maxBatch: DefaultMaxBatchReports}
+	for _, b := range makeBatches(t, meta, 6, 4, 32) {
 		b.TraceID = "4bf92f3577b34da6a3ce929d0e0e4736"
 		data, err := json.Marshal(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkCodec(t, data)
+		checkCodec(t, s, data)
+		indented, err := json.MarshalIndent(b, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCodec(t, s, indented)
 	}
 }
 
-// FuzzBatchCodec differentially tests the batch codec against
-// encoding/json: decoding must agree on result and error for every input,
-// and every decoded Batch must encode to json.Marshal's bytes.
+// FuzzBatchCodec differentially tests the ack path against the reference:
+// for every body, decoding and validation must give the reference's status,
+// code and message, and an accepted batch must encode to the reference's
+// WAL payload bytes.
 func FuzzBatchCodec(f *testing.F) {
 	for _, s := range codecSeeds {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(checkCodec)
+	s := codecService()
+	f.Fuzz(func(t *testing.T, body []byte) { checkCodec(t, s, body) })
 }
 
 // benchBatchBody is a 256-report batch in the canonical rendering, the
 // size perfbench's ingest workload posts.
-func benchBatchBody(b *testing.B) (Batch, []byte) {
+func benchBatchBody(b *testing.B) (*batchSchema, []byte) {
 	batch := makeBatches(b, collectMeta(), 9, 1, 256)[0]
 	body, err := json.Marshal(batch)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return batch, body
+	schema, err := SchemaFor(collectMeta())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return newBatchSchema(schema), body
 }
 
 func BenchmarkDecodeBatch(b *testing.B) {
-	_, body := benchBatchBody(b)
+	bs, body := benchBatchBody(b)
 	b.Run("fast", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, fast, err := unmarshalBatch(body); err != nil || !fast {
+			d := batchDecoder{bs: bs}
+			var cols batchCols
+			if fast, err := d.decode(&cols, body); err != nil || !fast {
 				b.Fatalf("fast=%v err=%v", fast, err)
 			}
 		}
@@ -162,14 +258,21 @@ func BenchmarkDecodeBatch(b *testing.B) {
 }
 
 func BenchmarkEncodeBatch(b *testing.B) {
-	batch, body := benchBatchBody(b)
+	bs, body := benchBatchBody(b)
+	d := batchDecoder{bs: bs}
+	var cols batchCols
+	if _, err := d.decode(&cols, body); err != nil {
+		b.Fatal(err)
+	}
+	var batch Batch
+	if err := json.Unmarshal(body, &batch); err != nil {
+		b.Fatal(err)
+	}
 	b.Run("fast", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := marshalBatch(&batch, len(body)); err != nil {
-				b.Fatal(err)
-			}
+			bs.appendBatch(make([]byte, 0, len(body)), &cols)
 		}
 	})
 	b.Run("encoding-json", func(b *testing.B) {

@@ -254,10 +254,7 @@ func TestE2EStatsMatchDirectEstimates(t *testing.T) {
 	}
 	coll := estimator.NewCollector()
 	for _, b := range e2eBatches(t) {
-		win, err := (&Store{schema: schema}).window(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		win := refWindow(t, schema, b)
 		if err := coll.Add(win); err != nil {
 			t.Fatal(err)
 		}

@@ -272,3 +272,40 @@ func TestServiceTracez(t *testing.T) {
 		t.Fatalf("POST /v1/tracez = %d, want 405", rec.Code)
 	}
 }
+
+// TestServiceAckInstrumentsAtStart: the per-ack instruments are resolved
+// when the collector starts, so /metrics lists them, zero-valued, before
+// the first ack — and the first ack moves them.
+func TestServiceAckInstrumentsAtStart(t *testing.T) {
+	tel := newTracedTel()
+	s := newTestService(t, t.TempDir(), func(c *Config) { c.Tel = tel })
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+
+	metrics := do(t, h, http.MethodGet, "/metrics", nil).Body.String()
+	for _, line := range []string{
+		"privateclean_collect_wal_append_seconds_count 0",
+		"privateclean_collect_wal_fsync_seconds_count ",
+		"privateclean_collect_wal_appended_bytes_total 0",
+		"privateclean_collect_batches_accepted_total 0",
+		"privateclean_collect_reports_accepted_total 0",
+		"privateclean_http_shed_total 0",
+		"privateclean_collect_duplicate_batches_total 0",
+	} {
+		if !strings.Contains(metrics, "\n"+line) {
+			t.Errorf("/metrics before the first ack lacks %q", line)
+		}
+	}
+
+	mustPost(t, h, makeBatches(t, collectMeta(), 41, 1, 3)[0])
+	metrics = do(t, h, http.MethodGet, "/metrics", nil).Body.String()
+	for _, line := range []string{
+		"privateclean_collect_wal_append_seconds_count 1",
+		"privateclean_collect_batches_accepted_total 1",
+		"privateclean_collect_reports_accepted_total 3",
+	} {
+		if !strings.Contains(metrics, "\n"+line+"\n") {
+			t.Errorf("/metrics after one ack lacks %q", line)
+		}
+	}
+}

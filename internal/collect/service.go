@@ -6,12 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -94,6 +94,7 @@ type Service struct {
 	meta     *privacy.ViewMeta
 	mech     string
 	schema   relation.Schema
+	codec    *batchSchema
 	wal      *WAL
 	store    *Store
 	tel      *telemetry.Set
@@ -118,10 +119,14 @@ type Service struct {
 	lastFold    time.Time
 	lastCompact time.Time
 
-	// decodeFallbacks counts /v1/report batches that decoded through
-	// encoding/json because their body was not in the compact canonical
-	// encoding.
+	// The per-ack instruments, resolved once. decodeFallbacks counts
+	// /v1/report batches that decoded through encoding/json because their
+	// body was not in the compact canonical encoding.
 	decodeFallbacks *telemetry.Counter
+	batchesAccepted *telemetry.Counter
+	reportsAccepted *telemetry.Counter
+	shed            *telemetry.Counter
+	duplicates      *telemetry.Counter
 
 	// testHook, when set, runs inside /v1/report handling after admission;
 	// tests use it to hold requests in flight deterministically.
@@ -213,6 +218,7 @@ func New(cfg Config) (*Service, error) {
 		meta:     cfg.Meta,
 		mech:     mech,
 		schema:   schema,
+		codec:    newBatchSchema(schema),
 		wal:      wal,
 		store:    store,
 		tel:      tel,
@@ -222,6 +228,14 @@ func New(cfg Config) (*Service, error) {
 		ackTimes: make(map[string]time.Time),
 		decodeFallbacks: tel.Metrics.Counter("privateclean_collect_decode_fallback_total",
 			"Report batches decoded by encoding/json because the body was not compact canonical JSON (whitespace, escapes, other field-name case)."),
+		batchesAccepted: tel.Metrics.Counter("privateclean_collect_batches_accepted_total",
+			"Batches acknowledged after a durable WAL append."),
+		reportsAccepted: tel.Metrics.Counter("privateclean_collect_reports_accepted_total",
+			"Reports acknowledged after a durable WAL append."),
+		shed: tel.Metrics.Counter("privateclean_http_shed_total",
+			"Requests shed with 429 because MaxInFlight was reached."),
+		duplicates: tel.Metrics.Counter("privateclean_collect_duplicate_batches_total",
+			"Batches skipped during folding because their ID already folded."),
 	}
 	// Startup replay: seal whatever the previous process left in the active
 	// segment, then fold every sealed segment. After this the statistics
@@ -342,8 +356,7 @@ func (s *Service) foldSegment(seg SegmentInfo) (int, error) {
 		}
 	}
 	if len(refs) < len(payloads) {
-		s.tel.Metrics.Counter("privateclean_collect_duplicate_batches_total",
-			"Batches skipped during folding because their ID already folded.").Add(float64(len(payloads) - len(refs)))
+		s.duplicates.Add(float64(len(payloads) - len(refs)))
 	}
 	s.observeFreshness(refs)
 	return len(refs), nil
@@ -460,20 +473,23 @@ func (r *statusRecorder) WriteHeader(code int) {
 // instrument mirrors internal/server's request metrics: counter, latency
 // histogram, in-flight gauge; labels carry the route and status only.
 func (s *Service) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
+	// The route's gauge and histogram are resolved once; only the request
+	// counter, labelled by status, is looked up per request.
+	inflight := s.tel.Metrics.Gauge("privateclean_http_inflight",
+		"Requests currently being handled.", telemetry.L("path", path))
+	seconds := s.tel.Metrics.Histogram("privateclean_http_request_seconds",
+		"Wall time of HTTP request handling.",
+		telemetry.DurationBuckets, telemetry.L("path", path))
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		inflight := s.tel.Metrics.Gauge("privateclean_http_inflight",
-			"Requests currently being handled.", telemetry.L("path", path))
 		inflight.Add(1)
 		defer func() {
 			inflight.Add(-1)
 			s.tel.Metrics.Counter("privateclean_http_requests_total",
 				"HTTP requests, by route and status.",
-				telemetry.L("path", path), telemetry.L("status", fmt.Sprintf("%d", rec.status))).Inc()
-			s.tel.Metrics.Histogram("privateclean_http_request_seconds",
-				"Wall time of HTTP request handling.",
-				telemetry.DurationBuckets, telemetry.L("path", path)).Observe(time.Since(start).Seconds())
+				telemetry.L("path", path), telemetry.L("status", strconv.Itoa(rec.status))).Inc()
+			seconds.Observe(time.Since(start).Seconds())
 		}()
 		h(rec, r)
 	}
@@ -529,12 +545,14 @@ type reportResponse struct {
 }
 
 // validateBatch vets a decoded batch against the pinned mechanism. Only
-// attribute *names* and value shapes are checked; discrete values outside
-// the released domain are accepted (the batch path's domains are
-// data-derived too), but attributes the mechanism does not cover are
-// rejected — they were not randomized under the channel the estimator will
-// invert.
-func (s *Service) validateBatch(b *Batch) (status int, code, msg string) {
+// attribute *names* are checked; discrete values outside the released
+// domain are accepted (the batch path's domains are data-derived too), but
+// attributes the mechanism does not cover are rejected — they were not
+// randomized under the channel the estimator will invert. The refusal names
+// the first report carrying such an attribute and its smallest such name,
+// discrete before numeric. Numeric values need no check: JSON carries no
+// non-finite number.
+func (s *Service) validateBatch(b *batchCols) (status int, code, msg string) {
 	if b.ID == "" || len(b.ID) > maxBatchIDLen {
 		return http.StatusBadRequest, "bad_batch", fmt.Sprintf("batch_id must be 1..%d bytes", maxBatchIDLen)
 	}
@@ -542,32 +560,57 @@ func (s *Service) validateBatch(b *Batch) (status int, code, msg string) {
 		return http.StatusUnprocessableEntity, "mechanism_mismatch",
 			"batch was randomized under a different mechanism than this collector serves"
 	}
-	if len(b.Reports) == 0 {
+	if b.n == 0 {
 		return http.StatusBadRequest, "bad_batch", "batch has no reports"
 	}
-	if len(b.Reports) > s.maxBatch {
+	if b.n > s.maxBatch {
 		return http.StatusRequestEntityTooLarge, "bad_batch",
-			fmt.Sprintf("batch of %d reports exceeds the %d-report bound", len(b.Reports), s.maxBatch)
+			fmt.Sprintf("batch of %d reports exceeds the %d-report bound", b.n, s.maxBatch)
 	}
-	for i, rep := range b.Reports {
-		for name := range rep.Discrete {
-			if _, ok := s.meta.Discrete[name]; !ok {
-				return http.StatusUnprocessableEntity, "bad_batch",
-					fmt.Sprintf("report %d: unknown discrete attribute %q", i, name)
-			}
-		}
-		for name, x := range rep.Numeric {
-			if _, ok := s.meta.Numeric[name]; !ok {
-				return http.StatusUnprocessableEntity, "bad_batch",
-					fmt.Sprintf("report %d: unknown numeric attribute %q", i, name)
-			}
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return http.StatusUnprocessableEntity, "bad_batch",
-					fmt.Sprintf("report %d: non-finite value for %q", i, name)
-			}
-		}
+	if u := b.unknown; u.report >= 0 {
+		return http.StatusUnprocessableEntity, "bad_batch",
+			fmt.Sprintf("report %d: unknown %s attribute %q", u.report, u.kind, u.name)
 	}
 	return 0, "", ""
+}
+
+// readBody reads a /v1/report body of at most maxBatchBytes. A declared
+// length within the bound is read into one buffer of that size; an unknown
+// length reads one byte past the bound, so an oversized body is refused
+// whole rather than decoded from a truncated prefix. A body shorter than
+// its declared length fails the read.
+func readBody(r *http.Request) (body []byte, status int, msg string) {
+	if r.ContentLength > maxBatchBytes {
+		return nil, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds the %d-byte bound", maxBatchBytes)
+	}
+	var err error
+	if r.ContentLength > 0 {
+		body = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(r.Body, body)
+	} else {
+		body, err = io.ReadAll(io.LimitReader(r.Body, maxBatchBytes+1))
+	}
+	if err != nil {
+		return nil, http.StatusBadRequest, "reading request body: " + err.Error()
+	}
+	if len(body) > maxBatchBytes {
+		return nil, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds the %d-byte bound", maxBatchBytes)
+	}
+	return body, 0, ""
+}
+
+// decodeReport decodes and validates one /v1/report body. A refusal comes
+// back as its status, code and message; fallback reports a body that
+// decoded, but only through encoding/json.
+func (s *Service) decodeReport(body []byte) (b batchCols, fallback bool, status int, code, msg string) {
+	d := batchDecoder{bs: s.codec}
+	fast, err := d.decode(&b, body)
+	if err != nil {
+		return b, false, http.StatusBadRequest, "bad_batch",
+			`body must be JSON {"batch_id", "mechanism", "reports": [...]}: ` + err.Error()
+	}
+	status, code, msg = s.validateBatch(&b)
+	return b, !fast, status, code, msg
 }
 
 func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -586,28 +629,16 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST a JSON batch to /v1/report")
 		return
 	}
-	// Read one byte past the bound so an oversized body is refused whole
-	// rather than decoded from a truncated prefix.
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBytes+1))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_batch", "reading request body: "+err.Error())
+	body, status, msg := readBody(r)
+	if status != 0 {
+		s.writeError(w, status, "bad_batch", msg)
 		return
 	}
-	if len(body) > maxBatchBytes {
-		s.writeError(w, http.StatusRequestEntityTooLarge, "bad_batch",
-			fmt.Sprintf("body exceeds the %d-byte bound", maxBatchBytes))
-		return
-	}
-	b, fast, err := unmarshalBatch(body)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_batch",
-			`body must be JSON {"batch_id", "mechanism", "reports": [...]}: `+err.Error())
-		return
-	}
-	if !fast {
+	b, fallback, status, code, msg := s.decodeReport(body)
+	if fallback {
 		s.decodeFallbacks.Inc()
 	}
-	if status, code, msg := s.validateBatch(&b); status != 0 {
+	if status != 0 {
 		s.writeError(w, status, code, msg)
 		return
 	}
@@ -620,7 +651,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	if b.TraceID == "" && remoteTrace != "" {
 		b.TraceID = remoteTrace
 	}
-	sp.Set("reports", len(b.Reports))
+	sp.Set("reports", b.n)
 
 	// Bounded admission: a full semaphore sheds immediately with a
 	// Retry-After hint rather than queueing WAL appends unboundedly.
@@ -628,8 +659,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	case s.sem <- struct{}{}:
 	default:
 		w.Header().Set("Retry-After", "1")
-		s.tel.Metrics.Counter("privateclean_http_shed_total",
-			"Requests shed with 429 because MaxInFlight was reached.").Inc()
+		s.shed.Inc()
 		s.writeError(w, http.StatusTooManyRequests, "shed", "collector at capacity; retry")
 		return
 	}
@@ -643,21 +673,16 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	// counted. Duplicates still in the WAL (not yet folded) do get appended
 	// again; the fold path deduplicates them by ID.
 	if s.store.HasBatch(b.ID) {
-		s.tel.Metrics.Counter("privateclean_collect_duplicate_batches_total",
-			"Batches skipped during folding because their ID already folded.").Inc()
+		s.duplicates.Inc()
 		sp.Set("duplicate", true)
-		s.writeJSON(w, http.StatusOK, reportResponse{BatchID: b.ID, Reports: len(b.Reports), Duplicate: true})
+		s.writeJSON(w, http.StatusOK, reportResponse{BatchID: b.ID, Reports: b.n, Duplicate: true})
 		return
 	}
 
-	// Re-marshal canonically: the WAL stores this struct's json.Marshal
+	// Re-encode canonically: the WAL stores the batch's json.Marshal
 	// rendering, not the client's raw bytes, so replay decodes exactly what
 	// validation saw.
-	payload, err := marshalBatch(&b, len(body))
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "internal", "encoding batch: "+err.Error())
-		return
-	}
+	payload := s.codec.appendBatch(make([]byte, 0, len(body)), &b)
 	wsp := s.tel.Trace.StartSpan(sp, "wal_append")
 	seq, err := s.wal.Append(payload)
 	wsp.End()
@@ -673,11 +698,9 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	s.recordAck(b.ID)
 	sp.Set("segment", int(seq))
-	s.tel.Metrics.Counter("privateclean_collect_batches_accepted_total",
-		"Batches acknowledged after a durable WAL append.").Inc()
-	s.tel.Metrics.Counter("privateclean_collect_reports_accepted_total",
-		"Reports acknowledged after a durable WAL append.").Add(float64(len(b.Reports)))
-	s.writeJSON(w, http.StatusOK, reportResponse{BatchID: b.ID, Reports: len(b.Reports)})
+	s.batchesAccepted.Inc()
+	s.reportsAccepted.Add(float64(b.n))
+	s.writeJSON(w, http.StatusOK, reportResponse{BatchID: b.ID, Reports: b.n})
 }
 
 // statuszResponse is the /v1/statusz pipeline-health summary. Everything in

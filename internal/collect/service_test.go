@@ -138,10 +138,7 @@ func TestServiceAcceptAndStats(t *testing.T) {
 	}
 	coll := estimator.NewCollector()
 	for _, b := range batches {
-		win, err := (&Store{schema: schema}).window(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		win := refWindow(t, schema, b)
 		if err := coll.Add(win); err != nil {
 			t.Fatal(err)
 		}
@@ -620,5 +617,93 @@ func TestServiceFoldDoesNotBlock(t *testing.T) {
 	}
 	if st.Rows != 12 {
 		t.Fatalf("rows = %d after three batches, want 12", st.Rows)
+	}
+}
+
+// TestServiceBodyRead covers the three ways a /v1/report body read ends
+// short of a decode: a declared length over the bound and an undeclared
+// one that runs past it are both refused with 413, and a body shorter than
+// its declared length is a 400. An undeclared length within the bound
+// reads whole.
+func TestServiceBodyRead(t *testing.T) {
+	s := newTestService(t, t.TempDir(), nil)
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	body, err := json.Marshal(makeBatches(t, collectMeta(), 7, 1, 2)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(r io.Reader, length int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/report", r)
+		req.ContentLength = length
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	// io.MultiReader hides the length, as a chunked request body does.
+	undeclared := func(n int) io.Reader {
+		return io.MultiReader(bytes.NewReader(body), bytes.NewReader(bytes.Repeat([]byte(" "), n-len(body))))
+	}
+	for _, tc := range []struct {
+		name   string
+		rec    *httptest.ResponseRecorder
+		status int
+		msg    string
+	}{
+		{"declared over the bound", post(bytes.NewReader(body), maxBatchBytes+1), http.StatusRequestEntityTooLarge, fmt.Sprint(maxBatchBytes)},
+		{"undeclared over the bound", post(undeclared(maxBatchBytes+1), -1), http.StatusRequestEntityTooLarge, fmt.Sprint(maxBatchBytes)},
+		{"shorter than declared", post(bytes.NewReader(body), int64(len(body)+10)), http.StatusBadRequest, "reading request body"},
+		{"undeclared within the bound", post(undeclared(len(body)+3), -1), http.StatusOK, ""},
+	} {
+		if tc.rec.Code != tc.status {
+			t.Fatalf("%s: status %d, want %d (%s)", tc.name, tc.rec.Code, tc.status, tc.rec.Body)
+		}
+		if tc.msg != "" {
+			var eb errorBody
+			if err := json.Unmarshal(tc.rec.Body.Bytes(), &eb); err != nil {
+				t.Fatal(err)
+			}
+			if eb.Error.Code != "bad_batch" || !strings.Contains(eb.Error.Message, tc.msg) {
+				t.Fatalf("%s: error %+v, want bad_batch mentioning %q", tc.name, eb.Error, tc.msg)
+			}
+		}
+	}
+}
+
+// TestServiceUnknownAttributeMessage: a 422 for unknown attributes names
+// the first report carrying one and, within it, the smallest unknown name,
+// discrete before numeric — the same message on every post, whether the
+// body takes the fast decoder (compact) or encoding/json (indented).
+func TestServiceUnknownAttributeMessage(t *testing.T) {
+	s := newTestService(t, t.TempDir(), nil)
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	mech := privacy.MechanismFingerprint(collectMeta())
+	for _, tc := range []struct {
+		reports string
+		want    string
+	}{
+		{`[{"discrete":{"major":"CS"}},{"numeric":{"zz":1,"aa":2},"discrete":{"zeta":"x","major":"CS","alpha":"y"}},{"discrete":{"beta":"z"}}]`,
+			`report 1: unknown discrete attribute "alpha"`},
+		{`[{"numeric":{"score":1,"zz":1,"yy":2,"xx":3}},{"discrete":{"a":"b"}}]`,
+			`report 0: unknown numeric attribute "xx"`},
+	} {
+		compact := []byte(`{"batch_id":"b","mechanism":"` + mech + `","reports":` + tc.reports + `}`)
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, compact, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			for _, body := range [][]byte{compact, indented.Bytes()} {
+				rec := do(t, h, http.MethodPost, "/v1/report", body)
+				var eb errorBody
+				if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+					t.Fatal(err)
+				}
+				if rec.Code != http.StatusUnprocessableEntity || eb.Error.Message != tc.want {
+					t.Fatalf("post %d: %d %q, want 422 %q", i, rec.Code, eb.Error.Message, tc.want)
+				}
+			}
+		}
 	}
 }

@@ -63,6 +63,7 @@ type checkpointFile struct {
 type Store struct {
 	path      string
 	schema    relation.Schema
+	codec     *batchSchema
 	mechanism string
 
 	// fmu serializes folds. Only a fold holding fmu writes the published
@@ -85,7 +86,7 @@ type Store struct {
 // a different channel or shape into old statistics corrupts them silently,
 // so a mismatch refuses loudly instead.
 func OpenStore(path string, schema relation.Schema, mechanism string) (*Store, error) {
-	s := &Store{path: path, schema: schema, mechanism: mechanism, batches: make(map[string]struct{})}
+	s := &Store{path: path, schema: schema, codec: newBatchSchema(schema), mechanism: mechanism, batches: make(map[string]struct{})}
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		coll, cerr := estimator.NewCollectorFrom(nil)
@@ -147,35 +148,6 @@ func (s *Store) HasBatch(id string) bool {
 	return ok
 }
 
-// decodeBatch decodes one WAL payload. The payload passed a CRC check, so a
-// decode failure is not line noise — it is a version skew or a bug, and it
-// poisons the segment as corrupt.
-func decodeBatch(payload []byte) (Batch, error) {
-	b, _, err := unmarshalBatch(payload)
-	if err != nil {
-		return Batch{}, faults.Wrap(faults.ErrCorruptCheckpoint, fmt.Errorf("collect: wal record: %w", err))
-	}
-	if b.ID == "" {
-		return Batch{}, faults.Errorf(faults.ErrCorruptCheckpoint, "collect: wal record with empty batch id")
-	}
-	return b, nil
-}
-
-// window builds the relation window one batch folds as: one row per report,
-// absent attributes as missing (relation.Null / NaN), under the collection
-// schema so every window agrees with the collector.
-func (s *Store) window(b Batch) (*relation.Relation, error) {
-	builder := relation.NewBuilder(s.schema)
-	for _, rep := range b.Reports {
-		builder.Append(rep.Numeric, rep.Discrete)
-	}
-	win, err := builder.Relation()
-	if err != nil {
-		return nil, faults.Wrap(faults.ErrCorruptCheckpoint, fmt.Errorf("collect: batch %q: %w", b.ID, err))
-	}
-	return win, nil
-}
-
 // FoldedBatch identifies one batch a Fold call newly applied: its ID and the
 // trace ID it carried (empty when the client did not trace). The compactor
 // uses these to link its fold span to the shipping traces and to observe the
@@ -192,7 +164,8 @@ type FoldedBatch struct {
 // call (or Open) sees seq <= AppliedSeq and skips it — exactly-once either
 // way. The returned slice holds the newly folded batches in segment order.
 //
-// The fold is staged: payloads accumulate into a clone of the statistics,
+// The fold is staged: payloads decode into the collection schema's columns
+// and accumulate into a copy of the statistics (estimator.Collector.Clone),
 // and the in-memory watermark, batch set, and collector swap over only after
 // the checkpoint rename lands. On any error nothing moves — Compact cannot
 // watermark-delete a segment no durable checkpoint covers, and retrying the
@@ -205,15 +178,22 @@ func (s *Store) Fold(seq uint64, payloads [][]byte) (folded []FoldedBatch, err e
 	if seq <= s.AppliedSeq() {
 		return nil, nil
 	}
-	staged, err := cloneCollector(s.coll)
-	if err != nil {
-		return nil, err
-	}
+	staged := s.coll.Clone()
 	newIDs := make(map[string]struct{})
+	// One decoder and one set of columns serve every payload: each window
+	// is folded before the next payload overwrites the columns, and the
+	// decoder's intern table shares repeated values across batches.
+	dec := batchDecoder{bs: s.codec}
+	var b batchCols
 	for _, payload := range payloads {
-		b, err := decodeBatch(payload)
-		if err != nil {
-			return nil, err
+		// The payload passed a CRC check, so a decode failure is not line
+		// noise — it is a version skew or a bug, and it poisons the segment
+		// as corrupt.
+		if _, err := dec.decode(&b, payload); err != nil {
+			return nil, faults.Wrap(faults.ErrCorruptCheckpoint, fmt.Errorf("collect: wal record: %w", err))
+		}
+		if b.ID == "" {
+			return nil, faults.Errorf(faults.ErrCorruptCheckpoint, "collect: wal record with empty batch id")
 		}
 		if _, ok := s.batches[b.ID]; ok {
 			continue
@@ -221,9 +201,9 @@ func (s *Store) Fold(seq uint64, payloads [][]byte) (folded []FoldedBatch, err e
 		if _, ok := newIDs[b.ID]; ok {
 			continue
 		}
-		win, err := s.window(b)
+		win, err := b.window(s.codec, s.schema)
 		if err != nil {
-			return nil, err
+			return nil, faults.Wrap(faults.ErrCorruptCheckpoint, fmt.Errorf("collect: batch %q: %w", b.ID, err))
 		}
 		if err := staged.Add(win); err != nil {
 			return nil, err
@@ -260,25 +240,6 @@ func (s *Store) Fold(seq uint64, payloads [][]byte) (folded []FoldedBatch, err e
 		s.batches[id] = struct{}{}
 	}
 	return folded, nil
-}
-
-// cloneCollector deep-copies a collector via its JSON form — the same
-// round-trip a checkpoint reload takes, so the clone accumulates exactly
-// like the original.
-func cloneCollector(c *estimator.Collector) (*estimator.Collector, error) {
-	st := c.Statistics()
-	if len(st.Columns) == 0 {
-		return estimator.NewCollectorFrom(nil)
-	}
-	data, err := json.Marshal(st)
-	if err != nil {
-		return nil, faults.Wrap(faults.ErrInternal, err)
-	}
-	var copied estimator.Statistics
-	if err := json.Unmarshal(data, &copied); err != nil {
-		return nil, faults.Wrap(faults.ErrInternal, err)
-	}
-	return estimator.NewCollectorFrom(&copied)
 }
 
 // collector returns the published collector, which no one mutates.

@@ -134,7 +134,11 @@ type RecoveryStats struct {
 type WAL struct {
 	dir  string
 	opts Options
-	tel  *telemetry.Set
+
+	// The per-append instruments, resolved once by Open.
+	appendSeconds *telemetry.Histogram
+	fsyncSeconds  *telemetry.Histogram
+	appendedBytes *telemetry.Counter
 
 	mu       sync.Mutex
 	f        *os.File
@@ -259,7 +263,16 @@ func Open(dir string, opts Options) (*WAL, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &WAL{dir: dir, opts: opts, tel: tel, seq: 1, lastSync: time.Now()}
+	w := &WAL{
+		dir: dir, opts: opts, seq: 1, lastSync: time.Now(),
+		appendSeconds: tel.Metrics.Histogram("privateclean_collect_wal_append_seconds",
+			"Wall time of one WAL append, including any fsync the policy demands.",
+			telemetry.DurationBuckets),
+		fsyncSeconds: tel.Metrics.Histogram("privateclean_collect_wal_fsync_seconds",
+			"Wall time of WAL fsync calls.", telemetry.DurationBuckets),
+		appendedBytes: tel.Metrics.Counter("privateclean_collect_wal_appended_bytes_total",
+			"Bytes appended to the write-ahead log."),
+	}
 	w.recov.Segments = len(segs)
 	for i, seg := range segs {
 		records, validLen, tailErr := scanSegment(seg.Path)
@@ -365,11 +378,7 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 		return 0, faults.Errorf(faults.ErrBadInput, "collect: record payload of %d bytes out of (0, %d]", len(payload), maxRecordBytes)
 	}
 	start := time.Now()
-	defer func() {
-		w.tel.Metrics.Histogram("privateclean_collect_wal_append_seconds",
-			"Wall time of one WAL append, including any fsync the policy demands.",
-			telemetry.DurationBuckets).Observe(time.Since(start).Seconds())
-	}()
+	defer func() { w.appendSeconds.Observe(time.Since(start).Seconds()) }()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -406,8 +415,7 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 		return 0, faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("collect: wal append: %w", err))
 	}
 	w.size += int64(n)
-	w.tel.Metrics.Counter("privateclean_collect_wal_appended_bytes_total",
-		"Bytes appended to the write-ahead log.").Add(float64(n))
+	w.appendedBytes.Add(float64(n))
 	switch w.opts.Policy {
 	case SyncAlways:
 		if err := w.syncLocked(); err != nil {
@@ -446,8 +454,7 @@ func (w *WAL) repairLocked() error {
 func (w *WAL) syncLocked() error {
 	start := time.Now()
 	err := w.f.Sync()
-	w.tel.Metrics.Histogram("privateclean_collect_wal_fsync_seconds",
-		"Wall time of WAL fsync calls.", telemetry.DurationBuckets).Observe(time.Since(start).Seconds())
+	w.fsyncSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		return faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("collect: wal fsync: %w", err))
 	}

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -552,6 +554,64 @@ func (c *Collector) Statistics() *Statistics {
 		}
 	}
 	return c.st
+}
+
+// Clone returns a deep copy of c that accumulates exactly as c would, and
+// exactly as a collector resumed from c's statistics JSON would: Add on
+// either leaves the other's statistics untouched. Joint-table memos start
+// empty in the copy. The configured layouts are read-only after
+// construction, so the copy shares them.
+func (c *Collector) Clone() *Collector {
+	out := &Collector{schema: c.schema, discrete: c.discrete, numeric: c.numeric, opts: c.opts}
+	if c.st != nil {
+		out.st = c.st.clone()
+	}
+	return out
+}
+
+// clone deep-copies the statistics, memos excepted. Each map is cloned
+// whole, keeping its table layout, and then has its values replaced by
+// copies in place.
+func (st *Statistics) clone() *Statistics {
+	out := &Statistics{
+		Rows:     st.Rows,
+		Columns:  slices.Clone(st.Columns),
+		Discrete: maps.Clone(st.Discrete),
+		Numeric:  maps.Clone(st.Numeric),
+		Hist:     maps.Clone(st.Hist),
+		Joints:   maps.Clone(st.Joints),
+	}
+	for attr, vals := range out.Discrete {
+		vals = maps.Clone(vals)
+		for v, s := range vals {
+			cp := &ValueStats{Count: s.Count, Sums: maps.Clone(s.Sums), Bins: maps.Clone(s.Bins)}
+			for na, bins := range cp.Bins {
+				cp.Bins[na] = slices.Clone(bins)
+			}
+			vals[v] = cp
+		}
+		out.Discrete[attr] = vals
+	}
+	for attr, h := range out.Hist {
+		out.Hist[attr] = &Histogram{Edges: slices.Clone(h.Edges), Counts: slices.Clone(h.Counts)}
+	}
+	for key, j := range out.Joints {
+		cells := maps.Clone(j.Cells)
+		for va, row := range cells {
+			row = maps.Clone(row)
+			for vb, cell := range row {
+				row[vb] = &JointCell{
+					Count:  cell.Count,
+					Sums:   maps.Clone(cell.Sums),
+					SumSqs: maps.Clone(cell.SumSqs),
+					NonNaN: maps.Clone(cell.NonNaN),
+				}
+			}
+			cells[va] = row
+		}
+		out.Joints[key] = &JointStats{A: j.A, B: j.B, Cells: cells}
+	}
+	return out
 }
 
 // CollectStatistics drains an iterator through a Collector.

@@ -280,3 +280,88 @@ func TestStatsEmpty(t *testing.T) {
 		t.Fatal("want error for empty statistics sum")
 	}
 }
+
+// TestCollectorCloneIsDeep: a clone shares no mutable state with its
+// original — Add on the clone leaves the original's JSON bytes unchanged —
+// and accumulates exactly like a collector resumed from the original's
+// JSON, histograms, per-value bins and joints included.
+func TestCollectorCloneIsDeep(t *testing.T) {
+	schema := relation.MustSchema(
+		relation.Column{Name: "major", Kind: relation.Discrete},
+		relation.Column{Name: "minor", Kind: relation.Discrete},
+		relation.Column{Name: "score", Kind: relation.Numeric},
+	)
+	window := func(scores []float64, majors, minors []string) *relation.Relation {
+		r, err := relation.FromColumns(schema,
+			map[string][]float64{"score": scores},
+			map[string][]string{"major": majors, "minor": minors})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	orig, err := NewCollectorWith(CollectOpts{
+		BinEdges: map[string][]float64{"score": {0, 10, 20}},
+		Joints:   [][2]string{{"major", "minor"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := orig.Add(window([]float64{1, math.NaN(), 15}, []string{"CS", "EE", "CS"}, []string{"x", "y", "y"})); err != nil {
+		t.Fatal(err)
+	}
+	// A conjunction query memoizes each joint's sorted table; the clone
+	// starts without one.
+	joint, _ := orig.Statistics().Joint("major", "minor")
+	memo := joint.joint()
+	before, err := json.Marshal(orig.Statistics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := func() *Collector {
+		var st Statistics
+		if err := json.Unmarshal(before, &st); err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCollectorFrom(&st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}()
+
+	clone := orig.Clone()
+	if cj, _ := clone.Statistics().Joint("major", "minor"); cj.table.Load() != nil {
+		t.Fatal("clone kept the original's joint-table memo")
+	}
+	more := window([]float64{5, 25, math.NaN(), 12}, []string{"CS", "ME", "EE", "CS"}, []string{"y", "x", "z", "x"})
+	for _, c := range []*Collector{clone, resumed} {
+		if err := c.Add(more); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := json.Marshal(orig.Statistics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if joint.table.Load() != memo {
+		t.Fatal("Add on the clone reset the original's joint-table memo")
+	}
+	if string(after) != string(before) {
+		t.Fatalf("Add on the clone changed the original:\n%s\nvs\n%s", after, before)
+	}
+	got, err := json.Marshal(clone.Statistics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(resumed.Statistics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("clone accumulated differently from a JSON-resumed collector:\n%s\nvs\n%s", got, want)
+	}
+	if empty := NewCollector().Clone(); empty.Statistics().Rows != 0 || len(empty.Statistics().Columns) != 0 {
+		t.Fatal("clone of an empty collector is not empty")
+	}
+}
