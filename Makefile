@@ -8,7 +8,7 @@ FUZZ_TIME ?= 5s
 # coverage durably improves, never lower it to make a PR pass.
 COVER_BASELINE ?= 78.5
 
-.PHONY: build vet test race faults check debug-assert bench bench-json bench-smoke bench-gate serve-smoke collect-smoke fuzz-smoke cover stat-suite stat-smoke perfbench-check
+.PHONY: build vet test race faults check debug-assert bench bench-json bench-smoke bench-gate serve-smoke collect-smoke fuzz-smoke cover stat-suite stat-smoke perfbench-check experiments-check loc
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,17 @@ perfbench-check:
 		*) echo "perfbench-check: $$w did not report a correct run with zero failed operations"; exit 1 ;; \
 		esac; \
 	done
+
+# Regenerate every table and figure (seed 1, 100 trials per point, about
+# half a minute) and diff the output against the committed
+# experiments_output.txt, skipping only the wall-clock [perf] block.
+experiments-check:
+	GO=$(GO) sh tools/experiments-check.sh
+
+# The code-size measure ROADMAP tracks: non-test Go lines outside the
+# benchmark harness (perfbench/) and the build tools (tools/).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './tools/*' -exec cat {} + | wc -l
 
 # Full-suite statement coverage, gated against COVER_BASELINE.
 cover:

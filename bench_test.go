@@ -340,14 +340,14 @@ func BenchmarkOneShotEstimates100k(b *testing.B) {
 	}{
 		{"Sum", func() error { _, err := est.Sum(v, "value", in); return err }},
 		{"Avg", func() error { _, err := est.Avg(v, "value", in); return err }},
-		{"DirectSum", func() error { _, err := estimator.DirectSum(v, "value", in); return err }},
-		{"DirectAvg", func() error { _, err := estimator.DirectAvg(v, "value", in); return err }},
+		{"DirectSum", func() error { _, err := est.Nominal().Sum(v, "value", in); return err }},
+		{"DirectAvg", func() error { _, err := est.Nominal().Avg(v, "value", in); return err }},
 		{"TotalSum", func() error { _, err := est.TotalSum(v, "value"); return err }},
 		{"GroupSums", func() error { _, err := est.GroupSums(v, "category", "value"); return err }},
 		{"MedianEq", func() error { _, err := est.Median(v, "value", one); return err }},
 		{"MedianIn", func() error { _, err := est.Median(v, "value", in); return err }},
 		{"MedianAll", func() error { _, err := est.Median(v, "value", estimator.Predicate{}); return err }},
-		{"DirectMedianIn", func() error { _, err := estimator.DirectMedian(v, "value", in); return err }},
+		{"DirectMedianIn", func() error { _, err := est.Nominal().Median(v, "value", in); return err }},
 		{"VarIn", func() error { _, err := est.Var(v, "value", in); return err }},
 	}
 	for _, c := range cases {

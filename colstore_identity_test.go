@@ -145,22 +145,18 @@ func TestColstoreEstimateIdentityConj(t *testing.T) {
 	b, berr = colEst.AvgConj(colRel, "value", preds...)
 	checkEstimate(t, "conj/avg", a, b, aerr, berr)
 
-	da, aerr := estimator.DirectCountConj(csvRel, preds...)
-	db, berr := estimator.DirectCountConj(colRel, preds...)
+	a, aerr = csvEst.Nominal().CountConj(csvRel, preds...)
+	b, berr = colEst.Nominal().CountConj(colRel, preds...)
 	if aerr != nil || berr != nil {
 		t.Fatalf("direct count: %v / %v", aerr, berr)
 	}
-	if !sameBits(da, db) {
-		t.Errorf("direct count: %x != %x", math.Float64bits(da), math.Float64bits(db))
-	}
-	da, aerr = estimator.DirectSumConj(csvRel, "value", preds...)
-	db, berr = estimator.DirectSumConj(colRel, "value", preds...)
+	checkEstimate(t, "conj/direct-count", a, b, aerr, berr)
+	a, aerr = csvEst.Nominal().SumConj(csvRel, "value", preds...)
+	b, berr = colEst.Nominal().SumConj(colRel, "value", preds...)
 	if aerr != nil || berr != nil {
 		t.Fatalf("direct sum: %v / %v", aerr, berr)
 	}
-	if !sameBits(da, db) {
-		t.Errorf("direct sum: %x != %x", math.Float64bits(da), math.Float64bits(db))
-	}
+	checkEstimate(t, "conj/direct-sum", a, b, aerr, berr)
 }
 
 // TestColstoreEstimateIdentityExtensions extends the identity to the
@@ -215,9 +211,9 @@ func TestColstoreEstimateIdentityExtensions(t *testing.T) {
 					a, aerr := csvEst.Percentile(csvRel, "value", p, q)
 					b, berr := colEst.Percentile(colRel, "value", p, q)
 					checkEstimate(t, fmt.Sprintf("%s/quantile-%v", name, q), a, b, aerr, berr)
-					da, aerr := estimator.DirectPercentile(csvRel, "value", p, q)
-					db, berr := estimator.DirectPercentile(colRel, "value", p, q)
-					checkEstimate(t, fmt.Sprintf("%s/direct-quantile-%v", name, q), estimator.Estimate{Value: da}, estimator.Estimate{Value: db}, aerr, berr)
+					a, aerr = csvEst.Nominal().Percentile(csvRel, "value", p, q)
+					b, berr = colEst.Nominal().Percentile(colRel, "value", p, q)
+					checkEstimate(t, fmt.Sprintf("%s/direct-quantile-%v", name, q), a, b, aerr, berr)
 				}
 				a, aerr := csvEst.Median(csvRel, "value", p)
 				b, berr := colEst.Median(colRel, "value", p)

@@ -89,11 +89,11 @@ func main() {
 
 	// A state-level predicate query for good measure.
 	pred := estimator.Eq("ca_state", workload.StateValue(0))
-	trueState, _ := estimator.DirectCount(rClean, pred)
+	trueState, _ := new(estimator.Estimator).Nominal().Count(rClean, pred)
 	est, err := analyst.Estimator().Count(analyst.Relation(), pred)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("count(ca_state = %s): truth %.0f, privateclean %s\n",
-		workload.StateValue(0), trueState, est)
+		workload.StateValue(0), trueState.Value, est)
 }

@@ -79,14 +79,15 @@ func main() {
 			return v
 		},
 	})
-	trueCountEU, _ := estimator.DirectCount(rClean, estimator.Eq("country", "Europe"))
-	trueAvgEU, _ := estimator.DirectAvg(rClean, "score", estimator.Eq("country", "Europe"))
-	trueAvgUS, _ := estimator.DirectAvg(rClean, "score", estimator.Eq("country", "US"))
+	exact := new(estimator.Estimator).Nominal() // the query as-is on rClean
+	trueCountEU, _ := exact.Count(rClean, estimator.Eq("country", "Europe"))
+	trueAvgEU, _ := exact.Avg(rClean, "score", estimator.Eq("country", "Europe"))
+	trueAvgUS, _ := exact.Avg(rClean, "score", estimator.Eq("country", "US"))
 
 	fmt.Println("after merging European country codes:")
-	fmt.Printf("  European students:   truth %3.0f, estimate %s\n", trueCountEU, countEU.PrivateClean)
-	fmt.Printf("  European enthusiasm: truth %.2f, estimate %s\n", trueAvgEU, avgEU.PrivateClean)
-	fmt.Printf("  US enthusiasm:       truth %.2f, estimate %s\n\n", trueAvgUS, avgUS.PrivateClean)
+	fmt.Printf("  European students:   truth %3.0f, estimate %s\n", trueCountEU.Value, countEU.PrivateClean)
+	fmt.Printf("  European enthusiasm: truth %.2f, estimate %s\n", trueAvgEU.Value, avgEU.PrivateClean)
+	fmt.Printf("  US enthusiasm:       truth %.2f, estimate %s\n\n", trueAvgUS.Value, avgUS.PrivateClean)
 
 	// --- Variant 2: an Extract + UDF, no in-place cleaning.
 	analyst2 := core.NewAnalyst(view)

@@ -70,8 +70,9 @@ func main() {
 	}
 
 	// Ground truth for the corrected variance.
-	trueVar, _ := estimator.DirectVar(r, "score", estimator.Predicate{})
-	fmt.Printf("%-55s -> %.4f\n\n", "true var(score)", trueVar)
+	exact := new(estimator.Estimator).Nominal() // the query as-is on r
+	trueVar, _ := exact.Var(r, "score", estimator.Predicate{})
+	fmt.Printf("%-55s -> %.4f\n\n", "true var(score)", trueVar.Value)
 
 	// --- Conjunctive predicates ------------------------------------------
 	sql := "SELECT count(1) FROM evals WHERE major = 'ME' AND section = '1'"
@@ -79,10 +80,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	truth, _ := estimator.DirectCountConj(r,
+	truth, _ := exact.CountConj(r,
 		estimator.Eq("major", "ME"), estimator.Eq("section", "1"))
 	fmt.Printf("%s\n  estimate %s (truth %.0f, direct %.0f)\n\n",
-		sql, res.PrivateClean, truth, res.Direct)
+		sql, res.PrivateClean, truth.Value, res.Direct)
 
 	// --- Explain ----------------------------------------------------------
 	ex, err := analyst.Explain("SELECT count(1) FROM evals WHERE major = 'ME'")

@@ -96,11 +96,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		truth, err := estimator.DirectAvg(rClean, "satisfaction", estimator.Eq("major", m))
+		truth, err := new(estimator.Estimator).Nominal().Avg(rClean, "satisfaction", estimator.Eq("major", m))
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-20s %-22s %.2f\n", m, res.PrivateClean.String(), truth)
+		fmt.Printf("  %-20s %-22s %.2f\n", m, res.PrivateClean.String(), truth.Value)
 	}
 }
 

@@ -76,11 +76,11 @@ func main() {
 		cleaning.FindReplace{Attr: "major", From: "Mech. Eng.", To: "Mechanical Engineering"},
 		cleaning.FindReplace{Attr: "major", From: "Mechanical E.", To: "Mechanical Engineering"},
 	)
-	truth, err := estimator.DirectAvg(merged, "score", estimator.Eq("major", "Mechanical Engineering"))
+	truth, err := new(estimator.Estimator).Nominal().Avg(merged, "score", estimator.Eq("major", "Mechanical Engineering"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("true average satisfaction of Mechanical Engineers: %.4f\n", truth)
+	fmt.Printf("true average satisfaction of Mechanical Engineers: %.4f\n", truth.Value)
 }
 
 var schema = relation.MustSchema(

@@ -71,27 +71,28 @@ func main() {
 		Valid: func(v string) bool { return valid[v] },
 	})
 	pred := estimator.NotEq("sensor_id", relation.Null)
-	trueCount, _ := estimator.DirectCount(rClean, pred)
-	trueAvg, _ := estimator.DirectAvg(rClean, "temp", pred)
+	exact := new(estimator.Estimator).Nominal() // a query as-is
+	trueCount, _ := exact.Count(rClean, pred)
+	trueAvg, _ := exact.Avg(rClean, "temp", pred)
 
 	// The dirty baseline: querying the original log with no cleaning and no
 	// privacy still counts failure entries as valid sensors.
-	dirtyCount, _ := estimator.DirectCount(r, pred)
-	dirtyAvg, _ := estimator.DirectAvg(r, "temp", pred)
+	dirtyCount, _ := exact.Count(r, pred)
+	dirtyAvg, _ := exact.Avg(r, "temp", pred)
 
 	fmt.Println("healthy log entries:")
-	fmt.Printf("  truth                     %10.0f\n", trueCount)
+	fmt.Printf("  truth                     %10.0f\n", trueCount.Value)
 	fmt.Printf("  PrivateClean (cleaned+DP) %10.1f ± %.1f  (%.2f%% error)\n",
-		countRes.PrivateClean.Value, countRes.PrivateClean.CI, pctErr(countRes.PrivateClean.Value, trueCount))
+		countRes.PrivateClean.Value, countRes.PrivateClean.CI, pctErr(countRes.PrivateClean.Value, trueCount.Value))
 	fmt.Printf("  dirty original (no DP)    %10.0f            (%.2f%% error)\n\n",
-		dirtyCount, pctErr(dirtyCount, trueCount))
+		dirtyCount.Value, pctErr(dirtyCount.Value, trueCount.Value))
 
 	fmt.Println("mean temperature of healthy entries:")
-	fmt.Printf("  truth                     %10.3f\n", trueAvg)
+	fmt.Printf("  truth                     %10.3f\n", trueAvg.Value)
 	fmt.Printf("  PrivateClean (cleaned+DP) %10.3f ± %.3f (%.2f%% error)\n",
-		avgRes.PrivateClean.Value, avgRes.PrivateClean.CI, pctErr(avgRes.PrivateClean.Value, trueAvg))
+		avgRes.PrivateClean.Value, avgRes.PrivateClean.CI, pctErr(avgRes.PrivateClean.Value, trueAvg.Value))
 	fmt.Printf("  dirty original (no DP)    %10.3f           (%.2f%% error)\n\n",
-		dirtyAvg, pctErr(dirtyAvg, trueAvg))
+		dirtyAvg.Value, pctErr(dirtyAvg.Value, trueAvg.Value))
 
 	// The trace carries more environmental statistics; each numeric
 	// attribute got its own Laplace noise, and the same channel correction
@@ -100,9 +101,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	trueHum, _ := estimator.DirectAvg(rClean, "humidity", pred)
+	trueHum, _ := exact.Avg(rClean, "humidity", pred)
 	fmt.Printf("mean humidity of healthy entries: truth %.3f, estimate %s (%.2f%% error)\n",
-		trueHum, humRes.PrivateClean, pctErr(humRes.PrivateClean.Value, trueHum))
+		trueHum.Value, humRes.PrivateClean, pctErr(humRes.PrivateClean.Value, trueHum.Value))
 }
 
 func pctErr(got, want float64) float64 {

@@ -40,10 +40,11 @@ func TestFullWorkflowAcrossSerialization(t *testing.T) {
 	if err := cleaning.Apply(&cleaning.Context{Rel: rClean}, merge); err != nil {
 		t.Fatal(err)
 	}
-	truth, err := estimator.DirectCount(rClean, estimator.Eq("country", "Europe"))
+	count, err := new(estimator.Estimator).Nominal().Count(rClean, estimator.Eq("country", "Europe"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	truth := count.Value
 
 	// Provider side.
 	v, meta, err := privacy.Privatize(rng, r, privacy.Uniform(r.Schema(), 0.15, 0.8))

@@ -181,33 +181,6 @@ func (e *Estimator) MedianStats(st *Statistics, agg string, pred Predicate) (Est
 	return e.PercentileStats(st, agg, pred, 0.5)
 }
 
-// DirectPercentileStats is the nominal binned quantile: the inverse CDF of
-// the raw matched histogram with no channel inversion.
-func DirectPercentileStats(st *Statistics, agg string, pred Predicate, q float64) (float64, error) {
-	h, err := st.histogram(agg)
-	if err != nil {
-		return 0, err
-	}
-	var counts []float64
-	if pred.Attr == "" {
-		counts = make([]float64, len(h.Counts))
-		for k, c := range h.Counts {
-			counts[k] = float64(c)
-		}
-	} else {
-		counts, err = st.binnedMatched(h, agg, pred)
-		if err != nil {
-			return 0, err
-		}
-	}
-	return stats.HistQuantile(h.Edges, counts, q)
-}
-
-// DirectMedianStats is DirectPercentileStats at q = 0.5.
-func DirectMedianStats(st *Statistics, agg string, pred Predicate) (float64, error) {
-	return DirectPercentileStats(st, agg, pred, 0.5)
-}
-
 // BinEstimate is one bucket of a binned GROUP BY: the bin's range, its
 // shared display label, and the estimate. Results are returned in bin order
 // (not sorted by label), which is the order both the CLI and the server

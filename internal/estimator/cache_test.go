@@ -5,7 +5,14 @@ package estimator
 // selectivity and match tables on the server's shared estimator.
 
 import (
+	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"testing"
+
+	"privateclean/internal/privacy"
+	"privateclean/internal/relation"
 )
 
 // In used to render its values unquoted, joined with ", ", so
@@ -134,5 +141,103 @@ func TestAndPredicate(t *testing.T) {
 		if pc != cc {
 			t.Fatalf("Count(%s): plain %+v != cached %+v", pred, pc, cc)
 		}
+	}
+}
+
+// The nominal estimator shares its parent's cache but must never write a
+// channel into it: channels are keyed by predicate alone, so a stored
+// identity channel would silently turn every later corrected answer for
+// that predicate into a nominal one. Nominal and corrected runs interleave
+// on one cached estimator; the corrected answers stay bit-identical to a
+// fresh uncached estimator's, the nominal ones to their own first run, and
+// the channel counters do not move while the nominal estimator runs.
+func TestNominalDoesNotPoisonChannelCache(t *testing.T) {
+	rel := vectorRel(t, 500)
+	catDom, _ := rel.Domain("cat")
+	meta := &privacy.ViewMeta{
+		Discrete: map[string]privacy.DiscreteMeta{
+			"cat":   {Name: "cat", P: 0.2, Domain: catDom},
+			"other": {Name: "other", P: 0.3, Domain: []string{"g0", "g1", "g2"}},
+		},
+		Numeric: map[string]privacy.NumericMeta{"x": {Name: "x", B: 1, Delta: 60, Lo: -30, Bins: 8}},
+	}
+	st, err := CollectStatisticsWith(relation.NewSliceIterator(rel, 128), CollectOpts{
+		BinEdges: map[string][]float64{"x": meta.Numeric["x"].BinEdges()},
+		Joints:   [][2]string{{"cat", "other"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := In("cat", "v01", "v02")
+	conj := []Predicate{pred, Eq("other", "g1")}
+	answers := func(e *Estimator) []string {
+		var out []string
+		add := func(name string, est Estimate, err error) {
+			out = append(out, fmt.Sprintf("%s %x %x %v", name, math.Float64bits(est.Value), math.Float64bits(est.CI), err))
+		}
+		addGroups := func(name string, g map[string]Estimate, err error) {
+			keys := make([]string, 0, len(g))
+			for k := range g {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				add(name+"/"+k, g[k], nil)
+			}
+			add(name, Estimate{}, err)
+		}
+		c, err := e.Count(rel, pred)
+		add("count", c, err)
+		c, err = e.Sum(rel, "x", pred)
+		add("sum", c, err)
+		c, err = e.Avg(rel, "x", pred)
+		add("avg", c, err)
+		c, err = e.Var(rel, "x", pred)
+		add("var", c, err)
+		c, err = e.CountConj(rel, conj...)
+		add("conj-count", c, err)
+		c, err = e.AvgConj(rel, "x", conj...)
+		add("conj-avg", c, err)
+		g, err := e.GroupCounts(rel, "cat")
+		addGroups("group-count", g, err)
+		g, err = e.GroupAvgs(rel, "cat", "x")
+		addGroups("group-avg", g, err)
+		c, err = e.CountStats(st, pred)
+		add("count-stats", c, err)
+		c, err = e.SumStats(st, "x", pred)
+		add("sum-stats", c, err)
+		c, err = e.CountConjStats(st, conj...)
+		add("conj-count-stats", c, err)
+		g, err = e.GroupSumsStats(st, "cat", "x")
+		addGroups("group-sum-stats", g, err)
+		c, err = e.PercentileStats(st, "x", pred, 0.5)
+		add("quantile-stats", c, err)
+		return out
+	}
+
+	want := answers(&Estimator{Meta: meta})
+	cached := &Estimator{Meta: meta, Cache: NewChannelCache()}
+	nominal := cached.Nominal()
+	var wantNominal []string
+	for pass := 0; pass < 2; pass++ {
+		before := cached.Cache.Stats()[kindChannel]
+		got := answers(nominal)
+		if after := cached.Cache.Stats()[kindChannel]; after != before {
+			t.Fatalf("pass %d: nominal runs moved the channel counters from %+v to %+v", pass, before, after)
+		}
+		if pass == 0 {
+			wantNominal = got
+		} else if !slices.Equal(got, wantNominal) {
+			t.Fatalf("pass %d: nominal answers changed after corrected runs:\n%v\nwant\n%v", pass, got, wantNominal)
+		}
+		if got := answers(cached); !slices.Equal(got, want) {
+			t.Fatalf("pass %d: cached corrected answers differ from uncached:\n%v\nwant\n%v", pass, got, want)
+		}
+	}
+	if slices.Equal(wantNominal, want) {
+		t.Fatal("nominal answers equal the corrected ones: the test exercises no correction")
+	}
+	if ch := cached.Cache.Stats()[kindChannel]; ch.Entries == 0 || ch.Hits == 0 {
+		t.Fatalf("corrected runs did not use the channel cache: %+v", ch)
 	}
 }

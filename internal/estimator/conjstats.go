@@ -88,10 +88,10 @@ func convertJoint(j *JointStats) *statsJoint {
 }
 
 // statsConj resolves a two-attribute conjunction against st's recorded
-// joint and folds it with weight: the count terms only when agg is "".
-// nonEmpty rejects statistics over no rows (the corrected estimators need
-// S > 0).
-func statsConj(st *Statistics, agg string, preds []Predicate, weight weightFunc, nonEmpty bool) (conjSums, error) {
+// joint and folds it with the conjuncts' weights: the count terms only when
+// agg is "". Statistics over no rows are rejected: the intervals need
+// S > 0.
+func (e *Estimator) statsConj(st *Statistics, agg string, preds []Predicate) (conjSums, error) {
 	if len(preds) != 2 {
 		return conjSums{}, faults.Errorf(faults.ErrBadQuery,
 			"estimator: conjunctions over statistics support exactly two distinct attributes, got %d; query the view with -in/-col instead", len(preds))
@@ -112,13 +112,13 @@ func statsConj(st *Statistics, agg string, preds []Predicate, weight weightFunc,
 	t := j.joint()
 	ws := make([][]float64, 2)
 	for i, pred := range []Predicate{pa, pb} {
-		wTrue, wFalse, err := weight(pred)
+		wTrue, wFalse, err := e.conjWeight(pred)
 		if err != nil {
 			return conjSums{}, err
 		}
 		ws[i] = codeWeights(t.ixs[i], pred, wTrue, wFalse)
 	}
-	if nonEmpty && st.Rows == 0 {
+	if st.Rows == 0 {
 		return conjSums{}, fmt.Errorf("estimator: empty relation")
 	}
 	var x *cellMoments // nil, like a column no cell recorded, folds no sum terms
@@ -131,48 +131,21 @@ func statsConj(st *Statistics, agg string, preds []Predicate, weight weightFunc,
 	return t.fold(ws, x, st.Rows), nil
 }
 
-// conjStats answers a statistics conjunction's count and (when agg is not
-// "") sum.
-func (e *Estimator) conjStats(st *Statistics, agg string, preds []Predicate) (c, h Estimate, err error) {
-	s, err := statsConj(st, agg, preds, e.conjWeight, true)
-	if err != nil {
-		return Estimate{}, Estimate{}, err
-	}
-	return e.estimates(s)
-}
-
 // CountConjStats is CountConj over sufficient statistics: count(1) under a
 // two-attribute conjunction, answered from the recorded pairwise joint.
 func (e *Estimator) CountConjStats(st *Statistics, preds ...Predicate) (Estimate, error) {
-	c, _, err := e.conjStats(st, "", preds)
+	c, _, err := e.estimates(e.statsConj(st, "", preds))
 	return c, err
 }
 
 // SumConjStats is SumConj over sufficient statistics.
 func (e *Estimator) SumConjStats(st *Statistics, agg string, preds ...Predicate) (Estimate, error) {
-	_, h, err := e.conjStats(st, agg, preds)
+	_, h, err := e.estimates(e.statsConj(st, agg, preds))
 	return h, err
 }
 
 // AvgConjStats is AvgConj over sufficient statistics: the ratio of the sum
 // and count estimates with a delta-method interval.
 func (e *Estimator) AvgConjStats(st *Statistics, agg string, preds ...Predicate) (Estimate, error) {
-	return conjAvg(e.conjStats(st, agg, preds))
-}
-
-// DirectCountConjStats is the nominal conjunction count from the joint.
-func DirectCountConjStats(st *Statistics, preds ...Predicate) (float64, error) {
-	s, err := statsConj(st, "", preds, nominalWeight, false)
-	return s.count, err
-}
-
-// DirectSumConjStats is the nominal conjunction sum from the joint.
-func DirectSumConjStats(st *Statistics, agg string, preds ...Predicate) (float64, error) {
-	s, err := statsConj(st, agg, preds, nominalWeight, false)
-	return s.sum, err
-}
-
-// DirectAvgConjStats is the nominal conjunction average from the joint.
-func DirectAvgConjStats(st *Statistics, agg string, preds ...Predicate) (float64, error) {
-	return nominalAvg(statsConj(st, agg, preds, nominalWeight, false))
+	return conjAvg(e.estimates(e.statsConj(st, agg, preds)))
 }

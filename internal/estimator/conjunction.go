@@ -44,8 +44,8 @@ import (
 // built in one row pass per view on the resident path, converted once from
 // the recorded JointStats over statistics — through jointTable.fold, in
 // ascending code-tuple order, which over sorted dictionaries is the
-// sorted-value order. The nominal (Direct) answers fold the same table
-// with weights 1 and 0.
+// sorted-value order. The nominal estimator's identity channel weighs
+// every cell 1 or 0.
 
 // jointTable is the joint distribution of k discrete attributes, sorted by
 // name: its cells in ascending code-tuple order, each with its row count
@@ -233,11 +233,9 @@ func (c *ChannelCache) jointFor(attrs []string, ixs []*relation.DiscreteIndex, a
 	return t
 }
 
-// weightFunc resolves a predicate's weights: wTrue for a private value
-// that satisfies it, wFalse otherwise.
-type weightFunc func(Predicate) (wTrue, wFalse float64, err error)
-
-// conjWeight is the inverse-channel weight of the corrected estimators.
+// conjWeight is a conjunct's inverse-channel weight: wTrue for a private
+// value that satisfies it, wFalse otherwise (1 and 0 for the nominal
+// estimator).
 func (e *Estimator) conjWeight(pred Predicate) (wTrue, wFalse float64, err error) {
 	ch, err := e.channel(pred)
 	if err != nil {
@@ -249,13 +247,8 @@ func (e *Estimator) conjWeight(pred Predicate) (wTrue, wFalse float64, err error
 	return (1 - ch.tauN) / ch.denom, -ch.tauN / ch.denom, nil
 }
 
-// nominalWeight weights the rows the nominal (Direct) answers count: 1 on a
-// match, 0 otherwise.
-func nominalWeight(Predicate) (float64, float64, error) { return 1, 0, nil }
-
-// checkConj validates a conjunction's shape, shared by every source and by
-// the corrected and nominal answers: at least one predicate, and at most
-// one per attribute.
+// checkConj validates a conjunction's shape, shared by every source: at
+// least one predicate, and at most one per attribute.
 func checkConj(preds []Predicate) error {
 	if len(preds) == 0 {
 		return fmt.Errorf("estimator: conjunction needs at least one predicate")
@@ -286,9 +279,9 @@ func codeWeights(ix *relation.DiscreteIndex, pred Predicate, wTrue, wFalse float
 
 // residentConj validates a conjunction over rel, resolves each conjunct's
 // weights and dictionary in the given order, and folds the joint table of
-// its attributes (sorted by name): the count terms only when agg is "".
-// nonEmpty rejects an empty relation (the corrected estimators need S > 0).
-func residentConj(c *ChannelCache, rel *relation.Relation, agg string, preds []Predicate, weight weightFunc, nonEmpty bool) (conjSums, error) {
+// its attributes (sorted by name): the count terms only when agg is "". An
+// empty relation is rejected: the intervals need S > 0.
+func (e *Estimator) residentConj(rel *relation.Relation, agg string, preds []Predicate) (conjSums, error) {
 	if err := checkConj(preds); err != nil {
 		return conjSums{}, err
 	}
@@ -299,7 +292,7 @@ func residentConj(c *ChannelCache, rel *relation.Relation, agg string, preds []P
 	}
 	terms := make([]term, len(preds))
 	for i, pred := range preds {
-		wTrue, wFalse, err := weight(pred)
+		wTrue, wFalse, err := e.conjWeight(pred)
 		if err != nil {
 			return conjSums{}, err
 		}
@@ -311,7 +304,7 @@ func residentConj(c *ChannelCache, rel *relation.Relation, agg string, preds []P
 		}
 		terms[i] = term{pred.Attr, ix, codeWeights(ix, pred, wTrue, wFalse)}
 	}
-	if nonEmpty && rel.NumRows() == 0 {
+	if rel.NumRows() == 0 {
 		return conjSums{}, fmt.Errorf("estimator: empty relation")
 	}
 	var col []float64
@@ -328,13 +321,16 @@ func residentConj(c *ChannelCache, rel *relation.Relation, agg string, preds []P
 	for i, t := range terms {
 		attrs[i], ixs[i], ws[i] = t.attr, t.ix, t.w
 	}
-	t := c.jointFor(attrs, ixs, agg, col)
+	t := e.Cache.jointFor(attrs, ixs, agg, col)
 	return t.fold(ws, t.x, rel.NumRows()), nil
 }
 
 // estimates turns folded conjunction sums into the count and sum
-// estimates with their CLT intervals.
-func (e *Estimator) estimates(s conjSums) (c, h Estimate, err error) {
+// estimates with their CLT intervals, passing on a fold's error.
+func (e *Estimator) estimates(s conjSums, err error) (c, h Estimate, _ error) {
+	if err != nil {
+		return Estimate{}, Estimate{}, err
+	}
 	z, err := stats.ZScore(e.confidence())
 	if err != nil {
 		return Estimate{}, Estimate{}, err
@@ -355,62 +351,24 @@ func conjAvg(c, h Estimate, err error) (Estimate, error) {
 	return Estimate{Value: v, CI: ratioCI(v, h, c)}, nil
 }
 
-// conj answers a resident conjunction's count and (when agg is not "") sum.
-func (e *Estimator) conj(rel *relation.Relation, agg string, preds []Predicate) (c, h Estimate, err error) {
-	s, err := residentConj(e.Cache, rel, agg, preds, e.conjWeight, true)
-	if err != nil {
-		return Estimate{}, Estimate{}, err
-	}
-	return e.estimates(s)
-}
-
 // CountConj estimates count(1) under the conjunction of the given
 // single-attribute predicates (each on a distinct discrete attribute).
 // With one predicate it coincides with Count up to the confidence-interval
 // formula.
 func (e *Estimator) CountConj(rel *relation.Relation, preds ...Predicate) (Estimate, error) {
-	c, _, err := e.conj(rel, "", preds)
+	c, _, err := e.estimates(e.residentConj(rel, "", preds))
 	return c, err
 }
 
 // SumConj estimates sum(agg) under the conjunction of the given
 // predicates.
 func (e *Estimator) SumConj(rel *relation.Relation, agg string, preds ...Predicate) (Estimate, error) {
-	_, h, err := e.conj(rel, agg, preds)
+	_, h, err := e.estimates(e.residentConj(rel, agg, preds))
 	return h, err
 }
 
 // AvgConj estimates avg(agg) under the conjunction as the ratio of SumConj
 // and CountConj with a delta-method interval, both read from one fold.
 func (e *Estimator) AvgConj(rel *relation.Relation, agg string, preds ...Predicate) (Estimate, error) {
-	return conjAvg(e.conj(rel, agg, preds))
-}
-
-// DirectCountConj is the nominal conjunction count: the joint table folded
-// with weights 1 and 0.
-func DirectCountConj(rel *relation.Relation, preds ...Predicate) (float64, error) {
-	s, err := residentConj(nil, rel, "", preds, nominalWeight, false)
-	return s.count, err
-}
-
-// DirectSumConj is the nominal conjunction sum, folded per joint cell.
-func DirectSumConj(rel *relation.Relation, agg string, preds ...Predicate) (float64, error) {
-	s, err := residentConj(nil, rel, agg, preds, nominalWeight, false)
-	return s.sum, err
-}
-
-// DirectAvgConj is the nominal conjunction average.
-func DirectAvgConj(rel *relation.Relation, agg string, preds ...Predicate) (float64, error) {
-	return nominalAvg(residentConj(nil, rel, agg, preds, nominalWeight, false))
-}
-
-// nominalAvg is the nominal conjunction average of a nominal fold.
-func nominalAvg(s conjSums, err error) (float64, error) {
-	if err != nil {
-		return 0, err
-	}
-	if s.count == 0 {
-		return 0, fmt.Errorf("estimator: no rows satisfy the conjunction")
-	}
-	return s.sum / s.count, nil
+	return conjAvg(e.estimates(e.residentConj(rel, agg, preds)))
 }

@@ -54,28 +54,29 @@ func conjRel(t *testing.T) *relation.Relation {
 func TestDirectConjunction(t *testing.T) {
 	r := conjRel(t)
 	preds := []Predicate{Eq("major", "ME"), Eq("section", "1")}
-	c, err := DirectCountConj(r, preds...)
-	if err != nil || c != 300 {
+	d := new(Estimator).Nominal()
+	c, err := d.CountConj(r, preds...)
+	if err != nil || c.Value != 300 {
 		t.Fatalf("count = %v, %v", c, err)
 	}
-	s, err := DirectSumConj(r, "score", preds...)
-	if err != nil || s != 1200 {
+	s, err := d.SumConj(r, "score", preds...)
+	if err != nil || s.Value != 1200 {
 		t.Fatalf("sum = %v, %v", s, err)
 	}
-	a, err := DirectAvgConj(r, "score", preds...)
-	if err != nil || a != 4 {
+	a, err := d.AvgConj(r, "score", preds...)
+	if err != nil || a.Value != 4 {
 		t.Fatalf("avg = %v, %v", a, err)
 	}
-	if _, err := DirectAvgConj(r, "score", Eq("major", "nope"), Eq("section", "1")); err == nil {
+	if _, err := d.AvgConj(r, "score", Eq("major", "nope"), Eq("section", "1")); err == nil {
 		t.Fatal("want error for empty conjunction")
 	}
-	if _, err := DirectCountConj(r); err == nil {
+	if _, err := d.CountConj(r); err == nil {
 		t.Fatal("want error for no predicates")
 	}
-	if _, err := DirectCountConj(r, Eq("nope", "x")); err == nil {
+	if _, err := d.CountConj(r, Eq("nope", "x")); err == nil {
 		t.Fatal("want error for unknown attribute")
 	}
-	if _, err := DirectSumConj(r, "nope", preds...); err == nil {
+	if _, err := d.SumConj(r, "nope", preds...); err == nil {
 		t.Fatal("want error for unknown aggregate")
 	}
 }
@@ -106,11 +107,11 @@ func TestConjunctionUnbiased(t *testing.T) {
 			t.Fatal(err)
 		}
 		hAcc += h.Value
-		d, err := DirectCountConj(v, preds...)
+		d, err := est.Nominal().CountConj(v, preds...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cDirectAcc += d
+		cDirectAcc += d.Value
 	}
 	cMean := cAcc / trials
 	hMean := hAcc / trials
@@ -204,8 +205,8 @@ func TestConjunctionErrors(t *testing.T) {
 }
 
 // The nominal conjunctions validate like the corrected ones: two
-// predicates on one attribute are refused, where the Direct family used to
-// intersect them into a count of zero.
+// predicates on one attribute are refused, where nominal conjunctions used
+// to intersect them into a count of zero.
 func TestDirectConjRejectsRepeatedAttribute(t *testing.T) {
 	r := conjRel(t)
 	est := &Estimator{Meta: &privacy.ViewMeta{Discrete: map[string]privacy.DiscreteMeta{
@@ -216,16 +217,17 @@ func TestDirectConjRejectsRepeatedAttribute(t *testing.T) {
 	if want == nil {
 		t.Fatal("CountConj accepted two predicates on one attribute")
 	}
-	_, err1 := DirectCountConj(r, preds...)
-	_, err2 := DirectSumConj(r, "score", preds...)
-	_, err3 := DirectAvgConj(r, "score", preds...)
+	d := est.Nominal()
+	_, err1 := d.CountConj(r, preds...)
+	_, err2 := d.SumConj(r, "score", preds...)
+	_, err3 := d.AvgConj(r, "score", preds...)
 	for i, err := range []error{err1, err2, err3} {
 		if err == nil || err.Error() != want.Error() {
 			t.Errorf("Direct conjunction %d: error %v, want %v", i, err, want)
 		}
 	}
-	if _, err := DirectCountConj(r); err == nil {
-		t.Error("DirectCountConj accepted no predicates")
+	if _, err := d.CountConj(r); err == nil {
+		t.Error("nominal CountConj accepted no predicates")
 	}
 }
 

@@ -4,10 +4,6 @@
 // Two estimators are provided for sum/count/avg queries with a
 // single-discrete-attribute predicate:
 //
-//   - Direct: run the query on the private relation and report the nominal
-//     result. Unbiased without a predicate (GRR noise is zero-mean) but
-//     biased by Õ(privacy·(skew+merge)) with one (Proposition 2).
-//
 //   - PrivateClean: the bias-corrected estimator. Randomized response makes
 //     a predicate's truth a noisy channel with deterministic flip
 //     probabilities τ_p = (1-p) + p·l/N (true positive) and τ_n = p·l/N
@@ -17,6 +13,11 @@
 //     estimators; avg is their conditionally-unbiased ratio (Eq. 7). After
 //     cleaning, l is recovered from the value provenance graph as a
 //     (weighted) vertex cut (Sections 6.3, 7.2).
+//
+//   - Direct: run the query on the private relation and report the nominal
+//     result. Unbiased without a predicate (GRR noise is zero-mean) but
+//     biased by Õ(privacy·(skew+merge)) with one (Proposition 2). It is the
+//     corrected estimator at p = 0, the identity channel (Nominal).
 //
 // All estimates carry CLT confidence intervals per Section 5.
 package estimator
@@ -56,43 +57,6 @@ func (e Estimate) Hi() float64 { return e.Value + e.CI }
 // String renders the estimate as "value ± ci".
 func (e Estimate) String() string { return fmt.Sprintf("%.6g ± %.3g", e.Value, e.CI) }
 
-// DirectCount returns the nominal count of rows satisfying pred — the
-// baseline estimator the paper calls Direct.
-func DirectCount(rel *relation.Relation, pred Predicate) (float64, error) {
-	ix, err := rel.DiscreteIndex(pred.Attr)
-	if err != nil {
-		return 0, err
-	}
-	return float64(countSelection(ix, compileSelection(ix, pred))), nil
-}
-
-// DirectSum returns the nominal sum of agg over rows satisfying pred.
-func DirectSum(rel *relation.Relation, agg string, pred Predicate) (float64, error) {
-	ix, a, err := perCode(nil, rel, pred.Attr, agg)
-	if err != nil {
-		return 0, err
-	}
-	m, _ := a.fold(compileSelection(ix, pred))
-	return m, nil
-}
-
-// DirectAvg returns the nominal mean of agg over rows satisfying pred.
-// With zero matching rows it returns an error.
-func DirectAvg(rel *relation.Relation, agg string, pred Predicate) (float64, error) {
-	c, err := DirectCount(rel, pred)
-	if err != nil {
-		return 0, err
-	}
-	if c == 0 {
-		return 0, fmt.Errorf("estimator: no rows satisfy %s", pred)
-	}
-	s, err := DirectSum(rel, agg, pred)
-	if err != nil {
-		return 0, err
-	}
-	return s / c, nil
-}
-
 // Estimator is the PrivateClean bias-corrected estimator, parameterized by
 // the view metadata released with the private relation and (optionally) the
 // provenance recorded while cleaning it.
@@ -117,6 +81,19 @@ type Estimator struct {
 	// in-place numeric write is not. The cache itself is safe for
 	// concurrent use.
 	Cache *ChannelCache
+
+	nominal bool // the identity channel; see Nominal
+}
+
+// Nominal returns the Direct estimator: the query run as-is on the private
+// data. It is the corrected estimator over the identity channel (p = 0, so
+// τ_n = 0 and τ_p − τ_n = 1), under which Eq. 3/5/7 return the private
+// count, sum and average and var keeps the injected noise (b = 0). Every
+// entry point answers as e's does, without Meta or Prov, so it also
+// evaluates a query exactly on a non-private relation. It shares e's Cache
+// and Confidence; its channels are never cached.
+func (e *Estimator) Nominal() *Estimator {
+	return &Estimator{Cache: e.Cache, Confidence: e.Confidence, nominal: true}
 }
 
 // channel resolves everything the corrected estimators need about a
@@ -125,8 +102,12 @@ type Estimator struct {
 // the mechanism's inversion constants (tauN, denom) at that point. With a
 // Cache attached, resolved channels are served read-through (the resolution
 // walks the provenance graph, so a resident server amortizes it across
-// requests).
+// requests). The nominal channel is the identity, resolved before the
+// cache so it never enters it.
 func (e *Estimator) channel(pred Predicate) (channelVal, error) {
+	if e.nominal {
+		return channelVal{denom: 1}, nil
+	}
 	key, cacheable := predCacheKey(pred)
 	if cacheable && e.Cache != nil {
 		if ch, ok := e.Cache.getChannel(key); ok {
@@ -223,11 +204,12 @@ func (e *Estimator) Count(rel *relation.Relation, pred Predicate) (Estimate, err
 	if err != nil {
 		return Estimate{}, err
 	}
-	cPriv, err := DirectCount(rel, pred)
+	ix, err := rel.DiscreteIndex(pred.Attr)
 	if err != nil {
 		return Estimate{}, err
 	}
-	return e.countEstimate(ch, cPriv, float64(rel.NumRows()))
+	cPriv := countSelection(ix, compileSelection(ix, pred))
+	return e.countEstimate(ch, float64(cPriv), float64(rel.NumRows()))
 }
 
 // countEstimate is the Eq. 3 scalar math, shared by the relation-backed and
@@ -287,12 +269,23 @@ func (e *Estimator) sumInputs(rel *relation.Relation, agg string, pred Predicate
 	if rel.NumRows() == 0 {
 		return 0, 0, 0, 0, 0, fmt.Errorf("estimator: empty relation")
 	}
-	if muP, varP, err = a.moments(); err != nil {
+	if muP, varP, err = e.spread(a.moments()); err != nil {
 		return 0, 0, 0, 0, 0, err
 	}
 	sel := compileSelection(ix, pred)
 	hp, hpc = a.fold(sel)
 	return hp, hpc, float64(countSelection(ix, sel)), muP, varP, nil
+}
+
+// spread passes on the aggregate column's mean and variance, which scale a
+// sum's interval. A column with no non-NaN cell has neither: the corrected
+// estimators refuse it, while the query run as-is sums nothing there, so
+// the nominal estimator answers it with a zero spread.
+func (e *Estimator) spread(mean, variance float64, err error) (float64, float64, error) {
+	if e.nominal && errors.Is(err, stats.ErrEmpty) {
+		return 0, 0, nil
+	}
+	return mean, variance, err
 }
 
 // sumEstimate is the Eq. 5 scalar math, shared by the relation-backed and
@@ -465,20 +458,6 @@ func (e *Estimator) GroupCounts(rel *relation.Relation, attr string) (map[string
 	return out, nil
 }
 
-// DirectGroupCounts returns the nominal per-group counts (the Direct
-// baseline for GroupCounts).
-func DirectGroupCounts(rel *relation.Relation, attr string) (map[string]float64, error) {
-	counts, err := rel.ValueCounts(attr)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64, len(counts))
-	for v, c := range counts {
-		out[v] = float64(c)
-	}
-	return out, nil
-}
-
 // GroupSums estimates sum(agg) ... GROUP BY attr: one corrected sum per
 // distinct value of attr in the (cleaned) private relation, every group
 // read from one per-code aggregate table.
@@ -551,7 +530,7 @@ func (e *Estimator) groupPass(rel *relation.Relation, attr, agg string) (*groupP
 	if rel.NumRows() == 0 {
 		return nil, fmt.Errorf("estimator: empty relation")
 	}
-	mean, varP, err := a.moments()
+	mean, varP, err := e.spread(a.moments())
 	if err != nil {
 		return nil, err
 	}
@@ -567,50 +546,4 @@ func (e *Estimator) groupSumEstimate(g *groupPass, code int, v, attr string) (Es
 	}
 	hp := g.a.sums[code]
 	return e.sumEstimate(ch, hp, g.a.total-hp, float64(g.counts[code]), g.rows, g.mean, g.varP)
-}
-
-// DirectGroupSums returns the nominal per-group sums.
-func DirectGroupSums(rel *relation.Relation, attr, agg string) (map[string]float64, error) {
-	col, err := rel.Discrete(attr)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := rel.Numeric(agg)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64)
-	for i, v := range col {
-		if !math.IsNaN(vals[i]) {
-			out[v] += vals[i]
-		}
-	}
-	return out, nil
-}
-
-// DirectGroupAvgs returns the nominal per-group means.
-func DirectGroupAvgs(rel *relation.Relation, attr, agg string) (map[string]float64, error) {
-	col, err := rel.Discrete(attr)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := rel.Numeric(agg)
-	if err != nil {
-		return nil, err
-	}
-	sums := make(map[string]float64)
-	counts := make(map[string]float64)
-	for i, v := range col {
-		if !math.IsNaN(vals[i]) {
-			sums[v] += vals[i]
-			counts[v]++
-		}
-	}
-	out := make(map[string]float64, len(sums))
-	for v, s := range sums {
-		if counts[v] > 0 {
-			out[v] = s / counts[v]
-		}
-	}
-	return out, nil
 }

@@ -72,25 +72,26 @@ func TestPredicateHelpers(t *testing.T) {
 
 func TestDirectEstimators(t *testing.T) {
 	r := skewedRel(t)
-	c, err := DirectCount(r, Eq("category", "b"))
-	if err != nil || c != 300 {
-		t.Fatalf("DirectCount = %v, %v", c, err)
+	d := new(Estimator).Nominal()
+	c, err := d.Count(r, Eq("category", "b"))
+	if err != nil || c.Value != 300 {
+		t.Fatalf("nominal Count = %v, %v", c, err)
 	}
-	s, err := DirectSum(r, "value", Eq("category", "b"))
-	if err != nil || s != 6000 {
-		t.Fatalf("DirectSum = %v, %v", s, err)
+	s, err := d.Sum(r, "value", Eq("category", "b"))
+	if err != nil || s.Value != 6000 {
+		t.Fatalf("nominal Sum = %v, %v", s, err)
 	}
-	a, err := DirectAvg(r, "value", Eq("category", "b"))
-	if err != nil || a != 20 {
-		t.Fatalf("DirectAvg = %v, %v", a, err)
+	a, err := d.Avg(r, "value", Eq("category", "b"))
+	if err != nil || a.Value != 20 {
+		t.Fatalf("nominal Avg = %v, %v", a, err)
 	}
-	if _, err := DirectAvg(r, "value", Eq("category", "zzz")); err == nil {
+	if _, err := d.Avg(r, "value", Eq("category", "zzz")); err == nil {
 		t.Fatal("want error for empty predicate")
 	}
-	if _, err := DirectCount(r, Eq("nope", "b")); err == nil {
+	if _, err := d.Count(r, Eq("nope", "b")); err == nil {
 		t.Fatal("want error for unknown attribute")
 	}
-	if _, err := DirectSum(r, "nope", Eq("category", "b")); err == nil {
+	if _, err := d.Sum(r, "nope", Eq("category", "b")); err == nil {
 		t.Fatal("want error for unknown aggregate")
 	}
 }
@@ -102,8 +103,8 @@ func TestDirectSumSkipsNaN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := DirectSum(r, "value", Eq("category", "a"))
-	if err != nil || s != 4 {
+	s, err := new(Estimator).Nominal().Sum(r, "value", Eq("category", "a"))
+	if err != nil || s.Value != 4 {
 		t.Fatalf("sum = %v, %v", s, err)
 	}
 }
@@ -145,11 +146,11 @@ func TestCountUnbiased(t *testing.T) {
 			t.Fatal(err)
 		}
 		pcSum += got.Value
-		d, err := DirectCount(v, pred)
+		d, err := est.Nominal().Count(v, pred)
 		if err != nil {
 			t.Fatal(err)
 		}
-		directSum += d
+		directSum += d.Value
 	}
 	pcMean := pcSum / trials
 	directMean := directSum / trials
@@ -178,11 +179,11 @@ func TestSumUnbiased(t *testing.T) {
 			t.Fatal(err)
 		}
 		pcSum += got.Value
-		d, err := DirectSum(v, "value", pred)
+		d, err := est.Nominal().Sum(v, "value", pred)
 		if err != nil {
 			t.Fatal(err)
 		}
-		directSum += d
+		directSum += d.Value
 	}
 	pcMean := pcSum / trials
 	directMean := directSum / trials
@@ -387,10 +388,11 @@ func TestCountAfterMergeUsesProvenance(t *testing.T) {
 	if err := cleaning.Apply(&cleaning.Context{Rel: rClean}, merge); err != nil {
 		t.Fatal(err)
 	}
-	truth, err := DirectCount(rClean, Eq("category", "e"))
-	if err != nil || truth != 50 {
-		t.Fatalf("truth = %v, %v", truth, err)
+	count, err := new(Estimator).Nominal().Count(rClean, Eq("category", "e"))
+	if err != nil || count.Value != 50 {
+		t.Fatalf("truth = %v, %v", count, err)
 	}
+	truth := count.Value
 
 	const trials = 400
 	var pcAcc, npAcc float64
@@ -538,13 +540,13 @@ func TestGroupCounts(t *testing.T) {
 	if math.Abs(total-1000) > 100 {
 		t.Fatalf("group counts total = %v, want ~1000", total)
 	}
-	direct, err := DirectGroupCounts(v, "category")
+	direct, err := est.Nominal().GroupCounts(v, "category")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dTotal := 0.0
 	for _, c := range direct {
-		dTotal += c
+		dTotal += c.Value
 	}
 	if dTotal != 1000 {
 		t.Fatalf("direct group counts total = %v", dTotal)
@@ -552,7 +554,7 @@ func TestGroupCounts(t *testing.T) {
 	if _, err := est.GroupCounts(v, "nope"); err == nil {
 		t.Fatal("want error for unknown attribute")
 	}
-	if _, err := DirectGroupCounts(v, "nope"); err == nil {
+	if _, err := est.Nominal().GroupCounts(v, "nope"); err == nil {
 		t.Fatal("want error for unknown attribute")
 	}
 }

@@ -39,12 +39,12 @@ func ExampleEstimator_Count() {
 			log.Fatal(err)
 		}
 		pred := estimator.Eq("major", "Rare")
-		d, err := estimator.DirectCount(v, pred)
+		est := estimator.Estimator{Meta: meta}
+		d, err := est.Nominal().Count(v, pred)
 		if err != nil {
 			log.Fatal(err)
 		}
-		direct += d
-		est := estimator.Estimator{Meta: meta}
+		direct += d.Value
 		c, err := est.Count(v, pred)
 		if err != nil {
 			log.Fatal(err)

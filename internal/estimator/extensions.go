@@ -84,12 +84,16 @@ func (e *Estimator) Percentile(rel *relation.Relation, agg string, pred Predicat
 // independent x, y). The estimate is clamped at 0: sampling noise can push
 // the raw difference slightly negative for near-constant columns.
 func (e *Estimator) Var(rel *relation.Relation, agg string, pred Predicate) (Estimate, error) {
-	if e.Meta == nil {
-		return Estimate{}, fmt.Errorf("estimator: nil view metadata")
-	}
-	nm, ok := e.Meta.Numeric[agg]
-	if !ok {
-		return Estimate{}, fmt.Errorf("estimator: no numeric metadata for attribute %q", agg)
+	b := 0.0 // the nominal estimator keeps the noise variance
+	if !e.nominal {
+		if e.Meta == nil {
+			return Estimate{}, fmt.Errorf("estimator: nil view metadata")
+		}
+		nm, ok := e.Meta.Numeric[agg]
+		if !ok {
+			return Estimate{}, fmt.Errorf("estimator: no numeric metadata for attribute %q", agg)
+		}
+		b = nm.B
 	}
 	n, raw, m4, err := matchedMoments(e.Cache, rel, agg, pred)
 	if err != nil {
@@ -101,7 +105,7 @@ func (e *Estimator) Var(rel *relation.Relation, agg string, pred Predicate) (Est
 	// raw is the second central moment of the matched cells — stats.Variance's
 	// value up to re-association — and m4 the fourth, which the CLT interval
 	// for a sample variance needs: sd ~= sqrt((m4 - raw^2)/n).
-	v := raw - stats.LaplaceVariance(nm.B)
+	v := raw - stats.LaplaceVariance(b)
 	if v < 0 {
 		v = 0
 	}
@@ -126,34 +130,4 @@ func (e *Estimator) Std(rel *relation.Relation, agg string, pred Predicate) (Est
 		ci = v.CI / (2 * sd)
 	}
 	return Estimate{Value: sd, CI: ci}, nil
-}
-
-// DirectMedian is the uncorrected baseline median.
-func DirectMedian(rel *relation.Relation, agg string, pred Predicate) (float64, error) {
-	return DirectPercentile(rel, agg, pred, 0.5)
-}
-
-// DirectPercentile is the uncorrected baseline q-th quantile.
-func DirectPercentile(rel *relation.Relation, agg string, pred Predicate, q float64) (float64, error) {
-	vals, err := sortedMatched(nil, rel, agg, pred)
-	if err != nil {
-		return 0, err
-	}
-	if len(vals) == 0 {
-		return 0, fmt.Errorf("estimator: no rows satisfy %s", pred)
-	}
-	return stats.QuantileSorted(vals, q)
-}
-
-// DirectVar is the uncorrected baseline variance (it includes the injected
-// noise variance 2b²).
-func DirectVar(rel *relation.Relation, agg string, pred Predicate) (float64, error) {
-	n, raw, _, err := matchedMoments(nil, rel, agg, pred)
-	if err != nil {
-		return 0, err
-	}
-	if n < 2 {
-		return 0, fmt.Errorf("estimator: variance needs >= 2 rows, have %d", int(n))
-	}
-	return raw, nil
 }

@@ -37,7 +37,7 @@ func gaussRel(t *testing.T, seed int64) *relation.Relation {
 
 func TestMedianRecoversTrueMedian(t *testing.T) {
 	r := gaussRel(t, 1)
-	truth, err := DirectMedian(r, "value", Eq("category", "a"))
+	truth, err := new(Estimator).Nominal().Median(r, "value", Eq("category", "a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +49,8 @@ func TestMedianRecoversTrueMedian(t *testing.T) {
 	}
 	// Laplace noise has median zero; the sample median should sit near the
 	// truth despite b=4 noise (sd ~5.7).
-	if math.Abs(got.Value-truth) > 2.5 {
-		t.Fatalf("median = %v, truth %v", got.Value, truth)
+	if math.Abs(got.Value-truth.Value) > 2.5 {
+		t.Fatalf("median = %v, truth %v", got.Value, truth.Value)
 	}
 	if got.CI <= 0 {
 		t.Fatal("median CI should be positive")
@@ -92,7 +92,7 @@ func TestPercentileBoundsAndErrors(t *testing.T) {
 
 func TestVarCorrectsNoise(t *testing.T) {
 	r := gaussRel(t, 5)
-	truth, err := DirectVar(r, "value", Eq("category", "b"))
+	truth, err := new(Estimator).Nominal().Var(r, "value", Eq("category", "b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,17 +104,17 @@ func TestVarCorrectsNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := DirectVar(v, "value", Eq("category", "b"))
+	raw, err := est.Nominal().Var(v, "value", Eq("category", "b"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Raw variance includes the 2b² = 72 noise variance; corrected should
 	// land near the truth.
-	if raw < truth+40 {
-		t.Fatalf("raw variance %v should be inflated well above truth %v", raw, truth)
+	if raw.Value < truth.Value+40 {
+		t.Fatalf("raw variance %v should be inflated well above truth %v", raw.Value, truth.Value)
 	}
-	if math.Abs(corrected.Value-truth) > truth*0.6 {
-		t.Fatalf("corrected variance %v, truth %v", corrected.Value, truth)
+	if math.Abs(corrected.Value-truth.Value) > truth.Value*0.6 {
+		t.Fatalf("corrected variance %v, truth %v", corrected.Value, truth.Value)
 	}
 }
 
@@ -181,10 +181,10 @@ func TestVarErrors(t *testing.T) {
 	if _, err := est.Std(v, "value", Eq("category", "zzz")); err == nil {
 		t.Fatal("want error propagated through Std")
 	}
-	if _, err := DirectVar(v, "value", Eq("category", "zzz")); err == nil {
+	if _, err := est.Nominal().Var(v, "value", Eq("category", "zzz")); err == nil {
 		t.Fatal("want error for direct variance of empty selection")
 	}
-	if _, err := DirectMedian(v, "value", Eq("category", "zzz")); err == nil {
+	if _, err := est.Nominal().Median(v, "value", Eq("category", "zzz")); err == nil {
 		t.Fatal("want error for direct median of empty selection")
 	}
 }

@@ -64,24 +64,25 @@ func TestGroupAvgs(t *testing.T) {
 
 func TestDirectGroupSumsAndAvgs(t *testing.T) {
 	r := skewedRel(t)
-	sums, err := DirectGroupSums(r, "category", "value")
-	if err != nil || sums["a"] != 5000 || sums["e"] != 500 {
+	d := new(Estimator).Nominal()
+	sums, err := d.GroupSums(r, "category", "value")
+	if err != nil || sums["a"].Value != 5000 || sums["e"].Value != 500 {
 		t.Fatalf("sums = %v, %v", sums, err)
 	}
-	avgs, err := DirectGroupAvgs(r, "category", "value")
-	if err != nil || avgs["a"] != 10 || avgs["e"] != 50 {
+	avgs, err := d.GroupAvgs(r, "category", "value")
+	if err != nil || avgs["a"].Value != 10 || avgs["e"].Value != 50 {
 		t.Fatalf("avgs = %v, %v", avgs, err)
 	}
-	if _, err := DirectGroupSums(r, "nope", "value"); err == nil {
+	if _, err := d.GroupSums(r, "nope", "value"); err == nil {
 		t.Fatal("want error")
 	}
-	if _, err := DirectGroupSums(r, "category", "nope"); err == nil {
+	if _, err := d.GroupSums(r, "category", "nope"); err == nil {
 		t.Fatal("want error")
 	}
-	if _, err := DirectGroupAvgs(r, "nope", "value"); err == nil {
+	if _, err := d.GroupAvgs(r, "nope", "value"); err == nil {
 		t.Fatal("want error")
 	}
-	if _, err := DirectGroupAvgs(r, "category", "nope"); err == nil {
+	if _, err := d.GroupAvgs(r, "category", "nope"); err == nil {
 		t.Fatal("want error")
 	}
 }

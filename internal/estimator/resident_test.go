@@ -192,9 +192,11 @@ func residentConjs(p Predicate) [][]Predicate {
 	}
 }
 
-// residentTranscript evaluates every resident family through the estimator.
+// residentTranscript evaluates every resident family through the estimator,
+// and the Direct values ("d" keys) through its nominal twin.
 func residentTranscript(e *Estimator, rel *relation.Relation, preds []Predicate) transcript {
 	tr := transcript{}
+	n := e.Nominal()
 	for i, p := range preds {
 		k := fmt.Sprintf("/p%d", i)
 		c, err := e.Count(rel, p)
@@ -205,18 +207,18 @@ func residentTranscript(e *Estimator, rel *relation.Relation, preds []Predicate)
 		tr.est("avg"+k, a, err)
 		s, err = e.SumIgnoringFalsePositives(rel, "x", p)
 		tr.est("sumfp"+k, s, err)
-		d, err := DirectCount(rel, p)
-		tr.put("dcount"+k, err, d)
-		d, err = DirectSum(rel, "x", p)
-		tr.put("dsum"+k, err, d)
-		d, err = DirectAvg(rel, "x", p)
-		tr.put("davg"+k, err, d)
+		d, err := n.Count(rel, p)
+		tr.put("dcount"+k, err, d.Value)
+		d, err = n.Sum(rel, "x", p)
+		tr.put("dsum"+k, err, d.Value)
+		d, err = n.Avg(rel, "x", p)
+		tr.put("davg"+k, err, d.Value)
 		for _, q := range residentQs {
 			qk := fmt.Sprintf("%v%s", q, k)
 			v, err := e.Percentile(rel, "x", p, q)
 			tr.est("quantile/"+qk, v, err)
-			d, err := DirectPercentile(rel, "x", p, q)
-			tr.put("dquantile/"+qk, err, d)
+			d, err := n.Percentile(rel, "x", p, q)
+			tr.put("dquantile/"+qk, err, d.Value)
 		}
 		m, err := e.Median(rel, "x", p)
 		tr.est("median"+k, m, err)
@@ -224,8 +226,8 @@ func residentTranscript(e *Estimator, rel *relation.Relation, preds []Predicate)
 		tr.est("var"+k, v, err)
 		v, err = e.Std(rel, "x", p)
 		tr.est("std"+k, v, err)
-		d, err = DirectVar(rel, "x", p)
-		tr.put("dvar"+k, err, d)
+		d, err = n.Var(rel, "x", p)
+		tr.put("dvar"+k, err, d.Value)
 		for _, conj := range residentConjs(p) {
 			ck := fmt.Sprintf("%s/%d", k, len(conj))
 			c, err = e.CountConj(rel, conj...)
@@ -234,10 +236,10 @@ func residentTranscript(e *Estimator, rel *relation.Relation, preds []Predicate)
 			tr.est("conj-sum"+ck, s, err)
 			a, err = e.AvgConj(rel, "x", conj...)
 			tr.est("conj-avg"+ck, a, err)
-			d, err = DirectCountConj(rel, conj...)
-			tr.put("dconj-count"+ck, err, d)
-			d, err = DirectSumConj(rel, "x", conj...)
-			tr.put("dconj-sum"+ck, err, d)
+			d, err = n.CountConj(rel, conj...)
+			tr.put("dconj-count"+ck, err, d.Value)
+			d, err = n.SumConj(rel, "x", conj...)
+			tr.put("dconj-sum"+ck, err, d.Value)
 		}
 	}
 	tr.est("total-count", e.TotalCount(rel), nil)

@@ -52,26 +52,19 @@ type Moments struct {
 	SumSq float64 `json:"sumsq"`
 }
 
-// mean returns the NaN-skipping mean, with stats.ErrEmpty on no data.
-func (m Moments) mean() (float64, error) {
+// moments returns the NaN-skipping mean and the population variance from
+// the one-pass moments, clamped at zero against cancellation, with
+// stats.ErrEmpty on no data.
+func (m Moments) moments() (mean, variance float64, err error) {
 	if m.Count == 0 {
-		return 0, stats.ErrEmpty
+		return 0, 0, stats.ErrEmpty
 	}
-	return m.Sum / float64(m.Count), nil
-}
-
-// variance returns the population variance from the one-pass moments,
-// clamped at zero against cancellation.
-func (m Moments) variance() (float64, error) {
-	mu, err := m.mean()
-	if err != nil {
-		return 0, err
-	}
+	mu := m.Sum / float64(m.Count)
 	v := m.SumSq/float64(m.Count) - mu*mu
 	if v < 0 {
 		v = 0
 	}
-	return v, nil
+	return mu, v, nil
 }
 
 // ValueStats holds the marginals of one distinct value of a discrete
@@ -680,11 +673,7 @@ func (e *Estimator) SumStats(st *Statistics, agg string, pred Predicate) (Estima
 	if err != nil {
 		return Estimate{}, err
 	}
-	muP, err := m.mean()
-	if err != nil {
-		return Estimate{}, err
-	}
-	varP, err := m.variance()
+	muP, varP, err := e.spread(m.moments())
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -720,7 +709,7 @@ func (e *Estimator) TotalSumStats(st *Statistics, agg string) (Estimate, error) 
 	if err != nil {
 		return Estimate{}, err
 	}
-	varP, err := m.variance()
+	_, varP, err := m.moments()
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -738,11 +727,7 @@ func (e *Estimator) TotalAvgStats(st *Statistics, agg string) (Estimate, error) 
 	if err != nil {
 		return Estimate{}, err
 	}
-	mu, err := m.mean()
-	if err != nil {
-		return Estimate{}, err
-	}
-	varP, err := m.variance()
+	mu, varP, err := m.moments()
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -811,86 +796,6 @@ func (e *Estimator) GroupAvgsStats(st *Statistics, attr, agg string) (map[string
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("estimator: no group of %q has a nonzero estimated count", attr)
-	}
-	return out, nil
-}
-
-// DirectCountStats is DirectCount over sufficient statistics.
-func DirectCountStats(st *Statistics, pred Predicate) (float64, error) {
-	c, err := st.countMatches(pred)
-	return float64(c), err
-}
-
-// DirectSumStats is DirectSum over sufficient statistics.
-func DirectSumStats(st *Statistics, agg string, pred Predicate) (float64, error) {
-	m, _, err := st.sumMatches(agg, pred)
-	return m, err
-}
-
-// DirectAvgStats is DirectAvg over sufficient statistics.
-func DirectAvgStats(st *Statistics, agg string, pred Predicate) (float64, error) {
-	c, err := st.countMatches(pred)
-	if err != nil {
-		return 0, err
-	}
-	if c == 0 {
-		return 0, fmt.Errorf("estimator: no rows satisfy %s", pred)
-	}
-	s, err := DirectSumStats(st, agg, pred)
-	if err != nil {
-		return 0, err
-	}
-	return s / float64(c), nil
-}
-
-// DirectGroupCountsStats returns the nominal per-group counts from
-// statistics.
-func DirectGroupCountsStats(st *Statistics, attr string) (map[string]float64, error) {
-	vs, ok := st.Discrete[attr]
-	if !ok {
-		return nil, fmt.Errorf("estimator: no statistics for discrete attribute %q", attr)
-	}
-	out := make(map[string]float64, len(vs))
-	for v, s := range vs {
-		out[v] = float64(s.Count)
-	}
-	return out, nil
-}
-
-// DirectGroupSumsStats returns the nominal per-group sums of agg from
-// statistics.
-func DirectGroupSumsStats(st *Statistics, attr, agg string) (map[string]float64, error) {
-	vs, ok := st.Discrete[attr]
-	if !ok {
-		return nil, fmt.Errorf("estimator: no statistics for discrete attribute %q", attr)
-	}
-	if _, err := st.moments(agg); err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64, len(vs))
-	for v, s := range vs {
-		out[v] = s.Sums[agg]
-	}
-	return out, nil
-}
-
-// DirectGroupAvgsStats returns the nominal per-group averages of agg from
-// statistics: the per-value sum over the per-value row count, mirroring
-// DirectAvgStats (the store keeps no per-value non-NaN cell counts). Empty
-// groups are omitted.
-func DirectGroupAvgsStats(st *Statistics, attr, agg string) (map[string]float64, error) {
-	vs, ok := st.Discrete[attr]
-	if !ok {
-		return nil, fmt.Errorf("estimator: no statistics for discrete attribute %q", attr)
-	}
-	if _, err := st.moments(agg); err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64, len(vs))
-	for v, s := range vs {
-		if s.Count > 0 {
-			out[v] = s.Sums[agg] / float64(s.Count)
-		}
 	}
 	return out, nil
 }

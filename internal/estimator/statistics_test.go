@@ -86,15 +86,15 @@ func TestStatsEstimatorsMatchRelation(t *testing.T) {
 			}
 			estClose(t, "avg "+pred.String(), gotA, wantA)
 
-			wantD, err := DirectCount(v, pred)
+			wantD, err := est.Nominal().Count(v, pred)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotD, err := DirectCountStats(st, pred)
+			gotD, err := est.Nominal().CountStats(st, pred)
 			if err != nil {
 				t.Fatal(err)
 			}
-			relClose(t, "direct count "+pred.String(), gotD, wantD)
+			relClose(t, "direct count "+pred.String(), gotD.Value, wantD.Value)
 		}
 
 		if got := est.TotalCountStats(st); got != est.TotalCount(v) {
@@ -158,16 +158,16 @@ func TestStatsEstimatorsMatchRelation(t *testing.T) {
 		for k, want := range wantGA {
 			estClose(t, "group avg "+k, gotGA[k], want)
 		}
-		wantDG, err := DirectGroupCounts(v, "category")
+		wantDG, err := est.Nominal().GroupCounts(v, "category")
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotDG, err := DirectGroupCountsStats(st, "category")
+		gotDG, err := est.Nominal().GroupCountsStats(st, "category")
 		if err != nil {
 			t.Fatal(err)
 		}
 		for k, want := range wantDG {
-			relClose(t, "direct group "+k, gotDG[k], want)
+			relClose(t, "direct group "+k, gotDG[k].Value, want.Value)
 		}
 	}
 }
@@ -262,7 +262,7 @@ func TestStatsMissingAttributes(t *testing.T) {
 	if _, err := est.SumStats(st, "nope", Eq("category", "a")); err == nil {
 		t.Fatal("want error for unknown aggregate")
 	}
-	if _, err := DirectCountStats(st, Predicate{Attr: "nope"}); err == nil {
+	if _, err := est.Nominal().CountStats(st, Predicate{Attr: "nope"}); err == nil {
 		t.Fatal("want error for unknown attribute")
 	}
 	if _, err := est.GroupCountsStats(st, "nope"); err == nil {

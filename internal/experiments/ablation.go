@@ -52,7 +52,7 @@ func AblationSumComplement(cfg Config) (*Table, error) {
 			}
 			domain := meta.Discrete["category"].Domain
 			pred := estimator.In("category", pickValues(rng, domain, cfg.L)...)
-			truth, err := estimator.DirectSum(r, "value", pred)
+			truth, err := exact.Sum(r, "value", pred)
 			if err != nil {
 				return nil, err
 			}
@@ -65,13 +65,13 @@ func AblationSumComplement(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			direct, err := estimator.DirectSum(v, "value", pred)
+			direct, err := est.Nominal().Sum(v, "value", pred)
 			if err != nil {
 				return nil, err
 			}
-			col.add(SeriesSumComplement, stats.RelativeError(full.Value, truth))
-			col.add(SeriesSumNaive, stats.RelativeError(naive.Value, truth))
-			col.add(SeriesDirect, stats.RelativeError(direct, truth))
+			col.add(SeriesSumComplement, stats.RelativeError(full.Value, truth.Value))
+			col.add(SeriesSumNaive, stats.RelativeError(naive.Value, truth.Value))
+			col.add(SeriesDirect, stats.RelativeError(direct.Value, truth.Value))
 		}
 		t.Points = append(t.Points, Point{X: corr, Values: col.meanPct()})
 	}

@@ -41,14 +41,15 @@ func CoverageValidation(cfg Config) (*Table, error) {
 			}
 			domain := meta.Discrete["category"].Domain
 			pred := estimator.In("category", pickValues(rng, domain, cfg.L)...)
-			truthCount, err := estimator.DirectCount(r, pred)
+			count, err := exact.Count(r, pred)
 			if err != nil {
 				return nil, err
 			}
-			truthSum, err := estimator.DirectSum(r, "value", pred)
+			sum, err := exact.Sum(r, "value", pred)
 			if err != nil {
 				return nil, err
 			}
+			truthCount, truthSum := count.Value, sum.Value
 			est := &estimator.Estimator{Meta: meta, Confidence: 0.95}
 			c, err := est.Count(v, pred)
 			if err != nil {

@@ -165,23 +165,21 @@ func realTrial(rng *rand.Rand, cfg Config, spec realSpec, p float64, col *collec
 		return err
 	}
 
-	truthCount, err := estimator.DirectCount(rClean, spec.pred)
+	truthCount, err := exact.Count(rClean, spec.pred)
 	if err != nil {
 		return err
 	}
-	truthAvg, err := estimator.DirectAvg(rClean, spec.agg, spec.pred)
+	truthAvg, err := exact.Avg(rClean, spec.agg, spec.pred)
 	if err != nil {
 		return err
 	}
 
-	directCount, err := estimator.DirectCount(a.rel, spec.pred)
+	direct := a.est.Nominal()
+	directCount, err := direct.Count(a.rel, spec.pred)
 	if err != nil {
 		return err
 	}
-	directAvg, err := estimator.DirectAvg(a.rel, spec.agg, spec.pred)
-	if err != nil {
-		directAvg = 0
-	}
+	directAvg, _ := direct.Avg(a.rel, spec.agg, spec.pred) // a failed avg scores 0
 	pcCount, err := a.est.Count(a.rel, spec.pred)
 	if err != nil {
 		return err
@@ -191,21 +189,21 @@ func realTrial(rng *rand.Rand, cfg Config, spec realSpec, p float64, col *collec
 		return err
 	}
 
-	col.add("count/"+SeriesDirect, stats.RelativeError(directCount, truthCount))
-	col.add("count/"+SeriesPrivateClean, stats.RelativeError(pcCount.Value, truthCount))
-	col.add("avg/"+SeriesDirect, stats.RelativeError(directAvg, truthAvg))
-	col.add("avg/"+SeriesPrivateClean, stats.RelativeError(pcAvg.Value, truthAvg))
+	col.add("count/"+SeriesDirect, stats.RelativeError(directCount.Value, truthCount.Value))
+	col.add("count/"+SeriesPrivateClean, stats.RelativeError(pcCount.Value, truthCount.Value))
+	col.add("avg/"+SeriesDirect, stats.RelativeError(directAvg.Value, truthAvg.Value))
+	col.add("avg/"+SeriesPrivateClean, stats.RelativeError(pcAvg.Value, truthAvg.Value))
 
 	// Gray reference: the original dirty relation, no cleaning, no privacy.
 	// The Figure 10/11 predicates reference cleaned values; on the dirty
 	// relation they select whatever rows nominally match.
-	dirtyCount, err := estimator.DirectCount(r, spec.pred)
+	dirtyCount, err := exact.Count(r, spec.pred)
 	if err != nil {
 		return err
 	}
-	col.add("count/"+SeriesDirtyNoPriv, stats.RelativeError(dirtyCount, truthCount))
-	if dirtyAvg, err := estimator.DirectAvg(r, spec.agg, spec.pred); err == nil {
-		col.add("avg/"+SeriesDirtyNoPriv, stats.RelativeError(dirtyAvg, truthAvg))
+	col.add("count/"+SeriesDirtyNoPriv, stats.RelativeError(dirtyCount.Value, truthCount.Value))
+	if dirtyAvg, err := exact.Avg(r, spec.agg, spec.pred); err == nil {
+		col.add("avg/"+SeriesDirtyNoPriv, stats.RelativeError(dirtyAvg.Value, truthAvg.Value))
 	}
 	return nil
 }

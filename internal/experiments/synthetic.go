@@ -123,6 +123,10 @@ func syntheticTrial(rng *rand.Rand, t trialParams, col *collector) error {
 	return recordQueryErrors(col, analysis, rClean, "value", pred, false)
 }
 
+// exact is the nominal estimator: the query run as-is, which on a
+// non-private relation is the ground truth.
+var exact = new(estimator.Estimator).Nominal()
+
 // analysis is a lightweight analyst: a cleaned private relation plus the
 // state the estimators need. (The core package offers the full facade; the
 // harness uses this slimmer form to also expose the PC-U ablation.)
@@ -134,7 +138,11 @@ type analysis struct {
 
 func newAnalysis(v *relation.Relation, meta *privacy.ViewMeta) *analysis {
 	a := &analysis{rel: v.Clone(), meta: meta}
-	a.est = &estimator.Estimator{Meta: meta, Prov: nil}
+	// The cache is per trial and fills only after cleaning, at the first
+	// query; the corrected estimates and the Direct ones (a.est.Nominal())
+	// share its per-code tables. The np/un estimators resolve different
+	// channels under the same predicate keys, so they do not share it.
+	a.est = &estimator.Estimator{Meta: meta, Cache: estimator.NewChannelCache()}
 	return a
 }
 
@@ -152,20 +160,21 @@ func (a *analysis) clean(ops ...cleaning.Op) error {
 // estimator and records relative errors. When withUnweighted is set, the
 // PC-U ablation series is recorded too.
 func recordQueryErrors(col *collector, a *analysis, rClean *relation.Relation, agg string, pred estimator.Predicate, withUnweighted bool) error {
-	truthCount, err := estimator.DirectCount(rClean, pred)
+	truthCount, err := exact.Count(rClean, pred)
 	if err != nil {
 		return err
 	}
-	truthSum, err := estimator.DirectSum(rClean, agg, pred)
+	truthSum, err := exact.Sum(rClean, agg, pred)
 	if err != nil {
 		return err
 	}
 
-	directCount, err := estimator.DirectCount(a.rel, pred)
+	direct := a.est.Nominal()
+	directCount, err := direct.Count(a.rel, pred)
 	if err != nil {
 		return err
 	}
-	directSum, err := estimator.DirectSum(a.rel, agg, pred)
+	directSum, err := direct.Sum(a.rel, agg, pred)
 	if err != nil {
 		return err
 	}
@@ -178,10 +187,10 @@ func recordQueryErrors(col *collector, a *analysis, rClean *relation.Relation, a
 		return err
 	}
 
-	col.add("count/"+SeriesDirect, stats.RelativeError(directCount, truthCount))
-	col.add("count/"+SeriesPrivateClean, stats.RelativeError(pcCount.Value, truthCount))
-	col.add("sum/"+SeriesDirect, stats.RelativeError(directSum, truthSum))
-	col.add("sum/"+SeriesPrivateClean, stats.RelativeError(pcSum.Value, truthSum))
+	col.add("count/"+SeriesDirect, stats.RelativeError(directCount.Value, truthCount.Value))
+	col.add("count/"+SeriesPrivateClean, stats.RelativeError(pcCount.Value, truthCount.Value))
+	col.add("sum/"+SeriesDirect, stats.RelativeError(directSum.Value, truthSum.Value))
+	col.add("sum/"+SeriesPrivateClean, stats.RelativeError(pcSum.Value, truthSum.Value))
 
 	if a.est.Prov != nil {
 		// Cleaning happened: also record the provenance-free correction.
@@ -194,8 +203,8 @@ func recordQueryErrors(col *collector, a *analysis, rClean *relation.Relation, a
 		if err != nil {
 			return err
 		}
-		col.add("count/"+SeriesPCNoProv, stats.RelativeError(npCount.Value, truthCount))
-		col.add("sum/"+SeriesPCNoProv, stats.RelativeError(npSum.Value, truthSum))
+		col.add("count/"+SeriesPCNoProv, stats.RelativeError(npCount.Value, truthCount.Value))
+		col.add("sum/"+SeriesPCNoProv, stats.RelativeError(npSum.Value, truthSum.Value))
 	}
 
 	if withUnweighted {
@@ -208,8 +217,8 @@ func recordQueryErrors(col *collector, a *analysis, rClean *relation.Relation, a
 		if err != nil {
 			return err
 		}
-		col.add("count/"+SeriesPCUnweighted, stats.RelativeError(uCount.Value, truthCount))
-		col.add("sum/"+SeriesPCUnweighted, stats.RelativeError(uSum.Value, truthSum))
+		col.add("count/"+SeriesPCUnweighted, stats.RelativeError(uCount.Value, truthCount.Value))
+		col.add("sum/"+SeriesPCUnweighted, stats.RelativeError(uSum.Value, truthSum.Value))
 	}
 	return nil
 }

@@ -116,7 +116,7 @@ func TunerValidation(cfg Config) (*Table, error) {
 			}
 			domain := meta.Discrete["category"].Domain
 			pred := estimator.In("category", pickValues(rng, domain, cfg.L)...)
-			truth, err := estimator.DirectCount(r, pred)
+			truth, err := exact.Count(r, pred)
 			if err != nil {
 				return nil, err
 			}
@@ -125,7 +125,7 @@ func TunerValidation(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			frac := math.Abs(got.Value-truth) / float64(cfg.S)
+			frac := math.Abs(got.Value-truth.Value) / float64(cfg.S)
 			errsFrac = append(errsFrac, frac)
 			total++
 			if frac <= target {

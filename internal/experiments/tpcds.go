@@ -114,13 +114,14 @@ func tpcdsGroupByTrial(rng *rand.Rand, cfg Config, r *relation.Relation, groupAt
 		return err
 	}
 	noProv := &estimator.Estimator{Meta: a.est.Meta, Confidence: a.est.Confidence}
+	nominal := a.est.Nominal()
 	var directErrs, pcErrs, npErrs []float64
 	for g, want := range truth {
 		if want == 0 {
 			continue
 		}
 		pred := estimator.Eq(groupAttr, g)
-		direct, err := estimator.DirectCount(a.rel, pred)
+		direct, err := nominal.Count(a.rel, pred)
 		if err != nil {
 			return err
 		}
@@ -132,7 +133,7 @@ func tpcdsGroupByTrial(rng *rand.Rand, cfg Config, r *relation.Relation, groupAt
 		if err != nil {
 			return err
 		}
-		directErrs = append(directErrs, stats.RelativeError(direct, float64(want)))
+		directErrs = append(directErrs, stats.RelativeError(direct.Value, float64(want)))
 		pcErrs = append(pcErrs, stats.RelativeError(pc.Value, float64(want)))
 		npErrs = append(npErrs, stats.RelativeError(np.Value, float64(want)))
 	}

@@ -38,7 +38,7 @@ func PrivacyUtilityTradeoff(cfg Config) (*Table, error) {
 				return nil, err
 			}
 			pred := estimator.In("category", pickValues(rng, meta.Discrete["category"].Domain, cfg.L)...)
-			truth, err := estimator.DirectCount(r, pred)
+			truth, err := exact.Count(r, pred)
 			if err != nil {
 				return nil, err
 			}
@@ -47,7 +47,7 @@ func PrivacyUtilityTradeoff(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			col.add(SeriesPrivateClean, stats.RelativeError(got.Value, truth))
+			col.add(SeriesPrivateClean, stats.RelativeError(got.Value, truth.Value))
 		}
 		errPct := col.meanPct()[SeriesPrivateClean]
 		t.Points = append(t.Points, Point{X: p, Values: map[string]float64{

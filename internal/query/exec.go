@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -92,136 +91,43 @@ func CompileConjunction(conds []*Cond, udfs UDFs) ([]estimator.Predicate, error)
 // Exec evaluates a query exactly against a relation. This is the
 // ground-truth oracle: running Exec on the hypothetically cleaned
 // non-private relation R_clean yields the value the estimators are judged
-// against.
+// against. Whole-column count, sum and avg and GROUP BY are row loops of
+// their own; every other query runs the executor under the nominal
+// estimator, which answers a query as-is.
 func Exec(rel *relation.Relation, q *Query, udfs UDFs) (Result, error) {
 	if q.GroupBy != "" {
 		return execGroupBy(rel, q)
 	}
-	if len(q.AndWhere) > 0 {
-		return execConjunction(rel, q, udfs)
-	}
-	var pred estimator.Predicate
-	havePred := q.Where != nil
-	if havePred {
-		var err error
-		pred, err = CompilePredicate(q.Where, udfs)
-		if err != nil {
-			return Result{}, err
-		}
-	} else {
-		// Trivially true predicate on any discrete attribute; COUNT and SUM
-		// without predicates reduce to whole-column aggregates below.
-		pred = estimator.Predicate{}
-	}
-
-	switch q.Agg {
-	case AggCount:
-		if !havePred {
+	if q.Where == nil {
+		switch q.Agg {
+		case AggCount:
 			return Result{Scalar: float64(rel.NumRows())}, nil
-		}
-		v, err := estimator.DirectCount(rel, pred)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Scalar: v}, nil
-	case AggSum:
-		if !havePred {
-			col, err := rel.Numeric(q.AggAttr)
-			if err != nil {
-				return Result{}, err
-			}
-			s := 0.0
-			for _, x := range col {
-				if x == x { // skip NaN
-					s += x
-				}
-			}
-			return Result{Scalar: s}, nil
-		}
-		v, err := estimator.DirectSum(rel, q.AggAttr, pred)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Scalar: v}, nil
-	case AggAvg:
-		if !havePred {
+		case AggSum, AggAvg:
 			col, err := rel.Numeric(q.AggAttr)
 			if err != nil {
 				return Result{}, err
 			}
 			s, n := 0.0, 0
 			for _, x := range col {
-				if x == x {
+				if x == x { // skip NaN
 					s += x
 					n++
 				}
+			}
+			if q.Agg == AggSum {
+				return Result{Scalar: s}, nil
 			}
 			if n == 0 {
 				return Result{}, fmt.Errorf("query: avg over empty column %q", q.AggAttr)
 			}
 			return Result{Scalar: s / float64(n)}, nil
 		}
-		v, err := estimator.DirectAvg(rel, q.AggAttr, pred)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Scalar: v}, nil
-	case AggMedian:
-		v, err := estimator.DirectMedian(rel, q.AggAttr, pred)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Scalar: v}, nil
-	case AggQuantile:
-		v, err := estimator.DirectPercentile(rel, q.AggAttr, pred, q.Q)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Scalar: v}, nil
-	case AggVar:
-		v, err := estimator.DirectVar(rel, q.AggAttr, pred)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Scalar: v}, nil
-	case AggStd:
-		v, err := estimator.DirectVar(rel, q.AggAttr, pred)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Scalar: math.Sqrt(v)}, nil
-	default:
-		return Result{}, fmt.Errorf("query: invalid aggregate %v", q.Agg)
 	}
-}
-
-func execConjunction(rel *relation.Relation, q *Query, udfs UDFs) (Result, error) {
-	preds, err := CompileConjunction(q.Conds(), udfs)
+	a, err := run(new(estimator.Estimator).Nominal(), Source{Rel: rel}, q, udfs)
 	if err != nil {
 		return Result{}, err
 	}
-	switch q.Agg {
-	case AggCount:
-		v, err := estimator.DirectCountConj(rel, preds...)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Scalar: v}, nil
-	case AggSum:
-		v, err := estimator.DirectSumConj(rel, q.AggAttr, preds...)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Scalar: v}, nil
-	case AggAvg:
-		v, err := estimator.DirectAvgConj(rel, q.AggAttr, preds...)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Scalar: v}, nil
-	default:
-		return Result{}, fmt.Errorf("query: %s does not support AND conjunctions", q.Agg)
-	}
+	return Result{Scalar: a.Estimate.Value}, nil
 }
 
 func execGroupBy(rel *relation.Relation, q *Query) (Result, error) {
