@@ -13,8 +13,14 @@ COVER_BASELINE ?= 78.5
 build:
 	$(GO) build ./...
 
+# go vet, then fail when any Go file (the nested perfbench module included)
+# is not gofmt-clean, naming the files.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...
@@ -98,9 +104,11 @@ cover:
 
 # Re-run the packages that read cached dictionary encodings with the
 # pcdebug build tag, which turns every cache hit into a full staleness
-# assertion (see internal/relation/debug_on.go).
+# assertion (see internal/relation/debug_on.go), and the collector, whose
+# every fold from retained columns then re-reads and decodes its WAL
+# segment and panics on any difference (internal/collect/debug_on.go).
 debug-assert:
-	$(GO) test -tags pcdebug ./internal/relation/ ./internal/cleaning/ ./internal/estimator/ ./internal/colstore/
+	$(GO) test -tags pcdebug ./internal/relation/ ./internal/cleaning/ ./internal/estimator/ ./internal/colstore/ ./internal/collect/
 
 # The statistical regression suites across the mechanism matrix: chi-square
 # goodness-of-fit on each mechanism's sampling distribution, and Monte-Carlo

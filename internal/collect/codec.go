@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"unicode/utf8"
 
+	"privateclean/internal/privacy"
 	"privateclean/internal/relation"
 )
 
@@ -27,17 +28,28 @@ import (
 
 // batchSchema is the collection schema as the codec sees it: each kind's
 // attribute names in sorted order (json.Marshal's map-key order), their
-// column index by name, and their rendered object keys.
+// column index by name, and their rendered object keys. domains holds each
+// discrete column's sorted released domain, nil when unknown.
 type batchSchema struct {
 	discrete, numeric []string
 	discIdx, numIdx   map[string]int
 	discKey, numKey   [][]byte // `"name":` as json.Marshal renders the key
+	domains           [][]string
 }
 
-func newBatchSchema(schema relation.Schema) *batchSchema {
+// newBatchSchema lays out schema for the codec. With meta, the decoder
+// resolves a discrete value inside its attribute's domain to the domain's
+// own string, so such values cost no allocation; meta may be nil.
+func newBatchSchema(schema relation.Schema, meta *privacy.ViewMeta) *batchSchema {
 	bs := &batchSchema{}
 	bs.discrete, bs.discIdx, bs.discKey = codecColumns(schema.DiscreteNames())
 	bs.numeric, bs.numIdx, bs.numKey = codecColumns(schema.NumericNames())
+	bs.domains = make([][]string, len(bs.discrete))
+	if meta != nil {
+		for j, name := range bs.discrete {
+			bs.domains[j] = meta.Discrete[name].Domain
+		}
+	}
 	return bs
 }
 
@@ -187,9 +199,10 @@ func (b *batchCols) window(bs *batchSchema, schema relation.Schema) (*relation.R
 }
 
 // batchDecoder decodes batches into columns under one schema. Attribute
-// values and IDs repeat across reports, so each distinct string is
-// allocated once per decoder; a decoder reused across a fold's payloads
-// shares the table among them.
+// values and IDs repeat across reports, so each distinct string outside the
+// schema's domains is allocated once per decoder; a decoder reused across a
+// fold's payloads shares the table among them. Decoded strings never alias
+// the input, so the caller may reuse its buffer once decode returns.
 type batchDecoder struct {
 	bs     *batchSchema
 	data   []byte
@@ -308,7 +321,7 @@ func (d *batchDecoder) report(b *batchCols) bool {
 					return false
 				}
 				if j, known := d.bs.discIdx[string(key)]; known {
-					b.disc[j][i], b.has[j][i] = d.interned(v), true
+					b.disc[j][i], b.has[j][i] = d.value(j, v), true
 				} else if b.unknown.report < 0 {
 					disc.offer(string(key))
 				}
@@ -365,6 +378,27 @@ func (d *batchDecoder) str(dst *string) bool {
 		*dst = d.interned(s)
 	}
 	return ok
+}
+
+// value resolves a value of discrete column j: one in the column's domain
+// is the domain's own string, found by binary search, and any other is
+// interned. The search compares against string(v) inline, which does not
+// allocate.
+func (d *batchDecoder) value(j int, v []byte) string {
+	dom := d.bs.domains[j]
+	lo, hi := 0, len(dom)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if dom[h] < string(v) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if lo < len(dom) && dom[lo] == string(v) {
+		return dom[lo]
+	}
+	return d.interned(v)
 }
 
 func (d *batchDecoder) interned(s []byte) string {

@@ -3,6 +3,7 @@ package collect
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"privateclean/internal/atomicio"
 	"privateclean/internal/estimator"
 	"privateclean/internal/faults"
+	"privateclean/internal/privacy"
 	"privateclean/internal/relation"
 )
 
@@ -149,10 +151,14 @@ func (r *refStore) marshalStats(t testing.TB) []byte {
 }
 
 // foldPair folds the same segments through a Store and the reference,
-// side by side in two directories.
+// side by side, and through a second Store that folds the batches decoded
+// the way an ack decodes them, from retained columns.
 type foldPair struct {
-	store *Store
-	ref   *refStore
+	store, mem *Store
+	ref        *refStore
+	// ack decodes as the service does: discrete values in the domains
+	// foldMeta gives resolve to the domain's strings, others are interned.
+	ack *batchSchema
 }
 
 // foldSchema has two discrete and two numeric attributes, so reports can
@@ -166,12 +172,21 @@ func foldSchema() relation.Schema {
 	)
 }
 
-// newFoldPair opens both stores, from a copy of the checkpoint bytes ck
+// foldMeta gives foldSchema's discrete attributes domains that hold some
+// of the fixtures' values and miss others.
+func foldMeta() *privacy.ViewMeta {
+	return &privacy.ViewMeta{Discrete: map[string]privacy.DiscreteMeta{
+		"major": {Domain: []string{"CS", "EE", "NULL"}},
+		"minor": {Domain: []string{"", "EE", "ME"}},
+	}}
+}
+
+// newFoldPair opens the stores, from a copy of the checkpoint bytes ck
 // when it is non-nil.
 func newFoldPair(t testing.TB, ck []byte) *foldPair {
 	t.Helper()
 	dir := t.TempDir()
-	paths := [2]string{filepath.Join(dir, "store.json"), filepath.Join(dir, "ref.json")}
+	paths := [3]string{filepath.Join(dir, "store.json"), filepath.Join(dir, "mem.json"), filepath.Join(dir, "ref.json")}
 	if ck != nil {
 		for _, p := range paths {
 			if err := os.WriteFile(p, ck, 0o644); err != nil {
@@ -179,17 +194,26 @@ func newFoldPair(t testing.TB, ck []byte) *foldPair {
 			}
 		}
 	}
-	store, err := OpenStore(paths[0], foldSchema(), "m")
-	if err != nil {
-		t.Fatal(err)
+	var stores [2]*Store
+	for i := range stores {
+		var err error
+		if stores[i], err = OpenStore(paths[i], foldSchema(), "m"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return &foldPair{store: store, ref: openRefStore(t, paths[1], foldSchema(), "m")}
+	return &foldPair{store: stores[0], mem: stores[1], ref: openRefStore(t, paths[2], foldSchema(), "m"),
+		ack: newBatchSchema(foldSchema(), foldMeta())}
 }
 
-// fold folds one segment into both and requires the same folded batches,
-// the same error kind, and byte-identical checkpoints and statistics.
+// fold folds one segment into each store and requires the same folded
+// batches, the same error kind, and byte-identical checkpoints and
+// statistics. A segment holding a payload the ack decoder refuses has no
+// retained form, since no ack retains a batch it cannot decode: the WAL
+// fold must refuse it as corrupt, or skip it as already applied, and the
+// columns store skips it too.
 func (p *foldPair) fold(t testing.TB, seq uint64, payloads ...[]byte) {
 	t.Helper()
+	applied := p.store.AppliedSeq()
 	got, err := p.store.Fold(seq, payloads)
 	want, refErr := p.ref.fold(seq, payloads)
 	if (err == nil) != (refErr == nil) || faults.Kind(err) != faults.Kind(refErr) {
@@ -198,17 +222,43 @@ func (p *foldPair) fold(t testing.TB, seq uint64, payloads ...[]byte) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("fold %d: folded %v, reference %v", seq, got, want)
 	}
-	gotCk, err := os.ReadFile(p.store.path)
+	p.same(t, seq, p.store, "WAL")
+	batches := make([]*batchCols, len(payloads))
+	for i, payload := range payloads {
+		d := batchDecoder{bs: p.ack}
+		batches[i] = new(batchCols)
+		if _, decErr := d.decode(batches[i], payload); decErr != nil {
+			if err == nil && seq > applied || err != nil && !errors.Is(err, faults.ErrCorruptCheckpoint) {
+				t.Fatalf("fold %d: record %d does not decode (%v), yet the WAL fold gave %v", seq, i, decErr, err)
+			}
+			return
+		}
+	}
+	memGot, memErr := p.mem.foldBatches(seq, batches)
+	if (memErr == nil) != (err == nil) || faults.Kind(memErr) != faults.Kind(err) {
+		t.Fatalf("fold %d: columns error %v, WAL error %v", seq, memErr, err)
+	}
+	if !reflect.DeepEqual(memGot, got) {
+		t.Fatalf("fold %d: columns folded %v, WAL folded %v", seq, memGot, got)
+	}
+	p.same(t, seq, p.mem, "columns")
+}
+
+// same requires store's checkpoint and statistics bytes to be the
+// reference's.
+func (p *foldPair) same(t testing.TB, seq uint64, store *Store, leg string) {
+	t.Helper()
+	gotCk, err := os.ReadFile(store.path)
 	wantCk, refErr := os.ReadFile(p.ref.path)
 	if (err == nil) != (refErr == nil) || !bytes.Equal(gotCk, wantCk) {
-		t.Fatalf("fold %d: checkpoint differs from the reference:\n%s\nvs\n%s", seq, gotCk, wantCk)
+		t.Fatalf("fold %d: %s checkpoint differs from the reference:\n%s\nvs\n%s", seq, leg, gotCk, wantCk)
 	}
-	stats, err := p.store.MarshalStats()
+	stats, err := store.MarshalStats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := p.ref.marshalStats(t); !bytes.Equal(stats, want) {
-		t.Fatalf("fold %d: statistics differ from the reference:\n%s\nvs\n%s", seq, stats, want)
+		t.Fatalf("fold %d: %s statistics differ from the reference:\n%s\nvs\n%s", seq, leg, stats, want)
 	}
 }
 
@@ -232,11 +282,11 @@ func fixtures(ids ...string) [][]byte {
 	return out
 }
 
-// TestFoldMatchesReference holds Store.Fold to the reference fold: the
-// same checkpoint and /v1/stats bytes after every segment, through
-// duplicate IDs within and across segments, a replayed segment, a corrupt
-// record, and a store resumed from statistics carrying histograms and a
-// joint.
+// TestFoldMatchesReference holds Store.Fold, and the fold from decoded
+// columns, to the reference fold: the same checkpoint and /v1/stats bytes
+// after every segment, through duplicate IDs within and across segments, a
+// replayed segment, a corrupt record, and a store resumed from statistics
+// carrying histograms and a joint.
 func TestFoldMatchesReference(t *testing.T) {
 	run := func(t *testing.T, p *foldPair, base uint64) {
 		p.fold(t, base+1, fixtures("b1", "b2", "b1", "b3")...)
@@ -262,20 +312,26 @@ func TestFoldMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ck, err := json.MarshalIndent(checkpointFile{
-			Version: storeVersion, Mechanism: "m", AppliedSeq: 4, Batches: []string{"b2", "old"}, Stats: st,
-		}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
+		// The second list is out of order and repeats an ID, as no fold
+		// writes it: loading sorts it once, and every later checkpoint
+		// lists the IDs as the reference does.
+		for _, ids := range [][]string{{"b2", "old"}, {"old", "b2", "old"}} {
+			ck, err := json.MarshalIndent(checkpointFile{
+				Version: storeVersion, Mechanism: "m", AppliedSeq: 4, Batches: ids, Stats: st,
+			}, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(t, newFoldPair(t, ck), 4)
 		}
-		run(t, newFoldPair(t, ck), 4)
 	})
 }
 
 // FuzzFoldMatchesReference folds an arbitrary payload, twice in one
-// segment and again in the next, next to a fixed batch, through Store.Fold
-// and the reference fold: both must agree on the error kind, the folded
-// batches, and the checkpoint and statistics bytes.
+// segment and again in the next, next to a fixed batch, through Store.Fold,
+// the fold from decoded columns and the reference fold: all must agree on
+// the error kind, the folded batches, and the checkpoint and statistics
+// bytes.
 func FuzzFoldMatchesReference(f *testing.F) {
 	for _, s := range codecSeeds {
 		f.Add([]byte(s))

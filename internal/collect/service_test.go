@@ -431,6 +431,7 @@ func TestServiceRedactionBoundary(t *testing.T) {
 		"privateclean_collect_reports_accepted_total",
 		"privateclean_collect_wal_fsync_seconds",
 		"privateclean_collect_compactions_total",
+		"privateclean_collect_retained_bytes 0",
 		"privateclean_http_requests_total",
 	} {
 		if !strings.Contains(metrics, want) {
@@ -554,11 +555,12 @@ func TestServiceFoldDoesNotBlock(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	s.store.foldHook = func() {
+	s.store.foldHook = func() error {
 		once.Do(func() {
 			close(entered)
 			<-release
 		})
+		return nil
 	}
 	folded := make(chan error, 1)
 	go func() {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -52,8 +53,9 @@ type checkpointFile struct {
 // at or below the applied watermark is skipped wholesale (the crash window
 // between checkpoint write and segment delete), and a batch ID that already
 // folded is skipped individually (the same batch logged in two segments by a
-// client retry). The set of folded IDs grows with the number of batches;
-// that is the price of exactly-once without client cooperation.
+// client retry). The folded IDs are one sorted slice that grows with the
+// number of batches; that is the price of exactly-once without client
+// cooperation.
 //
 // Readers never wait on a fold. Folds serialize on fmu and do all their
 // work — decoding, accumulating, the checkpoint write — against a private
@@ -72,12 +74,16 @@ type Store struct {
 
 	mu      sync.Mutex
 	applied uint64
-	batches map[string]struct{}
+	// batches holds the ID of every folded batch in sorted order, the order
+	// the checkpoint lists them in. A fold publishes a new slice and never
+	// writes a published one.
+	batches []string
 	coll    *estimator.Collector
 
-	// foldHook, when set, runs inside Fold after the checkpoint lands and
-	// before the swap; tests use it to hold a fold in flight.
-	foldHook func()
+	// foldHook, when set, runs inside a fold after the checkpoint lands and
+	// before the swap; tests use it to hold a fold in flight, or to fail
+	// one by returning an error.
+	foldHook func() error
 }
 
 // OpenStore loads (or initializes) the store checkpoint at path. schema is
@@ -86,7 +92,7 @@ type Store struct {
 // a different channel or shape into old statistics corrupts them silently,
 // so a mismatch refuses loudly instead.
 func OpenStore(path string, schema relation.Schema, mechanism string) (*Store, error) {
-	s := &Store{path: path, schema: schema, codec: newBatchSchema(schema), mechanism: mechanism, batches: make(map[string]struct{})}
+	s := &Store{path: path, schema: schema, codec: newBatchSchema(schema, nil), mechanism: mechanism}
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		coll, cerr := estimator.NewCollectorFrom(nil)
@@ -124,9 +130,11 @@ func OpenStore(path string, schema relation.Schema, mechanism string) (*Store, e
 	}
 	s.applied = ck.AppliedSeq
 	s.coll = coll
-	for _, id := range ck.Batches {
-		s.batches[id] = struct{}{}
+	// A checkpoint Fold wrote is sorted without repeats already.
+	if !slices.IsSorted(ck.Batches) {
+		slices.Sort(ck.Batches)
 	}
+	s.batches = slices.Compact(ck.Batches)
 	return s, nil
 }
 
@@ -144,7 +152,7 @@ func (s *Store) AppliedSeq() uint64 {
 func (s *Store) HasBatch(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.batches[id]
+	_, ok := slices.BinarySearch(s.batches, id)
 	return ok
 }
 
@@ -172,33 +180,54 @@ type FoldedBatch struct {
 // same Fold neither loses nor double-counts a batch. Only the swap takes the
 // reader lock, so HasBatch, MarshalStats and the rest answer from the
 // previous state while a fold runs.
-func (s *Store) Fold(seq uint64, payloads [][]byte) (folded []FoldedBatch, err error) {
+func (s *Store) Fold(seq uint64, payloads [][]byte) ([]FoldedBatch, error) {
+	// One decoder and one set of columns serve every payload: each window
+	// is folded before the next payload overwrites the columns, and the
+	// decoder's intern table shares repeated values across batches.
+	dec := batchDecoder{bs: s.codec}
+	var b batchCols
+	return s.fold(seq, len(payloads), func(i int) (*batchCols, error) {
+		// The payload passed a CRC check, so a decode failure is not line
+		// noise — it is a version skew or a bug, and it poisons the segment
+		// as corrupt.
+		if _, err := dec.decode(&b, payloads[i]); err != nil {
+			return nil, faults.Wrap(faults.ErrCorruptCheckpoint, fmt.Errorf("collect: wal record: %w", err))
+		}
+		return &b, nil
+	})
+}
+
+// foldBatches is Fold over batches already decoded, one per record of
+// segment seq in WAL order: the acks' own columns, so the segment is
+// neither read back nor decoded again. The result, the checkpoint and the
+// statistics are those Fold gives over the segment's payloads.
+func (s *Store) foldBatches(seq uint64, batches []*batchCols) ([]FoldedBatch, error) {
+	return s.fold(seq, len(batches), func(i int) (*batchCols, error) { return batches[i], nil })
+}
+
+// fold is the core both sources share: batch(i) yields record i of the n
+// in segment seq, valid until the next call.
+func (s *Store) fold(seq uint64, n int, batch func(i int) (*batchCols, error)) (folded []FoldedBatch, err error) {
 	s.fmu.Lock()
 	defer s.fmu.Unlock()
 	if seq <= s.AppliedSeq() {
 		return nil, nil
 	}
 	staged := s.coll.Clone()
-	newIDs := make(map[string]struct{})
-	// One decoder and one set of columns serve every payload: each window
-	// is folded before the next payload overwrites the columns, and the
-	// decoder's intern table shares repeated values across batches.
-	dec := batchDecoder{bs: s.codec}
-	var b batchCols
-	for _, payload := range payloads {
-		// The payload passed a CRC check, so a decode failure is not line
-		// noise — it is a version skew or a bug, and it poisons the segment
-		// as corrupt.
-		if _, err := dec.decode(&b, payload); err != nil {
-			return nil, faults.Wrap(faults.ErrCorruptCheckpoint, fmt.Errorf("collect: wal record: %w", err))
+	seen := make(map[string]struct{})
+	var newIDs []string
+	for i := 0; i < n; i++ {
+		b, err := batch(i)
+		if err != nil {
+			return nil, err
 		}
 		if b.ID == "" {
 			return nil, faults.Errorf(faults.ErrCorruptCheckpoint, "collect: wal record with empty batch id")
 		}
-		if _, ok := s.batches[b.ID]; ok {
+		if _, ok := slices.BinarySearch(s.batches, b.ID); ok {
 			continue
 		}
-		if _, ok := newIDs[b.ID]; ok {
+		if _, ok := seen[b.ID]; ok {
 			continue
 		}
 		win, err := b.window(s.codec, s.schema)
@@ -208,17 +237,12 @@ func (s *Store) Fold(seq uint64, payloads [][]byte) (folded []FoldedBatch, err e
 		if err := staged.Add(win); err != nil {
 			return nil, err
 		}
-		newIDs[b.ID] = struct{}{}
+		seen[b.ID] = struct{}{}
+		newIDs = append(newIDs, b.ID)
 		folded = append(folded, FoldedBatch{ID: b.ID, TraceID: b.TraceID})
 	}
-	ids := make([]string, 0, len(s.batches)+len(newIDs))
-	for id := range s.batches {
-		ids = append(ids, id)
-	}
-	for id := range newIDs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	sort.Strings(newIDs)
+	ids := mergeSorted(s.batches, newIDs)
 	ck := checkpointFile{
 		Version:    storeVersion,
 		Mechanism:  s.mechanism,
@@ -230,16 +254,31 @@ func (s *Store) Fold(seq uint64, payloads [][]byte) (folded []FoldedBatch, err e
 		return nil, err
 	}
 	if s.foldHook != nil {
-		s.foldHook()
+		if err := s.foldHook(); err != nil {
+			return nil, err
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.coll = staged
 	s.applied = seq
-	for id := range newIDs {
-		s.batches[id] = struct{}{}
-	}
+	s.batches = ids
 	return folded, nil
+}
+
+// mergeSorted returns the sorted union of two disjoint sorted slices in a
+// new slice.
+func mergeSorted(a, b []string) []string {
+	out := make([]string, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // collector returns the published collector, which no one mutates.

@@ -416,7 +416,7 @@ func Header(rel *relation.Relation) []string {
 	return header
 }
 
-/// WriteFile stores a relation as a CSV file, atomically: the data is staged
+// WriteFile stores a relation as a CSV file, atomically: the data is staged
 // in a temp file in the same directory and renamed into place, so a crash
 // mid-write never leaves a truncated view on disk.
 func WriteFile(path string, rel *relation.Relation) error {

@@ -203,8 +203,8 @@ func TestProfileQuarantineSameRowSet(t *testing.T) {
 
 func TestProfileFailPolicyMatchesInMemoryError(t *testing.T) {
 	cases := []string{
-		"a,b\n1,2\n1,2,3\n",   // arity
-		"a,b\n1,2\nz,3\n",     // bad numeric (column a inferred numeric? no — z makes it discrete; use forced)
+		"a,b\n1,2\n1,2,3\n",    // arity
+		"a,b\n1,2\nz,3\n",      // bad numeric (column a inferred numeric? no — z makes it discrete; use forced)
 		"a,b\n\"open,2\n1,2\n", // syntax
 	}
 	for i, text := range cases {

@@ -21,11 +21,11 @@ import (
 //
 //	BenchmarkPrivatizeJob-8  90  13201821 ns/op  378755 rows/s  1993132 B/op  20356 allocs/op
 type Result struct {
-	Name        string             `json:"name"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op,omitempty"`
-	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
+	Name        string  `json:"name"`
+	Iterations  int64   `json:"iterations"`
+	NsPerOp     float64 `json:"ns_per_op,omitempty"`
+	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	// Metrics holds the remaining unit -> value pairs (custom b.ReportMetric
 	// units like "rows/s" or "PrivateClean-err-%").
 	Metrics map[string]float64 `json:"metrics,omitempty"`
