@@ -29,7 +29,8 @@ func TestChunkRange(t *testing.T) {
 }
 
 // Every row must be covered exactly once by the chunk sequence — the
-// invariant the checkpointed writer and the resume rebuild both rely on.
+// invariant the chunk contract (window k covers rows [k·size, (k+1)·size))
+// and the resume skip both rely on.
 func TestChunkRangePartition(t *testing.T) {
 	for _, rows := range []int{0, 1, 5, 99, 100, 101, 250} {
 		for _, size := range []int{1, 3, 100, 1000} {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"privateclean/internal/csvio"
 	"privateclean/internal/faults"
 	"privateclean/internal/privacy"
 )
@@ -94,38 +95,41 @@ func TestPipelineParallelKillResumes(t *testing.T) {
 		{8, 1}, {1, 8}, {8, 8}, {2, 2},
 	} {
 		t.Run(fmt.Sprintf("kill_w%d_resume_w%d", tc.killWorkers, tc.resumeWorkers), func(t *testing.T) {
-			job, _ := testJob(t, input)
-			job.Workers = tc.killWorkers
-			boom := errors.New("simulated kill")
-			job.OnChunk = func(done, total int) error {
-				if done == 3 {
-					return boom
+			eachMode(t, func(t *testing.T, stream bool) {
+				job, _ := testJob(t, input)
+				job.Stream = stream
+				job.Workers = tc.killWorkers
+				boom := errors.New("simulated kill")
+				job.OnChunk = func(done, total int) error {
+					if done == 3 {
+						return boom
+					}
+					return nil
 				}
-				return nil
-			}
-			if _, err := job.Run(); !errors.Is(err, boom) {
-				t.Fatalf("interrupted run: %v, want simulated kill", err)
-			}
-			mustNotExist(t, job.Out)
-			mustNotExist(t, job.MetaPath)
+				if _, err := job.Run(); !errors.Is(err, boom) {
+					t.Fatalf("interrupted run: %v, want simulated kill", err)
+				}
+				mustNotExist(t, job.Out)
+				mustNotExist(t, job.MetaPath)
 
-			resume := *job
-			resume.OnChunk = nil
-			resume.Resume = true
-			resume.Workers = tc.resumeWorkers
-			res, err := resume.Run()
-			if err != nil {
-				t.Fatalf("resume: %v", err)
-			}
-			if res.ResumedFrom != 3 {
-				t.Errorf("ResumedFrom = %d, want 3", res.ResumedFrom)
-			}
-			if got := readFile(t, job.Out); string(got) != string(wantView) {
-				t.Errorf("resumed view differs from uninterrupted run")
-			}
-			if got := readFile(t, job.MetaPath); string(got) != string(wantMeta) {
-				t.Errorf("resumed metadata differs from uninterrupted run")
-			}
+				resume := *job
+				resume.OnChunk = nil
+				resume.Resume = true
+				resume.Workers = tc.resumeWorkers
+				res, err := resume.Run()
+				if err != nil {
+					t.Fatalf("resume: %v", err)
+				}
+				if res.ResumedFrom != 3 {
+					t.Errorf("ResumedFrom = %d, want 3", res.ResumedFrom)
+				}
+				if got := readFile(t, job.Out); string(got) != string(wantView) {
+					t.Errorf("resumed view differs from uninterrupted run")
+				}
+				if got := readFile(t, job.MetaPath); string(got) != string(wantMeta) {
+					t.Errorf("resumed metadata differs from uninterrupted run")
+				}
+			})
 		})
 	}
 }
@@ -137,40 +141,43 @@ func TestPipelineParallelShortWriteResumes(t *testing.T) {
 	input := testCSV(18)
 	wantView, wantMeta := uninterrupted(t, input)
 
-	job, _ := testJob(t, input)
-	job.Workers = 8
-	appends := 0
-	job.tapOutput = func(w io.Writer) io.Writer {
-		appends++
-		if appends == 3 {
-			return &faults.FailingWriter{W: w, FailAt: 7, Short: true}
+	eachMode(t, func(t *testing.T, stream bool) {
+		job, _ := testJob(t, input)
+		job.Stream = stream
+		job.Workers = 8
+		appends := 0
+		job.tapOutput = func(w io.Writer) io.Writer {
+			appends++
+			if appends == 3 {
+				return &faults.FailingWriter{W: w, FailAt: 7, Short: true}
+			}
+			return w
 		}
-		return w
-	}
-	_, err := job.Run()
-	if !errors.Is(err, faults.ErrPartialWrite) || !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("short write: %v, want ErrPartialWrite via ErrInjected", err)
-	}
-	mustNotExist(t, job.Out)
-	mustNotExist(t, job.MetaPath)
+		_, err := job.Run()
+		if !errors.Is(err, faults.ErrPartialWrite) || !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("short write: %v, want ErrPartialWrite via ErrInjected", err)
+		}
+		mustNotExist(t, job.Out)
+		mustNotExist(t, job.MetaPath)
 
-	resume := *job
-	resume.tapOutput = nil
-	resume.Resume = true
-	resume.Workers = 8
-	res, err := resume.Run()
-	if err != nil {
-		t.Fatalf("resume after short write: %v", err)
-	}
-	if res.ResumedFrom != 2 {
-		t.Errorf("ResumedFrom = %d, want 2", res.ResumedFrom)
-	}
-	if got := readFile(t, job.Out); string(got) != string(wantView) {
-		t.Errorf("resumed view differs from uninterrupted run")
-	}
-	if got := readFile(t, job.MetaPath); string(got) != string(wantMeta) {
-		t.Errorf("resumed metadata differs from uninterrupted run")
-	}
+		resume := *job
+		resume.tapOutput = nil
+		resume.Resume = true
+		resume.Workers = 8
+		res, err := resume.Run()
+		if err != nil {
+			t.Fatalf("resume after short write: %v", err)
+		}
+		if res.ResumedFrom != 2 {
+			t.Errorf("ResumedFrom = %d, want 2", res.ResumedFrom)
+		}
+		if got := readFile(t, job.Out); string(got) != string(wantView) {
+			t.Errorf("resumed view differs from uninterrupted run")
+		}
+		if got := readFile(t, job.MetaPath); string(got) != string(wantMeta) {
+			t.Errorf("resumed metadata differs from uninterrupted run")
+		}
+	})
 }
 
 // TestPipelineRefusesStaleMechanismCheckpoint: a checkpoint taken under a
@@ -301,7 +308,7 @@ func replaceOnce(s, old, new string) string {
 func TestProviderReleaseParallelMatchesSerial(t *testing.T) {
 	input := testCSV(40)
 	job, _ := testJob(t, input)
-	r, _, err := job.loadInput()
+	r, err := csvio.ReadFile(job.In, csvio.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,15 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/csv"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"os"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"privateclean/internal/atomicio"
@@ -21,7 +17,6 @@ import (
 	"privateclean/internal/faults"
 	"privateclean/internal/privacy"
 	"privateclean/internal/relation"
-	"privateclean/internal/stats"
 	"privateclean/internal/telemetry"
 )
 
@@ -85,12 +80,11 @@ type PrivatizeJob struct {
 	Seed int64
 	// ChunkSize is the number of rows per chunk (DefaultChunkSize if <= 0).
 	ChunkSize int
-	// Workers is the number of chunks privatized concurrently: 1 runs the
-	// chunk loop serially, <= 0 means runtime.GOMAXPROCS(0). Chunks draw
-	// from independent per-chunk RNG streams and are committed (written,
-	// synced, checkpointed) strictly in chunk order, so the released bytes,
-	// metadata, and every intermediate checkpoint are identical for any
-	// worker count.
+	// Workers is the number of chunks privatized concurrently (<= 0 means
+	// runtime.GOMAXPROCS(0)). Chunks draw from independent per-chunk RNG
+	// streams and are committed (written, synced, checkpointed) strictly in
+	// chunk order, so the released bytes, metadata, and every intermediate
+	// checkpoint are identical for any worker count.
 	Workers int
 	// Stream selects the out-of-core path: the input is profiled in two
 	// bounded-memory scans (kind inference, then domains/sensitivities) and
@@ -98,7 +92,6 @@ type PrivatizeJob struct {
 	// materializing the whole relation. The released bytes, the metadata, and
 	// every intermediate checkpoint are byte-identical to the in-memory path
 	// for the same (input, params, seed, chunk size) at any worker count.
-	// PrivatizeResult.View is nil in this mode.
 	Stream bool
 	// MemBudget (bytes) sizes streaming chunks when ChunkSize is unset: the
 	// chunk row count is derived from the source's observed bytes per row so
@@ -149,9 +142,7 @@ type ChunkStat struct {
 
 // PrivatizeResult reports a completed run.
 type PrivatizeResult struct {
-	// View is the released private relation (nil for a streaming run, which
-	// never materializes it); Meta its mechanism metadata.
-	View *relation.Relation
+	// Meta is the released view's mechanism metadata.
 	Meta *privacy.ViewMeta
 	// Report is the input-side row accounting (skipped/quarantined rows).
 	Report *csvio.Report
@@ -187,7 +178,9 @@ type checkpoint struct {
 	Rows      int    `json:"rows"`
 
 	// NextChunk is the first chunk not yet durable; RNGStream is the
-	// derived stream seed that chunk will consume.
+	// derived stream seed that chunk will consume (privacy.StreamSeed: chunks
+	// are independent streams, so a resume regenerates chunk k without
+	// replaying chunks 0..k-1).
 	NextChunk int    `json:"next_chunk"`
 	RNGStream uint64 `json:"rng_stream"`
 	// PartialBytes is the byte length of the partial output covering the
@@ -218,19 +211,6 @@ func (job *PrivatizeJob) quarantinePath() string {
 		return job.QuarantinePath
 	}
 	return job.In + csvio.QuarantineFileSuffix
-}
-
-// streamSeed derives the RNG stream for one chunk from the job seed via a
-// splitmix64 round (privacy.StreamSeed). Chunks are independent streams, so
-// a resumed run regenerates chunk k identically without replaying chunks
-// 0..k-1, and a worker pool can privatize chunks in any order.
-func streamSeed(seed int64, chunk int) uint64 {
-	return privacy.StreamSeed(seed, chunk)
-}
-
-// chunkRand builds the rand source for one chunk.
-func chunkRand(seed int64, chunk int) *rand.Rand {
-	return privacy.StreamRand(seed, chunk)
 }
 
 // fingerprintFile hashes a file's bytes.
@@ -314,92 +294,47 @@ func (job *PrivatizeJob) Run() (res *PrivatizeResult, err error) {
 	if err != nil {
 		return nil, err
 	}
+	// The mode chooses only where the row windows come from; no randomness
+	// is consumed before the first chunk.
+	load := job.loadResident
 	if job.Stream {
-		res, err = job.runStream(inputSHA, start)
-		return res, err
+		load = job.loadStreaming
 	}
-	loadSpan := tel.Trace.StartSpan(job.span, "csv_load", telemetry.A("path", job.In))
-	loadStart := time.Now()
-	r, report, err := job.loadInput()
-	if err != nil {
-		loadSpan.Set("err", err)
-		loadSpan.End()
-		return nil, err
-	}
-	loadSpan.Set("rows", r.NumRows())
-	loadSpan.End()
-	tel.Metrics.Histogram("privateclean_csv_load_seconds",
-		"Wall time of input CSV loads.", telemetry.DurationBuckets).Observe(time.Since(loadStart).Seconds())
-	if err := job.Params.Validate(r.Schema(), true); err != nil {
-		return nil, err
-	}
-
-	// The view starts as a clone; chunks randomize it range by range. The
-	// metadata (domains, sensitivities) is deterministic — no randomness is
-	// consumed before the first chunk.
-	view := r.Clone()
-	meta, err := viewMetaFor(r, job.Params)
+	meta, report, it, err := load()
 	if err != nil {
 		return nil, err
 	}
+	if c, ok := it.(io.Closer); ok {
+		defer c.Close()
+	}
 
-	rows := r.NumRows()
+	rows := meta.Rows
 	chunks := (rows + job.ChunkSize - 1) / job.ChunkSize
-	mechTag, err := mechanismTagFor(job.Params)
+	ck, err := job.freshCheckpoint(inputSHA, meta)
 	if err != nil {
 		return nil, err
 	}
-	ck := &checkpoint{
-		Version:          checkpointVersion,
-		Mechanism:        mechTag,
-		InputSHA:         inputSHA,
-		ParamsSHA:        fingerprintParams(job.Params),
-		Seed:             job.Seed,
-		ChunkSize:        job.ChunkSize,
-		Rows:             rows,
-		RNGStream:        streamSeed(job.Seed, 0),
-		EpsilonPerRecord: meta.TotalEpsilon(),
-	}
-	resumedFrom := 0
 	if job.Resume {
-		prev, next, err := job.resumeFrom(ck)
+		ckSpan := tel.Trace.StartSpan(job.span, "checkpoint_read", telemetry.A("path", job.checkpointPath()))
+		ck, err = job.readCheckpoint(ck)
 		if err != nil {
+			ckSpan.Set("err", err)
+			ckSpan.End()
 			return nil, err
 		}
-		ck, resumedFrom = prev, next
+		ckSpan.Set("next_chunk", ck.NextChunk)
+		ckSpan.End()
+		tel.Log.Info("resuming from checkpoint", "path", job.checkpointPath(), "next_chunk", ck.NextChunk, "rows_emitted", ck.RowsEmitted)
 	}
+	resumedFrom := ck.NextChunk
 
 	// A resume that already has every chunk durable skips straight to
 	// finalize — the partial file may even be gone if the crash hit between
 	// the rename and the checkpoint removal.
-	needPartial := ck.NextChunk < chunks || (ck.NextChunk == 0 && !job.Resume)
-	if needPartial {
-		if err := job.writeChunks(ck, r, view, meta, rows, chunks); err != nil {
+	if ck.NextChunk < chunks || (ck.NextChunk == 0 && !job.Resume) {
+		if err := job.writeChunks(ck, it, meta, rows, chunks); err != nil {
 			return nil, err
 		}
-	}
-
-	// The privatized view is rebuilt for the caller even for chunks that
-	// were durable before this run started: each chunk is a pure function
-	// of (data, params, chunk stream), so this re-derivation matches the
-	// bytes on disk without spending fresh randomness.
-	if resumedFrom > 0 {
-		rbSpan := tel.Trace.StartSpan(job.span, "rebuild", telemetry.A("chunks", resumedFrom))
-		for chunk := 0; chunk < resumedFrom; chunk++ {
-			lo, hi := chunkRange(chunk, job.ChunkSize, rows)
-			if err := privatizeRange(chunkRand(job.Seed, chunk), r, view, meta, lo, hi); err != nil {
-				rbSpan.End()
-				return nil, err
-			}
-		}
-		rbSpan.End()
-	}
-
-	// The view was cloned from the input (sharing its cached discrete
-	// indexes) and its discrete columns have been rewritten chunk by chunk;
-	// drop the stale cache entries before handing it to the caller.
-	for _, name := range view.Schema().DiscreteNames() {
-		view.InvalidateIndex(name)
 	}
 
 	finSpan := tel.Trace.StartSpan(job.span, "finalize", telemetry.A("out", job.Out))
@@ -411,42 +346,17 @@ func (job *PrivatizeJob) Run() (res *PrivatizeResult, err error) {
 	finSpan.End()
 
 	res = &PrivatizeResult{
-		View:            view,
-		Meta:            meta,
-		Report:          report,
-		Rows:            rows,
-		Chunks:          chunks,
-		ResumedFrom:     resumedFrom,
-		Skipped:         report.Skipped,
-		Quarantined:     report.Quarantined,
-		ChunkStats:      job.chunkStats,
-		EpsilonComposed: meta.TotalEpsilon(),
+		Meta:              meta,
+		Report:            report,
+		Rows:              rows,
+		Chunks:            chunks,
+		ResumedFrom:       resumedFrom,
+		Skipped:           report.Skipped,
+		Quarantined:       report.Quarantined,
+		ChunkStats:        job.chunkStats,
+		EpsilonComposed:   meta.TotalEpsilon(),
+		CumulativeEpsilon: meta.TotalEpsilon(),
 	}
-	return job.finishRun(res, inputSHA, meta, start)
-}
-
-// resumeFrom loads and validates the on-disk checkpoint against the fresh
-// state, with the resume telemetry both run modes share.
-func (job *PrivatizeJob) resumeFrom(fresh *checkpoint) (*checkpoint, int, error) {
-	tel := job.tel
-	ckSpan := tel.Trace.StartSpan(job.span, "checkpoint_read", telemetry.A("path", job.checkpointPath()))
-	prev, err := job.readCheckpoint(fresh)
-	if err != nil {
-		ckSpan.Set("err", err)
-		ckSpan.End()
-		return nil, 0, err
-	}
-	ckSpan.Set("next_chunk", prev.NextChunk)
-	ckSpan.End()
-	tel.Log.Info("resuming from checkpoint", "path", job.checkpointPath(), "next_chunk", prev.NextChunk, "rows_emitted", prev.RowsEmitted)
-	return prev, prev.NextChunk, nil
-}
-
-// finishRun records the ledger entry, run metrics, and the success log — the
-// common tail of the in-memory and streaming paths.
-func (job *PrivatizeJob) finishRun(res *PrivatizeResult, inputSHA string, meta *privacy.ViewMeta, start time.Time) (*PrivatizeResult, error) {
-	tel := job.tel
-	res.CumulativeEpsilon = res.EpsilonComposed
 	if job.LedgerPath != "" {
 		if err := job.appendLedger(res, inputSHA, meta); err != nil {
 			return nil, err
@@ -468,6 +378,26 @@ func (job *PrivatizeJob) finishRun(res *PrivatizeResult, inputSHA string, meta *
 		"epsilon_composed", res.EpsilonComposed, "epsilon_cumulative", res.CumulativeEpsilon,
 		"wall", res.Wall)
 	return res, nil
+}
+
+// freshCheckpoint is the chunk-zero checkpoint of this job over the input
+// with the given fingerprint; a resume checks the on-disk one against it.
+func (job *PrivatizeJob) freshCheckpoint(inputSHA string, meta *privacy.ViewMeta) (*checkpoint, error) {
+	mechTag, err := mechanismTagFor(job.Params)
+	if err != nil {
+		return nil, err
+	}
+	return &checkpoint{
+		Version:          checkpointVersion,
+		Mechanism:        mechTag,
+		InputSHA:         inputSHA,
+		ParamsSHA:        fingerprintParams(job.Params),
+		Seed:             job.Seed,
+		ChunkSize:        job.ChunkSize,
+		Rows:             meta.Rows,
+		RNGStream:        privacy.StreamSeed(job.Seed, 0),
+		EpsilonPerRecord: meta.TotalEpsilon(),
+	}, nil
 }
 
 // spentEpsilon is the budget this run actually added: zero for a duplicate
@@ -544,157 +474,9 @@ func (job *PrivatizeJob) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// renderedChunk is one chunk privatized and rendered to CSV bytes by a
-// worker, waiting for its in-order durable commit.
-type renderedChunk struct {
-	data    []byte
-	err     error
-	started time.Time
-}
-
-// writeChunks privatizes and durably appends every remaining chunk,
-// advancing the checkpoint after each one. The header of an empty relation
-// is emitted as a degenerate zeroth chunk so the released view is never a
-// zero-byte file.
-//
-// With Workers > 1 a bounded pool privatizes and renders chunks
-// concurrently — each chunk owns a disjoint row range of the view and an
-// independent RNG stream — while this goroutine commits them (write, sync,
-// checkpoint, OnChunk) strictly in chunk order. The bytes on disk and every
-// intermediate checkpoint are therefore identical to a serial run.
-func (job *PrivatizeJob) writeChunks(ck *checkpoint, r, view *relation.Relation, meta *privacy.ViewMeta, rows, chunks int) error {
-	partial, err := job.openPartial(ck)
-	if err != nil {
-		return err
-	}
-	defer partial.Close()
-
-	if rows == 0 && ck.PartialBytes == 0 {
-		if _, err := job.appendRows(partial, view, 0, 0); err != nil {
-			return err
-		}
-	}
-	tel := job.tel
-	cc := job.newCommitter(ck, partial, chunks)
-	commit := func(sp *telemetry.Span, chunk, lo, hi int, data []byte, started time.Time) error {
-		return cc.commit(sp, chunk, hi-lo, data, started)
-	}
-
-	first := ck.NextChunk
-	pending := chunks - first
-	workers := job.workerCount()
-	if workers > pending {
-		workers = pending
-	}
-	tel.Metrics.Gauge("privateclean_privatize_workers",
-		"Effective chunk-privatizer pool size of the last privatize run.").Set(float64(workers))
-	job.span.Set("workers", workers)
-
-	if workers <= 1 {
-		for chunk := first; chunk < chunks; chunk++ {
-			lo, hi := chunkRange(chunk, job.ChunkSize, rows)
-			started := time.Now()
-			sp := tel.Trace.StartSpan(job.span, "chunk", telemetry.A("index", chunk), telemetry.A("rows", hi-lo))
-			data, err := job.renderChunk(r, view, meta, chunk, lo, hi)
-			if err != nil {
-				sp.Set("err", err)
-				sp.End()
-				return err
-			}
-			if err := commit(sp, chunk, lo, hi, data, started); err != nil {
-				return err
-			}
-		}
-		if err := partial.Close(); err != nil {
-			return faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("core: closing partial view: %w", err))
-		}
-		return nil
-	}
-
-	// Pooled path. Workers pull chunk indexes and park the rendered bytes
-	// in a ring of single-slot channels, slot (chunk-first) mod inflight.
-	// The producer must hold a dispatch token before handing out a chunk and
-	// the committer returns the token only when it drains the chunk's slot;
-	// with exactly inflight tokens, the dispatched-but-undrained chunks are
-	// always inflight consecutive indexes — distinct modulo inflight — so a
-	// slot can never receive a later chunk before its earlier tenant is
-	// consumed, and buffered chunk memory stays bounded.
-	inflight := workers * 2
-	if inflight > pending {
-		inflight = pending
-	}
-	results := make([]chan renderedChunk, inflight)
-	for i := range results {
-		results[i] = make(chan renderedChunk, 1)
-	}
-	tokens := make(chan struct{}, inflight)
-	for i := 0; i < inflight; i++ {
-		tokens <- struct{}{}
-	}
-	jobs := make(chan int)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	stopAll := func() { stopOnce.Do(func() { close(stop) }) }
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for chunk := range jobs {
-				lo, hi := chunkRange(chunk, job.ChunkSize, rows)
-				started := time.Now()
-				data, err := job.renderChunk(r, view, meta, chunk, lo, hi)
-				select {
-				case results[(chunk-first)%inflight] <- renderedChunk{data: data, err: err, started: started}:
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for chunk := first; chunk < chunks; chunk++ {
-			select {
-			case <-tokens:
-			case <-stop:
-				return
-			}
-			select {
-			case jobs <- chunk:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	defer func() {
-		stopAll()
-		wg.Wait()
-	}()
-
-	for chunk := first; chunk < chunks; chunk++ {
-		rc := <-results[(chunk-first)%inflight]
-		tokens <- struct{}{} // slot drained; its next tenant may be dispatched
-		lo, hi := chunkRange(chunk, job.ChunkSize, rows)
-		sp := tel.Trace.StartSpan(job.span, "chunk", telemetry.A("index", chunk), telemetry.A("rows", hi-lo))
-		if rc.err != nil {
-			sp.Set("err", rc.err)
-			sp.End()
-			return rc.err
-		}
-		if err := commit(sp, chunk, lo, hi, rc.data, rc.started); err != nil {
-			return err
-		}
-	}
-	if err := partial.Close(); err != nil {
-		return faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("core: closing partial view: %w", err))
-	}
-	return nil
-}
-
 // chunkCommitter makes rendered chunks durable and advances the checkpoint —
-// the single-goroutine commit stage both run modes and both pool shapes
-// share. Only the committer touches the partial file and the checkpoint.
+// the single-goroutine commit stage of writeChunks. Only the committer
+// touches the partial file and the checkpoint.
 type chunkCommitter struct {
 	job     *PrivatizeJob
 	ck      *checkpoint
@@ -733,7 +515,7 @@ func (cc *chunkCommitter) commit(sp *telemetry.Span, chunk, rows int, data []byt
 		return err
 	}
 	ck.NextChunk = chunk + 1
-	ck.RNGStream = streamSeed(job.Seed, chunk+1)
+	ck.RNGStream = privacy.StreamSeed(job.Seed, chunk+1)
 	ck.PartialBytes += n
 	ck.RowsEmitted += rows
 	ckSp := tel.Trace.StartSpan(sp, "checkpoint_write", telemetry.A("path", job.checkpointPath()))
@@ -755,91 +537,6 @@ func (cc *chunkCommitter) commit(sp *telemetry.Span, chunk, rows int, data []byt
 		return job.OnChunk(chunk+1, cc.chunks)
 	}
 	return nil
-}
-
-// loadInput reads the input CSV under the job's row policy. The quarantine
-// sidecar is written atomically (temp + fsync + rename): a crash mid-load
-// cannot leave a torn sidecar, and a failed load leaves any pre-existing
-// sidecar untouched instead of truncating it.
-func (job *PrivatizeJob) loadInput() (*relation.Relation, *csvio.Report, error) {
-	opts := csvio.Options{ForceKinds: job.ForceKinds, OnRowError: job.OnRowError}
-	if job.OnRowError != csvio.RowErrorQuarantine {
-		return csvio.ReadFileWithReport(job.In, opts)
-	}
-	var (
-		r   *relation.Relation
-		rep *csvio.Report
-	)
-	err := atomicio.WriteFileKeep(job.quarantinePath(), func(w io.Writer) error {
-		opts.Quarantine = w
-		var rerr error
-		r, rep, rerr = csvio.ReadFileWithReport(job.In, opts)
-		return rerr
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, rep, nil
-}
-
-// viewMetaFor computes the release metadata without consuming randomness:
-// domains for discrete attributes, observed sensitivities for numeric ones.
-func viewMetaFor(r *relation.Relation, params privacy.Params) (*privacy.ViewMeta, error) {
-	mech, err := privacy.MechanismByName(params.Mechanism)
-	if err != nil {
-		return nil, faults.Wrap(faults.ErrBadParams, err)
-	}
-	// GRR is stamped as the empty string so default-mechanism metadata stays
-	// byte-identical with pre-registry releases.
-	mechName := params.Mechanism
-	if mechName == privacy.MechGRR {
-		mechName = ""
-	}
-	meta := &privacy.ViewMeta{
-		Discrete: make(map[string]privacy.DiscreteMeta),
-		Numeric:  make(map[string]privacy.NumericMeta),
-		Rows:     r.NumRows(),
-	}
-	for _, name := range r.Schema().DiscreteNames() {
-		domain, err := r.Domain(name)
-		if err != nil {
-			return nil, err
-		}
-		if len(domain) == 0 && r.NumRows() > 0 {
-			return nil, faults.Errorf(faults.ErrBadInput, "core: attribute %q has an empty domain", name)
-		}
-		if len(domain) > 0 {
-			if err := mech.Validate(params.P[name], len(domain)); err != nil {
-				return nil, fmt.Errorf("core: attribute %q: %w", name, err)
-			}
-		}
-		meta.Discrete[name] = privacy.DiscreteMeta{Name: name, P: params.P[name], Domain: domain, Mechanism: mechName}
-	}
-	for _, name := range r.Schema().NumericNames() {
-		col, err := r.Numeric(name)
-		if err != nil {
-			return nil, err
-		}
-		delta, low := 0.0, 0.0
-		if lo, hi, err := stats.MinMax(col); err == nil {
-			delta, low = hi-lo, lo
-		}
-		bins := params.Bins
-		if bins < 0 {
-			bins = 0
-		}
-		meta.Numeric[name] = privacy.NumericMeta{Name: name, B: params.B[name], Delta: delta, Lo: low, Bins: bins}
-	}
-	return meta, nil
-}
-
-// privatizeRange randomizes rows [lo, hi) of every attribute, writing into
-// view. Column order is the schema's, so the draw sequence for a chunk is a
-// pure function of (data, params, chunk stream). It allocates nothing and
-// touches only rows [lo, hi) of view, so disjoint chunks may run
-// concurrently (privacy.PrivatizeRange).
-func privatizeRange(rng privacy.Rand, r, view *relation.Relation, meta *privacy.ViewMeta, lo, hi int) error {
-	return privacy.PrivatizeRange(rng, r, view, meta, lo, hi)
 }
 
 // openPartial opens (or creates) the partial output file positioned at the
@@ -887,50 +584,6 @@ func (job *PrivatizeJob) openPartial(ck *checkpoint) (*os.File, error) {
 	return f, nil
 }
 
-// renderChunk privatizes rows [lo, hi) of the view with the chunk's own RNG
-// stream and renders them to CSV bytes. It touches only that row range, so
-// pool workers can render disjoint chunks concurrently.
-func (job *PrivatizeJob) renderChunk(r, view *relation.Relation, meta *privacy.ViewMeta, chunk, lo, hi int) ([]byte, error) {
-	if err := privatizeRange(chunkRand(job.Seed, chunk), r, view, meta, lo, hi); err != nil {
-		return nil, err
-	}
-	return renderRows(view, lo, hi)
-}
-
-// renderRows renders rows [lo, hi) of the view (plus the header before row
-// zero) to CSV bytes. The chunk is staged in memory so a short write never
-// interleaves a torn record into the accounting.
-func renderRows(view *relation.Relation, lo, hi int) ([]byte, error) {
-	return renderWindow(view, lo, hi, lo == 0)
-}
-
-// renderWindow is renderRows with an explicit header switch, for the
-// streaming path whose windows always start at local row zero.
-func renderWindow(view *relation.Relation, lo, hi int, withHeader bool) ([]byte, error) {
-	var buf bytes.Buffer
-	cw := csv.NewWriter(&buf)
-	cols := view.Schema().Columns()
-	if withHeader {
-		if err := cw.Write(csvio.Header(view)); err != nil {
-			return nil, faults.Wrap(faults.ErrPartialWrite, err)
-		}
-	}
-	record := make([]string, len(cols))
-	for i := lo; i < hi; i++ {
-		if err := csvio.FormatRow(view, cols, i, record); err != nil {
-			return nil, err
-		}
-		if err := cw.Write(record); err != nil {
-			return nil, faults.Wrap(faults.ErrPartialWrite, err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return nil, faults.Wrap(faults.ErrPartialWrite, err)
-	}
-	return buf.Bytes(), nil
-}
-
 // commitBytes appends one rendered chunk durably to the partial file.
 func (job *PrivatizeJob) commitBytes(f *os.File, data []byte) (int64, error) {
 	var w io.Writer = f
@@ -948,16 +601,6 @@ func (job *PrivatizeJob) commitBytes(f *os.File, data []byte) (int64, error) {
 		return 0, faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("core: chunk sync: %w", err))
 	}
 	return int64(len(data)), nil
-}
-
-// appendRows renders rows [lo, hi) of the view and appends them durably to
-// the partial file, returning the byte count.
-func (job *PrivatizeJob) appendRows(f *os.File, view *relation.Relation, lo, hi int) (int64, error) {
-	data, err := renderRows(view, lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	return job.commitBytes(f, data)
 }
 
 // readCheckpoint loads and validates the on-disk checkpoint against the
@@ -993,7 +636,7 @@ func (job *PrivatizeJob) readCheckpoint(fresh *checkpoint) (*checkpoint, error) 
 		return nil, faults.Errorf(faults.ErrCorruptCheckpoint, "core: checkpoint chunk index %d out of range", ck.NextChunk)
 	case ck.PartialBytes < 0 || ck.RowsEmitted < 0 || ck.RowsEmitted > ck.Rows:
 		return nil, faults.Errorf(faults.ErrCorruptCheckpoint, "core: checkpoint accounting out of range")
-	case ck.RNGStream != streamSeed(ck.Seed, ck.NextChunk):
+	case ck.RNGStream != privacy.StreamSeed(ck.Seed, ck.NextChunk):
 		return nil, faults.Errorf(faults.ErrCorruptCheckpoint, "core: checkpoint RNG stream position does not match its chunk index")
 	}
 	return ck, nil

@@ -83,6 +83,15 @@ func uninterrupted(t *testing.T, input string) (view, meta []byte) {
 	return readFile(t, job.Out), readFile(t, job.MetaPath)
 }
 
+// eachMode runs fn once per input mode, as subtests, so the crash matrix
+// covers both window sources against the same uninterrupted bytes.
+func eachMode(t *testing.T, fn func(t *testing.T, stream bool)) {
+	t.Helper()
+	for _, stream := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stream=%v", stream), func(t *testing.T) { fn(t, stream) })
+	}
+}
+
 func TestPipelineFreshRun(t *testing.T) {
 	input := testCSV(18) // 5 chunks of 4
 	job, _ := testJob(t, input)
@@ -124,39 +133,42 @@ func TestPipelineKillBetweenChunksResumes(t *testing.T) {
 
 	for _, killAt := range []int{1, 3, 5} { // first, middle, and after-final chunk
 		t.Run(fmt.Sprintf("kill_after_chunk_%d", killAt), func(t *testing.T) {
-			job, _ := testJob(t, input)
-			boom := errors.New("simulated kill")
-			job.OnChunk = func(done, total int) error {
-				if done == killAt {
-					return boom
+			eachMode(t, func(t *testing.T, stream bool) {
+				job, _ := testJob(t, input)
+				job.Stream = stream
+				boom := errors.New("simulated kill")
+				job.OnChunk = func(done, total int) error {
+					if done == killAt {
+						return boom
+					}
+					return nil
 				}
-				return nil
-			}
-			if _, err := job.Run(); !errors.Is(err, boom) {
-				t.Fatalf("interrupted run: %v, want simulated kill", err)
-			}
-			// The kill must not have published anything final.
-			mustNotExist(t, job.Out)
-			mustNotExist(t, job.MetaPath)
+				if _, err := job.Run(); !errors.Is(err, boom) {
+					t.Fatalf("interrupted run: %v, want simulated kill", err)
+				}
+				// The kill must not have published anything final.
+				mustNotExist(t, job.Out)
+				mustNotExist(t, job.MetaPath)
 
-			resume := *job
-			resume.OnChunk = nil
-			resume.Resume = true
-			res, err := resume.Run()
-			if err != nil {
-				t.Fatalf("resume: %v", err)
-			}
-			if res.ResumedFrom != killAt {
-				t.Errorf("ResumedFrom = %d, want %d", res.ResumedFrom, killAt)
-			}
-			if got := readFile(t, job.Out); string(got) != string(wantView) {
-				t.Errorf("resumed view differs from uninterrupted run")
-			}
-			if got := readFile(t, job.MetaPath); string(got) != string(wantMeta) {
-				t.Errorf("resumed metadata differs from uninterrupted run")
-			}
-			mustNotExist(t, job.partialPath())
-			mustNotExist(t, job.checkpointPath())
+				resume := *job
+				resume.OnChunk = nil
+				resume.Resume = true
+				res, err := resume.Run()
+				if err != nil {
+					t.Fatalf("resume: %v", err)
+				}
+				if res.ResumedFrom != killAt {
+					t.Errorf("ResumedFrom = %d, want %d", res.ResumedFrom, killAt)
+				}
+				if got := readFile(t, job.Out); string(got) != string(wantView) {
+					t.Errorf("resumed view differs from uninterrupted run")
+				}
+				if got := readFile(t, job.MetaPath); string(got) != string(wantMeta) {
+					t.Errorf("resumed metadata differs from uninterrupted run")
+				}
+				mustNotExist(t, job.partialPath())
+				mustNotExist(t, job.checkpointPath())
+			})
 		})
 	}
 }
@@ -168,38 +180,41 @@ func TestPipelineShortWriteResumes(t *testing.T) {
 	input := testCSV(18)
 	wantView, wantMeta := uninterrupted(t, input)
 
-	job, _ := testJob(t, input)
-	appends := 0
-	job.tapOutput = func(w io.Writer) io.Writer {
-		appends++
-		if appends == 3 { // torn write inside the third chunk
-			return &faults.FailingWriter{W: w, FailAt: 7, Short: true}
+	eachMode(t, func(t *testing.T, stream bool) {
+		job, _ := testJob(t, input)
+		job.Stream = stream
+		appends := 0
+		job.tapOutput = func(w io.Writer) io.Writer {
+			appends++
+			if appends == 3 { // torn write inside the third chunk
+				return &faults.FailingWriter{W: w, FailAt: 7, Short: true}
+			}
+			return w
 		}
-		return w
-	}
-	_, err := job.Run()
-	if !errors.Is(err, faults.ErrPartialWrite) || !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("short write: %v, want ErrPartialWrite via ErrInjected", err)
-	}
-	mustNotExist(t, job.Out)
-	mustNotExist(t, job.MetaPath)
+		_, err := job.Run()
+		if !errors.Is(err, faults.ErrPartialWrite) || !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("short write: %v, want ErrPartialWrite via ErrInjected", err)
+		}
+		mustNotExist(t, job.Out)
+		mustNotExist(t, job.MetaPath)
 
-	resume := *job
-	resume.tapOutput = nil
-	resume.Resume = true
-	res, err := resume.Run()
-	if err != nil {
-		t.Fatalf("resume after short write: %v", err)
-	}
-	if res.ResumedFrom != 2 {
-		t.Errorf("ResumedFrom = %d, want 2", res.ResumedFrom)
-	}
-	if got := readFile(t, job.Out); string(got) != string(wantView) {
-		t.Errorf("resumed view differs from uninterrupted run")
-	}
-	if got := readFile(t, job.MetaPath); string(got) != string(wantMeta) {
-		t.Errorf("resumed metadata differs from uninterrupted run")
-	}
+		resume := *job
+		resume.tapOutput = nil
+		resume.Resume = true
+		res, err := resume.Run()
+		if err != nil {
+			t.Fatalf("resume after short write: %v", err)
+		}
+		if res.ResumedFrom != 2 {
+			t.Errorf("ResumedFrom = %d, want 2", res.ResumedFrom)
+		}
+		if got := readFile(t, job.Out); string(got) != string(wantView) {
+			t.Errorf("resumed view differs from uninterrupted run")
+		}
+		if got := readFile(t, job.MetaPath); string(got) != string(wantMeta) {
+			t.Errorf("resumed metadata differs from uninterrupted run")
+		}
+	})
 }
 
 // TestPipelineCrashBeforeFirstCheckpoint: a failure before any chunk is
@@ -244,38 +259,41 @@ func TestPipelineCrashDuringFinalize(t *testing.T) {
 	input := testCSV(18)
 	wantView, wantMeta := uninterrupted(t, input)
 
-	job, _ := testJob(t, input)
-	boom := errors.New("simulated kill")
-	job.OnChunk = func(done, total int) error {
-		if done == total {
-			return boom
+	eachMode(t, func(t *testing.T, stream bool) {
+		job, _ := testJob(t, input)
+		job.Stream = stream
+		boom := errors.New("simulated kill")
+		job.OnChunk = func(done, total int) error {
+			if done == total {
+				return boom
+			}
+			return nil
 		}
-		return nil
-	}
-	if _, err := job.Run(); !errors.Is(err, boom) {
-		t.Fatal("expected simulated kill after final chunk")
-	}
-	// Simulate the crash landing between the rename and checkpoint removal.
-	if err := os.Rename(job.partialPath(), job.Out); err != nil {
-		t.Fatal(err)
-	}
-	resume := *job
-	resume.OnChunk = nil
-	resume.Resume = true
-	res, err := resume.Run()
-	if err != nil {
-		t.Fatalf("resume during finalize: %v", err)
-	}
-	if res.ResumedFrom != res.Chunks {
-		t.Errorf("ResumedFrom = %d, want %d (all chunks durable)", res.ResumedFrom, res.Chunks)
-	}
-	if got := readFile(t, job.Out); string(got) != string(wantView) {
-		t.Errorf("finalized view differs from uninterrupted run")
-	}
-	if got := readFile(t, job.MetaPath); string(got) != string(wantMeta) {
-		t.Errorf("finalized metadata differs from uninterrupted run")
-	}
-	mustNotExist(t, job.checkpointPath())
+		if _, err := job.Run(); !errors.Is(err, boom) {
+			t.Fatal("expected simulated kill after final chunk")
+		}
+		// Simulate the crash landing between the rename and checkpoint removal.
+		if err := os.Rename(job.partialPath(), job.Out); err != nil {
+			t.Fatal(err)
+		}
+		resume := *job
+		resume.OnChunk = nil
+		resume.Resume = true
+		res, err := resume.Run()
+		if err != nil {
+			t.Fatalf("resume during finalize: %v", err)
+		}
+		if res.ResumedFrom != res.Chunks {
+			t.Errorf("ResumedFrom = %d, want %d (all chunks durable)", res.ResumedFrom, res.Chunks)
+		}
+		if got := readFile(t, job.Out); string(got) != string(wantView) {
+			t.Errorf("finalized view differs from uninterrupted run")
+		}
+		if got := readFile(t, job.MetaPath); string(got) != string(wantMeta) {
+			t.Errorf("finalized metadata differs from uninterrupted run")
+		}
+		mustNotExist(t, job.checkpointPath())
+	})
 }
 
 // TestPipelineTruncatedInput: a file cut mid-row fails typed before any
@@ -538,7 +556,7 @@ func (job *PrivatizeJob) readCheckpointForTest(src *PrivatizeJob) (*checkpoint, 
 	if err != nil {
 		return nil, err
 	}
-	r, _, err := src.loadInput()
+	r, err := csvio.ReadFile(src.In, csvio.Options{})
 	if err != nil {
 		return nil, err
 	}

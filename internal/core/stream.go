@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/csv"
 	"fmt"
 	"io"
 	"sync"
@@ -14,25 +16,29 @@ import (
 	"privateclean/internal/telemetry"
 )
 
-// The out-of-core run mode. The input is never materialized: two
-// bounded-memory scans (csvio.ProfileFile) resolve the schema, domains,
-// sensitivities, and row accounting, and a third scan decodes kept rows in
-// chunk-sized windows that are privatized in place and rendered to CSV.
+// The chunk pipeline. A run is one loop over row windows, and the input mode
+// chooses only where the windows come from:
 //
-// Byte-identity with the in-memory path follows from the chunk contract:
-// chunk k covers kept rows [k·ChunkSize, (k+1)·ChunkSize) and draws from
-// privacy.StreamRand(seed, k); privacy.PrivatizeRange consumes randomness as
-// a pure function of (p, row count) per discrete column and of the column's
-// NaN pattern per numeric column, in schema order — all identical between a
-// resident row range and the equivalent decoded window. Rendering, commit,
-// and checkpointing go through the same committer, so the released bytes,
-// the metadata JSON, and every intermediate checkpoint are byte-for-byte
-// equal for the same (input, params, seed, chunk size) at any worker count.
+//   - in memory (loadResident), the input is read once and windowed with
+//     relation.NewSliceIterator — zero-copy views of the loaded relation;
+//   - streaming (loadStreaming, Stream), two bounded-memory scans
+//     (csvio.ProfileFile) resolve the schema, domains, sensitivities, and row
+//     accounting, and a third scan (csvio.ChunkIterator) decodes the kept rows
+//     window by window, never materializing the whole relation.
 //
-// Observable differences from the in-memory path, by design:
-//   - PrivatizeResult.View is nil (nothing resident to return);
-//   - under the quarantine policy, sidecar rows are written in input order
-//     rather than grouped arity/syntax-then-bad_numeric (same row set).
+// Everything after that is shared: writeChunks reads the windows in order,
+// a worker pool privatizes each window in place and renders it, and one
+// committer makes the chunks durable in chunk order. Chunk k covers kept rows
+// [k·ChunkSize, (k+1)·ChunkSize) and draws from privacy.StreamRand(seed, k);
+// privacy.PrivatizeRange consumes randomness as a pure function of (p, row
+// count) per discrete column and of the column's NaN pattern per numeric
+// column, in schema order. So the released bytes, the metadata JSON, and
+// every intermediate checkpoint are byte-for-byte equal across modes and
+// worker counts for the same (input, params, seed, chunk size).
+//
+// One observable difference between the modes, by design: under the
+// quarantine policy, the streaming sidecar lists rows in input order rather
+// than grouped arity/syntax-then-bad_numeric (same row set).
 
 // streamBytesPerRow is the conservative expansion factor from one CSV source
 // byte to resident bytes in the streaming pipeline: decoded strings/floats,
@@ -68,186 +74,104 @@ func chunkSizeForBudget(budget int64, prof *csvio.Profile) int {
 	return int(cs)
 }
 
-// profileInput runs the two profile scans under the job's row policy,
-// writing the quarantine sidecar atomically exactly as loadInput does.
-func (job *PrivatizeJob) profileInput() (*csvio.Profile, error) {
+// readInput runs one read of the input — the in-memory load or the streaming
+// profile — under the job's row policy, inside a span of the given name.
+// Under the quarantine policy the sidecar is written atomically (temp + fsync
+// + rename): a crash mid-read cannot leave a torn sidecar, and a failed read
+// leaves any pre-existing sidecar untouched instead of truncating it.
+func (job *PrivatizeJob) readInput(span string, read func(csvio.Options) (*csvio.Report, error)) (*csvio.Report, error) {
+	sp := job.tel.Trace.StartSpan(job.span, span, telemetry.A("path", job.In))
+	defer sp.End()
+	start := time.Now()
 	opts := csvio.Options{ForceKinds: job.ForceKinds, OnRowError: job.OnRowError}
+	var rep *csvio.Report
+	var err error
 	if job.OnRowError != csvio.RowErrorQuarantine {
-		return csvio.ProfileFile(job.In, opts)
+		rep, err = read(opts)
+	} else {
+		err = atomicio.WriteFileKeep(job.quarantinePath(), func(w io.Writer) error {
+			opts.Quarantine = w
+			var rerr error
+			rep, rerr = read(opts)
+			return rerr
+		})
 	}
-	var prof *csvio.Profile
-	err := atomicio.WriteFileKeep(job.quarantinePath(), func(w io.Writer) error {
-		opts.Quarantine = w
-		var perr error
-		prof, perr = csvio.ProfileFile(job.In, opts)
-		return perr
+	if err != nil {
+		sp.Set("err", err)
+		return nil, err
+	}
+	sp.Set("rows", rep.Rows)
+	job.tel.Metrics.Histogram("privateclean_csv_load_seconds",
+		"Wall time of input CSV loads.", telemetry.DurationBuckets).Observe(time.Since(start).Seconds())
+	return rep, nil
+}
+
+// loadResident reads the whole input once. Its windows are zero-copy views
+// of the loaded relation, each privatized in place: nothing reads the
+// relation after the run, so it needs no private copy.
+func (job *PrivatizeJob) loadResident() (*privacy.ViewMeta, *csvio.Report, relation.Iterator, error) {
+	var r *relation.Relation
+	rep, err := job.readInput("csv_load", func(opts csvio.Options) (rep *csvio.Report, err error) {
+		r, rep, err = csvio.ReadFileWithReport(job.In, opts)
+		return rep, err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	return prof, nil
-}
-
-// viewMetaFromProfile mirrors viewMetaFor over a streaming profile: the same
-// metadata values (and the same empty-domain error) without a resident
-// relation.
-func viewMetaFromProfile(prof *csvio.Profile, schema relation.Schema, params privacy.Params) (*privacy.ViewMeta, error) {
-	mech, err := privacy.MechanismByName(params.Mechanism)
+	if err := job.Params.Validate(r.Schema(), true); err != nil {
+		return nil, nil, nil, err
+	}
+	meta, err := privacy.ViewMetaFor(r, job.Params)
 	if err != nil {
-		return nil, faults.Wrap(faults.ErrBadParams, err)
+		return nil, nil, nil, err
 	}
-	mechName := params.Mechanism
-	if mechName == privacy.MechGRR {
-		mechName = ""
-	}
-	meta := &privacy.ViewMeta{
-		Discrete: make(map[string]privacy.DiscreteMeta),
-		Numeric:  make(map[string]privacy.NumericMeta),
-		Rows:     prof.Rows,
-	}
-	for _, name := range schema.DiscreteNames() {
-		domain := prof.Domains[name]
-		if len(domain) == 0 && prof.Rows > 0 {
-			return nil, faults.Errorf(faults.ErrBadInput, "core: attribute %q has an empty domain", name)
-		}
-		if len(domain) > 0 {
-			if err := mech.Validate(params.P[name], len(domain)); err != nil {
-				return nil, fmt.Errorf("core: attribute %q: %w", name, err)
-			}
-		}
-		meta.Discrete[name] = privacy.DiscreteMeta{Name: name, P: params.P[name], Domain: domain, Mechanism: mechName}
-	}
-	for _, name := range schema.NumericNames() {
-		bins := params.Bins
-		if bins < 0 {
-			bins = 0
-		}
-		meta.Numeric[name] = privacy.NumericMeta{Name: name, B: params.B[name], Delta: prof.Deltas[name], Lo: prof.Lows[name], Bins: bins}
-	}
-	return meta, nil
+	return meta, rep, relation.NewSliceIterator(r, job.ChunkSize), nil
 }
 
-// runStream executes the job out of core. The caller (Run) has validated the
-// paths, set up telemetry, and fingerprinted the input.
-func (job *PrivatizeJob) runStream(inputSHA string, start time.Time) (*PrivatizeResult, error) {
-	tel := job.tel
+// loadStreaming profiles the input in two bounded-memory scans and opens the
+// third, which decodes the kept rows window by window. Without a ChunkSize
+// the window size is derived from MemBudget and the profiled geometry.
+func (job *PrivatizeJob) loadStreaming() (*privacy.ViewMeta, *csvio.Report, relation.Iterator, error) {
 	job.span.Set("stream", true)
-
-	profSpan := tel.Trace.StartSpan(job.span, "csv_profile", telemetry.A("path", job.In))
-	profStart := time.Now()
-	prof, err := job.profileInput()
+	var prof *csvio.Profile
+	rep, err := job.readInput("csv_profile", func(opts csvio.Options) (*csvio.Report, error) {
+		var err error
+		if prof, err = csvio.ProfileFile(job.In, opts); err != nil {
+			return nil, err
+		}
+		return prof.Report, nil
+	})
 	if err != nil {
-		profSpan.Set("err", err)
-		profSpan.End()
-		return nil, err
+		return nil, nil, nil, err
 	}
-	profSpan.Set("rows", prof.Rows)
-	profSpan.End()
-	tel.Metrics.Histogram("privateclean_csv_load_seconds",
-		"Wall time of input CSV loads.", telemetry.DurationBuckets).Observe(time.Since(profStart).Seconds())
-
 	schema, err := prof.Schema()
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	if err := job.Params.Validate(schema, true); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	if job.ChunkSize <= 0 {
 		job.ChunkSize = chunkSizeForBudget(job.MemBudget, prof)
-		tel.Log.Info("derived streaming chunk size", "chunk_size", job.ChunkSize,
+		job.tel.Log.Info("derived streaming chunk size", "chunk_size", job.ChunkSize,
 			"mem_budget", job.MemBudget, "data_bytes", prof.DataBytes, "rows", prof.Rows)
 	}
 	job.span.Set("chunk_size", job.ChunkSize)
-	meta, err := viewMetaFromProfile(prof, schema, job.Params)
+	meta, err := privacy.ViewMetaFromProfile(schema, prof.Rows, prof.Domains, prof.Lows, prof.Deltas, job.Params)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-
-	rows := prof.Rows
-	chunks := (rows + job.ChunkSize - 1) / job.ChunkSize
-	mechTag, err := mechanismTagFor(job.Params)
+	it, err := csvio.NewChunkIterator(job.In, prof, job.ChunkSize)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	ck := &checkpoint{
-		Version:          checkpointVersion,
-		Mechanism:        mechTag,
-		InputSHA:         inputSHA,
-		ParamsSHA:        fingerprintParams(job.Params),
-		Seed:             job.Seed,
-		ChunkSize:        job.ChunkSize,
-		Rows:             rows,
-		RNGStream:        streamSeed(job.Seed, 0),
-		EpsilonPerRecord: meta.TotalEpsilon(),
-	}
-	resumedFrom := 0
-	if job.Resume {
-		prev, next, err := job.resumeFrom(ck)
-		if err != nil {
-			return nil, err
-		}
-		ck, resumedFrom = prev, next
-	}
-
-	needPartial := ck.NextChunk < chunks || (ck.NextChunk == 0 && !job.Resume)
-	if needPartial {
-		it, err := csvio.NewChunkIterator(job.In, prof, job.ChunkSize)
-		if err != nil {
-			return nil, err
-		}
-		defer it.Close()
-		if err := job.writeChunksStream(ck, it, schema, meta, rows, chunks); err != nil {
-			return nil, err
-		}
-	}
-
-	finSpan := tel.Trace.StartSpan(job.span, "finalize", telemetry.A("out", job.Out))
-	if err := job.finalize(meta); err != nil {
-		finSpan.Set("err", err)
-		finSpan.End()
-		return nil, err
-	}
-	finSpan.End()
-
-	res := &PrivatizeResult{
-		Meta:            meta,
-		Report:          prof.Report,
-		Rows:            rows,
-		Chunks:          chunks,
-		ResumedFrom:     resumedFrom,
-		Skipped:         prof.Report.Skipped,
-		Quarantined:     prof.Report.Quarantined,
-		ChunkStats:      job.chunkStats,
-		EpsilonComposed: meta.TotalEpsilon(),
-	}
-	return job.finishRun(res, inputSHA, meta, start)
-}
-
-// renderStreamChunk privatizes one decoded window in place with the chunk's
-// RNG stream and renders it to CSV bytes (header included for chunk zero).
-// In-place is safe: PrivatizeRange with view == source degenerates to a
-// self-copy followed by the in-place mechanisms, consuming the same draws.
-func (job *PrivatizeJob) renderStreamChunk(win *relation.Relation, meta *privacy.ViewMeta, chunk int) ([]byte, error) {
-	if err := privacy.PrivatizeRange(chunkRand(job.Seed, chunk), win, win, meta, 0, win.NumRows()); err != nil {
-		return nil, err
-	}
-	return renderWindow(win, 0, win.NumRows(), chunk == 0)
-}
-
-// streamWork is one decoded window travelling from the sequential reader to
-// a pool worker. A decode failure rides in err so it surfaces at the failing
-// chunk's in-order commit slot.
-type streamWork struct {
-	chunk int
-	win   *relation.Relation
-	err   error
+	return meta, rep, it, nil
 }
 
 // nextWindow pulls the next window and checks it covers exactly the rows the
 // chunk contract assigns — a mismatch means the input changed between the
-// profile scan and this scan.
-func (job *PrivatizeJob) nextWindow(it *csvio.ChunkIterator, chunk, rows int) (*relation.Relation, error) {
+// scan that counted the rows and this one.
+func (job *PrivatizeJob) nextWindow(it relation.Iterator, chunk, rows int) (*relation.Relation, error) {
 	lo, hi := chunkRange(chunk, job.ChunkSize, rows)
 	win, err := it.Next()
 	if err == io.EOF {
@@ -264,12 +188,32 @@ func (job *PrivatizeJob) nextWindow(it *csvio.ChunkIterator, chunk, rows int) (*
 	return win, nil
 }
 
-// writeChunksStream is the streaming counterpart of writeChunks: decode
-// windows sequentially, privatize+render them (serially or on a bounded
-// pool), and commit strictly in chunk order through the shared committer.
-// Resident data is bounded by the inflight window ring regardless of input
-// size.
-func (job *PrivatizeJob) writeChunksStream(ck *checkpoint, it *csvio.ChunkIterator, schema relation.Schema, meta *privacy.ViewMeta, rows, chunks int) error {
+// windowWork is one window travelling from the producer to a pool worker. A
+// read failure rides in err so it surfaces at the failing chunk's in-order
+// commit slot.
+type windowWork struct {
+	chunk int
+	win   *relation.Relation
+	err   error
+}
+
+// renderedChunk is one chunk privatized and rendered to CSV bytes by a
+// worker, waiting for its in-order durable commit.
+type renderedChunk struct {
+	data    []byte
+	err     error
+	started time.Time
+}
+
+// writeChunks privatizes and durably appends every pending chunk, advancing
+// the checkpoint after each one. One producer reads the windows in order; a
+// pool of workers (one worker included) privatizes each window in place with
+// its chunk's RNG stream and renders it; this goroutine commits the chunks
+// (write, sync, checkpoint, OnChunk) strictly in chunk order, so the bytes on
+// disk and every intermediate checkpoint are the same at any worker count.
+// The header of an empty relation is emitted as a degenerate zeroth chunk so
+// the released view is never a zero-byte file.
+func (job *PrivatizeJob) writeChunks(ck *checkpoint, it relation.Iterator, meta *privacy.ViewMeta, rows, chunks int) error {
 	partial, err := job.openPartial(ck)
 	if err != nil {
 		return err
@@ -277,16 +221,19 @@ func (job *PrivatizeJob) writeChunksStream(ck *checkpoint, it *csvio.ChunkIterat
 	defer partial.Close()
 
 	if rows == 0 && ck.PartialBytes == 0 {
-		if _, err := job.appendRows(partial, relation.New(schema), 0, 0); err != nil {
+		data, err := renderChunk(relation.New(it.Schema()), true)
+		if err != nil {
+			return err
+		}
+		if _, err := job.commitBytes(partial, data); err != nil {
 			return err
 		}
 	}
 	tel := job.tel
-	cc := job.newCommitter(ck, partial, chunks)
 
 	first := ck.NextChunk
-	// Chunks already durable from a previous run: decode and discard, so the
-	// reader is positioned at the first pending chunk.
+	// Chunks already durable from a previous run: read and discard, so the
+	// iterator is positioned at the first pending chunk.
 	for chunk := 0; chunk < first; chunk++ {
 		if _, err := job.nextWindow(it, chunk, rows); err != nil {
 			return err
@@ -294,47 +241,20 @@ func (job *PrivatizeJob) writeChunksStream(ck *checkpoint, it *csvio.ChunkIterat
 	}
 
 	pending := chunks - first
-	workers := job.workerCount()
-	if workers > pending {
-		workers = pending
-	}
+	workers := min(job.workerCount(), pending)
 	tel.Metrics.Gauge("privateclean_privatize_workers",
 		"Effective chunk-privatizer pool size of the last privatize run.").Set(float64(workers))
 	job.span.Set("workers", workers)
 
-	if workers <= 1 {
-		for chunk := first; chunk < chunks; chunk++ {
-			win, err := job.nextWindow(it, chunk, rows)
-			if err != nil {
-				return err
-			}
-			started := time.Now()
-			sp := tel.Trace.StartSpan(job.span, "chunk", telemetry.A("index", chunk), telemetry.A("rows", win.NumRows()))
-			data, err := job.renderStreamChunk(win, meta, chunk)
-			if err != nil {
-				sp.Set("err", err)
-				sp.End()
-				return err
-			}
-			if err := cc.commit(sp, chunk, win.NumRows(), data, started); err != nil {
-				return err
-			}
-		}
-		if err := partial.Close(); err != nil {
-			return faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("core: closing partial view: %w", err))
-		}
-		return nil
-	}
-
-	// Pooled path: the same token ring as writeChunks bounds the inflight
-	// windows. The producer decodes sequentially (CSV has no random access)
-	// and hands windows to workers; each worker privatizes and renders its
-	// window and parks the bytes in slot (chunk-first) mod inflight; the
-	// committer drains slots strictly in chunk order.
-	inflight := workers * 2
-	if inflight > pending {
-		inflight = pending
-	}
+	// Workers park the rendered bytes in a ring of single-slot channels,
+	// slot (chunk-first) mod inflight. The producer must hold a dispatch
+	// token before reading a window and the committer returns the token only
+	// when it drains the chunk's slot; with exactly inflight tokens, the
+	// dispatched-but-undrained chunks are always inflight consecutive
+	// indexes — distinct modulo inflight — so a slot can never receive a
+	// later chunk before its earlier tenant is consumed, and the resident
+	// windows stay bounded.
+	inflight := min(workers*2, pending)
 	results := make([]chan renderedChunk, inflight)
 	for i := range results {
 		results[i] = make(chan renderedChunk, 1)
@@ -343,10 +263,8 @@ func (job *PrivatizeJob) writeChunksStream(ck *checkpoint, it *csvio.ChunkIterat
 	for i := 0; i < inflight; i++ {
 		tokens <- struct{}{}
 	}
-	jobs := make(chan streamWork)
+	jobs := make(chan windowWork)
 	stop := make(chan struct{})
-	var stopOnce sync.Once
-	stopAll := func() { stopOnce.Do(func() { close(stop) }) }
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -354,11 +272,7 @@ func (job *PrivatizeJob) writeChunksStream(ck *checkpoint, it *csvio.ChunkIterat
 			defer wg.Done()
 			for work := range jobs {
 				started := time.Now()
-				var data []byte
-				err := work.err
-				if err == nil {
-					data, err = job.renderStreamChunk(work.win, meta, work.chunk)
-				}
+				data, err := job.privatizeWindow(work, meta)
 				select {
 				case results[(work.chunk-first)%inflight] <- renderedChunk{data: data, err: err, started: started}:
 				case <-stop:
@@ -377,20 +291,21 @@ func (job *PrivatizeJob) writeChunksStream(ck *checkpoint, it *csvio.ChunkIterat
 			}
 			win, err := job.nextWindow(it, chunk, rows)
 			select {
-			case jobs <- streamWork{chunk: chunk, win: win, err: err}:
+			case jobs <- windowWork{chunk: chunk, win: win, err: err}:
 			case <-stop:
 				return
 			}
 			if err != nil {
-				return // decode is dead; the error surfaces at this chunk's slot
+				return // the reader is dead; the error surfaces at this chunk's slot
 			}
 		}
 	}()
 	defer func() {
-		stopAll()
+		close(stop)
 		wg.Wait()
 	}()
 
+	cc := job.newCommitter(ck, partial, chunks)
 	for chunk := first; chunk < chunks; chunk++ {
 		rc := <-results[(chunk-first)%inflight]
 		tokens <- struct{}{} // slot drained; its next tenant may be dispatched
@@ -409,4 +324,54 @@ func (job *PrivatizeJob) writeChunksStream(ck *checkpoint, it *csvio.ChunkIterat
 		return faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("core: closing partial view: %w", err))
 	}
 	return nil
+}
+
+// privatizeWindow privatizes one window in place with its chunk's RNG stream
+// and renders it, the header first for chunk zero. In place is safe:
+// PrivatizeRange with view == source degenerates to a self-copy followed by
+// the in-place mechanisms, consuming the same draws. A panic becomes a
+// classified error at the chunk's commit slot, as Run's own recover would
+// make it.
+func (job *PrivatizeJob) privatizeWindow(work windowWork, meta *privacy.ViewMeta) (data []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			data, err = nil, faults.Recover(r)
+		}
+	}()
+	if work.err != nil {
+		return nil, work.err
+	}
+	win := work.win
+	if err := privacy.PrivatizeRange(privacy.StreamRand(job.Seed, work.chunk), win, win, meta, 0, win.NumRows()); err != nil {
+		return nil, err
+	}
+	return renderChunk(win, work.chunk == 0)
+}
+
+// renderChunk renders every row of a privatized window to CSV bytes, the
+// header first when withHeader. The chunk is staged in memory so a short
+// write never interleaves a torn record into the accounting.
+func renderChunk(win *relation.Relation, withHeader bool) ([]byte, error) {
+	var buf bytes.Buffer
+	cw := csv.NewWriter(&buf)
+	cols := win.Schema().Columns()
+	if withHeader {
+		if err := cw.Write(csvio.Header(win)); err != nil {
+			return nil, faults.Wrap(faults.ErrPartialWrite, err)
+		}
+	}
+	record := make([]string, len(cols))
+	for i := 0; i < win.NumRows(); i++ {
+		if err := csvio.FormatRow(win, cols, i, record); err != nil {
+			return nil, err
+		}
+		if err := cw.Write(record); err != nil {
+			return nil, faults.Wrap(faults.ErrPartialWrite, err)
+		}
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		return nil, faults.Wrap(faults.ErrPartialWrite, err)
+	}
+	return buf.Bytes(), nil
 }

@@ -1,15 +1,19 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
 	"testing"
 
 	"privateclean/internal/csvio"
+	"privateclean/internal/faults"
 	"privateclean/internal/relation"
+	"privateclean/internal/telemetry"
 )
 
 // The out-of-core contract: for the same (input, params, seed, chunk size),
@@ -29,15 +33,8 @@ func captureRun(t *testing.T, job *PrivatizeJob) (view, meta []byte, cks []strin
 		cks = append(cks, string(data))
 		return nil
 	}
-	res, err := job.Run()
-	if err != nil {
+	if _, err := job.Run(); err != nil {
 		t.Fatalf("run: %v", err)
-	}
-	if job.Stream && res.View != nil {
-		t.Error("streaming run materialized a View")
-	}
-	if !job.Stream && res.View == nil {
-		t.Error("in-memory run returned nil View")
 	}
 	return readFile(t, job.Out), readFile(t, job.MetaPath), cks
 }
@@ -337,6 +334,98 @@ func TestStreamQuarantineSidecarRowSet(t *testing.T) {
 	for l, n := range set {
 		if n != 0 {
 			t.Errorf("quarantine sidecar row sets differ at %q (delta %d)", l, n)
+		}
+	}
+}
+
+// faultyWindows passes an iterator's windows through, except that chunk
+// failAt comes back one row short — or, with eof, the input ends there.
+type faultyWindows struct {
+	relation.Iterator
+	chunk, failAt int
+	eof           bool
+}
+
+func (f *faultyWindows) Next() (*relation.Relation, error) {
+	win, err := f.Iterator.Next()
+	chunk := f.chunk
+	f.chunk++
+	if err != nil || chunk != f.failAt {
+		return win, err
+	}
+	if f.eof {
+		return nil, io.EOF
+	}
+	return win.Window(0, win.NumRows()-1)
+}
+
+// TestWriteChunksRejectsBadWindows: a window that does not cover the rows
+// the chunk contract assigns (the input changed under the run) fails typed at
+// that chunk, after every earlier chunk is durable, and a resume over the
+// real input completes byte-identically.
+func TestWriteChunksRejectsBadWindows(t *testing.T) {
+	input := testCSV(37) // ten chunks of four
+	wantView, wantMeta := uninterrupted(t, input)
+	const failAt = 3
+	for _, eof := range []bool{false, true} {
+		for _, workers := range []int{1, 8} {
+			t.Run(fmt.Sprintf("eof=%v/workers=%d", eof, workers), func(t *testing.T) {
+				eachMode(t, func(t *testing.T, stream bool) {
+					job, _ := testJob(t, input)
+					job.Stream = stream
+					job.Workers = workers
+					job.tel = telemetry.Default()
+					job.span = job.tel.Trace.StartSpan(nil, "privatize")
+					load := job.loadResident
+					if stream {
+						load = job.loadStreaming
+					}
+					meta, _, it, err := load()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c, ok := it.(io.Closer); ok {
+						defer c.Close()
+					}
+					inputSHA, err := fingerprintFile(job.In)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ck, err := job.freshCheckpoint(inputSHA, meta)
+					if err != nil {
+						t.Fatal(err)
+					}
+					chunks := (meta.Rows + job.ChunkSize - 1) / job.ChunkSize
+					err = job.writeChunks(ck, &faultyWindows{Iterator: it, failAt: failAt, eof: eof}, meta, meta.Rows, chunks)
+					if !errors.Is(err, faults.ErrBadInput) || !strings.Contains(err.Error(), "file changed during the run?") {
+						t.Fatalf("bad window: %v, want ErrBadInput naming a changed file", err)
+					}
+
+					var disk checkpoint
+					if err := json.Unmarshal(readFile(t, job.checkpointPath()), &disk); err != nil {
+						t.Fatal(err)
+					}
+					if disk.NextChunk != failAt {
+						t.Errorf("checkpoint next_chunk = %d, want %d", disk.NextChunk, failAt)
+					}
+					if size := int64(len(readFile(t, job.partialPath()))); size != disk.PartialBytes {
+						t.Errorf("partial view is %d bytes, checkpoint covers %d", size, disk.PartialBytes)
+					}
+
+					resume := *job
+					resume.Resume = true
+					res, err := resume.Run()
+					if err != nil {
+						t.Fatalf("resume: %v", err)
+					}
+					if res.ResumedFrom != failAt {
+						t.Errorf("ResumedFrom = %d, want %d", res.ResumedFrom, failAt)
+					}
+					if string(readFile(t, job.Out)) != string(wantView) || string(readFile(t, job.MetaPath)) != string(wantMeta) {
+						t.Error("resumed release differs from uninterrupted run")
+					}
+				})
+			})
 		}
 	}
 }

@@ -128,101 +128,31 @@ func ReadWithReport(r io.Reader, opts Options) (*relation.Relation, *Report, err
 	if opts.OnRowError == RowErrorQuarantine && opts.Quarantine == nil {
 		return nil, nil, faults.Errorf(faults.ErrUsage, "csvio: quarantine policy needs a quarantine writer")
 	}
-	br := bufio.NewReader(r)
-	if head, err := br.Peek(3); err == nil && bytes.Equal(head, []byte{0xEF, 0xBB, 0xBF}) {
-		br.Discard(3) // UTF-8 BOM
-	}
-	cr := csv.NewReader(br)
-	cr.TrimLeadingSpace = true
-	cr.FieldsPerRecord = -1 // arity enforced below, under the row policy
-
-	header, err := cr.Read()
-	if err == io.EOF {
-		return nil, nil, faults.Errorf(faults.ErrBadInput, "csvio: missing header row")
-	}
+	src, err := newSource(r)
 	if err != nil {
-		return nil, nil, faults.Wrap(faults.ErrBadInput, fmt.Errorf("csvio: header: %w", err))
+		return nil, nil, err
 	}
-	seen := make(map[string]bool, len(header))
-	for i, name := range header {
-		if name == "" {
-			return nil, nil, faults.Errorf(faults.ErrBadInput, "csvio: empty name for header column %d", i+1)
-		}
-		if seen[name] {
-			return nil, nil, faults.Errorf(faults.ErrBadInput, "csvio: duplicate header column %q", name)
-		}
-		seen[name] = true
-	}
-
-	tel := opts.Tel
-	if tel == nil {
-		tel = telemetry.Default()
-	}
-	// Header names are schema metadata, not data: telemetry may show them.
-	tel.Redact.Allow(header...)
-
-	rep := &Report{}
-	var quarantine *csv.Writer
-	if opts.Quarantine != nil {
-		quarantine = csv.NewWriter(opts.Quarantine)
-	}
-	// reject applies the row policy to one malformed row; code is the
-	// vocabulary-safe reason class (arity, syntax, bad_numeric) telemetry
-	// carries in place of the full reason text, which may quote cells. It
-	// returns a non-nil error only under RowErrorFail.
-	reject := func(row int, fields []string, code, reason string) error {
-		tel.Metrics.Counter("privateclean_csv_rows_malformed_total",
-			"Malformed CSV rows encountered, by reason code and policy.",
-			telemetry.L("code", code), telemetry.L("policy", opts.OnRowError.String())).Inc()
-		tel.Log.Debug("malformed row", "row", row, "code", code, "policy", opts.OnRowError.String())
-		switch opts.OnRowError {
-		case RowErrorFail:
-			return faults.Errorf(faults.ErrBadInput, "csvio: row %d: %s", row, reason)
-		case RowErrorSkip:
-			rep.Skipped++
-		case RowErrorQuarantine:
-			rep.Quarantined++
-			record := append([]string{strconv.Itoa(row), reason}, fields...)
-			if err := quarantine.Write(record); err != nil {
-				return faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("csvio: quarantine: %w", err))
-			}
-		}
-		if len(rep.BadRows) < maxReportedRows {
-			rep.BadRows = append(rep.BadRows, RowError{Row: row, Reason: reason})
-		}
-		return nil
-	}
+	header := src.header
+	pol := newRowPolicy(opts, header)
 
 	var rows [][]string
 	var rowNums []int // physical row number per kept row, for later parse errors
-	physical := 1
 	for {
-		rec, err := cr.Read()
+		rec, code, reason, err := src.next()
 		if err == io.EOF {
 			break
 		}
-		physical++
 		if err != nil {
-			var pe *csv.ParseError
-			if errors.As(err, &pe) {
-				// Row-local quoting error: the policy decides.
-				if rerr := reject(physical, nil, "syntax", fmt.Sprintf("csv syntax: %v", pe.Err)); rerr != nil {
-					return nil, nil, rerr
-				}
-				continue
-			}
-			// Stream-level failure (the reader itself died): never skippable.
-			return nil, nil, faults.Wrap(faults.ErrBadInput, fmt.Errorf("csvio: row %d: %w", physical, err))
+			return nil, nil, err
 		}
-		if len(rec) != len(header) {
-			reason := fmt.Sprintf("has %d fields, header has %d", len(rec), len(header))
-			if rerr := reject(physical, rec, "arity", reason); rerr != nil {
+		if code != "" {
+			if rerr := pol.reject(src.physical, rec, code, reason); rerr != nil {
 				return nil, nil, rerr
 			}
 			continue
 		}
 		rows = append(rows, rec)
-		rowNums = append(rowNums, physical)
+		rowNums = append(rowNums, src.physical)
 	}
 
 	// Infer kinds from the kept rows.
@@ -250,9 +180,7 @@ func ReadWithReport(r io.Reader, opts Options) (*relation.Relation, *Report, err
 	}
 
 	// Validate numeric cells row-major so the row policy can still drop a
-	// row whose forced-numeric cell does not parse, or whose value is an
-	// explicit ±Inf (poison for every downstream aggregate). "NaN" stays
-	// accepted as the missing-value sentinel the writer emits.
+	// row whose forced-numeric cell does not parse or is non-finite.
 	clean := rows[:0]
 rowLoop:
 	for i, row := range rows {
@@ -260,30 +188,19 @@ rowLoop:
 			if kinds[c] != relation.Numeric || row[c] == "" {
 				continue
 			}
-			v, err := strconv.ParseFloat(row[c], 64)
-			reason := ""
-			switch {
-			case err != nil:
-				reason = fmt.Sprintf("column %q: %v", name, err)
-			case math.IsInf(v, 0):
-				reason = fmt.Sprintf("column %q: non-finite value %q", name, row[c])
-			default:
-				continue
+			if _, bad := parseNumeric(name, row[c]); bad != "" {
+				if rerr := pol.reject(rowNums[i], row, "bad_numeric", bad); rerr != nil {
+					return nil, nil, rerr
+				}
+				continue rowLoop
 			}
-			if rerr := reject(rowNums[i], row, "bad_numeric", reason); rerr != nil {
-				return nil, nil, rerr
-			}
-			continue rowLoop
 		}
 		clean = append(clean, row)
 	}
 	rows = clean
-
-	if quarantine != nil {
-		quarantine.Flush()
-		if err := quarantine.Error(); err != nil {
-			return nil, nil, faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("csvio: quarantine: %w", err))
-		}
+	rep, err := pol.finish(len(rows))
+	if err != nil {
+		return nil, nil, err
 	}
 
 	cols := make([]relation.Column, len(header))
@@ -330,15 +247,172 @@ rowLoop:
 	if err != nil {
 		return nil, nil, faults.Wrap(faults.ErrInternal, fmt.Errorf("csvio: %w", err))
 	}
-	rep.Rows = rel.NumRows()
-	tel.Metrics.Counter("privateclean_csv_rows_total", "Rows kept from CSV loads.").Add(float64(rep.Rows))
-	tel.Metrics.Histogram("privateclean_csv_rows_per_load", "Kept rows per CSV load.",
-		telemetry.RowBuckets).Observe(float64(rep.Rows))
-	if !rep.Clean() {
-		tel.Log.Warn("lossy CSV load", "rows", rep.Rows, "skipped", rep.Skipped,
-			"quarantined", rep.Quarantined, "policy", opts.OnRowError.String())
-	}
 	return rel, rep, nil
+}
+
+// source is one sequential pass over CSV data: BOM stripped, header read
+// and validated, data rows classified for the row policy.
+type source struct {
+	f      *os.File // nil unless opened by openSource
+	cr     *csv.Reader
+	header []string
+	// physical is the 1-based physical row number of the last record read
+	// (the header is row 1).
+	physical int
+}
+
+// newSource strips a UTF-8 BOM from r, then reads and validates the header
+// row: a missing, unreadable, empty or duplicate name is a typed
+// faults.ErrBadInput.
+func newSource(r io.Reader) (*source, error) {
+	br := bufio.NewReader(r)
+	if head, err := br.Peek(3); err == nil && bytes.Equal(head, []byte{0xEF, 0xBB, 0xBF}) {
+		br.Discard(3) // UTF-8 BOM
+	}
+	cr := csv.NewReader(br)
+	cr.TrimLeadingSpace = true
+	cr.FieldsPerRecord = -1 // arity enforced by next, under the row policy
+
+	header, err := cr.Read()
+	if err == io.EOF {
+		return nil, faults.Errorf(faults.ErrBadInput, "csvio: missing header row")
+	}
+	if err != nil {
+		return nil, faults.Wrap(faults.ErrBadInput, fmt.Errorf("csvio: header: %w", err))
+	}
+	seen := make(map[string]bool, len(header))
+	for i, name := range header {
+		if name == "" {
+			return nil, faults.Errorf(faults.ErrBadInput, "csvio: empty name for header column %d", i+1)
+		}
+		if seen[name] {
+			return nil, faults.Errorf(faults.ErrBadInput, "csvio: duplicate header column %q", name)
+		}
+		seen[name] = true
+	}
+	return &source{cr: cr, header: header, physical: 1}, nil
+}
+
+// next reads one data row. code is "" for a row of the header's arity, else
+// the malformed-row reason class ("syntax" or "arity") with reason set; an
+// arity row keeps its fields for the quarantine sidecar. It returns io.EOF
+// after the last row, and any other error is a stream-level failure, which
+// no policy may skip.
+func (s *source) next() (fields []string, code, reason string, err error) {
+	rec, err := s.cr.Read()
+	if err == io.EOF {
+		return nil, "", "", io.EOF
+	}
+	s.physical++
+	if err != nil {
+		var pe *csv.ParseError
+		if errors.As(err, &pe) {
+			return nil, "syntax", fmt.Sprintf("csv syntax: %v", pe.Err), nil
+		}
+		return nil, "", "", faults.Wrap(faults.ErrBadInput, fmt.Errorf("csvio: row %d: %w", s.physical, err))
+	}
+	if len(rec) != len(s.header) {
+		return rec, "arity", fmt.Sprintf("has %d fields, header has %d", len(rec), len(s.header)), nil
+	}
+	return rec, "", "", nil
+}
+
+// parseNumeric parses one non-empty cell of numeric column name. bad is the
+// row policy's reason text when the cell does not parse or is an explicit
+// ±Inf (poison for every downstream aggregate); "NaN" stays accepted as the
+// missing-value sentinel the writer emits.
+func parseNumeric(name, cell string) (v float64, bad string) {
+	v, err := strconv.ParseFloat(cell, 64)
+	switch {
+	case err != nil:
+		return 0, fmt.Sprintf("column %q: %v", name, err)
+	case math.IsInf(v, 0):
+		return 0, fmt.Sprintf("column %q: non-finite value %q", name, cell)
+	}
+	return v, ""
+}
+
+// rowPolicy applies Options.OnRowError to malformed rows and builds the
+// load's Report. BadRows lists arity/syntax rows before bad_numeric rows —
+// the order ReadWithReport's two passes find them in — whatever order the
+// rows are rejected in.
+type rowPolicy struct {
+	opts                Options
+	tel                 *telemetry.Set
+	rep                 Report
+	quarantine          *csv.Writer
+	structural, numeric []RowError
+}
+
+func newRowPolicy(opts Options, header []string) *rowPolicy {
+	tel := opts.Tel
+	if tel == nil {
+		tel = telemetry.Default()
+	}
+	// Header names are schema metadata, not data: telemetry may show them.
+	tel.Redact.Allow(header...)
+	pol := &rowPolicy{opts: opts, tel: tel}
+	if opts.Quarantine != nil {
+		pol.quarantine = csv.NewWriter(opts.Quarantine)
+	}
+	return pol
+}
+
+// reject applies the policy to one malformed row; code is the
+// vocabulary-safe reason class (arity, syntax, bad_numeric) telemetry
+// carries in place of the full reason text, which may quote cells. It
+// returns a non-nil error under RowErrorFail or when the sidecar write fails.
+func (pol *rowPolicy) reject(row int, fields []string, code, reason string) error {
+	policy := pol.opts.OnRowError.String()
+	pol.tel.Metrics.Counter("privateclean_csv_rows_malformed_total",
+		"Malformed CSV rows encountered, by reason code and policy.",
+		telemetry.L("code", code), telemetry.L("policy", policy)).Inc()
+	pol.tel.Log.Debug("malformed row", "row", row, "code", code, "policy", policy)
+	switch pol.opts.OnRowError {
+	case RowErrorFail:
+		return faults.Errorf(faults.ErrBadInput, "csvio: row %d: %s", row, reason)
+	case RowErrorSkip:
+		pol.rep.Skipped++
+	case RowErrorQuarantine:
+		pol.rep.Quarantined++
+		record := append([]string{strconv.Itoa(row), reason}, fields...)
+		if err := pol.quarantine.Write(record); err != nil {
+			return faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("csvio: quarantine: %w", err))
+		}
+	}
+	detail := &pol.structural
+	if code == "bad_numeric" {
+		detail = &pol.numeric
+	}
+	if len(*detail) < maxReportedRows {
+		*detail = append(*detail, RowError{Row: row, Reason: reason})
+	}
+	return nil
+}
+
+// finish flushes the quarantine sidecar and closes the Report over the kept
+// row count, recording the load's metrics.
+func (pol *rowPolicy) finish(rows int) (*Report, error) {
+	if pol.quarantine != nil {
+		pol.quarantine.Flush()
+		if err := pol.quarantine.Error(); err != nil {
+			return nil, faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("csvio: quarantine: %w", err))
+		}
+	}
+	rep := &pol.rep
+	rep.Rows = rows
+	rep.BadRows = append(pol.structural, pol.numeric...)
+	if len(rep.BadRows) > maxReportedRows {
+		rep.BadRows = rep.BadRows[:maxReportedRows]
+	}
+	pol.tel.Metrics.Counter("privateclean_csv_rows_total", "Rows kept from CSV loads.").Add(float64(rows))
+	pol.tel.Metrics.Histogram("privateclean_csv_rows_per_load", "Kept rows per CSV load.",
+		telemetry.RowBuckets).Observe(float64(rows))
+	if !rep.Clean() {
+		pol.tel.Log.Warn("lossy CSV load", "rows", rows, "skipped", rep.Skipped,
+			"quarantined", rep.Quarantined, "policy", pol.opts.OnRowError.String())
+	}
+	return rep, nil
 }
 
 // ReadFile loads a relation from a CSV file.

@@ -1,10 +1,6 @@
 package csvio
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,7 +10,6 @@ import (
 
 	"privateclean/internal/faults"
 	"privateclean/internal/relation"
-	"privateclean/internal/telemetry"
 )
 
 // Out-of-core loading. ReadWithReport materializes every kept row before the
@@ -69,90 +64,25 @@ func (p *Profile) Schema() (relation.Schema, error) {
 	return schema, nil
 }
 
-// source is one sequential pass over a CSV file: BOM stripped, header read
-// and validated with the same typed errors as ReadWithReport.
-type source struct {
-	f      *os.File
-	cr     *csv.Reader
-	header []string
-	// physical is the 1-based physical row number of the last record read
-	// (the header is row 1).
-	physical int
-}
-
+// openSource is newSource over a file, reading with ReuseRecord: the fields
+// next returns are valid only until the following call, so callers copy the
+// strings that outlive a row.
 func openSource(path string) (*source, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, faults.Wrap(faults.ErrBadInput, fmt.Errorf("csvio: %w", err))
 	}
-	br := bufio.NewReader(f)
-	if head, err := br.Peek(3); err == nil && bytes.Equal(head, []byte{0xEF, 0xBB, 0xBF}) {
-		br.Discard(3) // UTF-8 BOM
-	}
-	cr := csv.NewReader(br)
-	cr.TrimLeadingSpace = true
-	cr.FieldsPerRecord = -1 // arity enforced by the caller, under the row policy
-	cr.ReuseRecord = true
-
-	header, err := cr.Read()
-	if err == io.EOF {
-		f.Close()
-		return nil, faults.Errorf(faults.ErrBadInput, "csvio: missing header row")
-	}
+	src, err := newSource(f)
 	if err != nil {
 		f.Close()
-		return nil, faults.Wrap(faults.ErrBadInput, fmt.Errorf("csvio: header: %w", err))
+		return nil, err
 	}
-	header = append([]string(nil), header...) // ReuseRecord would clobber it
-	seen := make(map[string]bool, len(header))
-	for i, name := range header {
-		if name == "" {
-			f.Close()
-			return nil, faults.Errorf(faults.ErrBadInput, "csvio: empty name for header column %d", i+1)
-		}
-		if seen[name] {
-			f.Close()
-			return nil, faults.Errorf(faults.ErrBadInput, "csvio: duplicate header column %q", name)
-		}
-		seen[name] = true
-	}
-	return &source{f: f, cr: cr, header: header, physical: 1}, nil
+	src.f = f
+	src.cr.ReuseRecord = true // after the header, which must outlive the first row
+	return src, nil
 }
 
 func (s *source) Close() error { return s.f.Close() }
-
-// rowOutcome classifies one physical data row.
-type rowOutcome int
-
-const (
-	rowKept rowOutcome = iota
-	rowBadSyntax
-	rowBadArity
-	rowEOF
-)
-
-// next reads one data row. For rowKept the returned fields are valid until
-// the following next call (ReuseRecord); reason is set for the bad outcomes.
-// A stream-level (non row-local) failure is returned as a terminal error with
-// ReadWithReport's message.
-func (s *source) next() (fields []string, outcome rowOutcome, reason string, err error) {
-	rec, err := s.cr.Read()
-	if err == io.EOF {
-		return nil, rowEOF, "", nil
-	}
-	s.physical++
-	if err != nil {
-		var pe *csv.ParseError
-		if errors.As(err, &pe) {
-			return nil, rowBadSyntax, fmt.Sprintf("csv syntax: %v", pe.Err), nil
-		}
-		return nil, rowEOF, "", faults.Wrap(faults.ErrBadInput, fmt.Errorf("csvio: row %d: %w", s.physical, err))
-	}
-	if len(rec) != len(s.header) {
-		return rec, rowBadArity, fmt.Sprintf("has %d fields, header has %d", len(rec), len(s.header)), nil
-	}
-	return rec, rowKept, "", nil
-}
 
 // scanKinds is scan 1: infer column kinds over the structurally kept rows,
 // holding one row at a time. Under the fail policy a malformed row aborts
@@ -163,10 +93,6 @@ func scanKinds(path string, opts Options) ([]relation.Kind, []string, error) {
 		return nil, nil, err
 	}
 	defer src.Close()
-	tel := opts.Tel
-	if tel == nil {
-		tel = telemetry.Default()
-	}
 
 	header := src.header
 	kinds := make([]relation.Kind, len(header))
@@ -182,50 +108,43 @@ func scanKinds(path string, opts Options) ([]relation.Kind, []string, error) {
 		numeric[c] = true
 	}
 	for {
-		rec, outcome, reason, err := src.next()
+		rec, code, reason, err := src.next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			return nil, nil, err
 		}
-		switch outcome {
-		case rowEOF:
-			for c := range header {
-				if forced[c] {
-					continue
-				}
-				if numeric[c] && seenVal[c] {
-					kinds[c] = relation.Numeric
-				} else {
-					kinds[c] = relation.Discrete
-				}
-			}
-			return kinds, header, nil
-		case rowBadSyntax, rowBadArity:
+		if code != "" {
 			// Dropped rows contribute no kind evidence. Under the fail
 			// policy the load dies here, matching the in-memory loader —
 			// including its one malformed-row counter increment.
 			if opts.OnRowError == RowErrorFail {
-				code := "arity"
-				if outcome == rowBadSyntax {
-					code = "syntax"
-				}
-				tel.Metrics.Counter("privateclean_csv_rows_malformed_total",
-					"Malformed CSV rows encountered, by reason code and policy.",
-					telemetry.L("code", code), telemetry.L("policy", opts.OnRowError.String())).Inc()
-				tel.Log.Debug("malformed row", "row", src.physical, "code", code, "policy", opts.OnRowError.String())
-				return nil, nil, faults.Errorf(faults.ErrBadInput, "csvio: row %d: %s", src.physical, reason)
+				return nil, nil, newRowPolicy(opts, header).reject(src.physical, rec, code, reason)
 			}
-		case rowKept:
-			for c := range header {
-				if forced[c] || !numeric[c] || rec[c] == "" {
-					continue
-				}
-				seenVal[c] = true
-				if _, err := strconv.ParseFloat(rec[c], 64); err != nil {
-					numeric[c] = false
-				}
+			continue
+		}
+		for c := range header {
+			if forced[c] || !numeric[c] || rec[c] == "" {
+				continue
+			}
+			seenVal[c] = true
+			if _, err := strconv.ParseFloat(rec[c], 64); err != nil {
+				numeric[c] = false
 			}
 		}
 	}
+	for c := range header {
+		if forced[c] {
+			continue
+		}
+		if numeric[c] && seenVal[c] {
+			kinds[c] = relation.Numeric
+		} else {
+			kinds[c] = relation.Discrete
+		}
+	}
+	return kinds, header, nil
 }
 
 // ProfileFile runs the kind and domain scans over a CSV file. The resulting
@@ -245,47 +164,7 @@ func ProfileFile(path string, opts Options) (*Profile, error) {
 		return nil, err
 	}
 	defer src.Close()
-
-	tel := opts.Tel
-	if tel == nil {
-		tel = telemetry.Default()
-	}
-	tel.Redact.Allow(header...)
-
-	rep := &Report{}
-	var quarantine *csv.Writer
-	if opts.Quarantine != nil {
-		quarantine = csv.NewWriter(opts.Quarantine)
-	}
-	// BadRows keeps ReadWithReport's grouping — arity/syntax rows first, then
-	// bad_numeric — by accumulating two capped lists and concatenating.
-	var structural, numericBad []RowError
-	reject := func(row int, fields []string, code, reason string) error {
-		tel.Metrics.Counter("privateclean_csv_rows_malformed_total",
-			"Malformed CSV rows encountered, by reason code and policy.",
-			telemetry.L("code", code), telemetry.L("policy", opts.OnRowError.String())).Inc()
-		tel.Log.Debug("malformed row", "row", row, "code", code, "policy", opts.OnRowError.String())
-		switch opts.OnRowError {
-		case RowErrorFail:
-			return faults.Errorf(faults.ErrBadInput, "csvio: row %d: %s", row, reason)
-		case RowErrorSkip:
-			rep.Skipped++
-		case RowErrorQuarantine:
-			rep.Quarantined++
-			record := append([]string{strconv.Itoa(row), reason}, fields...)
-			if err := quarantine.Write(record); err != nil {
-				return faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("csvio: quarantine: %w", err))
-			}
-		}
-		if code == "bad_numeric" {
-			if len(numericBad) < maxReportedRows {
-				numericBad = append(numericBad, RowError{Row: row, Reason: reason})
-			}
-		} else if len(structural) < maxReportedRows {
-			structural = append(structural, RowError{Row: row, Reason: reason})
-		}
-		return nil
-	}
+	pol := newRowPolicy(opts, header)
 
 	domains := make(map[string]map[string]struct{})
 	for c, name := range header {
@@ -296,57 +175,47 @@ func ProfileFile(path string, opts Options) (*Profile, error) {
 	mins := make([]float64, len(header))
 	maxs := make([]float64, len(header))
 	seenFinite := make([]bool, len(header))
+	vals := make([]float64, len(header))
+	kept := 0
 
 rowLoop:
 	for {
-		rec, outcome, reason, err := src.next()
+		rec, code, reason, err := src.next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			return nil, err
 		}
-		switch outcome {
-		case rowEOF:
-			// fallthrough below
-		case rowBadSyntax:
-			if rerr := reject(src.physical, nil, "syntax", reason); rerr != nil {
+		if code != "" {
+			if rerr := pol.reject(src.physical, rec, code, reason); rerr != nil {
 				return nil, rerr
 			}
 			continue
-		case rowBadArity:
-			if rerr := reject(src.physical, rec, "arity", reason); rerr != nil {
-				return nil, rerr
+		}
+		// Validate numeric cells in header order, so the first offending
+		// column is the one ReadWithReport would report.
+		for c, name := range header {
+			if kinds[c] != relation.Numeric {
+				continue
 			}
-			continue
-		case rowKept:
-			// Validate numeric cells in header order, so the first offending
-			// column is the one ReadWithReport would report.
-			vals := make([]float64, 0, 4)
-			valCols := make([]int, 0, 4)
-			for c, name := range header {
-				if kinds[c] != relation.Numeric || rec[c] == "" {
-					continue
-				}
-				v, err := strconv.ParseFloat(rec[c], 64)
-				badReason := ""
-				switch {
-				case err != nil:
-					badReason = fmt.Sprintf("column %q: %v", name, err)
-				case math.IsInf(v, 0):
-					badReason = fmt.Sprintf("column %q: non-finite value %q", name, rec[c])
-				default:
-					vals = append(vals, v)
-					valCols = append(valCols, c)
-					continue
-				}
-				if rerr := reject(src.physical, rec, "bad_numeric", badReason); rerr != nil {
+			vals[c] = math.NaN()
+			if rec[c] == "" {
+				continue
+			}
+			v, bad := parseNumeric(name, rec[c])
+			if bad != "" {
+				if rerr := pol.reject(src.physical, rec, "bad_numeric", bad); rerr != nil {
 					return nil, rerr
 				}
 				continue rowLoop
 			}
-			// Row kept: fold it into domains and ranges.
-			for c, name := range header {
-				if kinds[c] != relation.Discrete {
-					continue
-				}
+			vals[c] = v
+		}
+		// Row kept: fold it into domains and ranges.
+		for c, name := range header {
+			switch kinds[c] {
+			case relation.Discrete:
 				v := rec[c]
 				if v == "" {
 					v = relation.Null
@@ -356,38 +225,24 @@ rowLoop:
 					// clone the ones that outlive this row.
 					domains[name][string(append([]byte(nil), v...))] = struct{}{}
 				}
-			}
-			for i, v := range vals {
-				c := valCols[i]
-				if math.IsNaN(v) {
-					continue
-				}
-				if !seenFinite[c] {
+			case relation.Numeric:
+				v := vals[c]
+				switch {
+				case math.IsNaN(v):
+				case !seenFinite[c]:
 					mins[c], maxs[c], seenFinite[c] = v, v, true
-					continue
-				}
-				if v < mins[c] {
+				case v < mins[c]:
 					mins[c] = v
-				}
-				if v > maxs[c] {
+				case v > maxs[c]:
 					maxs[c] = v
 				}
 			}
-			rep.Rows++
-			continue
 		}
-		break
+		kept++
 	}
-
-	if quarantine != nil {
-		quarantine.Flush()
-		if err := quarantine.Error(); err != nil {
-			return nil, faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("csvio: quarantine: %w", err))
-		}
-	}
-	rep.BadRows = append(structural, numericBad...)
-	if len(rep.BadRows) > maxReportedRows {
-		rep.BadRows = rep.BadRows[:maxReportedRows]
+	rep, err := pol.finish(kept)
+	if err != nil {
+		return nil, err
 	}
 
 	prof := &Profile{
@@ -409,25 +264,13 @@ rowLoop:
 			sort.Strings(dom)
 			prof.Domains[name] = dom
 		case relation.Numeric:
-			if seenFinite[c] {
-				prof.Deltas[name] = maxs[c] - mins[c]
-				prof.Lows[name] = mins[c]
-			} else {
-				prof.Deltas[name] = 0
-				prof.Lows[name] = 0
-			}
+			// Zero when the column has no finite cell.
+			prof.Deltas[name] = maxs[c] - mins[c]
+			prof.Lows[name] = mins[c]
 		}
 	}
 	if info, err := os.Stat(path); err == nil {
 		prof.DataBytes = info.Size()
-	}
-
-	tel.Metrics.Counter("privateclean_csv_rows_total", "Rows kept from CSV loads.").Add(float64(rep.Rows))
-	tel.Metrics.Histogram("privateclean_csv_rows_per_load", "Kept rows per CSV load.",
-		telemetry.RowBuckets).Observe(float64(rep.Rows))
-	if !rep.Clean() {
-		tel.Log.Warn("lossy CSV load", "rows", rep.Rows, "skipped", rep.Skipped,
-			"quarantined", rep.Quarantined, "policy", opts.OnRowError.String())
 	}
 	return prof, nil
 }
@@ -503,20 +346,20 @@ func (it *ChunkIterator) Next() (*relation.Relation, error) {
 	vals := make([]float64, len(header))
 rowLoop:
 	for kept < it.window {
-		rec, outcome, _, err := it.src.next()
+		rec, code, _, err := it.src.next()
+		if err == io.EOF {
+			it.done = true
+			break
+		}
 		if err != nil {
 			return nil, err
 		}
-		switch outcome {
-		case rowEOF:
-			it.done = true
-			break rowLoop
-		case rowBadSyntax, rowBadArity:
+		if code != "" {
 			continue
 		}
 		// Re-validate numeric cells with the profiled kinds so the iterator
 		// drops exactly the rows the profile scan rejected.
-		for c := range header {
+		for c, name := range header {
 			if it.kinds[c] != relation.Numeric {
 				continue
 			}
@@ -524,8 +367,8 @@ rowLoop:
 				vals[c] = math.NaN()
 				continue
 			}
-			v, err := strconv.ParseFloat(rec[c], 64)
-			if err != nil || math.IsInf(v, 0) {
+			v, bad := parseNumeric(name, rec[c])
+			if bad != "" {
 				continue rowLoop
 			}
 			vals[c] = v

@@ -113,6 +113,36 @@ func LaplacePerturbInPlace(rng Rand, col []float64, b float64) error {
 // parameter validation as Privatize, so a nil error here means PrivatizeRange
 // over any row range cannot fail on parameters.
 func ViewMetaFor(r *relation.Relation, params Params) (*ViewMeta, error) {
+	schema := r.Schema()
+	domains := make(map[string][]string)
+	for _, name := range schema.DiscreteNames() {
+		domain, err := r.Domain(name)
+		if err != nil {
+			return nil, err
+		}
+		domains[name] = domain
+	}
+	lows := make(map[string]float64)
+	deltas := make(map[string]float64)
+	for _, name := range schema.NumericNames() {
+		col, err := r.Numeric(name)
+		if err != nil {
+			return nil, err
+		}
+		if lo, hi, err := stats.MinMax(col); err == nil {
+			lows[name], deltas[name] = lo, hi-lo
+		}
+	}
+	return ViewMetaFromProfile(schema, r.NumRows(), domains, lows, deltas, params)
+}
+
+// ViewMetaFromProfile is ViewMetaFor over a summary of the input instead of
+// the resident relation: the kept-row count, each discrete column's sorted
+// domain, and each numeric column's minimum (lows) and max-min (deltas) over
+// its finite cells, absent or 0 when it has none. A streaming profile
+// (csvio.Profile) supplies exactly these, so both input modes release the
+// same metadata bytes.
+func ViewMetaFromProfile(schema relation.Schema, rows int, domains map[string][]string, lows, deltas map[string]float64, params Params) (*ViewMeta, error) {
 	mech, err := MechanismByName(params.Mechanism)
 	if err != nil {
 		return nil, faults.Wrap(faults.ErrBadParams, err)
@@ -127,9 +157,9 @@ func ViewMetaFor(r *relation.Relation, params Params) (*ViewMeta, error) {
 	meta := &ViewMeta{
 		Discrete: make(map[string]DiscreteMeta),
 		Numeric:  make(map[string]NumericMeta),
-		Rows:     r.NumRows(),
+		Rows:     rows,
 	}
-	for _, name := range r.Schema().DiscreteNames() {
+	for _, name := range schema.DiscreteNames() {
 		p, ok := params.P[name]
 		if !ok {
 			return nil, faults.Errorf(faults.ErrBadParams, "privacy: no randomization probability for discrete attribute %q", name)
@@ -138,11 +168,8 @@ func ViewMetaFor(r *relation.Relation, params Params) (*ViewMeta, error) {
 			return nil, fmt.Errorf("privacy: attribute %q: %w", name,
 				faults.Errorf(faults.ErrBadParams, "privacy: randomization probability %v out of [0,1]", p))
 		}
-		domain, err := r.Domain(name)
-		if err != nil {
-			return nil, err
-		}
-		if len(domain) == 0 && r.NumRows() > 0 {
+		domain := domains[name]
+		if len(domain) == 0 && rows > 0 {
 			return nil, fmt.Errorf("privacy: attribute %q: %w", name,
 				faults.Errorf(faults.ErrBadInput, "privacy: empty domain for non-empty column"))
 		}
@@ -153,7 +180,11 @@ func ViewMetaFor(r *relation.Relation, params Params) (*ViewMeta, error) {
 		}
 		meta.Discrete[name] = DiscreteMeta{Name: name, P: p, Domain: domain, Mechanism: mechName}
 	}
-	for _, name := range r.Schema().NumericNames() {
+	bins := params.Bins
+	if bins < 0 {
+		bins = 0
+	}
+	for _, name := range schema.NumericNames() {
 		b, ok := params.B[name]
 		if !ok {
 			return nil, faults.Errorf(faults.ErrBadParams, "privacy: no laplace scale for numeric attribute %q", name)
@@ -162,19 +193,7 @@ func ViewMetaFor(r *relation.Relation, params Params) (*ViewMeta, error) {
 			return nil, fmt.Errorf("privacy: attribute %q: %w", name,
 				faults.Errorf(faults.ErrBadParams, "privacy: laplace scale %v must be finite and >= 0", b))
 		}
-		col, err := r.Numeric(name)
-		if err != nil {
-			return nil, err
-		}
-		delta, low := 0.0, 0.0
-		if lo, hi, err := stats.MinMax(col); err == nil {
-			delta, low = hi-lo, lo
-		}
-		bins := params.Bins
-		if bins < 0 {
-			bins = 0
-		}
-		meta.Numeric[name] = NumericMeta{Name: name, B: b, Delta: delta, Lo: low, Bins: bins}
+		meta.Numeric[name] = NumericMeta{Name: name, B: b, Delta: deltas[name], Lo: lows[name], Bins: bins}
 	}
 	return meta, nil
 }

@@ -58,30 +58,11 @@ func PrivatizeParallel(seed int64, r *relation.Relation, params Params, workers 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > shards {
-		workers = shards
-	}
-	shardRange := func(s int) (int, int) {
-		lo := s * ShardRows
-		hi := lo + ShardRows
-		if hi > rows {
-			hi = rows
-		}
-		return lo, hi
-	}
-	if workers <= 1 {
-		for s := 0; s < shards; s++ {
-			lo, hi := shardRange(s)
-			if err := PrivatizeRange(StreamRand(seed, s), r, out, meta, lo, hi); err != nil {
-				return nil, nil, err
-			}
-		}
-		invalidateDiscrete(out)
-		return out, meta, nil
-	}
+	workers = min(workers, shards)
 	// Each shard writes a disjoint row range of the clone, so workers need
-	// no synchronization beyond the job channel. Errors are collected per
-	// shard and reported lowest-shard-first to keep failures deterministic.
+	// no synchronization beyond the job channel; one worker is the serial
+	// run. Errors are collected per shard and reported lowest-shard-first to
+	// keep failures deterministic.
 	jobs := make(chan int)
 	errs := make([]error, shards)
 	var wg sync.WaitGroup
@@ -90,8 +71,8 @@ func PrivatizeParallel(seed int64, r *relation.Relation, params Params, workers 
 		go func() {
 			defer wg.Done()
 			for s := range jobs {
-				lo, hi := shardRange(s)
-				errs[s] = PrivatizeRange(StreamRand(seed, s), r, out, meta, lo, hi)
+				lo := s * ShardRows
+				errs[s] = PrivatizeRange(StreamRand(seed, s), r, out, meta, lo, min(lo+ShardRows, rows))
 			}
 		}()
 	}

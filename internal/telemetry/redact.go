@@ -109,7 +109,7 @@ func FaultCode(err error) string {
 var baseline = buildBaseline(
 	// span / stage names
 	"privatize", "csv_load", "chunk", "checkpoint_read", "checkpoint_write",
-	"resume_truncate", "rebuild", "finalize", "ledger_append",
+	"resume_truncate", "csv_profile", "finalize", "ledger_append",
 	"clean", "clean_op", "write_view", "provenance_save",
 	"query_parse", "query_estimate", "explain", "describe", "tune", "minsize", "epsilon",
 	// distributed-collection span names and pipeline stages
