@@ -1,7 +1,7 @@
 GO ?= go
 
-# Per-target budget for the fuzz smoke; fourteen targets keep the whole pass
-# around 70 seconds.
+# Per-target budget for the fuzz smoke; fifteen targets keep the whole pass
+# around 75 seconds.
 FUZZ_TIME ?= 5s
 
 # Minimum total statement coverage; CI fails below this. Raise it when
@@ -65,6 +65,7 @@ fuzz-smoke:
 	$(GO) test ./internal/collect/ -run '^$$' -fuzz '^FuzzBatchCodec$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/collect/ -run '^$$' -fuzz '^FuzzFoldMatchesReference$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzPrivatizeModes$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/cleaning/ -run '^$$' -fuzz '^FuzzCleanModes$$' -fuzztime $(FUZZ_TIME)
 
 # The benchmark harness is a nested module, so `go test ./...` never builds
 # it: vet and unit-test it, then run query-resident and ingest for two

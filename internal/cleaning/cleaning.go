@@ -8,11 +8,17 @@
 //     attribute's domain chosen by C(v[g_i], Domain(g_i));
 //   - Extract(g_i): create a new discrete attribute from C(v[g_i]).
 //
-// Every operation implements Op. When an Op runs inside a Context that
-// carries a provenance store, it records the dirty-to-clean value mapping so
-// the estimators can recover the original selectivity (Sections 6 and 7).
-// Single-attribute cleaners record deterministic (fork-free) edges;
-// multi-attribute cleaners record row-level (possibly weighted) edges.
+// There is one cleaning engine. Every Op compiles, once, into a step: apply
+// rewrites one window of rows in place, and finish evolves the provenance
+// once the data pass is done. Apply runs each op's step over the resident
+// relation as its only window; StreamApply (stream.go) runs the same steps
+// over the windows of an iterator. The two entry points differ only in where
+// the windows come from.
+//
+// When a Context carries a provenance store, finish records the dirty-to-
+// clean value mapping so the estimators can recover the original selectivity
+// (Sections 6 and 7). A per-value function records deterministic (fork-free)
+// edges; a row-level rewrite records weighted edges from transition counts.
 //
 // The same Ops can run without provenance (Context.Prov == nil), which is
 // how the experiment harness produces the hypothetically cleaned non-private
@@ -20,6 +26,7 @@
 package cleaning
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -47,17 +54,42 @@ type Context struct {
 type Op interface {
 	// Name identifies the cleaner for error messages and logs.
 	Name() string
-	// Apply runs the cleaner, mutating ctx.Rel and recording provenance if
-	// ctx.Prov is set.
-	Apply(ctx *Context) error
+	// compile turns the op into the step both entry points run. ctx.Rel is
+	// the resident relation, or nil in a streaming run, where an op that
+	// needs a global view of the data refuses with errNotStreamable.
+	compile(ctx *Context) (*step, error)
+}
+
+// step is one compiled op. apply rewrites one window in place; finish
+// evolves the provenance once, after every window has been applied. reads
+// names the attributes whose graphs finish evolves.
+type step struct {
+	op     Op
+	reads  []string
+	apply  func(win *relation.Relation) error
+	finish func(ctx *Context) error
+	// wall accumulates the op's per-window application time.
+	wall time.Duration
+}
+
+// errNotStreamable refuses an op that needs the whole relation — Merge
+// reads the attribute's full domain, the repair cleaners vote over all
+// rows — in a run that has no resident relation.
+var errNotStreamable = errors.New("op needs the full relation (not streamable)")
+
+// compile compiles op and tags the step with it for errors and telemetry.
+func compile(ctx *Context, op Op) (*step, error) {
+	s, err := op.compile(ctx)
+	if err != nil {
+		return nil, err
+	}
+	s.op = op
+	return s, nil
 }
 
 // Apply runs a composition of cleaners C = C_1 ∘ C_2 ∘ ... ∘ C_k in order.
 func Apply(ctx *Context, ops ...Op) error {
-	tel := ctx.Tel
-	if tel == nil {
-		tel = telemetry.Default()
-	}
+	tel := ctx.telemetry()
 	for _, op := range ops {
 		// Op names embed attribute names and user-supplied spec fragments,
 		// so only the kind prefix is vocabulary-safe by construction; the
@@ -65,38 +97,64 @@ func Apply(ctx *Context, ops ...Op) error {
 		kind := telemetry.OpKind(op.Name())
 		sp := tel.Trace.StartSpan(ctx.Span, "clean_op", telemetry.A("kind", kind), telemetry.A("op", op.Name()))
 		start := time.Now()
-		err := op.Apply(ctx)
+		err := applyResident(ctx, op)
 		sp.End()
-		tel.Metrics.Counter("privateclean_clean_ops_total", "Cleaning operations applied, by kind.",
-			telemetry.L("kind", kind)).Inc()
-		tel.Metrics.Histogram("privateclean_clean_op_seconds", "Wall time per cleaning operation.",
-			telemetry.DurationBuckets).Observe(time.Since(start).Seconds())
+		observe(tel, op, time.Since(start))
 		if err != nil {
-			// Op failures stem from the op spec or the data it targets;
-			// classify them so the CLI can exit with the bad-input code.
-			tel.Log.Error("cleaning op failed", "kind", kind, telemetry.ErrAttr(err))
-			return faults.Wrap(faults.ErrBadInput, fmt.Errorf("cleaning: %s: %w", op.Name(), err))
+			return failed(tel, op, err)
 		}
 		tel.Log.Debug("cleaning op applied", "kind", kind, "rows", ctx.Rel.NumRows())
 	}
 	return nil
 }
 
-// dirtyDomain returns the domain a new provenance graph for attr should be
-// initialized with: the released randomization domain when metadata is
-// available (it is the domain GRR drew from, hence a superset of the
-// attribute's current values), otherwise the attribute's current domain.
-func (ctx *Context) dirtyDomain(attr string) ([]string, error) {
-	if ctx.Meta != nil {
-		if m, err := ctx.Meta.DiscreteFor(attr); err == nil {
-			return m.Domain, nil
+// applyResident runs one op's step over ctx.Rel as its only window. The op
+// compiles against the relation as the previous ops left it, and its graphs
+// exist before the relation changes, so a graph built from the relation's
+// own domain covers the pre-cleaning values.
+func applyResident(ctx *Context, op Op) error {
+	s, err := compile(ctx, op)
+	if err != nil {
+		return err
+	}
+	for _, attr := range s.reads {
+		if _, err := ctx.graphFor(attr); err != nil {
+			return err
 		}
 	}
-	return ctx.Rel.Domain(attr)
+	if err := s.apply(ctx.Rel); err != nil {
+		return err
+	}
+	return s.finish(ctx)
+}
+
+func (ctx *Context) telemetry() *telemetry.Set {
+	if ctx.Tel == nil {
+		return telemetry.Default()
+	}
+	return ctx.Tel
+}
+
+// observe records one op's count and wall time.
+func observe(tel *telemetry.Set, op Op, wall time.Duration) {
+	tel.Metrics.Counter("privateclean_clean_ops_total", "Cleaning operations applied, by kind.",
+		telemetry.L("kind", telemetry.OpKind(op.Name()))).Inc()
+	tel.Metrics.Histogram("privateclean_clean_op_seconds", "Wall time per cleaning operation.",
+		telemetry.DurationBuckets).Observe(wall.Seconds())
+}
+
+// failed logs an op failure and classifies it: op failures stem from the op
+// spec or the data it targets, so the CLI exits with the bad-input code.
+func failed(tel *telemetry.Set, op Op, err error) error {
+	tel.Log.Error("cleaning op failed", "kind", telemetry.OpKind(op.Name()), telemetry.ErrAttr(err))
+	return faults.Wrap(faults.ErrBadInput, fmt.Errorf("cleaning: %s: %w", op.Name(), err))
 }
 
 // graphFor returns (and lazily creates) the provenance graph for attr, or
-// nil when the context records no provenance.
+// nil when the context records no provenance. A new graph is the identity
+// over the attribute's dirty domain: the released randomization domain in
+// Meta (the domain GRR drew from, hence a superset of the attribute's
+// current values), else the resident relation's current domain.
 func (ctx *Context) graphFor(attr string) (*provenance.Graph, error) {
 	if ctx.Prov == nil {
 		return nil, nil
@@ -104,11 +162,114 @@ func (ctx *Context) graphFor(attr string) (*provenance.Graph, error) {
 	if g, ok := ctx.Prov.Graph(attr); ok {
 		return g, nil
 	}
-	dom, err := ctx.dirtyDomain(attr)
+	if ctx.Meta != nil {
+		if m, err := ctx.Meta.DiscreteFor(attr); err == nil {
+			return ctx.Prov.Ensure(attr, m.Domain), nil
+		}
+	}
+	if ctx.Rel == nil {
+		return nil, fmt.Errorf("no dirty domain for attribute %q: streaming provenance needs the attribute in the view metadata", attr)
+	}
+	dom, err := ctx.Rel.Domain(attr)
 	if err != nil {
 		return nil, err
 	}
 	return ctx.Prov.Ensure(attr, dom), nil
+}
+
+// valueStep compiles a deterministic per-value rewrite of attr. f must be
+// pure: it rewrites every window and is replayed once against the graph,
+// whose edges stay fork-free.
+func valueStep(attr string, f func(string) string) *step {
+	return &step{
+		reads: []string{attr},
+		apply: func(win *relation.Relation) error { return win.MapDiscrete(attr, f) },
+		finish: func(ctx *Context) error {
+			g, err := ctx.graphFor(attr)
+			if g != nil {
+				g.ApplyDeterministic(f)
+			}
+			return err
+		},
+	}
+}
+
+// transitions counts the row-level rewrites m -> m' of one attribute,
+// summed across windows; a nil transitions counts nothing.
+type transitions map[string]map[string]int
+
+func (t transitions) add(from, to string) {
+	if t == nil {
+		return
+	}
+	m := t[from]
+	if m == nil {
+		m = make(map[string]int)
+		t[from] = m
+	}
+	m[to]++
+}
+
+// rowStep compiles a row-level rewrite of attrs: next receives row r's
+// current values of attrs in a scratch slice it may overwrite, and returns
+// their replacements. Because a new value can depend on more than the old
+// one, rows sharing a value may diverge, so provenance comes from the
+// transition counts, which Graph.ApplyTransitions turns into weighted edges
+// (Section 7.1). Counts summed over windows equal one-shot counts.
+func rowStep(ctx *Context, attrs []string, next func(r int, vals []string) []string) *step {
+	trans := make([]transitions, len(attrs))
+	if ctx.Prov != nil {
+		for i := range trans {
+			trans[i] = transitions{}
+		}
+	}
+	return &step{
+		reads: attrs,
+		apply: func(win *relation.Relation) error {
+			cols := make([][]string, len(attrs))
+			for i, a := range attrs {
+				col, err := win.Discrete(a)
+				if err != nil {
+					return err
+				}
+				cols[i] = col
+			}
+			// The columns are the window's backing slices: drop their
+			// encodings however the rewrite ends.
+			defer func() {
+				for _, a := range attrs {
+					win.InvalidateIndex(a)
+				}
+			}()
+			buf := make([]string, len(attrs))
+			for r := range win.NumRows() {
+				for i, col := range cols {
+					buf[i] = col[r]
+				}
+				out := next(r, buf)
+				if len(out) != len(attrs) {
+					return fmt.Errorf("row transform returned %d values, want %d", len(out), len(attrs))
+				}
+				for i, col := range cols {
+					trans[i].add(col[r], out[i])
+					col[r] = out[i]
+				}
+			}
+			return nil
+		},
+		finish: func(ctx *Context) error {
+			for i, a := range attrs {
+				g, err := ctx.graphFor(a)
+				if err != nil {
+					return err
+				}
+				if g != nil {
+					g.ApplyTransitions(trans[i])
+				}
+			}
+			return nil
+		},
+	}
 }
 
 // Transform replaces every value of a single discrete attribute with F(v).
@@ -128,22 +289,11 @@ func (t Transform) Name() string {
 	return fmt.Sprintf("transform(%s)", t.Attr)
 }
 
-// Apply implements Op.
-func (t Transform) Apply(ctx *Context) error {
+func (t Transform) compile(*Context) (*step, error) {
 	if t.F == nil {
-		return fmt.Errorf("nil transform function")
+		return nil, fmt.Errorf("nil transform function")
 	}
-	g, err := ctx.graphFor(t.Attr)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Rel.MapDiscrete(t.Attr, t.F); err != nil {
-		return err
-	}
-	if g != nil {
-		g.ApplyDeterministic(t.F)
-	}
-	return nil
+	return valueStep(t.Attr, t.F), nil
 }
 
 // Merge replaces every value of a discrete attribute with
@@ -164,17 +314,18 @@ func (m Merge) Name() string {
 	return fmt.Sprintf("merge(%s)", m.Attr)
 }
 
-// Apply implements Op.
-func (m Merge) Apply(ctx *Context) error {
+func (m Merge) compile(ctx *Context) (*step, error) {
+	if ctx.Rel == nil {
+		return nil, errNotStreamable
+	}
 	if m.F == nil {
-		return fmt.Errorf("nil merge function")
+		return nil, fmt.Errorf("nil merge function")
 	}
 	domain, err := ctx.Rel.Domain(m.Attr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	f := func(v string) string { return m.F(v, domain) }
-	return Transform{Attr: m.Attr, Label: m.Label, F: f}.Apply(ctx)
+	return valueStep(m.Attr, func(v string) string { return m.F(v, domain) }), nil
 }
 
 // FindReplace rewrites one value of a discrete attribute to another
@@ -191,17 +342,13 @@ func (f FindReplace) Name() string {
 	return fmt.Sprintf("find-replace(%s: %q -> %q)", f.Attr, f.From, f.To)
 }
 
-// Apply implements Op.
-func (f FindReplace) Apply(ctx *Context) error {
-	return Transform{
-		Attr: f.Attr,
-		F: func(v string) string {
-			if v == f.From {
-				return f.To
-			}
-			return v
-		},
-	}.Apply(ctx)
+func (f FindReplace) compile(*Context) (*step, error) {
+	return valueStep(f.Attr, func(v string) string {
+		if v == f.From {
+			return f.To
+		}
+		return v
+	}), nil
 }
 
 // DictionaryMerge rewrites every value that appears as a key of Mapping to
@@ -217,17 +364,19 @@ func (d DictionaryMerge) Name() string {
 	return fmt.Sprintf("dictionary-merge(%s, %d entries)", d.Attr, len(d.Mapping))
 }
 
-// Apply implements Op.
-func (d DictionaryMerge) Apply(ctx *Context) error {
-	return Transform{
-		Attr: d.Attr,
-		F: func(v string) string {
-			if to, ok := d.Mapping[v]; ok {
-				return to
-			}
-			return v
-		},
-	}.Apply(ctx)
+func (d DictionaryMerge) compile(*Context) (*step, error) {
+	return valueStep(d.Attr, mapOr(d.Mapping)), nil
+}
+
+// mapOr returns the value function that rewrites the keys of mapping and
+// leaves every other value unchanged.
+func mapOr(mapping map[string]string) func(string) string {
+	return func(v string) string {
+		if to, ok := mapping[v]; ok {
+			return to
+		}
+		return v
+	}
 }
 
 // NullifyInvalid merges every value for which Valid returns false into
@@ -242,20 +391,16 @@ type NullifyInvalid struct {
 // Name implements Op.
 func (n NullifyInvalid) Name() string { return fmt.Sprintf("nullify-invalid(%s)", n.Attr) }
 
-// Apply implements Op.
-func (n NullifyInvalid) Apply(ctx *Context) error {
+func (n NullifyInvalid) compile(*Context) (*step, error) {
 	if n.Valid == nil {
-		return fmt.Errorf("nil validity predicate")
+		return nil, fmt.Errorf("nil validity predicate")
 	}
-	return Transform{
-		Attr: n.Attr,
-		F: func(v string) string {
-			if n.Valid(v) {
-				return v
-			}
-			return relation.Null
-		},
-	}.Apply(ctx)
+	return valueStep(n.Attr, func(v string) string {
+		if n.Valid(v) {
+			return v
+		}
+		return relation.Null
+	}), nil
 }
 
 // Extract creates a new discrete attribute NewAttr whose values are
@@ -271,32 +416,34 @@ type Extract struct {
 // Name implements Op.
 func (e Extract) Name() string { return fmt.Sprintf("extract(%s -> %s)", e.SrcAttr, e.NewAttr) }
 
-// Apply implements Op.
-func (e Extract) Apply(ctx *Context) error {
+func (e Extract) compile(*Context) (*step, error) {
 	if e.F == nil {
-		return fmt.Errorf("nil extract function")
+		return nil, fmt.Errorf("nil extract function")
 	}
-	src, err := ctx.Rel.Discrete(e.SrcAttr)
-	if err != nil {
-		return err
-	}
-	vals := make([]string, len(src))
-	for i, v := range src {
-		vals[i] = e.F(v)
-	}
-	if err := ctx.Rel.AddDiscreteColumn(e.NewAttr, vals); err != nil {
-		return err
-	}
-	if ctx.Prov != nil {
-		srcGraph, err := ctx.graphFor(e.SrcAttr)
-		if err != nil {
-			return err
-		}
-		g := srcGraph.Clone()
-		g.ApplyDeterministic(e.F)
-		ctx.Prov.LinkExtracted(e.NewAttr, ctx.Prov.BaseAttr(e.SrcAttr), g)
-	}
-	return nil
+	return &step{
+		reads: []string{e.SrcAttr},
+		apply: func(win *relation.Relation) error {
+			src, err := win.Discrete(e.SrcAttr)
+			if err != nil {
+				return err
+			}
+			vals := make([]string, len(src))
+			for i, v := range src {
+				vals[i] = e.F(v)
+			}
+			return win.AddDiscreteColumn(e.NewAttr, vals)
+		},
+		finish: func(ctx *Context) error {
+			src, err := ctx.graphFor(e.SrcAttr)
+			if src == nil {
+				return err
+			}
+			g := src.Clone()
+			g.ApplyDeterministic(e.F)
+			ctx.Prov.LinkExtracted(e.NewAttr, ctx.Prov.BaseAttr(e.SrcAttr), g)
+			return nil
+		},
+	}, nil
 }
 
 // TransformRows is the general multi-attribute cleaner: F receives the
@@ -305,7 +452,8 @@ func (e Extract) Apply(ctx *Context) error {
 // attributes, rows sharing a value in one attribute may diverge, so
 // provenance is recorded row-level with weighted edges (Section 7).
 //
-// F must be deterministic in its inputs.
+// F must be deterministic in its inputs, and Attrs must not repeat an
+// attribute.
 type TransformRows struct {
 	Attrs []string
 	Label string
@@ -320,62 +468,21 @@ func (t TransformRows) Name() string {
 	return fmt.Sprintf("transform-rows(%v)", t.Attrs)
 }
 
-// Apply implements Op.
-func (t TransformRows) Apply(ctx *Context) error {
+func (t TransformRows) compile(ctx *Context) (*step, error) {
 	if t.F == nil {
-		return fmt.Errorf("nil row transform function")
+		return nil, fmt.Errorf("nil row transform function")
 	}
 	if len(t.Attrs) == 0 {
-		return fmt.Errorf("no attributes")
+		return nil, fmt.Errorf("no attributes")
 	}
-	cols := make([][]string, len(t.Attrs))
-	graphs := make([]*provenance.Graph, len(t.Attrs))
-	for i, a := range t.Attrs {
-		col, err := ctx.Rel.Discrete(a)
-		if err != nil {
-			return err
+	// A repeated attribute would be written twice per row, and its graph
+	// would record both rewrites, contradicting the data.
+	seen := make(map[string]bool, len(t.Attrs))
+	for _, a := range t.Attrs {
+		if seen[a] {
+			return nil, fmt.Errorf("repeated attribute %q", a)
 		}
-		cols[i] = col
-		// Graphs must be created before the relation is mutated so the
-		// identity graph covers the pre-cleaning domain.
-		g, err := ctx.graphFor(a)
-		if err != nil {
-			return err
-		}
-		graphs[i] = g
+		seen[a] = true
 	}
-	n := ctx.Rel.NumRows()
-	before := make([][]string, len(t.Attrs))
-	after := make([][]string, len(t.Attrs))
-	for i := range t.Attrs {
-		before[i] = make([]string, n)
-		copy(before[i], cols[i])
-		after[i] = make([]string, n)
-	}
-	buf := make([]string, len(t.Attrs))
-	for r := 0; r < n; r++ {
-		for i := range t.Attrs {
-			buf[i] = before[i][r]
-		}
-		out := t.F(buf)
-		if len(out) != len(t.Attrs) {
-			return fmt.Errorf("row transform returned %d values, want %d", len(out), len(t.Attrs))
-		}
-		for i := range t.Attrs {
-			after[i][r] = out[i]
-		}
-	}
-	for i := range t.Attrs {
-		copy(cols[i], after[i])
-		// cols[i] is the relation's backing slice; drop its encoding.
-		ctx.Rel.InvalidateIndex(t.Attrs[i])
-	}
-	if ctx.Prov != nil {
-		for i := range t.Attrs {
-			if err := graphs[i].ApplyRowLevel(before[i], after[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return rowStep(ctx, t.Attrs, func(_ int, vals []string) []string { return t.F(vals) }), nil
 }

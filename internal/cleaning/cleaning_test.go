@@ -1,10 +1,13 @@
 package cleaning
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
+	"privateclean/internal/faults"
 	"privateclean/internal/privacy"
 	"privateclean/internal/provenance"
 	"privateclean/internal/relation"
@@ -235,6 +238,25 @@ func TestTransformRowsErrors(t *testing.T) {
 	missing := TransformRows{Attrs: []string{"nope"}, F: func(v []string) []string { return v }}
 	if err := Apply(ctxWithProv(t, r), missing); err == nil {
 		t.Fatal("want error for unknown attribute")
+	}
+	// A repeated attribute would be written twice per row; both entry
+	// points refuse it as bad input before touching a row.
+	repeated := TransformRows{Attrs: []string{"major", "major"}, F: func(v []string) []string {
+		return []string{v[0] + "-x", v[1] + "-y"}
+	}}
+	if err := Apply(ctxWithProv(t, r), repeated); !errors.Is(err, faults.ErrBadInput) {
+		t.Fatalf("Apply: want ErrBadInput for a repeated attribute, got %v", err)
+	}
+	if r.MustDiscrete("major")[0] != "Mechanical E." {
+		t.Fatal("Apply rewrote rows before rejecting a repeated attribute")
+	}
+	var out bytes.Buffer
+	ctx := &Context{Prov: provenance.NewStore(), Meta: metaFor(t, r)}
+	if _, err := StreamApply(ctx, relation.NewSliceIterator(r.Clone(), 2), &out, repeated); !errors.Is(err, faults.ErrBadInput) {
+		t.Fatalf("StreamApply: want ErrBadInput for a repeated attribute, got %v", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("StreamApply wrote %d bytes before rejecting a repeated attribute", out.Len())
 	}
 }
 

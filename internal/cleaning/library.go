@@ -26,17 +26,12 @@ func (r RegexReplace) Name() string {
 	return fmt.Sprintf("regex-replace(%s: /%s/ -> %q)", r.Attr, r.Pattern, r.Replacement)
 }
 
-// Apply implements Op.
-func (r RegexReplace) Apply(ctx *Context) error {
+func (r RegexReplace) compile(*Context) (*step, error) {
 	re, err := regexp.Compile(r.Pattern)
 	if err != nil {
-		return fmt.Errorf("invalid pattern: %w", err)
+		return nil, fmt.Errorf("invalid pattern: %w", err)
 	}
-	return Transform{
-		Attr:  r.Attr,
-		Label: "regex",
-		F:     func(v string) string { return re.ReplaceAllString(v, r.Replacement) },
-	}.Apply(ctx)
+	return valueStep(r.Attr, func(v string) string { return re.ReplaceAllString(v, r.Replacement) }), nil
 }
 
 // Canonicalize trims whitespace, collapses internal runs of whitespace to
@@ -52,20 +47,15 @@ func (c Canonicalize) Name() string { return fmt.Sprintf("canonicalize(%s)", c.A
 
 var whitespaceRun = regexp.MustCompile(`\s+`)
 
-// Apply implements Op.
-func (c Canonicalize) Apply(ctx *Context) error {
-	return Transform{
-		Attr:  c.Attr,
-		Label: "canonicalize",
-		F: func(v string) string {
-			v = strings.TrimSpace(v)
-			v = whitespaceRun.ReplaceAllString(v, " ")
-			if c.Lowercase {
-				v = strings.ToLower(v)
-			}
-			return v
-		},
-	}.Apply(ctx)
+func (c Canonicalize) compile(*Context) (*step, error) {
+	return valueStep(c.Attr, func(v string) string {
+		v = strings.TrimSpace(v)
+		v = whitespaceRun.ReplaceAllString(v, " ")
+		if c.Lowercase {
+			v = strings.ToLower(v)
+		}
+		return v
+	}), nil
 }
 
 // TrimPrefixSuffix strips a fixed prefix and/or suffix when present —
@@ -81,19 +71,14 @@ func (t TrimPrefixSuffix) Name() string {
 	return fmt.Sprintf("trim(%s: prefix=%q suffix=%q)", t.Attr, t.Prefix, t.Suffix)
 }
 
-// Apply implements Op.
-func (t TrimPrefixSuffix) Apply(ctx *Context) error {
-	return Transform{
-		Attr:  t.Attr,
-		Label: "trim",
-		F: func(v string) string {
-			if t.Prefix != "" {
-				v = strings.TrimPrefix(v, t.Prefix)
-			}
-			if t.Suffix != "" {
-				v = strings.TrimSuffix(v, t.Suffix)
-			}
-			return v
-		},
-	}.Apply(ctx)
+func (t TrimPrefixSuffix) compile(*Context) (*step, error) {
+	return valueStep(t.Attr, func(v string) string {
+		if t.Prefix != "" {
+			v = strings.TrimPrefix(v, t.Prefix)
+		}
+		if t.Suffix != "" {
+			v = strings.TrimSuffix(v, t.Suffix)
+		}
+		return v
+	}), nil
 }

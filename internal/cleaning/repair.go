@@ -9,9 +9,6 @@ import (
 	"privateclean/internal/textutil"
 )
 
-// relationNull aliases the relation package's missing-value sentinel.
-const relationNull = relation.Null
-
 // FDRepair repairs violations of a functional dependency LHS -> RHS by
 // value modification, in the style of the cost-based heuristic of Bohannon
 // et al. (SIGMOD 2005) that the paper's Example 2 and the TPC-DS experiment
@@ -34,84 +31,8 @@ func (f FDRepair) Name() string {
 	return fmt.Sprintf("fd-repair(%s -> %s)", strings.Join(f.LHS, ","), f.RHS)
 }
 
-// Apply implements Op.
-func (f FDRepair) Apply(ctx *Context) error {
-	if len(f.LHS) == 0 {
-		return fmt.Errorf("empty FD left-hand side")
-	}
-	lhsCols := make([][]string, len(f.LHS))
-	for i, a := range f.LHS {
-		col, err := ctx.Rel.Discrete(a)
-		if err != nil {
-			return err
-		}
-		lhsCols[i] = col
-	}
-	rhsCol, err := ctx.Rel.Discrete(f.RHS)
-	if err != nil {
-		return err
-	}
-	// The graph must exist before the relation is mutated so its identity
-	// edges cover the pre-cleaning domain.
-	g, err := ctx.graphFor(f.RHS)
-	if err != nil {
-		return err
-	}
-	n := ctx.Rel.NumRows()
-
-	// Group rows by LHS tuple and count RHS values per group.
-	groupCounts := make(map[string]map[string]int)
-	keys := make([]string, n)
-	var sb strings.Builder
-	for r := 0; r < n; r++ {
-		sb.Reset()
-		for i := range lhsCols {
-			if i > 0 {
-				sb.WriteByte('\x1f')
-			}
-			sb.WriteString(lhsCols[i][r])
-		}
-		k := sb.String()
-		keys[r] = k
-		m := groupCounts[k]
-		if m == nil {
-			m = make(map[string]int)
-			groupCounts[k] = m
-		}
-		m[rhsCol[r]]++
-	}
-
-	// Majority (min-cost) repair value per group, deterministic tie break.
-	repair := make(map[string]string, len(groupCounts))
-	for k, counts := range groupCounts {
-		best, bestCnt := "", -1
-		vals := make([]string, 0, len(counts))
-		for v := range counts {
-			vals = append(vals, v)
-		}
-		sort.Strings(vals)
-		for _, v := range vals {
-			if counts[v] > bestCnt {
-				best, bestCnt = v, counts[v]
-			}
-		}
-		repair[k] = best
-	}
-
-	before := make([]string, n)
-	copy(before, rhsCol)
-	for r := 0; r < n; r++ {
-		rhsCol[r] = repair[keys[r]]
-	}
-	// rhsCol is the relation's backing slice; drop its dictionary encoding.
-	ctx.Rel.InvalidateIndex(f.RHS)
-
-	if g != nil {
-		if err := g.ApplyRowLevel(before, rhsCol); err != nil {
-			return err
-		}
-	}
-	return nil
+func (f FDRepair) compile(ctx *Context) (*step, error) {
+	return fdStep(ctx, f.LHS, f.RHS, nil)
 }
 
 // FDImpute fills *missing* values of the RHS attribute using a functional
@@ -135,48 +56,56 @@ func (f FDImpute) Name() string {
 	return fmt.Sprintf("fd-impute(%s -> %s)", strings.Join(f.LHS, ","), f.RHS)
 }
 
-// Apply implements Op.
-func (f FDImpute) Apply(ctx *Context) error {
-	if len(f.LHS) == 0 {
-		return fmt.Errorf("empty FD left-hand side")
-	}
+func (f FDImpute) compile(ctx *Context) (*step, error) {
 	missing := f.Missing
 	if missing == "" {
-		missing = relationNull
+		missing = relation.Null
 	}
-	lhsCols := make([][]string, len(f.LHS))
-	for i, a := range f.LHS {
+	return fdStep(ctx, f.LHS, f.RHS, func(v string) bool { return v == missing })
+}
+
+// fdStep compiles the group-majority repair FDRepair and FDImpute share.
+// One pass over the resident relation groups its rows by their LHS tuple
+// and finds each group's most frequent RHS value among the voting rows,
+// ties broken lexicographically. The step then rewrites rows to their
+// group's value: the rows fill selects, which do not vote, or every row
+// when fill is nil. A group with no voting row keeps its values. The new
+// value depends on the LHS, so the RHS graph records weighted edges.
+func fdStep(ctx *Context, lhs []string, rhs string, fill func(string) bool) (*step, error) {
+	if ctx.Rel == nil {
+		return nil, errNotStreamable
+	}
+	if len(lhs) == 0 {
+		return nil, fmt.Errorf("empty FD left-hand side")
+	}
+	lhsCols := make([][]string, len(lhs))
+	for i, a := range lhs {
 		col, err := ctx.Rel.Discrete(a)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		lhsCols[i] = col
 	}
-	rhsCol, err := ctx.Rel.Discrete(f.RHS)
+	rhsCol, err := ctx.Rel.Discrete(rhs)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Create the graph before mutating the relation (see FDRepair).
-	g, err := ctx.graphFor(f.RHS)
-	if err != nil {
-		return err
-	}
-	n := ctx.Rel.NumRows()
 
+	// Group rows by LHS tuple and count the voting RHS values per group.
 	groupCounts := make(map[string]map[string]int)
-	keys := make([]string, n)
+	keys := make([]string, len(rhsCol))
 	var sb strings.Builder
-	for r := 0; r < n; r++ {
+	for r, v := range rhsCol {
 		sb.Reset()
-		for i := range lhsCols {
+		for i, col := range lhsCols {
 			if i > 0 {
 				sb.WriteByte('\x1f')
 			}
-			sb.WriteString(lhsCols[i][r])
+			sb.WriteString(col[r])
 		}
 		k := sb.String()
 		keys[r] = k
-		if rhsCol[r] == missing {
+		if fill != nil && fill(v) {
 			continue
 		}
 		m := groupCounts[k]
@@ -184,44 +113,35 @@ func (f FDImpute) Apply(ctx *Context) error {
 			m = make(map[string]int)
 			groupCounts[k] = m
 		}
-		m[rhsCol[r]]++
+		m[v]++
 	}
 
-	fill := make(map[string]string, len(groupCounts))
+	// Majority (min-cost) value per group, deterministic tie break.
+	majority := make(map[string]string, len(groupCounts))
 	for k, counts := range groupCounts {
-		best, bestCnt := "", -1
 		vals := make([]string, 0, len(counts))
 		for v := range counts {
 			vals = append(vals, v)
 		}
 		sort.Strings(vals)
-		for _, v := range vals {
-			if counts[v] > bestCnt {
-				best, bestCnt = v, counts[v]
+		best := vals[0]
+		for _, v := range vals[1:] {
+			if counts[v] > counts[best] {
+				best = v
 			}
 		}
-		fill[k] = best
+		majority[k] = best
 	}
 
-	before := make([]string, n)
-	copy(before, rhsCol)
-	for r := 0; r < n; r++ {
-		if rhsCol[r] != missing {
-			continue
+	// keys index the resident relation's rows, its only window.
+	return rowStep(ctx, []string{rhs}, func(r int, vals []string) []string {
+		if fill == nil || fill(vals[0]) {
+			if v, ok := majority[keys[r]]; ok {
+				vals[0] = v
+			}
 		}
-		if v, ok := fill[keys[r]]; ok {
-			rhsCol[r] = v
-		}
-	}
-	// rhsCol is the relation's backing slice; drop its dictionary encoding.
-	ctx.Rel.InvalidateIndex(f.RHS)
-
-	if g != nil {
-		if err := g.ApplyRowLevel(before, rhsCol); err != nil {
-			return err
-		}
-	}
-	return nil
+		return vals
+	}), nil
 }
 
 // MDRepair resolves a matching dependency on a single attribute using an
@@ -245,14 +165,16 @@ type MDRepair struct {
 // Name implements Op.
 func (m MDRepair) Name() string { return fmt.Sprintf("md-repair(%s, dist<=%d)", m.Attr, m.MaxDist) }
 
-// Apply implements Op.
-func (m MDRepair) Apply(ctx *Context) error {
+func (m MDRepair) compile(ctx *Context) (*step, error) {
+	if ctx.Rel == nil {
+		return nil, errNotStreamable
+	}
 	if m.MaxDist < 0 {
-		return fmt.Errorf("negative distance threshold %d", m.MaxDist)
+		return nil, fmt.Errorf("negative distance threshold %d", m.MaxDist)
 	}
 	counts, err := ctx.Rel.ValueCounts(m.Attr)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	values := make([]string, 0, len(counts))
 	for v := range counts {
@@ -310,14 +232,5 @@ func (m MDRepair) Apply(ctx *Context) error {
 		mapping[v] = canonical[find(i)]
 	}
 
-	return Transform{
-		Attr:  m.Attr,
-		Label: "md-repair",
-		F: func(v string) string {
-			if to, ok := mapping[v]; ok {
-				return to
-			}
-			return v
-		},
-	}.Apply(ctx)
+	return valueStep(m.Attr, mapOr(mapping)), nil
 }

@@ -4,272 +4,34 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"regexp"
-	"strings"
 	"time"
 
 	"privateclean/internal/csvio"
 	"privateclean/internal/faults"
-	"privateclean/internal/provenance"
 	"privateclean/internal/relation"
 	"privateclean/internal/telemetry"
 )
 
-// Out-of-core cleaning. StreamApply runs a composition of deterministic
-// cleaners over the windows of a relation.Iterator, writing cleaned rows to
-// an io.Writer as it goes, so the full relation is never resident. The
-// written bytes equal csvio.Write over the one-shot-cleaned relation, and
-// the provenance store ends in the same state as a one-shot Apply, because:
+// Out-of-core cleaning. StreamApply runs the steps Apply runs, over the
+// windows of a relation.Iterator instead of the one resident window,
+// writing cleaned rows to an io.Writer as it goes, so the full relation is
+// never resident. The written bytes equal csvio.Write over the one-shot-
+// cleaned relation, and the provenance store ends in the same state as a
+// one-shot Apply, because:
 //
 //   - every streamable op is local: its output for a row depends only on
 //     that row's values, so per-window application composes to the same
 //     relation;
-//   - single-attribute provenance composes by function: the graphs are
-//     evolved once at the end, in op order, with each op's value function —
-//     exactly what Apply records per op;
-//   - multi-attribute (TransformRows) provenance composes by transition
-//     counts: the per-window counts of value rewrites sum to the one-shot
-//     counts, and Graph.ApplyTransitions turns the summed counts into the
-//     identical weighted edges.
+//   - each step's finish runs once, in op order, after the data pass — as
+//     Apply runs it once after its single window: a value op replays its
+//     function on the graph, and a row-level op (TransformRows) applies
+//     transition counts, whose per-window sums equal the one-shot counts.
 //
 // Ops that need a global view of the data cannot stream: Merge reads the
 // attribute's full domain, and the repair cleaners (FDRepair, FDImpute,
-// MDRepair) vote over all rows. StreamApply rejects them up front with a
-// faults.ErrBadInput error naming the op, before any output is written.
-
-// valueOp is implemented by ops that reduce to a deterministic per-value
-// function over one discrete attribute. The returned function must be pure:
-// StreamApply applies it per window and replays it once against the
-// provenance graph.
-type valueOp interface {
-	Op
-	valueFunc() (attr string, f func(string) string, err error)
-}
-
-func (t Transform) valueFunc() (string, func(string) string, error) {
-	if t.F == nil {
-		return "", nil, fmt.Errorf("nil transform function")
-	}
-	return t.Attr, t.F, nil
-}
-
-func (f FindReplace) valueFunc() (string, func(string) string, error) {
-	return f.Attr, func(v string) string {
-		if v == f.From {
-			return f.To
-		}
-		return v
-	}, nil
-}
-
-func (d DictionaryMerge) valueFunc() (string, func(string) string, error) {
-	return d.Attr, func(v string) string {
-		if to, ok := d.Mapping[v]; ok {
-			return to
-		}
-		return v
-	}, nil
-}
-
-func (n NullifyInvalid) valueFunc() (string, func(string) string, error) {
-	if n.Valid == nil {
-		return "", nil, fmt.Errorf("nil validity predicate")
-	}
-	return n.Attr, func(v string) string {
-		if n.Valid(v) {
-			return v
-		}
-		return relation.Null
-	}, nil
-}
-
-func (r RegexReplace) valueFunc() (string, func(string) string, error) {
-	re, err := regexp.Compile(r.Pattern)
-	if err != nil {
-		return "", nil, fmt.Errorf("invalid pattern: %w", err)
-	}
-	return r.Attr, func(v string) string { return re.ReplaceAllString(v, r.Replacement) }, nil
-}
-
-func (c Canonicalize) valueFunc() (string, func(string) string, error) {
-	return c.Attr, func(v string) string {
-		v = strings.TrimSpace(v)
-		v = whitespaceRun.ReplaceAllString(v, " ")
-		if c.Lowercase {
-			v = strings.ToLower(v)
-		}
-		return v
-	}, nil
-}
-
-func (t TrimPrefixSuffix) valueFunc() (string, func(string) string, error) {
-	return t.Attr, func(v string) string {
-		if t.Prefix != "" {
-			v = strings.TrimPrefix(v, t.Prefix)
-		}
-		if t.Suffix != "" {
-			v = strings.TrimSuffix(v, t.Suffix)
-		}
-		return v
-	}, nil
-}
-
-// streamStep is one planned op: apply rewrites one window in place, finish
-// replays the op's provenance once, after the data pass.
-type streamStep struct {
-	op     Op
-	apply  func(win *relation.Relation) error
-	finish func(ctx *Context) error
-	// wall accumulates the op's per-window application time.
-	wall time.Duration
-}
-
-// streamGraphFor is Context.graphFor without the live-relation domain
-// fallback: in a streaming run only the released metadata (or an existing
-// graph) can supply an attribute's dirty domain.
-func streamGraphFor(ctx *Context, attr string) (*provenance.Graph, error) {
-	if ctx.Prov == nil {
-		return nil, nil
-	}
-	if g, ok := ctx.Prov.Graph(attr); ok {
-		return g, nil
-	}
-	if ctx.Meta != nil {
-		if m, err := ctx.Meta.DiscreteFor(attr); err == nil {
-			return ctx.Prov.Ensure(attr, m.Domain), nil
-		}
-	}
-	return nil, fmt.Errorf("no dirty domain for attribute %q: streaming provenance needs the attribute in the view metadata", attr)
-}
-
-// planStep compiles one op into its streaming form, or reports why it cannot
-// stream.
-func planStep(op Op, withProv bool) (*streamStep, error) {
-	switch o := op.(type) {
-	case valueOp:
-		attr, f, err := o.valueFunc()
-		if err != nil {
-			return nil, err
-		}
-		return &streamStep{
-			op: op,
-			apply: func(win *relation.Relation) error {
-				return win.MapDiscrete(attr, f)
-			},
-			finish: func(ctx *Context) error {
-				g, err := streamGraphFor(ctx, attr)
-				if err != nil {
-					return err
-				}
-				if g != nil {
-					g.ApplyDeterministic(f)
-				}
-				return nil
-			},
-		}, nil
-	case Extract:
-		if o.F == nil {
-			return nil, fmt.Errorf("nil extract function")
-		}
-		return &streamStep{
-			op: op,
-			apply: func(win *relation.Relation) error {
-				src, err := win.Discrete(o.SrcAttr)
-				if err != nil {
-					return err
-				}
-				vals := make([]string, len(src))
-				for i, v := range src {
-					vals[i] = o.F(v)
-				}
-				return win.AddDiscreteColumn(o.NewAttr, vals)
-			},
-			finish: func(ctx *Context) error {
-				srcGraph, err := streamGraphFor(ctx, o.SrcAttr)
-				if err != nil {
-					return err
-				}
-				if srcGraph == nil {
-					return nil
-				}
-				g := srcGraph.Clone()
-				g.ApplyDeterministic(o.F)
-				ctx.Prov.LinkExtracted(o.NewAttr, ctx.Prov.BaseAttr(o.SrcAttr), g)
-				return nil
-			},
-		}, nil
-	case TransformRows:
-		if o.F == nil {
-			return nil, fmt.Errorf("nil row transform function")
-		}
-		if len(o.Attrs) == 0 {
-			return nil, fmt.Errorf("no attributes")
-		}
-		// trans[i][m][m2]: rows of attribute Attrs[i] rewritten m -> m2,
-		// summed across windows. Counting only happens when provenance is
-		// recorded; the data pass is the same either way.
-		var trans []map[string]map[string]int
-		if withProv {
-			trans = make([]map[string]map[string]int, len(o.Attrs))
-			for i := range trans {
-				trans[i] = make(map[string]map[string]int)
-			}
-		}
-		return &streamStep{
-			op: op,
-			apply: func(win *relation.Relation) error {
-				cols := make([][]string, len(o.Attrs))
-				for i, a := range o.Attrs {
-					col, err := win.Discrete(a)
-					if err != nil {
-						return err
-					}
-					cols[i] = col
-				}
-				n := win.NumRows()
-				buf := make([]string, len(o.Attrs))
-				for r := 0; r < n; r++ {
-					for i := range o.Attrs {
-						buf[i] = cols[i][r]
-					}
-					out := o.F(buf)
-					if len(out) != len(o.Attrs) {
-						return fmt.Errorf("row transform returned %d values, want %d", len(out), len(o.Attrs))
-					}
-					for i := range o.Attrs {
-						if trans != nil {
-							t := trans[i][cols[i][r]]
-							if t == nil {
-								t = make(map[string]int)
-								trans[i][cols[i][r]] = t
-							}
-							t[out[i]]++
-						}
-						cols[i][r] = out[i]
-					}
-				}
-				for _, a := range o.Attrs {
-					win.InvalidateIndex(a)
-				}
-				return nil
-			},
-			finish: func(ctx *Context) error {
-				for i, a := range o.Attrs {
-					g, err := streamGraphFor(ctx, a)
-					if err != nil {
-						return err
-					}
-					if g != nil {
-						g.ApplyTransitions(trans[i])
-					}
-				}
-				return nil
-			},
-		}, nil
-	default:
-		return nil, fmt.Errorf("op needs the full relation (not streamable)")
-	}
-}
+// MDRepair) vote over all rows. With no resident relation they refuse to
+// compile, so StreamApply rejects them up front with a faults.ErrBadInput
+// error naming the op, before any output is written.
 
 // StreamResult summarizes a streaming clean.
 type StreamResult struct {
@@ -282,20 +44,21 @@ type StreamResult struct {
 // StreamApply applies ops to every window of it, writing the cleaned rows as
 // CSV (csvio.Write conventions, header included) to w. ctx.Rel is ignored;
 // ctx.Prov, ctx.Meta, ctx.Tel, and ctx.Span play their usual roles. See the
-// package comment above for the equivalence argument and the list of
-// non-streamable ops.
+// comment above for the equivalence argument and the list of non-streamable
+// ops.
 func StreamApply(ctx *Context, it relation.Iterator, w io.Writer, ops ...Op) (*StreamResult, error) {
-	tel := ctx.Tel
-	if tel == nil {
-		tel = telemetry.Default()
-	}
-	steps := make([]*streamStep, len(ops))
+	// No resident relation: dirty domains come from the metadata alone.
+	sctx := *ctx
+	sctx.Rel = nil
+	ctx = &sctx
+	tel := ctx.telemetry()
+	steps := make([]*step, len(ops))
 	for i, op := range ops {
-		step, err := planStep(op, ctx.Prov != nil)
+		s, err := compile(ctx, op)
 		if err != nil {
-			return nil, faults.Wrap(faults.ErrBadInput, fmt.Errorf("cleaning: %s: %w", op.Name(), err))
+			return nil, failed(tel, op, err)
 		}
-		steps[i] = step
+		steps[i] = s
 	}
 
 	cw := csv.NewWriter(w)
@@ -349,38 +112,32 @@ func StreamApply(ctx *Context, it relation.Iterator, w io.Writer, ops ...Op) (*S
 	}
 
 	// Data pass done; evolve provenance once per op, in op order.
-	for _, step := range steps {
-		if err := step.finish(ctx); err != nil {
-			return nil, faults.Wrap(faults.ErrBadInput, fmt.Errorf("cleaning: %s: %w", step.op.Name(), err))
+	for _, s := range steps {
+		if err := s.finish(ctx); err != nil {
+			return nil, failed(tel, s.op, err)
 		}
 	}
 	// Per-op telemetry mirrors Apply: one count and one (accumulated) timing
 	// observation per op, not per window.
-	for _, step := range steps {
-		kind := telemetry.OpKind(step.op.Name())
-		tel.Metrics.Counter("privateclean_clean_ops_total", "Cleaning operations applied, by kind.",
-			telemetry.L("kind", kind)).Inc()
-		tel.Metrics.Histogram("privateclean_clean_op_seconds", "Wall time per cleaning operation.",
-			telemetry.DurationBuckets).Observe(step.wall.Seconds())
-		tel.Log.Debug("cleaning op applied", "kind", kind, "rows", rows, "stream", true)
+	for _, s := range steps {
+		observe(tel, s.op, s.wall)
+		tel.Log.Debug("cleaning op applied", "kind", telemetry.OpKind(s.op.Name()), "rows", rows, "stream", true)
 	}
 	return &StreamResult{Rows: rows, Schema: outSchema}, nil
 }
 
 // applyWindow runs every step over one window, attributing wall time to the
 // steps and classifying failures like Apply does.
-func applyWindow(ctx *Context, tel *telemetry.Set, steps []*streamStep, win *relation.Relation) error {
+func applyWindow(ctx *Context, tel *telemetry.Set, steps []*step, win *relation.Relation) error {
 	sp := tel.Trace.StartSpan(ctx.Span, "clean_window", telemetry.A("rows", win.NumRows()))
 	defer sp.End()
-	for _, step := range steps {
+	for _, s := range steps {
 		start := time.Now()
-		err := step.apply(win)
-		step.wall += time.Since(start)
+		err := s.apply(win)
+		s.wall += time.Since(start)
 		if err != nil {
-			kind := telemetry.OpKind(step.op.Name())
-			tel.Log.Error("cleaning op failed", "kind", kind, telemetry.ErrAttr(err))
 			sp.Set("err", err)
-			return faults.Wrap(faults.ErrBadInput, fmt.Errorf("cleaning: %s: %w", step.op.Name(), err))
+			return failed(tel, s.op, err)
 		}
 	}
 	return nil

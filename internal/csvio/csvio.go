@@ -116,6 +116,53 @@ type Report struct {
 // Clean reports whether every source row made it into the relation.
 func (rep *Report) Clean() bool { return rep.Skipped == 0 && rep.Quarantined == 0 }
 
+// kindInference infers column kinds one kept row at a time: a column is
+// numeric unless a non-empty cell fails strconv.ParseFloat, discrete when it
+// has no non-empty cell at all, and a kind forced in Options wins.
+type kindInference struct {
+	header  []string
+	force   map[string]relation.Kind
+	numeric []bool // inferred, and no non-empty cell has failed to parse yet
+	seen    []bool // some non-empty cell was seen
+}
+
+func newKindInference(header []string, force map[string]relation.Kind) *kindInference {
+	k := &kindInference{header: header, force: force, numeric: make([]bool, len(header)), seen: make([]bool, len(header))}
+	for c, name := range header {
+		_, forced := force[name]
+		k.numeric[c] = !forced
+	}
+	return k
+}
+
+// add takes one kept row's evidence.
+func (k *kindInference) add(rec []string) {
+	for c, cell := range rec {
+		if !k.numeric[c] || cell == "" {
+			continue
+		}
+		k.seen[c] = true
+		if _, err := strconv.ParseFloat(cell, 64); err != nil {
+			k.numeric[c] = false
+		}
+	}
+}
+
+// kinds resolves every column's kind from the evidence so far.
+func (k *kindInference) kinds() []relation.Kind {
+	kinds := make([]relation.Kind, len(k.header))
+	for c, name := range k.header {
+		if kind, ok := k.force[name]; ok {
+			kinds[c] = kind
+		} else if k.numeric[c] && k.seen[c] {
+			kinds[c] = relation.Numeric
+		} else {
+			kinds[c] = relation.Discrete
+		}
+	}
+	return kinds
+}
+
 // Read loads a relation from CSV data with a header row.
 func Read(r io.Reader, opts Options) (*relation.Relation, error) {
 	rel, _, err := ReadWithReport(r, opts)
@@ -137,6 +184,7 @@ func ReadWithReport(r io.Reader, opts Options) (*relation.Relation, *Report, err
 
 	var rows [][]string
 	var rowNums []int // physical row number per kept row, for later parse errors
+	infer := newKindInference(header, opts.ForceKinds)
 	for {
 		rec, code, reason, err := src.next()
 		if err == io.EOF {
@@ -153,31 +201,9 @@ func ReadWithReport(r io.Reader, opts Options) (*relation.Relation, *Report, err
 		}
 		rows = append(rows, rec)
 		rowNums = append(rowNums, src.physical)
+		infer.add(rec)
 	}
-
-	// Infer kinds from the kept rows.
-	kinds := make([]relation.Kind, len(header))
-	for c, name := range header {
-		if k, ok := opts.ForceKinds[name]; ok {
-			kinds[c] = k
-			continue
-		}
-		kinds[c] = relation.Numeric
-		seenVal := false
-		for _, row := range rows {
-			if row[c] == "" {
-				continue
-			}
-			seenVal = true
-			if _, err := strconv.ParseFloat(row[c], 64); err != nil {
-				kinds[c] = relation.Discrete
-				break
-			}
-		}
-		if !seenVal {
-			kinds[c] = relation.Discrete
-		}
-	}
+	kinds := infer.kinds()
 
 	// Validate numeric cells row-major so the row policy can still drop a
 	// row whose forced-numeric cell does not parse or is non-finite.

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strconv"
 
 	"privateclean/internal/faults"
 	"privateclean/internal/relation"
@@ -95,18 +94,7 @@ func scanKinds(path string, opts Options) ([]relation.Kind, []string, error) {
 	defer src.Close()
 
 	header := src.header
-	kinds := make([]relation.Kind, len(header))
-	forced := make([]bool, len(header))
-	numeric := make([]bool, len(header))
-	seenVal := make([]bool, len(header))
-	for c, name := range header {
-		if k, ok := opts.ForceKinds[name]; ok {
-			kinds[c] = k
-			forced[c] = true
-			continue
-		}
-		numeric[c] = true
-	}
+	infer := newKindInference(header, opts.ForceKinds)
 	for {
 		rec, code, reason, err := src.next()
 		if err == io.EOF {
@@ -124,27 +112,9 @@ func scanKinds(path string, opts Options) ([]relation.Kind, []string, error) {
 			}
 			continue
 		}
-		for c := range header {
-			if forced[c] || !numeric[c] || rec[c] == "" {
-				continue
-			}
-			seenVal[c] = true
-			if _, err := strconv.ParseFloat(rec[c], 64); err != nil {
-				numeric[c] = false
-			}
-		}
+		infer.add(rec)
 	}
-	for c := range header {
-		if forced[c] {
-			continue
-		}
-		if numeric[c] && seenVal[c] {
-			kinds[c] = relation.Numeric
-		} else {
-			kinds[c] = relation.Discrete
-		}
-	}
-	return kinds, header, nil
+	return infer.kinds(), header, nil
 }
 
 // ProfileFile runs the kind and domain scans over a CSV file. The resulting

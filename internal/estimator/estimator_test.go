@@ -439,12 +439,11 @@ func TestUnweightedCutDiffersOnForkedGraph(t *testing.T) {
 	prov := provenance.NewStore()
 	g := prov.Ensure("category", []string{"a", "b", "c", "d", "e"})
 	// Fork: "e" splits between clean values a and b.
-	if err := g.ApplyRowLevel(
-		[]string{"a", "b", "e", "e"},
-		[]string{"a", "b", "a", "b"},
-	); err != nil {
-		t.Fatal(err)
-	}
+	g.ApplyTransitions(map[string]map[string]int{
+		"a": {"a": 1},
+		"b": {"b": 1},
+		"e": {"a": 1, "b": 1},
+	})
 	weighted := &Estimator{Meta: meta, Prov: prov}
 	unweighted := &Estimator{Meta: meta, Prov: prov, UnweightedCut: true}
 	wc, err := weighted.Count(r, Eq("category", "a"))
@@ -457,6 +456,56 @@ func TestUnweightedCutDiffersOnForkedGraph(t *testing.T) {
 	}
 	if wc.Value == uc.Value {
 		t.Fatal("weighted and unweighted cuts should differ on a forked graph")
+	}
+}
+
+// A forked graph's weighted cut sums many fractional weights. The estimate
+// must have one bit pattern however often it is recomputed: the graph fixes
+// the order of its sums, where map order would vary the last bits.
+func TestForkedCutBitsStable(t *testing.T) {
+	domain := make([]string, 40)
+	cats := make([]string, 0, 4*len(domain))
+	vals := make([]float64, 0, cap(cats))
+	for i := range domain {
+		domain[i] = "v" + string(rune('A'+i%26)) + string(rune('a'+i/26))
+		for k := 0; k < 4; k++ {
+			cats = append(cats, domain[i])
+			vals = append(vals, float64(i*k%7))
+		}
+	}
+	r, err := relation.FromColumns(testSchema,
+		map[string][]float64{"value": vals},
+		map[string][]string{"category": cats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := &privacy.ViewMeta{Discrete: map[string]privacy.DiscreteMeta{
+		"category": {Name: "category", P: 0.3, Domain: domain},
+	}}
+	prov := provenance.NewStore()
+	g := prov.Ensure("category", domain)
+	// Every dirty value forks between two of 12 clean values, with uneven
+	// row fractions.
+	trans := make(map[string]map[string]int, len(domain))
+	for i, v := range domain {
+		trans[v] = map[string]int{domain[i%12]: 1 + i%5, domain[(i*7+3)%12]: 2 + i%3}
+	}
+	g.ApplyTransitions(trans)
+	pred := In("category", domain[:12]...)
+
+	var want uint64
+	for i := 0; i < 300; i++ {
+		est := &Estimator{Meta: meta, Prov: prov}
+		res, err := est.Sum(r, "value", pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits := math.Float64bits(res.Value)
+		if i == 0 {
+			want = bits
+		} else if bits != want {
+			t.Fatalf("estimate %d = %v, first = %v: the cut's bits vary", i, res.Value, math.Float64frombits(want))
+		}
 	}
 }
 

@@ -37,6 +37,7 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	g.n = j.N
 	g.forked = j.Forked
 	g.parents = j.Parents
+	g.index()
 	return faults.Wrap(faults.ErrBadMeta, g.Validate(1e-6))
 }
 

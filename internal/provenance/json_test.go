@@ -14,9 +14,7 @@ func TestGraphJSONRoundTrip(t *testing.T) {
 		}
 		return v
 	})
-	if err := g.ApplyRowLevel([]string{"ab", "ab", "c"}, []string{"x", "y", "c"}); err != nil {
-		t.Fatal(err)
-	}
+	rowLevel(g, []string{"ab", "ab", "c"}, []string{"x", "y", "c"})
 	data, err := json.Marshal(g)
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ import (
 
 // Graph is the provenance graph for one discrete attribute. Create one with
 // NewGraph (identity over the attribute's private domain) and evolve it with
-// ApplyDeterministic / ApplyRowLevel as cleaners run.
+// ApplyDeterministic / ApplyTransitions as cleaners run.
 type Graph struct {
 	attr string
 	n    int // |L|: size of the dirty (private, pre-cleaning) domain
@@ -40,6 +40,15 @@ type Graph struct {
 	// parents[m][l] = w_lm: weight of the edge from dirty value l to clean
 	// value m. For every dirty l, sum over m of parents[m][l] == 1.
 	parents map[string]map[string]float64
+
+	// clean lists M in sorted order and mass[i] the total weight of
+	// clean[i]'s parents, summed in sorted dirty-value order. index
+	// rebuilds both whenever parents changes, so every sum over the graph
+	// adds the same numbers in the same order: floating-point addition is
+	// not associative, and map order would vary the bits run to run. They
+	// are never written in place, so clones share them.
+	clean []string
+	mass  []float64
 
 	forked bool // true once any dirty value maps to more than one clean value
 }
@@ -56,7 +65,30 @@ func NewGraph(attr string, dirtyDomain []string) *Graph {
 	for _, v := range dirtyDomain {
 		g.parents[v] = map[string]float64{v: 1}
 	}
+	g.index()
 	return g
+}
+
+// index rebuilds clean and mass from parents.
+func (g *Graph) index() {
+	clean := make([]string, 0, len(g.parents))
+	for m := range g.parents {
+		clean = append(clean, m)
+	}
+	sort.Strings(clean)
+	mass := make([]float64, len(clean))
+	var dirty []string
+	for i, m := range clean {
+		dirty = dirty[:0]
+		for l := range g.parents[m] {
+			dirty = append(dirty, l)
+		}
+		sort.Strings(dirty)
+		for _, l := range dirty {
+			mass[i] += g.parents[m][l]
+		}
+	}
+	g.clean, g.mass = clean, mass
 }
 
 // Attr returns the name of the attribute this graph tracks.
@@ -71,12 +103,7 @@ func (g *Graph) Forked() bool { return g.forked }
 
 // CleanDomain returns the sorted clean-side domain M.
 func (g *Graph) CleanDomain() []string {
-	out := make([]string, 0, len(g.parents))
-	for m := range g.parents {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), g.clean...)
 }
 
 // Parents returns a copy of the weighted parent set of one clean value:
@@ -96,7 +123,8 @@ func (g *Graph) Parents(clean string) (map[string]float64, bool) {
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	out := &Graph{attr: g.attr, n: g.n, forked: g.forked, parents: make(map[string]map[string]float64, len(g.parents))}
+	out := &Graph{attr: g.attr, n: g.n, forked: g.forked, clean: g.clean, mass: g.mass,
+		parents: make(map[string]map[string]float64, len(g.parents))}
 	for m, ps := range g.parents {
 		cp := make(map[string]float64, len(ps))
 		for l, w := range ps {
@@ -112,7 +140,8 @@ func (g *Graph) Clone() *Graph {
 // preserved: if the graph was unweighted it stays unweighted.
 func (g *Graph) ApplyDeterministic(f func(string) string) {
 	next := make(map[string]map[string]float64, len(g.parents))
-	for m, ps := range g.parents {
+	for _, m := range g.clean {
+		ps := g.parents[m]
 		m2 := f(m)
 		dst := next[m2]
 		if dst == nil {
@@ -124,39 +153,16 @@ func (g *Graph) ApplyDeterministic(f func(string) string) {
 		}
 	}
 	g.parents = next
+	g.index()
 }
 
-// ApplyRowLevel composes the graph with a row-level rewrite of the
-// attribute: before[i] is the attribute's value in row i prior to the
-// cleaner, after[i] the value afterwards. This is the general (possibly
-// forking) case of Section 7: a multi-attribute cleaner can send rows with
-// the same current value to different new values, so the induced mapping
-// M -> M' is weighted by observed row fractions.
-func (g *Graph) ApplyRowLevel(before, after []string) error {
-	if len(before) != len(after) {
-		return fmt.Errorf("provenance: row-level update has %d before values and %d after values", len(before), len(after))
-	}
-	// Count row-level transitions m -> m2.
-	trans := make(map[string]map[string]int)
-	for i := range before {
-		m, m2 := before[i], after[i]
-		t := trans[m]
-		if t == nil {
-			t = make(map[string]int)
-			trans[m] = t
-		}
-		t[m2]++
-	}
-	g.ApplyTransitions(trans)
-	return nil
-}
-
-// ApplyTransitions composes the graph with a row-level rewrite given as
-// pre-counted transitions: trans[m][m2] is the number of rows whose value
-// went from m to m2. This is ApplyRowLevel with the counting hoisted out, so
-// an out-of-core cleaner can accumulate counts window by window and apply
-// them once — the resulting weights are identical to a one-shot
-// ApplyRowLevel over the concatenated rows.
+// ApplyTransitions composes the graph with a row-level rewrite of the
+// attribute, given as transition counts: trans[m][m2] is the number of rows
+// whose value went from m to m2. This is the general (possibly forking) case
+// of Section 7: a multi-attribute cleaner can send rows with the same
+// current value to different new values, so the induced mapping M -> M' is
+// weighted by observed row fractions. Counts summed window by window give
+// the same weights as counts over the concatenated rows.
 func (g *Graph) ApplyTransitions(trans map[string]map[string]int) {
 	totals := make(map[string]int, len(trans))
 	for m, t := range trans {
@@ -165,7 +171,8 @@ func (g *Graph) ApplyTransitions(trans map[string]map[string]int) {
 		}
 	}
 	next := make(map[string]map[string]float64)
-	for m, ps := range g.parents {
+	for _, m := range g.clean {
+		ps := g.parents[m]
 		t, seen := trans[m]
 		if !seen {
 			// The current clean value has no rows (it may have been randomized
@@ -198,6 +205,7 @@ func (g *Graph) ApplyTransitions(trans map[string]map[string]int) {
 		}
 	}
 	g.parents = next
+	g.index()
 }
 
 // Selectivity returns the effective dirty-domain selectivity l of a
@@ -210,12 +218,9 @@ func (g *Graph) ApplyTransitions(trans map[string]map[string]int) {
 // not present in M contribute nothing.
 func (g *Graph) Selectivity(pred func(clean string) bool) float64 {
 	total := 0.0
-	for m, ps := range g.parents {
-		if !pred(m) {
-			continue
-		}
-		for _, w := range ps {
-			total += w
+	for i, m := range g.clean {
+		if pred(m) {
+			total += g.mass[i]
 		}
 	}
 	return total
