@@ -8,7 +8,7 @@ FUZZ_TIME ?= 5s
 # coverage durably improves, never lower it to make a PR pass.
 COVER_BASELINE ?= 78.5
 
-.PHONY: build vet test race faults check debug-assert bench bench-json bench-smoke bench-gate serve-smoke collect-smoke fuzz-smoke cover stat-suite stat-smoke perfbench-check experiments-check loc
+.PHONY: build vet deadexport test race faults check debug-assert bench bench-json bench-smoke bench-gate serve-smoke collect-smoke fuzz-smoke cover stat-suite stat-smoke perfbench-check experiments-check loc
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,11 @@ vet:
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; \
 	fi
+
+# Fail on any package-level function or method that no non-test code
+# references and that has no reasoned line in tools/deadexport/allowlist.txt.
+deadexport:
+	$(GO) run ./tools/deadexport
 
 test:
 	$(GO) test ./...
@@ -133,7 +138,7 @@ stat-smoke:
 
 # What CI runs. The race pass already covers the statistical matrix at full
 # depth; stat-smoke here keeps a fast named slice for pre-commit loops.
-check: build vet race fuzz-smoke stat-smoke debug-assert
+check: build vet deadexport race fuzz-smoke stat-smoke debug-assert
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -523,37 +523,13 @@ func BenchmarkCSVRoundTrip10k(b *testing.B) {
 		if err := csvio.Write(&buf, r); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := csvio.Read(bytes.NewReader(buf.Bytes()), csvio.Options{
+		if _, _, err := csvio.ReadWithReport(bytes.NewReader(buf.Bytes()), csvio.Options{
 			ForceKinds: map[string]relation.Kind{"category": relation.Discrete},
 		}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(10000*b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
-func BenchmarkSessionSaveLoad(b *testing.B) {
-	rng := rand.New(rand.NewSource(15))
-	r := benchSynthetic(b, 5000)
-	provider := core.NewProvider(r)
-	view, err := provider.Release(rng, privacy.Uniform(r.Schema(), 0.1, 10))
-	if err != nil {
-		b.Fatal(err)
-	}
-	analyst := core.NewAnalyst(view)
-	if err := analyst.Clean(cleaning.FindReplace{Attr: "category", From: workload.CategoryValue(1), To: workload.CategoryValue(0)}); err != nil {
-		b.Fatal(err)
-	}
-	dir := b.TempDir()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := analyst.Save(dir); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.LoadSession(dir); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkLevenshtein(b *testing.B) {
@@ -700,7 +676,7 @@ func BenchmarkLoadCSV(b *testing.B) {
 	opts := csvio.Options{ForceKinds: map[string]relation.Kind{"category": relation.Discrete}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := csvio.ReadFile(csvPath, opts); err != nil {
+		if _, _, err := csvio.ReadFileWithReport(csvPath, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -755,7 +731,7 @@ func benchQueryBackend(b *testing.B, r *relation.Relation, meta *privacy.ViewMet
 // backing is visible in BENCH_pipeline.json.
 func BenchmarkQueryCSV(b *testing.B) {
 	csvPath, _, meta := benchViewFiles(b, 100000)
-	r, err := csvio.ReadFile(csvPath, csvio.Options{ForceKinds: map[string]relation.Kind{"category": relation.Discrete}})
+	r, _, err := csvio.ReadFileWithReport(csvPath, csvio.Options{ForceKinds: map[string]relation.Kind{"category": relation.Discrete}})
 	if err != nil {
 		b.Fatal(err)
 	}

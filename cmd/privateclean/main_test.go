@@ -328,7 +328,7 @@ func TestPrivatizeResumeCLI(t *testing.T) {
 	// Interrupt a second run after 2 of its 5 chunks, using the same
 	// parameters the CLI would derive.
 	kinds := map[string]relation.Kind{"score": relation.Discrete}
-	r, err := csvio.ReadFile(data, csvio.Options{ForceKinds: kinds})
+	r, _, err := csvio.ReadFileWithReport(data, csvio.Options{ForceKinds: kinds})
 	if err != nil {
 		t.Fatal(err)
 	}

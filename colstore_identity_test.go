@@ -35,7 +35,7 @@ func colstoreTwin(t *testing.T, rel *relation.Relation) (csvRel, colRel *relatio
 	for _, c := range rel.Schema().Columns() {
 		kinds[c.Name] = c.Kind
 	}
-	csvRel, err := csvio.Read(bytes.NewReader(csvBuf.Bytes()), csvio.Options{ForceKinds: kinds})
+	csvRel, _, err := csvio.ReadWithReport(bytes.NewReader(csvBuf.Bytes()), csvio.Options{ForceKinds: kinds})
 	if err != nil {
 		t.Fatal(err)
 	}

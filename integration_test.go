@@ -59,7 +59,7 @@ func TestFullWorkflowAcrossSerialization(t *testing.T) {
 	if err := csvio.WriteFile(viewPath, v); err != nil {
 		t.Fatal(err)
 	}
-	vBack, err := csvio.ReadFile(viewPath, csvio.Options{
+	vBack, _, err := csvio.ReadFileWithReport(viewPath, csvio.Options{
 		ForceKinds: map[string]relation.Kind{"country": relation.Discrete},
 	})
 	if err != nil {

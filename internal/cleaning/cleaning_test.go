@@ -2,6 +2,7 @@ package cleaning
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"strings"
@@ -214,8 +215,13 @@ func TestTransformRowsWeightedProvenance(t *testing.T) {
 		t.Fatal("NULL forked across two instructors; graph should be weighted")
 	}
 	// NULL split 50/50.
-	parents, _ := g.Parents("John Doe")
-	if math.Abs(parents[relation.Null]-0.5) > 1e-9 {
+	var saved struct {
+		Parents map[string]map[string]float64 `json:"parents"`
+	}
+	if b, err := json.Marshal(g); err != nil || json.Unmarshal(b, &saved) != nil {
+		t.Fatalf("graph JSON round trip: %v", err)
+	}
+	if parents := saved.Parents["John Doe"]; math.Abs(parents[relation.Null]-0.5) > 1e-9 {
 		t.Fatalf("parents = %v", parents)
 	}
 	if err := g.Validate(1e-9); err != nil {

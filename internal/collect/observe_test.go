@@ -197,8 +197,8 @@ func TestServiceStatusz(t *testing.T) {
 	if fresh.LastFoldUnix != 0 || fresh.LastFoldAgeSeconds != -1 {
 		t.Fatalf("fresh statusz must report never-folded, got %+v", fresh)
 	}
-	if fresh.Mechanism != s.Mechanism() {
-		t.Fatalf("statusz mechanism %q != pinned %q", fresh.Mechanism, s.Mechanism())
+	if fresh.Mechanism != s.mech {
+		t.Fatalf("statusz mechanism %q != pinned %q", fresh.Mechanism, s.mech)
 	}
 
 	for _, b := range makeBatches(t, collectMeta(), 31, 2, 4) {

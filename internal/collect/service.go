@@ -265,9 +265,6 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Mechanism returns the pinned mechanism fingerprint.
-func (s *Service) Mechanism() string { return s.mech }
-
 // compactLoop is the background compactor: rotate-if-nonempty then fold, on
 // a fixed cadence, until Shutdown.
 func (s *Service) compactLoop(every time.Duration) {

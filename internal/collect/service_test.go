@@ -156,7 +156,7 @@ func TestServiceRejections(t *testing.T) {
 	s := newTestService(t, t.TempDir(), func(c *Config) { c.MaxBatchReports = 2 })
 	defer s.Shutdown(context.Background())
 	h := s.Handler()
-	mech := s.Mechanism()
+	mech := s.mech
 	rep := privacy.Report{Discrete: map[string]string{"major": "CS"}}
 
 	cases := []struct {
@@ -216,7 +216,7 @@ func TestServiceCrossMechanismMismatch(t *testing.T) {
 	dm := krrMeta.Discrete["major"]
 	dm.Mechanism = privacy.MechKRR
 	krrMeta.Discrete["major"] = dm
-	if privacy.MechanismFingerprint(krrMeta) == s.Mechanism() {
+	if privacy.MechanismFingerprint(krrMeta) == s.mech {
 		t.Fatal("grr and krr metas share a fingerprint: the collision regression is back")
 	}
 

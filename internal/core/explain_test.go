@@ -62,29 +62,3 @@ func TestExplain(t *testing.T) {
 		t.Fatal("want error for unknown attribute")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	r := courseEvals(t, 800)
-	view := release(t, r, 0.2, 0.5, 91)
-	analyst := NewAnalyst(view)
-	hist, err := analyst.Histogram("major")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist) == 0 {
-		t.Fatal("empty histogram")
-	}
-	total := 0.0
-	for v, e := range hist {
-		if e.Value < 0 {
-			t.Fatalf("negative clamp failed for %q: %v", v, e.Value)
-		}
-		total += e.Value
-	}
-	if math.Abs(total-800) > 120 {
-		t.Fatalf("histogram total = %v, want ~800", total)
-	}
-	if _, err := analyst.Histogram("nope"); err == nil {
-		t.Fatal("want error for unknown attribute")
-	}
-}

@@ -107,7 +107,7 @@ func TestAnalystGroupByBin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		if !res.IsGroupBy() || res.Groups != nil || !reflect.DeepEqual(res.Bins, want) || len(want) == 0 {
+		if res.Groups != nil || !reflect.DeepEqual(res.Bins, want) || len(want) == 0 {
 			t.Fatalf("%s: bins = %+v, groups = %+v, want bins %+v", sql, res.Bins, res.Groups, want)
 		}
 	}

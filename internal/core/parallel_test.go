@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"privateclean/internal/csvio"
 	"privateclean/internal/faults"
 	"privateclean/internal/privacy"
 )
@@ -301,33 +300,4 @@ func replaceOnce(s, old, new string) string {
 		}
 	}
 	return s
-}
-
-// TestProviderReleaseParallelMatchesSerial mirrors the in-memory contract at
-// the core API level.
-func TestProviderReleaseParallelMatchesSerial(t *testing.T) {
-	input := testCSV(40)
-	job, _ := testJob(t, input)
-	r, err := csvio.ReadFile(job.In, csvio.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prov := NewProvider(r)
-	a, err := prov.ReleaseParallel(9, job.Params, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := prov.ReleaseParallel(9, job.Params, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	am, bm := a.Rel.MustDiscrete("major"), b.Rel.MustDiscrete("major")
-	for i := range am {
-		if am[i] != bm[i] {
-			t.Fatalf("row %d: %q vs %q", i, am[i], bm[i])
-		}
-	}
-	if a.Epsilon() != b.Epsilon() {
-		t.Errorf("epsilon %v vs %v", a.Epsilon(), b.Epsilon())
-	}
 }

@@ -113,7 +113,7 @@ func TestPipelineFreshRun(t *testing.T) {
 	// Final state: view + meta present, scratch files gone.
 	mustNotExist(t, job.partialPath())
 	mustNotExist(t, job.checkpointPath())
-	rel, err := csvio.ReadFile(job.Out, csvio.Options{})
+	rel, _, err := csvio.ReadFileWithReport(job.Out, csvio.Options{})
 	if err != nil {
 		t.Fatalf("released view unreadable: %v", err)
 	}
@@ -556,7 +556,7 @@ func (job *PrivatizeJob) readCheckpointForTest(src *PrivatizeJob) (*checkpoint, 
 	if err != nil {
 		return nil, err
 	}
-	r, err := csvio.ReadFile(src.In, csvio.Options{})
+	r, _, err := csvio.ReadFileWithReport(src.In, csvio.Options{})
 	if err != nil {
 		return nil, err
 	}

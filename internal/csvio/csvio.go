@@ -163,14 +163,9 @@ func (k *kindInference) kinds() []relation.Kind {
 	return kinds
 }
 
-// Read loads a relation from CSV data with a header row.
-func Read(r io.Reader, opts Options) (*relation.Relation, error) {
-	rel, _, err := ReadWithReport(r, opts)
-	return rel, err
-}
-
-// ReadWithReport is Read with a per-row accounting of skipped and
-// quarantined rows. The report is non-nil whenever the error is nil.
+// ReadWithReport loads a relation from CSV data with a header row, with a
+// per-row accounting of skipped and quarantined rows. The report is non-nil
+// whenever the error is nil.
 func ReadWithReport(r io.Reader, opts Options) (*relation.Relation, *Report, error) {
 	if opts.OnRowError == RowErrorQuarantine && opts.Quarantine == nil {
 		return nil, nil, faults.Errorf(faults.ErrUsage, "csvio: quarantine policy needs a quarantine writer")
@@ -439,12 +434,6 @@ func (pol *rowPolicy) finish(rows int) (*Report, error) {
 			"quarantined", rep.Quarantined, "policy", pol.opts.OnRowError.String())
 	}
 	return rep, nil
-}
-
-// ReadFile loads a relation from a CSV file.
-func ReadFile(path string, opts Options) (*relation.Relation, error) {
-	rel, _, err := ReadFileWithReport(path, opts)
-	return rel, err
 }
 
 // ReadFileWithReport is ReadWithReport over a file.

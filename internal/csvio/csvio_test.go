@@ -13,18 +13,17 @@ import (
 
 func TestReadInference(t *testing.T) {
 	csv := "major,score,section\nME,4.5,1\nEE,3,2\nCS,,3\n"
-	r, err := Read(strings.NewReader(csv), Options{})
+	r, _, err := ReadWithReport(strings.NewReader(csv), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := r.Schema()
-	if c, _ := sc.Lookup("major"); c.Kind != relation.Discrete {
+	if _, err := r.Discrete("major"); err != nil {
 		t.Fatal("major should be discrete")
 	}
-	if c, _ := sc.Lookup("score"); c.Kind != relation.Numeric {
+	if _, err := r.Numeric("score"); err != nil {
 		t.Fatal("score should be numeric")
 	}
-	if c, _ := sc.Lookup("section"); c.Kind != relation.Numeric {
+	if _, err := r.Numeric("section"); err != nil {
 		t.Fatal("section should infer numeric")
 	}
 	scores := r.MustNumeric("score")
@@ -35,11 +34,11 @@ func TestReadInference(t *testing.T) {
 
 func TestReadForceKinds(t *testing.T) {
 	csv := "id,score\n1,4\n2,3\n"
-	r, err := Read(strings.NewReader(csv), Options{ForceKinds: map[string]relation.Kind{"id": relation.Discrete}})
+	r, _, err := ReadWithReport(strings.NewReader(csv), Options{ForceKinds: map[string]relation.Kind{"id": relation.Discrete}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, _ := r.Schema().Lookup("id"); c.Kind != relation.Discrete {
+	if _, err := r.Discrete("id"); err != nil {
 		t.Fatal("forced kind ignored")
 	}
 	if r.MustDiscrete("id")[1] != "2" {
@@ -51,7 +50,7 @@ func TestReadEmptyCellsBecomeNull(t *testing.T) {
 	// (A fully blank line would be skipped by encoding/csv, so the empty
 	// cell sits next to a populated one.)
 	csv := "major,idx\nME,1\n,2\nEE,3\n"
-	r, err := Read(strings.NewReader(csv), Options{})
+	r, _, err := ReadWithReport(strings.NewReader(csv), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,29 +61,29 @@ func TestReadEmptyCellsBecomeNull(t *testing.T) {
 
 func TestReadAllEmptyColumnIsDiscrete(t *testing.T) {
 	csv := "a,b\n1,\n2,\n"
-	r, err := Read(strings.NewReader(csv), Options{})
+	r, _, err := ReadWithReport(strings.NewReader(csv), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, _ := r.Schema().Lookup("b"); c.Kind != relation.Discrete {
+	if _, err := r.Discrete("b"); err != nil {
 		t.Fatal("all-empty column should default to discrete")
 	}
 }
 
 func TestReadErrors(t *testing.T) {
-	if _, err := Read(strings.NewReader(""), Options{}); err == nil {
+	if _, _, err := ReadWithReport(strings.NewReader(""), Options{}); err == nil {
 		t.Fatal("want error for missing header")
 	}
-	if _, err := Read(strings.NewReader("a,b\n1\n"), Options{}); err == nil {
+	if _, _, err := ReadWithReport(strings.NewReader("a,b\n1\n"), Options{}); err == nil {
 		t.Fatal("want error for ragged rows (encoding/csv)")
 	}
 	// Forced numeric with a non-numeric cell.
-	_, err := Read(strings.NewReader("a\nxyz\n"), Options{ForceKinds: map[string]relation.Kind{"a": relation.Numeric}})
+	_, _, err := ReadWithReport(strings.NewReader("a\nxyz\n"), Options{ForceKinds: map[string]relation.Kind{"a": relation.Numeric}})
 	if err == nil {
 		t.Fatal("want parse error for forced numeric")
 	}
 	// Duplicate header.
-	if _, err := Read(strings.NewReader("a,a\n1,2\n"), Options{}); err == nil {
+	if _, _, err := ReadWithReport(strings.NewReader("a,a\n1,2\n"), Options{}); err == nil {
 		t.Fatal("want duplicate-column error")
 	}
 }
@@ -104,7 +103,7 @@ func TestWriteRoundTrip(t *testing.T) {
 	if err := Write(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf, Options{ForceKinds: map[string]relation.Kind{"major": relation.Discrete}})
+	back, _, err := ReadWithReport(&buf, Options{ForceKinds: map[string]relation.Kind{"major": relation.Discrete}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +120,14 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := WriteFile(path, orig); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadFile(path, Options{})
+	back, _, err := ReadFileWithReport(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !orig.Equal(back) {
 		t.Fatal("file round trip mismatch")
 	}
-	if _, err := ReadFile(filepath.Join(dir, "missing.csv"), Options{}); err == nil {
+	if _, _, err := ReadFileWithReport(filepath.Join(dir, "missing.csv"), Options{}); err == nil {
 		t.Fatal("want error for missing file")
 	}
 	if err := WriteFile(filepath.Join(dir, "no", "such", "dir.csv"), orig); err == nil {
@@ -139,7 +138,7 @@ func TestFileRoundTrip(t *testing.T) {
 
 func TestZeroRowRelation(t *testing.T) {
 	csv := "a,b\n"
-	r, err := Read(strings.NewReader(csv), Options{})
+	r, _, err := ReadWithReport(strings.NewReader(csv), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func FuzzRead(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		r, err := Read(strings.NewReader(src), Options{})
+		r, _, err := ReadWithReport(strings.NewReader(src), Options{})
 		if err != nil {
 			return // rejection is fine
 		}
@@ -44,7 +44,7 @@ func FuzzRead(f *testing.F) {
 		for _, c := range r.Schema().Columns() {
 			opts.ForceKinds[c.Name] = c.Kind
 		}
-		back, err := Read(&buf, opts)
+		back, _, err := ReadWithReport(&buf, opts)
 		if err != nil {
 			t.Fatalf("wrote %q from %q but cannot re-read: %v", buf.String(), src, err)
 		}
@@ -85,7 +85,7 @@ func FuzzReadPolicies(f *testing.F) {
 			t.Fatalf("policies diverge: skip %d rows/%d dropped, quarantine %d rows/%d dropped",
 				skipRel.NumRows(), skipRep.Skipped, qRel.NumRows(), qRep.Quarantined)
 		}
-		if _, failErr := Read(strings.NewReader(src), Options{}); skipRep.Clean() != (failErr == nil) {
+		if _, _, failErr := ReadWithReport(strings.NewReader(src), Options{}); skipRep.Clean() != (failErr == nil) {
 			t.Fatalf("clean report %v but fail policy says %v", skipRep.Clean(), failErr)
 		}
 	})

@@ -33,7 +33,7 @@ func TestReadMalformedInputs(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Read(strings.NewReader(c.src), c.opts)
+			_, _, err := ReadWithReport(strings.NewReader(c.src), c.opts)
 			if err == nil {
 				t.Fatalf("Read(%q) should fail", c.src)
 			}
@@ -62,7 +62,7 @@ func TestReadAcceptedOddities(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			r, err := Read(strings.NewReader(c.src), Options{})
+			r, _, err := ReadWithReport(strings.NewReader(c.src), Options{})
 			if err != nil {
 				t.Fatalf("Read(%q): %v", c.src, err)
 			}
@@ -74,11 +74,11 @@ func TestReadAcceptedOddities(t *testing.T) {
 }
 
 func TestBOMDoesNotPolluteHeaderName(t *testing.T) {
-	r, err := Read(strings.NewReader("\xEF\xBB\xBFmajor\nME\n"), Options{})
+	r, _, err := ReadWithReport(strings.NewReader("\xEF\xBB\xBFmajor\nME\n"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Schema().Lookup("major"); !ok {
+	if !r.Schema().Has("major") {
 		t.Fatalf("BOM leaked into header: columns = %v", r.Schema().Columns())
 	}
 }
@@ -114,7 +114,7 @@ func TestSkipPolicyKeepsInferenceStable(t *testing.T) {
 	if rep.Skipped != 1 {
 		t.Fatalf("report = %+v", rep)
 	}
-	if c, _ := rel.Schema().Lookup("b"); c.Kind != relation.Numeric {
+	if _, err := rel.Numeric("b"); err != nil {
 		t.Fatal("skipped row affected kind inference")
 	}
 }
@@ -164,7 +164,7 @@ func TestCleanTruncationDropsLastRow(t *testing.T) {
 	// that into a typed error instead of a silently shorter relation.
 	src := "a,b\n1,x\n2,y\n3,z\n"
 	tr := &faults.TruncatingReader{R: strings.NewReader(src), Limit: int64(len(src) - 3)}
-	_, err := Read(tr, Options{})
+	_, _, err := ReadWithReport(tr, Options{})
 	if !errors.Is(err, faults.ErrBadInput) {
 		t.Fatalf("want ErrBadInput for truncated input, got %v", err)
 	}

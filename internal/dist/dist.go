@@ -1,8 +1,7 @@
 // Package dist provides the random data-distribution substrate for
 // PrivateClean's workload generators: an exact Zipfian sampler over a finite
 // domain (the paper's synthetic dataset draws both attributes from a Zipfian
-// with scale parameter z), uniform categorical sampling, and weighted
-// categorical sampling.
+// with scale parameter z).
 //
 // All samplers are deterministic given a *rand.Rand so experiments are
 // reproducible.
@@ -19,8 +18,6 @@ import (
 // 1/(k+1)^z. Unlike math/rand's Zipf it supports z == 0 (uniform) and any
 // z >= 0, which the paper's skew sweep (Figure 4, z in [0, 4]) requires.
 type Zipf struct {
-	n   int
-	z   float64
 	cdf []float64 // cumulative probabilities, cdf[n-1] == 1
 }
 
@@ -42,75 +39,11 @@ func NewZipf(n int, z float64) (*Zipf, error) {
 		cdf[k] /= total
 	}
 	cdf[n-1] = 1 // guard against rounding
-	return &Zipf{n: n, z: z, cdf: cdf}, nil
+	return &Zipf{cdf: cdf}, nil
 }
 
-// N returns the number of ranks.
-func (zf *Zipf) N() int { return zf.n }
-
-// Exponent returns the scale parameter z.
-func (zf *Zipf) Exponent() float64 { return zf.z }
-
-// Sample draws one rank in [0, N).
+// Sample draws one rank in [0, n).
 func (zf *Zipf) Sample(rng *rand.Rand) int {
 	u := rng.Float64()
 	return sort.SearchFloat64s(zf.cdf, u)
-}
-
-// Prob returns the probability of rank k.
-func (zf *Zipf) Prob(k int) float64 {
-	if k < 0 || k >= zf.n {
-		return 0
-	}
-	if k == 0 {
-		return zf.cdf[0]
-	}
-	return zf.cdf[k] - zf.cdf[k-1]
-}
-
-// UniformChoice returns one element of values chosen uniformly at random.
-// This is the U(Domain(d_i)) operator of the GRR mechanism.
-func UniformChoice[T any](rng *rand.Rand, values []T) T {
-	return values[rng.Intn(len(values))]
-}
-
-// Weighted samples indices {0, ..., len(weights)-1} proportionally to
-// non-negative weights.
-type Weighted struct {
-	cdf []float64
-}
-
-// NewWeighted builds a weighted sampler. Weights must be non-negative with a
-// positive sum.
-func NewWeighted(weights []float64) (*Weighted, error) {
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("dist: weighted needs at least one weight")
-	}
-	cdf := make([]float64, len(weights))
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("dist: weight %d is %v, want finite >= 0", i, w)
-		}
-		total += w
-		cdf[i] = total
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("dist: weights sum to %v, want > 0", total)
-	}
-	for i := range cdf {
-		cdf[i] /= total
-	}
-	cdf[len(cdf)-1] = 1
-	return &Weighted{cdf: cdf}, nil
-}
-
-// Sample draws one index.
-func (w *Weighted) Sample(rng *rand.Rand) int {
-	return sort.SearchFloat64s(w.cdf, rng.Float64())
-}
-
-// Permutation returns a random permutation of [0, n) using rng.
-func Permutation(rng *rand.Rand, n int) []int {
-	return rng.Perm(n)
 }

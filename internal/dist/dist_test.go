@@ -22,16 +22,6 @@ func TestNewZipfValidation(t *testing.T) {
 	}
 }
 
-func TestZipfAccessors(t *testing.T) {
-	z, err := NewZipf(10, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z.N() != 10 || z.Exponent() != 1.5 {
-		t.Fatalf("accessors = %d, %v", z.N(), z.Exponent())
-	}
-}
-
 func TestZipfProbsSumToOne(t *testing.T) {
 	z, err := NewZipf(25, 2)
 	if err != nil {
@@ -39,7 +29,7 @@ func TestZipfProbsSumToOne(t *testing.T) {
 	}
 	total := 0.0
 	for k := 0; k < 25; k++ {
-		p := z.Prob(k)
+		p := prob(z, k)
 		if p < 0 {
 			t.Fatalf("Prob(%d) = %v < 0", k, p)
 		}
@@ -47,9 +37,6 @@ func TestZipfProbsSumToOne(t *testing.T) {
 	}
 	if math.Abs(total-1) > 1e-12 {
 		t.Fatalf("probabilities sum to %v", total)
-	}
-	if z.Prob(-1) != 0 || z.Prob(25) != 0 {
-		t.Fatal("out-of-range Prob should be 0")
 	}
 }
 
@@ -59,8 +46,8 @@ func TestZipfZeroIsUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < 4; k++ {
-		if math.Abs(z.Prob(k)-0.25) > 1e-12 {
-			t.Fatalf("Prob(%d) = %v, want 0.25", k, z.Prob(k))
+		if math.Abs(prob(z, k)-0.25) > 1e-12 {
+			t.Fatalf("Prob(%d) = %v, want 0.25", k, prob(z, k))
 		}
 	}
 }
@@ -71,8 +58,8 @@ func TestZipfMonotoneDecreasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 1; k < 50; k++ {
-		if z.Prob(k) > z.Prob(k-1)+1e-15 {
-			t.Fatalf("Prob(%d)=%v > Prob(%d)=%v", k, z.Prob(k), k-1, z.Prob(k-1))
+		if prob(z, k) > prob(z, k-1)+1e-15 {
+			t.Fatalf("Prob(%d)=%v > Prob(%d)=%v", k, prob(z, k), k-1, prob(z, k-1))
 		}
 	}
 }
@@ -94,70 +81,9 @@ func TestZipfSampleFrequencies(t *testing.T) {
 	}
 	for k := 0; k < 10; k++ {
 		got := float64(counts[k]) / n
-		if math.Abs(got-z.Prob(k)) > 0.01 {
-			t.Fatalf("freq(%d) = %v, want ~%v", k, got, z.Prob(k))
+		if math.Abs(got-prob(z, k)) > 0.01 {
+			t.Fatalf("freq(%d) = %v, want ~%v", k, got, prob(z, k))
 		}
-	}
-}
-
-func TestUniformChoice(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	vals := []string{"a", "b", "c"}
-	counts := map[string]int{}
-	for i := 0; i < 30000; i++ {
-		counts[UniformChoice(rng, vals)]++
-	}
-	for _, v := range vals {
-		got := float64(counts[v]) / 30000
-		if math.Abs(got-1.0/3) > 0.02 {
-			t.Fatalf("freq(%s) = %v", v, got)
-		}
-	}
-}
-
-func TestNewWeightedValidation(t *testing.T) {
-	if _, err := NewWeighted(nil); err == nil {
-		t.Fatal("want error for empty weights")
-	}
-	if _, err := NewWeighted([]float64{-1, 2}); err == nil {
-		t.Fatal("want error for negative weight")
-	}
-	if _, err := NewWeighted([]float64{0, 0}); err == nil {
-		t.Fatal("want error for zero-sum weights")
-	}
-	if _, err := NewWeighted([]float64{math.NaN()}); err == nil {
-		t.Fatal("want error for NaN weight")
-	}
-}
-
-func TestWeightedSampleFrequencies(t *testing.T) {
-	w, err := NewWeighted([]float64{1, 0, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	counts := make([]int, 3)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[w.Sample(rng)]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight index sampled %d times", counts[1])
-	}
-	if math.Abs(float64(counts[0])/n-0.25) > 0.01 {
-		t.Fatalf("freq(0) = %v, want 0.25", float64(counts[0])/n)
-	}
-}
-
-func TestPermutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	p := Permutation(rng, 10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
 	}
 }
 
@@ -175,11 +101,19 @@ func TestZipfCDFProperty(t *testing.T) {
 		}
 		prev := 0.0
 		for k := 0; k < n; k++ {
-			prev += zf.Prob(k)
+			prev += prob(zf, k)
 		}
 		return math.Abs(prev-1) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// prob is the probability Sample gives rank k, read off the sampler's CDF.
+func prob(zf *Zipf, k int) float64 {
+	if k == 0 {
+		return zf.cdf[0]
+	}
+	return zf.cdf[k] - zf.cdf[k-1]
 }

@@ -128,7 +128,7 @@ func loadTwins(t testing.TB, rel *relation.Relation) (csvRel, colRel *relation.R
 		t.Fatal(err)
 	}
 	kinds := map[string]relation.Kind{"cat": relation.Discrete, "grp": relation.Discrete, "sec": relation.Discrete, "x": relation.Numeric}
-	csvRel, err := csvio.Read(bytes.NewReader(csvBuf.Bytes()), csvio.Options{ForceKinds: kinds})
+	csvRel, _, err := csvio.ReadWithReport(bytes.NewReader(csvBuf.Bytes()), csvio.Options{ForceKinds: kinds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,6 +315,12 @@ func naiveSums(col []float64, m []bool) (hp, hpc float64) {
 		}
 	}
 	return hp, hpc
+}
+
+// naiveTotal sums the non-NaN cells of col in row order.
+func naiveTotal(col []float64) float64 {
+	_, rest := naiveSums(col, make([]bool, len(col)))
+	return rest
 }
 
 func naiveCount(e *Estimator, rel *relation.Relation, pred Predicate) (Estimate, error) {
@@ -531,7 +537,7 @@ func naiveGroups(e *Estimator, rel *relation.Relation, tr transcript, attr, agg 
 		ch, _ := e.invertible(Eq(attr, val))
 		m, _ := naiveMatch(rel, Eq(attr, val))
 		hp, _ := naiveSums(col, m)
-		h, err := e.sumEstimate(ch, hp, stats.Sum(col)-hp, countTrue(m), float64(rel.NumRows()), mu, v)
+		h, err := e.sumEstimate(ch, hp, naiveTotal(col)-hp, countTrue(m), float64(rel.NumRows()), mu, v)
 		tr.est("group-sum/"+val, h, err)
 		if c.Value != 0 {
 			r := h.Value / c.Value
@@ -658,7 +664,7 @@ func naiveTranscript(e *Estimator, rel *relation.Relation, preds []Predicate) tr
 		tr.put("total-avg", err)
 	} else {
 		mu, _ := stats.Mean(col)
-		tr.est("total-sum", Estimate{Value: stats.Sum(col), CI: z * math.Sqrt(s*v)}, nil)
+		tr.est("total-sum", Estimate{Value: naiveTotal(col), CI: z * math.Sqrt(s*v)}, nil)
 		tr.est("total-avg", Estimate{Value: mu, CI: z * math.Sqrt(v/s)}, nil)
 	}
 	naiveGroups(e, rel, tr, "cat", "x")
@@ -838,7 +844,7 @@ func checkConjAvgs(t *testing.T, tr transcript) {
 // Statistics.sumMatches over statistics collected from rel.
 func checkStatsFold(t *testing.T, rng *rand.Rand, rel *relation.Relation, preds []Predicate) {
 	t.Helper()
-	st, err := CollectStatistics(relation.NewSliceIterator(rel, 1+rng.Intn(7)))
+	st, err := CollectStatisticsWith(relation.NewSliceIterator(rel, 1+rng.Intn(7)), CollectOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -607,11 +607,6 @@ func (st *Statistics) clone() *Statistics {
 	return out
 }
 
-// CollectStatistics drains an iterator through a Collector.
-func CollectStatistics(it relation.Iterator) (*Statistics, error) {
-	return collectInto(NewCollector(), it)
-}
-
 // CollectStatisticsWith drains an iterator through a Collector configured
 // with the optional layouts in opts.
 func CollectStatisticsWith(it relation.Iterator, opts CollectOpts) (*Statistics, error) {

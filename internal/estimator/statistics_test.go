@@ -35,7 +35,7 @@ func estClose(t *testing.T, name string, got, want Estimate) {
 // collect runs the relation through a Collector in windows.
 func collect(t *testing.T, r *relation.Relation, window int) *Statistics {
 	t.Helper()
-	st, err := CollectStatistics(relation.NewSliceIterator(r, window))
+	st, err := CollectStatisticsWith(relation.NewSliceIterator(r, window), CollectOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -258,28 +258,6 @@ func TestTunerValidation(t *testing.T) {
 	}
 }
 
-func TestAllRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep in short mode")
-	}
-	cfg := fastConfig()
-	cfg.Trials = 2
-	tables, err := All(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) < 20 {
-		t.Fatalf("All returned %d tables", len(tables))
-	}
-	seen := map[string]bool{}
-	for _, tb := range tables {
-		if seen[tb.ID] {
-			t.Fatalf("duplicate table id %q", tb.ID)
-		}
-		seen[tb.ID] = true
-	}
-}
-
 func TestTableFormatAlignment(t *testing.T) {
 	tb := &Table{
 		ID: "x", Title: "T", XLabel: "x",

@@ -152,30 +152,3 @@ func TunerValidation(cfg Config) (*Table, error) {
 	}
 	return t, nil
 }
-
-// All runs every experiment and returns the tables in paper order. It is
-// the driver behind cmd/experiments and the benchmark harness.
-func All(cfg Config) ([]*Table, error) {
-	var out []*Table
-	out = append(out, DefaultParams())
-	for _, f := range []func(Config) ([]*Table, error){
-		Figure2, Figure3, Figure4, Figure5, Figure6, Figure7, Figure8, Figure9, Figure10, Figure11,
-	} {
-		tables, err := f(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tables...)
-	}
-	thm2, err := Theorem2Validation(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, thm2)
-	tuner, err := TunerValidation(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, tuner)
-	return out, nil
-}

@@ -79,64 +79,3 @@ func pForBudget(r *relation.Relation, name string, eps float64) (float64, error)
 	}
 	return PForEpsilonExact(eps, n)
 }
-
-// AllocateEpsilonWeighted is AllocateEpsilon with caller-chosen weights:
-// attribute a receives eps * weights[a] / sum(weights). Attributes missing
-// from weights get weight 1. Zero or negative weights are rejected — a
-// zero-budget attribute would be released unrandomized and de-privatize
-// the relation (Theorem 1's interpretation).
-func AllocateEpsilonWeighted(r *relation.Relation, eps float64, weights map[string]float64) (Params, error) {
-	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
-		return Params{}, faults.Errorf(faults.ErrBadParams, "privacy: total epsilon must be positive and finite, got %v", eps)
-	}
-	discrete := r.Schema().DiscreteNames()
-	numeric := r.Schema().NumericNames()
-	if len(discrete)+len(numeric) == 0 {
-		return Params{}, faults.Errorf(faults.ErrBadInput, "privacy: relation has no attributes")
-	}
-	weightOf := func(name string) (float64, error) {
-		w, ok := weights[name]
-		if !ok {
-			return 1, nil
-		}
-		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return 0, faults.Errorf(faults.ErrBadParams, "privacy: weight for %q must be positive and finite, got %v", name, w)
-		}
-		return w, nil
-	}
-	total := 0.0
-	for _, name := range append(append([]string(nil), discrete...), numeric...) {
-		w, err := weightOf(name)
-		if err != nil {
-			return Params{}, err
-		}
-		total += w
-	}
-
-	params := Params{P: make(map[string]float64, len(discrete)), B: make(map[string]float64, len(numeric))}
-	for _, name := range discrete {
-		w, _ := weightOf(name)
-		p, err := pForBudget(r, name, eps*w/total)
-		if err != nil {
-			return Params{}, err
-		}
-		params.P[name] = p
-	}
-	for _, name := range numeric {
-		w, _ := weightOf(name)
-		col, err := r.Numeric(name)
-		if err != nil {
-			return Params{}, err
-		}
-		delta := 0.0
-		if lo, hi, err := stats.MinMax(col); err == nil {
-			delta = hi - lo
-		}
-		b, err := BForEpsilon(delta, eps*w/total)
-		if err != nil {
-			return Params{}, err
-		}
-		params.B[name] = b
-	}
-	return params, nil
-}

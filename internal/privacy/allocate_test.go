@@ -49,37 +49,6 @@ func TestAllocateEpsilonValidation(t *testing.T) {
 	}
 }
 
-func TestAllocateEpsilonWeighted(t *testing.T) {
-	r := testRel(t)
-	// major gets 3x the budget of score.
-	params, err := AllocateEpsilonWeighted(r, 4, map[string]float64{"major": 3, "score": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := EpsilonDiscreteExact(params.P["major"], 4); math.Abs(got-3) > 1e-9 {
-		t.Fatalf("major exact epsilon = %v, want 3", got)
-	}
-	// score gets eps 1 with range 4: b = 4.
-	if math.Abs(params.B["score"]-4) > 1e-9 {
-		t.Fatalf("score b = %v, want 4", params.B["score"])
-	}
-	// Missing weights default to 1.
-	params, err = AllocateEpsilonWeighted(r, 4, map[string]float64{"major": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := EpsilonDiscreteExact(params.P["major"], 4); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("default-weight exact epsilon = %v, want 2", got)
-	}
-	// Invalid weights.
-	if _, err := AllocateEpsilonWeighted(r, 4, map[string]float64{"major": 0}); err == nil {
-		t.Fatal("want error for zero weight")
-	}
-	if _, err := AllocateEpsilonWeighted(r, -1, nil); err == nil {
-		t.Fatal("want error for negative epsilon")
-	}
-}
-
 // Property: for any positive budget, releasing with the allocated params
 // composes back to exactly the requested epsilon under exact accounting,
 // and to at most the requested epsilon under the paper's Lemma 1

@@ -64,8 +64,8 @@ func TestLaplaceNoiseDistributionChiSquare(t *testing.T) {
 	}
 	counts := make([]float64, cells)
 	col := make([]float64, n)
-	out, err := LaplacePerturb(rng, col, b)
-	if err != nil {
+	out := append([]float64(nil), col...)
+	if err := LaplacePerturbInPlace(rng, out, b); err != nil {
 		t.Fatal(err)
 	}
 	for _, x := range out {

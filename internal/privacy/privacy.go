@@ -291,18 +291,6 @@ func RandomizedResponse(rng Rand, col []string, domain []string, p float64) ([]s
 	return out, nil
 }
 
-// LaplacePerturb applies the Laplace mechanism to one numeric column: every
-// value receives independent Laplace(0, b) noise. NaN cells (missing values)
-// stay NaN. The input slice is not modified.
-func LaplacePerturb(rng Rand, col []float64, b float64) ([]float64, error) {
-	out := make([]float64, len(col))
-	copy(out, col)
-	if err := LaplacePerturbInPlace(rng, out, b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Privatize applies GRR to a relation: randomized response with params.P[d]
 // on every discrete attribute d and Laplace noise with scale params.B[a] on
 // every numeric attribute a. It returns the private view V and the ViewMeta

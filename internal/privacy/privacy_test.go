@@ -194,8 +194,8 @@ func TestRandomizedResponseFlipRate(t *testing.T) {
 func TestLaplacePerturb(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	col := []float64{1, 2, math.NaN()}
-	out, err := LaplacePerturb(rng, col, 1)
-	if err != nil {
+	out := append([]float64(nil), col...)
+	if err := LaplacePerturbInPlace(rng, out, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsNaN(out[2]) {
@@ -204,12 +204,12 @@ func TestLaplacePerturb(t *testing.T) {
 	if out[0] == col[0] && out[1] == col[1] {
 		t.Fatal("noise should perturb values (w.h.p.)")
 	}
-	if _, err := LaplacePerturb(rng, col, -1); err == nil {
+	if err := LaplacePerturbInPlace(rng, append([]float64(nil), col...), -1); err == nil {
 		t.Fatal("want error for negative scale")
 	}
 	// b=0 is identity.
-	out, err = LaplacePerturb(rng, []float64{7}, 0)
-	if err != nil || out[0] != 7 {
+	out = []float64{7}
+	if err := LaplacePerturbInPlace(rng, out, 0); err != nil || out[0] != 7 {
 		t.Fatalf("b=0 = %v, %v", out, err)
 	}
 }
@@ -221,8 +221,8 @@ func TestLaplacePerturbZeroMean(t *testing.T) {
 	for i := range col {
 		col[i] = 10
 	}
-	out, err := LaplacePerturb(rng, col, 5)
-	if err != nil {
+	out := append([]float64(nil), col...)
+	if err := LaplacePerturbInPlace(rng, out, 5); err != nil {
 		t.Fatal(err)
 	}
 	sum := 0.0

@@ -25,8 +25,8 @@ func TestLaplaceScaleRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	col := []float64{1, 2, 3}
 	for _, b := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := LaplacePerturb(rng, col, b); !errors.Is(err, faults.ErrBadParams) {
-			t.Errorf("LaplacePerturb(b=%v) = %v, want ErrBadParams", b, err)
+		if err := LaplacePerturbInPlace(rng, append([]float64(nil), col...), b); !errors.Is(err, faults.ErrBadParams) {
+			t.Errorf("LaplacePerturbInPlace(b=%v) = %v, want ErrBadParams", b, err)
 		}
 	}
 	// Strict validation rejects b <= 0 outright: a zero scale releases the

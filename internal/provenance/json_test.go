@@ -23,8 +23,8 @@ func TestGraphJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Attr() != "major" || back.DomainSize() != 3 || !back.Forked() {
-		t.Fatalf("round trip = attr %q, N %d, forked %t", back.Attr(), back.DomainSize(), back.Forked())
+	if back.attr != "major" || back.DomainSize() != 3 || !back.Forked() {
+		t.Fatalf("round trip = attr %q, N %d, forked %t", back.attr, back.DomainSize(), back.Forked())
 	}
 	pred := func(v string) bool { return v == "x" }
 	if g.Selectivity(pred) != back.Selectivity(pred) {

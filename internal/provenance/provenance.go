@@ -91,9 +91,6 @@ func (g *Graph) index() {
 	g.clean, g.mass = clean, mass
 }
 
-// Attr returns the name of the attribute this graph tracks.
-func (g *Graph) Attr() string { return g.attr }
-
 // DomainSize returns N = |L|, the dirty-domain size used by the estimators.
 func (g *Graph) DomainSize() int { return g.n }
 
@@ -104,21 +101,6 @@ func (g *Graph) Forked() bool { return g.forked }
 // CleanDomain returns the sorted clean-side domain M.
 func (g *Graph) CleanDomain() []string {
 	return append([]string(nil), g.clean...)
-}
-
-// Parents returns a copy of the weighted parent set of one clean value:
-// dirty value -> w_lm. The second result is false if the clean value is not
-// in M.
-func (g *Graph) Parents(clean string) (map[string]float64, bool) {
-	ps, ok := g.parents[clean]
-	if !ok {
-		return nil, false
-	}
-	out := make(map[string]float64, len(ps))
-	for l, w := range ps {
-		out[l] = w
-	}
-	return out, true
 }
 
 // Clone returns a deep copy of the graph.

@@ -31,8 +31,8 @@ func rowLevel(g *Graph, before, after []string) {
 
 func TestIdentityGraph(t *testing.T) {
 	g := NewGraph("major", []string{"a", "b", "c"})
-	if g.Attr() != "major" {
-		t.Fatalf("attr = %q", g.Attr())
+	if g.attr != "major" {
+		t.Fatalf("attr = %q", g.attr)
 	}
 	if g.DomainSize() != 3 {
 		t.Fatalf("N = %d", g.DomainSize())
@@ -74,11 +74,11 @@ func TestApplyDeterministicMerge(t *testing.T) {
 	if g.DomainSize() != 4 {
 		t.Fatal("N must stay the dirty-domain size")
 	}
-	parents, ok := g.Parents("Engineering")
+	parents, ok := g.parents["Engineering"]
 	if !ok || len(parents) != 3 || parents["Civil"] != 1 {
 		t.Fatalf("parents = %v, %v", parents, ok)
 	}
-	if _, ok := g.Parents("Civil"); ok {
+	if _, ok := g.parents["Civil"]; ok {
 		t.Fatal("Civil is no longer a clean value")
 	}
 	if err := g.Validate(1e-9); err != nil {
@@ -123,7 +123,7 @@ func TestApplyRowLevelFork(t *testing.T) {
 	if !g.Forked() {
 		t.Fatal("row-level fork should mark the graph forked")
 	}
-	parents, _ := g.Parents("John Doe")
+	parents := g.parents["John Doe"]
 	if math.Abs(parents["NULL"]-0.5) > 1e-9 || parents["John Doe"] != 1 {
 		t.Fatalf("parents(John Doe) = %v", parents)
 	}

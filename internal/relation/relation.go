@@ -94,15 +94,6 @@ func (s Schema) Columns() []Column {
 // Len returns the number of columns.
 func (s Schema) Len() int { return len(s.cols) }
 
-// Lookup returns the column with the given name.
-func (s Schema) Lookup(name string) (Column, bool) {
-	i, ok := s.index[name]
-	if !ok {
-		return Column{}, false
-	}
-	return s.cols[i], true
-}
-
 // Has reports whether the schema contains a column with the given name.
 func (s Schema) Has(name string) bool {
 	_, ok := s.index[name]
@@ -327,19 +318,6 @@ func (r *Relation) SetDiscrete(name string, i int, v string) error {
 	return nil
 }
 
-// SetNumeric overwrites one cell of a numeric column.
-func (r *Relation) SetNumeric(name string, i int, v float64) error {
-	col, err := r.Numeric(name)
-	if err != nil {
-		return err
-	}
-	if i < 0 || i >= r.rows {
-		return fmt.Errorf("relation: row %d out of range [0,%d)", i, r.rows)
-	}
-	col[i] = v
-	return nil
-}
-
 // MapDiscrete replaces every value of a discrete column with f(value). This
 // is the raw primitive behind Transform/Merge cleaners; most callers should
 // go through the cleaning package so provenance is recorded.
@@ -382,66 +360,6 @@ func (r *Relation) AddDiscreteColumn(name string, values []string) error {
 	r.discrete[name] = cp
 	r.InvalidateIndex(name)
 	return nil
-}
-
-// Project returns a new relation containing only the named columns (in the
-// given order). Column data is deep-copied.
-func (r *Relation) Project(names ...string) (*Relation, error) {
-	cols := make([]Column, 0, len(names))
-	for _, n := range names {
-		c, ok := r.schema.Lookup(n)
-		if !ok {
-			return nil, fmt.Errorf("relation: no column %q", n)
-		}
-		cols = append(cols, c)
-	}
-	schema, err := NewSchema(cols...)
-	if err != nil {
-		return nil, err
-	}
-	out := New(schema)
-	out.rows = r.rows
-	for _, c := range cols {
-		switch c.Kind {
-		case Numeric:
-			cp := make([]float64, r.rows)
-			copy(cp, r.numeric[c.Name])
-			out.numeric[c.Name] = cp
-		case Discrete:
-			cp := make([]string, r.rows)
-			copy(cp, r.discrete[c.Name])
-			out.discrete[c.Name] = cp
-		}
-	}
-	return out, nil
-}
-
-// Filter returns a new relation containing the rows for which keep(i) is
-// true.
-func (r *Relation) Filter(keep func(i int) bool) *Relation {
-	idx := make([]int, 0, r.rows)
-	for i := 0; i < r.rows; i++ {
-		if keep(i) {
-			idx = append(idx, i)
-		}
-	}
-	out := New(r.schema)
-	out.rows = len(idx)
-	for name, col := range r.numeric {
-		cp := make([]float64, len(idx))
-		for j, i := range idx {
-			cp[j] = col[i]
-		}
-		out.numeric[name] = cp
-	}
-	for name, col := range r.discrete {
-		cp := make([]string, len(idx))
-		for j, i := range idx {
-			cp[j] = col[i]
-		}
-		out.discrete[name] = cp
-	}
-	return out
 }
 
 // Equal reports whether two relations have identical schemas and cell values.

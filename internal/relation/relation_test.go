@@ -37,12 +37,11 @@ func TestSchemaLookupAndNames(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
-	c, ok := s.Lookup("major")
-	if !ok || c.Kind != Discrete {
-		t.Fatalf("Lookup(major) = %v, %v", c, ok)
+	if !s.Has("major") {
+		t.Fatal("Has(major) = false")
 	}
-	if _, ok := s.Lookup("nope"); ok {
-		t.Fatal("Lookup(nope) should fail")
+	if s.Has("nope") {
+		t.Fatal("Has(nope) should be false")
 	}
 	if got := s.DiscreteNames(); len(got) != 1 || got[0] != "major" {
 		t.Fatalf("DiscreteNames = %v", got)
@@ -178,9 +177,7 @@ func TestCloneIsDeep(t *testing.T) {
 	if err := c.SetDiscrete("major", 0, "XX"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetNumeric("score", 0, 99); err != nil {
-		t.Fatal(err)
-	}
+	c.MustNumeric("score")[0] = 99
 	if r.MustDiscrete("major")[0] != "ME" || r.MustNumeric("score")[0] != 4 {
 		t.Fatal("clone mutation leaked into original")
 	}
@@ -192,9 +189,6 @@ func TestCloneIsDeep(t *testing.T) {
 func TestSetOutOfRange(t *testing.T) {
 	r := mustRel(t)
 	if err := r.SetDiscrete("major", 10, "x"); err == nil {
-		t.Fatal("want out-of-range error")
-	}
-	if err := r.SetNumeric("score", -1, 0); err == nil {
 		t.Fatal("want out-of-range error")
 	}
 }
@@ -250,37 +244,6 @@ func TestAddColumnDoesNotAffectCloneSchema(t *testing.T) {
 	}
 	if r.Schema().Has("extra") {
 		t.Fatal("adding a column to the clone changed the original's schema")
-	}
-}
-
-func TestProject(t *testing.T) {
-	r := mustRel(t)
-	p, err := r.Project("score")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Schema().Len() != 1 || p.NumRows() != 4 {
-		t.Fatalf("projection = %v", p)
-	}
-	if _, err := r.Project("nope"); err == nil {
-		t.Fatal("want unknown-column error")
-	}
-	// Deep copy: mutating the projection leaves the original intact.
-	p.MustNumeric("score")[0] = -1
-	if r.MustNumeric("score")[0] != 4 {
-		t.Fatal("projection mutation leaked")
-	}
-}
-
-func TestFilter(t *testing.T) {
-	r := mustRel(t)
-	majors := r.MustDiscrete("major")
-	f := r.Filter(func(i int) bool { return majors[i] == "ME" })
-	if f.NumRows() != 2 {
-		t.Fatalf("filtered rows = %d", f.NumRows())
-	}
-	if f.MustNumeric("score")[1] != 3 {
-		t.Fatalf("filtered score = %v", f.MustNumeric("score"))
 	}
 }
 
@@ -371,7 +334,7 @@ func TestSchemaColumnsCopy(t *testing.T) {
 	}
 	// Mutating the copy must not affect the schema.
 	cols[0].Name = "hacked"
-	if _, ok := s.Lookup("major"); !ok {
+	if !s.Has("major") {
 		t.Fatal("Columns returned a live reference")
 	}
 }

@@ -17,7 +17,7 @@
 // channel cache are mutex-guarded, and telemetry instruments are atomic, so
 // any number of requests run in parallel. Admission is bounded (MaxInFlight,
 // excess sheds with 429), each estimation runs under a deadline, and
-// Shutdown drains in-flight requests before returning.
+// Drain waits out in-flight requests, up to DrainTimeout, before returning.
 //
 // Error mapping: failures surface as typed JSON errors whose HTTP status is
 // derived from the faults taxonomy — a bad predicate is the analyst's
@@ -42,7 +42,6 @@ import (
 	"privateclean/internal/faults"
 	"privateclean/internal/privacy"
 	"privateclean/internal/provenance"
-	"privateclean/internal/query"
 	"privateclean/internal/relation"
 	"privateclean/internal/telemetry"
 )
@@ -100,7 +99,6 @@ type Server struct {
 	rel     *relation.Relation
 	stats   *estimator.Statistics
 	est     *estimator.Estimator
-	udfs    query.UDFs
 	tel     *telemetry.Set
 	timeout time.Duration
 	drain   time.Duration
@@ -167,19 +165,11 @@ func New(cfg Config) (*Server, error) {
 			Confidence: cfg.Confidence,
 			Cache:      estimator.NewChannelCache(),
 		},
-		udfs:    make(query.UDFs),
 		tel:     tel,
 		timeout: cfg.Timeout,
 		drain:   cfg.DrainTimeout,
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 	}, nil
-}
-
-// RegisterUDF makes a predicate function available to WHERE clauses under
-// the given (case-insensitive) name. Register before serving: the registry
-// is not guarded against concurrent mutation.
-func (s *Server) RegisterUDF(name string, f func(string) bool) {
-	s.udfs[strings.ToLower(name)] = f
 }
 
 // Handler returns the server's HTTP handler (also usable under a test
@@ -530,7 +520,7 @@ func (s *Server) publishCacheStats() {
 	}
 }
 
-// Serve accepts connections on l until Shutdown. It returns
+// Serve accepts connections on l until Drain. It returns
 // http.ErrServerClosed after a clean shutdown, matching net/http.
 func (s *Server) Serve(l net.Listener) error {
 	srv := &http.Server{Handler: s.Handler()}
@@ -540,7 +530,7 @@ func (s *Server) Serve(l net.Listener) error {
 	return srv.Serve(l)
 }
 
-// ListenAndServe listens on addr and serves until Shutdown. The returned
+// ListenAndServe listens on addr and serves until Drain. The returned
 // listener address is reported through ready (useful with ":0"); pass nil
 // when not needed.
 func (s *Server) ListenAndServe(addr string, ready chan<- net.Addr) error {
@@ -552,23 +542,6 @@ func (s *Server) ListenAndServe(addr string, ready chan<- net.Addr) error {
 		ready <- l.Addr()
 	}
 	return s.Serve(l)
-}
-
-// Shutdown stops accepting new connections and drains in-flight requests,
-// waiting up to the context's deadline. Safe to call before Serve (no-op)
-// and more than once.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	srv := s.httpSrv
-	s.mu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	err := srv.Shutdown(ctx)
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
 }
 
 // Drain is the deadline-bounded graceful shutdown: stop accepting

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -495,10 +494,10 @@ func TestServeInPredicateWithCommaValue(t *testing.T) {
 	}
 }
 
-// Shutdown drains: an in-flight query completes with 200 while new
-// connections are refused.
+// Drain, the shutdown serve runs on SIGTERM, lets an in-flight query
+// complete with 200 while new connections are refused.
 func TestGracefulShutdownDrains(t *testing.T) {
-	s := newTestServer(t, nil)
+	s := newTestServer(t, func(c *Config) { c.DrainTimeout = 5 * time.Second })
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
@@ -524,14 +523,10 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}()
 	<-entered
 
-	shutdownDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		shutdownDone <- s.Shutdown(ctx)
-	}()
+	drainDone := make(chan error, 1)
+	go func() { drainDone <- s.Drain() }()
 
-	// Give Shutdown a moment to close the listener, then release the
+	// Give Drain a moment to close the listener, then release the
 	// in-flight request; it must still complete successfully.
 	time.Sleep(50 * time.Millisecond)
 	close(release)
@@ -539,8 +534,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("in-flight request during shutdown finished with %d, want 200", code)
 	}
-	if err := <-shutdownDone; err != nil {
-		t.Fatalf("Shutdown: %v", err)
+	if err := <-drainDone; err != nil {
+		t.Fatalf("Drain: %v", err)
 	}
 	if err := <-serveErr; err != http.ErrServerClosed {
 		t.Fatalf("Serve returned %v, want ErrServerClosed", err)

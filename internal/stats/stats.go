@@ -20,17 +20,6 @@ type Rand interface {
 // ErrEmpty is returned by descriptive statistics over empty inputs.
 var ErrEmpty = errors.New("stats: empty input")
 
-// Sum returns the sum of xs, skipping NaN entries.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		if !math.IsNaN(x) {
-			s += x
-		}
-	}
-	return s
-}
-
 // Mean returns the arithmetic mean of xs, skipping NaN entries.
 func Mean(xs []float64) (float64, error) {
 	var s float64
@@ -65,15 +54,6 @@ func Variance(xs []float64) (float64, error) {
 		n++
 	}
 	return ss / float64(n), nil
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
 }
 
 // MinMax returns the minimum and maximum of xs, skipping NaN entries.
@@ -207,11 +187,6 @@ func ZScore(confidence float64) (float64, error) {
 		return 0, fmt.Errorf("stats: confidence %v out of (0,1)", confidence)
 	}
 	return math.Sqrt2 * math.Erfinv(confidence), nil
-}
-
-// NormalCDF returns P(Z <= x) for a standard normal Z.
-func NormalCDF(x float64) float64 {
-	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
 }
 
 // Laplace draws one sample from the Laplace(mu, b) distribution with density

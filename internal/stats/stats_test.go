@@ -7,13 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestSumSkipsNaN(t *testing.T) {
-	got := Sum([]float64{1, math.NaN(), 2})
-	if got != 3 {
-		t.Fatalf("Sum = %v, want 3", got)
-	}
-}
-
 func TestMean(t *testing.T) {
 	got, err := Mean([]float64{2, 4, math.NaN(), 6})
 	if err != nil || got != 4 {
@@ -36,15 +29,8 @@ func TestVarianceAndStdDev(t *testing.T) {
 	if err != nil || v != 1 {
 		t.Fatalf("Variance = %v, want 1", v)
 	}
-	sd, err := StdDev([]float64{0, 2})
-	if err != nil || sd != 1 {
-		t.Fatalf("StdDev = %v, want 1", sd)
-	}
 	if _, err := Variance(nil); err == nil {
 		t.Fatal("want error for empty variance")
-	}
-	if _, err := StdDev(nil); err == nil {
-		t.Fatal("want error for empty stddev")
 	}
 }
 
@@ -103,24 +89,16 @@ func TestZScore(t *testing.T) {
 	}
 }
 
-func TestNormalCDF(t *testing.T) {
-	if math.Abs(NormalCDF(0)-0.5) > 1e-12 {
-		t.Fatalf("CDF(0) = %v", NormalCDF(0))
-	}
-	if math.Abs(NormalCDF(1.96)-0.975) > 1e-3 {
-		t.Fatalf("CDF(1.96) = %v", NormalCDF(1.96))
-	}
-}
-
-// ZScore and NormalCDF are inverses: P(|Z| <= ZScore(c)) == c.
+// ZScore inverts the standard normal CDF: P(|Z| <= ZScore(c)) == c.
 func TestZScoreCDFInverseProperty(t *testing.T) {
+	cdf := func(x float64) float64 { return 0.5 * (1 + math.Erf(x/math.Sqrt2)) }
 	f := func(u float64) bool {
 		c := math.Mod(math.Abs(u), 0.98) + 0.01 // confidence in (0.01, 0.99)
 		z, err := ZScore(c)
 		if err != nil {
 			return false
 		}
-		got := NormalCDF(z) - NormalCDF(-z)
+		got := cdf(z) - cdf(-z)
 		return math.Abs(got-c) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -135,17 +135,6 @@ func (l *Ledger) CumulativeFor(inputSHA string) float64 {
 	return total
 }
 
-// UnboundedFor reports whether any non-duplicate release of the input
-// included an attribute with unbounded ε.
-func (l *Ledger) UnboundedFor(inputSHA string) bool {
-	for i := range l.Entries {
-		if l.Entries[i].InputSHA == inputSHA && !l.Entries[i].Duplicate && len(l.Entries[i].Unbounded) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // WriteTo atomically persists the ledger.
 func (l *Ledger) WriteTo(path string) error {
 	return atomicio.WriteJSON(path, l)

@@ -3,15 +3,11 @@ package telemetry
 import (
 	crand "crypto/rand"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"privateclean/internal/faults"
 )
 
 // Tracer records spans for the pipeline stages: CSV load, per-chunk
@@ -439,64 +435,4 @@ func (t *Tracer) RecentJSON() []any {
 		out = append(out, r.toJSON())
 	}
 	return out
-}
-
-// WriteJSON renders the retained trace trees (completed ring then open
-// roots) as a JSON array.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	if t == nil {
-		_, err := io.WriteString(w, "[]\n")
-		return err
-	}
-	t.mu.Lock()
-	trees := make([]spanJSON, 0, len(t.ring)+len(t.open))
-	for _, r := range t.ring {
-		trees = append(trees, r.toJSON())
-	}
-	for _, r := range t.open {
-		trees = append(trees, r.toJSON())
-	}
-	t.mu.Unlock()
-	data, err := json.MarshalIndent(trees, "", "  ")
-	if err != nil {
-		return faults.Wrap(faults.ErrInternal, err)
-	}
-	_, err = w.Write(append(data, '\n'))
-	return faults.Wrap(faults.ErrPartialWrite, err)
-}
-
-// Text renders the retained trace trees as an indented text outline, e.g.
-//
-//	privatize 12.3ms in=data.csv
-//	  csv_load 2.1ms rows=600
-//	  chunk 1.0ms index=0
-func (t *Tracer) Text() string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var sb strings.Builder
-	for _, r := range t.ring {
-		r.text(&sb, 0)
-	}
-	for _, r := range t.open {
-		r.text(&sb, 0)
-	}
-	return sb.String()
-}
-
-func (s *Span) text(sb *strings.Builder, depth int) {
-	end := s.Finish
-	if end.IsZero() {
-		end = s.Begin
-	}
-	fmt.Fprintf(sb, "%s%s %s", strings.Repeat("  ", depth), s.Name, end.Sub(s.Begin).Round(time.Microsecond))
-	for _, a := range s.Attrs {
-		fmt.Fprintf(sb, " %s=%v", a.Key, a.Value)
-	}
-	sb.WriteByte('\n')
-	for _, c := range s.Children {
-		c.text(sb, depth+1)
-	}
 }

@@ -258,11 +258,11 @@ func TestTracerTree(t *testing.T) {
 	root.Set("err", errors.New("boom secret-value"))
 	root.End()
 
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	data, err := json.Marshal(tr.RecentJSON())
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	out := string(data)
 	if strings.Contains(out, "secret-value") {
 		t.Fatalf("span attrs leaked: %s", out)
 	}
@@ -273,7 +273,7 @@ func TestTracerTree(t *testing.T) {
 			Name string `json:"name"`
 		} `json:"children"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &trees); err != nil {
+	if err := json.Unmarshal(data, &trees); err != nil {
 		t.Fatal(err)
 	}
 	if len(trees) != 1 || trees[0].Name != "privatize" {
@@ -284,10 +284,6 @@ func TestTracerTree(t *testing.T) {
 	}
 	if len(trees[0].Children) != 1 || trees[0].Children[0].Name != "csv_load" {
 		t.Fatalf("trace children: %v", trees[0].Children)
-	}
-	text := tr.Text()
-	if !strings.Contains(text, "privatize") || !strings.Contains(text, "  csv_load") {
-		t.Fatalf("text outline: %q", text)
 	}
 }
 
@@ -301,10 +297,6 @@ func TestTracerNilSafe(t *testing.T) {
 	sp.End()
 	if got := tr.Roots(); got != nil {
 		t.Fatalf("Roots = %v", got)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil || buf.String() != "[]\n" {
-		t.Fatalf("nil WriteJSON = %q, %v", buf.String(), err)
 	}
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
@@ -379,9 +371,6 @@ func TestLedgerUnboundedSanitized(t *testing.T) {
 	}
 	if _, ok := e.PerAttribute["open"]; ok {
 		t.Fatal("unbounded attr kept a numeric epsilon")
-	}
-	if !led.UnboundedFor("aaa") {
-		t.Fatal("UnboundedFor missed the open attribute")
 	}
 	// The sanitized entry must round-trip through JSON (no +Inf).
 	if _, err := json.Marshal(led); err != nil {

@@ -3,8 +3,6 @@
 // matching dependency on ca_country with an edit-distance similarity metric).
 package textutil
 
-import "strings"
-
 // Levenshtein returns the edit distance between a and b: the minimum number
 // of single-rune insertions, deletions, and substitutions required to turn a
 // into b.
@@ -137,11 +135,4 @@ func Similar(a, b string, d int) bool {
 		return false
 	}
 	return LevenshteinBounded(a, b, d) <= d
-}
-
-// Normalize lowercases and trims a string; a cheap canonicalization step
-// applied before similarity comparison so that case/whitespace variants of
-// the same logical value cluster together.
-func Normalize(s string) string {
-	return strings.ToLower(strings.TrimSpace(s))
 }

@@ -41,12 +41,6 @@ func TestSimilar(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	if Normalize("  Hello World ") != "hello world" {
-		t.Fatalf("Normalize = %q", Normalize("  Hello World "))
-	}
-}
-
 // Metric axioms: identity, symmetry, triangle inequality.
 func TestLevenshteinMetricAxioms(t *testing.T) {
 	clamp := func(s string) string {

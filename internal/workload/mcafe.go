@@ -49,20 +49,6 @@ var MCAFESchema = relation.MustSchema(
 	relation.Column{Name: "score", Kind: relation.Numeric},
 )
 
-// EuropeanCodes is the set of country codes the isEurope UDF accepts; the
-// first 30 tail countries are "European" in the simulator.
-func EuropeanCodes(tail int) map[string]bool {
-	n := 30
-	if tail < n {
-		n = tail
-	}
-	out := make(map[string]bool, n)
-	for k := 0; k < n; k++ {
-		out[TailCountry(k)] = true
-	}
-	return out
-}
-
 // TailCountry renders the k-th non-US country code.
 func TailCountry(k int) string { return fmt.Sprintf("C%02d", k) }
 

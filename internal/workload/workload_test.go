@@ -378,13 +378,6 @@ func TestMCAFE(t *testing.T) {
 	if europeans == 0 {
 		t.Fatal("no European rows generated")
 	}
-	eur := EuropeanCodes(90)
-	if len(eur) != 30 || !eur[TailCountry(3)] {
-		t.Fatalf("EuropeanCodes = %v", len(eur))
-	}
-	if got := EuropeanCodes(5); len(got) != 5 {
-		t.Fatalf("clamped EuropeanCodes = %d", len(got))
-	}
 }
 
 func TestIntelWirelessEnvironmentalColumns(t *testing.T) {
