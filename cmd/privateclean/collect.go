@@ -2,25 +2,20 @@ package main
 
 import (
 	"bytes"
-	"context"
 	crand "crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
-	"syscall"
 	"time"
 
-	"privateclean/internal/atomicio"
 	"privateclean/internal/collect"
 	"privateclean/internal/faults"
 	"privateclean/internal/privacy"
@@ -40,16 +35,13 @@ func cmdCollect(args []string) (err error) {
 	fs := flag.NewFlagSet("collect", flag.ContinueOnError)
 	dir := fs.String("dir", "", "collection directory: WAL under dir/wal, checkpoint at dir/store.json (required)")
 	metaPath := fs.String("meta", "", "mechanism metadata JSON every client randomized under (required)")
-	addr := fs.String("addr", ":8081", "listen address (host:port; use :0 for an ephemeral port)")
-	addrFile := fs.String("addr-file", "", "write the bound address to this file once serving (for scripts; robust with :0)")
+	lf := addListenFlags(fs, ":8081")
 	fsyncPolicy := fs.String("fsync", "always", "WAL durability: always | interval | never")
 	syncEvery := fs.Duration("sync-every", 100*time.Millisecond, "fsync cadence under -fsync interval")
 	segmentBytes := fs.Int64("segment-bytes", collect.DefaultSegmentBytes, "WAL segment rotation threshold in bytes")
 	maxInflight := fs.Int("max-inflight", collect.DefaultMaxInFlight, "concurrent batch bound; excess requests get 429")
 	maxBatch := fs.Int("max-batch", collect.DefaultMaxBatchReports, "maximum reports per batch")
 	compactEvery := fs.Duration("compact-every", 5*time.Second, "background compaction cadence (0 disables; compaction still runs at startup, on stats reads, and on drain)")
-	drainTimeout := fs.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain deadline; expiry force-closes in-flight requests (the WAL still flushes)")
-	pprofAddr := fs.String("pprof-addr", "", "serve Go pprof endpoints on this loopback host:port (e.g. 127.0.0.1:6060; default off)")
 	tf := addTelFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return faults.Wrap(faults.ErrUsage, err)
@@ -66,7 +58,7 @@ func cmdCollect(args []string) (err error) {
 		return err
 	}
 	defer tf.finish(&err)
-	tel.Redact.Allow(*dir, *metaPath, *addr, *fsyncPolicy)
+	tel.Redact.Allow(*dir, *metaPath, *lf.addr, *fsyncPolicy)
 
 	meta, err := readMeta(*metaPath)
 	if err != nil {
@@ -86,57 +78,8 @@ func cmdCollect(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	stopPprof, _, err := startPprof(*pprofAddr, tel)
-	if err != nil {
-		return err
-	}
-	defer stopPprof()
 	// Runtime health + WAL/backlog gauges refresh on one sampling tick.
-	stopRuntime := telemetry.StartRuntimeMetrics(tel.Metrics, 10*time.Second, svc.UpdateGauges)
-	defer stopRuntime()
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	ready := make(chan net.Addr, 1)
-	errCh := make(chan error, 1)
-	go func() { errCh <- svc.ListenAndServe(*addr, ready) }()
-
-	select {
-	case bound := <-ready:
-		fmt.Printf("collecting on %s\n", bound)
-		tel.Log.Info("collect started", "op", "collect", "fsync", *fsyncPolicy)
-		if *addrFile != "" {
-			// Written atomically so a watcher never reads a half address.
-			if werr := atomicio.WriteFileBytes(*addrFile, []byte(bound.String()+"\n")); werr != nil {
-				return werr
-			}
-		}
-		if collectNotify != nil {
-			collectNotify(bound)
-		}
-	case err := <-errCh:
-		return err
-	}
-
-	select {
-	case <-ctx.Done():
-		stop()
-		tel.Log.Info("collect draining", "op", "collect")
-		dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		serr := svc.Shutdown(dctx)
-		// Collect the Serve goroutine's exit so nothing leaks.
-		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		return serr
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	}
+	return lf.run(tel, svc, "collect", "collecting", collectNotify, svc.UpdateGauges, "fsync", *fsyncPolicy)
 }
 
 // cmdReport is the client side of collection: read a raw CSV, randomize each

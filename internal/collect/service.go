@@ -1,23 +1,18 @@
 package collect
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"privateclean/internal/faults"
+	"privateclean/internal/httpsvc"
 	"privateclean/internal/privacy"
 	"privateclean/internal/relation"
 	"privateclean/internal/telemetry"
@@ -92,7 +87,11 @@ const maxAckTimes = 65536
 //	GET  /v1/tracez   recently completed traces from the in-memory ring
 //	GET  /healthz     liveness
 //	GET  /metrics     Prometheus text exposition
+//
+// Its HTTP front, the shared chassis, gives it Handler, Serve and
+// ListenAndServe; Shutdown drains the chassis and then the WAL.
 type Service struct {
+	*httpsvc.Chassis
 	meta     *privacy.ViewMeta
 	mech     string
 	schema   relation.Schema
@@ -100,7 +99,6 @@ type Service struct {
 	wal      *WAL
 	store    *Store
 	tel      *telemetry.Set
-	sem      chan struct{}
 	maxBatch int
 	start    time.Time
 
@@ -113,7 +111,6 @@ type Service struct {
 	retained *retention
 
 	mu          sync.Mutex
-	httpSrv     *http.Server
 	stopCompact chan struct{}
 	compactDone chan struct{}
 
@@ -131,7 +128,6 @@ type Service struct {
 	decodeFallbacks *telemetry.Counter
 	batchesAccepted *telemetry.Counter
 	reportsAccepted *telemetry.Counter
-	shed            *telemetry.Counter
 	duplicates      *telemetry.Counter
 
 	// testHook, when set, runs inside /v1/report handling after admission;
@@ -192,15 +188,11 @@ func New(cfg Config) (*Service, error) {
 	if tel == nil {
 		tel = telemetry.Default()
 	}
-	// Endpoint paths, policy names, and collect-specific outcome codes
+	// Span and op names, policy names, and collect-specific outcome codes
 	// appear as metric labels and log values; all code-chosen, none data.
-	tel.Redact.Allow("/v1/report", "/v1/stats", "/v1/statusz", "/v1/tracez",
-		"/healthz", "/metrics",
-		"collect", "wal_recover", "wal_rotate", "compact", "drain", "shed",
-		"memory", "wal",
-		"method_not_allowed", "not_found", "mechanism_mismatch", "bad_batch",
-		"always", "interval", "never",
-		"200", "400", "404", "405", "413", "422", "429", "500", "503")
+	tel.Redact.Allow("collect", "wal_recover", "wal_rotate", "compact",
+		"memory", "wal", "mechanism_mismatch", "bad_batch",
+		"always", "interval", "never")
 	schema, err := SchemaFor(cfg.Meta)
 	if err != nil {
 		return nil, err
@@ -230,7 +222,7 @@ func New(cfg Config) (*Service, error) {
 		retained: newRetention(wal.opts.SegmentBytes),
 		store:    store,
 		tel:      tel,
-		sem:      make(chan struct{}, cfg.MaxInFlight),
+		Chassis:  httpsvc.New(tel, cfg.MaxInFlight, "collector", nil),
 		maxBatch: cfg.MaxBatchReports,
 		start:    time.Now(),
 		ackTimes: make(map[string]time.Time),
@@ -240,11 +232,12 @@ func New(cfg Config) (*Service, error) {
 			"Batches acknowledged after a durable WAL append."),
 		reportsAccepted: tel.Metrics.Counter("privateclean_collect_reports_accepted_total",
 			"Reports acknowledged after a durable WAL append."),
-		shed: tel.Metrics.Counter("privateclean_http_shed_total",
-			"Requests shed with 429 because MaxInFlight was reached."),
 		duplicates: tel.Metrics.Counter("privateclean_collect_duplicate_batches_total",
 			"Batches skipped during folding because their ID already folded."),
 	}
+	s.Handle("/v1/report", s.handleReport)
+	s.HandleGet("/v1/stats", s.handleStats)
+	s.HandleGet("/v1/statusz", s.handleStatusz)
 	// Startup replay: seal whatever the previous process left in the active
 	// segment, then fold every sealed segment. After this the statistics
 	// reflect every acknowledged batch that reached stable storage.
@@ -437,7 +430,7 @@ func (s *Service) UpdateGauges() {
 	s.tel.Metrics.Gauge("privateclean_collect_wal_segments",
 		"WAL segment files on disk (sealed + active).").Set(float64(s.wal.SegmentCount()))
 	s.tel.Metrics.Gauge("privateclean_collect_admission_inflight",
-		"Batches currently admitted past the /v1/report semaphore.").Set(float64(len(s.sem)))
+		"Batches currently admitted past the /v1/report semaphore.").Set(float64(s.InFlight()))
 	s.tel.Metrics.Gauge("privateclean_collect_retained_bytes",
 		"WAL payload bytes of acked batches kept decoded for their segment's fold (under twice the segment rotation threshold plus one record).").Set(float64(s.retained.heldBytes()))
 }
@@ -462,104 +455,6 @@ func (s *Service) sealedBacklog() int {
 		}
 	}
 	return n
-}
-
-// Handler returns the service's HTTP handler.
-func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/report", s.instrument("/v1/report", s.handleReport))
-	mux.HandleFunc("/v1/stats", s.instrument("/v1/stats", s.handleStats))
-	mux.HandleFunc("/v1/statusz", s.instrument("/v1/statusz", s.handleStatusz))
-	mux.HandleFunc("/v1/tracez", s.instrument("/v1/tracez", s.handleTracez))
-	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
-	return mux
-}
-
-type errorBody struct {
-	Error errorInfo `json:"error"`
-}
-
-type errorInfo struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// instrument mirrors internal/server's request metrics: counter, latency
-// histogram, in-flight gauge; labels carry the route and status only.
-func (s *Service) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
-	// The route's gauge and histogram are resolved once; only the request
-	// counter, labelled by status, is looked up per request.
-	inflight := s.tel.Metrics.Gauge("privateclean_http_inflight",
-		"Requests currently being handled.", telemetry.L("path", path))
-	seconds := s.tel.Metrics.Histogram("privateclean_http_request_seconds",
-		"Wall time of HTTP request handling.",
-		telemetry.DurationBuckets, telemetry.L("path", path))
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		inflight.Add(1)
-		defer func() {
-			inflight.Add(-1)
-			s.tel.Metrics.Counter("privateclean_http_requests_total",
-				"HTTP requests, by route and status.",
-				telemetry.L("path", path), telemetry.L("status", strconv.Itoa(rec.status))).Inc()
-			seconds.Observe(time.Since(start).Seconds())
-		}()
-		h(rec, r)
-	}
-}
-
-func (s *Service) writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		status = http.StatusInternalServerError
-		body, _ = json.MarshalIndent(errorBody{Error: errorInfo{
-			Code:    "internal",
-			Message: "encoding response: " + err.Error(),
-		}}, "", "  ")
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(append(body, '\n'))
-}
-
-func (s *Service) writeError(w http.ResponseWriter, status int, code, message string) {
-	s.writeJSON(w, status, errorBody{Error: errorInfo{Code: code, Message: message}})
-}
-
-// httpStatusFor maps a classified error to its status and wire code,
-// mirroring internal/server: client-shaped input is 4xx, transient
-// durability failures (disk full, torn write) are 503 (retryable — the
-// client should repost the batch). Corruption of a sealed segment or the
-// checkpoint is NOT transient — no retry fixes bit rot — so it maps to a
-// plain 500, and clients fail fast instead of spinning down their retry
-// budget against a permanently failing collector.
-func httpStatusFor(err error) (int, string) {
-	switch faults.Kind(err) {
-	case faults.ErrUsage, faults.ErrBadQuery:
-		return http.StatusBadRequest, telemetry.FaultCode(err)
-	case faults.ErrBadInput, faults.ErrBadMeta, faults.ErrBadParams:
-		return http.StatusUnprocessableEntity, telemetry.FaultCode(err)
-	case faults.ErrInternal:
-		return http.StatusInternalServerError, "internal"
-	case faults.ErrCorruptCheckpoint:
-		return http.StatusInternalServerError, telemetry.FaultCode(err)
-	case faults.ErrPartialWrite:
-		return http.StatusServiceUnavailable, telemetry.FaultCode(err)
-	default:
-		return http.StatusBadRequest, "bad_batch"
-	}
 }
 
 // reportResponse acknowledges one batch.
@@ -607,33 +502,6 @@ var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledBody = 1 << 20
 
-// readBody reads a /v1/report body of at most maxBatchBytes into buf's
-// storage. A declared length within the bound is read into exactly that
-// many bytes; an unknown length reads one byte past the bound, so an
-// oversized body is refused whole rather than decoded from a truncated
-// prefix. A body shorter than its declared length fails the read.
-func readBody(r *http.Request, buf []byte) (body []byte, status int, msg string) {
-	if r.ContentLength > maxBatchBytes {
-		return buf, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds the %d-byte bound", maxBatchBytes)
-	}
-	var err error
-	if r.ContentLength > 0 {
-		body = slices.Grow(buf[:0], int(r.ContentLength))[:r.ContentLength]
-		_, err = io.ReadFull(r.Body, body)
-	} else {
-		read := bytes.NewBuffer(buf[:0])
-		_, err = read.ReadFrom(io.LimitReader(r.Body, maxBatchBytes+1))
-		body = read.Bytes()
-	}
-	if err != nil {
-		return body, http.StatusBadRequest, "reading request body: " + err.Error()
-	}
-	if len(body) > maxBatchBytes {
-		return body, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds the %d-byte bound", maxBatchBytes)
-	}
-	return body, 0, ""
-}
-
 // decodeReport decodes and validates one /v1/report body. A refusal comes
 // back as its status, code and message; fallback reports a body that
 // decoded, but only through encoding/json. The batch shares no memory with
@@ -663,7 +531,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST a JSON batch to /v1/report")
+		httpsvc.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST a JSON batch to /v1/report")
 		return
 	}
 	buf := bodyBufs.Get().(*[]byte)
@@ -672,10 +540,10 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 			bodyBufs.Put(buf)
 		}
 	}()
-	body, status, msg := readBody(r, *buf)
+	body, status, msg := httpsvc.ReadBody(r, *buf, maxBatchBytes)
 	*buf = body[:0]
 	if status != 0 {
-		s.writeError(w, status, "bad_batch", msg)
+		httpsvc.WriteError(w, status, "bad_batch", msg)
 		return
 	}
 	b, fallback, status, code, msg := s.decodeReport(body)
@@ -683,7 +551,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.decodeFallbacks.Inc()
 	}
 	if status != 0 {
-		s.writeError(w, status, code, msg)
+		httpsvc.WriteError(w, status, code, msg)
 		return
 	}
 	// The trace ID that rides into the WAL (and later into fold span links)
@@ -697,17 +565,10 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	sp.Set("reports", b.n)
 
-	// Bounded admission: a full semaphore sheds immediately with a
-	// Retry-After hint rather than queueing WAL appends unboundedly.
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		w.Header().Set("Retry-After", "1")
-		s.shed.Inc()
-		s.writeError(w, http.StatusTooManyRequests, "shed", "collector at capacity; retry")
+	if !s.Admit(w) {
 		return
 	}
-	defer func() { <-s.sem }()
+	defer s.Release()
 	if s.testHook != nil {
 		s.testHook()
 	}
@@ -719,7 +580,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	if s.store.HasBatch(b.ID) {
 		s.duplicates.Inc()
 		sp.Set("duplicate", true)
-		s.writeJSON(w, http.StatusOK, reportResponse{BatchID: b.ID, Reports: b.n, Duplicate: true})
+		httpsvc.WriteJSON(w, http.StatusOK, reportResponse{BatchID: b.ID, Reports: b.n, Duplicate: true})
 		return
 	}
 
@@ -735,20 +596,16 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	})
 	wsp.End()
 	if err != nil {
-		status, code := httpStatusFor(err)
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-		}
 		sp.Set("err", err)
 		s.tel.Log.Error("batch append failed", "op", "collect", telemetry.ErrAttr(err))
-		s.writeError(w, status, code, err.Error())
+		httpsvc.WriteFault(w, err, "bad_batch")
 		return
 	}
 	s.recordAck(b.ID)
 	sp.Set("segment", int(seq))
 	s.batchesAccepted.Inc()
 	s.reportsAccepted.Add(float64(b.n))
-	s.writeJSON(w, http.StatusOK, reportResponse{BatchID: b.ID, Reports: b.n})
+	httpsvc.WriteJSON(w, http.StatusOK, reportResponse{BatchID: b.ID, Reports: b.n})
 }
 
 // statuszResponse is the /v1/statusz pipeline-health summary. Everything in
@@ -790,11 +647,6 @@ func stampAge(t, now time.Time) (unix int64, age float64) {
 }
 
 func (s *Service) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET /v1/statusz")
-		return
-	}
 	s.UpdateGauges()
 	now := time.Now()
 	fresh := s.tel.Metrics.Histogram("privateclean_collect_freshness_seconds",
@@ -818,40 +670,25 @@ func (s *Service) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		FreshnessCount:      fresh.Count(),
 		FreshnessSumSeconds: fresh.Sum(),
 		PendingAcks:         pending,
-		Inflight:            len(s.sem),
+		Inflight:            s.InFlight(),
 	}
 	resp.SeqLag = seqLag(resp.AppliedSeq, resp.ActiveSeq)
 	resp.LastFoldUnix, resp.LastFoldAgeSeconds = stampAge(lastFold, now)
 	resp.LastCompactUnix, resp.LastCompactAgeSeconds = stampAge(lastCompact, now)
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Service) handleTracez(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET /v1/tracez")
-		return
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"traces": s.tel.Trace.RecentJSON()})
+	httpsvc.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET /v1/stats")
-		return
-	}
 	// Compact-on-read so the response reflects every acknowledged batch,
 	// not just those the background cadence has folded.
 	if _, err := s.Compact(); err != nil {
-		status, code := httpStatusFor(err)
 		s.tel.Log.Error("stats compaction failed", "op", "compact", telemetry.ErrAttr(err))
-		s.writeError(w, status, code, err.Error())
+		httpsvc.WriteFault(w, err, "bad_batch")
 		return
 	}
 	body, err := s.store.MarshalStats()
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		httpsvc.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -859,64 +696,14 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body)
 }
 
-func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = s.tel.Metrics.WritePrometheus(w)
-}
-
-// Serve accepts connections on l until Shutdown; http.ErrServerClosed after
-// a clean shutdown.
-func (s *Service) Serve(l net.Listener) error {
-	srv := &http.Server{Handler: s.Handler()}
-	s.mu.Lock()
-	s.httpSrv = srv
-	s.mu.Unlock()
-	return srv.Serve(l)
-}
-
-// ListenAndServe listens on addr and serves until Shutdown, reporting the
-// bound address through ready (useful with ":0"); pass nil when not needed.
-func (s *Service) ListenAndServe(addr string, ready chan<- net.Addr) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return faults.Wrap(faults.ErrUsage, err)
-	}
-	if ready != nil {
-		ready <- l.Addr()
-	}
-	return s.Serve(l)
-}
-
 // Shutdown is the graceful drain: stop accepting connections and wait out
-// in-flight requests (up to ctx's deadline), stop the background compactor,
-// seal and fold everything in the WAL, and close it. After a nil return
-// every acknowledged batch is folded into the checkpoint on disk.
+// in-flight requests (up to ctx's deadline, past which the chassis
+// force-closes them and reports a partial write), stop the background
+// compactor, seal and fold everything in the WAL, and close it. Every
+// request that got its ack is folded into the checkpoint on disk, whatever
+// the deadline did to the requests still in flight.
 func (s *Service) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	srv := s.httpSrv
-	s.httpSrv = nil
-	s.mu.Unlock()
-	var httpErr error
-	if srv != nil {
-		httpErr = srv.Shutdown(ctx)
-		if errors.Is(httpErr, http.ErrServerClosed) {
-			httpErr = nil
-		}
-		if httpErr != nil {
-			// The deadline expired with requests in flight: force-close so
-			// the drain cannot hang, and surface a typed fault — aborted
-			// responses are partial writes from the clients' view.
-			srv.Close()
-			httpErr = faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("collect: drain aborted in-flight requests: %w", httpErr))
-			s.tel.Metrics.Counter("privateclean_http_drain_aborts_total",
-				"Graceful drains that hit their deadline and force-closed connections.").Inc()
-			s.tel.Log.Error("drain deadline forced connection abort", "op", "drain", telemetry.ErrAttr(httpErr))
-		}
-	}
+	httpErr := s.Chassis.Shutdown(ctx)
 	s.stopCompactor()
 	if _, err := s.Compact(); err != nil {
 		s.wal.Close()

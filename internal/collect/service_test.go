@@ -8,17 +8,20 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"privateclean/internal/estimator"
 	"privateclean/internal/faults"
+	"privateclean/internal/httpsvc"
 	"privateclean/internal/privacy"
 	"privateclean/internal/telemetry"
 )
@@ -179,7 +182,7 @@ func TestServiceRejections(t *testing.T) {
 		if rec.Code != tc.code {
 			t.Fatalf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.code, rec.Body)
 		}
-		var eb errorBody
+		var eb httpsvc.ErrorBody
 		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
 			t.Fatalf("%s: non-JSON error body %q", tc.name, rec.Body)
 		}
@@ -225,7 +228,7 @@ func TestServiceCrossMechanismMismatch(t *testing.T) {
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("krr batch against grr collector = %d, want 422 (%s)", rec.Code, rec.Body)
 	}
-	var eb errorBody
+	var eb httpsvc.ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
 		t.Fatal(err)
 	}
@@ -343,27 +346,6 @@ func TestServiceConfigErrors(t *testing.T) {
 	bad.Discrete["major"] = d
 	if _, err := New(Config{Dir: t.TempDir(), Meta: bad, Tel: telemetry.Noop()}); err == nil {
 		t.Fatal("invalid meta must fail")
-	}
-}
-
-// TestHTTPStatusMapping: transient durability failures (partial writes,
-// backpressure) are retryable 503s, but corruption is permanent — a client
-// retrying a 503 against a corrupt collector would just burn its retry
-// budget, so ErrCorruptCheckpoint must map to a non-retryable 500.
-func TestHTTPStatusMapping(t *testing.T) {
-	cases := []struct {
-		err    error
-		status int
-	}{
-		{faults.Errorf(faults.ErrPartialWrite, "disk full"), http.StatusServiceUnavailable},
-		{faults.Errorf(faults.ErrCorruptCheckpoint, "sealed segment bit rot"), http.StatusInternalServerError},
-		{faults.Errorf(faults.ErrInternal, "bug"), http.StatusInternalServerError},
-		{faults.Errorf(faults.ErrBadMeta, "mismatch"), http.StatusUnprocessableEntity},
-	}
-	for _, c := range cases {
-		if status, _ := httpStatusFor(c.err); status != c.status {
-			t.Errorf("httpStatusFor(%v) = %d, want %d", c.err, status, c.status)
-		}
 	}
 }
 
@@ -524,7 +506,7 @@ func TestServiceOversizedBody(t *testing.T) {
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("body of %d bytes = %d, want 413 (%s)", maxBatchBytes+1, rec.Code, rec.Body)
 	}
-	var eb errorBody
+	var eb httpsvc.ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +643,7 @@ func TestServiceBodyRead(t *testing.T) {
 			t.Fatalf("%s: status %d, want %d (%s)", tc.name, tc.rec.Code, tc.status, tc.rec.Body)
 		}
 		if tc.msg != "" {
-			var eb errorBody
+			var eb httpsvc.ErrorBody
 			if err := json.Unmarshal(tc.rec.Body.Bytes(), &eb); err != nil {
 				t.Fatal(err)
 			}
@@ -698,7 +680,7 @@ func TestServiceUnknownAttributeMessage(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			for _, body := range [][]byte{compact, indented.Bytes()} {
 				rec := do(t, h, http.MethodPost, "/v1/report", body)
-				var eb errorBody
+				var eb httpsvc.ErrorBody
 				if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
 					t.Fatal(err)
 				}
@@ -707,5 +689,94 @@ func TestServiceUnknownAttributeMessage(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestServiceDrainDeadline: a drain whose deadline has passed while a
+// /v1/report is still in flight force-closes that request, returns a typed
+// partial-write fault and counts the abort, and still folds every batch
+// that got its ack into store.json before the WAL closes.
+func TestServiceDrainDeadline(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestService(t, dir, func(c *Config) { c.Tel = newTracedTel() })
+	var hold atomic.Bool
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	s.testHook = func() {
+		if hold.Load() {
+			close(entered)
+			<-release
+		}
+	}
+	defer close(release)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(l) }()
+	url := "http://" + l.Addr().String() + "/v1/report"
+
+	batches := makeBatches(t, collectMeta(), 9, 4, 3)
+	post := func(b Batch) (*http.Response, error) {
+		body, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return http.Post(url, "application/json", bytes.NewReader(body))
+	}
+	for _, b := range batches[:3] {
+		resp, err := post(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s = %d", b.ID, resp.StatusCode)
+		}
+	}
+	hold.Store(true)
+	held := make(chan error, 1)
+	go func() {
+		resp, err := post(batches[3])
+		if err == nil {
+			resp.Body.Close()
+		}
+		held <- err
+	}()
+	<-entered
+
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	derr := s.Shutdown(expired)
+	if faults.Kind(derr) != faults.ErrPartialWrite {
+		t.Fatalf("Shutdown = %v, want an ErrPartialWrite fault", derr)
+	}
+	if err := <-held; err == nil {
+		t.Fatal("the in-flight report got a response despite the forced abort")
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+	}
+	metrics := do(t, s.Handler(), http.MethodGet, "/metrics", nil).Body.String()
+	if !strings.Contains(metrics, "\nprivateclean_http_drain_aborts_total 1\n") {
+		t.Fatalf("drain abort not counted:\n%s", metrics)
+	}
+
+	schema, err := SchemaFor(collectMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenStore(filepath.Join(dir, StoreFileName), schema, s.mech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches[:3] {
+		if !store.HasBatch(b.ID) {
+			t.Fatalf("acked batch %s is not folded into store.json", b.ID)
+		}
+	}
+	if store.HasBatch(batches[3].ID) || store.Rows() != 9 {
+		t.Fatalf("store.json holds %d rows, want the 9 of the three acked batches", store.Rows())
 	}
 }

@@ -67,30 +67,6 @@ func RandomizedResponseInPlace(rng Rand, col []string, domain []string, p float6
 	return nil
 }
 
-// RandomizedResponseCodes is the dictionary-encoded form of randomized
-// response: codes holds one position-in-domain per row (relation.DiscreteIndex
-// encoding), and dst receives the privatized codes — codes[i] kept with
-// probability 1-p, a uniform draw from [0, domainSize) with probability p.
-// dst must have the same length as codes and may alias it. The RNG stream
-// consumed is identical to RandomizedResponseInPlace over the decoded
-// strings, so the two forms release the same view for the same stream.
-func RandomizedResponseCodes(rng Rand, codes []uint32, domainSize int, p float64, dst []uint32) error {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return faults.Errorf(faults.ErrBadParams, "privacy: randomization probability %v out of [0,1]", p)
-	}
-	if domainSize <= 0 && len(codes) > 0 {
-		return faults.Errorf(faults.ErrBadInput, "privacy: empty domain for non-empty column")
-	}
-	if len(dst) != len(codes) {
-		return faults.Errorf(faults.ErrBadParams, "privacy: dst length %d does not match codes length %d", len(dst), len(codes))
-	}
-	copy(dst, codes)
-	resampleVisit(rng, p, len(dst), func(i int) {
-		dst[i] = uint32(rng.Intn(domainSize))
-	})
-	return nil
-}
-
 // LaplacePerturbInPlace applies the Laplace mechanism to col in place: every
 // non-NaN value receives independent Laplace(0, b) noise. NaN cells (missing
 // values) stay NaN and consume no draw.

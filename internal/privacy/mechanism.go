@@ -45,8 +45,6 @@ var ErrUnknownMechanism = errors.New("unknown mechanism")
 // stateless; all parameters travel in (p, n) so the same instance serves
 // every attribute.
 type DiscreteMech interface {
-	// Name returns the canonical registry name ("grr", "krr", ...).
-	Name() string
 	// Tag returns the RNG draw-pattern tag recorded in pipeline
 	// checkpoints: resuming under a different tag would splice two
 	// incompatible randomness streams into one view.
@@ -55,8 +53,6 @@ type DiscreteMech interface {
 	Validate(p float64, n int) error
 	// Epsilon returns the exact local-DP parameter at (p, n).
 	Epsilon(p float64, n int) float64
-	// PForEpsilon inverts Epsilon at domain size n.
-	PForEpsilon(eps float64, n int) (float64, error)
 	// Channel returns the inversion constants for a predicate covering l
 	// of the n domain values: tauN = P[output matches | input does not]
 	// and denom = tauP - tauN, the signal the estimator divides by.
@@ -64,10 +60,6 @@ type DiscreteMech interface {
 	Channel(p float64, n int, l float64) (tauN, denom float64)
 	// RandomizeInPlace randomizes a string column in place.
 	RandomizeInPlace(rng Rand, col []string, domain []string, p float64) error
-	// RandomizeCodes randomizes a dictionary-encoded column; dst must have
-	// the same length as codes and may alias it. The RNG stream consumed
-	// matches RandomizeInPlace over the decoded strings.
-	RandomizeCodes(rng Rand, codes []uint32, domainSize int, p float64, dst []uint32) error
 	// RandomizeValue randomizes one client-held value (the per-record
 	// local path used by PrivatizeRecord).
 	RandomizeValue(rng Rand, v string, domain []string, p float64) (string, error)
@@ -133,8 +125,6 @@ func PForEpsilonExact(eps float64, n int) (float64, error) {
 
 type grrMech struct{}
 
-func (grrMech) Name() string { return MechGRR }
-
 // Tag must stay exactly "grr-skip/2": it is the checkpoint RNG-pattern tag
 // every pre-registry checkpoint carries (one geometric gap draw per
 // resampled run plus one Intn per resample; see resampleVisit).
@@ -149,8 +139,6 @@ func (grrMech) Validate(p float64, n int) error {
 
 func (grrMech) Epsilon(p float64, n int) float64 { return EpsilonDiscreteExact(p, n) }
 
-func (grrMech) PForEpsilon(eps float64, n int) (float64, error) { return PForEpsilonExact(eps, n) }
-
 // Channel returns tauN = p*l/n and denom = 1-p with exactly the float
 // expressions the estimators used before the registry existed, so GRR
 // estimates stay bit-identical.
@@ -160,10 +148,6 @@ func (grrMech) Channel(p float64, n int, l float64) (tauN, denom float64) {
 
 func (grrMech) RandomizeInPlace(rng Rand, col []string, domain []string, p float64) error {
 	return RandomizedResponseInPlace(rng, col, domain, p)
-}
-
-func (grrMech) RandomizeCodes(rng Rand, codes []uint32, domainSize int, p float64, dst []uint32) error {
-	return RandomizedResponseCodes(rng, codes, domainSize, p, dst)
 }
 
 // RandomizeValue reproduces the original PrivatizeRecord draw pattern
@@ -185,8 +169,6 @@ func (grrMech) RandomizeValue(rng Rand, v string, domain []string, p float64) (s
 // k-RR: resample uniformly over the *other* n-1 values (Kairouz et al.).
 
 type krrMech struct{}
-
-func (krrMech) Name() string { return MechKRR }
 
 // Tag documents the k-RR RNG pattern: one geometric gap draw per resampled
 // run plus one Intn(n-1) per resample (the exclusion shift consumes no
@@ -214,22 +196,6 @@ func (krrMech) Epsilon(p float64, n int) float64 {
 		return math.Inf(1)
 	}
 	return math.Log((1 - p) * float64(n-1) / p)
-}
-
-// PForEpsilon inverts Epsilon: p = (n-1)/(e^eps + n - 1), i.e. resampling
-// probability 1 - e^eps/(e^eps + n - 1). eps = 0 gives the boundary
-// p = (n-1)/n (uniform output, zero signal).
-func (krrMech) PForEpsilon(eps float64, n int) (float64, error) {
-	if eps < 0 || math.IsNaN(eps) {
-		return 0, faults.Errorf(faults.ErrBadParams, "privacy: epsilon must be >= 0, got %v", eps)
-	}
-	if n < 2 {
-		return 0, faults.Errorf(faults.ErrBadParams, "privacy: domain size must be >= 2, got %d", n)
-	}
-	if math.IsInf(eps, 1) {
-		return 0, nil
-	}
-	return float64(n-1) / (math.Exp(eps) + float64(n-1)), nil
 }
 
 // Channel: a non-matching row lands in a predicate covering l values with
@@ -266,27 +232,6 @@ func (k krrMech) RandomizeInPlace(rng Rand, col []string, domain []string, p flo
 	return firstErr
 }
 
-func (k krrMech) RandomizeCodes(rng Rand, codes []uint32, domainSize int, p float64, dst []uint32) error {
-	if err := k.Validate(p, domainSize); err != nil && len(codes) > 0 {
-		return err
-	}
-	if domainSize <= 0 && len(codes) > 0 {
-		return faults.Errorf(faults.ErrBadInput, "privacy: empty domain for non-empty column")
-	}
-	if len(dst) != len(codes) {
-		return faults.Errorf(faults.ErrBadParams, "privacy: dst length %d does not match codes length %d", len(dst), len(codes))
-	}
-	copy(dst, codes)
-	resampleVisit(rng, p, len(dst), func(i int) {
-		j := uint32(rng.Intn(domainSize - 1))
-		if j >= dst[i] {
-			j++
-		}
-		dst[i] = j
-	})
-	return nil
-}
-
 func (k krrMech) RandomizeValue(rng Rand, v string, domain []string, p float64) (string, error) {
 	if err := k.Validate(p, len(domain)); err != nil {
 		return "", err
@@ -313,8 +258,6 @@ func (k krrMech) RandomizeValue(rng Rand, v string, domain []string, p float64) 
 
 type rrbinMech struct{}
 
-func (rrbinMech) Name() string { return MechRRBin }
-
 // Tag documents the rrbin RNG pattern: geometric gap draws only — the flip
 // target is deterministic.
 func (rrbinMech) Tag() string { return "rrbin-skip/1" }
@@ -339,18 +282,6 @@ func (rrbinMech) Epsilon(p float64, n int) float64 {
 		return math.Inf(1)
 	}
 	return math.Log((1 - p) / p)
-}
-
-// PForEpsilon inverts Epsilon: p = 1/(1 + e^eps). eps = 0 gives the
-// boundary p = 1/2 (a fair coin, zero signal).
-func (rrbinMech) PForEpsilon(eps float64, n int) (float64, error) {
-	if eps < 0 || math.IsNaN(eps) {
-		return 0, faults.Errorf(faults.ErrBadParams, "privacy: epsilon must be >= 0, got %v", eps)
-	}
-	if math.IsInf(eps, 1) {
-		return 0, nil
-	}
-	return 1 / (1 + math.Exp(eps)), nil
 }
 
 // Channel: with two values, a predicate covers l in {0, 1, 2} of them; a
@@ -382,20 +313,6 @@ func (b rrbinMech) RandomizeInPlace(rng Rand, col []string, domain []string, p f
 		}
 	})
 	return firstErr
-}
-
-func (b rrbinMech) RandomizeCodes(rng Rand, codes []uint32, domainSize int, p float64, dst []uint32) error {
-	if err := b.Validate(p, domainSize); err != nil && len(codes) > 0 {
-		return err
-	}
-	if len(dst) != len(codes) {
-		return faults.Errorf(faults.ErrBadParams, "privacy: dst length %d does not match codes length %d", len(dst), len(codes))
-	}
-	copy(dst, codes)
-	resampleVisit(rng, p, len(dst), func(i int) {
-		dst[i] = 1 - dst[i]
-	})
-	return nil
 }
 
 func (b rrbinMech) RandomizeValue(rng Rand, v string, domain []string, p float64) (string, error) {

@@ -19,19 +19,19 @@ import (
 func TestMechanismByName(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
-		want string
+		want DiscreteMech
 	}{
-		{"", MechGRR},
-		{MechGRR, MechGRR},
-		{MechKRR, MechKRR},
-		{MechRRBin, MechRRBin},
+		{"", grrMech{}},
+		{MechGRR, grrMech{}},
+		{MechKRR, krrMech{}},
+		{MechRRBin, rrbinMech{}},
 	} {
 		mech, err := MechanismByName(tc.in)
 		if err != nil {
 			t.Fatalf("MechanismByName(%q): %v", tc.in, err)
 		}
-		if mech.Name() != tc.want {
-			t.Errorf("MechanismByName(%q).Name() = %q, want %q", tc.in, mech.Name(), tc.want)
+		if mech != tc.want {
+			t.Errorf("MechanismByName(%q) = %T, want %T", tc.in, mech, tc.want)
 		}
 	}
 }
@@ -115,24 +115,6 @@ func TestGRRRandomizeByteIdentity(t *testing.T) {
 	for i := range col1 {
 		if col1[i] != col2[i] {
 			t.Fatalf("row %d: legacy %q, registry %q", i, col1[i], col2[i])
-		}
-	}
-
-	codes1 := make([]uint32, 500)
-	codes2 := make([]uint32, 500)
-	src := make([]uint32, 500)
-	for i := range src {
-		src[i] = uint32(i % len(domain))
-	}
-	if err := RandomizedResponseCodes(rand.New(rand.NewSource(7)), src, len(domain), p, codes1); err != nil {
-		t.Fatal(err)
-	}
-	if err := mech.RandomizeCodes(rand.New(rand.NewSource(7)), src, len(domain), p, codes2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range codes1 {
-		if codes1[i] != codes2[i] {
-			t.Fatalf("code %d: legacy %d, registry %d", i, codes1[i], codes2[i])
 		}
 	}
 }
@@ -253,20 +235,6 @@ func TestRRBinValidateBounds(t *testing.T) {
 	}
 }
 
-func TestRRBinCodesFlip(t *testing.T) {
-	mech, _ := MechanismByName(MechRRBin)
-	codes := []uint32{0, 1, 0, 1}
-	dst := make([]uint32, len(codes))
-	if err := mech.RandomizeCodes(fullResample{}, codes, 2, 0.5, dst); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range codes {
-		if dst[i] != 1-c {
-			t.Errorf("code %d: %d -> %d, want flip", i, c, dst[i])
-		}
-	}
-}
-
 // TestMechanismEpsilonChannelConsistency: for every mechanism, the exact
 // epsilon must equal ln(Keep/Q) computed from the channel at l = 1 — the
 // likelihood ratio a client's single value actually faces.
@@ -307,24 +275,6 @@ func TestPForEpsilonExactRoundTrip(t *testing.T) {
 			}
 			if got := EpsilonDiscreteExact(p, n); math.Abs(got-eps) > 1e-9 {
 				t.Errorf("EpsilonDiscreteExact(PForEpsilonExact(%v, %d)) = %v", eps, n, got)
-			}
-		}
-	}
-	// The mechanism-owned inversions round-trip too.
-	for _, name := range []string{MechKRR, MechRRBin} {
-		mech, _ := MechanismByName(name)
-		for _, eps := range []float64{0, 0.5, 1, 3} {
-			for _, n := range []int{2, 5, 20} {
-				if name == MechRRBin && n != 2 {
-					continue
-				}
-				p, err := mech.PForEpsilon(eps, n)
-				if err != nil {
-					t.Fatalf("%s.PForEpsilon(%v, %d): %v", name, eps, n, err)
-				}
-				if got := mech.Epsilon(p, n); math.Abs(got-eps) > 1e-9 {
-					t.Errorf("%s round-trip eps=%v n=%d gave %v", name, eps, n, got)
-				}
 			}
 		}
 	}
@@ -431,8 +381,8 @@ func TestDiscreteMetaJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("legacy meta mechanism: %v", err)
 	}
-	if mech.Name() != MechGRR {
-		t.Errorf("legacy meta resolved to %q, want grr", mech.Name())
+	if mech != (grrMech{}) {
+		t.Errorf("legacy meta resolved to %T, want grr", mech)
 	}
 	out, err := json.Marshal(dm)
 	if err != nil {

@@ -165,30 +165,6 @@ func TestPrivatizeParallelViewDomainFresh(t *testing.T) {
 	}
 }
 
-// TestRandomizedResponseCodesMatchesStrings: the codes path and the string
-// path consume the same stream and must release the same cells.
-func TestRandomizedResponseCodesMatchesStrings(t *testing.T) {
-	r := parallelRel(t, 5000)
-	ix, err := r.DiscreteIndex("category")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const p = 0.25
-	strs := append([]string(nil), r.MustDiscrete("category")...)
-	if err := RandomizedResponseInPlace(rand.New(rand.NewSource(7)), strs, ix.Domain, p); err != nil {
-		t.Fatal(err)
-	}
-	codes := make([]uint32, len(ix.Codes))
-	if err := RandomizedResponseCodes(rand.New(rand.NewSource(7)), ix.Codes, ix.N(), p, codes); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range codes {
-		if ix.Domain[c] != strs[i] {
-			t.Fatalf("row %d: codes path %q, string path %q", i, ix.Domain[c], strs[i])
-		}
-	}
-}
-
 // panicRand fails the test if any draw is consumed.
 type panicRand struct{ t *testing.T }
 

@@ -3,12 +3,12 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
 
 	"privateclean/internal/faults"
+	"privateclean/internal/httpsvc"
 	"privateclean/internal/telemetry"
 )
 
@@ -27,9 +27,9 @@ type batchRequest struct {
 // set; Status carries the HTTP status the same query would have received
 // from /v1/query.
 type batchItem struct {
-	Status int            `json:"status"`
-	Result *queryResponse `json:"result,omitempty"`
-	Error  *errorInfo     `json:"error,omitempty"`
+	Status int                `json:"status"`
+	Result *queryResponse     `json:"result,omitempty"`
+	Error  *httpsvc.ErrorInfo `json:"error,omitempty"`
 }
 
 type batchResponse struct {
@@ -47,38 +47,32 @@ type batchResponse struct {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST a JSON body to /v1/query/batch")
+		httpsvc.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST a JSON body to /v1/query/batch")
 		return
 	}
 	var req batchRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "usage", "reading request body: "+err.Error())
+	body, status, msg := httpsvc.ReadBody(r, nil, maxBodyBytes)
+	if status != 0 {
+		httpsvc.WriteError(w, status, "usage", msg)
 		return
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "usage", `body must be JSON {"queries": ["SELECT ...", ...]}: `+err.Error())
+		httpsvc.WriteError(w, http.StatusBadRequest, "usage", `body must be JSON {"queries": ["SELECT ...", ...]}: `+err.Error())
 		return
 	}
 	if len(req.Queries) == 0 {
-		s.writeError(w, http.StatusBadRequest, "usage", `missing "queries" field`)
+		httpsvc.WriteError(w, http.StatusBadRequest, "usage", `missing "queries" field`)
 		return
 	}
 	if len(req.Queries) > maxBatchQueries {
-		s.writeError(w, http.StatusBadRequest, "usage",
+		httpsvc.WriteError(w, http.StatusBadRequest, "usage",
 			fmt.Sprintf("batch of %d queries exceeds the %d-query limit", len(req.Queries), maxBatchQueries))
 		return
 	}
 
 	// One admission slot covers the whole batch: a batch is one unit of
 	// analyst work, and shedding it whole beats admitting half a workload.
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		w.Header().Set("Retry-After", "1")
-		s.tel.Metrics.Counter("privateclean_http_shed_total",
-			"Queries shed with 429 because MaxInFlight was reached.").Inc()
-		s.writeError(w, http.StatusTooManyRequests, "shed", "server at capacity; retry")
+	if !s.Admit(w) {
 		return
 	}
 
@@ -91,7 +85,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	done := make(chan []batchItem, 1)
 	go func() {
-		defer func() { <-s.sem }()
+		defer s.Release()
 		defer sp.End()
 		items := make([]batchItem, len(req.Queries))
 		for i, q := range req.Queries {
@@ -106,14 +100,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer timer.Stop()
 	select {
 	case items := <-done:
-		s.writeJSON(w, http.StatusOK, batchResponse{Results: items})
+		httpsvc.WriteJSON(w, http.StatusOK, batchResponse{Results: items})
 	case <-timer.C:
 		s.tel.Metrics.Counter("privateclean_http_timeout_total",
 			"Queries that exceeded the per-request deadline.").Inc()
-		s.writeError(w, http.StatusRequestTimeout, "timeout",
+		httpsvc.WriteError(w, http.StatusRequestTimeout, "timeout",
 			fmt.Sprintf("batch exceeded its %s deadline", s.timeout*time.Duration(len(req.Queries))))
 	case <-r.Context().Done():
-		s.writeError(w, http.StatusRequestTimeout, "timeout", "client went away")
+		httpsvc.WriteError(w, http.StatusRequestTimeout, "timeout", "client went away")
 	}
 }
 
@@ -123,19 +117,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) executeBatchItem(sp *telemetry.Span, q string) (item batchItem) {
 	defer func() {
 		if p := recover(); p != nil {
-			err := faults.Recover(p)
-			status, code := httpStatusFor(err)
-			item = batchItem{Status: status, Error: &errorInfo{Code: code, Message: err.Error()}}
+			item = failedItem(faults.Recover(p))
 		}
 	}()
 	if strings.TrimSpace(q) == "" {
-		return batchItem{Status: http.StatusBadRequest, Error: &errorInfo{Code: "usage", Message: "empty query"}}
+		return batchItem{Status: http.StatusBadRequest, Error: &httpsvc.ErrorInfo{Code: "usage", Message: "empty query"}}
 	}
 	resp, err := s.execute(sp, q)
 	if err != nil {
-		status, code := httpStatusFor(err)
-		s.tel.Log.Warn("query failed", "path", "/v1/query/batch", "fault", telemetry.FaultCode(err), "code", code)
-		return batchItem{Status: status, Error: &errorInfo{Code: code, Message: err.Error()}}
+		item = failedItem(err)
+		s.tel.Log.Warn("query failed", "path", "/v1/query/batch", "fault", telemetry.FaultCode(err), "code", item.Error.Code)
+		return item
 	}
 	return batchItem{Status: http.StatusOK, Result: resp}
+}
+
+// failedItem is the item of a query that failed with err: the status and
+// envelope /v1/query would have answered.
+func failedItem(err error) batchItem {
+	status, code := httpsvc.Status(err, "bad_query")
+	return batchItem{Status: status, Error: &httpsvc.ErrorInfo{Code: code, Message: err.Error()}}
 }

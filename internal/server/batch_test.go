@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"privateclean/internal/httpsvc"
 )
 
 func postBatch(t *testing.T, url string, queries []string) (*http.Response, batchResponse, []byte) {
@@ -73,7 +75,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 			t.Errorf("query %d: batch status %d, sequential status %d", i, item.Status, want[i].status)
 		}
 		// The sequential body is the full HTTP payload: a queryResponse on
-		// success, an errorBody on failure. Re-marshal the batch item's inner
+		// success, an error envelope on failure. Re-marshal the batch item's inner
 		// object compactly and compare byte-for-byte against the compacted
 		// sequential body.
 		var got, ref bytes.Buffer
@@ -87,7 +89,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 			}
 			got.Write(enc)
 		} else if item.Error != nil {
-			enc, err := json.Marshal(errorBody{Error: *item.Error})
+			enc, err := json.Marshal(httpsvc.ErrorBody{Error: *item.Error})
 			if err != nil {
 				t.Fatal(err)
 			}

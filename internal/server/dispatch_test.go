@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"privateclean/internal/estimator"
+	"privateclean/internal/httpsvc"
 	"privateclean/internal/privacy"
 	"privateclean/internal/relation"
 	"privateclean/internal/telemetry"
@@ -81,7 +82,7 @@ func newStatsServer(t *testing.T, withHists, withJoints bool) *httptest.Server {
 // hints that name the recovering flag are part of the contract.
 func decodeEnvelope(t *testing.T, body []byte) (code, message string) {
 	t.Helper()
-	var eb errorBody
+	var eb httpsvc.ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil {
 		t.Fatalf("error body %q is not the JSON envelope: %v", body, err)
 	}

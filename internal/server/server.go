@@ -17,29 +17,26 @@
 // channel cache are mutex-guarded, and telemetry instruments are atomic, so
 // any number of requests run in parallel. Admission is bounded (MaxInFlight,
 // excess sheds with 429), each estimation runs under a deadline, and
-// Drain waits out in-flight requests, up to DrainTimeout, before returning.
+// Shutdown waits out in-flight requests, up to its context's deadline,
+// before returning.
 //
 // Error mapping: failures surface as typed JSON errors whose HTTP status is
-// derived from the faults taxonomy — a bad predicate is the analyst's
-// problem (4xx), never a 500. Only a recovered panic maps to 500.
+// derived from the faults taxonomy (httpsvc.Status) — a bad predicate is the
+// analyst's problem (4xx), never a 500.
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
-	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"privateclean/internal/estimator"
 	"privateclean/internal/faults"
+	"privateclean/internal/httpsvc"
 	"privateclean/internal/privacy"
 	"privateclean/internal/provenance"
 	"privateclean/internal/relation"
@@ -52,10 +49,6 @@ const DefaultMaxInFlight = 64
 
 // DefaultTimeout bounds one query estimation when Config.Timeout is zero.
 const DefaultTimeout = 10 * time.Second
-
-// DefaultDrainTimeout bounds the graceful drain when Config.DrainTimeout is
-// zero.
-const DefaultDrainTimeout = 5 * time.Second
 
 // maxBodyBytes caps a request body; a query string has no business being
 // larger.
@@ -84,29 +77,22 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing queries; excess requests
 	// are shed with 429 (default DefaultMaxInFlight).
 	MaxInFlight int
-	// DrainTimeout bounds the graceful drain: Drain stops accepting
-	// connections and waits up to this long for in-flight requests before
-	// force-closing them (default DefaultDrainTimeout).
-	DrainTimeout time.Duration
 	// Tel is the telemetry set requests report through (default
 	// telemetry.Default()).
 	Tel *telemetry.Set
 }
 
 // Server serves corrected-query estimation over one resident private view
-// (or its sufficient statistics).
+// (or its sufficient statistics). Its HTTP front, the shared chassis, gives
+// it Handler, Serve, ListenAndServe and Shutdown.
 type Server struct {
+	*httpsvc.Chassis
 	rel     *relation.Relation
 	stats   *estimator.Statistics
 	est     *estimator.Estimator
 	tel     *telemetry.Set
 	timeout time.Duration
-	drain   time.Duration
-	sem     chan struct{}
 	start   time.Time
-
-	mu      sync.Mutex
-	httpSrv *http.Server
 
 	// cacheMu serializes publishing the estimator cache's counters, which
 	// adds each counter's growth since the previous scrape.
@@ -140,22 +126,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = DefaultDrainTimeout
-	}
 	tel := cfg.Tel
 	if tel == nil {
 		tel = telemetry.Default()
 	}
-	// The endpoint paths and server-specific outcome codes appear as metric
-	// labels; they are code-chosen strings, not data, so they join the safe
-	// vocabulary.
-	tel.Redact.Allow("/v1/query", "/v1/query/batch", "/v1/describe", "/v1/statusz", "/v1/tracez",
-		"/healthz", "/metrics",
-		"timeout", "shed", "method_not_allowed", "not_found", "serve", "serve_query", "serve_batch", "drain",
-		"200", "400", "404", "405", "408", "422", "429", "500", "503",
+	// The server-specific outcome codes, span names and cache kinds appear
+	// as metric labels; they are code-chosen strings, not data, so they join
+	// the safe vocabulary.
+	tel.Redact.Allow("timeout", "serve", "serve_query", "serve_batch",
 		"channel", "joint", "per-code", "bin", "runs")
-	return &Server{
+	s := &Server{
 		start: time.Now(),
 		rel:   cfg.Rel,
 		stats: cfg.Stats,
@@ -167,118 +147,13 @@ func New(cfg Config) (*Server, error) {
 		},
 		tel:     tel,
 		timeout: cfg.Timeout,
-		drain:   cfg.DrainTimeout,
-		sem:     make(chan struct{}, cfg.MaxInFlight),
-	}, nil
-}
-
-// Handler returns the server's HTTP handler (also usable under a test
-// server or an external mux).
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/query", s.instrument("/v1/query", s.handleQuery))
-	mux.HandleFunc("/v1/query/batch", s.instrument("/v1/query/batch", s.handleBatch))
-	mux.HandleFunc("/v1/describe", s.instrument("/v1/describe", s.handleDescribe))
-	mux.HandleFunc("/v1/statusz", s.instrument("/v1/statusz", s.handleStatusz))
-	mux.HandleFunc("/v1/tracez", s.instrument("/v1/tracez", s.handleTracez))
-	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
-	return mux
-}
-
-// errorBody is the JSON error envelope.
-type errorBody struct {
-	Error errorInfo `json:"error"`
-}
-
-type errorInfo struct {
-	// Code is the fault-taxonomy (or server outcome) code, e.g. "bad_query",
-	// "timeout", "shed".
-	Code string `json:"code"`
-	// Message is the human-readable cause. It may echo back text from the
-	// analyst's own request; it never reaches logs or metric labels.
-	Message string `json:"message"`
-}
-
-// statusRecorder captures the response status for the request metrics.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with the request counter, latency histogram,
-// and in-flight gauge. Labels carry only the route and the numeric status
-// class — never request contents.
-func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
-	// The route's gauge and histogram are resolved once; only the request
-	// counter, labelled by status, is looked up per request.
-	inflight := s.tel.Metrics.Gauge("privateclean_http_inflight",
-		"Requests currently being handled.", telemetry.L("path", path))
-	seconds := s.tel.Metrics.Histogram("privateclean_http_request_seconds",
-		"Wall time of HTTP request handling.",
-		telemetry.DurationBuckets, telemetry.L("path", path))
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		inflight.Add(1)
-		defer func() {
-			inflight.Add(-1)
-			s.tel.Metrics.Counter("privateclean_http_requests_total",
-				"HTTP requests, by route and status.",
-				telemetry.L("path", path), telemetry.L("status", strconv.Itoa(rec.status))).Inc()
-			seconds.Observe(time.Since(start).Seconds())
-		}()
-		h(rec, r)
 	}
-}
-
-// writeJSON marshals v, compact, before touching the ResponseWriter, so an
-// encoding failure (e.g. a non-finite float that slipped past sanitization)
-// surfaces as a 500 error body instead of a truncated response behind a
-// success status.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		status = http.StatusInternalServerError
-		body, _ = json.Marshal(errorBody{Error: errorInfo{
-			Code:    "internal",
-			Message: "encoding response: " + err.Error(),
-		}})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(append(body, '\n'))
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, code, message string) {
-	s.writeJSON(w, status, errorBody{Error: errorInfo{Code: code, Message: message}})
-}
-
-// httpStatusFor maps a classified error to its HTTP status and wire code.
-// Unclassified errors from query parsing/estimation are the analyst's
-// bad-query problem; only ErrInternal (a recovered panic / invariant
-// violation) is a 500.
-func httpStatusFor(err error) (int, string) {
-	kind := faults.Kind(err)
-	switch kind {
-	case faults.ErrUsage, faults.ErrBadQuery:
-		return http.StatusBadRequest, telemetry.FaultCode(err)
-	case faults.ErrBadInput, faults.ErrBadMeta, faults.ErrBadParams:
-		return http.StatusUnprocessableEntity, telemetry.FaultCode(err)
-	case faults.ErrInternal:
-		return http.StatusInternalServerError, "internal"
-	case faults.ErrCorruptCheckpoint, faults.ErrPartialWrite:
-		return http.StatusServiceUnavailable, telemetry.FaultCode(err)
-	default:
-		// Estimator/query errors carry no taxonomy kind; at the serving
-		// boundary they are all bad-query responses.
-		return http.StatusBadRequest, "bad_query"
-	}
+	s.Chassis = httpsvc.New(tel, cfg.MaxInFlight, "server", s.publishCacheStats)
+	s.Handle("/v1/query", s.handleQuery)
+	s.Handle("/v1/query/batch", s.handleBatch)
+	s.HandleGet("/v1/describe", s.handleDescribe)
+	s.HandleGet("/v1/statusz", s.handleStatusz)
+	return s, nil
 }
 
 // queryRequest is the /v1/query body.
@@ -289,33 +164,24 @@ type queryRequest struct {
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST a JSON body to /v1/query")
+		httpsvc.WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST a JSON body to /v1/query")
 		return
 	}
 	var req queryRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "usage", "reading request body: "+err.Error())
+	body, status, msg := httpsvc.ReadBody(r, nil, maxBodyBytes)
+	if status != 0 {
+		httpsvc.WriteError(w, status, "usage", msg)
 		return
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "usage", `body must be JSON {"query": "SELECT ..."}: `+err.Error())
+		httpsvc.WriteError(w, http.StatusBadRequest, "usage", `body must be JSON {"query": "SELECT ..."}: `+err.Error())
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		s.writeError(w, http.StatusBadRequest, "usage", `missing "query" field`)
+		httpsvc.WriteError(w, http.StatusBadRequest, "usage", `missing "query" field`)
 		return
 	}
-
-	// Bounded admission: a full semaphore sheds immediately rather than
-	// queueing unbounded work behind a deadline it would miss anyway.
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		w.Header().Set("Retry-After", "1")
-		s.tel.Metrics.Counter("privateclean_http_shed_total",
-			"Queries shed with 429 because MaxInFlight was reached.").Inc()
-		s.writeError(w, http.StatusTooManyRequests, "shed", "server at capacity; retry")
+	if !s.Admit(w) {
 		return
 	}
 
@@ -335,7 +201,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		defer func() { <-s.sem }()
+		defer s.Release()
 		defer sp.End()
 		defer func() {
 			if p := recover(); p != nil {
@@ -354,21 +220,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	select {
 	case out := <-done:
 		if out.err != nil {
-			status, code := httpStatusFor(out.err)
+			code := httpsvc.WriteFault(w, out.err, "bad_query")
 			s.tel.Log.Warn("query failed", "path", "/v1/query", "fault", telemetry.FaultCode(out.err), "code", code)
-			s.writeError(w, status, code, out.err.Error())
 			return
 		}
-		s.writeJSON(w, http.StatusOK, out.resp)
+		httpsvc.WriteJSON(w, http.StatusOK, out.resp)
 	case <-timer.C:
 		// The worker goroutine finishes on its own and releases its slot;
 		// the response just stops waiting for it.
 		s.tel.Metrics.Counter("privateclean_http_timeout_total",
 			"Queries that exceeded the per-request deadline.").Inc()
-		s.writeError(w, http.StatusRequestTimeout, "timeout",
+		httpsvc.WriteError(w, http.StatusRequestTimeout, "timeout",
 			fmt.Sprintf("query exceeded the %s deadline", s.timeout))
 	case <-r.Context().Done():
-		s.writeError(w, http.StatusRequestTimeout, "timeout", "client went away")
+		httpsvc.WriteError(w, http.StatusRequestTimeout, "timeout", "client went away")
 	}
 }
 
@@ -392,11 +257,6 @@ type describeResponse struct {
 }
 
 func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET /v1/describe")
-		return
-	}
 	meta := s.est.Meta
 	resp := describeResponse{
 		Confidence: s.est.Confidence,
@@ -433,7 +293,7 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 	if s.est.Prov != nil {
 		resp.CleanedAttrs = s.est.Prov.Attrs()
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	httpsvc.WriteJSON(w, http.StatusOK, resp)
 }
 
 // jsonSafe clamps non-finite values to -1, the wire sentinel for
@@ -462,19 +322,14 @@ type statuszResponse struct {
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET /v1/statusz")
-		return
-	}
 	resp := statuszResponse{
 		Service:       "serve",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Mode:          "relation",
 		TotalEpsilon:  jsonSafe(s.est.Meta.TotalEpsilon()),
 		Confidence:    s.est.Confidence,
-		Inflight:      len(s.sem),
-		MaxInFlight:   cap(s.sem),
+		Inflight:      s.InFlight(),
+		MaxInFlight:   s.MaxInFlight(),
 	}
 	if s.stats != nil {
 		resp.Mode = "stats"
@@ -482,26 +337,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	} else {
 		resp.Rows = s.rel.NumRows()
 	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET /v1/tracez")
-		return
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"traces": s.tel.Trace.RecentJSON()})
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.publishCacheStats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = s.tel.Metrics.WritePrometheus(w)
+	httpsvc.WriteJSON(w, http.StatusOK, resp)
 }
 
 // publishCacheStats copies the estimator cache's hit, miss and entry counts,
@@ -518,59 +354,4 @@ func (s *Server) publishCacheStats() {
 		misses.Add(float64(k.Misses) - misses.Value())
 		reg.Gauge("privateclean_channel_cache_entries", "Estimator cache entries resident, by kind of entry.", kind).Set(float64(k.Entries))
 	}
-}
-
-// Serve accepts connections on l until Drain. It returns
-// http.ErrServerClosed after a clean shutdown, matching net/http.
-func (s *Server) Serve(l net.Listener) error {
-	srv := &http.Server{Handler: s.Handler()}
-	s.mu.Lock()
-	s.httpSrv = srv
-	s.mu.Unlock()
-	return srv.Serve(l)
-}
-
-// ListenAndServe listens on addr and serves until Drain. The returned
-// listener address is reported through ready (useful with ":0"); pass nil
-// when not needed.
-func (s *Server) ListenAndServe(addr string, ready chan<- net.Addr) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return faults.Wrap(faults.ErrUsage, err)
-	}
-	if ready != nil {
-		ready <- l.Addr()
-	}
-	return s.Serve(l)
-}
-
-// Drain is the deadline-bounded graceful shutdown: stop accepting
-// connections, wait up to the configured DrainTimeout for in-flight
-// requests, and when the deadline forces the issue, close the remaining
-// connections and report it as a typed fault — an aborted response is a
-// partial write from the client's point of view, and it must not pass for a
-// clean exit.
-func (s *Server) Drain() error {
-	s.mu.Lock()
-	srv := s.httpSrv
-	s.mu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.drain)
-	defer cancel()
-	err := srv.Shutdown(ctx)
-	if errors.Is(err, http.ErrServerClosed) {
-		err = nil
-	}
-	if err == nil {
-		return nil
-	}
-	srv.Close()
-	err = faults.Wrap(faults.ErrPartialWrite,
-		fmt.Errorf("server: drain aborted in-flight requests after %s: %w", s.drain, err))
-	s.tel.Metrics.Counter("privateclean_http_drain_aborts_total",
-		"Graceful drains that hit their deadline and force-closed connections.").Inc()
-	s.tel.Log.Error("drain deadline forced connection abort", "op", "drain", telemetry.ErrAttr(err))
-	return err
 }

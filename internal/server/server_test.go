@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,7 +14,7 @@ import (
 	"time"
 
 	"privateclean/internal/estimator"
-	"privateclean/internal/faults"
+	"privateclean/internal/httpsvc"
 	"privateclean/internal/privacy"
 	"privateclean/internal/relation"
 	"privateclean/internal/telemetry"
@@ -87,7 +86,7 @@ func postQuery(t *testing.T, url, sql string) (*http.Response, []byte) {
 
 func errCode(t *testing.T, body []byte) string {
 	t.Helper()
-	var eb errorBody
+	var eb httpsvc.ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil {
 		t.Fatalf("error body %q is not the JSON envelope: %v", body, err)
 	}
@@ -266,11 +265,24 @@ func TestShedding(t *testing.T) {
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("parked request finished with %d, want 200", code)
 	}
+	waitReleased(t, s)
 
 	// The slot was released: the next query runs.
 	resp, body = postQuery(t, ts.URL, "SELECT count(1) FROM R WHERE category = 'a'")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-release status = %d (%s)", resp.StatusCode, body)
+	}
+}
+
+// waitReleased waits until no request holds an admission slot. A query's
+// worker gives its slot back after the response it feeds can already be on
+// the wire, so a test reusing the slot waits for the release itself.
+func waitReleased(t *testing.T, s *Server) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); s.InFlight() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a finished query never released its admission slot")
+		}
 	}
 }
 
@@ -301,6 +313,7 @@ func TestTimeout(t *testing.T) {
 	}
 
 	<-done
+	waitReleased(t, s)
 	resp, body = postQuery(t, ts.URL, "SELECT count(1) FROM R WHERE category = 'a'")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-timeout status = %d (%s)", resp.StatusCode, body)
@@ -405,20 +418,6 @@ func TestMetricsHygiene(t *testing.T) {
 	}
 }
 
-// writeJSON must never send a truncated body behind a 200: an encoding
-// failure is converted to a 500 error envelope before any header is written.
-func TestWriteJSONEncodeFailure(t *testing.T) {
-	s := newTestServer(t, nil)
-	rec := httptest.NewRecorder()
-	s.writeJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500", rec.Code)
-	}
-	if code := errCode(t, rec.Body.Bytes()); code != "internal" {
-		t.Fatalf("code = %q, want internal", code)
-	}
-}
-
 // Non-finite estimate values encode as the -1 wire sentinel (JSON has no
 // NaN/Inf) with the exact rendering preserved in Text.
 func TestEstimateJSONSanitizesNonFinite(t *testing.T) {
@@ -494,132 +493,44 @@ func TestServeInPredicateWithCommaValue(t *testing.T) {
 	}
 }
 
-// Drain, the shutdown serve runs on SIGTERM, lets an in-flight query
-// complete with 200 while new connections are refused.
-func TestGracefulShutdownDrains(t *testing.T) {
-	s := newTestServer(t, func(c *Config) { c.DrainTimeout = 5 * time.Second })
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.testHook = func() {
-		once.Do(func() {
-			close(entered)
-			<-release
-		})
-	}
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- s.Serve(l) }()
-	url := "http://" + l.Addr().String()
-
-	first := make(chan int, 1)
-	go func() {
-		resp, _ := postQuery(t, url, "SELECT count(1) FROM R WHERE category = 'a'")
-		first <- resp.StatusCode
-	}()
-	<-entered
-
-	drainDone := make(chan error, 1)
-	go func() { drainDone <- s.Drain() }()
-
-	// Give Drain a moment to close the listener, then release the
-	// in-flight request; it must still complete successfully.
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-
-	if code := <-first; code != http.StatusOK {
-		t.Fatalf("in-flight request during shutdown finished with %d, want 200", code)
-	}
-	if err := <-drainDone; err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	if err := <-serveErr; err != http.ErrServerClosed {
-		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
-	}
-}
-
-// A drain whose deadline expires while a query is still in flight must
-// force-close the connection, return a typed partial-write fault, and count
-// the abort — the satellite for `serve -drain-timeout`.
-func TestDrainDeadlineAbortsInFlight(t *testing.T) {
-	s := newTestServer(t, func(c *Config) {
-		c.Timeout = 5 * time.Second // query deadline far beyond the drain
-		c.DrainTimeout = 30 * time.Millisecond
-	})
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.testHook = func() {
-		once.Do(func() {
-			close(entered)
-			<-release
-		})
-	}
-	defer close(release)
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- s.Serve(l) }()
-	url := "http://" + l.Addr().String()
-
-	first := make(chan error, 1)
-	go func() {
-		body, _ := json.Marshal(map[string]string{"query": "SELECT count(1) FROM R WHERE category = 'a'"})
-		_, perr := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
-		first <- perr
-	}()
-	<-entered
-
-	derr := s.Drain()
-	if derr == nil {
-		t.Fatal("Drain returned nil with a query parked past the deadline")
-	}
-	if faults.Kind(derr) != faults.ErrPartialWrite {
-		t.Fatalf("Drain fault kind = %v, want ErrPartialWrite (%v)", faults.Kind(derr), derr)
-	}
-
-	// The aborted client sees a transport error, not a clean response.
-	if perr := <-first; perr == nil {
-		t.Fatal("in-flight request completed cleanly despite forced abort")
-	}
-	if err := <-serveErr; err != http.ErrServerClosed {
-		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
-	}
-
-	var buf bytes.Buffer
-	if err := s.tel.Metrics.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "privateclean_http_drain_aborts_total 1") {
-		t.Fatalf("drain abort not counted:\n%s", buf.String())
-	}
-}
-
-// A drain with no in-flight work finishes within the deadline and reports no
-// fault.
-func TestDrainCleanUnderDeadline(t *testing.T) {
-	s := newTestServer(t, func(c *Config) { c.DrainTimeout = time.Second })
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- s.Serve(l) }()
-	resp, body := postQuery(t, "http://"+l.Addr().String(), "SELECT count(1) FROM R WHERE category = 'a'")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm-up query status = %d (%s)", resp.StatusCode, body)
-	}
-	if err := s.Drain(); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	if err := <-serveErr; err != http.ErrServerClosed {
-		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+// A body past the 1 MiB bound is refused whole with 413 naming the bound,
+// on both POST routes, rather than cut off and answered as malformed JSON;
+// a body of exactly the bound is read whole.
+func TestOversizedBody(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, route := range []struct{ path, body string }{
+		{"/v1/query", `{"query": "SELECT count(1) FROM R WHERE category = 'a'"}`},
+		{"/v1/query/batch", `{"queries": ["SELECT count(1) FROM R WHERE category = 'a'"]}`},
+	} {
+		// Trailing whitespace keeps the padded body valid JSON at any length.
+		pad := func(n int) io.Reader {
+			return strings.NewReader(route.body + strings.Repeat(" ", n-len(route.body)))
+		}
+		resp, err := http.Post(ts.URL+route.path, "application/json", pad(maxBodyBytes+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: body of %d bytes = %d, want 413 (%s)", route.path, maxBodyBytes+1, resp.StatusCode, body)
+		}
+		var eb httpsvc.ErrorBody
+		if err := json.Unmarshal(body, &eb); err != nil {
+			t.Fatal(err)
+		}
+		if eb.Error.Code != "usage" || !strings.Contains(eb.Error.Message, fmt.Sprint(maxBodyBytes)) {
+			t.Fatalf("%s: 413 body %+v must be usage naming the %d-byte bound", route.path, eb.Error, maxBodyBytes)
+		}
+		resp, err = http.Post(ts.URL+route.path, "application/json", pad(maxBodyBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: body of exactly %d bytes = %d, want 200", route.path, maxBodyBytes, resp.StatusCode)
+		}
 	}
 }

@@ -72,11 +72,11 @@ fresh_total=$(echo "$metrics" | sed -n 's/^privateclean_collect_freshness_second
 [ "${fresh_total:-0}" -gt 0 ] || {
 	echo "freshness histogram has no observations after baseline drain"; exit 1; }
 statusz=$(curl -fs "$base/v1/statusz")
-echo "$statusz" | grep -q '"sealed_backlog": 0' || {
+echo "$statusz" | grep -q '"sealed_backlog":0[,}]' || {
 	echo "statusz reports unfolded backlog after drain:"; echo "$statusz"; exit 1; }
-echo "$statusz" | grep -q '"seq_lag": 0' || {
+echo "$statusz" | grep -q '"seq_lag":0[,}]' || {
 	echo "statusz reports sequence lag after drain:"; echo "$statusz"; exit 1; }
-echo "$statusz" | grep -q '"freshness_count": 0' && {
+echo "$statusz" | grep -q '"freshness_count":0[,}]' && {
 	echo "statusz freshness has no observations:"; echo "$statusz"; exit 1; }
 
 kill -TERM "$pid"
@@ -121,7 +121,7 @@ echo "$metrics" | grep -qE 'privateclean_collect_(batches_accepted|duplicate_bat
 # have been fully deduplicated, so freshness is only asserted on the
 # baseline run above.)
 statusz=$(curl -fs "$base/v1/statusz")
-echo "$statusz" | grep -q '"sealed_backlog": 0' || {
+echo "$statusz" | grep -q '"sealed_backlog":0[,}]' || {
 	echo "statusz reports unfolded backlog after recovery:"; echo "$statusz"; exit 1; }
 tracez=$(curl -fs "$base/v1/tracez")
 

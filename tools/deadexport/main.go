@@ -15,9 +15,12 @@
 // read for their references only; their own functions are not checked).
 // Each package is type-checked once with the host's default build tags and
 // once more for every custom tag the tree's //go:build lines name, so a
-// reference from a tagged file counts. A method counts as referenced when
-// its type satisfies an interface that has the method: it can be reached by
-// dynamic dispatch (error, fmt.Stringer, slog.Handler, the module's own).
+// reference from a tagged file counts. A method also counts as referenced
+// when it can be reached by dynamic dispatch: its type satisfies an
+// interface from outside the tree that has the method (error, fmt.Stringer,
+// slog.Handler), or an interface declared in the tree whose method non-test
+// code calls. Satisfying a tree interface whose method only tests call
+// keeps nothing alive.
 //
 // Each allowlist line is "<dir>.<Func>" or "<dir>.<Type>.<Method>", with dir
 // relative to the module root, followed by the reason the function is kept.
@@ -354,11 +357,17 @@ func typeCheck(fset *token.FileSet, std types.Importer, dirs []*pkgDir, tags []s
 		}
 	}
 
+	// called holds the interface methods non-test code calls (or takes as
+	// a method value), by position.
+	called := map[token.Pos]bool{}
 	for _, d := range dirs {
 		for id, obj := range l.infos[d].Uses {
 			fn, ok := obj.(*types.Func)
 			if !ok {
 				continue
+			}
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				called[fn.Pos()] = true
 			}
 			dc := decls[fn.Origin().Pos()]
 			if dc != nil && (id.Pos() < dc.body[0] || id.Pos() >= dc.body[1]) {
@@ -378,8 +387,9 @@ func typeCheck(fset *token.FileSet, std types.Importer, dirs []*pkgDir, tags []s
 		if _, ok := recv.(*types.Pointer); !ok {
 			recv = types.NewPointer(recv)
 		}
-		for _, it := range ifaces[m.Name()] {
-			if types.Implements(recv, it) {
+		for _, im := range ifaces[m.Name()] {
+			inTree := im.method.Pkg() != nil && l.byPath[im.method.Pkg().Path()] != nil
+			if (!inTree || called[im.method.Pos()]) && types.Implements(recv, im.iface) {
 				dc.used = true
 				break
 			}
@@ -417,11 +427,18 @@ func declKey(dir string, fn *ast.FuncDecl) string {
 	return dir + "." + t.(*ast.Ident).Name + "." + fn.Name.Name
 }
 
-// interfaces indexes, by method name, every interface with methods that the
-// loaded packages can see: package-level ones of the tree and of every
-// package it imports, interface literals in the tree, and error.
-func interfaces(l *loader) map[string][]*types.Interface {
-	out := map[string][]*types.Interface{}
+// ifaceMethod is one method of an interface.
+type ifaceMethod struct {
+	iface  *types.Interface
+	method *types.Func
+}
+
+// interfaces indexes, by method name, every interface method that the
+// loaded packages can see: those of package-level interfaces of the tree and
+// of every package it imports, of interface literals in the tree, and of
+// error.
+func interfaces(l *loader) map[string][]ifaceMethod {
+	out := map[string][]ifaceMethod{}
 	seen := map[*types.Interface]bool{}
 	add := func(t types.Type) {
 		it, ok := t.Underlying().(*types.Interface)
@@ -430,8 +447,8 @@ func interfaces(l *loader) map[string][]*types.Interface {
 		}
 		seen[it] = true
 		for i := 0; i < it.NumMethods(); i++ {
-			name := it.Method(i).Name()
-			out[name] = append(out[name], it)
+			m := it.Method(i)
+			out[m.Name()] = append(out[m.Name()], ifaceMethod{it, m})
 		}
 	}
 	add(types.Universe.Lookup("error").Type())

@@ -9,7 +9,10 @@ func UsedByCmd() string {
 	return helper()
 }
 
-func helper() string { return fmt.Sprint(T{}) }
+func helper() string { return fmt.Sprint(T{}, area(Square{S: 2})) }
+
+// area calls Area through Shape, which keeps Square.Area.
+func area(s Shape) float64 { return s.Area() }
 
 // TestOnly is called only from lib_test.go, so it is flagged.
 func TestOnly() int { return 1 }
@@ -41,9 +44,17 @@ func (T) String() string { return "t" }
 // Shape is satisfied by Square.
 type Shape interface{ Area() float64 }
 
+// Namer is satisfied by Square too, but no non-test code calls Name
+// through it, so Square.Name is flagged.
+type Namer interface{ Name() string }
+
+var _ Namer = Square{}
+
 // Square's Area satisfies Shape; Perimeter satisfies no interface.
 type Square struct{ S float64 }
 
 func (q Square) Area() float64 { return q.S * q.S }
 
 func (q *Square) Perimeter() float64 { return 4 * q.S }
+
+func (Square) Name() string { return "square" }
