@@ -127,7 +127,7 @@ func cmdReport(args []string) (err error) {
 		return err
 	}
 	if *mechanism != "" {
-		if _, err := privacy.MechanismByName(*mechanism); err != nil {
+		if err := privacy.MechanismByName(*mechanism); err != nil {
 			return faults.Errorf(faults.ErrUsage, "report: %v", err)
 		}
 		want := privacy.CanonicalMechanismName(*mechanism)
@@ -138,7 +138,7 @@ func cmdReport(args []string) (err error) {
 			}
 		}
 	}
-	mech := privacy.MechanismFor(meta)
+	fingerprint := privacy.MechanismFingerprint(meta)
 	r, err := cf.load(*in)
 	if err != nil {
 		return err
@@ -187,8 +187,8 @@ func cmdReport(args []string) (err error) {
 			return rerr
 		}
 		batch := collect.Batch{
-			ID:        batchID(mech.Fingerprint, *clientID, start, reports),
-			Mechanism: mech.Fingerprint,
+			ID:        batchID(fingerprint, *clientID, start, reports),
+			Mechanism: fingerprint,
 			Reports:   reports,
 			TraceID:   sp.Trace(),
 		}

@@ -388,7 +388,7 @@ func cmdPrivatize(args []string) (err error) {
 	if *in == "" || *out == "" || *metaPath == "" {
 		return faults.Errorf(faults.ErrUsage, "privatize: -in, -out, and -meta are required")
 	}
-	if _, err := privacy.MechanismByName(*mechanism); err != nil {
+	if err := privacy.MechanismByName(*mechanism); err != nil {
 		return faults.Errorf(faults.ErrUsage, "privatize: %v", err)
 	}
 	budget, err := parseBytes(*memBudget)
@@ -602,29 +602,28 @@ func cmdTune(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	printDiscreteParams(r, params)
-	return nil
+	return printDiscreteParams(r, params)
 }
 
-// printDiscreteParams reports tuned/allocated per-attribute parameters. Both
-// epsilons are shown for discrete attributes: the Lemma-1 disclosure
-// ln(3/p - 2), which is what the GRR accounting ledger composes, and the
-// exact channel disclosure ln(N(1-p)/p + 1), which is what an adversary can
-// actually distinguish — for domains larger than three values the exact
-// figure is strictly larger, and hiding it understates the release.
-func printDiscreteParams(r *relation.Relation, params privacy.Params) {
+// printDiscreteParams reports tuned/allocated per-attribute parameters.
+// Discrete attributes show two epsilons: eps_exact = ln(N(1-p)/p + 1), the
+// channel's true local-DP parameter and the one privatize reports and the
+// ledger composes, and eps_lemma1 = ln(3/p - 2), the paper's Lemma 1
+// constant, reproduced for comparison (exact only at N = 3).
+func printDiscreteParams(r *relation.Relation, params privacy.Params) error {
 	for _, name := range sortedKeys(params.P) {
 		p := params.P[name]
-		if n, err := r.DomainSize(name); err == nil && n >= 2 {
-			fmt.Printf("discrete %-16s p=%.4f (eps_lemma1=%.4f eps_exact=%.4f N=%d)\n",
-				name, p, privacy.EpsilonDiscrete(p), privacy.EpsilonDiscreteExact(p, n), n)
-		} else {
-			fmt.Printf("discrete %-16s p=%.4f (eps=%.4f)\n", name, p, privacy.EpsilonDiscrete(p))
+		n, err := r.DomainSize(name)
+		if err != nil {
+			return err
 		}
+		fmt.Printf("discrete %-16s p=%.4f (eps_lemma1=%.4f eps_exact=%.4f N=%d)\n",
+			name, p, privacy.EpsilonDiscrete(p), privacy.EpsilonDiscreteExact(p, n), n)
 	}
 	for _, name := range sortedKeys(params.B) {
 		fmt.Printf("numeric  %-16s b=%.4f\n", name, params.B[name])
 	}
+	return nil
 }
 
 func cmdMinSize(args []string) (err error) {
@@ -679,8 +678,7 @@ func cmdEpsilon(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	printDiscreteParams(r, params)
-	return nil
+	return printDiscreteParams(r, params)
 }
 
 func cmdDescribe(args []string) (err error) {

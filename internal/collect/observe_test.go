@@ -309,3 +309,26 @@ func TestServiceAckInstrumentsAtStart(t *testing.T) {
 		}
 	}
 }
+
+// TestStatuszUnboundedEpsilon: an attribute released with no privacy
+// (p = 0) makes the composed epsilon +Inf, which JSON cannot carry; statusz
+// must still answer 200, with the -1 "unbounded" sentinel serve uses.
+func TestStatuszUnboundedEpsilon(t *testing.T) {
+	s := newTestService(t, t.TempDir(), func(c *Config) {
+		dm := c.Meta.Discrete["major"]
+		dm.P = 0
+		c.Meta.Discrete["major"] = dm
+	})
+	defer s.Shutdown(context.Background())
+	rec := do(t, s.Handler(), http.MethodGet, "/v1/statusz", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /v1/statusz with p = 0: %d %s", rec.Code, rec.Body)
+	}
+	var resp statuszResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.TotalEpsilon != -1 {
+		t.Errorf("total_epsilon = %v, want the -1 sentinel", resp.TotalEpsilon)
+	}
+}

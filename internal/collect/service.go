@@ -659,7 +659,7 @@ func (s *Service) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		Service:       "collect",
 		UptimeSeconds: now.Sub(s.start).Seconds(),
 		Mechanism:     s.mech,
-		TotalEpsilon:  s.meta.TotalEpsilon(),
+		TotalEpsilon:  httpsvc.JSONSafe(s.meta.TotalEpsilon()),
 		AppliedSeq:    s.store.AppliedSeq(),
 		ActiveSeq:     s.wal.ActiveSeq(),
 		WALDiskBytes:  s.wal.DiskBytes(),

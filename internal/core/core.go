@@ -254,7 +254,7 @@ func ExplainQuery(sql string, viewMeta *privacy.ViewMeta, prov *provenance.Store
 	if err != nil {
 		return Explanation{}, err
 	}
-	mech, err := meta.Mech()
+	p, err := meta.GRRP()
 	if err != nil {
 		return Explanation{}, fmt.Errorf("core: attribute %q: %w", base, err)
 	}
@@ -284,9 +284,9 @@ func ExplainQuery(sql string, viewMeta *privacy.ViewMeta, prov *provenance.Store
 		ex.CleanDomainSize = ex.N
 	}
 	if ex.N > 0 {
-		// Channel returns tauN and denom = tauP - tauN; for GRR these are
-		// p·l/N and 1-p, reproducing the pre-registry floats exactly.
-		tauN, denom := mech.Channel(ex.P, ex.N, ex.L)
+		// Channel returns tauN = p·l/N and denom = tauP - tauN = 1-p at the
+		// mapped GRR p, which for GRR is ex.P itself.
+		tauN, denom := privacy.Channel(p, ex.N, ex.L)
 		ex.TauN = tauN
 		ex.TauP = denom + tauN
 	}

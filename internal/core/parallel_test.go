@@ -210,10 +210,11 @@ func TestPipelineRefusesStaleMechanismCheckpoint(t *testing.T) {
 	}
 }
 
-// TestPipelineKRRCheckpointTagAndResume: a k-RR job writes its own RNG
-// draw-pattern tag into the checkpoint, resumes byte-identically, stamps the
-// mechanism into the released metadata, and refuses a checkpoint stranded by
-// a GRR run over the same input and parameters.
+// TestPipelineKRRCheckpointTagAndResume: a k-RR job draws through GRR's
+// sampler, so its checkpoint carries the one sampler tag; it resumes
+// byte-identically, stamps the mechanism into the released metadata, and
+// refuses a checkpoint stranded by k-RR's retired sampler ("krr-skip/2")
+// over the same input and parameters.
 func TestPipelineKRRCheckpointTagAndResume(t *testing.T) {
 	input := testCSV(31)
 	krrJob := func() *PrivatizeJob {
@@ -235,7 +236,7 @@ func TestPipelineKRRCheckpointTagAndResume(t *testing.T) {
 		t.Errorf("released metadata does not record the krr mechanism: %s", wantMeta)
 	}
 
-	// Kill mid-run: the stranded checkpoint must carry the krr tag, and
+	// Kill mid-run: the stranded checkpoint must carry the sampler tag, and
 	// resume must reproduce the uninterrupted bytes.
 	job := krrJob()
 	boom := errors.New("simulated kill")
@@ -249,8 +250,8 @@ func TestPipelineKRRCheckpointTagAndResume(t *testing.T) {
 		t.Fatalf("interrupted run: %v", err)
 	}
 	ck := readFile(t, job.checkpointPath())
-	if !strings.Contains(string(ck), "krr-skip/2") {
-		t.Errorf("checkpoint does not carry the krr tag: %s", ck)
+	if !strings.Contains(string(ck), `"mechanism": "`+privacy.SamplerTag+`"`) {
+		t.Errorf("checkpoint does not carry the sampler tag %q: %s", privacy.SamplerTag, ck)
 	}
 	resume := *job
 	resume.OnChunk = nil
@@ -265,11 +266,10 @@ func TestPipelineKRRCheckpointTagAndResume(t *testing.T) {
 		t.Error("resumed krr metadata differs from uninterrupted run")
 	}
 
-	// Splicing mechanisms is refused: a checkpoint whose tag reads
-	// grr-skip/2 must not resume a krr job (the ParamsSHA check would also
-	// catch it, so tamper both back to the GRR fingerprint's fields being
-	// impossible — the tag check fires first on the spelled-out tag).
-	tampered := replaceOnce(string(ck), "krr-skip/2", "grr-skip/2")
+	// Splicing samplers is refused: a checkpoint written by the retired
+	// k-RR sampler has the same input, parameter and seed fingerprints, so
+	// only its tag tells its durable chunks apart.
+	tampered := replaceOnce(string(ck), privacy.SamplerTag, "krr-skip/2")
 	if err := os.WriteFile(job.checkpointPath(), []byte(tampered), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestPipelineKRRCheckpointTagAndResume(t *testing.T) {
 	stale.OnChunk = nil
 	stale.Resume = true
 	if _, err := stale.Run(); !errors.Is(err, faults.ErrCorruptCheckpoint) {
-		t.Fatalf("cross-mechanism resume: %v, want ErrCorruptCheckpoint", err)
+		t.Fatalf("resume of a krr-skip/2 checkpoint: %v, want ErrCorruptCheckpoint", err)
 	}
 }
 

@@ -42,25 +42,9 @@ import (
 // resumed run produces byte-identical output to an uninterrupted one.
 
 // checkpointVersion guards the checkpoint schema; a reader refuses any
-// other version rather than guessing. Version 2 added the mechanism tag.
+// other version rather than guessing. Version 2 added the sampler tag
+// (privacy.SamplerTag), which resume checks like a fingerprint.
 const checkpointVersion = 2
-
-// mechanismTagFor names the RNG-consumption pattern of the privatize hot
-// loop under the job's discrete mechanism (privacy.DiscreteMech.Tag). The
-// default GRR tag is "grr-skip/2": geometric skip-sampling, one Float64 per
-// kept run, one Intn per resample (see privacy.RandomizedResponse) — the
-// exact tag every pre-registry checkpoint carries. A chunk's bytes are a
-// pure function of (data, params, chunk stream) only under a fixed pattern,
-// so any change to how a mechanism consumes draws must bump its tag; resume
-// then refuses checkpoints whose durable chunks were produced by a
-// different pattern instead of splicing two mechanisms into one view.
-func mechanismTagFor(params privacy.Params) (string, error) {
-	mech, err := privacy.MechanismByName(params.Mechanism)
-	if err != nil {
-		return "", faults.Wrap(faults.ErrBadParams, err)
-	}
-	return mech.Tag(), nil
-}
 
 // DefaultChunkSize is the number of rows privatized per chunk when the job
 // does not choose one.
@@ -229,8 +213,8 @@ func fingerprintFile(path string) (string, error) {
 
 // fingerprintParams hashes the mechanism parameters in a stable order. The
 // mechanism name is appended only when it selects a non-default mechanism,
-// so checkpoints taken by pre-registry builds (always GRR, no component)
-// still resume under this build.
+// so checkpoints taken by builds that predate mechanism names (always GRR,
+// no component) still resume under this build.
 func fingerprintParams(params privacy.Params) string {
 	h := sha256.New()
 	for _, m := range []map[string]float64{params.P, params.B} {
@@ -310,10 +294,7 @@ func (job *PrivatizeJob) Run() (res *PrivatizeResult, err error) {
 
 	rows := meta.Rows
 	chunks := (rows + job.ChunkSize - 1) / job.ChunkSize
-	ck, err := job.freshCheckpoint(inputSHA, meta)
-	if err != nil {
-		return nil, err
-	}
+	ck := job.freshCheckpoint(inputSHA, meta)
 	if job.Resume {
 		ckSpan := tel.Trace.StartSpan(job.span, "checkpoint_read", telemetry.A("path", job.checkpointPath()))
 		ck, err = job.readCheckpoint(ck)
@@ -382,14 +363,10 @@ func (job *PrivatizeJob) Run() (res *PrivatizeResult, err error) {
 
 // freshCheckpoint is the chunk-zero checkpoint of this job over the input
 // with the given fingerprint; a resume checks the on-disk one against it.
-func (job *PrivatizeJob) freshCheckpoint(inputSHA string, meta *privacy.ViewMeta) (*checkpoint, error) {
-	mechTag, err := mechanismTagFor(job.Params)
-	if err != nil {
-		return nil, err
-	}
+func (job *PrivatizeJob) freshCheckpoint(inputSHA string, meta *privacy.ViewMeta) *checkpoint {
 	return &checkpoint{
 		Version:          checkpointVersion,
-		Mechanism:        mechTag,
+		Mechanism:        privacy.SamplerTag,
 		InputSHA:         inputSHA,
 		ParamsSHA:        fingerprintParams(job.Params),
 		Seed:             job.Seed,
@@ -397,7 +374,7 @@ func (job *PrivatizeJob) freshCheckpoint(inputSHA string, meta *privacy.ViewMeta
 		Rows:             meta.Rows,
 		RNGStream:        privacy.StreamSeed(job.Seed, 0),
 		EpsilonPerRecord: meta.TotalEpsilon(),
-	}, nil
+	}
 }
 
 // spentEpsilon is the budget this run actually added: zero for a duplicate

@@ -560,13 +560,9 @@ func (job *PrivatizeJob) readCheckpointForTest(src *PrivatizeJob) (*checkpoint, 
 	if err != nil {
 		return nil, err
 	}
-	mechTag, err := mechanismTagFor(src.Params)
-	if err != nil {
-		return nil, err
-	}
 	fresh := &checkpoint{
 		Version:   checkpointVersion,
-		Mechanism: mechTag,
+		Mechanism: privacy.SamplerTag,
 		InputSHA:  inputSHA,
 		ParamsSHA: fingerprintParams(src.Params),
 		Seed:      src.Seed,

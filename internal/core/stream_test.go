@@ -391,10 +391,7 @@ func TestWriteChunksRejectsBadWindows(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ck, err := job.freshCheckpoint(inputSHA, meta)
-					if err != nil {
-						t.Fatal(err)
-					}
+					ck := job.freshCheckpoint(inputSHA, meta)
 					chunks := (meta.Rows + job.ChunkSize - 1) / job.ChunkSize
 					err = job.writeChunks(ck, &faultyWindows{Iterator: it, failAt: failAt, eof: eof}, meta, meta.Rows, chunks)
 					if !errors.Is(err, faults.ErrBadInput) || !strings.Contains(err.Error(), "file changed during the run?") {

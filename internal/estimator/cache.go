@@ -80,11 +80,12 @@ type channelVal struct {
 	p float64
 	n int
 	l float64
-	// tauN and denom are the governing mechanism's inversion constants at
-	// (p, n, l): tauN = P[private value matches | true value does not] and
-	// denom = tau_p - tau_n, the signal every corrected estimate divides
-	// by. They are resolved once from the mechanism registry so the
-	// estimate math never branches on the mechanism name.
+	// tauN and denom are GRR's inversion constants at the mapped p
+	// (privacy.GRRP) for (n, l): tauN = P[private value matches | true
+	// value does not] and denom = tau_p - tau_n, the signal every corrected
+	// estimate divides by. They are resolved once here so the estimate
+	// math never branches on the mechanism name; p keeps the written value
+	// for error messages.
 	tauN  float64
 	denom float64
 }

@@ -135,11 +135,10 @@ func (e *Estimator) resolveChannel(pred Predicate) (channelVal, error) {
 	if err != nil {
 		return channelVal{}, err
 	}
-	mech, err := meta.Mech()
+	p, err := meta.GRRP()
 	if err != nil {
 		return channelVal{}, fmt.Errorf("estimator: attribute %q: %w", base, err)
 	}
-	p := meta.P
 	n := meta.N()
 	if n == 0 {
 		return channelVal{}, fmt.Errorf("estimator: attribute %q has an empty domain", base)
@@ -171,8 +170,8 @@ func (e *Estimator) resolveChannel(pred Predicate) (channelVal, error) {
 			}
 		}
 	}
-	tauN, denom := mech.Channel(p, n, l)
-	return channelVal{p: p, n: n, l: l, tauN: tauN, denom: denom}, nil
+	tauN, denom := privacy.Channel(p, n, l)
+	return channelVal{p: meta.P, n: n, l: l, tauN: tauN, denom: denom}, nil
 }
 
 func (e *Estimator) confidence() float64 {
@@ -215,8 +214,7 @@ func (e *Estimator) Count(rel *relation.Relation, pred Predicate) (Estimate, err
 // countEstimate is the Eq. 3 scalar math, shared by the relation-backed and
 // statistics-backed count estimators: invert the channel over the observed
 // private count cPriv out of s rows. The mechanism enters only through the
-// precomputed (tauN, denom) constants; for GRR they are p·l/N and 1-p, the
-// exact float expressions of the pre-registry code.
+// precomputed (tauN, denom) constants, p·l/N and 1-p at the mapped GRR p.
 func (e *Estimator) countEstimate(ch channelVal, cPriv, s float64) (Estimate, error) {
 	if s == 0 {
 		return Estimate{}, fmt.Errorf("estimator: empty relation")

@@ -26,7 +26,7 @@ import (
 // behavior.
 
 // privatizedMech privatizes under a named mechanism (privatized's GRR-only
-// signature predates the registry).
+// signature predates mechanism names).
 func privatizedMech(t *testing.T, r *relation.Relation, seed int64, p, b float64, mechName string) (*relation.Relation, *privacy.ViewMeta) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"slices"
@@ -61,6 +62,18 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(append(body, '\n'))
+}
+
+// JSONSafe clamps non-finite values to -1, the wire sentinel for
+// "unbounded": JSON has no NaN or Inf, and json.Marshal fails on them. Both
+// services pass every float they emit through it — epsilons (p=0 or b=0
+// means no privacy) and estimate values/intervals alike; an estimate's
+// exact rendering survives in its Text field.
+func JSONSafe(v float64) float64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return -1
+	}
+	return v
 }
 
 // WriteError writes the error envelope.

@@ -21,11 +21,11 @@ import (
 //   - each numerical attribute a_j gets b_j = Delta_j / eps_j, with
 //     Delta_j the attribute's observed max-min range.
 //
-// By Theorem 1 the released view's TotalEpsilonExact is then at most eps
-// (equal, up to constant columns whose epsilon is 0 regardless of b, and
-// single-valued discrete columns, which fall back to the Lemma 1 inversion
-// because any p perfectly hides a constant). The Lemma 1 accounting
-// TotalEpsilon is smaller still for domains above 3 values.
+// By Theorem 1 the released view's TotalEpsilon is then at most eps: equal,
+// except that constant columns contribute 0 whatever their parameter —
+// numeric ones at any b, and single-valued discrete ones at any p (which
+// take the Lemma 1 inversion, having no exact one). The paper's Lemma 1
+// accounting of the same release is smaller for domains above 3 values.
 func AllocateEpsilon(r *relation.Relation, eps float64) (Params, error) {
 	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
 		return Params{}, faults.Errorf(faults.ErrBadParams, "privacy: total epsilon must be positive and finite, got %v", eps)

@@ -33,80 +33,6 @@ type Report struct {
 	Numeric  map[string]float64 `json:"numeric,omitempty"`
 }
 
-// DiscreteMechanism is the public disclosure of the randomized-response
-// channel for one discrete attribute under mechanism Name: with probability
-// P the true value is resampled (how depends on the mechanism), so any
-// particular alternative is reported with probability Q and the true value
-// survives with probability Keep.
-//
-// Epsilon is the mechanism's *exact* local-DP parameter at (P, N) —
-// ln(Keep/Q) — the figure a client actually consents to. EpsilonLemma1 is
-// the paper's Lemma 1 accounting constant ln(3/p - 2), reported only for
-// GRR, where it is what the batch pipeline's composition (TotalEpsilon)
-// sums; for N > 3 it understates Epsilon, which is exactly why the
-// disclosure carries both.
-type DiscreteMechanism struct {
-	Name          string  `json:"mechanism"`
-	P             float64 `json:"p"`
-	Q             float64 `json:"q"`
-	Keep          float64 `json:"keep"`
-	N             int     `json:"n"`
-	Epsilon       float64 `json:"epsilon"`
-	EpsilonLemma1 float64 `json:"epsilon_lemma1,omitempty"`
-}
-
-// NumericMechanism is the public disclosure of the Laplace channel for one
-// numeric attribute.
-type NumericMechanism struct {
-	B       float64 `json:"b"`
-	Delta   float64 `json:"delta"`
-	Epsilon float64 `json:"epsilon"`
-}
-
-// Mechanism is the full public description of the GRR channel a ViewMeta
-// induces, plus its fingerprint. Clients disclose it alongside their reports;
-// a collector pins one fingerprint and rejects batches randomized under any
-// other mechanism, because mixing channels silently corrupts the estimator's
-// inversion.
-type Mechanism struct {
-	Fingerprint string                       `json:"fingerprint"`
-	Discrete    map[string]DiscreteMechanism `json:"discrete,omitempty"`
-	Numeric     map[string]NumericMechanism  `json:"numeric,omitempty"`
-}
-
-// MechanismFor derives the public mechanism disclosure from view metadata.
-func MechanismFor(meta *ViewMeta) Mechanism {
-	m := Mechanism{
-		Fingerprint: MechanismFingerprint(meta),
-		Discrete:    make(map[string]DiscreteMechanism, len(meta.Discrete)),
-		Numeric:     make(map[string]NumericMechanism, len(meta.Numeric)),
-	}
-	for name, dm := range meta.Discrete {
-		n := dm.N()
-		d := DiscreteMechanism{
-			Name:    CanonicalMechanismName(dm.Mechanism),
-			P:       dm.P,
-			N:       n,
-			Epsilon: dm.EpsilonExact(),
-		}
-		if dm.Mechanism == "" || dm.Mechanism == MechGRR {
-			d.EpsilonLemma1 = EpsilonDiscrete(dm.P)
-		}
-		if mech, err := dm.Mech(); err == nil && n > 0 {
-			// Q and Keep are the single-value channel probabilities:
-			// tau_n at l = 1 and tau_p = denom + tau_n.
-			tauN, denom := mech.Channel(dm.P, n, 1)
-			d.Q = tauN
-			d.Keep = denom + tauN
-		}
-		m.Discrete[name] = d
-	}
-	for name, nm := range meta.Numeric {
-		m.Numeric[name] = NumericMechanism{B: nm.B, Delta: nm.Delta, Epsilon: nm.Epsilon()}
-	}
-	return m
-}
-
 // MechanismFingerprint returns the SHA-256 of a canonical rendering of the
 // mechanism parameters: a format-version component, then attributes in
 // sorted order — discrete attributes with (mechanism name, p, domain),
@@ -125,7 +51,7 @@ func MechanismFor(meta *ViewMeta) Mechanism {
 // pinning exists to protect.
 //
 // Format v2 ("pcfp2"): v1 carried neither the version nor the mechanism
-// component, so every fingerprint changed when the registry landed —
+// component, so every fingerprint changed when mechanism names landed —
 // collectors pin the fingerprint in their checkpoint and refuse to append
 // v2-randomized batches to a v1-pinned store (see docs/COLLECT.md).
 func MechanismFingerprint(meta *ViewMeta) string {
@@ -170,19 +96,6 @@ func MechanismFingerprint(meta *ViewMeta) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// PrivatizeRecord randomizes one client record under the mechanism meta
-// describes, returning the report to ship. Attributes are processed in
-// sorted-name order (discrete first, then numeric), so the RNG consumption
-// for a record is a pure function of the mechanism — per-record seeded
-// streams (StreamRand) reproduce reports exactly.
-//
-// Every discrete attribute of the mechanism is randomized: a missing cell is
-// treated as relation.Null and still flips to a domain value with
-// probability p, exactly like a NULL cell in the batch path. Numeric cells
-// receive Laplace(b) noise; missing (absent or NaN) numeric cells stay
-// missing and consume no draw. Attributes in the input that the mechanism
-// does not cover are an error — shipping an un-randomized value would breach
-// the local-DP contract.
 // Record is one raw client row awaiting local randomization.
 type Record struct {
 	Discrete map[string]string
@@ -220,6 +133,23 @@ func PrivatizeRecords(tel *telemetry.Set, parent *telemetry.Span, baseSeed int64
 	return reports, nil
 }
 
+// PrivatizeRecord randomizes one client record under the mechanism meta
+// describes, returning the report to ship. Attributes are processed in
+// sorted-name order (discrete first, then numeric), so the RNG consumption
+// for a record is a pure function of the mechanism — per-record seeded
+// streams (StreamRand) reproduce reports exactly.
+//
+// Every discrete attribute of the mechanism is randomized by GRR at the
+// mapped p (GRRP): at most one Float64 and, on resample, one Intn. A value
+// outside the released domain is refused with faults.ErrBadInput before any
+// draw: no in-domain input can produce it, so shipping it would void the
+// attribute's epsilon. A missing cell is treated as relation.Null, exactly
+// like a NULL cell in the batch path; when the released domain holds no
+// NULL, it is reported as a uniform draw from the domain instead. Numeric
+// cells receive Laplace(b) noise; missing (absent or NaN) numeric cells stay
+// missing and consume no draw. Attributes in the input that the mechanism
+// does not cover are an error — shipping an un-randomized value would breach
+// the local-DP contract.
 func PrivatizeRecord(rng Rand, meta *ViewMeta, discrete map[string]string, numeric map[string]float64) (Report, error) {
 	for name := range discrete {
 		if _, ok := meta.Discrete[name]; !ok {
@@ -242,23 +172,32 @@ func PrivatizeRecord(rng Rand, meta *ViewMeta, discrete map[string]string, numer
 	sort.Strings(names)
 	for _, name := range names {
 		dm := meta.Discrete[name]
-		if dm.P < 0 || dm.P > 1 || math.IsNaN(dm.P) {
-			return Report{}, faults.Errorf(faults.ErrBadParams, "privacy: randomization probability %v out of [0,1]", dm.P)
-		}
-		if len(dm.Domain) == 0 {
+		n := len(dm.Domain)
+		if n == 0 {
 			return Report{}, faults.Errorf(faults.ErrBadMeta, "privacy: empty domain for discrete attribute %q", name)
 		}
-		mech, err := dm.Mech()
+		if err := checkP(dm.Mechanism, dm.P, n); err != nil {
+			return Report{}, fmt.Errorf("privacy: attribute %q: %w", name, err)
+		}
+		p, err := dm.GRRP()
 		if err != nil {
 			return Report{}, err
 		}
-		v, ok := discrete[name]
-		if !ok {
+		v, given := discrete[name]
+		if !given {
 			v = relation.Null
 		}
-		v, err = mech.RandomizeValue(rng, v, dm.Domain, dm.P)
-		if err != nil {
-			return Report{}, fmt.Errorf("privacy: attribute %q: %w", name, err)
+		if i := sort.SearchStrings(dm.Domain, v); i == n || dm.Domain[i] != v {
+			if given {
+				return Report{}, faults.Errorf(faults.ErrBadInput, "privacy: attribute %q: value %q not in the released domain", name, v)
+			}
+			// A missing cell outside a NULL-free domain has nothing to
+			// keep: report a uniform draw, which carries nothing about it.
+			rep.Discrete[name] = dm.Domain[rng.Intn(n)]
+			continue
+		}
+		if p > 0 && rng.Float64() < p {
+			v = dm.Domain[rng.Intn(n)]
 		}
 		rep.Discrete[name] = v
 	}

@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -120,10 +121,10 @@ func TestPrivatizeRecordFlipRate(t *testing.T) {
 }
 
 // TestPrivatizeRecordFlipRatePerMechanism pins the client-path keep rate for
-// every registered mechanism. The keep probabilities differ per mechanism at
-// the same p — GRR keeps with 1-p+p/n (a resample can land home), k-RR and
-// rrbin with exactly 1-p — so a dispatch bug that routed one mechanism's
-// record through another's sampler shifts the rate by whole sigmas.
+// every mechanism name. The keep probabilities differ per name at the same
+// p — GRR keeps with 1-p+p/n (a resample can land home), k-RR and rrbin with
+// exactly 1-p — so a client path that sampled at the written p instead of
+// the mapped one shifts the rate by whole sigmas.
 func TestPrivatizeRecordFlipRatePerMechanism(t *testing.T) {
 	const n = 20000
 	const p = 0.4
@@ -240,22 +241,44 @@ func TestMechanismFingerprintInjective(t *testing.T) {
 	}
 }
 
-func TestMechanismFor(t *testing.T) {
-	m := MechanismFor(clientMeta())
-	dm := m.Discrete["major"]
-	if dm.N != 3 || dm.P != 0.5 {
-		t.Fatalf("bad discrete mechanism: %+v", dm)
-	}
-	if got, want := dm.Q, 0.5/3; math.Abs(got-want) > 1e-15 {
-		t.Fatalf("Q = %v, want %v", got, want)
-	}
-	if got, want := dm.Keep, 1-0.5+0.5/3; math.Abs(got-want) > 1e-15 {
-		t.Fatalf("Keep = %v, want %v", got, want)
-	}
-	if m.Numeric["score"].Epsilon != 10 {
-		t.Fatalf("numeric epsilon = %v, want 10", m.Numeric["score"].Epsilon)
-	}
-	if m.Fingerprint == "" || m.Fingerprint != MechanismFingerprint(clientMeta()) {
-		t.Fatal("mechanism fingerprint mismatch")
+// TestKRRRejectsOutOfDomain: the client path refuses a value outside the
+// released domain under every mechanism name, as k-RR's own path once did,
+// before any draw. GRR used to ship such a value verbatim with probability
+// 1-p, an output no in-domain input can produce, so no finite epsilon
+// covered it. In-domain values still draw exactly as GRR always has.
+func TestKRRRejectsOutOfDomain(t *testing.T) {
+	for _, mech := range MechanismNames() {
+		domain := []string{"CS", "EE", "ME"}
+		if mech == MechRRBin {
+			domain = []string{"CS", "EE"}
+		}
+		meta := &ViewMeta{Discrete: map[string]DiscreteMeta{"major": {Name: "major", P: 0.25, Domain: domain, Mechanism: mech}}}
+		_, err := PrivatizeRecord(noDraws{t}, meta, map[string]string{"major": "History"}, nil)
+		if !errors.Is(err, faults.ErrBadInput) {
+			t.Errorf("%s: out-of-domain value: %v, want ErrBadInput", mech, err)
+		}
+		q, err := GRRP(mech, 0.25, len(domain))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			rep, err := PrivatizeRecord(StreamRand(5, i), meta, map[string]string{"major": "EE"}, nil)
+			if err != nil {
+				t.Fatalf("%s: in-domain value: %v", mech, err)
+			}
+			want, rng := "EE", StreamRand(5, i)
+			if rng.Float64() < q {
+				want = domain[rng.Intn(len(domain))]
+			}
+			if got := rep.Discrete["major"]; got != want {
+				t.Fatalf("%s record %d: reported %q, GRR at the mapped p draws %q", mech, i, got, want)
+			}
+		}
 	}
 }
+
+// noDraws fails the test on any draw.
+type noDraws struct{ t *testing.T }
+
+func (r noDraws) Float64() float64 { r.t.Fatal("unexpected Float64 draw"); return 0 }
+func (r noDraws) Intn(int) int     { r.t.Fatal("unexpected Intn draw"); return 0 }

@@ -2,6 +2,7 @@ package privacy
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -12,7 +13,11 @@ import (
 // re-read), and the fingerprint must survive it unchanged — the fingerprint
 // is what a collector pins, so a round trip that perturbed it would strand
 // every client on restart. Unknown mechanism names must be rejected by
-// Validate, never silently fingerprinted as something else.
+// Validate, never silently fingerprinted as something else. And every
+// validated discrete attribute maps to a proper GRR channel: the mapped p
+// and the channel's τ_n and τ_p lie in [0, 1] (up to rounding), and its
+// epsilon is never NaN or negative, and finite whenever p > 0 or the domain
+// has at most one value.
 func FuzzMechanismMeta(f *testing.F) {
 	seeds := []string{
 		`{}`,
@@ -26,6 +31,8 @@ func FuzzMechanismMeta(f *testing.F) {
 		`{"Numeric":{"score":{"Name":"score","B":2,"Delta":20}},"Rows":3}`,
 		`null`,
 		``,
+		`{"Discrete":{"one":{"Name":"one","P":0.2,"Domain":["x"]}},"Rows":4}`,
+		`{"Discrete":{"major":{"Name":"major","P":0,"Domain":["a","b","c"],"Mechanism":"krr"}},"Rows":4}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -38,10 +45,28 @@ func FuzzMechanismMeta(f *testing.F) {
 		if err := meta.Validate(); err != nil {
 			return // typed rejection is fine (unknown mechanism lands here)
 		}
-		// Every discrete attribute of a validated meta resolves a mechanism.
+		const slack = 1e-12 // rounding in p·l/n and 1-p
 		for name, dm := range meta.Discrete {
-			if _, err := dm.Mech(); err != nil {
-				t.Fatalf("validated meta has unresolvable mechanism for %q: %v", name, err)
+			p, err := dm.GRRP()
+			if err != nil {
+				t.Fatalf("validated meta has an unknown mechanism for %q: %v", name, err)
+			}
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("%q: mapped p %v out of [0,1]", name, p)
+			}
+			n := dm.N()
+			for l := 0; n > 0 && l <= n; l++ {
+				tauN, denom := Channel(p, n, float64(l))
+				if tauP := tauN + denom; !(tauN >= -slack && tauN <= 1+slack && tauP >= -slack && tauP <= 1+slack) {
+					t.Fatalf("%q l=%d: τ_n = %v, τ_p = %v out of [0,1]", name, l, tauN, tauP)
+				}
+			}
+			eps := dm.Epsilon()
+			if math.IsNaN(eps) || eps < 0 {
+				t.Fatalf("%q: epsilon %v", name, eps)
+			}
+			if (dm.P > 0 || n <= 1) && math.IsInf(eps, 0) {
+				t.Fatalf("%q: p = %v over %d values gives epsilon %v", name, dm.P, n, eps)
 			}
 		}
 		fp := MechanismFingerprint(meta)

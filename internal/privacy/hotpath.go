@@ -48,6 +48,16 @@ func resampleVisit(rng Rand, p float64, n int, visit func(int)) {
 	}
 }
 
+// SamplerTag names the RNG-consumption pattern of RandomizedResponseInPlace
+// — one Float64 per geometric gap plus one Intn per resample — which every
+// mechanism name draws through at its mapped p. Pipeline checkpoints record
+// it: a chunk's bytes are a pure function of (data, params, chunk stream)
+// only under a fixed pattern, so any change to how the sampler consumes
+// draws must bump the tag, and resume then refuses checkpoints written under
+// another pattern (such as the retired "krr-skip/2" and "rrbin-skip/1")
+// instead of splicing two into one view.
+const SamplerTag = "grr-skip/2"
+
 // RandomizedResponseInPlace applies the discrete GRR mechanism to col in
 // place: each value is kept with probability 1-p and replaced with a uniform
 // draw from domain with probability p. It performs no allocation; resampled
@@ -119,13 +129,12 @@ func ViewMetaFor(r *relation.Relation, params Params) (*ViewMeta, error) {
 // (csvio.Profile) supplies exactly these, so both input modes release the
 // same metadata bytes.
 func ViewMetaFromProfile(schema relation.Schema, rows int, domains map[string][]string, lows, deltas map[string]float64, params Params) (*ViewMeta, error) {
-	mech, err := MechanismByName(params.Mechanism)
-	if err != nil {
+	if err := MechanismByName(params.Mechanism); err != nil {
 		return nil, faults.Wrap(faults.ErrBadParams, err)
 	}
 	// GRR is stored as the empty string so metadata for the default
-	// mechanism stays byte-identical with pre-registry releases no matter
-	// how the caller spelled it.
+	// mechanism stays byte-identical with releases that predate mechanism
+	// names no matter how the caller spelled it.
 	mechName := params.Mechanism
 	if mechName == MechGRR {
 		mechName = ""
@@ -150,7 +159,7 @@ func ViewMetaFromProfile(schema relation.Schema, rows int, domains map[string][]
 				faults.Errorf(faults.ErrBadInput, "privacy: empty domain for non-empty column"))
 		}
 		if len(domain) > 0 {
-			if err := mech.Validate(p, len(domain)); err != nil {
+			if err := checkP(params.Mechanism, p, len(domain)); err != nil {
 				return nil, fmt.Errorf("privacy: attribute %q: %w", name, err)
 			}
 		}
@@ -198,12 +207,12 @@ func PrivatizeRange(rng Rand, r, view *relation.Relation, meta *ViewMeta, lo, hi
 		if err != nil {
 			return err
 		}
-		mech, err := dm.Mech()
+		p, err := dm.GRRP()
 		if err != nil {
 			return fmt.Errorf("privacy: attribute %q: %w", name, err)
 		}
 		copy(dst[lo:hi], src[lo:hi])
-		if err := mech.RandomizeInPlace(rng, dst[lo:hi], dm.Domain, dm.P); err != nil {
+		if err := RandomizedResponseInPlace(rng, dst[lo:hi], dm.Domain, p); err != nil {
 			return fmt.Errorf("privacy: attribute %q: %w", name, err)
 		}
 	}

@@ -1,29 +1,30 @@
 package privacy
 
-// This file is the pluggable discrete-mechanism registry. The paper's GRR
-// (resample uniformly over the full domain) is one point in the local-DP
-// design space: Kairouz et al. show k-RR (resample over the *other* n-1
-// values) dominates for small domains, and Holohan et al. give the optimal
-// binary design. Each mechanism owns its randomization (batch, code, and
-// per-record client paths), its exact eps(p, n), its inversion constants
-// (the tau_p/tau_n generalization the estimators read), and its identity
-// inside MechanismFingerprint and pipeline checkpoints.
+// This file maps the discrete mechanism names onto the one channel this
+// package randomizes with. The paper's GRR resamples a value uniformly over
+// the full n-value domain with probability p, so it keeps the value with
+// probability 1 - p + p/n and moves it to each other value with p/n. Two
+// designs from the local-DP literature are the same symmetric channel under
+// another parameter:
 //
-// GRR is the default (an empty mechanism name in metadata) and its code
-// paths delegate to the original implementations unchanged, so views,
-// checkpoints, and estimates released before this file existed are
-// reproduced bit-for-bit.
+//   - k-RR (Kairouz et al.) at p' keeps with 1 - p' and moves to each other
+//     value with p'/(n-1): GRR at p = p'·n/(n-1);
+//   - Holohan et al.'s optimal binary design flips a 2-value attribute with
+//     probability p': GRR at p = 2p'.
+//
+// Metadata records the name and p' as written, so fingerprints and
+// parameter hashes keep their inputs; GRRP maps them to GRR's p, and every
+// channel, sampler and epsilon reads the mapped value.
 
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"privateclean/internal/faults"
 )
 
 // Canonical mechanism names. The empty string means MechGRR everywhere a
-// mechanism name is read (metadata predating the registry carries none).
+// mechanism name is read (metadata predating the names carries none).
 const (
 	// MechGRR resamples uniformly over the full n-value domain with
 	// probability p (the paper's Section 4.2.1 mechanism).
@@ -36,53 +37,20 @@ const (
 	MechRRBin = "rrbin"
 )
 
-// ErrUnknownMechanism reports a mechanism name the registry does not know.
+// ErrUnknownMechanism reports a mechanism name this package does not know.
 // Collectors reject such metadata with a typed error rather than guessing
 // inversion constants.
 var ErrUnknownMechanism = errors.New("unknown mechanism")
 
-// DiscreteMech is one discrete local-DP mechanism. Implementations are
-// stateless; all parameters travel in (p, n) so the same instance serves
-// every attribute.
-type DiscreteMech interface {
-	// Tag returns the RNG draw-pattern tag recorded in pipeline
-	// checkpoints: resuming under a different tag would splice two
-	// incompatible randomness streams into one view.
-	Tag() string
-	// Validate reports whether (p, n) is admissible for this mechanism.
-	Validate(p float64, n int) error
-	// Epsilon returns the exact local-DP parameter at (p, n).
-	Epsilon(p float64, n int) float64
-	// Channel returns the inversion constants for a predicate covering l
-	// of the n domain values: tauN = P[output matches | input does not]
-	// and denom = tauP - tauN, the signal the estimator divides by.
-	// denom <= 0 means the channel carries no invertible signal.
-	Channel(p float64, n int, l float64) (tauN, denom float64)
-	// RandomizeInPlace randomizes a string column in place.
-	RandomizeInPlace(rng Rand, col []string, domain []string, p float64) error
-	// RandomizeValue randomizes one client-held value (the per-record
-	// local path used by PrivatizeRecord).
-	RandomizeValue(rng Rand, v string, domain []string, p float64) (string, error)
-}
-
-// MechanismByName resolves a mechanism name; the empty string resolves to
-// GRR. Unknown names return an error satisfying both
+// MechanismByName reports whether name is a known mechanism; the empty
+// string is GRR. An unknown name returns an error satisfying both
 // errors.Is(err, ErrUnknownMechanism) and errors.Is(err, faults.ErrBadMeta).
-func MechanismByName(name string) (DiscreteMech, error) {
-	switch name {
-	case "", MechGRR:
-		return grrMech{}, nil
-	case MechKRR:
-		return krrMech{}, nil
-	case MechRRBin:
-		return rrbinMech{}, nil
-	default:
-		return nil, faults.Errorf(faults.ErrBadMeta, "privacy: %w %q (known: %s, %s, %s)",
-			ErrUnknownMechanism, name, MechGRR, MechKRR, MechRRBin)
-	}
+func MechanismByName(name string) error {
+	_, err := GRRP(name, 0, 2)
+	return err
 }
 
-// MechanismNames lists the registered mechanism names in canonical order.
+// MechanismNames lists the known mechanism names in canonical order.
 func MechanismNames() []string { return []string{MechGRR, MechKRR, MechRRBin} }
 
 // CanonicalMechanismName maps the empty string to MechGRR and leaves every
@@ -93,6 +61,60 @@ func CanonicalMechanismName(name string) string {
 		return MechGRR
 	}
 	return name
+}
+
+// GRRP maps a mechanism name and its probability p, as written in metadata,
+// to the GRR resampling probability that realizes the same channel over an
+// n-value domain. For GRR it returns p itself, with no arithmetic, so every
+// GRR channel constant, draw and epsilon is the one computed from the
+// written p. A k-RR domain below 2 values has no other value to move to;
+// its channel is the identity at any p, and so is GRR's, so p passes
+// through.
+func GRRP(name string, p float64, n int) (float64, error) {
+	switch name {
+	case "", MechGRR:
+		return p, nil
+	case MechKRR:
+		if n < 2 {
+			return p, nil
+		}
+		// p' = (n-1)/n, the largest admissible k-RR p, can round one ulp
+		// above 1 here.
+		return math.Min(1, p*float64(n)/float64(n-1)), nil
+	case MechRRBin:
+		return 2 * p, nil
+	default:
+		return 0, faults.Errorf(faults.ErrBadMeta, "privacy: %w %q (known: %s, %s, %s)",
+			ErrUnknownMechanism, name, MechGRR, MechKRR, MechRRBin)
+	}
+}
+
+// checkP reports whether p, as written, is admissible for the named
+// mechanism over an n-value domain. Every mechanism needs p in [0, 1]; k-RR
+// needs n >= 2 and p <= (n-1)/n, and binary RR needs n == 2 and p <= 1/2,
+// beyond which the mapped GRR p would exceed 1 (the channel would
+// anti-correlate). The name must already be known.
+func checkP(name string, p float64, n int) error {
+	if p < 0 || p > 1 || math.IsNaN(p) {
+		return faults.Errorf(faults.ErrBadParams, "privacy: randomization probability %v out of [0,1]", p)
+	}
+	switch name {
+	case MechKRR:
+		if n < 2 {
+			return faults.Errorf(faults.ErrBadParams, "privacy: krr needs a domain of >= 2 values, got %d", n)
+		}
+		if max := float64(n-1) / float64(n); p > max {
+			return faults.Errorf(faults.ErrBadParams, "privacy: krr randomization probability %v exceeds (n-1)/n = %v (the channel would anti-correlate)", p, max)
+		}
+	case MechRRBin:
+		if n != 2 {
+			return faults.Errorf(faults.ErrBadParams, "privacy: rrbin needs a domain of exactly 2 values, got %d", n)
+		}
+		if p > 0.5 {
+			return faults.Errorf(faults.ErrBadParams, "privacy: rrbin flip probability %v exceeds 1/2 (the channel would anti-correlate)", p)
+		}
+	}
+	return nil
 }
 
 // PForEpsilonExact inverts EpsilonDiscreteExact: the GRR randomization
@@ -120,216 +142,13 @@ func PForEpsilonExact(eps float64, n int) (float64, error) {
 	return p, nil
 }
 
-// ---------------------------------------------------------------------------
-// GRR: resample uniformly over the full domain (the paper's mechanism).
-
-type grrMech struct{}
-
-// Tag must stay exactly "grr-skip/2": it is the checkpoint RNG-pattern tag
-// every pre-registry checkpoint carries (one geometric gap draw per
-// resampled run plus one Intn per resample; see resampleVisit).
-func (grrMech) Tag() string { return "grr-skip/2" }
-
-func (grrMech) Validate(p float64, n int) error {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return faults.Errorf(faults.ErrBadParams, "privacy: randomization probability %v out of [0,1]", p)
-	}
-	return nil
-}
-
-func (grrMech) Epsilon(p float64, n int) float64 { return EpsilonDiscreteExact(p, n) }
-
-// Channel returns tauN = p*l/n and denom = 1-p with exactly the float
-// expressions the estimators used before the registry existed, so GRR
-// estimates stay bit-identical.
-func (grrMech) Channel(p float64, n int, l float64) (tauN, denom float64) {
+// Channel returns GRR's inversion constants at resampling probability p
+// for a predicate covering l of the n domain values: tauN = p*l/n, the
+// probability that a row outside the predicate reports into it, and denom
+// = 1-p = tauP - tauN, the signal the estimator divides by. denom <= 0
+// means the channel carries no invertible signal. The float expressions
+// are the ones the estimators have always used, so GRR estimates stay
+// bit-identical; other mechanisms pass GRRP's mapped p.
+func Channel(p float64, n int, l float64) (tauN, denom float64) {
 	return p * l / float64(n), 1 - p
-}
-
-func (grrMech) RandomizeInPlace(rng Rand, col []string, domain []string, p float64) error {
-	return RandomizedResponseInPlace(rng, col, domain, p)
-}
-
-// RandomizeValue reproduces the original PrivatizeRecord draw pattern
-// exactly: at most one Float64 and, on resample, one Intn.
-func (grrMech) RandomizeValue(rng Rand, v string, domain []string, p float64) (string, error) {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return "", faults.Errorf(faults.ErrBadParams, "privacy: randomization probability %v out of [0,1]", p)
-	}
-	if len(domain) == 0 {
-		return "", faults.Errorf(faults.ErrBadInput, "privacy: empty domain")
-	}
-	if p > 0 && rng.Float64() < p {
-		v = domain[rng.Intn(len(domain))]
-	}
-	return v, nil
-}
-
-// ---------------------------------------------------------------------------
-// k-RR: resample uniformly over the *other* n-1 values (Kairouz et al.).
-
-type krrMech struct{}
-
-// Tag documents the k-RR RNG pattern: one geometric gap draw per resampled
-// run plus one Intn(n-1) per resample (the exclusion shift consumes no
-// extra draw).
-func (krrMech) Tag() string { return "krr-skip/2" }
-
-func (krrMech) Validate(p float64, n int) error {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return faults.Errorf(faults.ErrBadParams, "privacy: randomization probability %v out of [0,1]", p)
-	}
-	if n < 2 {
-		return faults.Errorf(faults.ErrBadParams, "privacy: krr needs a domain of >= 2 values, got %d", n)
-	}
-	if max := float64(n-1) / float64(n); p > max {
-		return faults.Errorf(faults.ErrBadParams, "privacy: krr randomization probability %v exceeds (n-1)/n = %v (the channel would anti-correlate)", p, max)
-	}
-	return nil
-}
-
-// Epsilon returns ln((1-p)(n-1)/p): the likelihood ratio between keeping a
-// value (probability 1-p) and landing on it from any other input
-// (probability p/(n-1)).
-func (krrMech) Epsilon(p float64, n int) float64 {
-	if p <= 0 || n < 2 {
-		return math.Inf(1)
-	}
-	return math.Log((1 - p) * float64(n-1) / p)
-}
-
-// Channel: a non-matching row lands in a predicate covering l values with
-// probability p*l/(n-1); a matching row stays in it with probability
-// (1-p) + p*(l-1)/(n-1), so denom = tauP - tauN = 1 - p*n/(n-1).
-func (krrMech) Channel(p float64, n int, l float64) (tauN, denom float64) {
-	return p * l / float64(n-1), 1 - p*float64(n)/float64(n-1)
-}
-
-func (k krrMech) RandomizeInPlace(rng Rand, col []string, domain []string, p float64) error {
-	if err := k.Validate(p, len(domain)); err != nil && len(col) > 0 {
-		return err
-	}
-	if len(domain) == 0 && len(col) > 0 {
-		return faults.Errorf(faults.ErrBadInput, "privacy: empty domain for non-empty column")
-	}
-	n := len(domain)
-	var firstErr error
-	resampleVisit(rng, p, len(col), func(i int) {
-		j := rng.Intn(n - 1)
-		cur := sort.SearchStrings(domain, col[i])
-		if cur >= n || domain[cur] != col[i] {
-			if firstErr == nil {
-				firstErr = faults.Errorf(faults.ErrBadInput, "privacy: value %q not in the recorded domain", col[i])
-			}
-			return
-		}
-		// Exclusion shift: j indexes the n-1 values other than cur.
-		if j >= cur {
-			j++
-		}
-		col[i] = domain[j]
-	})
-	return firstErr
-}
-
-func (k krrMech) RandomizeValue(rng Rand, v string, domain []string, p float64) (string, error) {
-	if err := k.Validate(p, len(domain)); err != nil {
-		return "", err
-	}
-	n := len(domain)
-	cur := sort.SearchStrings(domain, v)
-	if cur >= n || domain[cur] != v {
-		return "", faults.Errorf(faults.ErrBadInput, "privacy: value %q not in the recorded domain", v)
-	}
-	if p > 0 && rng.Float64() < p {
-		j := rng.Intn(n - 1)
-		if j >= cur {
-			j++
-		}
-		v = domain[j]
-	}
-	return v, nil
-}
-
-// ---------------------------------------------------------------------------
-// rrbin: optimal binary randomized response (Holohan et al.). Defined only
-// for 2-value domains; a resample deterministically flips to the other
-// value, so the flip itself consumes no Intn draw.
-
-type rrbinMech struct{}
-
-// Tag documents the rrbin RNG pattern: geometric gap draws only — the flip
-// target is deterministic.
-func (rrbinMech) Tag() string { return "rrbin-skip/1" }
-
-func (rrbinMech) Validate(p float64, n int) error {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return faults.Errorf(faults.ErrBadParams, "privacy: randomization probability %v out of [0,1]", p)
-	}
-	if n != 2 {
-		return faults.Errorf(faults.ErrBadParams, "privacy: rrbin needs a domain of exactly 2 values, got %d", n)
-	}
-	if p > 0.5 {
-		return faults.Errorf(faults.ErrBadParams, "privacy: rrbin flip probability %v exceeds 1/2 (the channel would anti-correlate)", p)
-	}
-	return nil
-}
-
-// Epsilon returns ln((1-p)/p), the binary randomized-response likelihood
-// ratio.
-func (rrbinMech) Epsilon(p float64, n int) float64 {
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	return math.Log((1 - p) / p)
-}
-
-// Channel: with two values, a predicate covers l in {0, 1, 2} of them; a
-// non-matching row flips into it with probability p*l and the invertible
-// signal is denom = 1 - 2p.
-func (rrbinMech) Channel(p float64, n int, l float64) (tauN, denom float64) {
-	return p * l, 1 - 2*p
-}
-
-func (b rrbinMech) RandomizeInPlace(rng Rand, col []string, domain []string, p float64) error {
-	if err := b.Validate(p, len(domain)); err != nil && len(col) > 0 {
-		return err
-	}
-	if len(col) == 0 {
-		return nil
-	}
-	v0, v1 := domain[0], domain[1]
-	var firstErr error
-	resampleVisit(rng, p, len(col), func(i int) {
-		switch col[i] {
-		case v0:
-			col[i] = v1
-		case v1:
-			col[i] = v0
-		default:
-			if firstErr == nil {
-				firstErr = faults.Errorf(faults.ErrBadInput, "privacy: value %q not in the recorded domain", col[i])
-			}
-		}
-	})
-	return firstErr
-}
-
-func (b rrbinMech) RandomizeValue(rng Rand, v string, domain []string, p float64) (string, error) {
-	if err := b.Validate(p, len(domain)); err != nil {
-		return "", err
-	}
-	var other string
-	switch v {
-	case domain[0]:
-		other = domain[1]
-	case domain[1]:
-		other = domain[0]
-	default:
-		return "", faults.Errorf(faults.ErrBadInput, "privacy: value %q not in the recorded domain", v)
-	}
-	if p > 0 && rng.Float64() < p {
-		v = other
-	}
-	return v, nil
 }

@@ -11,33 +11,22 @@ import (
 	"privateclean/internal/faults"
 )
 
-// The mechanism registry contract: GRR resolves from both "" and "grr" and
-// reproduces the pre-registry code paths bit-for-bit; k-RR and rrbin follow
-// their papers' randomization rules; unknown names fail with a typed error;
+// The mechanism-name contract: every known name maps onto GRR's channel
+// (GRR itself with no arithmetic on p, so its floats and draws are the
+// pre-mapping ones); k-RR and binary RR keep their own admissible ranges and
+// equal their papers' closed forms; unknown names fail with a typed error;
 // and the fingerprint separates mechanisms that share (p, domain).
 
 func TestMechanismByName(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want DiscreteMech
-	}{
-		{"", grrMech{}},
-		{MechGRR, grrMech{}},
-		{MechKRR, krrMech{}},
-		{MechRRBin, rrbinMech{}},
-	} {
-		mech, err := MechanismByName(tc.in)
-		if err != nil {
-			t.Fatalf("MechanismByName(%q): %v", tc.in, err)
-		}
-		if mech != tc.want {
-			t.Errorf("MechanismByName(%q) = %T, want %T", tc.in, mech, tc.want)
+	for _, name := range []string{"", MechGRR, MechKRR, MechRRBin} {
+		if err := MechanismByName(name); err != nil {
+			t.Fatalf("MechanismByName(%q): %v", name, err)
 		}
 	}
 }
 
 func TestMechanismByNameUnknownTyped(t *testing.T) {
-	_, err := MechanismByName("grr-naive")
+	err := MechanismByName("grr-naive")
 	if err == nil {
 		t.Fatal("unknown mechanism resolved")
 	}
@@ -67,21 +56,25 @@ func TestMechanismNames(t *testing.T) {
 		t.Fatalf("MechanismNames() = %v", names)
 	}
 	for _, name := range names {
-		if _, err := MechanismByName(name); err != nil {
-			t.Errorf("listed mechanism %q does not resolve: %v", name, err)
+		if err := MechanismByName(name); err != nil {
+			t.Errorf("listed mechanism %q is not known: %v", name, err)
 		}
 	}
 }
 
 // TestGRRChannelBitIdentity: the GRR channel constants must be computed with
-// exactly the float expressions the estimators used before the registry
-// existed — (p*l/float64(n), 1-p) — not any algebraic rearrangement.
+// exactly the float expressions the estimators used before the mechanism
+// names were mapped — (p*l/float64(n), 1-p) — not any algebraic
+// rearrangement, and GRRP must hand GRR's p through untouched.
 func TestGRRChannelBitIdentity(t *testing.T) {
-	mech, _ := MechanismByName("")
 	for _, p := range []float64{0.1, 0.25, 1.0 / 3.0, 0.7} {
 		for n := 2; n <= 7; n++ {
 			for l := 1.0; l <= 3; l++ {
-				tauN, denom := mech.Channel(p, n, l)
+				q, err := GRRP("", p, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tauN, denom := Channel(q, n, l)
 				if want := p * l / float64(n); tauN != want {
 					t.Errorf("grr tauN(p=%v,n=%d,l=%v) = %v, want bit-identical %v", p, n, l, tauN, want)
 				}
@@ -93,10 +86,9 @@ func TestGRRChannelBitIdentity(t *testing.T) {
 	}
 }
 
-// TestGRRRandomizeByteIdentity: the registry's GRR paths must consume the RNG
-// stream identically to the original package-level functions.
+// TestGRRRandomizeByteIdentity: sampling at GRRP's p for GRR must consume
+// the RNG stream identically to the original package-level function.
 func TestGRRRandomizeByteIdentity(t *testing.T) {
-	mech, _ := MechanismByName(MechGRR)
 	domain := []string{"a", "b", "c", "d"}
 	const p = 0.37
 
@@ -109,135 +101,47 @@ func TestGRRRandomizeByteIdentity(t *testing.T) {
 	if err := RandomizedResponseInPlace(rand.New(rand.NewSource(42)), col1, domain, p); err != nil {
 		t.Fatal(err)
 	}
-	if err := mech.RandomizeInPlace(rand.New(rand.NewSource(42)), col2, domain, p); err != nil {
+	q, err := GRRP(MechGRR, p, len(domain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RandomizedResponseInPlace(rand.New(rand.NewSource(42)), col2, domain, q); err != nil {
 		t.Fatal(err)
 	}
 	for i := range col1 {
 		if col1[i] != col2[i] {
-			t.Fatalf("row %d: legacy %q, registry %q", i, col1[i], col2[i])
+			t.Fatalf("row %d: legacy %q, mapped %q", i, col1[i], col2[i])
 		}
 	}
 }
-
-// scriptedRand forces the resample branch and returns a scripted Intn result,
-// so per-value randomization rules can be checked exhaustively.
-type scriptedRand struct {
-	f float64
-	j int
-}
-
-func (s scriptedRand) Float64() float64 { return s.f }
-func (s scriptedRand) Intn(n int) int {
-	if s.j >= n {
-		panic("scripted j out of range")
-	}
-	return s.j
-}
-
-// TestKRRResampleExcludesCurrent: when k-RR resamples, the replacement is
-// never the input value, and the exclusion shift maps Intn(n-1) uniformly
-// onto the other n-1 values.
-func TestKRRResampleExcludesCurrent(t *testing.T) {
-	mech, _ := MechanismByName(MechKRR)
-	domain := []string{"a", "b", "c", "d", "e"}
-	for cur, v := range domain {
-		seen := map[string]bool{}
-		for j := 0; j < len(domain)-1; j++ {
-			got, err := mech.RandomizeValue(scriptedRand{f: 0, j: j}, v, domain, 0.5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got == v {
-				t.Errorf("krr resample of %q (index %d) with j=%d returned the input", v, cur, j)
-			}
-			seen[got] = true
-		}
-		if len(seen) != len(domain)-1 {
-			t.Errorf("krr resample of %q covered %d values, want %d", v, len(seen), len(domain)-1)
-		}
-	}
-}
-
-func TestKRRRejectsOutOfDomain(t *testing.T) {
-	mech, _ := MechanismByName(MechKRR)
-	domain := []string{"a", "b", "c"}
-	if _, err := mech.RandomizeValue(rand.New(rand.NewSource(1)), "zzz", domain, 0.2); !errors.Is(err, faults.ErrBadInput) {
-		t.Errorf("RandomizeValue out-of-domain: %v, want ErrBadInput", err)
-	}
-	col := []string{"a", "zzz", "b"}
-	if err := mech.RandomizeInPlace(fullResample{}, col, domain, 0.5); !errors.Is(err, faults.ErrBadInput) {
-		t.Errorf("RandomizeInPlace out-of-domain: %v, want ErrBadInput", err)
-	}
-}
-
-// fullResample drives resampleVisit to visit every index (Float64 always
-// below p) and picks the first alternative at each.
-type fullResample struct{}
-
-func (fullResample) Float64() float64 { return 0 }
-func (fullResample) Intn(n int) int   { return 0 }
 
 func TestKRRValidateBounds(t *testing.T) {
-	mech, _ := MechanismByName(MechKRR)
-	if err := mech.Validate(0.5, 1); !errors.Is(err, faults.ErrBadParams) {
+	if err := checkP(MechKRR, 0.5, 1); !errors.Is(err, faults.ErrBadParams) {
 		t.Errorf("Validate(n=1): %v, want ErrBadParams", err)
 	}
-	if err := mech.Validate(0.9, 4); !errors.Is(err, faults.ErrBadParams) {
+	if err := checkP(MechKRR, 0.9, 4); !errors.Is(err, faults.ErrBadParams) {
 		t.Errorf("Validate(p > (n-1)/n): %v, want ErrBadParams", err)
 	}
-	if err := mech.Validate(0.75, 4); err != nil {
+	if err := checkP(MechKRR, 0.75, 4); err != nil {
 		t.Errorf("Validate(p = (n-1)/n): %v, want nil", err)
 	}
 }
 
-func TestRRBinFlipDeterministic(t *testing.T) {
-	mech, _ := MechanismByName(MechRRBin)
-	domain := []string{"no", "yes"}
-	// Forced resample flips to the other value without consuming an Intn
-	// draw (scriptedRand with j=0 would panic only on Intn(0); rrbin must
-	// not call Intn at all, so hand it a source that panics on any Intn).
-	got, err := mech.RandomizeValue(noIntn{}, "no", domain, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "yes" {
-		t.Errorf("flip of \"no\" = %q", got)
-	}
-	got, err = mech.RandomizeValue(noIntn{}, "yes", domain, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "no" {
-		t.Errorf("flip of \"yes\" = %q", got)
-	}
-	if _, err := mech.RandomizeValue(noIntn{}, "maybe", domain, 0.4); !errors.Is(err, faults.ErrBadInput) {
-		t.Errorf("out-of-domain flip: %v, want ErrBadInput", err)
-	}
-}
-
-// noIntn forces the resample branch and fails the test if the mechanism
-// consumes an Intn draw — rrbin's flip target is deterministic.
-type noIntn struct{}
-
-func (noIntn) Float64() float64 { return 0 }
-func (noIntn) Intn(n int) int   { panic("rrbin must not draw Intn") }
-
 func TestRRBinValidateBounds(t *testing.T) {
-	mech, _ := MechanismByName(MechRRBin)
-	if err := mech.Validate(0.2, 3); !errors.Is(err, faults.ErrBadParams) {
+	if err := checkP(MechRRBin, 0.2, 3); !errors.Is(err, faults.ErrBadParams) {
 		t.Errorf("Validate(n=3): %v, want ErrBadParams", err)
 	}
-	if err := mech.Validate(0.6, 2); !errors.Is(err, faults.ErrBadParams) {
+	if err := checkP(MechRRBin, 0.6, 2); !errors.Is(err, faults.ErrBadParams) {
 		t.Errorf("Validate(p>1/2): %v, want ErrBadParams", err)
 	}
-	if err := mech.Validate(0.5, 2); err != nil {
+	if err := checkP(MechRRBin, 0.5, 2); err != nil {
 		t.Errorf("Validate(p=1/2): %v, want nil", err)
 	}
 }
 
 // TestMechanismEpsilonChannelConsistency: for every mechanism, the exact
-// epsilon must equal ln(Keep/Q) computed from the channel at l = 1 — the
-// likelihood ratio a client's single value actually faces.
+// epsilon must equal ln(Keep/Q) computed from the mapped channel at l = 1 —
+// the likelihood ratio a client's single value actually faces.
 func TestMechanismEpsilonChannelConsistency(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -248,13 +152,13 @@ func TestMechanismEpsilonChannelConsistency(t *testing.T) {
 		{MechKRR, 0.2, 4}, {MechKRR, 0.6, 10}, {MechKRR, 0.4, 2},
 		{MechRRBin, 0.1, 2}, {MechRRBin, 0.45, 2},
 	} {
-		mech, err := MechanismByName(tc.name)
+		q, err := GRRP(tc.name, tc.p, tc.n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tauN, denom := mech.Channel(tc.p, tc.n, 1)
+		tauN, denom := Channel(q, tc.n, 1)
 		want := math.Log((denom + tauN) / tauN)
-		got := mech.Epsilon(tc.p, tc.n)
+		got := DiscreteMeta{P: tc.p, Domain: make([]string, tc.n), Mechanism: tc.name}.Epsilon()
 		if math.Abs(got-want) > 1e-12 {
 			t.Errorf("%s eps(p=%v,n=%d) = %v, channel ratio gives %v", tc.name, tc.p, tc.n, got, want)
 		}
@@ -293,44 +197,6 @@ func TestPForEpsilonExactRejectsBadInput(t *testing.T) {
 	p, err := PForEpsilonExact(math.Inf(1), 4)
 	if err != nil || p != 0 {
 		t.Errorf("+Inf: p=%v err=%v, want 0, nil", p, err)
-	}
-}
-
-// TestDisclosureReportsExactEpsilon is the regression test for the
-// understated-epsilon bug: MechanismFor's disclosure used EpsilonDiscrete(p)
-// (the Lemma 1 constant, exact only at n = 3), so a 10-value GRR domain
-// disclosed a smaller epsilon than the channel actually leaks.
-func TestDisclosureReportsExactEpsilon(t *testing.T) {
-	domain := []string{"0", "1", "2", "3", "4", "5", "6", "7", "8", "9"}
-	const p = 0.3
-	meta := &ViewMeta{
-		Discrete: map[string]DiscreteMeta{
-			"digit": {Name: "digit", P: p, Domain: domain},
-		},
-		Rows: 100,
-	}
-	mech := MechanismFor(meta)
-	d := mech.Discrete["digit"]
-	exact := EpsilonDiscreteExact(p, 10)
-	lemma1 := EpsilonDiscrete(p)
-	if math.Abs(d.Epsilon-exact) > 1e-12 {
-		t.Errorf("disclosed epsilon = %v, want exact %v", d.Epsilon, exact)
-	}
-	if math.Abs(d.EpsilonLemma1-lemma1) > 1e-12 {
-		t.Errorf("disclosed epsilon_lemma1 = %v, want %v", d.EpsilonLemma1, lemma1)
-	}
-	if exact <= lemma1 {
-		t.Fatalf("test premise broken: exact %v should exceed Lemma 1 %v at n=10", exact, lemma1)
-	}
-	// And the channel constants must match ln(Keep/Q).
-	if got := math.Log(d.Keep / d.Q); math.Abs(got-d.Epsilon) > 1e-12 {
-		t.Errorf("ln(Keep/Q) = %v, disclosed epsilon = %v", got, d.Epsilon)
-	}
-	// Non-GRR disclosures omit the Lemma 1 constant — it is a GRR
-	// accounting artifact, meaningless for other channels.
-	meta.Discrete["digit"] = DiscreteMeta{Name: "digit", P: 0.3, Domain: domain, Mechanism: MechKRR}
-	if d := MechanismFor(meta).Discrete["digit"]; d.EpsilonLemma1 != 0 {
-		t.Errorf("krr disclosure carries epsilon_lemma1 = %v, want omitted", d.EpsilonLemma1)
 	}
 }
 
@@ -377,12 +243,11 @@ func TestDiscreteMetaJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(legacy, &dm); err != nil {
 		t.Fatal(err)
 	}
-	mech, err := dm.Mech()
-	if err != nil {
-		t.Fatalf("legacy meta mechanism: %v", err)
+	if got := CanonicalMechanismName(dm.Mechanism); got != MechGRR {
+		t.Errorf("legacy meta names mechanism %q, want grr", got)
 	}
-	if mech != (grrMech{}) {
-		t.Errorf("legacy meta resolved to %T, want grr", mech)
+	if q, err := dm.GRRP(); err != nil || q != dm.P {
+		t.Errorf("legacy meta GRRP = %v, %v; want p itself", q, err)
 	}
 	out, err := json.Marshal(dm)
 	if err != nil {
@@ -424,14 +289,101 @@ func TestViewMetaValidateRejectsUnknownMechanism(t *testing.T) {
 	}
 }
 
-// TestMechanismTags: checkpoint tags name the RNG draw pattern; GRR's must
-// stay exactly the pre-registry constant.
+// TestMechanismTags: the checkpoint tag names the sampler's RNG draw
+// pattern, which every mechanism name shares; it must stay exactly the
+// constant every GRR checkpoint has carried.
 func TestMechanismTags(t *testing.T) {
-	want := map[string]string{MechGRR: "grr-skip/2", MechKRR: "krr-skip/2", MechRRBin: "rrbin-skip/1"}
-	for name, tag := range want {
-		mech, _ := MechanismByName(name)
-		if got := mech.Tag(); got != tag {
-			t.Errorf("%s tag = %q, want %q", name, got, tag)
+	if SamplerTag != "grr-skip/2" {
+		t.Errorf("SamplerTag = %q, want %q", SamplerTag, "grr-skip/2")
+	}
+}
+
+// closedForm is each mechanism's channel from its own paper, kept in test
+// code as the reference GRRP is checked against: keep is the probability a
+// value is reported as itself, move the probability it is reported as one
+// given other value.
+func closedForm(name string, p float64, n int) (keep, move float64) {
+	switch name {
+	case MechKRR: // Kairouz et al.: resample over the other n-1 values
+		return 1 - p, p / float64(n-1)
+	case MechRRBin: // Holohan et al.: flip to the other of two values
+		return 1 - p, p
+	default: // the paper's GRR: resample over all n values
+		return 1 - p + p/float64(n), p / float64(n)
+	}
+}
+
+// TestMappedChannelMatchesClosedForms: over n = 2…64 and a grid of
+// admissible p′, GRR's channel at GRRP's p equals k-RR's closed form entry
+// by entry — τ_n = l·move and τ_p = keep + (l−1)·move for every predicate
+// width l ≤ n — and the attribute's epsilon equals ln(keep/move); binary RR
+// is checked the same way at n = 2, and GRR against its own closed form.
+func TestMappedChannelMatchesClosedForms(t *testing.T) {
+	const steps = 40
+	type row struct {
+		name string
+		n    int
+		max  float64
+	}
+	var rows []row
+	for n := 2; n <= 64; n++ {
+		rows = append(rows, row{MechKRR, n, float64(n-1) / float64(n)}, row{MechGRR, n, 1})
+	}
+	rows = append(rows, row{MechRRBin, 2, 0.5})
+	for _, r := range rows {
+		for i := 0; i <= steps; i++ {
+			p := r.max // exactly, where max*steps/steps can round above it
+			if i < steps {
+				p = r.max * float64(i) / steps
+			}
+			if err := checkP(r.name, p, r.n); err != nil {
+				t.Fatalf("%s p=%v n=%d: grid point not admissible: %v", r.name, p, r.n, err)
+			}
+			q, err := GRRP(r.name, p, r.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep, move := closedForm(r.name, p, r.n)
+			for l := 0; l <= r.n; l++ {
+				tauN, denom := Channel(q, r.n, float64(l))
+				wantN, wantP := float64(l)*move, keep+float64(l-1)*move
+				if math.Abs(tauN-wantN) > 1e-15 || math.Abs(tauN+denom-wantP) > 1e-15 {
+					t.Fatalf("%s p=%v n=%d l=%d: mapped (τ_n, τ_p) = (%v, %v), closed form (%v, %v)",
+						r.name, p, r.n, l, tauN, tauN+denom, wantN, wantP)
+				}
+			}
+			got := DiscreteMeta{P: p, Domain: make([]string, r.n), Mechanism: r.name}.Epsilon()
+			want := math.Log(keep / move)
+			if p == 0 {
+				if !math.IsInf(got, 1) {
+					t.Fatalf("%s p=0 n=%d: epsilon %v, want +Inf", r.name, r.n, got)
+				}
+				continue
+			}
+			if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
+				t.Fatalf("%s p=%v n=%d: epsilon %v, closed form %v", r.name, p, r.n, got, want)
+			}
 		}
+	}
+}
+
+// TestEpsilonConstantDomainIsZero: a domain of at most one value is
+// released perfectly at any p, so its exact epsilon is 0 — not +Inf, which
+// would make a constant discrete column unbound the composed total.
+func TestEpsilonConstantDomainIsZero(t *testing.T) {
+	for _, p := range []float64{0, 0.2, 1} {
+		for _, n := range []int{0, 1} {
+			if got := EpsilonDiscreteExact(p, n); got != 0 {
+				t.Errorf("EpsilonDiscreteExact(%v, %d) = %v, want 0", p, n, got)
+			}
+		}
+	}
+	meta := &ViewMeta{
+		Discrete: map[string]DiscreteMeta{"one": {Name: "one", P: 0.2, Domain: []string{"x"}}},
+		Numeric:  map[string]NumericMeta{"score": {Name: "score", B: 2, Delta: 4}},
+		Rows:     10,
+	}
+	if got := meta.TotalEpsilon(); got != 2 {
+		t.Errorf("TotalEpsilon with a one-value attribute = %v, want 2 (the numeric share alone)", got)
 	}
 }

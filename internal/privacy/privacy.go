@@ -4,8 +4,10 @@
 //
 //   - randomized response for discrete attributes: with probability p_i a
 //     value is replaced by a uniform draw from the attribute's domain
-//     (Section 4.2.1), which is eps-local differentially private with
-//     eps = ln(3/p - 2) (Lemma 1);
+//     (Section 4.2.1), which is eps-local differentially private with the
+//     exact eps = ln(N(1-p)/p + 1) over N values (Lemma 1's ln(3/p - 2) is
+//     its N = 3 case); k-RR and binary RR are the same channel under
+//     another parameter (see GRRP);
 //   - the Laplace mechanism for numerical attributes: zero-mean Laplace(b_i)
 //     noise (Section 4.2.2), eps = Delta_i / b_i (Proposition 1);
 //   - composition across attributes: eps_total = sum of per-attribute eps
@@ -75,39 +77,32 @@ type DiscreteMeta struct {
 	P      float64
 	Domain []string // sorted distinct values of the source attribute
 	// Mechanism names the discrete mechanism the view was randomized
-	// under; empty means GRR (the only mechanism before the registry
-	// existed, so legacy metadata decodes correctly).
+	// under, and P is that mechanism's parameter as written; GRRP maps
+	// both to the GRR channel. Empty means GRR (the only mechanism before
+	// names existed, so legacy metadata decodes correctly).
 	Mechanism string `json:",omitempty"`
 }
 
 // N returns the dirty-domain size |Domain(d_i)|.
 func (m DiscreteMeta) N() int { return len(m.Domain) }
 
-// Mech resolves the attribute's mechanism from the registry.
-func (m DiscreteMeta) Mech() (DiscreteMech, error) { return MechanismByName(m.Mechanism) }
+// GRRP returns the GRR resampling probability that realizes the
+// attribute's recorded mechanism at its recorded p (see the package-level
+// GRRP). An unknown mechanism name is an error.
+func (m DiscreteMeta) GRRP() (float64, error) { return GRRP(m.Mechanism, m.P, m.N()) }
 
-// Epsilon returns the attribute's local differential privacy parameter.
-// For GRR this is the paper's Lemma 1 constant ln(3/p - 2) — reproducing
-// the paper's accounting is this repository's contract (see
-// EpsilonDiscrete's caveat) — while the other mechanisms, which the paper
-// does not cover, report their exact eps. p == 0 yields +Inf (no privacy).
+// Epsilon returns the attribute's exact local differential privacy
+// parameter, EpsilonDiscreteExact at the mapped GRR p: the likelihood ratio
+// a client's value actually faces, whatever name the mechanism was recorded
+// under. p == 0 over two or more values yields +Inf (no privacy), and an
+// unknown mechanism yields +Inf too (assume no privacy rather than
+// overstate it).
 func (m DiscreteMeta) Epsilon() float64 {
-	if m.Mechanism == "" || m.Mechanism == MechGRR {
-		return EpsilonDiscrete(m.P)
-	}
-	return m.EpsilonExact()
-}
-
-// EpsilonExact returns the attribute's exact local differential privacy
-// parameter under its recorded mechanism — the value a client actually
-// consents to. An unknown mechanism yields +Inf (assume no privacy rather
-// than overstate it).
-func (m DiscreteMeta) EpsilonExact() float64 {
-	mech, err := m.Mech()
+	p, err := m.GRRP()
 	if err != nil {
 		return math.Inf(1)
 	}
-	return mech.Epsilon(m.P, m.N())
+	return EpsilonDiscreteExact(p, m.N())
 }
 
 // NumericMeta records the Laplace scale and observed sensitivity of one
@@ -168,30 +163,14 @@ type ViewMeta struct {
 	Rows     int
 }
 
-// TotalEpsilon composes the per-attribute privacy parameters into the
-// relation-level eps (Theorem 1). Any non-randomized attribute (p == 0 or
-// b == 0) makes the total +Inf, reflecting that one non-private column
-// de-privatizes the others.
+// TotalEpsilon composes the exact per-attribute privacy parameters into
+// the relation-level eps (Theorem 1). Any non-randomized attribute (p == 0
+// or b == 0 over a non-constant column) makes the total +Inf, reflecting
+// that one non-private column de-privatizes the others.
 func (v *ViewMeta) TotalEpsilon() float64 {
 	total := 0.0
 	for _, m := range v.Discrete {
 		total += m.Epsilon()
-	}
-	for _, m := range v.Numeric {
-		total += m.Epsilon()
-	}
-	return total
-}
-
-// TotalEpsilonExact composes the exact per-attribute privacy parameters
-// (EpsilonExact / NumericMeta.Epsilon) into the relation-level eps. For GRR
-// over domains larger than 3 values this exceeds TotalEpsilon, because the
-// Lemma 1 accounting understates the per-attribute eps (see
-// EpsilonDiscrete's caveat); this is the figure a disclosure should quote.
-func (v *ViewMeta) TotalEpsilonExact() float64 {
-	total := 0.0
-	for _, m := range v.Discrete {
-		total += m.EpsilonExact()
 	}
 	for _, m := range v.Numeric {
 		total += m.Epsilon()
@@ -212,11 +191,12 @@ func (v *ViewMeta) DiscreteFor(name string) (DiscreteMeta, error) {
 // for randomized response with probability p. p == 0 gives +Inf and p == 1
 // gives ln(1) = 0 (full randomization, perfect privacy).
 //
-// Caveat (documented in EXPERIMENTS.md): this is the exact k-RR epsilon for
-// a 3-value domain. The exact epsilon grows with the domain size — see
+// Caveat (documented in EXPERIMENTS.md): this is the exact epsilon for a
+// 3-value domain. The exact epsilon grows with the domain size — see
 // EpsilonDiscreteExact — so for N > 3 the Lemma 1 constant understates the
-// true local-DP parameter. It is kept as the default because reproducing
-// the paper's accounting is this repository's contract.
+// true local-DP parameter. Only the paper reproductions (Tune, pc tune and
+// pc epsilon's eps_lemma1 column, the tradeoff and real experiments) use
+// it; every operator-facing epsilon is DiscreteMeta.Epsilon.
 func EpsilonDiscrete(p float64) float64 {
 	if p <= 0 {
 		return math.Inf(1)
@@ -224,17 +204,24 @@ func EpsilonDiscrete(p float64) float64 {
 	return math.Log(3/p - 2)
 }
 
-// EpsilonDiscreteExact returns the exact local-DP parameter of k-ary
-// randomized response over a domain of n values:
+// EpsilonDiscreteExact returns the exact local-DP parameter of GRR at
+// probability p over a domain of n values:
 //
-//	eps = ln( (1 − p + p/n) / (p/n) ) = ln( n(1−p)/p + 1 )
+//	eps = ln( (1 − p + p/n) / (p/n) ) = ln( n(1−p) + p ) − ln(p)
 //
-// It is increasing in n; EpsilonDiscrete equals it at n = 3.
+// It is increasing in n; EpsilonDiscrete equals it at n = 3. A domain of
+// at most one value is released perfectly at any p, so its eps is 0, just
+// as EpsilonNumeric is 0 for a constant column. The difference of logs
+// stays finite for every p > 0, where the ratio would overflow for a
+// subnormal p.
 func EpsilonDiscreteExact(p float64, n int) float64 {
-	if p <= 0 || n < 2 {
+	if n <= 1 {
+		return 0
+	}
+	if p <= 0 {
 		return math.Inf(1)
 	}
-	return math.Log(float64(n)*(1-p)/p + 1)
+	return math.Log(float64(n)*(1-p)+p) - math.Log(p)
 }
 
 // PForEpsilon inverts EpsilonDiscrete: the randomization probability that

@@ -292,7 +292,7 @@ func TestTotalEpsilonComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := EpsilonDiscrete(0.25) + EpsilonNumeric(4, 2)
+	want := EpsilonDiscreteExact(0.25, 4) + EpsilonNumeric(4, 2)
 	if got := meta.TotalEpsilon(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("TotalEpsilon = %v, want %v", got, want)
 	}

@@ -86,26 +86,20 @@ func privatizedView(t *testing.T, r *relation.Relation, seed int64, params Param
 	return view
 }
 
-// chiSquareMech generalizes chiSquareGRR to any registered mechanism by
-// reading the expectation straight off the channel constants: a row holding v
-// reports v with probability tauP = denom + tauN, and a row holding anything
-// else lands on v with probability tauN (at predicate width l = 1), so
-// e_v = tauP*c_v + tauN*(S - c_v). This couples the sampler to the very
-// constants the estimators invert — if they drift apart, both this test and
-// the unbiasedness suite fail.
+// chiSquareMech generalizes chiSquareGRR to every mechanism name by reading
+// the expectation off the mechanism's closed form (closedForm, from its own
+// paper): a row holding v reports v with probability keep, and a row holding
+// anything else lands on v with probability move, so
+// e_v = keep*c_v + move*(S - c_v). The sampler draws GRR at GRRP's mapped p,
+// so these rows check the mapping end to end.
 func chiSquareMech(t *testing.T, mechName string, view *relation.Relation, attr string, counts map[string]int, p float64) float64 {
 	t.Helper()
-	mech, err := MechanismByName(mechName)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := 0
 	for _, c := range counts {
 		s += c
 	}
 	n := len(counts)
-	tauN, denom := mech.Channel(p, n, 1)
-	tauP := denom + tauN
+	tauP, tauN := closedForm(mechName, p, n)
 	observed := make(map[string]int, n)
 	col, err := view.Discrete(attr)
 	if err != nil {

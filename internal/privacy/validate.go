@@ -19,7 +19,7 @@ import (
 // whole relation. The library entry points stay permissive because the
 // experiment harness deliberately explores the no-noise corner.
 func (params Params) Validate(schema relation.Schema, strict bool) error {
-	if _, err := MechanismByName(params.Mechanism); err != nil {
+	if err := MechanismByName(params.Mechanism); err != nil {
 		return faults.Wrap(faults.ErrBadParams, err)
 	}
 	for _, name := range schema.DiscreteNames() {
@@ -76,14 +76,13 @@ func (v *ViewMeta) Validate() error {
 				return faults.Errorf(faults.ErrBadMeta, "privacy: attribute %q: duplicate domain value %q", key, m.Domain[i])
 			}
 		}
-		mech, err := MechanismByName(m.Mechanism)
-		if err != nil {
-			// Already classified ErrBadMeta (and ErrUnknownMechanism) by the
-			// registry; collectors branch on both.
+		if err := MechanismByName(m.Mechanism); err != nil {
+			// Already classified ErrBadMeta (and ErrUnknownMechanism);
+			// collectors branch on both.
 			return fmt.Errorf("privacy: attribute %q: %w", key, err)
 		}
 		if len(m.Domain) > 0 {
-			if err := mech.Validate(m.P, m.N()); err != nil {
+			if err := checkP(m.Mechanism, m.P, m.N()); err != nil {
 				return fmt.Errorf("privacy: attribute %q: %w", key, faults.Wrap(faults.ErrBadMeta, err))
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"privateclean/internal/estimator"
+	"privateclean/internal/httpsvc"
 	"privateclean/internal/query"
 	"privateclean/internal/telemetry"
 )
@@ -11,7 +12,7 @@ import (
 // estimateJSON is one corrected estimate on the wire. Text carries the
 // exact Estimate.String() rendering, so a client (and the integration
 // tests) can compare byte-for-byte against the `privateclean query` CLI.
-// Value and CI pass through jsonSafe: a non-finite estimate (possible on
+// Value and CI pass through httpsvc.JSONSafe: a non-finite estimate (possible on
 // degenerate views) encodes as the -1 sentinel, with Text preserving the
 // exact non-finite rendering.
 type estimateJSON struct {
@@ -21,7 +22,7 @@ type estimateJSON struct {
 }
 
 func toJSON(e estimator.Estimate) estimateJSON {
-	return estimateJSON{Value: jsonSafe(e.Value), CI: jsonSafe(e.CI), Text: e.String()}
+	return estimateJSON{Value: httpsvc.JSONSafe(e.Value), CI: httpsvc.JSONSafe(e.CI), Text: e.String()}
 }
 
 // groupEstimate is one GROUP BY bucket. Key may be a private cell value;

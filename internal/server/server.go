@@ -28,7 +28,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -263,7 +262,7 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 	}
 	// TotalEpsilon can be +Inf (a non-randomized column); JSON has no Inf,
 	// so clamp to the -1 sentinel the client can recognize.
-	resp.TotalEpsilon = jsonSafe(meta.TotalEpsilon())
+	resp.TotalEpsilon = httpsvc.JSONSafe(meta.TotalEpsilon())
 	var cols []relation.Column
 	if s.stats != nil {
 		resp.Rows = s.stats.Rows
@@ -283,10 +282,10 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 				dc.Distinct = n
 			}
 			if dm, err := meta.DiscreteFor(c.Name); err == nil {
-				dc.Epsilon = jsonSafe(dm.Epsilon())
+				dc.Epsilon = httpsvc.JSONSafe(dm.Epsilon())
 			}
 		} else if nm, ok := meta.Numeric[c.Name]; ok {
-			dc.Epsilon = jsonSafe(nm.Epsilon())
+			dc.Epsilon = httpsvc.JSONSafe(nm.Epsilon())
 		}
 		resp.Columns = append(resp.Columns, dc)
 	}
@@ -294,18 +293,6 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 		resp.CleanedAttrs = s.est.Prov.Attrs()
 	}
 	httpsvc.WriteJSON(w, http.StatusOK, resp)
-}
-
-// jsonSafe clamps non-finite values to -1, the wire sentinel for
-// "unbounded": JSON has no NaN or Inf, and json.Marshal fails on them. It
-// guards every float the server emits — epsilons (p=0 or b=0 means no
-// privacy) and estimate values/intervals alike; an estimate's exact
-// rendering survives in its Text field.
-func jsonSafe(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return -1
-	}
-	return v
 }
 
 // statuszResponse is the /v1/statusz health summary for the query service:
@@ -326,7 +313,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		Service:       "serve",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Mode:          "relation",
-		TotalEpsilon:  jsonSafe(s.est.Meta.TotalEpsilon()),
+		TotalEpsilon:  httpsvc.JSONSafe(s.est.Meta.TotalEpsilon()),
 		Confidence:    s.est.Confidence,
 		Inflight:      s.InFlight(),
 		MaxInFlight:   s.MaxInFlight(),
