@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -131,4 +134,76 @@ func TestGoldenQueryStats(t *testing.T) {
 		})
 		golden(t, c.name, []byte(out))
 	}
+}
+
+// cleanOpSets are the op chains TestGoldenClean locks: every CLI op kind
+// alone, and two-op chains that put a global op (md, fd, fdimpute) ahead of
+// or behind another op.
+var cleanOpSets = [][]string{
+	{"replace:city:Berkley:Berkeley"},
+	{"nullify:city:Berkeley,Oakland,NYC"},
+	{"md:city:2"},
+	{"fd:zip:city"},
+	{"fdimpute:zip:city"},
+	{"replace:city:Berkley:Berkeley", "nullify:city:Berkeley,Oakland,NYC"},
+	{"md:city:2", "replace:city:Berkeley:Oakland"},
+	{"fdimpute:zip:city", "fd:zip:city"},
+	{"fd:zip:city", "nullify:city:Berkeley,Oakland"},
+	{"nullify:city:Berkeley,Oakland", "fd:zip:city"},
+	{"fdimpute:zip:city", "replace:city:Oakland:Berkeley"},
+}
+
+// writeDirtyCSV writes a zip -> city table with misspelled and missing
+// cities, so every op kind has something to repair.
+func writeDirtyCSV(t *testing.T, dir string) string {
+	t.Helper()
+	cities := []string{"Berkeley", "Berkley", "Oakland", "Berkeley", "Oaklnd", "", "NYC", "Oakland", "NYCC"}
+	var sb strings.Builder
+	sb.WriteString("zip,city\n")
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&sb, "z%d,%s\n", i%7, cities[(i*i+3*i/7)%len(cities)])
+	}
+	path := filepath.Join(dir, "dirty.csv")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestGoldenClean locks the cleaned CSV and provenance bytes `clean` writes
+// for every op set, and requires -stream to write the same bytes.
+func TestGoldenClean(t *testing.T) {
+	dir := t.TempDir()
+	private := filepath.Join(dir, "private.csv")
+	meta := filepath.Join(dir, "meta.json")
+	if err := run([]string{"privatize", "-in", writeDirtyCSV(t, dir), "-out", private, "-meta", meta,
+		"-p", "0.2", "-b", "0.5", "-seed", "5", "-ledger", "off"}); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for i, ops := range cleanOpSets {
+		var resident string
+		for _, stream := range []bool{false, true} {
+			out := filepath.Join(dir, fmt.Sprintf("clean-%d-%v.csv", i, stream))
+			prov := filepath.Join(dir, fmt.Sprintf("prov-%d-%v.json", i, stream))
+			args := []string{"clean", "-in", private, "-out", out, "-meta", meta, "-prov", prov}
+			if stream {
+				args = append(args, "-stream")
+			}
+			for _, op := range ops {
+				args = append(args, "-op", op)
+			}
+			if err := run(args); err != nil {
+				t.Fatalf("%v: %v", args, err)
+			}
+			got := fmt.Sprintf("== %s\n%s%s\n", strings.Join(ops, " "), readBytes(t, out), readBytes(t, prov))
+			if !stream {
+				resident = got
+				want.WriteString(got)
+			} else if got != resident {
+				t.Errorf("%v: -stream output differs from the in-memory clean:\n%s\nwant:\n%s", ops, got, resident)
+			}
+		}
+	}
+	golden(t, "clean.golden", want.Bytes())
 }

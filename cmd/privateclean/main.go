@@ -240,36 +240,48 @@ func (cf *csvFlags) quarantinePath(in string) string {
 	return in + csvio.QuarantineFileSuffix
 }
 
-// load reads a CSV under the selected row policy. A lossy load is reported
-// as a structured Warn by csvio through the installed logger, so it is never
-// silent and honors -log-format json.
-func (cf *csvFlags) load(path string) (*relation.Relation, error) {
+// read runs one row-policy scan of path — a load or a profile — with the
+// selected options. A lossy scan is reported as a structured Warn by csvio
+// through the installed logger, so it is never silent and honors
+// -log-format json. The quarantine sidecar, when that policy is on, lands
+// atomically: a crash mid-scan cannot tear it, and a failed scan leaves a
+// pre-existing sidecar untouched.
+func (cf *csvFlags) read(path string, scan func(csvio.Options) error) error {
 	policy, err := cf.policy()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	tel := telemetry.Default()
 	tel.Redact.Allow(path)
 	opts := csvio.Options{ForceKinds: cf.forceKinds(), OnRowError: policy, Tel: tel}
 	if policy != csvio.RowErrorQuarantine {
-		r, _, err := csvio.ReadFileWithReport(path, opts)
-		return r, err
+		return scan(opts)
 	}
-	// The sidecar lands atomically: a crash mid-load cannot tear it, and a
-	// failed load leaves a pre-existing sidecar untouched.
 	qpath := cf.quarantinePath(path)
 	tel.Redact.Allow(qpath)
-	var r *relation.Relation
-	err = atomicio.WriteFileKeep(qpath, func(w io.Writer) error {
+	return atomicio.WriteFileKeep(qpath, func(w io.Writer) error {
 		opts.Quarantine = w
-		var rerr error
-		r, _, rerr = csvio.ReadFileWithReport(path, opts)
-		return rerr
+		return scan(opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
+}
+
+// load reads a CSV into memory under the selected row policy.
+func (cf *csvFlags) load(path string) (r *relation.Relation, err error) {
+	err = cf.read(path, func(opts csvio.Options) (err error) {
+		r, _, err = csvio.ReadFileWithReport(path, opts)
+		return err
+	})
+	return r, err
+}
+
+// profile runs the bounded-memory profile scans of a CSV under the selected
+// row policy, for csvio.NewChunkIterator passes over it.
+func (cf *csvFlags) profile(path string) (prof *csvio.Profile, err error) {
+	err = cf.read(path, func(opts csvio.Options) (err error) {
+		prof, err = csvio.ProfileFile(path, opts)
+		return err
+	})
+	return prof, err
 }
 
 // viewFlags bundles the flags of the subcommands that answer queries from a
@@ -420,14 +432,19 @@ func cmdPrivatize(args []string) (err error) {
 	// front (the job re-reads it when privatizing, which is what makes the
 	// checkpoint's input fingerprint meaningful); streaming mode resolves the
 	// schema with a bounded-memory profile scan instead, so the relation is
-	// never resident.
+	// never resident. Either way the job's own read rewrites the quarantine
+	// sidecar with the same rows.
 	var params privacy.Params
 	if *stream {
 		if *targetErr > 0 {
 			return faults.Errorf(faults.ErrUsage,
 				"privatize: -error (parameter tuning) needs the resident input; run 'privateclean tune' first and pass -p/-b")
 		}
-		schema, err := streamSchema(*in, cf)
+		prof, err := cf.profile(*in)
+		if err != nil {
+			return err
+		}
+		schema, err := prof.Schema()
 		if err != nil {
 			return err
 		}
@@ -532,25 +549,6 @@ func parseBytes(s string) (int64, error) {
 		return 0, fmt.Errorf("byte count must be > 0, got %d", n)
 	}
 	return n * mult, nil
-}
-
-// streamSchema resolves a CSV's schema with a bounded-memory profile scan.
-// Quarantined rows go to io.Discard here — the privatize job writes the real
-// sidecar when it profiles the input itself.
-func streamSchema(path string, cf *csvFlags) (relation.Schema, error) {
-	policy, err := cf.policy()
-	if err != nil {
-		return relation.Schema{}, err
-	}
-	opts := csvio.Options{ForceKinds: cf.forceKinds(), OnRowError: policy}
-	if policy == csvio.RowErrorQuarantine {
-		opts.Quarantine = io.Discard
-	}
-	prof, err := csvio.ProfileFile(path, opts)
-	if err != nil {
-		return relation.Schema{}, err
-	}
-	return prof.Schema()
 }
 
 // countSet counts the non-empty strings among the mutually exclusive input
@@ -844,7 +842,7 @@ func cmdClean(args []string) (err error) {
 	out := fs.String("out", "", "output cleaned CSV (required)")
 	metaPath := fs.String("meta", "", "view metadata JSON from privatize (required)")
 	provPath := fs.String("prov", "", "provenance JSON (read if present, always written) (required)")
-	stream := fs.Bool("stream", false, "out-of-core mode: clean in windows without loading the input (streamable ops only)")
+	stream := fs.Bool("stream", false, "out-of-core mode: clean in windows without loading the input")
 	var ops opList
 	fs.Var(&ops, "op", "cleaning op spec (repeatable): replace:a:f:t | md:a:d | fd:l1,l2:r | fdimpute:l:r | nullify:a:v1,v2")
 	cf := addCSVFlags(fs)
@@ -874,23 +872,30 @@ func cmdClean(args []string) (err error) {
 			return err
 		}
 	}
+	// -stream only picks the window source. The loaded relation of a resident
+	// run also supplies the dirty domain of an attribute the metadata lacks.
+	ctx := &cleaning.Context{Prov: prov, Meta: meta, Tel: tel}
+	var open func() (relation.Iterator, error)
+	var rows int
 	if *stream {
-		return cleanStream(cf, tel, meta, prov, *in, *out, *provPath, ops)
+		prof, err := cf.profile(*in)
+		if err != nil {
+			return err
+		}
+		open = func() (relation.Iterator, error) { return csvio.NewChunkIterator(*in, prof, relation.DefaultWindow) }
+		rows = prof.Rows
+	} else {
+		r, err := cf.load(*in)
+		if err != nil {
+			return err
+		}
+		ctx.Rel = r
+		open = func() (relation.Iterator, error) { return relation.NewSliceIterator(r, 0), nil }
+		rows = r.NumRows()
 	}
-	r, err := cf.load(*in)
-	if err != nil {
-		return err
-	}
-	sp := tel.Trace.StartSpan(nil, "clean", telemetry.A("ops", len(ops)), telemetry.A("rows", r.NumRows()))
-	ctx := &cleaning.Context{Rel: r, Prov: prov, Meta: meta, Tel: tel, Span: sp}
-	err = cleaning.Apply(ctx, ops...)
-	sp.End()
-	if err != nil {
-		return err
-	}
-	wsp := tel.Trace.StartSpan(nil, "write_view", telemetry.A("rows", r.NumRows()))
-	err = csvio.WriteFile(*out, r)
-	wsp.End()
+	ctx.Span = tel.Trace.StartSpan(nil, "clean", telemetry.A("ops", len(ops)), telemetry.A("rows", rows), telemetry.A("stream", *stream))
+	err = writeCleaned(*out, ctx, open, ops)
+	ctx.Span.End()
 	if err != nil {
 		return err
 	}
@@ -900,83 +905,20 @@ func cmdClean(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	tel.Log.Info("clean finished", "ops", len(ops), "rows", r.NumRows(), "tracked_attrs", len(prov.Attrs()))
+	tel.Log.Info("clean finished", "ops", len(ops), "rows", rows, "tracked_attrs", len(prov.Attrs()), "stream", *stream)
 	fmt.Printf("applied %d ops; provenance tracks %d attribute(s)\n", len(ops), len(prov.Attrs()))
 	return nil
 }
 
-// openChunks profiles a CSV under the row policy and opens a windowed
-// decode pass over it. The quarantine sidecar (when that policy is on) is
-// written at profile time, exactly as cf.load would.
-func openChunks(cf *csvFlags, path string) (*csvio.ChunkIterator, *csvio.Profile, error) {
-	policy, err := cf.policy()
-	if err != nil {
-		return nil, nil, err
-	}
-	tel := telemetry.Default()
-	tel.Redact.Allow(path)
-	opts := csvio.Options{ForceKinds: cf.forceKinds(), OnRowError: policy, Tel: tel}
-	var prof *csvio.Profile
-	if policy == csvio.RowErrorQuarantine {
-		// The sidecar lands atomically, exactly as cf.load writes it.
-		qpath := cf.quarantinePath(path)
-		tel.Redact.Allow(qpath)
-		err = atomicio.WriteFileKeep(qpath, func(w io.Writer) error {
-			opts.Quarantine = w
-			var perr error
-			prof, perr = csvio.ProfileFile(path, opts)
-			return perr
-		})
-	} else {
-		prof, err = csvio.ProfileFile(path, opts)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	it, err := csvio.NewChunkIterator(path, prof, relation.DefaultWindow)
-	if err != nil {
-		return nil, nil, err
-	}
-	return it, prof, nil
-}
-
-// cleanStream is clean's out-of-core path: windows of the input are cleaned
-// and written through as they decode, provenance accumulates incrementally,
-// and the output lands atomically. Ops that need the whole relation resident
-// are rejected before any byte is written.
-func cleanStream(cf *csvFlags, tel *telemetry.Set, meta *privacy.ViewMeta, prov *provenance.Store, in, out, provPath string, ops opList) (err error) {
-	it, prof, err := openChunks(cf, in)
-	if err != nil {
+// writeCleaned cleans the windows open yields into out, which lands
+// atomically: a failed clean leaves an existing out untouched.
+func writeCleaned(out string, ctx *cleaning.Context, open func() (relation.Iterator, error), ops []cleaning.Op) error {
+	return atomicio.WriteFileKeep(out, func(w io.Writer) error {
+		_, err := cleaning.StreamApply(ctx, open, w, ops...)
 		return err
-	}
-	defer it.Close()
-	sp := tel.Trace.StartSpan(nil, "clean", telemetry.A("ops", len(ops)), telemetry.A("rows", prof.Rows), telemetry.A("stream", true))
-	ctx := &cleaning.Context{Prov: prov, Meta: meta, Tel: tel, Span: sp}
-	var res *cleaning.StreamResult
-	err = atomicio.WriteFile(out, func(w io.Writer) error {
-		var serr error
-		res, serr = cleaning.StreamApply(ctx, it, w, ops...)
-		return serr
 	})
-	sp.End()
-	if err != nil {
-		return err
-	}
-	psp := tel.Trace.StartSpan(nil, "provenance_save", telemetry.A("attrs", len(prov.Attrs())))
-	err = atomicio.WriteJSON(provPath, prov)
-	psp.End()
-	if err != nil {
-		return err
-	}
-	tel.Log.Info("clean finished", "ops", len(ops), "rows", res.Rows, "tracked_attrs", len(prov.Attrs()), "stream", true)
-	fmt.Printf("applied %d ops; provenance tracks %d attribute(s)\n", len(ops), len(prov.Attrs()))
-	return nil
 }
 
-// cmdStats streams a (cleaned) private CSV once and writes the sufficient
-// statistics for count/sum/avg estimation — per-value counts and per-value
-// numeric sums plus one-pass moments — so query and serve can answer without
-// the relation.
 // conjList collects repeated -conj "a,b" attribute pairs.
 type conjList [][2]string
 
@@ -995,6 +937,10 @@ func (c *conjList) Set(spec string) error {
 	return nil
 }
 
+// cmdStats streams a (cleaned) private CSV once and writes the sufficient
+// statistics for count/sum/avg estimation — per-value counts and per-value
+// numeric sums plus one-pass moments — so query and serve can answer without
+// the relation.
 func cmdStats(args []string) (err error) {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	in := fs.String("in", "", "cleaned private CSV (required)")
@@ -1040,7 +986,11 @@ func cmdStats(args []string) (err error) {
 	}
 	defer tf.finish(&err)
 	tel.Redact.Allow(*in, *out, *metaPath)
-	it, prof, err := openChunks(cf, *in)
+	prof, err := cf.profile(*in)
+	if err != nil {
+		return err
+	}
+	it, err := csvio.NewChunkIterator(*in, prof, relation.DefaultWindow)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"privateclean/internal/cleaning"
+	"privateclean/internal/csvio"
 	"privateclean/internal/faults"
+	"privateclean/internal/provenance"
+	"privateclean/internal/relation"
 )
 
 func readBytes(t *testing.T, path string) []byte {
@@ -162,11 +166,66 @@ func TestStreamCleanCLIMatches(t *testing.T) {
 		t.Fatal("streamed provenance differs from in-memory provenance")
 	}
 
-	// Ops that need the resident relation are rejected, classified bad-input.
-	err := run([]string{"clean", "-stream", "-in", private, "-out", streamOut, "-meta", meta, "-prov", streamProv,
-		"-op", "md:major:2"})
-	if err == nil || !strings.Contains(err.Error(), "not streamable") {
-		t.Fatalf("streamed md repair: got %v, want not-streamable rejection", err)
+	// The ops that compile from a summary of the whole input stream too.
+	for _, ops := range [][]string{
+		{"-op", "md:major:2"},
+		{"-discrete", "score", "-op", "fd:score:major"},
+		{"-discrete", "score", "-op", "replace:major:Math:History", "-op", "fdimpute:score:major", "-op", "md:major:3"},
+	} {
+		if err := run(append([]string{"clean", "-in", private, "-out", memOut, "-meta", meta, "-prov", memProv}, ops...)); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(append([]string{"clean", "-stream", "-in", private, "-out", streamOut, "-meta", meta, "-prov", streamProv}, ops...)); err != nil {
+			t.Fatalf("%v: %v", ops, err)
+		}
+		if !bytes.Equal(readBytes(t, streamOut), readBytes(t, memOut)) || !bytes.Equal(readBytes(t, streamProv), readBytes(t, memProv)) {
+			t.Fatalf("%v: streamed clean differs from in-memory clean", ops)
+		}
+	}
+}
+
+// TestStreamCleanKeepsOutOnChangedInput: an input that gains or loses rows
+// between the summary pass and the write pass fails the clean typed
+// bad-input, and an existing output stays as it was.
+func TestStreamCleanKeepsOutOnChangedInput(t *testing.T) {
+	for _, cut := range []bool{true, false} {
+		dir := t.TempDir()
+		in := writeTempCSV(t, dir)
+		out := filepath.Join(dir, "out.csv")
+		if err := os.WriteFile(out, []byte("previous\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cf := &csvFlags{forceDiscrete: new(string), onRowError: new(string), quarantine: new(string)}
+		*cf.forceDiscrete, *cf.onRowError = "score", "fail"
+		prof, err := cf.profile(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		passes := 0
+		open := func() (relation.Iterator, error) {
+			if passes++; passes == 2 {
+				change := func() error { return os.Truncate(in, 100) }
+				if !cut {
+					change = func() error { return os.WriteFile(in, append(readBytes(t, in), "Math,1\n"...), 0o644) }
+				}
+				if err := change(); err != nil {
+					return nil, err
+				}
+			}
+			return csvio.NewChunkIterator(in, prof, 64)
+		}
+		ctx := &cleaning.Context{Prov: provenance.NewStore()}
+		op, err := parseOp("fd:score:major")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = writeCleaned(out, ctx, open, []cleaning.Op{op})
+		if !errors.Is(err, faults.ErrBadInput) || faults.ExitCode(err) != faults.ExitBadInput {
+			t.Fatalf("truncated=%v: got %v, want a bad-input failure", cut, err)
+		}
+		if got := string(readBytes(t, out)); got != "previous\n" {
+			t.Fatalf("truncated=%v: output rewritten to %q", cut, got)
+		}
 	}
 }
 

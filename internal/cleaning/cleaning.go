@@ -8,12 +8,9 @@
 //     attribute's domain chosen by C(v[g_i], Domain(g_i));
 //   - Extract(g_i): create a new discrete attribute from C(v[g_i]).
 //
-// There is one cleaning engine. Every Op compiles, once, into a step: apply
-// rewrites one window of rows in place, and finish evolves the provenance
-// once the data pass is done. Apply runs each op's step over the resident
-// relation as its only window; StreamApply (stream.go) runs the same steps
-// over the windows of an iterator. The two entry points differ only in where
-// the windows come from.
+// There is one cleaning engine (stream.go): every Op compiles once into a
+// step that rewrites windows of rows in place. StreamApply runs it over
+// windows it reopens once per pass, Apply over the resident relation's.
 //
 // When a Context carries a provenance store, finish records the dirty-to-
 // clean value mapping so the estimators can recover the original selectivity
@@ -26,8 +23,8 @@
 package cleaning
 
 import (
-	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"privateclean/internal/faults"
@@ -37,15 +34,16 @@ import (
 	"privateclean/internal/telemetry"
 )
 
-// Context is the environment a cleaner runs in. Rel is mutated in place.
-// Prov and Meta are optional: when both are set, provenance is recorded
-// against the dirty domains released in Meta.
+// Context is the environment a cleaner runs in. Apply rewrites Rel in place
+// (StreamApply reads it only in graphFor). Prov and Meta are optional: when
+// both are set, provenance is recorded against the dirty domains released in
+// Meta.
 type Context struct {
 	Rel  *relation.Relation
 	Prov *provenance.Store
 	Meta *privacy.ViewMeta
 	// Tel supplies telemetry sinks (nil falls back to telemetry.Default());
-	// Span, if set, parents the per-op spans Apply records.
+	// Span, if set, parents the spans the engine records.
 	Tel  *telemetry.Set
 	Span *telemetry.Span
 }
@@ -54,78 +52,55 @@ type Context struct {
 type Op interface {
 	// Name identifies the cleaner for error messages and logs.
 	Name() string
-	// compile turns the op into the step both entry points run. ctx.Rel is
-	// the resident relation, or nil in a streaming run, where an op that
-	// needs a global view of the data refuses with errNotStreamable.
+	// compile turns the op into the step the engine runs. It sees no data:
+	// an op that needs a summary of the input sets step.observe.
 	compile(ctx *Context) (*step, error)
 }
 
-// step is one compiled op. apply rewrites one window in place; finish
+// step is one compiled op. apply rewrites one window in place (tally false:
+// only to feed a later step's summary, so transitions go uncounted); finish
 // evolves the provenance once, after every window has been applied. reads
-// names the attributes whose graphs finish evolves.
+// names the attributes whose graphs finish evolves. A global step sets
+// observe instead of apply: the engine folds every window, as the earlier
+// steps leave it, into the op's summary, then build compiles the step that
+// rewrites the windows from it. wall accumulates the op's time.
 type step struct {
-	op     Op
-	reads  []string
-	apply  func(win *relation.Relation) error
-	finish func(ctx *Context) error
-	// wall accumulates the op's per-window application time.
-	wall time.Duration
+	op      Op
+	reads   []string
+	observe func(win *relation.Relation) error
+	build   func() *step
+	apply   func(win *relation.Relation, tally bool) error
+	finish  func(ctx *Context) error
+	wall    time.Duration
 }
 
-// errNotStreamable refuses an op that needs the whole relation — Merge
-// reads the attribute's full domain, the repair cleaners vote over all
-// rows — in a run that has no resident relation.
-var errNotStreamable = errors.New("op needs the full relation (not streamable)")
-
-// compile compiles op and tags the step with it for errors and telemetry.
-func compile(ctx *Context, op Op) (*step, error) {
-	s, err := op.compile(ctx)
-	if err != nil {
-		return nil, err
-	}
-	s.op = op
-	return s, nil
-}
-
-// Apply runs a composition of cleaners C = C_1 ∘ C_2 ∘ ... ∘ C_k in order.
+// Apply runs a composition of cleaners C = C_1 ∘ C_2 ∘ ... ∘ C_k in order
+// over ctx.Rel's windows, which share its columns; the columns an Extract
+// adds land in ctx.Rel after the write pass.
 func Apply(ctx *Context, ops ...Op) error {
-	tel := ctx.telemetry()
-	for _, op := range ops {
-		// Op names embed attribute names and user-supplied spec fragments,
-		// so only the kind prefix is vocabulary-safe by construction; the
-		// full name passes through the redaction boundary.
-		kind := telemetry.OpKind(op.Name())
-		sp := tel.Trace.StartSpan(ctx.Span, "clean_op", telemetry.A("kind", kind), telemetry.A("op", op.Name()))
-		start := time.Now()
-		err := applyResident(ctx, op)
-		sp.End()
-		observe(tel, op, time.Since(start))
-		if err != nil {
-			return failed(tel, op, err)
+	rel, added, width := ctx.Rel, map[string][]string{}, ctx.Rel.Schema().Len()
+	open := func() (relation.Iterator, error) { return relation.NewSliceIterator(rel, 0), nil }
+	res, steps, err := run(ctx, open, func(win *relation.Relation, _ bool) error {
+		for _, c := range win.Schema().Columns()[width:] {
+			added[c.Name] = append(added[c.Name], win.MustDiscrete(c.Name)...)
 		}
-		tel.Log.Debug("cleaning op applied", "kind", kind, "rows", ctx.Rel.NumRows())
+		return nil
+	}, ops)
+	// The windows rewrote rel's columns behind its cached encodings.
+	for _, s := range steps {
+		for _, a := range s.reads {
+			rel.InvalidateIndex(a)
+		}
 	}
-	return nil
-}
-
-// applyResident runs one op's step over ctx.Rel as its only window. The op
-// compiles against the relation as the previous ops left it, and its graphs
-// exist before the relation changes, so a graph built from the relation's
-// own domain covers the pre-cleaning values.
-func applyResident(ctx *Context, op Op) error {
-	s, err := compile(ctx, op)
 	if err != nil {
 		return err
 	}
-	for _, attr := range s.reads {
-		if _, err := ctx.graphFor(attr); err != nil {
+	for _, c := range res.Schema.Columns()[width:] {
+		if err := rel.AddDiscreteColumn(c.Name, added[c.Name]); err != nil {
 			return err
 		}
 	}
-	if err := s.apply(ctx.Rel); err != nil {
-		return err
-	}
-	return s.finish(ctx)
+	return nil
 }
 
 func (ctx *Context) telemetry() *telemetry.Set {
@@ -154,7 +129,8 @@ func failed(tel *telemetry.Set, op Op, err error) error {
 // nil when the context records no provenance. A new graph is the identity
 // over the attribute's dirty domain: the released randomization domain in
 // Meta (the domain GRR drew from, hence a superset of the attribute's
-// current values), else the resident relation's current domain.
+// current values), else the resident relation's domain before the write
+// pass (the engine creates a resident run's graphs first).
 func (ctx *Context) graphFor(attr string) (*provenance.Graph, error) {
 	if ctx.Prov == nil {
 		return nil, nil
@@ -183,7 +159,7 @@ func (ctx *Context) graphFor(attr string) (*provenance.Graph, error) {
 func valueStep(attr string, f func(string) string) *step {
 	return &step{
 		reads: []string{attr},
-		apply: func(win *relation.Relation) error { return win.MapDiscrete(attr, f) },
+		apply: func(win *relation.Relation, _ bool) error { return win.MapDiscrete(attr, f) },
 		finish: func(ctx *Context) error {
 			g, err := ctx.graphFor(attr)
 			if g != nil {
@@ -210,13 +186,12 @@ func (t transitions) add(from, to string) {
 	m[to]++
 }
 
-// rowStep compiles a row-level rewrite of attrs: next receives row r's
-// current values of attrs in a scratch slice it may overwrite, and returns
-// their replacements. Because a new value can depend on more than the old
-// one, rows sharing a value may diverge, so provenance comes from the
-// transition counts, which Graph.ApplyTransitions turns into weighted edges
-// (Section 7.1). Counts summed over windows equal one-shot counts.
-func rowStep(ctx *Context, attrs []string, next func(r int, vals []string) []string) *step {
+// rowStep compiles a row-level rewrite of attrs: rows prepares, per window,
+// the function that gets row r's values of attrs in a scratch slice it may
+// overwrite and returns their replacements. Rows sharing a value may
+// diverge, so provenance comes from transition counts (summed over windows)
+// that Graph.ApplyTransitions turns into weighted edges (Section 7.1).
+func rowStep(ctx *Context, attrs []string, rows func(win *relation.Relation) (func(r int, vals []string) []string, error)) *step {
 	trans := make([]transitions, len(attrs))
 	if ctx.Prov != nil {
 		for i := range trans {
@@ -225,14 +200,14 @@ func rowStep(ctx *Context, attrs []string, next func(r int, vals []string) []str
 	}
 	return &step{
 		reads: attrs,
-		apply: func(win *relation.Relation) error {
-			cols := make([][]string, len(attrs))
-			for i, a := range attrs {
-				col, err := win.Discrete(a)
-				if err != nil {
-					return err
-				}
-				cols[i] = col
+		apply: func(win *relation.Relation, tally bool) error {
+			cols, err := discreteCols(win, attrs)
+			if err != nil {
+				return err
+			}
+			next, err := rows(win)
+			if err != nil {
+				return err
 			}
 			// The columns are the window's backing slices: drop their
 			// encodings however the rewrite ends.
@@ -251,7 +226,9 @@ func rowStep(ctx *Context, attrs []string, next func(r int, vals []string) []str
 					return fmt.Errorf("row transform returned %d values, want %d", len(out), len(attrs))
 				}
 				for i, col := range cols {
-					trans[i].add(col[r], out[i])
+					if tally {
+						trans[i].add(col[r], out[i])
+					}
 					col[r] = out[i]
 				}
 			}
@@ -270,6 +247,35 @@ func rowStep(ctx *Context, attrs []string, next func(r int, vals []string) []str
 			return nil
 		},
 	}
+}
+
+// valueCounts, the summary Merge and MDRepair compile from, counts one
+// attribute's values over every window: relation.ValueCounts of the whole
+// input, whose sorted keys are relation.Domain.
+type valueCounts map[string]int
+
+// observer returns the step.observe that folds attr's values into c.
+func (c valueCounts) observer(attr string) func(*relation.Relation) error {
+	return func(win *relation.Relation) error {
+		col, err := win.Discrete(attr)
+		if err != nil {
+			return err
+		}
+		for _, v := range col {
+			c[v]++
+		}
+		return nil
+	}
+}
+
+// sorted returns the counted values in lexicographic order.
+func (c valueCounts) sorted() []string {
+	values := make([]string, 0, len(c))
+	for v := range c {
+		values = append(values, v)
+	}
+	sort.Strings(values)
+	return values
 }
 
 // Transform replaces every value of a single discrete attribute with F(v).
@@ -314,18 +320,19 @@ func (m Merge) Name() string {
 	return fmt.Sprintf("merge(%s)", m.Attr)
 }
 
-func (m Merge) compile(ctx *Context) (*step, error) {
-	if ctx.Rel == nil {
-		return nil, errNotStreamable
-	}
+func (m Merge) compile(*Context) (*step, error) {
 	if m.F == nil {
 		return nil, fmt.Errorf("nil merge function")
 	}
-	domain, err := ctx.Rel.Domain(m.Attr)
-	if err != nil {
-		return nil, err
-	}
-	return valueStep(m.Attr, func(v string) string { return m.F(v, domain) }), nil
+	counts := valueCounts{}
+	return &step{
+		reads:   []string{m.Attr},
+		observe: counts.observer(m.Attr),
+		build: func() *step {
+			domain := counts.sorted()
+			return valueStep(m.Attr, func(v string) string { return m.F(v, domain) })
+		},
+	}, nil
 }
 
 // FindReplace rewrites one value of a discrete attribute to another
@@ -422,7 +429,7 @@ func (e Extract) compile(*Context) (*step, error) {
 	}
 	return &step{
 		reads: []string{e.SrcAttr},
-		apply: func(win *relation.Relation) error {
+		apply: func(win *relation.Relation, _ bool) error {
 			src, err := win.Discrete(e.SrcAttr)
 			if err != nil {
 				return err
@@ -484,5 +491,6 @@ func (t TransformRows) compile(ctx *Context) (*step, error) {
 		}
 		seen[a] = true
 	}
-	return rowStep(ctx, t.Attrs, func(_ int, vals []string) []string { return t.F(vals) }), nil
+	row := func(_ int, vals []string) []string { return t.F(vals) }
+	return rowStep(ctx, t.Attrs, func(*relation.Relation) (func(int, []string) []string, error) { return row, nil }), nil
 }

@@ -258,7 +258,7 @@ func TestTransformRowsErrors(t *testing.T) {
 	}
 	var out bytes.Buffer
 	ctx := &Context{Prov: provenance.NewStore(), Meta: metaFor(t, r)}
-	if _, err := StreamApply(ctx, relation.NewSliceIterator(r.Clone(), 2), &out, repeated); !errors.Is(err, faults.ErrBadInput) {
+	if _, err := StreamApply(ctx, windows(r.Clone(), 2), &out, repeated); !errors.Is(err, faults.ErrBadInput) {
 		t.Fatalf("StreamApply: want ErrBadInput for a repeated attribute, got %v", err)
 	}
 	if out.Len() != 0 {

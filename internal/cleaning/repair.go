@@ -2,7 +2,6 @@ package cleaning
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"privateclean/internal/relation"
@@ -64,84 +63,93 @@ func (f FDImpute) compile(ctx *Context) (*step, error) {
 	return fdStep(ctx, f.LHS, f.RHS, func(v string) bool { return v == missing })
 }
 
-// fdStep compiles the group-majority repair FDRepair and FDImpute share.
-// One pass over the resident relation groups its rows by their LHS tuple
-// and finds each group's most frequent RHS value among the voting rows,
-// ties broken lexicographically. The step then rewrites rows to their
-// group's value: the rows fill selects, which do not vote, or every row
-// when fill is nil. A group with no voting row keeps its values. The new
-// value depends on the LHS, so the RHS graph records weighted edges.
+// fdStep compiles the group-majority repair FDRepair and FDImpute share. Its
+// summary counts the RHS values of the voting rows (those fill does not
+// select; all when fill is nil) per LHS tuple. The built step rewrites the
+// rows fill selects (all when nil) to their group's most frequent value,
+// ties broken lexicographically; a group with no voting row keeps its values.
+// The new value depends on the LHS, so the RHS graph records weighted edges.
 func fdStep(ctx *Context, lhs []string, rhs string, fill func(string) bool) (*step, error) {
-	if ctx.Rel == nil {
-		return nil, errNotStreamable
-	}
 	if len(lhs) == 0 {
 		return nil, fmt.Errorf("empty FD left-hand side")
 	}
-	lhsCols := make([][]string, len(lhs))
-	for i, a := range lhs {
-		col, err := ctx.Rel.Discrete(a)
+	votes := make(map[string]map[string]int)
+	var key []byte
+	return &step{
+		reads: []string{rhs},
+		observe: func(win *relation.Relation) error {
+			cols, err := discreteCols(win, append(lhs[:len(lhs):len(lhs)], rhs))
+			if err != nil {
+				return err
+			}
+			lhsCols := cols[:len(lhs)]
+			for r, v := range cols[len(lhs)] {
+				if fill != nil && fill(v) {
+					continue
+				}
+				key = groupKey(key, lhsCols, r)
+				if votes[string(key)] == nil {
+					votes[string(key)] = make(map[string]int)
+				}
+				votes[string(key)][v]++
+			}
+			return nil
+		},
+		build: func() *step {
+			// Majority (min-cost) value per group, deterministic tie break.
+			majority := make(map[string]string, len(votes))
+			for k, counts := range votes {
+				best, most := "", 0
+				for v, n := range counts {
+					if n > most || n == most && v < best {
+						best, most = v, n
+					}
+				}
+				majority[k] = best
+			}
+			return rowStep(ctx, []string{rhs}, func(win *relation.Relation) (func(int, []string) []string, error) {
+				lhsCols, err := discreteCols(win, lhs)
+				if err != nil {
+					return nil, err
+				}
+				return func(r int, vals []string) []string {
+					if fill == nil || fill(vals[0]) {
+						key = groupKey(key, lhsCols, r)
+						if v, ok := majority[string(key)]; ok {
+							vals[0] = v
+						}
+					}
+					return vals
+				}, nil
+			})
+		},
+	}, nil
+}
+
+// discreteCols returns the backing slices of a window's discrete columns.
+func discreteCols(win *relation.Relation, attrs []string) ([][]string, error) {
+	cols := make([][]string, len(attrs))
+	for i, a := range attrs {
+		col, err := win.Discrete(a)
 		if err != nil {
 			return nil, err
 		}
-		lhsCols[i] = col
+		cols[i] = col
 	}
-	rhsCol, err := ctx.Rel.Discrete(rhs)
-	if err != nil {
-		return nil, err
-	}
+	return cols, nil
+}
 
-	// Group rows by LHS tuple and count the voting RHS values per group.
-	groupCounts := make(map[string]map[string]int)
-	keys := make([]string, len(rhsCol))
-	var sb strings.Builder
-	for r, v := range rhsCol {
-		sb.Reset()
-		for i, col := range lhsCols {
-			if i > 0 {
-				sb.WriteByte('\x1f')
-			}
-			sb.WriteString(col[r])
+// groupKey writes row r's LHS tuple into buf as its values joined by the
+// unit separator, so a map lookup through string(buf) does not allocate.
+func groupKey(buf []byte, cols [][]string, r int) []byte {
+	buf = buf[:0]
+	for i, col := range cols {
+		if i > 0 {
+			buf = append(buf, '\x1f')
 		}
-		k := sb.String()
-		keys[r] = k
-		if fill != nil && fill(v) {
-			continue
-		}
-		m := groupCounts[k]
-		if m == nil {
-			m = make(map[string]int)
-			groupCounts[k] = m
-		}
-		m[v]++
+		buf = append(buf, col[r]...)
 	}
-
-	// Majority (min-cost) value per group, deterministic tie break.
-	majority := make(map[string]string, len(groupCounts))
-	for k, counts := range groupCounts {
-		vals := make([]string, 0, len(counts))
-		for v := range counts {
-			vals = append(vals, v)
-		}
-		sort.Strings(vals)
-		best := vals[0]
-		for _, v := range vals[1:] {
-			if counts[v] > counts[best] {
-				best = v
-			}
-		}
-		majority[k] = best
-	}
-
-	// keys index the resident relation's rows, its only window.
-	return rowStep(ctx, []string{rhs}, func(r int, vals []string) []string {
-		if fill == nil || fill(vals[0]) {
-			if v, ok := majority[keys[r]]; ok {
-				vals[0] = v
-			}
-		}
-		return vals
-	}), nil
+	return buf
 }
 
 // MDRepair resolves a matching dependency on a single attribute using an
@@ -165,23 +173,21 @@ type MDRepair struct {
 // Name implements Op.
 func (m MDRepair) Name() string { return fmt.Sprintf("md-repair(%s, dist<=%d)", m.Attr, m.MaxDist) }
 
-func (m MDRepair) compile(ctx *Context) (*step, error) {
-	if ctx.Rel == nil {
-		return nil, errNotStreamable
-	}
+func (m MDRepair) compile(*Context) (*step, error) {
 	if m.MaxDist < 0 {
 		return nil, fmt.Errorf("negative distance threshold %d", m.MaxDist)
 	}
-	counts, err := ctx.Rel.ValueCounts(m.Attr)
-	if err != nil {
-		return nil, err
-	}
-	values := make([]string, 0, len(counts))
-	for v := range counts {
-		values = append(values, v)
-	}
-	sort.Strings(values)
+	counts := valueCounts{}
+	return &step{
+		reads:   []string{m.Attr},
+		observe: counts.observer(m.Attr),
+		build:   func() *step { return valueStep(m.Attr, mapOr(m.clusters(counts))) },
+	}, nil
+}
 
+// clusters maps every counted value to its cluster's canonical value.
+func (m MDRepair) clusters(counts valueCounts) map[string]string {
+	values := counts.sorted()
 	norm := m.Normalize
 	if norm == nil {
 		norm = func(s string) string { return s }
@@ -231,6 +237,5 @@ func (m MDRepair) compile(ctx *Context) (*step, error) {
 	for i, v := range values {
 		mapping[v] = canonical[find(i)]
 	}
-
-	return valueStep(m.Attr, mapOr(mapping)), nil
+	return mapping
 }

@@ -12,26 +12,14 @@ import (
 	"privateclean/internal/telemetry"
 )
 
-// Out-of-core cleaning. StreamApply runs the steps Apply runs, over the
-// windows of a relation.Iterator instead of the one resident window,
-// writing cleaned rows to an io.Writer as it goes, so the full relation is
-// never resident. The written bytes equal csvio.Write over the one-shot-
-// cleaned relation, and the provenance store ends in the same state as a
-// one-shot Apply, because:
-//
-//   - every streamable op is local: its output for a row depends only on
-//     that row's values, so per-window application composes to the same
-//     relation;
-//   - each step's finish runs once, in op order, after the data pass — as
-//     Apply runs it once after its single window: a value op replays its
-//     function on the graph, and a row-level op (TransformRows) applies
-//     transition counts, whose per-window sums equal the one-shot counts.
-//
-// Ops that need a global view of the data cannot stream: Merge reads the
-// attribute's full domain, and the repair cleaners (FDRepair, FDImpute,
-// MDRepair) vote over all rows. With no resident relation they refuse to
-// compile, so StreamApply rejects them up front with a faults.ErrBadInput
-// error naming the op, before any output is written.
+// The cleaning engine runs compiled steps over windows it reopens once per
+// pass, so the relation need never be resident. The result equals cleaning
+// the whole relation op after op: each op reads one row at a time plus, for
+// a global op (Merge, the repairs), a summary its own pass folds from every
+// window as the earlier steps leave it (k global ops, k summary passes and
+// one write pass); and each finish runs once, in op order, after the write
+// pass, replaying a value op's function on the graph or applying a row-level
+// op's transition counts, whose per-window sums equal the one-shot counts.
 
 // StreamResult summarizes a streaming clean.
 type StreamResult struct {
@@ -41,128 +29,174 @@ type StreamResult struct {
 	Schema relation.Schema
 }
 
-// StreamApply applies ops to every window of it, writing the cleaned rows as
-// CSV (csvio.Write conventions, header included) to w. ctx.Rel is ignored;
-// ctx.Prov, ctx.Meta, ctx.Tel, and ctx.Span play their usual roles. See the
-// comment above for the equivalence argument and the list of non-streamable
-// ops.
-func StreamApply(ctx *Context, it relation.Iterator, w io.Writer, ops ...Op) (*StreamResult, error) {
-	// No resident relation: dirty domains come from the metadata alone.
-	sctx := *ctx
-	sctx.Rel = nil
-	ctx = &sctx
-	tel := ctx.telemetry()
-	steps := make([]*step, len(ops))
-	for i, op := range ops {
-		s, err := compile(ctx, op)
-		if err != nil {
-			return nil, failed(tel, op, err)
-		}
-		steps[i] = s
-	}
-
+// StreamApply applies ops to the windows open yields, writing the cleaned
+// rows as CSV (csvio.Write conventions, header included) to w. open is
+// called once per pass and must yield the same rows each time: a
+// csvio.ChunkIterator over a profiled file (it fails with ErrBadInput once
+// the file no longer holds the profiled rows; io.Closer iterators are
+// closed after their pass) or a relation.NewSliceIterator, whose relation
+// ctx.Rel may name for graphFor's fallback.
+func StreamApply(ctx *Context, open func() (relation.Iterator, error), w io.Writer, ops ...Op) (*StreamResult, error) {
 	cw := csv.NewWriter(w)
-	var outSchema relation.Schema
-	var record []string
-	rows := 0
-	windows := 0
-	for {
-		win, err := it.Next()
-		if err == io.EOF {
-			break
+	res, _, err := run(ctx, open, func(win *relation.Relation, first bool) error {
+		if err := csvio.WriteRows(cw, win, first); err != nil {
+			return faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("cleaning: %w", err))
 		}
-		if err != nil {
-			return nil, err
-		}
-		if err := applyWindow(ctx, tel, steps, win); err != nil {
-			return nil, err
-		}
-		if windows == 0 {
-			outSchema = win.Schema()
-			record = make([]string, outSchema.Len())
-			if err := cw.Write(csvHeader(outSchema)); err != nil {
-				return nil, faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("cleaning: %w", err))
-			}
-		} else if win.Schema().String() != outSchema.String() {
-			return nil, faults.Errorf(faults.ErrInternal,
-				"cleaning: window %d schema %q differs from first window %q (non-deterministic op?)",
-				windows, win.Schema(), outSchema)
-		}
-		if err := writeWindow(cw, win, record); err != nil {
-			return nil, err
-		}
-		rows += win.NumRows()
-		windows++
-	}
-	if windows == 0 {
-		// No windows at all: clean an empty relation so Extract still shapes
-		// the header, exactly as a one-shot Apply over zero rows would.
-		empty := relation.New(it.Schema())
-		if err := applyWindow(ctx, tel, steps, empty); err != nil {
-			return nil, err
-		}
-		outSchema = empty.Schema()
-		if err := cw.Write(csvHeader(outSchema)); err != nil {
-			return nil, faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("cleaning: %w", err))
-		}
+		return nil
+	}, ops)
+	if err != nil {
+		return nil, err
 	}
 	cw.Flush()
 	if err := cw.Error(); err != nil {
 		return nil, faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("cleaning: %w", err))
 	}
-
-	// Data pass done; evolve provenance once per op, in op order.
-	for _, s := range steps {
-		if err := s.finish(ctx); err != nil {
-			return nil, failed(tel, s.op, err)
-		}
-	}
-	// Per-op telemetry mirrors Apply: one count and one (accumulated) timing
-	// observation per op, not per window.
-	for _, s := range steps {
-		observe(tel, s.op, s.wall)
-		tel.Log.Debug("cleaning op applied", "kind", telemetry.OpKind(s.op.Name()), "rows", rows, "stream", true)
-	}
-	return &StreamResult{Rows: rows, Schema: outSchema}, nil
+	return res, nil
 }
 
-// applyWindow runs every step over one window, attributing wall time to the
-// steps and classifying failures like Apply does.
+// run compiles ops and drives the engine: a summary pass per global step, in
+// op order, then the write pass, which hands every cleaned window to sink,
+// then each step's finish. Once the ops compile, it returns their steps,
+// built as far as their summary passes got, even when a pass fails.
+func run(ctx *Context, open func() (relation.Iterator, error), sink func(win *relation.Relation, first bool) error, ops []Op) (*StreamResult, []*step, error) {
+	tel := ctx.telemetry()
+	steps := make([]*step, len(ops))
+	for i, op := range ops {
+		s, err := op.compile(ctx)
+		if err != nil {
+			return nil, nil, failed(tel, op, err)
+		}
+		s.op = op
+		steps[i] = s
+	}
+	for i, s := range steps {
+		if s.observe != nil {
+			built, err := summarize(ctx, tel, open, steps[:i], s)
+			if err != nil {
+				return nil, steps, err
+			}
+			steps[i] = built
+		}
+	}
+	// A resident run's graphs exist before the write pass rewrites the
+	// relation, so fallback dirty domains are pre-cleaning ones.
+	for _, s := range steps {
+		for _, a := range s.reads {
+			if ctx.Rel != nil && ctx.Rel.Schema().Has(a) {
+				if _, err := ctx.graphFor(a); err != nil {
+					return nil, steps, failed(tel, s.op, err)
+				}
+			}
+		}
+	}
+
+	res, n := &StreamResult{}, 0
+	rows, err := eachWindow(open, func(win *relation.Relation) error {
+		if err := applyWindow(ctx, tel, steps, win); err != nil {
+			return err
+		}
+		if n == 0 {
+			res.Schema = win.Schema()
+		} else if win.Schema().String() != res.Schema.String() {
+			return faults.Errorf(faults.ErrInternal,
+				"cleaning: window %d schema %q differs from first window %q (non-deterministic op?)",
+				n, win.Schema(), res.Schema)
+		}
+		n++
+		return sink(win, n == 1)
+	})
+	if err != nil {
+		return nil, steps, err
+	}
+	res.Rows = rows
+	for _, s := range steps {
+		if err := s.finish(ctx); err != nil {
+			return nil, steps, failed(tel, s.op, err)
+		}
+		observe(tel, s.op, s.wall)
+		tel.Log.Debug("cleaning op applied", "kind", telemetry.OpKind(s.op.Name()), "rows", rows)
+	}
+	return res, steps, nil
+}
+
+// summarize is global step s's summary pass: each window, rewritten by the
+// steps before s (on a copy, counting no transitions), is folded into s's
+// summary, and s is then built from it. The pass is s's wall time.
+func summarize(ctx *Context, tel *telemetry.Set, open func() (relation.Iterator, error), before []*step, s *step) (*step, error) {
+	// Only the op's kind is vocabulary-safe; its full name embeds attribute
+	// names and spec fragments and passes the redaction boundary.
+	sp := tel.Trace.StartSpan(ctx.Span, "clean_summary",
+		telemetry.A("kind", telemetry.OpKind(s.op.Name())), telemetry.A("op", s.op.Name()))
+	defer sp.End()
+	start := time.Now()
+	rows, err := eachWindow(open, func(win *relation.Relation) error {
+		if len(before) > 0 {
+			win = win.Clone() // a resident relation's window is a view of it
+		}
+		for _, b := range before {
+			if err := b.apply(win, false); err != nil {
+				return failed(tel, b.op, err)
+			}
+		}
+		if err := s.observe(win); err != nil {
+			return failed(tel, s.op, err)
+		}
+		return nil
+	})
+	sp.Set("rows", rows)
+	if err != nil {
+		sp.Set("err", err)
+		return nil, err
+	}
+	built := s.build()
+	built.op, built.wall = s.op, time.Since(start)
+	return built, nil
+}
+
+// eachWindow runs fn over every window of a fresh pass over open's source
+// and returns the rows seen. No windows means one empty window of the
+// schema, so an empty input still shapes the output schema (Extract) and
+// surfaces op errors.
+func eachWindow(open func() (relation.Iterator, error), fn func(win *relation.Relation) error) (int, error) {
+	it, err := open()
+	if err != nil {
+		return 0, err
+	}
+	if c, ok := it.(io.Closer); ok {
+		defer c.Close()
+	}
+	rows, n := 0, 0
+	for ; ; n++ {
+		win, err := it.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return rows, err
+		}
+		if err := fn(win); err != nil {
+			return rows, err
+		}
+		rows += win.NumRows()
+	}
+	if n == 0 {
+		return 0, fn(relation.New(it.Schema()))
+	}
+	return rows, nil
+}
+
+// applyWindow runs every step over one window of the write pass,
+// attributing wall time to the steps and classifying failures.
 func applyWindow(ctx *Context, tel *telemetry.Set, steps []*step, win *relation.Relation) error {
 	sp := tel.Trace.StartSpan(ctx.Span, "clean_window", telemetry.A("rows", win.NumRows()))
 	defer sp.End()
 	for _, s := range steps {
 		start := time.Now()
-		err := s.apply(win)
+		err := s.apply(win, true)
 		s.wall += time.Since(start)
 		if err != nil {
 			sp.Set("err", err)
 			return failed(tel, s.op, err)
-		}
-	}
-	return nil
-}
-
-// csvHeader renders the header record for a schema.
-func csvHeader(schema relation.Schema) []string {
-	cols := schema.Columns()
-	header := make([]string, len(cols))
-	for i, c := range cols {
-		header[i] = c.Name
-	}
-	return header
-}
-
-// writeWindow appends one cleaned window's rows with csvio.Write's cell
-// conventions.
-func writeWindow(cw *csv.Writer, win *relation.Relation, record []string) error {
-	cols := win.Schema().Columns()
-	for i := 0; i < win.NumRows(); i++ {
-		if err := csvio.FormatRow(win, cols, i, record); err != nil {
-			return err
-		}
-		if err := cw.Write(record); err != nil {
-			return faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("cleaning: %w", err))
 		}
 	}
 	return nil

@@ -3,23 +3,30 @@ package cleaning
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"privateclean/internal/csvio"
-	"privateclean/internal/faults"
 	"privateclean/internal/privacy"
 	"privateclean/internal/provenance"
 	"privateclean/internal/relation"
 )
 
-// The streaming-cleaning contract: for any composition of streamable ops,
-// StreamApply over windows of the relation must write the same CSV bytes as
-// csvio.Write over the one-shot-cleaned relation, and leave the provenance
-// store in the same state.
+// The streaming-cleaning contract: for any composition of ops, StreamApply
+// over windows of the relation must write the same CSV bytes as csvio.Write
+// over the relation Apply cleaned in place, and leave the provenance store in
+// the same state.
+
+// windows reopens r's windows of at most size rows, one pass per call.
+func windows(r *relation.Relation, size int) func() (relation.Iterator, error) {
+	return func() (relation.Iterator, error) { return relation.NewSliceIterator(r, size), nil }
+}
 
 func metaFor(t *testing.T, r *relation.Relation) *privacy.ViewMeta {
 	t.Helper()
@@ -65,7 +72,7 @@ func streamEqualsOneShot(t *testing.T, r *relation.Relation, window int, ops ...
 	streamed := r.Clone()
 	streamCtx := &Context{Prov: provenance.NewStore(), Meta: meta}
 	var got bytes.Buffer
-	res, err := StreamApply(streamCtx, relation.NewSliceIterator(streamed, window), &got, ops...)
+	res, err := StreamApply(streamCtx, windows(streamed, window), &got, ops...)
 	if err != nil {
 		t.Fatalf("stream apply (window %d): %v", window, err)
 	}
@@ -150,31 +157,26 @@ func TestStreamApplyEmptyInput(t *testing.T) {
 		}})
 }
 
-func TestStreamApplyRejectsNonStreamable(t *testing.T) {
-	r := evalRel(t)
-	nonStreamable := []Op{
-		Merge{Attr: "major", F: func(v string, domain []string) string { return v }},
+// TestStreamApplyGlobalOps: the ops that compile from a summary of the whole
+// input stream like any other, alone and behind ops that change what their
+// summary sees.
+func TestStreamApplyGlobalOps(t *testing.T) {
+	global := []Op{
+		Merge{Attr: "major", F: func(v string, domain []string) string { return domain[len(domain)-1] }},
 		FDRepair{LHS: []string{"section"}, RHS: "instructor"},
 		FDImpute{LHS: []string{"section"}, RHS: "instructor"},
+		FDRepair{LHS: []string{"section", "major"}, RHS: "instructor"},
 		MDRepair{Attr: "major", MaxDist: 2},
 	}
-	for _, op := range nonStreamable {
-		var out bytes.Buffer
-		ctx := &Context{Prov: provenance.NewStore(), Meta: metaFor(t, r)}
-		_, err := StreamApply(ctx, relation.NewSliceIterator(r.Clone(), 2), &out, op)
-		if err == nil {
-			t.Errorf("%s: streamed without error, want not-streamable rejection", op.Name())
-			continue
+	before := NullifyInvalid{Attr: "instructor", Valid: func(v string) bool { return v != "Jane Smith" }}
+	for _, op := range global {
+		for _, window := range []int{1, 2, 100} {
+			streamEqualsOneShot(t, evalRel(t), window, op)
+			streamEqualsOneShot(t, evalRel(t), window, before, op, FindReplace{Attr: "major", From: "Math", To: "EECS"})
 		}
-		if !errors.Is(err, faults.ErrBadInput) {
-			t.Errorf("%s: error %v not classified ErrBadInput", op.Name(), err)
-		}
-		if !strings.Contains(err.Error(), "not streamable") {
-			t.Errorf("%s: error %v does not name streamability", op.Name(), err)
-		}
-		if out.Len() != 0 {
-			t.Errorf("%s: wrote %d bytes before rejecting", op.Name(), out.Len())
-		}
+	}
+	for _, window := range []int{1, 3} {
+		streamEqualsOneShot(t, evalRel(t), window, global...)
 	}
 }
 
@@ -182,7 +184,7 @@ func TestStreamApplyWithoutProvenance(t *testing.T) {
 	r := evalRel(t)
 	var out bytes.Buffer
 	ctx := &Context{} // no Prov, no Meta
-	res, err := StreamApply(ctx, relation.NewSliceIterator(r.Clone(), 2), &out,
+	res, err := StreamApply(ctx, windows(r.Clone(), 2), &out,
 		FindReplace{Attr: "major", From: "Math", To: "Maths"},
 		TransformRows{Attrs: []string{"major"}, F: func(vals []string) []string { return vals }})
 	if err != nil {
@@ -203,7 +205,7 @@ func TestStreamApplyMissingDomainFails(t *testing.T) {
 	meta := &privacy.ViewMeta{Discrete: map[string]privacy.DiscreteMeta{}, Numeric: map[string]privacy.NumericMeta{}}
 	var out bytes.Buffer
 	ctx := &Context{Prov: provenance.NewStore(), Meta: meta}
-	_, err := StreamApply(ctx, relation.NewSliceIterator(r.Clone(), 3), &out,
+	_, err := StreamApply(ctx, windows(r.Clone(), 3), &out,
 		FindReplace{Attr: "major", From: "Math", To: "Maths"})
 	if err == nil {
 		t.Fatal("want error for missing dirty domain")
@@ -211,4 +213,102 @@ func TestStreamApplyMissingDomainFails(t *testing.T) {
 	if !strings.Contains(err.Error(), "view metadata") {
 		t.Fatalf("error %v does not explain the metadata requirement", err)
 	}
+}
+
+// sampledIterator calls sample after every every-th window it yields.
+type sampledIterator struct {
+	relation.Iterator
+	every, n int
+	sample   func()
+}
+
+func (s *sampledIterator) Next() (*relation.Relation, error) {
+	win, err := s.Iterator.Next()
+	if s.n++; err == nil && s.n%s.every == 0 {
+		s.sample()
+	}
+	return win, err
+}
+
+// TestStreamRepairsOutOfCore: FDImpute and MDRepair over a CSV many windows
+// long keep only their summaries resident — per-group vote counts and a
+// value histogram — so the heap grows by far less than the input, across
+// both summary passes and the write pass.
+func TestStreamRepairsOutOfCore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("out-of-core soak skipped in -short mode")
+	}
+	var b strings.Builder
+	b.WriteString("section,instructor,note\n")
+	rows := 120_000
+	for i := 0; i < rows; i++ {
+		instructor := fmt.Sprintf("instructor-%02d", i%31)
+		switch i % 7 {
+		case 0:
+			instructor = ""
+		case 3:
+			instructor += "x" // a misspelling MDRepair merges back
+		}
+		fmt.Fprintf(&b, "s%02d,%s,note-pad-pad-pad-pad-%d\n", i%29, instructor, i)
+	}
+	input := b.String()
+	inputBytes := int64(len(input)) // ~5 MB
+	path := filepath.Join(t.TempDir(), "in.csv")
+	if err := os.WriteFile(path, []byte(input), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prof, err := csvio.ProfileFile(path, csvio.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, err := prof.Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := privacy.Params{P: map[string]float64{"section": 0.2, "instructor": 0.2, "note": 0.2}}
+	meta, err := privacy.ViewMetaFromProfile(schema, prof.Rows, prof.Domains, prof.Lows, prof.Deltas, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// note's domain is one value per row: drop it before the baseline, it
+	// is the profile's, not the clean's.
+	delete(meta.Discrete, "note")
+	prof.Domains = nil
+
+	runtime.GC()
+	var base runtime.MemStats
+	runtime.ReadMemStats(&base)
+	var peak uint64
+	sample := func() {
+		// Collect before sampling so HeapAlloc reflects the live set, not
+		// uncollected per-window garbage.
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		peak = max(peak, ms.HeapAlloc)
+	}
+	passes := 0
+	open := func() (relation.Iterator, error) {
+		passes++
+		it, err := csvio.NewChunkIterator(path, prof, 1024)
+		return &sampledIterator{Iterator: it, every: 16, sample: sample}, err
+	}
+	ctx := &Context{Prov: provenance.NewStore(), Meta: meta}
+	res, err := StreamApply(ctx, open, io.Discard,
+		FDImpute{LHS: []string{"section"}, RHS: "instructor"},
+		MDRepair{Attr: "instructor", MaxDist: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows != rows || passes != 3 {
+		t.Fatalf("%d rows in %d passes, want %d rows in two summary passes and a write pass", res.Rows, passes, rows)
+	}
+	if peak == 0 {
+		t.Fatal("no heap samples taken")
+	}
+	growth := int64(peak) - int64(base.HeapAlloc)
+	if growth > inputBytes {
+		t.Errorf("heap grew by %d bytes over baseline; want < %d (input size) for an out-of-core clean", growth, inputBytes)
+	}
+	t.Logf("input=%d bytes, heap growth=%d bytes", inputBytes, growth)
 }

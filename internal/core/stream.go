@@ -354,23 +354,12 @@ func (job *PrivatizeJob) privatizeWindow(work windowWork, meta *privacy.ViewMeta
 func renderChunk(win *relation.Relation, withHeader bool) ([]byte, error) {
 	var buf bytes.Buffer
 	cw := csv.NewWriter(&buf)
-	cols := win.Schema().Columns()
-	if withHeader {
-		if err := cw.Write(csvio.Header(win)); err != nil {
-			return nil, faults.Wrap(faults.ErrPartialWrite, err)
-		}
+	err := csvio.WriteRows(cw, win, withHeader)
+	if err == nil {
+		cw.Flush()
+		err = cw.Error()
 	}
-	record := make([]string, len(cols))
-	for i := 0; i < win.NumRows(); i++ {
-		if err := csvio.FormatRow(win, cols, i, record); err != nil {
-			return nil, err
-		}
-		if err := cw.Write(record); err != nil {
-			return nil, faults.Wrap(faults.ErrPartialWrite, err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
+	if err != nil {
 		return nil, faults.Wrap(faults.ErrPartialWrite, err)
 	}
 	return buf.Bytes(), nil

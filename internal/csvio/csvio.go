@@ -453,22 +453,8 @@ func ReadFileWithReport(path string, opts Options) (*relation.Relation, *Report,
 // skipped by CSV readers and break the round trip.
 func Write(w io.Writer, rel *relation.Relation) error {
 	cw := csv.NewWriter(w)
-	cols := rel.Schema().Columns()
-	header := make([]string, len(cols))
-	for i, c := range cols {
-		header[i] = c.Name
-	}
-	if err := cw.Write(header); err != nil {
+	if err := WriteRows(cw, rel, true); err != nil {
 		return fmt.Errorf("csvio: %w", err)
-	}
-	record := make([]string, len(cols))
-	for i := 0; i < rel.NumRows(); i++ {
-		if err := FormatRow(rel, cols, i, record); err != nil {
-			return err
-		}
-		if err := cw.Write(record); err != nil {
-			return fmt.Errorf("csvio: %w", err)
-		}
 	}
 	cw.Flush()
 	if err := cw.Error(); err != nil {
@@ -477,32 +463,35 @@ func Write(w io.Writer, rel *relation.Relation) error {
 	return nil
 }
 
-// FormatRow renders row i of the relation into record (len == len(cols)),
-// using Write's cell conventions. It is exported so the chunked pipeline can
-// emit exactly the bytes Write would.
-func FormatRow(rel *relation.Relation, cols []relation.Column, i int, record []string) error {
-	if len(record) != len(cols) {
-		return faults.Errorf(faults.ErrInternal, "csvio: record has %d cells for %d columns", len(record), len(cols))
+// WriteRows writes rel's rows to cw with Write's cell conventions, after the
+// header row when header is set; the caller flushes. The chunked privatize
+// pipeline and the cleaning engine write through it window by window, so
+// their bytes equal Write's over the whole relation.
+func WriteRows(cw *csv.Writer, rel *relation.Relation, header bool) error {
+	cols := rel.Schema().Columns()
+	record := make([]string, len(cols))
+	if header {
+		for c, col := range cols {
+			record[c] = col.Name
+		}
+		if err := cw.Write(record); err != nil {
+			return err
+		}
 	}
-	for c, col := range cols {
-		switch col.Kind {
-		case relation.Numeric:
-			record[c] = strconv.FormatFloat(rel.MustNumeric(col.Name)[i], 'g', -1, 64)
-		case relation.Discrete:
-			record[c] = rel.MustDiscrete(col.Name)[i]
+	for i := range rel.NumRows() {
+		for c, col := range cols {
+			switch col.Kind {
+			case relation.Numeric:
+				record[c] = strconv.FormatFloat(rel.MustNumeric(col.Name)[i], 'g', -1, 64)
+			case relation.Discrete:
+				record[c] = rel.MustDiscrete(col.Name)[i]
+			}
+		}
+		if err := cw.Write(record); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// Header returns the header record Write would emit for the relation.
-func Header(rel *relation.Relation) []string {
-	cols := rel.Schema().Columns()
-	header := make([]string, len(cols))
-	for i, c := range cols {
-		header[i] = c.Name
-	}
-	return header
 }
 
 // WriteFile stores a relation as a CSV file, atomically: the data is staged

@@ -250,13 +250,16 @@ rowLoop:
 // [k*window, (k+1)*window) in input order with ReadWithReport's cell
 // conventions, so the concatenation of all windows equals the materialized
 // load. Rows the profile scan rejected are skipped silently — they were
-// already counted (or, under the fail policy, already fatal).
+// already counted (or, under the fail policy, already fatal). A pass finding
+// other than the profiled kept rows fails with ErrBadInput.
 type ChunkIterator struct {
 	src    *source
 	schema relation.Schema
 	kinds  []relation.Kind
 	window int
 	done   bool
+	// want is the profiled kept-row count; rows counts the rows yielded.
+	want, rows int
 }
 
 // NewChunkIterator opens a streaming pass over path using the schema prof
@@ -283,7 +286,7 @@ func NewChunkIterator(path string, prof *Profile, window int) (*ChunkIterator, e
 		}
 		kinds[c] = col.Kind
 	}
-	return &ChunkIterator{src: src, schema: schema, kinds: kinds, window: window}, nil
+	return &ChunkIterator{src: src, schema: schema, kinds: kinds, window: window, want: prof.Rows}, nil
 }
 
 // Schema returns the schema every window carries.
@@ -358,6 +361,11 @@ rowLoop:
 			}
 		}
 		kept++
+	}
+	if it.rows += kept; it.rows > it.want || it.done && it.rows < it.want {
+		it.done = true
+		return nil, faults.Errorf(faults.ErrBadInput,
+			"csvio: source no longer holds the %d profiled rows (file changed since profiling?)", it.want)
 	}
 	if kept == 0 {
 		return nil, io.EOF

@@ -285,3 +285,36 @@ func TestChunkIteratorLargeRandomized(t *testing.T) {
 		t.Fatal("streamed relation differs from in-memory load")
 	}
 }
+
+// TestChunkIteratorRejectsChangedFile: a pass over a file that lost or
+// gained kept rows since it was profiled fails typed bad-input instead of
+// yielding rows the profile does not describe.
+func TestChunkIteratorRejectsChangedFile(t *testing.T) {
+	const input = "major,score\nMath,1\nEECS,2\nMath,3\n"
+	for name, changed := range map[string]string{
+		"truncated": "major,score\nMath,1\n",
+		"appended":  input + "EECS,4\n",
+	} {
+		path := writeTemp(t, input)
+		prof, err := ProfileFile(path, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(changed), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, window := range []int{1, 2, 3} {
+			it, err := NewChunkIterator(path, prof, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for err == nil {
+				_, err = it.Next()
+			}
+			it.Close()
+			if !errors.Is(err, faults.ErrBadInput) || !strings.Contains(err.Error(), "file changed") {
+				t.Errorf("%s, window %d: got %v, want ErrBadInput naming a changed file", name, window, err)
+			}
+		}
+	}
+}

@@ -21,6 +21,7 @@ package privacy
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"privateclean/internal/faults"
 	"privateclean/internal/relation"
@@ -168,12 +169,19 @@ type ViewMeta struct {
 // or b == 0 over a non-constant column) makes the total +Inf, reflecting
 // that one non-private column de-privatizes the others.
 func (v *ViewMeta) TotalEpsilon() float64 {
-	total := 0.0
+	// Sum in sorted order: in map order the total, and every artifact that
+	// records it, could differ by an ulp from run to run.
+	var terms []float64
 	for _, m := range v.Discrete {
-		total += m.Epsilon()
+		terms = append(terms, m.Epsilon())
 	}
 	for _, m := range v.Numeric {
-		total += m.Epsilon()
+		terms = append(terms, m.Epsilon())
+	}
+	sort.Float64s(terms)
+	total := 0.0
+	for _, e := range terms {
+		total += e
 	}
 	return total
 }

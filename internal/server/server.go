@@ -241,10 +241,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // cells stay out of every server-generated surface except explicit query
 // echoes.
 type describeColumn struct {
-	Name     string  `json:"name"`
-	Kind     string  `json:"kind"`
-	Distinct int     `json:"distinct,omitempty"`
-	Epsilon  float64 `json:"epsilon,omitempty"`
+	Name     string `json:"name"`
+	Kind     string `json:"kind"`
+	Distinct int    `json:"distinct,omitempty"`
+	// Epsilon is present, 0 included, whenever the metadata covers the column.
+	Epsilon *float64 `json:"epsilon,omitempty"`
 }
 
 type describeResponse struct {
@@ -272,7 +273,7 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 		cols = s.rel.Schema().Columns()
 	}
 	for _, c := range cols {
-		dc := describeColumn{Name: c.Name, Kind: c.Kind.String()}
+		dc, eps := describeColumn{Name: c.Name, Kind: c.Kind.String()}, 0.0
 		if c.Kind == relation.Discrete {
 			if s.stats != nil {
 				if dom, err := s.stats.Domain(c.Name); err == nil {
@@ -282,10 +283,12 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 				dc.Distinct = n
 			}
 			if dm, err := meta.DiscreteFor(c.Name); err == nil {
-				dc.Epsilon = httpsvc.JSONSafe(dm.Epsilon())
+				eps = httpsvc.JSONSafe(dm.Epsilon())
+				dc.Epsilon = &eps
 			}
 		} else if nm, ok := meta.Numeric[c.Name]; ok {
-			dc.Epsilon = httpsvc.JSONSafe(nm.Epsilon())
+			eps = httpsvc.JSONSafe(nm.Epsilon())
+			dc.Epsilon = &eps
 		}
 		resp.Columns = append(resp.Columns, dc)
 	}

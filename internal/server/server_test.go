@@ -358,6 +358,57 @@ func TestDescribeAndHealthz(t *testing.T) {
 	}
 }
 
+// TestDescribeZeroEpsilon: a column the metadata covers carries its ε even
+// when it is exactly 0 — a one-value discrete column, a constant numeric
+// one — and a column the metadata does not cover carries none.
+func TestDescribeZeroEpsilon(t *testing.T) {
+	schema := relation.MustSchema(
+		relation.Column{Name: "site", Kind: relation.Discrete},
+		relation.Column{Name: "level", Kind: relation.Numeric},
+		relation.Column{Name: "note", Kind: relation.Discrete},
+	)
+	r, err := relation.FromColumns(schema,
+		map[string][]float64{"level": {7, 7, 7}},
+		map[string][]string{"site": {"s1", "s1", "s1"}, "note": {"x", "y", "x"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := &privacy.ViewMeta{
+		Discrete: map[string]privacy.DiscreteMeta{"site": {Name: "site", P: 0.25, Domain: []string{"s1"}}},
+		Numeric:  map[string]privacy.NumericMeta{"level": {Name: "level", B: 1, Delta: 0}},
+		Rows:     3,
+	}
+	s, err := New(Config{Rel: r, Meta: meta, Tel: telemetry.Noop()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/describe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var d struct {
+		Columns []map[string]any `json:"columns"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{"site": 0.0, "level": 0.0, "note": nil}
+	for _, c := range d.Columns {
+		name := c["name"].(string)
+		eps, ok := c["epsilon"]
+		if w := want[name]; w == nil && ok || w != nil && eps != w {
+			t.Errorf("column %s: epsilon %v (present %v), want %v", name, eps, ok, w)
+		}
+		delete(want, name)
+	}
+	if len(want) != 0 {
+		t.Errorf("columns missing from describe: %v", want)
+	}
+}
+
 // /metrics exposes request counters and latency histograms, and no query
 // text or cell value ever reaches a label.
 func TestMetricsHygiene(t *testing.T) {

@@ -110,7 +110,7 @@ var baseline = buildBaseline(
 	// span / stage names
 	"privatize", "csv_load", "chunk", "checkpoint_read", "checkpoint_write",
 	"resume_truncate", "csv_profile", "finalize", "ledger_append",
-	"clean", "clean_op", "write_view", "provenance_save",
+	"clean", "clean_summary", "clean_window", "provenance_save",
 	"query_parse", "query_estimate", "explain", "describe", "tune", "minsize", "epsilon",
 	// distributed-collection span names and pipeline stages
 	"client_randomize", "report_batch", "collect_report", "wal_append",
