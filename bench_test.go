@@ -342,7 +342,7 @@ func BenchmarkOneShotEstimates100k(b *testing.B) {
 		{"Avg", func() error { _, err := est.Avg(v, "value", in); return err }},
 		{"DirectSum", func() error { _, err := est.Nominal().Sum(v, "value", in); return err }},
 		{"DirectAvg", func() error { _, err := est.Nominal().Avg(v, "value", in); return err }},
-		{"TotalSum", func() error { _, err := est.TotalSum(v, "value"); return err }},
+		{"TotalSum", func() error { _, err := est.Sum(v, "value", estimator.Predicate{}); return err }},
 		{"GroupSums", func() error { _, err := est.GroupSums(v, "category", "value"); return err }},
 		{"MedianEq", func() error { _, err := est.Median(v, "value", one); return err }},
 		{"MedianIn", func() error { _, err := est.Median(v, "value", in); return err }},

@@ -288,11 +288,11 @@ func TestE2EStatsMatchDirectEstimates(t *testing.T) {
 			t.Fatalf("avg(score | major=%s): collected %+v, direct %+v", v, cs, ds)
 		}
 	}
-	ct, err := est.TotalSumStats(&collected, "score")
+	ct, err := est.SumStats(&collected, "score", estimator.Predicate{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dt, err := est.TotalSumStats(direct, "score")
+	dt, err := est.SumStats(direct, "score", estimator.Predicate{})
 	if err != nil {
 		t.Fatal(err)
 	}

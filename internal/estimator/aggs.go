@@ -68,15 +68,80 @@ func buildCodeAggs(ix *relation.DiscreteIndex, col []float64) *codeAggs {
 	return &codeAggs{sums: sums, n: n, total: total, col: col}
 }
 
-// perCode returns attr's dictionary and the per-code aggregates of agg over
-// it.
-func perCode(c *ChannelCache, rel *relation.Relation, attr, agg string) (*relation.DiscreteIndex, *codeAggs, error) {
-	ix, err := rel.DiscreteIndex(attr)
-	if err != nil {
-		return nil, nil, err
+// valueTable is the per-value table of (attr, agg) that count, sum, avg
+// and GROUP BY read, whichever source it was built from: attr's sorted
+// domain with per-value row counts, per-value sums of agg's non-NaN cells,
+// and agg's column aggregates. attr "" builds a table for a whole column
+// (ix nil), agg "" one for counts only (no sums).
+type valueTable struct {
+	ix     *relation.DiscreteIndex // Domain and Counts; Codes only on a resident relation
+	rows   float64                 // S, the relation's row count
+	sums   []float64               // per code, accumulated in row order
+	total  float64                 // agg's non-NaN sum in row order
+	nonNaN int                     // agg's non-NaN cells
+	// moments returns agg's column mean and variance, or stats.ErrEmpty
+	// when every cell is NaN.
+	moments func() (mean, variance float64, err error)
+}
+
+// tableSource builds valueTables: a resident relation or Statistics.
+type tableSource interface {
+	valueTable(c *ChannelCache, attr, agg string) (valueTable, error)
+}
+
+// resident is a relation as a tableSource: its dictionary and the
+// memoized per-code aggregates.
+type resident struct{ rel *relation.Relation }
+
+func (r resident) valueTable(c *ChannelCache, attr, agg string) (valueTable, error) {
+	t := valueTable{rows: float64(r.rel.NumRows())}
+	var ix *relation.DiscreteIndex
+	if attr != "" {
+		var err error
+		if ix, err = r.rel.DiscreteIndex(attr); err != nil {
+			return valueTable{}, err
+		}
+		t.ix = ix
+		if ix.Counts == nil {
+			t.ix = &relation.DiscreteIndex{Domain: ix.Domain, Codes: ix.Codes, Counts: codeCounts(ix)}
+		}
 	}
-	a, err := columnAggs(c, rel, ix, attr, agg)
-	return ix, a, err
+	if agg != "" {
+		a, err := columnAggs(c, r.rel, ix, attr, agg)
+		if err != nil {
+			return valueTable{}, err
+		}
+		t.sums, t.total, t.nonNaN, t.moments = a.sums, a.total, a.n, a.moments
+	}
+	return t, nil
+}
+
+// count is the number of rows sel matches: S for every code, otherwise an
+// O(domain) sum over the per-code row counts.
+func (t *valueTable) count(sel selection) float64 {
+	if sel.all {
+		return t.rows
+	}
+	n := 0
+	for c, k := range t.ix.Counts {
+		if sel.has(uint32(c)) {
+			n += int(k)
+		}
+	}
+	return float64(n)
+}
+
+// fold sums the per-code sums over sel and over its complement, adding in
+// ascending code order, which is the sorted-value order on every source.
+func (t *valueTable) fold(sel selection) (matched, complement float64) {
+	for c, s := range t.sums {
+		if sel.has(uint32(c)) {
+			matched += s
+		} else {
+			complement += s
+		}
+	}
+	return matched, complement
 }
 
 // columnAggs returns the aggregates of agg grouped by ix (attr's
@@ -89,20 +154,6 @@ func columnAggs(c *ChannelCache, rel *relation.Relation, ix *relation.DiscreteIn
 	return memo(c, entryKey{kindPerCode, attr, agg}, sourceOf(ix, col, nil), func() *codeAggs {
 		return buildCodeAggs(ix, col)
 	}), nil
-}
-
-// fold sums the per-code sums over sel and over its complement, adding in
-// ascending code order — the sorted-value order Statistics.sumMatches uses,
-// so both paths fold the same sums in the same order.
-func (a *codeAggs) fold(sel selection) (matched, complement float64) {
-	for c, s := range a.sums {
-		if sel.has(uint32(c)) {
-			matched += s
-		} else {
-			complement += s
-		}
-	}
-	return matched, complement
 }
 
 // moments returns the column's mean and variance, or stats.ErrEmpty when

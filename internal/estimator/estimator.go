@@ -198,23 +198,43 @@ func (e *Estimator) invertible(pred Predicate) (channelVal, error) {
 // with the Section 5.4 confidence interval
 //
 //	ĉ ± z · (1/(1−p)) · sqrt(S·s_p·(1−s_p)).
+//
+// The zero predicate counts the whole relation: S, which GRR does not
+// perturb, with a zero interval.
 func (e *Estimator) Count(rel *relation.Relation, pred Predicate) (Estimate, error) {
-	ch, err := e.invertible(pred)
-	if err != nil {
-		return Estimate{}, err
-	}
-	ix, err := rel.DiscreteIndex(pred.Attr)
-	if err != nil {
-		return Estimate{}, err
-	}
-	cPriv := countSelection(ix, compileSelection(ix, pred))
-	return e.countEstimate(ch, float64(cPriv), float64(rel.NumRows()))
+	return e.count(resident{rel}, pred)
 }
 
-// countEstimate is the Eq. 3 scalar math, shared by the relation-backed and
-// statistics-backed count estimators: invert the channel over the observed
-// private count cPriv out of s rows. The mechanism enters only through the
-// precomputed (tauN, denom) constants, p·l/N and 1-p at the mapped GRR p.
+func (e *Estimator) count(src tableSource, pred Predicate) (Estimate, error) {
+	if pred.isTotal() {
+		t, err := src.valueTable(e.Cache, "", "")
+		return Estimate{Value: t.rows}, err
+	}
+	ch, t, sel, err := e.selectValues(src, "", pred)
+	if err != nil {
+		return Estimate{}, err
+	}
+	return e.countEstimate(ch, t.count(sel), t.rows)
+}
+
+// selectValues resolves pred's channel, rejecting one with no signal, then
+// builds the (pred.Attr, agg) table from src and compiles pred over it.
+func (e *Estimator) selectValues(src tableSource, agg string, pred Predicate) (channelVal, valueTable, selection, error) {
+	ch, err := e.invertible(pred)
+	if err != nil {
+		return channelVal{}, valueTable{}, selection{}, err
+	}
+	t, err := src.valueTable(e.Cache, pred.Attr, agg)
+	if err != nil {
+		return channelVal{}, valueTable{}, selection{}, err
+	}
+	return ch, t, compileSelection(t.ix, pred), nil
+}
+
+// countEstimate is the Eq. 3 scalar math: invert the channel over the
+// observed private count cPriv out of s rows. The mechanism enters only
+// through the precomputed (tauN, denom) constants, p·l/N and 1-p at the
+// mapped GRR p.
 func (e *Estimator) countEstimate(ch channelVal, cPriv, s float64) (Estimate, error) {
 	if s == 0 {
 		return Estimate{}, fmt.Errorf("estimator: empty relation")
@@ -244,52 +264,73 @@ func (e *Estimator) countEstimate(ch channelVal, cPriv, s float64) (Estimate, er
 // where μ_p and σ_p² are the mean and variance of the aggregate column in
 // the private relation (the 1/(1−p) factor carries the channel inversion
 // into the interval, matching the paper's analytic bound in Eq. 6).
+//
+// The zero predicate sums the whole column with the Direct estimator
+// (unbiased per Section 5.1: GRR noise is zero-mean), its interval
+// z·sqrt(S·σ_p²) reflecting the injected Laplace noise and sampling
+// variance.
 func (e *Estimator) Sum(rel *relation.Relation, agg string, pred Predicate) (Estimate, error) {
-	ch, err := e.invertible(pred)
-	if err != nil {
-		return Estimate{}, err
-	}
-	hp, hpc, cPriv, muP, varP, err := e.sumInputs(rel, agg, pred)
-	if err != nil {
-		return Estimate{}, err
-	}
-	return e.sumEstimate(ch, hp, hpc, cPriv, float64(rel.NumRows()), muP, varP)
+	return e.sum(resident{rel}, agg, pred)
 }
 
-// sumInputs reads what the Eq. 5 estimators need from the per-code layer:
-// the private sums of agg over pred and its complement, the matching row
-// count, and agg's column mean and variance.
-func (e *Estimator) sumInputs(rel *relation.Relation, agg string, pred Predicate) (hp, hpc, cPriv, muP, varP float64, err error) {
-	ix, a, err := perCode(e.Cache, rel, pred.Attr, agg)
+func (e *Estimator) sum(src tableSource, agg string, pred Predicate) (Estimate, error) {
+	if pred.isTotal() {
+		return e.total(src, agg, func(t valueTable, _, variance, z float64) Estimate {
+			return Estimate{Value: t.total, CI: z * math.Sqrt(t.rows*variance)}
+		})
+	}
+	ch, t, sel, err := e.selectValues(src, agg, pred)
 	if err != nil {
-		return 0, 0, 0, 0, 0, err
+		return Estimate{}, err
 	}
-	if rel.NumRows() == 0 {
-		return 0, 0, 0, 0, 0, fmt.Errorf("estimator: empty relation")
+	muP, varP, err := e.spread(t)
+	if err != nil {
+		return Estimate{}, err
 	}
-	if muP, varP, err = e.spread(a.moments()); err != nil {
-		return 0, 0, 0, 0, 0, err
+	hp, hpc := t.fold(sel)
+	return e.sumEstimate(ch, hp, hpc, t.count(sel), t.rows, muP, varP)
+}
+
+// total answers a whole-column aggregate of agg from src: est renders it
+// from the column's mean and variance and the interval's z-score.
+func (e *Estimator) total(src tableSource, agg string, est func(t valueTable, mean, variance, z float64) Estimate) (Estimate, error) {
+	t, err := src.valueTable(e.Cache, "", agg)
+	if err != nil {
+		return Estimate{}, err
 	}
-	sel := compileSelection(ix, pred)
-	hp, hpc = a.fold(sel)
-	return hp, hpc, float64(countSelection(ix, sel)), muP, varP, nil
+	mean, variance, err := t.moments()
+	if err != nil {
+		return Estimate{}, err
+	}
+	z, err := stats.ZScore(e.confidence())
+	if err != nil {
+		return Estimate{}, err
+	}
+	if t.rows == 0 {
+		return Estimate{}, stats.ErrEmpty
+	}
+	return est(t, mean, variance, z), nil
 }
 
 // spread passes on the aggregate column's mean and variance, which scale a
-// sum's interval. A column with no non-NaN cell has neither: the corrected
-// estimators refuse it, while the query run as-is sums nothing there, so
-// the nominal estimator answers it with a zero spread.
-func (e *Estimator) spread(mean, variance float64, err error) (float64, float64, error) {
+// sum's interval, after rejecting an empty relation. A column with no
+// non-NaN cell has neither: the corrected estimators refuse it, while the
+// query run as-is sums nothing there, so the nominal estimator answers it
+// with a zero spread.
+func (e *Estimator) spread(t valueTable) (mean, variance float64, err error) {
+	if t.rows == 0 {
+		return 0, 0, fmt.Errorf("estimator: empty relation")
+	}
+	mean, variance, err = t.moments()
 	if e.nominal && errors.Is(err, stats.ErrEmpty) {
 		return 0, 0, nil
 	}
 	return mean, variance, err
 }
 
-// sumEstimate is the Eq. 5 scalar math, shared by the relation-backed and
-// statistics-backed sum estimators: hp/hpc are the private sums over the
-// predicate and its complement, cPriv the private matching count, s the row
-// count, muP/varP the aggregate column's private mean and variance.
+// sumEstimate is the Eq. 5 scalar math: hp/hpc are the private sums over
+// the predicate and its complement, cPriv the private matching count, s
+// the row count, muP/varP the aggregate column's private mean and variance.
 func (e *Estimator) sumEstimate(ch channelVal, hp, hpc, cPriv, s, muP, varP float64) (Estimate, error) {
 	if s == 0 {
 		return Estimate{}, fmt.Errorf("estimator: empty relation")
@@ -315,7 +356,8 @@ func (e *Estimator) sumEstimate(ch channelVal, hp, hpc, cPriv, s, muP, varP floa
 // Its bias is τ_n·(S−c)·μ_false/τ_p — it over-counts by the mass the
 // randomization pushed *into* the predicate from non-matching rows, which
 // is exactly the term the full estimator removes. Exposed for the
-// ablation benchmarks.
+// ablation benchmarks. A whole column has no false positives, so the zero
+// predicate answers as Sum does.
 //
 // (Note that the complement query itself carries no independent
 // information: h_p + h_p^c is the column total, so Eq. 5 is algebraically
@@ -323,11 +365,19 @@ func (e *Estimator) sumEstimate(ch channelVal, hp, hpc, cPriv, s, muP, varP floa
 // embodies is *subtracting the false-positive mass* — which this ablation
 // omits — not the extra query per se.)
 func (e *Estimator) SumIgnoringFalsePositives(rel *relation.Relation, agg string, pred Predicate) (Estimate, error) {
+	src := resident{rel}
+	if pred.isTotal() {
+		return e.sum(src, agg, pred)
+	}
 	ch, err := e.channel(pred)
 	if err != nil {
 		return Estimate{}, err
 	}
-	hp, _, cPriv, muP, varP, err := e.sumInputs(rel, agg, pred)
+	t, err := src.valueTable(e.Cache, pred.Attr, agg)
+	if err != nil {
+		return Estimate{}, err
+	}
+	muP, varP, err := e.spread(t)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -335,15 +385,15 @@ func (e *Estimator) SumIgnoringFalsePositives(rel *relation.Relation, agg string
 	if tauP <= 0 {
 		return Estimate{}, fmt.Errorf("estimator: τ_p = %v leaves no signal to invert", tauP)
 	}
-	est := hp / tauP
-	s := float64(rel.NumRows())
-	sp := cPriv / s
+	sel := compileSelection(t.ix, pred)
+	hp, _ := t.fold(sel)
+	sp := t.count(sel) / t.rows
 	z, err := stats.ZScore(e.confidence())
 	if err != nil {
 		return Estimate{}, err
 	}
-	ci := z / tauP * math.Sqrt(s*(sp*(1-sp)*muP*muP+varP))
-	return Estimate{Value: est, CI: ci}, nil
+	ci := z / tauP * math.Sqrt(t.rows*(sp*(1-sp)*muP*muP+varP))
+	return Estimate{Value: hp / tauP, CI: ci}, nil
 }
 
 // Avg implements the Section 5.6 avg estimator: the ratio ĥ/ĉ of the sum
@@ -355,17 +405,50 @@ func (e *Estimator) SumIgnoringFalsePositives(rel *relation.Relation, agg string
 // (Eq. 7 as printed in the paper reads error ≈ (1/ĉ)·err_sum/err_count,
 // which is dimensionally inconsistent; we implement the standard
 // error-propagation form it references [Oehlert 1992].)
+//
+// The zero predicate averages the whole column with the Direct estimator,
+// with the interval z·sqrt(σ_p²/S).
 func (e *Estimator) Avg(rel *relation.Relation, agg string, pred Predicate) (Estimate, error) {
-	h, err := e.Sum(rel, agg, pred)
+	return e.avg(resident{rel}, agg, pred)
+}
+
+func (e *Estimator) avg(src tableSource, agg string, pred Predicate) (Estimate, error) {
+	if pred.isTotal() {
+		return e.total(src, agg, func(t valueTable, mean, variance, z float64) Estimate {
+			return Estimate{Value: mean, CI: z * math.Sqrt(variance/t.rows)}
+		})
+	}
+	ch, t, sel, err := e.selectValues(src, agg, pred)
 	if err != nil {
 		return Estimate{}, err
 	}
-	c, err := e.Count(rel, pred)
+	muP, varP, err := e.spread(t)
+	if err != nil {
+		return Estimate{}, err
+	}
+	hp, hpc := t.fold(sel)
+	cPriv := t.count(sel)
+	est, err := e.ratio(ch, hp, hpc, cPriv, t.rows, muP, varP)
+	if errors.Is(err, ErrZeroEstimatedCount) {
+		err = fmt.Errorf("%w for %s", err, pred)
+	}
+	return est, err
+}
+
+// ratio is the avg math shared by scalar and GROUP BY avg: the Eq. 5 sum
+// over the Eq. 3 count, with the delta-method interval, or
+// ErrZeroEstimatedCount when the count estimate is zero.
+func (e *Estimator) ratio(ch channelVal, hp, hpc, cPriv, s, muP, varP float64) (Estimate, error) {
+	h, err := e.sumEstimate(ch, hp, hpc, cPriv, s, muP, varP)
+	if err != nil {
+		return Estimate{}, err
+	}
+	c, err := e.countEstimate(ch, cPriv, s)
 	if err != nil {
 		return Estimate{}, err
 	}
 	if c.Value == 0 {
-		return Estimate{}, fmt.Errorf("%w for %s", ErrZeroEstimatedCount, pred)
+		return Estimate{}, ErrZeroEstimatedCount
 	}
 	v := h.Value / c.Value
 	return Estimate{Value: v, CI: ratioCI(v, h, c)}, nil
@@ -385,163 +468,82 @@ func ratioCI(v float64, h, c Estimate) float64 {
 	return math.Abs(v) * math.Sqrt(rel2)
 }
 
-// TotalCount estimates a predicate-free count: the relation size, which GRR
-// does not perturb. The interval is zero.
-func (e *Estimator) TotalCount(rel *relation.Relation) Estimate {
-	return Estimate{Value: float64(rel.NumRows())}
-}
-
-// TotalSum estimates a predicate-free sum with the Direct estimator
-// (unbiased per Section 5.1: GRR noise is zero-mean). The interval reflects
-// the injected Laplace noise and sampling variance.
-func (e *Estimator) TotalSum(rel *relation.Relation, agg string) (Estimate, error) {
-	a, err := columnAggs(e.Cache, rel, nil, "", agg)
-	if err != nil {
-		return Estimate{}, err
-	}
-	_, varP, err := a.moments()
-	if err != nil {
-		return Estimate{}, err
-	}
-	z, err := stats.ZScore(e.confidence())
-	if err != nil {
-		return Estimate{}, err
-	}
-	s := float64(rel.NumRows())
-	return Estimate{Value: a.total, CI: z * math.Sqrt(s*varP)}, nil
-}
-
-// TotalAvg estimates a predicate-free mean with the Direct estimator.
-func (e *Estimator) TotalAvg(rel *relation.Relation, agg string) (Estimate, error) {
-	a, err := columnAggs(e.Cache, rel, nil, "", agg)
-	if err != nil {
-		return Estimate{}, err
-	}
-	m, varP, err := a.moments()
-	if err != nil {
-		return Estimate{}, err
-	}
-	z, err := stats.ZScore(e.confidence())
-	if err != nil {
-		return Estimate{}, err
-	}
-	s := float64(rel.NumRows())
-	if s == 0 {
-		return Estimate{}, stats.ErrEmpty
-	}
-	return Estimate{Value: m, CI: z * math.Sqrt(varP/s)}, nil
-}
-
 // GroupCounts estimates count(1) ... GROUP BY attr: one corrected count per
 // distinct value of attr in the (cleaned) private relation. This powers the
 // TPC-DS experiment's GROUP BY queries (Section 8.3.4).
 func (e *Estimator) GroupCounts(rel *relation.Relation, attr string) (map[string]Estimate, error) {
-	ix, err := rel.DiscreteIndex(attr)
-	if err != nil {
-		return nil, err
-	}
-	counts := codeCounts(ix)
-	out := make(map[string]Estimate, ix.N())
-	for c, v := range ix.Domain {
-		ch, err := e.invertible(Eq(attr, v))
-		if err != nil {
-			return nil, err
-		}
-		est, err := e.countEstimate(ch, float64(counts[c]), float64(rel.NumRows()))
-		if err != nil {
-			return nil, err
-		}
-		out[v] = est
-	}
-	return out, nil
+	return e.groupCounts(resident{rel}, attr)
+}
+
+func (e *Estimator) groupCounts(src tableSource, attr string) (map[string]Estimate, error) {
+	return e.groupBy(src, attr, "", func(ch channelVal, t valueTable, c int, _, _ float64) (Estimate, error) {
+		return e.countEstimate(ch, float64(t.ix.Counts[c]), t.rows)
+	})
 }
 
 // GroupSums estimates sum(agg) ... GROUP BY attr: one corrected sum per
 // distinct value of attr in the (cleaned) private relation, every group
-// read from one per-code aggregate table.
+// read from one per-value table. A group's complement sum is the column
+// total minus the group's sum.
 func (e *Estimator) GroupSums(rel *relation.Relation, attr, agg string) (map[string]Estimate, error) {
-	g, err := e.groupPass(rel, attr, agg)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]Estimate, len(g.ix.Domain))
-	for c, v := range g.ix.Domain {
-		est, err := e.groupSumEstimate(g, c, v, attr)
-		if err != nil {
-			return nil, err
-		}
-		out[v] = est
-	}
-	return out, nil
+	return e.groupSums(resident{rel}, attr, agg)
+}
+
+func (e *Estimator) groupSums(src tableSource, attr, agg string) (map[string]Estimate, error) {
+	return e.groupBy(src, attr, agg, func(ch channelVal, t valueTable, c int, muP, varP float64) (Estimate, error) {
+		hp := t.sums[c]
+		return e.sumEstimate(ch, hp, t.total-hp, float64(t.ix.Counts[c]), t.rows, muP, varP)
+	})
 }
 
 // GroupAvgs estimates avg(agg) ... GROUP BY attr with the corrected ratio
-// estimator per group, from the same per-code table as GroupSums.
+// estimator per group, from the same per-value table as GroupSums.
 // Groups whose estimated count is zero are omitted; every other failure
 // (missing aggregate column, bad metadata) propagates.
 func (e *Estimator) GroupAvgs(rel *relation.Relation, attr, agg string) (map[string]Estimate, error) {
-	g, err := e.groupPass(rel, attr, agg)
+	return e.groupAvgs(resident{rel}, attr, agg)
+}
+
+func (e *Estimator) groupAvgs(src tableSource, attr, agg string) (map[string]Estimate, error) {
+	out, err := e.groupBy(src, attr, agg, func(ch channelVal, t valueTable, c int, muP, varP float64) (Estimate, error) {
+		hp := t.sums[c]
+		return e.ratio(ch, hp, t.total-hp, float64(t.ix.Counts[c]), t.rows, muP, varP)
+	})
+	if err == nil && len(out) == 0 {
+		err = fmt.Errorf("estimator: no group of %q has a nonzero estimated count", attr)
+	}
+	return out, err
+}
+
+// groupBy answers one estimate per value of attr, in domain order, from
+// one (attr, agg) table: est gets the value's channel and code and, with
+// an agg, the column's mean and variance. A group whose estimate is
+// ErrZeroEstimatedCount is left out.
+func (e *Estimator) groupBy(src tableSource, attr, agg string, est func(ch channelVal, t valueTable, c int, muP, varP float64) (Estimate, error)) (map[string]Estimate, error) {
+	t, err := src.valueTable(e.Cache, attr, agg)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]Estimate, len(g.ix.Domain))
-	for c, v := range g.ix.Domain {
-		h, err := e.groupSumEstimate(g, c, v, attr)
+	var muP, varP float64
+	if agg != "" {
+		if muP, varP, err = e.spread(t); err != nil {
+			return nil, err
+		}
+	}
+	out := make(map[string]Estimate, t.ix.N())
+	for c, v := range t.ix.Domain {
+		ch, err := e.invertible(Eq(attr, v))
 		if err != nil {
 			return nil, err
 		}
-		ch, err := e.channel(Eq(attr, v))
-		if err != nil {
-			return nil, err
-		}
-		cnt, err := e.countEstimate(ch, float64(g.counts[c]), g.rows)
-		if err != nil {
-			return nil, err
-		}
-		if cnt.Value == 0 {
+		g, err := est(ch, t, c, muP, varP)
+		if errors.Is(err, ErrZeroEstimatedCount) {
 			continue // zero estimated count: no meaningful average
 		}
-		val := h.Value / cnt.Value
-		out[v] = Estimate{Value: val, CI: ratioCI(val, h, cnt)}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("estimator: no group of %q has a nonzero estimated count", attr)
+		if err != nil {
+			return nil, err
+		}
+		out[v] = g
 	}
 	return out, nil
-}
-
-// groupPass holds the shared per-code aggregates and column moments of one
-// GROUP BY evaluation.
-type groupPass struct {
-	ix         *relation.DiscreteIndex
-	counts     []uint32
-	a          *codeAggs
-	rows       float64
-	mean, varP float64
-}
-
-func (e *Estimator) groupPass(rel *relation.Relation, attr, agg string) (*groupPass, error) {
-	ix, a, err := perCode(e.Cache, rel, attr, agg)
-	if err != nil {
-		return nil, err
-	}
-	if rel.NumRows() == 0 {
-		return nil, fmt.Errorf("estimator: empty relation")
-	}
-	mean, varP, err := e.spread(a.moments())
-	if err != nil {
-		return nil, err
-	}
-	return &groupPass{ix: ix, counts: codeCounts(ix), a: a, rows: float64(rel.NumRows()), mean: mean, varP: varP}, nil
-}
-
-// groupSumEstimate is one group's Eq. 5 inversion from the shared pass. The
-// complement sum is the row-order column total minus the group's sum.
-func (e *Estimator) groupSumEstimate(g *groupPass, code int, v, attr string) (Estimate, error) {
-	ch, err := e.invertible(Eq(attr, v))
-	if err != nil {
-		return Estimate{}, err
-	}
-	hp := g.a.sums[code]
-	return e.sumEstimate(ch, hp, g.a.total-hp, float64(g.counts[code]), g.rows, g.mean, g.varP)
 }

@@ -541,11 +541,11 @@ func TestTotalAggregates(t *testing.T) {
 	r := skewedRel(t)
 	v, meta := privatized(t, r, 21, 0.2, 5)
 	est := &Estimator{Meta: meta}
-	if got := est.TotalCount(v); got.Value != 1000 || got.CI != 0 {
-		t.Fatalf("TotalCount = %+v", got)
+	if got, err := est.Count(v, Predicate{}); err != nil || got.Value != 1000 || got.CI != 0 {
+		t.Fatalf("total count = %+v, %v", got, err)
 	}
 	truthSum := 500*10.0 + 300*20 + 150*30 + 40*40 + 10*50
-	ts, err := est.TotalSum(v, "value")
+	ts, err := est.Sum(v, "value", Predicate{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,17 +555,17 @@ func TestTotalAggregates(t *testing.T) {
 	if ts.CI <= 0 {
 		t.Fatal("TotalSum CI should be positive")
 	}
-	ta, err := est.TotalAvg(v, "value")
+	ta, err := est.Avg(v, "value", Predicate{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(ta.Value-truthSum/1000) > 2 {
 		t.Fatalf("TotalAvg = %v", ta.Value)
 	}
-	if _, err := est.TotalSum(v, "nope"); err == nil {
+	if _, err := est.Sum(v, "nope", Predicate{}); err == nil {
 		t.Fatal("want error for unknown attribute")
 	}
-	if _, err := est.TotalAvg(v, "nope"); err == nil {
+	if _, err := est.Avg(v, "nope", Predicate{}); err == nil {
 		t.Fatal("want error for unknown attribute")
 	}
 }

@@ -9,7 +9,9 @@ import (
 
 // Predicate is a deterministic condition over a single discrete attribute —
 // the cond(d) of the paper's query class (Section 3.2.2). Every predicate is
-// equivalent to selecting a subset of the attribute's distinct values.
+// equivalent to selecting a subset of the attribute's distinct values. The
+// zero Predicate (no Attr, nil Match) is a query without WHERE: the whole
+// column.
 type Predicate struct {
 	// Attr is the discrete attribute the predicate conditions on.
 	Attr string
@@ -29,6 +31,9 @@ type Predicate struct {
 	// on every domain value. It is nil for every other predicate.
 	values []string
 }
+
+// isTotal reports whether p is the zero Predicate, the whole column.
+func (p Predicate) isTotal() bool { return p.Attr == "" && p.Match == nil }
 
 // String renders the predicate.
 func (p Predicate) String() string {

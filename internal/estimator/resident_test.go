@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -242,11 +243,6 @@ func residentTranscript(e *Estimator, rel *relation.Relation, preds []Predicate)
 			tr.put("dconj-sum"+ck, err, d.Value)
 		}
 	}
-	tr.est("total-count", e.TotalCount(rel), nil)
-	t, err := e.TotalSum(rel, "x")
-	tr.est("total-sum", t, err)
-	t, err = e.TotalAvg(rel, "x")
-	tr.est("total-avg", t, err)
 	g, err := e.GroupCounts(rel, "cat")
 	tr.groups("group-count", g, err)
 	g, err = e.GroupSums(rel, "cat", "x")
@@ -589,37 +585,69 @@ func naiveBins(e *Estimator, rel *relation.Relation, tr transcript, attr, agg st
 	}
 }
 
+// naiveScalars puts the reference count, sum and avg under predicate p,
+// corrected and Direct, at key suffix k.
+func naiveScalars(e *Estimator, rel *relation.Relation, tr transcript, k string, p Predicate) {
+	c, err := naiveCount(e, rel, p)
+	tr.est("count"+k, c, err)
+	s, err := naiveSum(e, rel, "x", p)
+	tr.est("sum"+k, s, err)
+	a, err := naiveAvg(e, rel, "x", p)
+	tr.est("avg"+k, a, err)
+	s, err = naiveSumFP(e, rel, "x", p)
+	tr.est("sumfp"+k, s, err)
+	m, err := naiveMatchCol(rel, p)
+	if err != nil {
+		tr.put("dcount"+k, err)
+		tr.put("dsum"+k, err)
+		tr.put("davg"+k, err)
+		return
+	}
+	tr.put("dcount"+k, nil, countTrue(m))
+	hp, _ := naiveSums(rel.MustNumeric("x"), m)
+	tr.put("dsum"+k, nil, hp)
+	if c := countTrue(m); c == 0 {
+		tr.put("davg"+k, errors.New("no rows"))
+	} else {
+		tr.put("davg"+k, nil, hp/c)
+	}
+}
+
+// naiveTotals puts the reference whole-column count, sum and avg at key
+// suffix k: the Direct values, which need no correction, so the corrected
+// and Direct keys agree and the ablation's sum is the plain sum.
+func naiveTotals(e *Estimator, rel *relation.Relation, tr transcript, k string) {
+	col := rel.MustNumeric("x")
+	s := float64(rel.NumRows())
+	tr.est("count"+k, Estimate{Value: s}, nil)
+	tr.put("dcount"+k, nil, s)
+	v, err := stats.Variance(col)
+	if err != nil {
+		for _, f := range []string{"sum", "avg", "sumfp", "dsum", "davg"} {
+			tr.put(f+k, err)
+		}
+		return
+	}
+	mu, _ := stats.Mean(col)
+	z, _ := stats.ZScore(e.confidence())
+	sum := Estimate{Value: naiveTotal(col), CI: z * math.Sqrt(s*v)}
+	tr.est("sum"+k, sum, nil)
+	tr.est("sumfp"+k, sum, nil)
+	tr.put("dsum"+k, nil, sum.Value)
+	tr.est("avg"+k, Estimate{Value: mu, CI: z * math.Sqrt(v/s)}, nil)
+	tr.put("davg"+k, nil, mu)
+}
+
 // naiveTranscript is residentTranscript computed by the reference, less the
 // conjunction averages.
 func naiveTranscript(e *Estimator, rel *relation.Relation, preds []Predicate) transcript {
 	tr := transcript{}
 	for i, p := range preds {
 		k := fmt.Sprintf("/p%d", i)
-		c, err := naiveCount(e, rel, p)
-		tr.est("count"+k, c, err)
-		s, err := naiveSum(e, rel, "x", p)
-		tr.est("sum"+k, s, err)
-		a, err := naiveAvg(e, rel, "x", p)
-		tr.est("avg"+k, a, err)
-		s, err = naiveSumFP(e, rel, "x", p)
-		tr.est("sumfp"+k, s, err)
-		m, err := naiveMatchCol(rel, p)
-		if err != nil {
-			tr.put("dcount"+k, err)
+		if p.isTotal() {
+			naiveTotals(e, rel, tr, k)
 		} else {
-			tr.put("dcount"+k, nil, countTrue(m))
-		}
-		if m, merr := naiveMatchCol(rel, p); merr != nil {
-			tr.put("dsum"+k, merr)
-			tr.put("davg"+k, merr)
-		} else {
-			hp, _ := naiveSums(rel.MustNumeric("x"), m)
-			tr.put("dsum"+k, nil, hp)
-			if c := countTrue(m); c == 0 {
-				tr.put("davg"+k, errors.New("no rows"))
-			} else {
-				tr.put("davg"+k, nil, hp/c)
-			}
+			naiveScalars(e, rel, tr, k, p)
 		}
 		for _, q := range residentQs {
 			qk := fmt.Sprintf("%v%s", q, k)
@@ -654,18 +682,6 @@ func naiveTranscript(e *Estimator, rel *relation.Relation, preds []Predicate) tr
 			tr.put("dconj-count"+ck, err, dc)
 			tr.put("dconj-sum"+ck, err, ds)
 		}
-	}
-	col := rel.MustNumeric("x")
-	tr.est("total-count", Estimate{Value: float64(rel.NumRows())}, nil)
-	z, _ := stats.ZScore(e.confidence())
-	s := float64(rel.NumRows())
-	if v, err := stats.Variance(col); err != nil {
-		tr.put("total-sum", err)
-		tr.put("total-avg", err)
-	} else {
-		mu, _ := stats.Mean(col)
-		tr.est("total-sum", Estimate{Value: naiveTotal(col), CI: z * math.Sqrt(s*v)}, nil)
-		tr.est("total-avg", Estimate{Value: mu, CI: z * math.Sqrt(v/s)}, nil)
 	}
 	naiveGroups(e, rel, tr, "cat", "x")
 	naiveBins(e, rel, tr, "x", "x")
@@ -838,29 +854,45 @@ func checkConjAvgs(t *testing.T, tr transcript) {
 	}
 }
 
-// checkStatsFold requires the resident per-code fold and the statistics
-// path to add the same per-value sums in the same order: the matched and
-// complement sums of every cat predicate are bit-identical to
-// Statistics.sumMatches over statistics collected from rel.
+// checkStatsFold requires the resident and statistics per-value tables of
+// (cat, x) to hold the same bits — domain, counts, per-value sums and the
+// row-order column total — so every cat predicate folds to bit-identical
+// matched and complement sums on both sources.
 func checkStatsFold(t *testing.T, rng *rand.Rand, rel *relation.Relation, preds []Predicate) {
 	t.Helper()
 	st, err := CollectStatisticsWith(relation.NewSliceIterator(rel, 1+rng.Intn(7)), CollectOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, a, err := perCode(nil, rel, "cat", "x")
+	rt, err := resident{rel}.valueTable(nil, "cat", "x")
 	if err != nil {
 		t.Fatal(err)
+	}
+	stt, err := st.valueTable(nil, "cat", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rt.ix.Domain, stt.ix.Domain) || !slices.Equal(rt.ix.Counts, stt.ix.Counts) ||
+		rt.rows != stt.rows || rt.nonNaN != stt.nonNaN {
+		t.Fatalf("tables differ: %v %v %v %d vs %v %v %v %d", rt.ix.Domain, rt.ix.Counts, rt.rows, rt.nonNaN,
+			stt.ix.Domain, stt.ix.Counts, stt.rows, stt.nonNaN)
+	}
+	bits := func(xs ...float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	if !slices.Equal(bits(append(rt.sums, rt.total)...), bits(append(stt.sums, stt.total)...)) {
+		t.Fatalf("sums differ: %v %v vs %v %v", rt.sums, rt.total, stt.sums, stt.total)
 	}
 	for _, p := range preds {
 		if p.Attr != "cat" {
 			continue
 		}
-		m, c := a.fold(compileSelection(ix, p))
-		sm, sc, err := st.sumMatches("x", p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m, c := rt.fold(compileSelection(rt.ix, p))
+		sm, sc := stt.fold(compileSelection(stt.ix, p))
 		if math.Float64bits(m) != math.Float64bits(sm) || math.Float64bits(c) != math.Float64bits(sc) {
 			t.Fatalf("%s: resident fold (%v, %v) != statistics (%v, %v)", p, m, c, sm, sc)
 		}
@@ -926,7 +958,7 @@ func TestResidentAggregatesPinNoBitsets(t *testing.T) {
 		_, err9 := e.GroupBinAvgs(rel, "x", "x")
 		_, err10 := e.Median(rel, "x", pred)
 		_, err11 := e.Var(rel, "x", pred)
-		_, err12 := e.TotalSum(rel, "x")
+		_, err12 := e.Sum(rel, "x", Predicate{})
 		if err := errors.Join(err1, err2, err3, err4, err5, err6, err7, err8, err9, err10, err11, err12); err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package estimator
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -201,42 +200,36 @@ func (st *Statistics) moments(agg string) (Moments, error) {
 	return m, nil
 }
 
-// countMatches returns the number of rows whose pred.Attr value satisfies
-// pred (nil Match matches all), from the per-value counts.
-func (st *Statistics) countMatches(pred Predicate) (int, error) {
-	vs, ok := st.Discrete[pred.Attr]
-	if !ok {
-		return 0, fmt.Errorf("estimator: no statistics for discrete attribute %q", pred.Attr)
-	}
-	n := 0
-	for v, s := range vs {
-		if pred.Match == nil || pred.Match(v) {
-			n += s.Count
+// valueTable builds the (attr, agg) table from the recorded marginals:
+// attr's values in sorted order with their counts and sums of agg, and
+// agg's column moments.
+func (st *Statistics) valueTable(_ *ChannelCache, attr, agg string) (valueTable, error) {
+	t := valueTable{rows: float64(st.Rows)}
+	var dom []string
+	if attr != "" {
+		var err error
+		if dom, err = st.Domain(attr); err != nil {
+			return valueTable{}, err
+		}
+		t.ix = &relation.DiscreteIndex{Domain: dom, Counts: make([]uint32, len(dom))}
+		for c, v := range dom {
+			t.ix.Counts[c] = uint32(st.Discrete[attr][v].Count)
 		}
 	}
-	return n, nil
-}
-
-// sumMatches returns the sums of agg over rows satisfying pred and over the
-// complement, accumulating per-value sums in sorted-value order so the
-// result is deterministic.
-func (st *Statistics) sumMatches(agg string, pred Predicate) (matched, complement float64, err error) {
-	vs, ok := st.Discrete[pred.Attr]
-	if !ok {
-		return 0, 0, fmt.Errorf("estimator: no statistics for discrete attribute %q", pred.Attr)
-	}
-	if _, err := st.moments(agg); err != nil {
-		return 0, 0, err
-	}
-	for _, v := range sortedKeys(vs) {
-		x := vs[v].Sums[agg]
-		if pred.Match == nil || pred.Match(v) {
-			matched += x
-		} else {
-			complement += x
+	if agg != "" {
+		m, err := st.moments(agg)
+		if err != nil {
+			return valueTable{}, err
+		}
+		t.total, t.nonNaN, t.moments = m.Sum, m.Count, m.moments
+		if dom != nil {
+			t.sums = make([]float64, len(dom))
+			for c, v := range dom {
+				t.sums[c] = st.Discrete[attr][v].Sums[agg]
+			}
 		}
 	}
-	return matched, complement, nil
+	return t, nil
 }
 
 // CollectOpts configures the optional statistics layouts.
@@ -633,164 +626,33 @@ func collectInto(c *Collector, it relation.Iterator) (*Statistics, error) {
 	return c.Statistics(), nil
 }
 
-// CountStats is Count over sufficient statistics instead of a resident
-// relation.
+// CountStats is Count over sufficient statistics. It and the other *Stats
+// adapters below only pick the source.
 func (e *Estimator) CountStats(st *Statistics, pred Predicate) (Estimate, error) {
-	ch, err := e.invertible(pred)
-	if err != nil {
-		return Estimate{}, err
-	}
-	cPriv, err := st.countMatches(pred)
-	if err != nil {
-		return Estimate{}, err
-	}
-	return e.countEstimate(ch, float64(cPriv), float64(st.Rows))
+	return e.count(st, pred)
 }
 
 // SumStats is Sum over sufficient statistics.
 func (e *Estimator) SumStats(st *Statistics, agg string, pred Predicate) (Estimate, error) {
-	ch, err := e.invertible(pred)
-	if err != nil {
-		return Estimate{}, err
-	}
-	hp, hpc, err := st.sumMatches(agg, pred)
-	if err != nil {
-		return Estimate{}, err
-	}
-	if st.Rows == 0 {
-		return Estimate{}, fmt.Errorf("estimator: empty relation")
-	}
-	cPriv, err := st.countMatches(pred)
-	if err != nil {
-		return Estimate{}, err
-	}
-	m, err := st.moments(agg)
-	if err != nil {
-		return Estimate{}, err
-	}
-	muP, varP, err := e.spread(m.moments())
-	if err != nil {
-		return Estimate{}, err
-	}
-	return e.sumEstimate(ch, hp, hpc, float64(cPriv), float64(st.Rows), muP, varP)
+	return e.sum(st, agg, pred)
 }
 
-// AvgStats is Avg over sufficient statistics: the ratio of SumStats and
-// CountStats with the same delta-method interval.
+// AvgStats is Avg over sufficient statistics.
 func (e *Estimator) AvgStats(st *Statistics, agg string, pred Predicate) (Estimate, error) {
-	h, err := e.SumStats(st, agg, pred)
-	if err != nil {
-		return Estimate{}, err
-	}
-	c, err := e.CountStats(st, pred)
-	if err != nil {
-		return Estimate{}, err
-	}
-	if c.Value == 0 {
-		return Estimate{}, fmt.Errorf("%w for %s", ErrZeroEstimatedCount, pred)
-	}
-	v := h.Value / c.Value
-	return Estimate{Value: v, CI: ratioCI(v, h, c)}, nil
-}
-
-// TotalCountStats is TotalCount over sufficient statistics.
-func (e *Estimator) TotalCountStats(st *Statistics) Estimate {
-	return Estimate{Value: float64(st.Rows)}
-}
-
-// TotalSumStats is TotalSum over sufficient statistics.
-func (e *Estimator) TotalSumStats(st *Statistics, agg string) (Estimate, error) {
-	m, err := st.moments(agg)
-	if err != nil {
-		return Estimate{}, err
-	}
-	_, varP, err := m.moments()
-	if err != nil {
-		return Estimate{}, err
-	}
-	z, err := stats.ZScore(e.confidence())
-	if err != nil {
-		return Estimate{}, err
-	}
-	s := float64(st.Rows)
-	return Estimate{Value: m.Sum, CI: z * math.Sqrt(s*varP)}, nil
-}
-
-// TotalAvgStats is TotalAvg over sufficient statistics.
-func (e *Estimator) TotalAvgStats(st *Statistics, agg string) (Estimate, error) {
-	m, err := st.moments(agg)
-	if err != nil {
-		return Estimate{}, err
-	}
-	mu, varP, err := m.moments()
-	if err != nil {
-		return Estimate{}, err
-	}
-	z, err := stats.ZScore(e.confidence())
-	if err != nil {
-		return Estimate{}, err
-	}
-	s := float64(st.Rows)
-	if s == 0 {
-		return Estimate{}, stats.ErrEmpty
-	}
-	return Estimate{Value: mu, CI: z * math.Sqrt(varP/s)}, nil
+	return e.avg(st, agg, pred)
 }
 
 // GroupCountsStats is GroupCounts over sufficient statistics.
 func (e *Estimator) GroupCountsStats(st *Statistics, attr string) (map[string]Estimate, error) {
-	domain, err := st.Domain(attr)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]Estimate, len(domain))
-	for _, v := range domain {
-		est, err := e.CountStats(st, Eq(attr, v))
-		if err != nil {
-			return nil, err
-		}
-		out[v] = est
-	}
-	return out, nil
+	return e.groupCounts(st, attr)
 }
 
 // GroupSumsStats is GroupSums over sufficient statistics.
 func (e *Estimator) GroupSumsStats(st *Statistics, attr, agg string) (map[string]Estimate, error) {
-	domain, err := st.Domain(attr)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]Estimate, len(domain))
-	for _, v := range domain {
-		est, err := e.SumStats(st, agg, Eq(attr, v))
-		if err != nil {
-			return nil, err
-		}
-		out[v] = est
-	}
-	return out, nil
+	return e.groupSums(st, attr, agg)
 }
 
-// GroupAvgsStats is GroupAvgs over sufficient statistics; zero-count groups
-// are omitted, as in GroupAvgs.
+// GroupAvgsStats is GroupAvgs over sufficient statistics.
 func (e *Estimator) GroupAvgsStats(st *Statistics, attr, agg string) (map[string]Estimate, error) {
-	domain, err := st.Domain(attr)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]Estimate, len(domain))
-	for _, v := range domain {
-		est, err := e.AvgStats(st, agg, Eq(attr, v))
-		if err != nil {
-			if errors.Is(err, ErrZeroEstimatedCount) {
-				continue
-			}
-			return nil, err
-		}
-		out[v] = est
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("estimator: no group of %q has a nonzero estimated count", attr)
-	}
-	return out, nil
+	return e.groupAvgs(st, attr, agg)
 }

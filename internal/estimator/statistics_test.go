@@ -97,23 +97,25 @@ func TestStatsEstimatorsMatchRelation(t *testing.T) {
 			relClose(t, "direct count "+pred.String(), gotD.Value, wantD.Value)
 		}
 
-		if got := est.TotalCountStats(st); got != est.TotalCount(v) {
-			t.Errorf("total count: %v vs %v", got, est.TotalCount(v))
+		gotTC, err1 := est.CountStats(st, Predicate{})
+		wantTC, err2 := est.Count(v, Predicate{})
+		if err1 != nil || err2 != nil || gotTC != wantTC {
+			t.Errorf("total count: %v, %v vs %v, %v", gotTC, err1, wantTC, err2)
 		}
-		wantTS, err := est.TotalSum(v, "value")
+		wantTS, err := est.Sum(v, "value", Predicate{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotTS, err := est.TotalSumStats(st, "value")
+		gotTS, err := est.SumStats(st, "value", Predicate{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		estClose(t, "total sum", gotTS, wantTS)
-		wantTA, err := est.TotalAvg(v, "value")
+		wantTA, err := est.Avg(v, "value", Predicate{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotTA, err := est.TotalAvgStats(st, "value")
+		gotTA, err := est.AvgStats(st, "value", Predicate{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,10 +275,10 @@ func TestStatsMissingAttributes(t *testing.T) {
 func TestStatsEmpty(t *testing.T) {
 	st := NewCollector().Statistics()
 	est := &Estimator{}
-	if got := est.TotalCountStats(st); got.Value != 0 {
-		t.Fatalf("empty total count = %v", got.Value)
+	if got, err := est.CountStats(st, Predicate{}); err != nil || got.Value != 0 {
+		t.Fatalf("empty total count = %v, %v", got.Value, err)
 	}
-	if _, err := est.TotalSumStats(st, "value"); err == nil {
+	if _, err := est.SumStats(st, "value", Predicate{}); err == nil {
 		t.Fatal("want error for empty statistics sum")
 	}
 }

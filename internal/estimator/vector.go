@@ -79,21 +79,6 @@ func (s selection) has(c uint32) bool {
 	return false
 }
 
-// countSelection counts the rows matching sel: an O(domain) sum over the
-// per-code row counts.
-func countSelection(ix *relation.DiscreteIndex, sel selection) int {
-	if sel.all {
-		return len(ix.Codes)
-	}
-	n := 0
-	for c, k := range codeCounts(ix) {
-		if sel.has(uint32(c)) {
-			n += int(k)
-		}
-	}
-	return n
-}
-
 // codeCounts returns the per-code row counts of ix, counting the code
 // vector when the index carries none.
 func codeCounts(ix *relation.DiscreteIndex) []uint32 {

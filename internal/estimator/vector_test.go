@@ -83,23 +83,25 @@ func TestVectorizedMatchesNaive(t *testing.T) {
 		In("cat", "v00", "v02", "v04", "v06", "v08", "v10", "v12"),
 		Not(Eq("cat", "v03")),
 	}
-	ix, a, err := perCode(nil, rel, "cat", "x")
+	tbl, err := resident{rel}.valueTable(nil, "cat", "x")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A count-less index falls back to counting its code vector.
+	bare := &relation.DiscreteIndex{Domain: tbl.ix.Domain, Codes: tbl.ix.Codes}
+	bareTbl := valueTable{ix: &relation.DiscreteIndex{Domain: bare.Domain, Counts: codeCounts(bare)}, rows: tbl.rows}
 	for _, pred := range preds {
 		wantCount, wantM, wantC := naiveEval(rel, pred, "x")
-		sel := compileSelection(ix, pred)
+		sel := compileSelection(tbl.ix, pred)
 		// The O(domain) count from materialized dictionary counts and the
 		// fallback over a count-less index must agree with the scan.
-		if got := countSelection(ix, sel); got != wantCount {
-			t.Errorf("%s: countSelection = %d, want %d", pred, got, wantCount)
+		if got := tbl.count(sel); got != float64(wantCount) {
+			t.Errorf("%s: count = %v, want %d", pred, got, wantCount)
 		}
-		bare := &relation.DiscreteIndex{Domain: ix.Domain, Codes: ix.Codes}
-		if got := countSelection(bare, sel); got != wantCount {
-			t.Errorf("%s: countSelection (no counts) = %d, want %d", pred, got, wantCount)
+		if got := bareTbl.count(sel); got != float64(wantCount) {
+			t.Errorf("%s: count (no counts) = %v, want %d", pred, got, wantCount)
 		}
-		gotM, gotC := a.fold(sel)
+		gotM, gotC := tbl.fold(sel)
 		if math.Float64bits(gotM) != math.Float64bits(wantM) || math.Float64bits(gotC) != math.Float64bits(wantC) {
 			t.Errorf("%s: fold = (%v, %v), want (%v, %v)", pred, gotM, gotC, wantM, wantC)
 		}

@@ -102,8 +102,7 @@ type call struct {
 	rel   *relation.Relation
 	st    *estimator.Statistics
 	q     *Query
-	pred  estimator.Predicate // ShapeScalar; the zero value matches every row
-	all   bool                // ShapeScalar without WHERE
+	pred  estimator.Predicate // ShapeScalar; the zero value is the whole column
 	preds []estimator.Predicate
 }
 
@@ -126,46 +125,16 @@ type key struct {
 // unsupported combination, refused with the hint from refuse.
 var table = map[key][2]*impl{
 	{ShapeScalar, AggCount}: {
-		{scalar: func(c *call) (estimator.Estimate, error) {
-			if c.all {
-				return c.est.TotalCount(c.rel), nil
-			}
-			return c.est.Count(c.rel, c.pred)
-		}},
-		{scalar: func(c *call) (estimator.Estimate, error) {
-			if c.all {
-				return c.est.TotalCountStats(c.st), nil
-			}
-			return c.est.CountStats(c.st, c.pred)
-		}},
+		{scalar: func(c *call) (estimator.Estimate, error) { return c.est.Count(c.rel, c.pred) }},
+		{scalar: func(c *call) (estimator.Estimate, error) { return c.est.CountStats(c.st, c.pred) }},
 	},
 	{ShapeScalar, AggSum}: {
-		{scalar: func(c *call) (estimator.Estimate, error) {
-			if c.all {
-				return c.est.TotalSum(c.rel, c.q.AggAttr)
-			}
-			return c.est.Sum(c.rel, c.q.AggAttr, c.pred)
-		}},
-		{scalar: func(c *call) (estimator.Estimate, error) {
-			if c.all {
-				return c.est.TotalSumStats(c.st, c.q.AggAttr)
-			}
-			return c.est.SumStats(c.st, c.q.AggAttr, c.pred)
-		}},
+		{scalar: func(c *call) (estimator.Estimate, error) { return c.est.Sum(c.rel, c.q.AggAttr, c.pred) }},
+		{scalar: func(c *call) (estimator.Estimate, error) { return c.est.SumStats(c.st, c.q.AggAttr, c.pred) }},
 	},
 	{ShapeScalar, AggAvg}: {
-		{scalar: func(c *call) (estimator.Estimate, error) {
-			if c.all {
-				return c.est.TotalAvg(c.rel, c.q.AggAttr)
-			}
-			return c.est.Avg(c.rel, c.q.AggAttr, c.pred)
-		}},
-		{scalar: func(c *call) (estimator.Estimate, error) {
-			if c.all {
-				return c.est.TotalAvgStats(c.st, c.q.AggAttr)
-			}
-			return c.est.AvgStats(c.st, c.q.AggAttr, c.pred)
-		}},
+		{scalar: func(c *call) (estimator.Estimate, error) { return c.est.Avg(c.rel, c.q.AggAttr, c.pred) }},
+		{scalar: func(c *call) (estimator.Estimate, error) { return c.est.AvgStats(c.st, c.q.AggAttr, c.pred) }},
 	},
 	{ShapeScalar, AggMedian}: {
 		{scalar: func(c *call) (estimator.Estimate, error) { return c.est.Median(c.rel, c.q.AggAttr, c.pred) }},
@@ -306,7 +275,6 @@ func run(est *estimator.Estimator, src Source, q *Query, udfs UDFs) (*Answer, er
 	case q.GroupBy != "":
 		a.Shape = ShapeGroup
 	case q.Where == nil:
-		c.all = true
 		a.Total = q.Agg == AggCount || q.Agg == AggSum || q.Agg == AggAvg
 	default:
 		if c.pred, err = CompilePredicate(q.Where, udfs); err != nil {

@@ -302,17 +302,14 @@ func checkAcrossSources(t *testing.T, s *sources, sql string) {
 
 	// Resident and statistics, on count/sum/avg and binned GROUP BY count:
 	// the same error kind, or estimates that match
-	//   - bit for bit for counts (value and interval) and for scalar sum and
-	//     avg values, which fold the same sums in the same order;
+	//   - bit for bit in every value, and in counts' intervals: both sources
+	//     answer from one per-value table through one body per aggregate;
 	//   - bit for bit, Direct included, for conjunctions over two attributes
 	//     (statistics answer one attribute as a marginal), which fold the
 	//     same joint cells in the same order through one function;
 	//   - in rendering (sameInterval) for sum and avg intervals, which use
 	//     the column variance: two-pass over resident rows, one-pass moments
-	//     over statistics;
-	//   - in rendering for GROUP BY sum and avg values, whose resident
-	//     complement sum is the column total minus the group's sum while
-	//     statistics fold the other groups.
+	//     over statistics.
 	if q.Agg != AggCount && q.Agg != AggSum && q.Agg != AggAvg || q.GroupBin && q.Agg != AggCount ||
 		shapeOn(q, resident) != shapeOn(q, statistics) {
 		return
@@ -324,7 +321,7 @@ func checkAcrossSources(t *testing.T, s *sources, sql string) {
 		return
 	}
 	exact := q.Agg == AggCount || ans[0].Shape == ShapeConj
-	if err := sameEstimates(ans[0], ans[2], exact || ans[0].Shape == ShapeScalar, exact); err != nil {
+	if err := sameEstimates(ans[0], ans[2], true, exact); err != nil {
 		t.Fatalf("%s: resident and statistics differ: %v", sql, err)
 	}
 	// Direct values are bit-identical on every source: the nominal
