@@ -17,11 +17,13 @@ import (
 // call otherwise).
 
 // codeAggs holds one numeric column's non-NaN aggregates, per code of a
-// discrete attribute's dictionary (sums) and over the whole column.
+// discrete attribute's dictionary (sums and cell counts) and over the whole
+// column.
 type codeAggs struct {
-	sums  []float64 // per code, accumulated in row order; nil without a dictionary
-	n     int       // non-NaN cells
-	total float64   // row-order sum, stats.Sum's value
+	sums   []float64 // per code, accumulated in row order; nil without a dictionary
+	nonNaN []uint32  // per code, non-NaN cells; nil without a dictionary
+	n      int       // non-NaN cells
+	total  float64   // row-order sum, stats.Sum's value
 
 	col      []float64 // read again by the first moments and central calls
 	varOnce  sync.Once
@@ -46,6 +48,7 @@ type codeMoments struct {
 // more, waits for the first moments call.
 func buildCodeAggs(ix *relation.DiscreteIndex, col []float64) *codeAggs {
 	var sums []float64
+	var nonNaN []uint32
 	var total float64
 	n := 0
 	if ix == nil {
@@ -56,29 +59,33 @@ func buildCodeAggs(ix *relation.DiscreteIndex, col []float64) *codeAggs {
 			}
 		}
 	} else {
-		sums = make([]float64, ix.N())
+		sums, nonNaN = make([]float64, ix.N()), make([]uint32, ix.N())
 		for i, c := range ix.Codes {
 			if x := col[i]; x == x {
 				sums[c] += x
+				nonNaN[c]++
 				total += x
 				n++
 			}
 		}
 	}
-	return &codeAggs{sums: sums, n: n, total: total, col: col}
+	return &codeAggs{sums: sums, nonNaN: nonNaN, n: n, total: total, col: col}
 }
 
 // valueTable is the per-value table of (attr, agg) that count, sum, avg
 // and GROUP BY read, whichever source it was built from: attr's sorted
-// domain with per-value row counts, per-value sums of agg's non-NaN cells,
-// and agg's column aggregates. attr "" builds a table for a whole column
-// (ix nil), agg "" one for counts only (no sums).
+// domain with per-value row counts, per-value sums and counts of agg's
+// non-NaN cells, and agg's column aggregates. attr "" builds a table for a
+// whole column (ix nil), agg "" one for counts only (no sums).
 type valueTable struct {
-	ix     *relation.DiscreteIndex // Domain and Counts; Codes only on a resident relation
-	rows   float64                 // S, the relation's row count
-	sums   []float64               // per code, accumulated in row order
-	total  float64                 // agg's non-NaN sum in row order
-	nonNaN int                     // agg's non-NaN cells
+	ix   *relation.DiscreteIndex // Domain and Counts; Codes only on a resident relation
+	rows float64                 // S, the relation's row count
+	sums []float64               // per code, accumulated in row order
+	// nonNaNs holds agg's non-NaN cells per code. It is nil, with sums set,
+	// for statistics that do not record them and whose column has NULLs.
+	nonNaNs []uint32
+	total   float64 // agg's non-NaN sum in row order
+	nonNaN  int     // agg's non-NaN cells
 	// moments returns agg's column mean and variance, or stats.ErrEmpty
 	// when every cell is NaN.
 	moments func() (mean, variance float64, err error)
@@ -111,7 +118,7 @@ func (r resident) valueTable(c *ChannelCache, attr, agg string) (valueTable, err
 		if err != nil {
 			return valueTable{}, err
 		}
-		t.sums, t.total, t.nonNaN, t.moments = a.sums, a.total, a.n, a.moments
+		t.sums, t.nonNaNs, t.total, t.nonNaN, t.moments = a.sums, a.nonNaN, a.total, a.n, a.moments
 	}
 	return t, nil
 }
@@ -119,11 +126,21 @@ func (r resident) valueTable(c *ChannelCache, attr, agg string) (valueTable, err
 // count is the number of rows sel matches: S for every code, otherwise an
 // O(domain) sum over the per-code row counts.
 func (t *valueTable) count(sel selection) float64 {
+	return countCodes(t.ix.Counts, t.rows, sel)
+}
+
+// countNonNaN is the number of rows sel matches whose agg cell is non-NaN.
+func (t *valueTable) countNonNaN(sel selection) float64 {
+	return countCodes(t.nonNaNs, float64(t.nonNaN), sel)
+}
+
+// countCodes sums the per-code counts over sel, whose total is all.
+func countCodes(counts []uint32, all float64, sel selection) float64 {
 	if sel.all {
-		return t.rows
+		return all
 	}
 	n := 0
-	for c, k := range t.ix.Counts {
+	for c, k := range counts {
 		if sel.has(uint32(c)) {
 			n += int(k)
 		}

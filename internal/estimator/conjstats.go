@@ -147,5 +147,5 @@ func (e *Estimator) SumConjStats(st *Statistics, agg string, preds ...Predicate)
 // AvgConjStats is AvgConj over sufficient statistics: the ratio of the sum
 // and count estimates with a delta-method interval.
 func (e *Estimator) AvgConjStats(st *Statistics, agg string, preds ...Predicate) (Estimate, error) {
-	return conjAvg(e.estimates(e.statsConj(st, agg, preds)))
+	return e.conjAvg(e.statsConj(st, agg, preds))
 }

@@ -64,15 +64,16 @@ type cellMoments struct {
 }
 
 // conjSums is a folded conjunction: its count and sum estimates and their
-// CLT variances.
-type conjSums struct{ count, sum, countVar, sumVar float64 }
+// CLT variances, and the count estimate over the rows with a non-NaN
+// aggregate cell, which avg divides by, and its variance.
+type conjSums struct{ count, sum, countVar, sumVar, nonNaN, nonNaNVar float64 }
 
 // fold accumulates the conjunction statistics with per-code weights ws[i]
 // of attribute i and the moments x (nil: the count terms only). rows is the
 // relation's row count S. Zero-weight cells contribute nothing to the
 // count and sum terms, so a nominal fold skips the unmatched cells.
 func (t *jointTable) fold(ws [][]float64, x *cellMoments, rows int) conjSums {
-	var cAcc, hAcc, c2Acc, h2Acc float64
+	var cAcc, hAcc, c2Acc, h2Acc, nAcc, n2Acc float64
 	var sumRows float64 // rows with a non-NaN aggregate cell
 	for j, n := range t.n {
 		if x != nil {
@@ -90,11 +91,14 @@ func (t *jointTable) fold(ws [][]float64, x *cellMoments, rows int) conjSums {
 		if x != nil {
 			hAcc += w * x.sums[j]
 			h2Acc += w * w * x.sumSqs[j]
+			nAcc += w * x.nonNaN[j]
+			n2Acc += w * w * x.nonNaN[j]
 		}
 	}
-	s := conjSums{count: cAcc, sum: hAcc, countVar: max(0, c2Acc-cAcc*cAcc/float64(rows))}
+	s := conjSums{count: cAcc, sum: hAcc, countVar: max(0, c2Acc-cAcc*cAcc/float64(rows)), nonNaN: nAcc}
 	if sumRows > 0 {
 		s.sumVar = max(0, h2Acc-hAcc*hAcc/sumRows)
+		s.nonNaNVar = max(0, n2Acc-nAcc*nAcc/sumRows)
 	}
 	return s
 }
@@ -338,9 +342,12 @@ func (e *Estimator) estimates(s conjSums, err error) (c, h Estimate, _ error) {
 	return Estimate{Value: s.count, CI: z * math.Sqrt(s.countVar)}, Estimate{Value: s.sum, CI: z * math.Sqrt(s.sumVar)}, nil
 }
 
-// conjAvg is the ratio of the conjunction's sum and count estimates with a
-// delta-method interval.
-func conjAvg(c, h Estimate, err error) (Estimate, error) {
+// conjAvg is the ratio of the conjunction's sum estimate and its count
+// estimate over the rows with a non-NaN aggregate cell (avg skips NULLs),
+// with a delta-method interval.
+func (e *Estimator) conjAvg(s conjSums, err error) (Estimate, error) {
+	s.count, s.countVar = s.nonNaN, s.nonNaNVar
+	c, h, err := e.estimates(s, err)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -370,5 +377,5 @@ func (e *Estimator) SumConj(rel *relation.Relation, agg string, preds ...Predica
 // AvgConj estimates avg(agg) under the conjunction as the ratio of SumConj
 // and CountConj with a delta-method interval, both read from one fold.
 func (e *Estimator) AvgConj(rel *relation.Relation, agg string, preds ...Predicate) (Estimate, error) {
-	return conjAvg(e.estimates(e.residentConj(rel, agg, preds)))
+	return e.conjAvg(e.residentConj(rel, agg, preds))
 }

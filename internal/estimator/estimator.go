@@ -406,8 +406,10 @@ func (e *Estimator) SumIgnoringFalsePositives(rel *relation.Relation, agg string
 // which is dimensionally inconsistent; we implement the standard
 // error-propagation form it references [Oehlert 1992].)
 //
-// The zero predicate averages the whole column with the Direct estimator,
-// with the interval z·sqrt(σ_p²/S).
+// As in SQL, avg skips NULL (NaN) cells: it is the estimator above over
+// the rows whose aggregate cell is non-NaN, so ĉ and S count those rows
+// only. The zero predicate averages the whole column with the Direct
+// estimator, with the interval z·sqrt(σ_p²/S).
 func (e *Estimator) Avg(rel *relation.Relation, agg string, pred Predicate) (Estimate, error) {
 	return e.avg(resident{rel}, agg, pred)
 }
@@ -415,7 +417,7 @@ func (e *Estimator) Avg(rel *relation.Relation, agg string, pred Predicate) (Est
 func (e *Estimator) avg(src tableSource, agg string, pred Predicate) (Estimate, error) {
 	if pred.isTotal() {
 		return e.total(src, agg, func(t valueTable, mean, variance, z float64) Estimate {
-			return Estimate{Value: mean, CI: z * math.Sqrt(variance/t.rows)}
+			return Estimate{Value: mean, CI: z * math.Sqrt(variance/float64(t.nonNaN))}
 		})
 	}
 	ch, t, sel, err := e.selectValues(src, agg, pred)
@@ -426,9 +428,11 @@ func (e *Estimator) avg(src tableSource, agg string, pred Predicate) (Estimate, 
 	if err != nil {
 		return Estimate{}, err
 	}
+	if t.nonNaNs == nil {
+		return Estimate{}, errNoNullCounts(agg)
+	}
 	hp, hpc := t.fold(sel)
-	cPriv := t.count(sel)
-	est, err := e.ratio(ch, hp, hpc, cPriv, t.rows, muP, varP)
+	est, err := e.ratio(ch, hp, hpc, t.countNonNaN(sel), float64(t.nonNaN), muP, varP)
 	if errors.Is(err, ErrZeroEstimatedCount) {
 		err = fmt.Errorf("%w for %s", err, pred)
 	}
@@ -436,9 +440,13 @@ func (e *Estimator) avg(src tableSource, agg string, pred Predicate) (Estimate, 
 }
 
 // ratio is the avg math shared by scalar and GROUP BY avg: the Eq. 5 sum
-// over the Eq. 3 count, with the delta-method interval, or
-// ErrZeroEstimatedCount when the count estimate is zero.
+// over the Eq. 3 count, with the delta-method interval, where cPriv and s
+// count the rows with a non-NaN aggregate cell. With no such row, or a
+// zero count estimate, it is ErrZeroEstimatedCount.
 func (e *Estimator) ratio(ch channelVal, hp, hpc, cPriv, s, muP, varP float64) (Estimate, error) {
+	if s == 0 {
+		return Estimate{}, ErrZeroEstimatedCount
+	}
 	h, err := e.sumEstimate(ch, hp, hpc, cPriv, s, muP, varP)
 	if err != nil {
 		return Estimate{}, err
@@ -506,8 +514,11 @@ func (e *Estimator) GroupAvgs(rel *relation.Relation, attr, agg string) (map[str
 
 func (e *Estimator) groupAvgs(src tableSource, attr, agg string) (map[string]Estimate, error) {
 	out, err := e.groupBy(src, attr, agg, func(ch channelVal, t valueTable, c int, muP, varP float64) (Estimate, error) {
+		if t.nonNaNs == nil {
+			return Estimate{}, errNoNullCounts(agg)
+		}
 		hp := t.sums[c]
-		return e.ratio(ch, hp, t.total-hp, float64(t.ix.Counts[c]), t.rows, muP, varP)
+		return e.ratio(ch, hp, t.total-hp, float64(t.nonNaNs[c]), float64(t.nonNaN), muP, varP)
 	})
 	if err == nil && len(out) == 0 {
 		err = fmt.Errorf("estimator: no group of %q has a nonzero estimated count", attr)

@@ -198,6 +198,7 @@ func residentConjs(p Predicate) [][]Predicate {
 func residentTranscript(e *Estimator, rel *relation.Relation, preds []Predicate) transcript {
 	tr := transcript{}
 	n := e.Nominal()
+	nonNaN := nonNaNRows(rel, "x")
 	for i, p := range preds {
 		k := fmt.Sprintf("/p%d", i)
 		c, err := e.Count(rel, p)
@@ -237,6 +238,8 @@ func residentTranscript(e *Estimator, rel *relation.Relation, preds []Predicate)
 			tr.est("conj-sum"+ck, s, err)
 			a, err = e.AvgConj(rel, "x", conj...)
 			tr.est("conj-avg"+ck, a, err)
+			c, err = e.CountConj(nonNaN, conj...)
+			tr.est("conj-avgcount"+ck, c, err)
 			d, err = n.CountConj(rel, conj...)
 			tr.put("dconj-count"+ck, err, d.Value)
 			d, err = n.SumConj(rel, "x", conj...)
@@ -367,20 +370,45 @@ func naiveSum(e *Estimator, rel *relation.Relation, agg string, pred Predicate) 
 	return e.sumEstimate(ch, hp, hpc, c, float64(rel.NumRows()), mu, v)
 }
 
+// naiveAvg is the ratio estimator over the rows whose agg cell is non-NaN.
 func naiveAvg(e *Estimator, rel *relation.Relation, agg string, pred Predicate) (Estimate, error) {
-	h, err := naiveSum(e, rel, agg, pred)
+	ch, err := e.invertible(pred)
 	if err != nil {
 		return Estimate{}, err
 	}
-	c, err := naiveCount(e, rel, pred)
+	hp, hpc, _, mu, v, err := naiveSumInputs(rel, agg, pred)
 	if err != nil {
 		return Estimate{}, err
 	}
-	if c.Value == 0 {
+	m, _ := naiveMatchCol(rel, pred)
+	c, s := nonNaNCounts(rel.MustNumeric(agg), m)
+	h, err := e.sumEstimate(ch, hp, hpc, c, s, mu, v)
+	if err != nil {
+		return Estimate{}, err
+	}
+	cnt, err := e.countEstimate(ch, c, s)
+	if err != nil {
+		return Estimate{}, err
+	}
+	if cnt.Value == 0 {
 		return Estimate{}, ErrZeroEstimatedCount
 	}
-	v := h.Value / c.Value
-	return Estimate{Value: v, CI: ratioCI(v, h, c)}, nil
+	r := h.Value / cnt.Value
+	return Estimate{Value: r, CI: ratioCI(r, h, cnt)}, nil
+}
+
+// nonNaNCounts counts the non-NaN cells of col in the rows m matches and
+// in all rows.
+func nonNaNCounts(col []float64, m []bool) (matched, all float64) {
+	for i, x := range col {
+		if !math.IsNaN(x) {
+			all++
+			if m[i] {
+				matched++
+			}
+		}
+	}
+	return matched, all
 }
 
 func naiveSumFP(e *Estimator, rel *relation.Relation, agg string, pred Predicate) (Estimate, error) {
@@ -529,12 +557,15 @@ func naiveGroups(e *Estimator, rel *relation.Relation, tr transcript, attr, agg 
 	v, _ := stats.Variance(col)
 	avgs := 0
 	for _, val := range dom {
-		c, _ := naiveCount(e, rel, Eq(attr, val))
 		ch, _ := e.invertible(Eq(attr, val))
 		m, _ := naiveMatch(rel, Eq(attr, val))
 		hp, _ := naiveSums(col, m)
 		h, err := e.sumEstimate(ch, hp, naiveTotal(col)-hp, countTrue(m), float64(rel.NumRows()), mu, v)
 		tr.est("group-sum/"+val, h, err)
+		// avg: the same estimators over the rows with a non-NaN cell.
+		cn, sn := nonNaNCounts(col, m)
+		h, _ = e.sumEstimate(ch, hp, naiveTotal(col)-hp, cn, sn, mu, v)
+		c, _ := e.countEstimate(ch, cn, sn)
 		if c.Value != 0 {
 			r := h.Value / c.Value
 			tr.est("group-avg/"+val, Estimate{Value: r, CI: ratioCI(r, h, c)}, nil)
@@ -606,7 +637,7 @@ func naiveScalars(e *Estimator, rel *relation.Relation, tr transcript, k string,
 	tr.put("dcount"+k, nil, countTrue(m))
 	hp, _ := naiveSums(rel.MustNumeric("x"), m)
 	tr.put("dsum"+k, nil, hp)
-	if c := countTrue(m); c == 0 {
+	if c, _ := nonNaNCounts(rel.MustNumeric("x"), m); c == 0 {
 		tr.put("davg"+k, errors.New("no rows"))
 	} else {
 		tr.put("davg"+k, nil, hp/c)
@@ -634,7 +665,8 @@ func naiveTotals(e *Estimator, rel *relation.Relation, tr transcript, k string) 
 	tr.est("sum"+k, sum, nil)
 	tr.est("sumfp"+k, sum, nil)
 	tr.put("dsum"+k, nil, sum.Value)
-	tr.est("avg"+k, Estimate{Value: mu, CI: z * math.Sqrt(v/s)}, nil)
+	_, n := nonNaNCounts(col, make([]bool, len(col)))
+	tr.est("avg"+k, Estimate{Value: mu, CI: z * math.Sqrt(v/n)}, nil)
 	tr.put("davg"+k, nil, mu)
 }
 
@@ -830,23 +862,55 @@ func checkResident(t *testing.T, rng *rand.Rand, rows, maxDomain int) {
 	checkStatsFold(t, rng, csvRel, preds)
 }
 
+// nonNaNRows returns the rows of rel whose agg cell is non-NaN.
+func nonNaNRows(rel *relation.Relation, agg string) *relation.Relation {
+	keep := rel.MustNumeric(agg)
+	nums, strs := map[string][]float64{}, map[string][]string{}
+	for _, c := range rel.Schema().Columns() {
+		if c.Kind == relation.Numeric {
+			nums[c.Name] = []float64{}
+		} else {
+			strs[c.Name] = []string{}
+		}
+	}
+	for i, y := range keep {
+		if math.IsNaN(y) {
+			continue
+		}
+		for name := range nums {
+			nums[name] = append(nums[name], rel.MustNumeric(name)[i])
+		}
+		for name := range strs {
+			strs[name] = append(strs[name], rel.MustDiscrete(name)[i])
+		}
+	}
+	out, err := relation.FromColumns(rel.Schema(), nums, strs)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 // checkConjAvgs requires every conjunction average in tr to be the ratio of
-// the transcript's own conjunction sum and count, bit for bit, or to fail
-// as they do.
+// the transcript's own conjunction sum and its count over the rows with a
+// non-NaN cell (avg skips NULLs), bit for bit, or to fail as they do.
 func checkConjAvgs(t *testing.T, tr transcript) {
 	t.Helper()
 	for k, got := range tr {
-		rest, ok := strings.CutPrefix(k, "conj-avg")
+		rest, ok := strings.CutPrefix(k, "conj-avg/")
 		if !ok {
 			continue
 		}
-		c, h := tr["conj-count"+rest], tr["conj-sum"+rest]
+		c, h := tr["conj-avgcount/"+rest], tr["conj-sum/"+rest]
 		want := transcript{}
-		if h.err != "" {
+		switch {
+		case h.err != "":
 			want[k] = h
-		} else {
-			a, err := conjAvg(Estimate{Value: c.vals[0], CI: c.vals[1]}, Estimate{Value: h.vals[0], CI: h.vals[1]}, nil)
-			want.est(k, a, err)
+		case c.err != "" || c.vals[0] == 0: // no row has a non-NaN cell, or the count cancels
+			want.put(k, fmt.Errorf("%w for the conjunction", ErrZeroEstimatedCount))
+		default:
+			r := h.vals[0] / c.vals[0]
+			want.est(k, Estimate{Value: r, CI: ratioCI(r, Estimate{Value: h.vals[0], CI: h.vals[1]}, Estimate{Value: c.vals[0], CI: c.vals[1]})}, nil)
 		}
 		if d := diffTranscripts(transcript{k: got}, want, true, tolerance{}); len(d) > 0 {
 			t.Fatalf("AvgConj is not the ratio of SumConj and CountConj: %s", d[0])

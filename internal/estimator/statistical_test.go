@@ -62,6 +62,26 @@ func binaryRel(t *testing.T) *relation.Relation {
 	return r
 }
 
+// nullRel is skewedRel with every third value cell NULL (NaN): avg must
+// skip those rows, so each category's average stays its base value.
+func nullRel(t *testing.T) *relation.Relation {
+	t.Helper()
+	r := skewedRel(t)
+	vals := append([]float64(nil), r.MustNumeric("value")...)
+	for i := range vals {
+		if i%3 == 0 {
+			vals[i] = math.NaN()
+		}
+	}
+	out, err := relation.FromColumns(testSchema,
+		map[string][]float64{"value": vals},
+		map[string][]string{"category": r.MustDiscrete("category")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // quantRel builds a relation whose matched group has real numeric spread,
 // so quantile rows exercise interpolation and the removal of cross-category
 // mixing (the unmatched group's values live in a disjoint range).
@@ -226,6 +246,7 @@ func metaWithP(meta *privacy.ViewMeta, p float64) *privacy.ViewMeta {
 
 func TestStatisticalRegressionSuite(t *testing.T) {
 	skewed := skewedRel(t)
+	nulls := nullRel(t)
 	binary := binaryRel(t)
 	quant := quantRel(t)
 	quantBin := quantBinRel(t)
@@ -284,6 +305,26 @@ func TestStatisticalRegressionSuite(t *testing.T) {
 				v, meta := privatizedMech(t, skewed, seed, 0.3, 5.0, privacy.MechGRR)
 				est := &Estimator{Meta: meta, Confidence: 0.95}
 				e, err := est.Avg(v, "value", predB)
+				return sample(t, e, err, 20)
+			},
+		},
+		// avg skips NULL cells on both sources: counting the NULL rows in
+		// the denominator would pull the estimate towards 0 (~13.3 here).
+		statcheck.Row{
+			Name: "grr/avg/nulls", Truth: 20, Trials: 120, Seed: 78000, Cover: floor,
+			Run: func(t *testing.T, seed int64) statcheck.Sample {
+				v, meta := privatizedMech(t, nulls, seed, 0.3, 5.0, privacy.MechGRR)
+				est := &Estimator{Meta: meta, Confidence: 0.95}
+				e, err := est.Avg(v, "value", predB)
+				return sample(t, e, err, 20)
+			},
+		},
+		statcheck.Row{
+			Name: "grr/avg/nulls/stats-path", Truth: 20, Trials: 120, Seed: 79000, Cover: floor,
+			Run: func(t *testing.T, seed int64) statcheck.Sample {
+				v, meta := privatizedMech(t, nulls, seed, 0.3, 5.0, privacy.MechGRR)
+				est := &Estimator{Meta: meta, Confidence: 0.95}
+				e, err := est.AvgStats(collect(t, v, 256), "value", predB)
 				return sample(t, e, err, 20)
 			},
 		},

@@ -73,6 +73,9 @@ type ValueStats struct {
 	// attribute sum of aggregate cells over those rows (NaN cells skipped).
 	Count int                `json:"count"`
 	Sums  map[string]float64 `json:"sums,omitempty"`
+	// NaNs is the per-numeric-attribute number of NaN (NULL) cells over
+	// this value's rows; attributes with none are left out.
+	NaNs map[string]int `json:"nans,omitempty"`
 	// Bins maps numeric attribute -> per-bin counts of that attribute's
 	// non-NaN cells over this value's rows, under the same edges as the
 	// attribute's Histogram. Present only when the collector was configured
@@ -224,12 +227,29 @@ func (st *Statistics) valueTable(_ *ChannelCache, attr, agg string) (valueTable,
 		t.total, t.nonNaN, t.moments = m.Sum, m.Count, m.moments
 		if dom != nil {
 			t.sums = make([]float64, len(dom))
+			nonNaNs := make([]uint32, len(dom))
+			nulls := 0
 			for c, v := range dom {
-				t.sums[c] = st.Discrete[attr][v].Sums[agg]
+				s := st.Discrete[attr][v]
+				t.sums[c] = s.Sums[agg]
+				nonNaNs[c] = uint32(s.Count - s.NaNs[agg])
+				nulls += s.NaNs[agg]
+			}
+			// Statistics written before NaN counts were recorded hold none,
+			// which is complete only for a column without NaN cells.
+			if nulls == st.Rows-m.Count {
+				t.nonNaNs = nonNaNs
 			}
 		}
 	}
 	return t, nil
+}
+
+// errNoNullCounts refuses avg over statistics that record no per-value NaN
+// counts of agg while agg has NaN cells.
+func errNoNullCounts(agg string) error {
+	return faults.Errorf(faults.ErrBadQuery,
+		"estimator: these statistics record no per-value NULL counts for %q, which avg needs because the column has NULL cells; re-run 'privateclean stats' on the view, or query it with -in/-col", agg)
 }
 
 // CollectOpts configures the optional statistics layouts.
@@ -482,6 +502,11 @@ func (c *Collector) Add(win *relation.Relation) error {
 				x := numCols[j][i]
 				if !math.IsNaN(x) {
 					s.Sums[na] += x
+				} else {
+					if s.NaNs == nil {
+						s.NaNs = make(map[string]int, len(c.numeric))
+					}
+					s.NaNs[na]++
 				}
 				if binIdx[j] != nil {
 					if k := binIdx[j][i]; k >= 0 {
@@ -570,7 +595,7 @@ func (st *Statistics) clone() *Statistics {
 	for attr, vals := range out.Discrete {
 		vals = maps.Clone(vals)
 		for v, s := range vals {
-			cp := &ValueStats{Count: s.Count, Sums: maps.Clone(s.Sums), Bins: maps.Clone(s.Bins)}
+			cp := &ValueStats{Count: s.Count, Sums: maps.Clone(s.Sums), NaNs: maps.Clone(s.NaNs), Bins: maps.Clone(s.Bins)}
 			for na, bins := range cp.Bins {
 				cp.Bins[na] = slices.Clone(bins)
 			}

@@ -2,11 +2,14 @@ package estimator
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"privateclean/internal/cleaning"
+	"privateclean/internal/faults"
+	"privateclean/internal/privacy"
 	"privateclean/internal/provenance"
 	"privateclean/internal/relation"
 )
@@ -236,6 +239,59 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	}
 	if gotS != wantS {
 		t.Fatalf("round-tripped sum %v, want %v", gotS, wantS)
+	}
+}
+
+// TestStatsAvgNullCounts: statistics record per-value NULL counts only
+// where a value has NULL cells, so NULL-free statistics serialize as
+// before; avg over them matches the resident relation; and a file written
+// before they were recorded still answers avg when its column has no NULL,
+// and otherwise refuses it with a typed bad query.
+func TestStatsAvgNullCounts(t *testing.T) {
+	est := &Estimator{Meta: &privacy.ViewMeta{Discrete: map[string]privacy.DiscreteMeta{
+		"category": {Name: "category", P: 0.3, Domain: []string{"a", "b", "c", "d", "e"}},
+	}}}
+	pred := In("category", "b", "c")
+	clean, nulls := skewedRel(t), nullRel(t)
+	data, err := json.Marshal(collect(t, clean, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "nans") {
+		t.Fatalf("NULL-free statistics record NULL counts: %s", data)
+	}
+	for _, rel := range []*relation.Relation{clean, nulls} {
+		st := collect(t, rel, 100)
+		want, err := est.Avg(rel, "value", pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := est.AvgStats(st, "value", pred)
+		if err != nil || got.Value != want.Value {
+			t.Fatalf("avg over statistics = %v, %v; resident %v", got, err, want)
+		}
+		for _, vs := range st.Discrete["category"] {
+			vs.NaNs = nil // as written before NULL counts were recorded
+		}
+		_, err = est.AvgStats(st, "value", pred)
+		_, gerr := est.GroupAvgsStats(st, "category", "value")
+		if rel == clean {
+			if err != nil || gerr != nil {
+				t.Fatalf("old NULL-free statistics refuse avg: %v, %v", err, gerr)
+			}
+			continue
+		}
+		for _, err := range []error{err, gerr} {
+			if !errors.Is(err, faults.ErrBadQuery) || !strings.Contains(err.Error(), "re-run 'privateclean stats'") {
+				t.Fatalf("old statistics with NULLs: %v, want a bad query naming the fix", err)
+			}
+		}
+		if _, err := est.SumStats(st, "value", pred); err != nil {
+			t.Fatalf("old statistics with NULLs refuse sum: %v", err)
+		}
+		if _, err := est.AvgStats(st, "value", Predicate{}); err != nil {
+			t.Fatalf("old statistics with NULLs refuse the total avg: %v", err)
+		}
 	}
 }
 
