@@ -197,7 +197,8 @@ func (m MDRepair) clusters(counts valueCounts) map[string]string {
 		normalized[i] = norm(v)
 	}
 
-	// Union-find over distinct values; union pairs within MaxDist.
+	// Union-find over distinct values; union pairs within MaxDist. The
+	// canonical value of a cluster does not depend on the union order.
 	parent := make([]int, len(values))
 	for i := range parent {
 		parent[i] = i
@@ -216,13 +217,7 @@ func (m MDRepair) clusters(counts valueCounts) map[string]string {
 			parent[rb] = ra
 		}
 	}
-	for i := 0; i < len(values); i++ {
-		for j := i + 1; j < len(values); j++ {
-			if textutil.Similar(normalized[i], normalized[j], m.MaxDist) {
-				union(i, j)
-			}
-		}
-	}
+	similarPairs(normalized, m.MaxDist, union)
 
 	// Canonical per cluster: highest multiplicity, lexicographic tie break.
 	canonical := make(map[int]string)
@@ -238,4 +233,100 @@ func (m MDRepair) clusters(counts valueCounts) map[string]string {
 		mapping[v] = canonical[find(i)]
 	}
 	return mapping
+}
+
+// similarPairs calls join(i, j) for every pair of values within Levenshtein
+// distance k and returns how many candidate pairs it verified. Two strings
+// within distance k share a string that each reaches by deleting at most k
+// runes (delete the substituted runes and each side's unmatched ones), so
+// the candidates are the pairs that share such a deletion variant, and
+// textutil.Similar verifies each. A value with more variants than there are
+// values is compared with every other value directly instead, so no value
+// costs more than the all-pairs loop would.
+func similarPairs(values []string, k int, join func(i, j int)) int {
+	n := len(values)
+	bucket := make(map[string]int) // deletion variant -> bucket
+	var members [][]int            // bucket -> the values holding it, ascending
+	own := make([][]int, n)        // value -> its buckets
+	wide := make([]bool, n)
+	for i, v := range values {
+		r := []rune(v)
+		if wide[i] = variants(len(r), k, n) > n; wide[i] {
+			continue
+		}
+		deletions(r, 0, k, func(s string) {
+			b, ok := bucket[s]
+			if !ok {
+				b = len(members)
+				bucket[s] = b
+				members = append(members, nil)
+			}
+			if m := members[b]; len(m) > 0 && m[len(m)-1] == i {
+				return // the same variant by another set of deletions
+			}
+			members[b] = append(members[b], i)
+			own[i] = append(own[i], b)
+		})
+	}
+	verified := 0
+	seen := make([]int, n) // seen[j] == i+1 once (i, j) is verified
+	check := func(i, j int) {
+		if seen[j] == i+1 {
+			return
+		}
+		seen[j] = i + 1
+		verified++
+		if textutil.Similar(values[i], values[j], k) {
+			join(i, j)
+		}
+	}
+	for i := range values {
+		if wide[i] {
+			for j := range values {
+				if j != i && (!wide[j] || j > i) {
+					check(i, j)
+				}
+			}
+			continue
+		}
+		for _, b := range own[i] {
+			for _, j := range members[b] {
+				if j > i {
+					check(i, j)
+				}
+			}
+		}
+	}
+	return verified
+}
+
+// variants bounds the number of strings that deleting at most k of l runes
+// yields, Σ_{d≤k} C(l, d), saturating past limit.
+func variants(l, k, limit int) int {
+	total, c := 0, 1
+	for d := 0; d <= k && d <= l; d++ {
+		if d > 0 {
+			c = c * (l - d + 1) / d
+		}
+		if total += c; total > limit {
+			return limit + 1
+		}
+	}
+	return total
+}
+
+// deletions calls f with r and every string obtained from it by deleting
+// at most k runes at positions from on; a string that several sets of
+// deletions yield repeats.
+func deletions(r []rune, from, k int, f func(string)) {
+	f(string(r))
+	if k == 0 || len(r) == 0 {
+		return
+	}
+	next := make([]rune, len(r)-1)
+	for p := from; p < len(r); p++ {
+		copy(next, r[:p])
+		copy(next[p:], r[p+1:])
+		deletions(next, p, k-1, f)
+	}
 }
