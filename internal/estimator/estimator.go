@@ -20,6 +20,10 @@
 //     corrected estimator at p = 0, the identity channel (Nominal).
 //
 // All estimates carry CLT confidence intervals per Section 5.
+//
+// Every estimator takes a Predicate; the zero Predicate (no attribute, nil
+// Match) is a query without WHERE, the whole column. As in SQL, avg skips
+// NULL (NaN) aggregate cells.
 package estimator
 
 import (

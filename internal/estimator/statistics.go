@@ -17,10 +17,12 @@ import (
 // Sufficient statistics for the corrected estimators. The Eq. 3 / Eq. 5 /
 // Eq. 7 estimators consume the relation only through a handful of
 // marginals — the row count, per-value counts of each discrete attribute,
-// per-(discrete value, numeric attribute) sums, and per-numeric-column
-// moments — so a one-pass Collector over streamed windows captures
-// everything count/sum/avg (including GROUP BY) need, in space proportional
-// to the domain sizes rather than the data.
+// per-(discrete value, numeric attribute) sums and NaN counts, and
+// per-numeric-column moments — so a one-pass Collector over streamed
+// windows captures everything count/sum/avg (including GROUP BY) need, in
+// space proportional to the domain sizes rather than the data. Those
+// estimators read the marginals as the same per-value table a resident
+// relation builds (valueTable), through one body per aggregate.
 //
 // Two optional layouts extend the marginals past count/sum/avg:
 //
@@ -36,11 +38,13 @@ import (
 // attributes, and binned sum/avg GROUP BY. Those paths keep requiring the
 // relation and return a typed error here.
 //
-// Numerical caveat: sums are re-associated (accumulated per value, then
-// added in sorted-value order), so statistics-backed estimates can differ
-// from relation-backed ones by float rounding — relative error around 1e-12,
-// asserted in the tests — and the variance is computed from one-pass moments
-// rather than the two-pass formula.
+// Numerical caveat: both sources add per-value sums in sorted-value order
+// and take a GROUP BY complement as the column total minus the group, and
+// Numeric[agg].Sum is the same row-order fold as the resident column
+// total, so count, sum and avg values are bit-identical across sources.
+// The column variance is not: it comes from one-pass moments here and from
+// the two-pass formula over resident rows, so sum and avg intervals can
+// differ by float rounding.
 
 // Moments holds NaN-skipping running moments of one numeric column.
 type Moments struct {
