@@ -239,63 +239,46 @@ func (m MDRepair) clusters(counts valueCounts) map[string]string {
 // distance k and returns how many candidate pairs it verified. Two strings
 // within distance k share a string that each reaches by deleting at most k
 // runes (delete the substituted runes and each side's unmatched ones), so
-// the candidates are the pairs that share such a deletion variant, and
-// textutil.Similar verifies each. A value with more variants than there are
-// values is compared with every other value directly instead, so no value
-// costs more than the all-pairs loop would.
+// each value's candidates are the earlier values that share such a
+// deletion variant, and textutil.Similar verifies each. A value with more
+// variants than there are values is compared with every other value
+// directly instead, so no value costs more than the all-pairs loop would.
 func similarPairs(values []string, k int, join func(i, j int)) int {
-	n := len(values)
-	bucket := make(map[string]int) // deletion variant -> bucket
-	var members [][]int            // bucket -> the values holding it, ascending
-	own := make([][]int, n)        // value -> its buckets
-	wide := make([]bool, n)
+	index := make(map[string][]int)  // deletion variant -> the earlier values reaching it
+	var wide []int                   // the values compared directly
+	seen := make([]int, len(values)) // seen[j] == i+1 once (j, i) is verified
+	verified := 0
+	check := func(i, j int) {
+		if seen[j] != i+1 {
+			seen[j] = i + 1
+			verified++
+			if textutil.Similar(values[i], values[j], k) {
+				join(j, i)
+			}
+		}
+	}
 	for i, v := range values {
 		r := []rune(v)
-		if wide[i] = variants(len(r), k, n) > n; wide[i] {
+		if variants(len(r), k, len(values)) > len(values) {
+			for j := 0; j < i; j++ {
+				check(i, j)
+			}
+			wide = append(wide, i)
 			continue
+		}
+		for _, j := range wide {
+			check(i, j)
 		}
 		deletions(r, 0, k, func(s string) {
-			b, ok := bucket[s]
-			if !ok {
-				b = len(members)
-				bucket[s] = b
-				members = append(members, nil)
-			}
-			if m := members[b]; len(m) > 0 && m[len(m)-1] == i {
+			m := index[s]
+			if len(m) > 0 && m[len(m)-1] == i {
 				return // the same variant by another set of deletions
 			}
-			members[b] = append(members[b], i)
-			own[i] = append(own[i], b)
+			for _, j := range m {
+				check(i, j)
+			}
+			index[s] = append(m, i)
 		})
-	}
-	verified := 0
-	seen := make([]int, n) // seen[j] == i+1 once (i, j) is verified
-	check := func(i, j int) {
-		if seen[j] == i+1 {
-			return
-		}
-		seen[j] = i + 1
-		verified++
-		if textutil.Similar(values[i], values[j], k) {
-			join(i, j)
-		}
-	}
-	for i := range values {
-		if wide[i] {
-			for j := range values {
-				if j != i && (!wide[j] || j > i) {
-					check(i, j)
-				}
-			}
-			continue
-		}
-		for _, b := range own[i] {
-			for _, j := range members[b] {
-				if j > i {
-					check(i, j)
-				}
-			}
-		}
 	}
 	return verified
 }

@@ -102,19 +102,14 @@ type resident struct{ rel *relation.Relation }
 
 func (r resident) valueTable(c *ChannelCache, attr, agg string) (valueTable, error) {
 	t := valueTable{rows: float64(r.rel.NumRows())}
-	var ix *relation.DiscreteIndex
 	if attr != "" {
 		var err error
-		if ix, err = r.rel.DiscreteIndex(attr); err != nil {
+		if t.ix, err = r.rel.DiscreteIndex(attr); err != nil {
 			return valueTable{}, err
-		}
-		t.ix = ix
-		if ix.Counts == nil {
-			t.ix = &relation.DiscreteIndex{Domain: ix.Domain, Codes: ix.Codes, Counts: codeCounts(ix)}
 		}
 	}
 	if agg != "" {
-		a, err := columnAggs(c, r.rel, ix, attr, agg)
+		a, err := columnAggs(c, r.rel, t.ix, attr, agg)
 		if err != nil {
 			return valueTable{}, err
 		}
@@ -127,11 +122,6 @@ func (r resident) valueTable(c *ChannelCache, attr, agg string) (valueTable, err
 // O(domain) sum over the per-code row counts.
 func (t *valueTable) count(sel selection) float64 {
 	return countCodes(t.ix.Counts, t.rows, sel)
-}
-
-// countNonNaN is the number of rows sel matches whose agg cell is non-NaN.
-func (t *valueTable) countNonNaN(sel selection) float64 {
-	return countCodes(t.nonNaNs, float64(t.nonNaN), sel)
 }
 
 // countCodes sums the per-code counts over sel, whose total is all.

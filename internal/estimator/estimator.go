@@ -310,9 +310,6 @@ func (e *Estimator) total(src tableSource, agg string, est func(t valueTable, me
 	if err != nil {
 		return Estimate{}, err
 	}
-	if t.rows == 0 {
-		return Estimate{}, stats.ErrEmpty
-	}
 	return est(t, mean, variance, z), nil
 }
 
@@ -436,7 +433,8 @@ func (e *Estimator) avg(src tableSource, agg string, pred Predicate) (Estimate, 
 		return Estimate{}, errNoNullCounts(agg)
 	}
 	hp, hpc := t.fold(sel)
-	est, err := e.ratio(ch, hp, hpc, t.countNonNaN(sel), float64(t.nonNaN), muP, varP)
+	nonNaN := float64(t.nonNaN)
+	est, err := e.ratio(ch, hp, hpc, countCodes(t.nonNaNs, nonNaN, sel), nonNaN, muP, varP)
 	if errors.Is(err, ErrZeroEstimatedCount) {
 		err = fmt.Errorf("%w for %s", err, pred)
 	}

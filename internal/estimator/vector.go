@@ -78,16 +78,3 @@ func (s selection) has(c uint32) bool {
 	}
 	return false
 }
-
-// codeCounts returns the per-code row counts of ix, counting the code
-// vector when the index carries none.
-func codeCounts(ix *relation.DiscreteIndex) []uint32 {
-	if ix.Counts != nil {
-		return ix.Counts
-	}
-	counts := make([]uint32, ix.N())
-	for _, c := range ix.Codes {
-		counts[c]++
-	}
-	return counts
-}

@@ -87,19 +87,13 @@ func TestVectorizedMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A count-less index falls back to counting its code vector.
-	bare := &relation.DiscreteIndex{Domain: tbl.ix.Domain, Codes: tbl.ix.Codes}
-	bareTbl := valueTable{ix: &relation.DiscreteIndex{Domain: bare.Domain, Counts: codeCounts(bare)}, rows: tbl.rows}
 	for _, pred := range preds {
 		wantCount, wantM, wantC := naiveEval(rel, pred, "x")
 		sel := compileSelection(tbl.ix, pred)
-		// The O(domain) count from materialized dictionary counts and the
-		// fallback over a count-less index must agree with the scan.
+		// The O(domain) count from materialized dictionary counts must
+		// agree with the scan.
 		if got := tbl.count(sel); got != float64(wantCount) {
 			t.Errorf("%s: count = %v, want %d", pred, got, wantCount)
-		}
-		if got := bareTbl.count(sel); got != float64(wantCount) {
-			t.Errorf("%s: count (no counts) = %v, want %d", pred, got, wantCount)
 		}
 		gotM, gotC := tbl.fold(sel)
 		if math.Float64bits(gotM) != math.Float64bits(wantM) || math.Float64bits(gotC) != math.Float64bits(wantC) {

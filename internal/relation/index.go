@@ -22,8 +22,9 @@ type DiscreteIndex struct {
 	// Counts holds one entry per domain value: Counts[c] is the number of
 	// rows whose code is c. Every in-tree constructor (buildIndex,
 	// AdoptIndex) materializes it, turning predicate counting into an
-	// O(domain) sum instead of an O(rows) scan. A hand-assembled index may
-	// leave it nil; consumers must fall back to scanning Codes then.
+	// O(domain) sum instead of an O(rows) scan, so every index
+	// Relation.DiscreteIndex returns carries it. A hand-assembled index may
+	// leave it nil.
 	Counts []uint32
 }
 
