@@ -208,8 +208,8 @@ func (st *Statistics) moments(agg string) (Moments, error) {
 }
 
 // valueTable builds the (attr, agg) table from the recorded marginals:
-// attr's values in sorted order with their counts and sums of agg, and
-// agg's column moments.
+// attr's values in sorted order with their row counts and agg's sums and
+// non-NaN counts, and agg's column moments.
 func (st *Statistics) valueTable(_ *ChannelCache, attr, agg string) (valueTable, error) {
 	t := valueTable{rows: float64(st.Rows)}
 	var dom []string
