@@ -236,18 +236,19 @@ func (m MDRepair) clusters(counts valueCounts) map[string]string {
 }
 
 // similarPairs calls join(i, j) for every pair of values within Levenshtein
-// distance k and returns how many candidate pairs it verified. Two strings
-// within distance k share a string that each reaches by deleting at most k
-// runes (delete the substituted runes and each side's unmatched ones), so
-// each value's candidates are the earlier values that share such a
-// deletion variant, and textutil.Similar verifies each. A value with more
-// variants than there are values is compared with every other value
-// directly instead, so no value costs more than the all-pairs loop would.
-func similarPairs(values []string, k int, join func(i, j int)) int {
+// distance k and returns how many candidate pairs it verified and how many
+// entries it indexed. Two strings within distance k share a string that
+// each reaches by deleting at most k runes (delete the substituted runes
+// and each side's unmatched ones), so each value's candidates are the
+// earlier values that share such a deletion variant, and textutil.Similar
+// verifies each. A value with more than min(maxVariants, len(values))
+// variants is compared with every other value directly instead, so the
+// index holds at most maxVariants entries per value and no value costs
+// more than the all-pairs loop would.
+func similarPairs(values []string, k int, join func(i, j int)) (verified, indexed int) {
 	index := make(map[string][]int)  // deletion variant -> the earlier values reaching it
 	var wide []int                   // the values compared directly
 	seen := make([]int, len(values)) // seen[j] == i+1 once (j, i) is verified
-	verified := 0
 	check := func(i, j int) {
 		if seen[j] != i+1 {
 			seen[j] = i + 1
@@ -257,9 +258,10 @@ func similarPairs(values []string, k int, join func(i, j int)) int {
 			}
 		}
 	}
+	limit := min(maxVariants, len(values))
 	for i, v := range values {
 		r := []rune(v)
-		if variants(len(r), k, len(values)) > len(values) {
+		if variants(len(r), k, limit) > limit {
 			for j := 0; j < i; j++ {
 				check(i, j)
 			}
@@ -278,10 +280,14 @@ func similarPairs(values []string, k int, join func(i, j int)) int {
 				check(i, j)
 			}
 			index[s] = append(m, i)
+			indexed++
 		})
 	}
-	return verified
+	return verified, indexed
 }
+
+// maxVariants admits values of up to 63, 10 and 7 runes at distance 1-3.
+const maxVariants = 64
 
 // variants bounds the number of strings that deleting at most k of l runes
 // yields, Σ_{d≤k} C(l, d), saturating past limit.

@@ -99,7 +99,7 @@ func TestMDRepairHighCardinality(t *testing.T) {
 		}
 	}
 	joined := 0
-	verified := similarPairs(values, 1, func(i, j int) { joined++ })
+	verified, _ := similarPairs(values, 1, func(i, j int) { joined++ })
 	allPairs := len(values) * (len(values) - 1) / 2
 	if verified >= allPairs/100 {
 		t.Fatalf("verified %d candidate pairs for %d values, want under %d", verified, len(values), allPairs/100)
@@ -108,4 +108,36 @@ func TestMDRepairHighCardinality(t *testing.T) {
 		t.Fatalf("joined %d of %d verified pairs", joined, verified)
 	}
 	t.Logf("%d values: %d candidate pairs verified, %d joined", len(values), verified, joined)
+}
+
+// TestMDRepairIndexSize: long values at MaxDist 3 (697 deletion variants
+// each at 16 runes, fewer than the 800 values) are compared directly rather
+// than indexed, so the index stays within maxVariants entries per value,
+// and the clusters still match the all-pairs loop's.
+func TestMDRepairIndexSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	alphabet := []rune("abcdé日")
+	counts := valueCounts{}
+	for _, n := range []int{16, 4} {
+		for target := len(counts) + 400; len(counts) < target; {
+			r := make([]rune, n)
+			for i := range r {
+				r[i] = alphabet[rng.Intn(len(alphabet))]
+			}
+			counts[string(r)] = 1 + rng.Intn(3)
+		}
+	}
+	m := MDRepair{Attr: "a", MaxDist: 3}
+	values := counts.sorted()
+	verified, indexed := similarPairs(values, m.MaxDist, func(i, j int) {})
+	if indexed > maxVariants*len(values) {
+		t.Fatalf("indexed %d entries for %d values, want at most %d", indexed, len(values), maxVariants*len(values))
+	}
+	if indexed == 0 || verified == 0 {
+		t.Fatalf("indexed %d entries, verified %d pairs: want both paths taken", indexed, verified)
+	}
+	if got, want := m.clusters(counts), allPairsClusters(m, counts); !maps.Equal(got, want) {
+		t.Fatalf("index clusters differ from the all-pairs loop's")
+	}
+	t.Logf("%d values: %d index entries, %d candidate pairs verified", len(values), indexed, verified)
 }
