@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"privateclean/internal/faults"
@@ -137,6 +138,8 @@ type Statistics struct {
 	// Present only for pairs named in the collector's -conj spec; use Joint
 	// for order-insensitive lookup (the key is cosmetic).
 	Joints map[string]*JointStats `json:"joints,omitempty"`
+
+	indexes sync.Map // attr -> *relation.DiscreteIndex, for valueTable
 }
 
 // Joint returns the recorded pairwise joint of two discrete attributes, in
@@ -179,15 +182,6 @@ func binIndex(edges []float64, x float64) int {
 	return k
 }
 
-// Domain returns the sorted distinct values of a discrete attribute.
-func (st *Statistics) Domain(attr string) ([]string, error) {
-	vs, ok := st.Discrete[attr]
-	if !ok {
-		return nil, fmt.Errorf("estimator: no statistics for discrete attribute %q", attr)
-	}
-	return sortedKeys(vs), nil
-}
-
 // sortedKeys returns m's keys in ascending order.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
@@ -212,16 +206,22 @@ func (st *Statistics) moments(agg string) (Moments, error) {
 // non-NaN counts, and agg's column moments.
 func (st *Statistics) valueTable(_ *ChannelCache, attr, agg string) (valueTable, error) {
 	t := valueTable{rows: float64(st.Rows)}
-	var dom []string
 	if attr != "" {
-		var err error
-		if dom, err = st.Domain(attr); err != nil {
-			return valueTable{}, err
+		// attr's sorted domain and counts are memoized until the next Add.
+		ix, ok := st.indexes.Load(attr)
+		if !ok {
+			vs, found := st.Discrete[attr]
+			if !found {
+				return valueTable{}, fmt.Errorf("estimator: no statistics for discrete attribute %q", attr)
+			}
+			dom := sortedKeys(vs)
+			counts := make([]uint32, len(dom))
+			for c, v := range dom {
+				counts[c] = uint32(vs[v].Count)
+			}
+			ix, _ = st.indexes.LoadOrStore(attr, &relation.DiscreteIndex{Domain: dom, Counts: counts})
 		}
-		t.ix = &relation.DiscreteIndex{Domain: dom, Counts: make([]uint32, len(dom))}
-		for c, v := range dom {
-			t.ix.Counts[c] = uint32(st.Discrete[attr][v].Count)
-		}
+		t.ix = ix.(*relation.DiscreteIndex)
 	}
 	if agg != "" {
 		m, err := st.moments(agg)
@@ -229,11 +229,11 @@ func (st *Statistics) valueTable(_ *ChannelCache, attr, agg string) (valueTable,
 			return valueTable{}, err
 		}
 		t.total, t.nonNaN, t.moments = m.Sum, m.Count, m.moments
-		if dom != nil {
-			t.sums = make([]float64, len(dom))
-			nonNaNs := make([]uint32, len(dom))
+		if t.ix != nil {
+			t.sums = make([]float64, t.ix.N())
+			nonNaNs := make([]uint32, t.ix.N())
 			nulls := 0
-			for c, v := range dom {
+			for c, v := range t.ix.Domain {
 				s := st.Discrete[attr][v]
 				t.sums[c] = s.Sums[agg]
 				nonNaNs[c] = uint32(s.Count - s.NaNs[agg])
@@ -454,6 +454,7 @@ func (c *Collector) Add(win *relation.Relation) error {
 			"estimator: window schema %q differs from first window %q", win.Schema(), c.schema)
 	}
 	c.st.Rows += win.NumRows()
+	c.st.indexes = sync.Map{}
 	numCols := make([][]float64, len(c.numeric))
 	// binIdx[j] caches the per-row bin of numeric attribute j (-1 for NaN)
 	// when that attribute has configured edges; nil otherwise.

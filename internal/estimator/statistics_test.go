@@ -307,6 +307,42 @@ func TestCollectorSchemaMismatch(t *testing.T) {
 	}
 }
 
+// TestStatsIndexFollowsAdd: a query memoizes each attribute's sorted
+// domain and counts, and Add clears the memo, so a query after Add answers
+// as statistics collected in one go do.
+func TestStatsIndexFollowsAdd(t *testing.T) {
+	v, meta := privatized(t, skewedRel(t), 9, 0.3, 5)
+	est := &Estimator{Meta: meta}
+	it := relation.NewSliceIterator(v, v.NumRows()/2+1)
+	c := NewCollector()
+	for w := 0; w < 2; w++ {
+		win, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Add(win); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := est.GroupSumsStats(c.Statistics(), "category", "value"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole := collect(t, v, v.NumRows())
+	for _, st := range []*Statistics{c.Statistics(), whole} {
+		got, err := est.CountStats(st, In("category", "a", "c"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := est.Count(v, In("category", "a", "c"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("count over statistics = %v, over the relation = %v", got, want)
+		}
+	}
+}
+
 func TestStatsMissingAttributes(t *testing.T) {
 	r := skewedRel(t)
 	v, meta := privatized(t, r, 9, 0.3, 0)

@@ -276,9 +276,7 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 		dc, eps := describeColumn{Name: c.Name, Kind: c.Kind.String()}, 0.0
 		if c.Kind == relation.Discrete {
 			if s.stats != nil {
-				if dom, err := s.stats.Domain(c.Name); err == nil {
-					dc.Distinct = len(dom)
-				}
+				dc.Distinct = len(s.stats.Discrete[c.Name])
 			} else if n, err := s.rel.DomainSize(c.Name); err == nil {
 				dc.Distinct = n
 			}
