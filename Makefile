@@ -109,13 +109,15 @@ cover:
 		echo "coverage $$total% is below the $(COVER_BASELINE)% baseline"; exit 1; \
 	fi
 
-# Re-run the packages that read cached dictionary encodings with the
-# pcdebug build tag, which turns every cache hit into a full staleness
-# assertion (see internal/relation/debug_on.go), and the collector, whose
-# every fold from retained columns then re-reads and decodes its WAL
-# segment and panics on any difference (internal/collect/debug_on.go).
+# Re-run the packages that read dictionary encodings with the pcdebug build
+# tag, which turns every index read of a column held as strings into a full
+# staleness assertion (see internal/relation/debug_on.go; a column held only
+# as codes, as a .pcol view's are, is its own source of truth), and the
+# collector, whose every fold from retained columns then re-reads and
+# decodes its WAL segment and panics on any difference
+# (internal/collect/debug_on.go). query and server answer from opened views.
 debug-assert:
-	$(GO) test -tags pcdebug ./internal/relation/ ./internal/cleaning/ ./internal/estimator/ ./internal/colstore/ ./internal/collect/
+	$(GO) test -tags pcdebug ./internal/relation/ ./internal/cleaning/ ./internal/estimator/ ./internal/colstore/ ./internal/collect/ ./internal/query/ ./internal/server/
 
 # The statistical regression suites across the mechanism matrix: chi-square
 # goodness-of-fit on each mechanism's sampling distribution, and Monte-Carlo

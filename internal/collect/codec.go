@@ -195,7 +195,7 @@ func (b *batchCols) window(bs *batchSchema, schema relation.Schema) (*relation.R
 	for j, name := range bs.numeric {
 		num[name] = b.num[j]
 	}
-	return relation.FromBacking(schema, b.n, num, disc)
+	return relation.FromBacking(schema, b.n, num, disc, nil)
 }
 
 // batchDecoder decodes batches into columns under one schema. Attribute

@@ -3,10 +3,12 @@ package colstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"privateclean/internal/faults"
@@ -198,6 +200,108 @@ func TestDecodeTruncated(t *testing.T) {
 			t.Fatalf("truncation to %d bytes decoded successfully", n)
 		} else if !errors.Is(err, faults.ErrBadInput) {
 			t.Fatalf("truncation to %d: kind = %v, want ErrBadInput", n, faults.Kind(err))
+		}
+	}
+}
+
+// packBig packs a 100k-row relation with three discrete columns and
+// returns the file's path.
+func packBig(t *testing.T) string {
+	t.Helper()
+	const rows = 100_000
+	schema := relation.MustSchema(
+		relation.Column{Name: "x", Kind: relation.Numeric},
+		relation.Column{Name: "a", Kind: relation.Discrete},
+		relation.Column{Name: "b", Kind: relation.Discrete},
+		relation.Column{Name: "c", Kind: relation.Discrete},
+	)
+	x := make([]float64, rows)
+	a, b, c := make([]string, rows), make([]string, rows), make([]string, rows)
+	for i := range x {
+		x[i] = float64(i % 97)
+		a[i] = fmt.Sprintf("section-%d", i%1000)
+		b[i] = fmt.Sprintf("instructor-%d", i*7%50)
+		c[i] = []string{"yes", "no", relation.Null}[i%3]
+	}
+	rel, err := relation.FromColumns(schema, map[string][]float64{"x": x},
+		map[string][]string{"a": a, "b": b, "c": c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "big.pcol")
+	if _, err := WriteFile(path, rel); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestOpenBuildsNoStringColumns holds the load path to what a served view
+// needs: opening a 100k-row view and reading every discrete column's index
+// and domain allocates less than one byte per row, so no per-row string
+// column (16 B/row) is built.
+func TestOpenBuildsNoStringColumns(t *testing.T) {
+	path := packBig(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	if !v.Mapped {
+		t.Skip("the view is read into the heap on this platform")
+	}
+	rel := v.Relation()
+	for _, name := range rel.Schema().DiscreteNames() {
+		if _, err := rel.DiscreteIndex(name); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rel.Domain(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(rel.NumRows()) {
+		t.Fatalf("open + index reads allocated %d B for %d rows, want < 1 B/row", got, rel.NumRows())
+	}
+}
+
+// TestOpenedViewConcurrentFirstReads makes the first Discrete and
+// DiscreteIndex calls on one opened view from several goroutines at once;
+// run under -race it checks that building a coded column's strings on
+// demand is guarded.
+func TestOpenedViewConcurrentFirstReads(t *testing.T) {
+	v, err := Open(packBig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	rel := v.Relation()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, name := range rel.Schema().DiscreteNames() {
+				if g%2 == 0 {
+					col, err := rel.Discrete(name)
+					if err != nil || len(col) != rel.NumRows() {
+						t.Errorf("Discrete(%q): %d values, %v", name, len(col), err)
+					}
+				} else if err := rel.CheckIndex(name); err != nil {
+					t.Error(err)
+				}
+				if _, err := rel.DiscreteIndex(name); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, name := range rel.Schema().DiscreteNames() {
+		if err := rel.CheckIndex(name); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
-	"sort"
 	"unsafe"
 
 	"privateclean/internal/faults"
@@ -25,9 +24,10 @@ var isLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// Decode parses a complete .pcol image and reconstructs the relation,
-// installing each discrete column's serialized dictionary encoding so no
-// index is ever rebuilt at query time.
+// Decode parses a complete .pcol image and reconstructs the relation. Each
+// discrete column is installed as its serialized dictionary encoding alone,
+// so no index is rebuilt at query time and no per-row string column is built
+// unless a caller asks the relation for one.
 //
 // The returned relation's numeric columns and code vectors alias data when
 // the host is little-endian and the blocks are 8-byte aligned in memory
@@ -88,8 +88,7 @@ func Decode(data []byte) (*relation.Relation, error) {
 	cur := cursor{b: dir}
 	cols := make([]relation.Column, 0, ncols)
 	numeric := make(map[string][]float64)
-	discrete := make(map[string][]string)
-	indexes := make(map[string]*relation.DiscreteIndex)
+	coded := make(map[string]*relation.DiscreteIndex)
 	for i := uint32(0); i < ncols; i++ {
 		name, err := cur.str()
 		if err != nil {
@@ -101,7 +100,7 @@ func Decode(data []byte) (*relation.Relation, error) {
 		if _, dup := numeric[name]; dup {
 			return nil, corruptf("duplicate column %q", name)
 		}
-		if _, dup := discrete[name]; dup {
+		if _, dup := coded[name]; dup {
 			return nil, corruptf("duplicate column %q", name)
 		}
 		kind, err := cur.byte()
@@ -145,17 +144,8 @@ func Decode(data []byte) (*relation.Relation, error) {
 			if err != nil {
 				return nil, corruptf("codes of column %q: %v", name, err)
 			}
-			codes := decodeCodes(codesBlock, rows)
-			col := make([]string, rows)
-			n := uint32(len(domain))
-			for r, c := range codes {
-				if c >= n {
-					return nil, corruptf("codes of column %q: row %d has code %d, domain size %d", name, r, c, n)
-				}
-				col[r] = domain[c]
-			}
-			discrete[name] = col
-			indexes[name] = &relation.DiscreteIndex{Domain: domain, Codes: codes}
+			// FromBacking range-checks the codes as it counts them.
+			coded[name] = &relation.DiscreteIndex{Domain: domain, Codes: decodeCodes(codesBlock, rows)}
 			cols = append(cols, relation.Column{Name: name, Kind: relation.Discrete})
 		default:
 			return nil, corruptf("directory entry %q: unknown column kind %d", name, kind)
@@ -169,14 +159,9 @@ func Decode(data []byte) (*relation.Relation, error) {
 	if err != nil {
 		return nil, faults.Wrap(faults.ErrBadInput, err)
 	}
-	rel, err := relation.FromBacking(schema, rows, numeric, discrete)
+	rel, err := relation.FromBacking(schema, rows, numeric, nil, coded)
 	if err != nil {
 		return nil, faults.Wrap(faults.ErrBadInput, err)
-	}
-	for name, ix := range indexes {
-		if err := rel.AdoptIndex(name, ix); err != nil {
-			return nil, faults.Wrap(faults.ErrBadInput, err)
-		}
 	}
 	return rel, nil
 }
@@ -259,15 +244,13 @@ func decodeDomain(block []byte, declared uint32, rows int) ([]string, error) {
 		if i > 0 && domain[i-1] >= v {
 			return nil, corruptf("domain not strictly sorted at value %d", i)
 		}
-		// Copy out of the (possibly mapped) block: domain strings are shared
-		// by the materialized column, so they must outlive any unmap.
+		// Copy out of the (possibly mapped) block: domain strings reach
+		// callers (Domain, group keys, a column's strings built from the
+		// codes) that may keep them past Close.
 		domain = append(domain, string([]byte(v)))
 	}
 	if len(cur.b) != 0 {
 		return nil, corruptf("%d trailing bytes after the last domain value", len(cur.b))
-	}
-	if !sort.StringsAreSorted(domain) {
-		return nil, corruptf("domain not sorted") // unreachable; kept as a belt
 	}
 	return domain, nil
 }

@@ -36,6 +36,8 @@ func Open(path string) (*View, error) {
 
 // Relation returns the decoded relation. On a mapped view its numeric and
 // code data alias the mapping — the relation must not be used after Close.
+// Its discrete columns are held as codes; a column's strings are built on
+// the heap only if a caller asks for them (relation.Relation.Discrete).
 func (v *View) Relation() *relation.Relation { return v.rel }
 
 // Close releases the underlying mapping. After Close, a mapped view's

@@ -1,19 +1,25 @@
 package relation
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// FromBacking builds a relation that adopts the given column slices without
+// FromBacking builds a relation that adopts the given columns without
 // copying. It exists for loaders that already own freshly materialized (or
-// memory-mapped) columns — the colstore reader — where FromColumns' defensive
-// copies would double memory and dominate load time.
+// memory-mapped) columns — the colstore reader, the collector's report
+// batches — where FromColumns' defensive copies would double memory and
+// dominate load time.
 //
-// Every schema column must be present in the matching map with exactly rows
-// entries. The caller transfers ownership: the slices must not be resized or
-// mutated afterwards except through the relation API.
-func FromBacking(schema Schema, rows int, numeric map[string][]float64, discrete map[string][]string) (*Relation, error) {
+// Every numeric column must be in numeric, and every discrete column in
+// discrete (as strings) or in coded (as its dictionary encoding), each with
+// exactly rows entries. A coded column stays codes until something asks for
+// its strings (see Discrete), so a loader that persists the encoding never
+// builds them. Each coded index is checked against the DiscreteIndex
+// invariants — strictly sorted domain, one in-range code per row — in one
+// pass over the codes that also fills its Counts; the codes themselves are
+// the column's values.
+//
+// The caller transfers ownership: the slices must not be resized or mutated
+// afterwards except through the relation API.
+func FromBacking(schema Schema, rows int, numeric map[string][]float64, discrete map[string][]string, coded map[string]*DiscreteIndex) (*Relation, error) {
 	if rows < 0 {
 		return nil, fmt.Errorf("relation: negative row count %d", rows)
 	}
@@ -31,6 +37,13 @@ func FromBacking(schema Schema, rows int, numeric map[string][]float64, discrete
 			}
 			r.numeric[c.Name] = col
 		case Discrete:
+			if ix, ok := coded[c.Name]; ok {
+				if err := countCodes(c.Name, ix, rows); err != nil {
+					return nil, err
+				}
+				r.discrete[c.Name].ix = ix
+				continue
+			}
 			col, ok := discrete[c.Name]
 			if !ok {
 				return nil, fmt.Errorf("relation: missing discrete column %q", c.Name)
@@ -38,33 +51,21 @@ func FromBacking(schema Schema, rows int, numeric map[string][]float64, discrete
 			if len(col) != rows {
 				return nil, fmt.Errorf("relation: column %q has %d values, want %d", c.Name, len(col), rows)
 			}
-			r.discrete[c.Name] = col
+			r.discrete[c.Name].vals = col
 		}
 	}
 	return r, nil
 }
 
-// AdoptIndex installs a pre-built dictionary encoding for a discrete column,
-// so loaders that persist the encoding (colstore) can skip buildIndex
-// entirely. The index is validated against the DiscreteIndex invariants —
-// sorted unique domain, one in-range code per row — but NOT against the
-// column's values; the caller vouches that Domain[Codes[i]] == column[i]
-// (colstore materializes the column from the index, making that true by
-// construction).
-func (r *Relation) AdoptIndex(name string, ix *DiscreteIndex) error {
-	col, err := r.Discrete(name)
-	if err != nil {
-		return err
-	}
-	if len(ix.Codes) != len(col) {
-		return fmt.Errorf("relation: index for %q has %d codes, column has %d rows", name, len(ix.Codes), len(col))
-	}
-	if !sort.StringsAreSorted(ix.Domain) {
-		return fmt.Errorf("relation: index for %q has unsorted domain", name)
+// countCodes validates a stored index for a column of rows rows and installs
+// its per-code row counts, walking the codes once.
+func countCodes(name string, ix *DiscreteIndex, rows int) error {
+	if len(ix.Codes) != rows {
+		return fmt.Errorf("relation: index for %q has %d codes, want %d", name, len(ix.Codes), rows)
 	}
 	for i := 1; i < len(ix.Domain); i++ {
-		if ix.Domain[i-1] == ix.Domain[i] {
-			return fmt.Errorf("relation: index for %q has duplicate domain value %q", name, ix.Domain[i])
+		if ix.Domain[i-1] >= ix.Domain[i] {
+			return fmt.Errorf("relation: index for %q has domain not strictly sorted at %d", name, i)
 		}
 	}
 	n := uint32(len(ix.Domain))
@@ -75,15 +76,6 @@ func (r *Relation) AdoptIndex(name string, ix *DiscreteIndex) error {
 		}
 		counts[c]++
 	}
-	// The range check above already walked every code, so the per-code row
-	// counts come for free; installing them here keeps the adopted index on
-	// the same O(domain) counting fast path as a built one.
 	ix.Counts = counts
-	r.dmu.Lock()
-	defer r.dmu.Unlock()
-	if r.dindex == nil {
-		r.dindex = make(map[string]*DiscreteIndex)
-	}
-	r.dindex[name] = ix
 	return nil
 }

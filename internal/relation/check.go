@@ -14,25 +14,25 @@ func (e *StaleIndexError) Error() string {
 	return fmt.Sprintf("relation: stale index for column %q: %s", e.Column, e.Detail)
 }
 
-// CheckIndex verifies that the cached dictionary encoding of a column (if
-// any) still matches the column's values. It returns nil when there is no
-// cached entry or the entry is consistent, and a *StaleIndexError otherwise.
+// CheckIndex verifies that the dictionary encoding of a column (if any)
+// still matches the column's strings. It returns nil when the column lacks
+// either form — one held only as codes is its own source of truth — or the
+// two agree, and a *StaleIndexError otherwise.
 //
 // This is the runtime half of the missed-invalidation defense: cleaners that
 // mutate backing slices directly must call InvalidateIndex, and builds tagged
 // `pcdebug` assert consistency on every cache hit via this check.
 func (r *Relation) CheckIndex(name string) error {
-	r.dmu.Lock()
-	ix, ok := r.dindex[name]
-	r.dmu.Unlock()
-	if !ok {
-		return nil
-	}
-	col, err := r.Discrete(name)
+	dc, err := r.lookupDiscrete(name)
 	if err != nil {
 		return err
 	}
-	return checkIndexAgainst(name, ix, col)
+	r.dmu.Lock()
+	defer r.dmu.Unlock()
+	if dc.ix == nil || dc.vals == nil {
+		return nil
+	}
+	return checkIndexAgainst(name, dc.ix, dc.vals)
 }
 
 // checkIndexAgainst verifies one index/column pair: code vector length,

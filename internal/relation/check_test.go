@@ -2,6 +2,7 @@ package relation
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -92,14 +93,21 @@ func TestCheckIndexDomainDrift(t *testing.T) {
 	}
 }
 
-func TestAdoptIndexValidation(t *testing.T) {
-	r := twoColRelation(t)
+func TestFromBackingValidatesCodes(t *testing.T) {
+	schema := MustSchema(Column{Name: "d", Kind: Discrete})
 	good := &DiscreteIndex{Domain: []string{"a", "b"}, Codes: []uint32{0, 1, 0}}
-	if err := r.AdoptIndex("d", good); err != nil {
-		t.Fatalf("valid adopt: %v", err)
+	r, err := FromBacking(schema, 3, nil, nil, map[string]*DiscreteIndex{"d": good})
+	if err != nil {
+		t.Fatalf("valid codes: %v", err)
+	}
+	if want := []uint32{2, 1}; !slices.Equal(good.Counts, want) {
+		t.Fatalf("Counts = %v, want %v", good.Counts, want)
+	}
+	if got := r.MustDiscrete("d"); !slices.Equal(got, []string{"a", "b", "a"}) {
+		t.Fatalf("strings built from codes = %v", got)
 	}
 	if err := r.CheckIndex("d"); err != nil {
-		t.Fatalf("adopted index: %v", err)
+		t.Fatalf("stored index: %v", err)
 	}
 	cases := []struct {
 		name string
@@ -111,14 +119,11 @@ func TestAdoptIndexValidation(t *testing.T) {
 		{"code out of range", &DiscreteIndex{Domain: []string{"a", "b"}, Codes: []uint32{0, 2, 0}}},
 	}
 	for _, tc := range cases {
-		if err := r.AdoptIndex("d", tc.ix); err == nil {
-			t.Errorf("%s: AdoptIndex succeeded", tc.name)
+		if _, err := FromBacking(schema, 3, nil, nil, map[string]*DiscreteIndex{"d": tc.ix}); err == nil {
+			t.Errorf("%s: FromBacking succeeded", tc.name)
 		}
 	}
-	if err := r.AdoptIndex("x", good); err == nil {
-		t.Error("adopting an index for a numeric column succeeded")
-	}
-	if err := r.AdoptIndex("missing", good); err == nil {
-		t.Error("adopting an index for an unknown column succeeded")
+	if _, err := FromBacking(schema, 3, nil, nil, map[string]*DiscreteIndex{"x": good}); err == nil {
+		t.Error("FromBacking without column d succeeded")
 	}
 }

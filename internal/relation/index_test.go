@@ -1,7 +1,10 @@
 package relation
 
 import (
+	"errors"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -18,6 +21,31 @@ func indexRel(t *testing.T) *Relation {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// codedRel holds indexRel's data with "city" stored only as codes, the way
+// a loaded .pcol view holds it.
+func codedRel(t *testing.T) *Relation {
+	t.Helper()
+	schema := MustSchema(
+		Column{Name: "city", Kind: Discrete},
+		Column{Name: "temp", Kind: Numeric},
+	)
+	ix := &DiscreteIndex{Domain: []string{"LA", "NYC", "SF"}, Codes: []uint32{2, 0, 2, 1, 0, 2}}
+	r, err := FromBacking(schema, 6,
+		map[string][]float64{"temp": {1, 2, 3, 4, 5, 6}}, nil,
+		map[string]*DiscreteIndex{"city": ix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// stringsBuilt reports whether a discrete column holds its strings.
+func stringsBuilt(r *Relation, name string) bool {
+	r.dmu.Lock()
+	defer r.dmu.Unlock()
+	return r.discrete[name].vals != nil
 }
 
 func TestDiscreteIndexRoundTrip(t *testing.T) {
@@ -65,7 +93,18 @@ func TestDiscreteIndexCached(t *testing.T) {
 }
 
 func TestDomainRoutesThroughIndexAndCopies(t *testing.T) {
-	r := indexRel(t)
+	t.Run("strings", func(t *testing.T) { checkDomainReads(t, indexRel(t)) })
+	t.Run("coded", func(t *testing.T) {
+		r := codedRel(t)
+		checkDomainReads(t, r)
+		if stringsBuilt(r, "city") {
+			t.Error("Domain, DomainSize or ValueCounts built a coded column's strings")
+		}
+	})
+}
+
+func checkDomainReads(t *testing.T, r *Relation) {
+	t.Helper()
 	d1, err := r.Domain("city")
 	if err != nil {
 		t.Fatal(err)
@@ -197,4 +236,108 @@ func contains(xs []string, want string) bool {
 		}
 	}
 	return false
+}
+
+func TestCodedColumnIndexReadsBuildNoStrings(t *testing.T) {
+	r := codedRel(t)
+	ix, err := r.DiscreteIndex("city")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint32{2, 1, 3}; !slices.Equal(ix.Counts, want) {
+		t.Errorf("Counts = %v, want %v", ix.Counts, want)
+	}
+	if err := r.CheckIndex("city"); err != nil {
+		t.Errorf("CheckIndex on a coded column: %v", err)
+	}
+	if stringsBuilt(r, "city") {
+		t.Fatal("DiscreteIndex or CheckIndex built a coded column's strings")
+	}
+	// A clone keeps the column as codes, sharing the immutable index.
+	c := r.Clone()
+	if cix, _ := c.DiscreteIndex("city"); cix != ix || stringsBuilt(c, "city") {
+		t.Error("Clone should share the index and leave the strings unbuilt")
+	}
+}
+
+func TestCodedColumnReadsMatchStrings(t *testing.T) {
+	want := indexRel(t)
+	r := codedRel(t)
+	ix, _ := r.DiscreteIndex("city")
+	if !r.Equal(want) || !want.Equal(codedRel(t)) {
+		t.Fatal("a coded column should equal the same column held as strings")
+	}
+	if got := r.MustDiscrete("city"); !slices.Equal(got, want.MustDiscrete("city")) {
+		t.Fatalf("Discrete = %v", got)
+	}
+	if again, _ := r.DiscreteIndex("city"); again != ix {
+		t.Error("building the strings must keep the stored index")
+	}
+	if err := r.CheckIndex("city"); err != nil {
+		t.Errorf("CheckIndex once both forms exist: %v", err)
+	}
+
+	row, err := codedRel(t).Row(3)
+	if err != nil || row.Discrete["city"] != "NYC" || row.Numeric["temp"] != 4 {
+		t.Errorf("Row(3) = %+v, %v", row, err)
+	}
+	w, err := codedRel(t).Window(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.MustDiscrete("city"); !slices.Equal(got, []string{"LA", "SF", "NYC"}) {
+		t.Errorf("Window(1,4) = %v", got)
+	}
+	if d, _ := w.Domain("city"); !slices.Equal(d, []string{"LA", "NYC", "SF"}) {
+		t.Errorf("window domain = %v", d)
+	}
+
+	c := codedRel(t).Clone()
+	if err := c.SetDiscrete("city", 0, "Oslo"); err != nil {
+		t.Fatal(err)
+	}
+	if !codedRel(t).Equal(want) || c.Equal(want) {
+		t.Error("a write to a coded clone should change the clone only")
+	}
+}
+
+func TestCodedColumnWrites(t *testing.T) {
+	r := codedRel(t)
+	if err := r.SetDiscrete("city", 3, "Oslo"); err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := r.Domain("city"); !slices.Equal(d, []string{"LA", "Oslo", "SF"}) {
+		t.Errorf("after SetDiscrete, domain = %v", d)
+	}
+
+	r = codedRel(t)
+	if err := r.MapDiscrete("city", strings.ToLower); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.MustDiscrete("city"); !slices.Equal(got, []string{"sf", "la", "sf", "nyc", "la", "sf"}) {
+		t.Errorf("after MapDiscrete = %v", got)
+	}
+	if c, _ := r.ValueCounts("city"); c["sf"] != 3 || c["SF"] != 0 {
+		t.Errorf("after MapDiscrete, counts = %v", c)
+	}
+
+	// Dropping the only form the column has keeps its values: the strings
+	// are built before the index goes.
+	r = codedRel(t)
+	r.InvalidateIndex("city")
+	if !r.Equal(indexRel(t)) {
+		t.Fatal("InvalidateIndex lost a coded column's values")
+	}
+
+	// A raw write after the strings exist is caught like any other.
+	r = codedRel(t)
+	r.MustDiscrete("city")[0] = "Oslo"
+	var stale *StaleIndexError
+	if err := r.CheckIndex("city"); !errors.As(err, &stale) {
+		t.Fatalf("CheckIndex after a raw write = %v, want *StaleIndexError", err)
+	}
+	r.InvalidateIndex("city")
+	if c, _ := r.ValueCounts("city"); c["Oslo"] != 1 || c["SF"] != 2 {
+		t.Errorf("after InvalidateIndex, counts = %v", c)
+	}
 }

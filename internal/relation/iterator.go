@@ -22,8 +22,9 @@ type Iterator interface {
 
 // Window returns a zero-copy view of rows [lo, hi): the returned relation
 // shares the backing column slices (capacity-clamped), so mutating a window
-// cell mutates the parent and vice versa. Cached discrete indexes are not
-// shared — their codes are positions in the parent's full row space.
+// cell mutates the parent and vice versa. A parent column held only as codes
+// builds its strings first. Discrete indexes are not shared — their domain
+// is the parent's, which a window may not span.
 func (r *Relation) Window(lo, hi int) (*Relation, error) {
 	if lo < 0 || hi < lo || hi > r.rows {
 		return nil, fmt.Errorf("relation: window [%d,%d) out of range [0,%d]", lo, hi, r.rows)
@@ -31,14 +32,16 @@ func (r *Relation) Window(lo, hi int) (*Relation, error) {
 	out := &Relation{
 		schema:   r.schema,
 		numeric:  make(map[string][]float64, len(r.numeric)),
-		discrete: make(map[string][]string, len(r.discrete)),
+		discrete: make(map[string]*discreteCol, len(r.discrete)),
 		rows:     hi - lo,
 	}
 	for name, col := range r.numeric {
 		out.numeric[name] = col[lo:hi:hi]
 	}
-	for name, col := range r.discrete {
-		out.discrete[name] = col[lo:hi:hi]
+	r.dmu.Lock()
+	defer r.dmu.Unlock()
+	for name, dc := range r.discrete {
+		out.discrete[name] = &discreteCol{vals: dc.strings()[lo:hi:hi]}
 	}
 	return out, nil
 }

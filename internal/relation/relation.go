@@ -7,6 +7,12 @@
 // numerical, D = {d_1..d_m} discrete, with all cleaning confined to the
 // discrete attributes.
 //
+// A discrete column is held as its strings, its dictionary encoding
+// (DiscreteIndex: sorted domain plus one code per row), or both, and the
+// missing form is built the first time something asks for it. The
+// estimators read only the encoding, so a view loaded as codes (colstore)
+// answers queries without ever building its strings.
+//
 // Missing values are represented by relation.Null for discrete attributes and
 // NaN for numerical attributes.
 package relation
@@ -14,6 +20,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -130,14 +137,12 @@ func (s Schema) String() string {
 type Relation struct {
 	schema   Schema
 	numeric  map[string][]float64
-	discrete map[string][]string
+	discrete map[string]*discreteCol
 	rows     int
-	// dindex caches the dictionary encoding (sorted domain + per-row codes)
-	// of discrete columns; see DiscreteIndex. Entries are dropped whenever
-	// the column is written. dmu guards the map so concurrent readers — the
-	// query server's request handlers — can share one relation.
-	dmu    sync.Mutex
-	dindex map[string]*DiscreteIndex
+	// dmu guards every discreteCol's fields, so concurrent readers — the
+	// query server's request handlers — can share one relation, including
+	// the first read that builds a column's strings or index.
+	dmu sync.Mutex
 }
 
 // New creates an empty relation (zero rows) with the given schema.
@@ -145,14 +150,14 @@ func New(schema Schema) *Relation {
 	r := &Relation{
 		schema:   schema,
 		numeric:  make(map[string][]float64),
-		discrete: make(map[string][]string),
+		discrete: make(map[string]*discreteCol),
 	}
 	for _, c := range schema.cols {
 		switch c.Kind {
 		case Numeric:
 			r.numeric[c.Name] = nil
 		case Discrete:
-			r.discrete[c.Name] = nil
+			r.discrete[c.Name] = &discreteCol{}
 		}
 	}
 	return r
@@ -177,17 +182,29 @@ func (r *Relation) Numeric(name string) ([]float64, error) {
 	return col, nil
 }
 
-// Discrete returns the backing slice for a discrete column. The caller must
-// not resize it; mutating elements mutates the relation.
+// Discrete returns the backing slice for a discrete column, building it
+// from the column's codes the first time a column held only as codes is
+// read. The caller must not resize it; mutating elements mutates the
+// relation (and requires InvalidateIndex, see DiscreteIndex).
 func (r *Relation) Discrete(name string) ([]string, error) {
-	col, ok := r.discrete[name]
+	dc, err := r.lookupDiscrete(name)
+	if err != nil {
+		return nil, err
+	}
+	r.dmu.Lock()
+	defer r.dmu.Unlock()
+	return dc.strings(), nil
+}
+
+func (r *Relation) lookupDiscrete(name string) (*discreteCol, error) {
+	dc, ok := r.discrete[name]
 	if !ok {
 		if _, isNum := r.numeric[name]; isNum {
 			return nil, fmt.Errorf("relation: column %q is numeric, not discrete", name)
 		}
 		return nil, fmt.Errorf("relation: no column %q", name)
 	}
-	return col, nil
+	return dc, nil
 }
 
 // MustNumeric is like Numeric but panics on error.
@@ -227,8 +244,10 @@ func (r *Relation) Row(i int) (Row, error) {
 	for name, col := range r.numeric {
 		row.Numeric[name] = col[i]
 	}
-	for name, col := range r.discrete {
-		row.Discrete[name] = col[i]
+	r.dmu.Lock()
+	defer r.dmu.Unlock()
+	for name, dc := range r.discrete {
+		row.Discrete[name] = dc.strings()[i]
 	}
 	return row, nil
 }
@@ -238,7 +257,7 @@ func (r *Relation) Clone() *Relation {
 	out := &Relation{
 		schema:   r.schema,
 		numeric:  make(map[string][]float64, len(r.numeric)),
-		discrete: make(map[string][]string, len(r.discrete)),
+		discrete: make(map[string]*discreteCol, len(r.discrete)),
 		rows:     r.rows,
 	}
 	for name, col := range r.numeric {
@@ -246,19 +265,12 @@ func (r *Relation) Clone() *Relation {
 		copy(cp, col)
 		out.numeric[name] = cp
 	}
-	for name, col := range r.discrete {
-		cp := make([]string, len(col))
-		copy(cp, col)
-		out.discrete[name] = cp
-	}
-	// A clone's column contents are identical, so the immutable cached
-	// encodings carry over; either relation invalidates independently.
+	// A clone's column contents are identical, so the immutable encodings
+	// carry over (a column held only as codes stays so); either relation
+	// invalidates independently.
 	r.dmu.Lock()
-	if len(r.dindex) > 0 {
-		out.dindex = make(map[string]*DiscreteIndex, len(r.dindex))
-		for name, ix := range r.dindex {
-			out.dindex[name] = ix
-		}
+	for name, dc := range r.discrete {
+		out.discrete[name] = &discreteCol{vals: slices.Clone(dc.vals), ix: dc.ix}
 	}
 	r.dmu.Unlock()
 	return out
@@ -287,19 +299,15 @@ func (r *Relation) DomainSize(name string) (int, error) {
 }
 
 // ValueCounts returns the multiplicity of each distinct value in a discrete
-// column.
+// column, read from the index's per-code counts in O(domain).
 func (r *Relation) ValueCounts(name string) (map[string]int, error) {
 	ix, err := r.DiscreteIndex(name)
 	if err != nil {
 		return nil, err
 	}
-	perCode := make([]int, ix.N())
-	for _, c := range ix.Codes {
-		perCode[c]++
-	}
 	counts := make(map[string]int, ix.N())
-	for c, n := range perCode {
-		counts[ix.Domain[c]] = n
+	for c, n := range ix.Counts {
+		counts[ix.Domain[c]] = int(n)
 	}
 	return counts, nil
 }
@@ -357,8 +365,7 @@ func (r *Relation) AddDiscreteColumn(name string, values []string) error {
 		r.schema.index = idx
 	}
 	r.schema.index[name] = len(r.schema.cols) - 1
-	r.discrete[name] = cp
-	r.InvalidateIndex(name)
+	r.discrete[name] = &discreteCol{vals: cp}
 	return nil
 }
 
@@ -384,15 +391,10 @@ func (r *Relation) Equal(o *Relation) bool {
 			}
 		}
 	}
-	for name, col := range r.discrete {
-		oc, ok := o.discrete[name]
-		if !ok {
+	for name := range r.discrete {
+		oc, err := o.Discrete(name)
+		if err != nil || !slices.Equal(r.MustDiscrete(name), oc) {
 			return false
-		}
-		for i := range col {
-			if col[i] != oc[i] {
-				return false
-			}
 		}
 	}
 	return true
@@ -440,12 +442,12 @@ func (b *Builder) Append(numeric map[string]float64, discrete map[string]string)
 		}
 		b.rel.numeric[name] = append(b.rel.numeric[name], v)
 	}
-	for name := range b.rel.discrete {
+	for name, dc := range b.rel.discrete {
 		v, ok := discrete[name]
 		if !ok {
 			v = Null
 		}
-		b.rel.discrete[name] = append(b.rel.discrete[name], v)
+		dc.vals = append(dc.vals, v)
 	}
 	b.rel.rows++
 	return b
@@ -496,7 +498,7 @@ func FromColumns(schema Schema, numeric map[string][]float64, discrete map[strin
 			}
 			cp := make([]string, len(col))
 			copy(cp, col)
-			r.discrete[c.Name] = cp
+			r.discrete[c.Name].vals = cp
 		}
 	}
 	if n == -1 {

@@ -48,12 +48,16 @@ func min3(a, b, c int) int {
 // with <= max, not ==). It evaluates only the diagonal band of the DP matrix
 // that can hold values <= max — width 2*max+1 — and exits as soon as a whole
 // row exceeds the bound, so the cost is O(max * min(len a, len b)) instead
-// of O(len a * len b). max < 0 is treated as 0.
+// of O(len a * len b). max < 0 is treated as 0. When both strings are at
+// most 32 runes, the call allocates nothing: the DP rows live on the stack.
 func LevenshteinBounded(a, b string, max int) int {
 	if max < 0 {
 		max = 0
 	}
 	ra, rb := []rune(a), []rune(b)
+	if len(rb) > len(ra) {
+		ra, rb = rb, ra // the distance is symmetric; the rows span the shorter
+	}
 	// Cells outside the band would need more than max insertions/deletions;
 	// the length difference alone already decides those cases.
 	diff := len(ra) - len(rb)
@@ -70,8 +74,12 @@ func LevenshteinBounded(a, b string, max int) int {
 		return len(ra)
 	}
 	const inf = int(^uint(0) >> 1)
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
+	var rows [2][33]int
+	prev, cur := rows[0][:], rows[1][:]
+	if len(rb) >= len(prev) {
+		prev, cur = make([]int, len(rb)+1), make([]int, len(rb)+1)
+	}
+	prev, cur = prev[:len(rb)+1], cur[:len(rb)+1]
 	for j := range prev {
 		if j <= max {
 			prev[j] = j

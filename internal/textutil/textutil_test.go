@@ -141,3 +141,60 @@ func TestLevenshteinBoundedEdges(t *testing.T) {
 		t.Error("Similar with negative distance must be false")
 	}
 }
+
+// TestLevenshteinBoundedNoAllocs holds the MDRepair verification path to
+// zero allocations on values of at most 32 runes.
+func TestLevenshteinBoundedNoAllocs(t *testing.T) {
+	a := "Ünited Kingdom of Great Brïtain" // 31 runes, multi-byte
+	b := "United Kingdom of Great Britain and"
+	b = b[:32]
+	for _, max := range []int{0, 1, 3} {
+		if n := testing.AllocsPerRun(100, func() { LevenshteinBounded(a, b, max) }); n != 0 {
+			t.Errorf("max %d: %v allocs per call, want 0", max, n)
+		}
+	}
+}
+
+// TestLevenshteinBoundedStackRowEdge differentially checks the banded DP
+// against the full one on multi-byte strings whose lengths straddle the
+// 32-rune stack rows, in both argument orders. Half the pairs are a string
+// and a copy with up to three random rune edits, so distances at or under
+// the bound are common.
+func TestLevenshteinBoundedStackRowEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	alphabet := []rune("ab日é")
+	randRunes := func(n int) []rune {
+		rs := make([]rune, n)
+		for i := range rs {
+			rs[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return rs
+	}
+	for trial := 0; trial < 1000; trial++ {
+		ra := randRunes(28 + rng.Intn(9)) // 28..36 runes
+		rb := randRunes(28 + rng.Intn(9))
+		if trial%2 == 0 {
+			rb = append([]rune(nil), ra...)
+			for e := rng.Intn(4); e > 0; e-- {
+				i := rng.Intn(len(rb))
+				switch rng.Intn(3) {
+				case 0:
+					rb[i] = alphabet[rng.Intn(len(alphabet))]
+				case 1:
+					rb = append(rb[:i], rb[i+1:]...)
+				default:
+					rb = append(rb[:i], append([]rune{alphabet[rng.Intn(len(alphabet))]}, rb[i:]...)...)
+				}
+			}
+		}
+		a, b := string(ra), string(rb)
+		full := Levenshtein(a, b)
+		for max := 0; max <= 4; max++ {
+			for _, got := range []int{LevenshteinBounded(a, b, max), LevenshteinBounded(b, a, max)} {
+				if (full <= max && got != full) || (full > max && got <= max) {
+					t.Fatalf("LevenshteinBounded(%q, %q, %d) = %d, full distance %d", a, b, max, got, full)
+				}
+			}
+		}
+	}
+}
