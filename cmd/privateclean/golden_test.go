@@ -104,10 +104,8 @@ func TestGoldenQuery(t *testing.T) {
 
 // TestGoldenQueryStats locks the stats-path CLI output against the same
 // golden view: statistics collected once with the released bin layout, then
-// queried with -stats. Shapes the stats path shares with the resident path
-// (count, sum, avg, their GROUP BYs, GROUP BY bin count) reuse the resident
-// golden files — the byte-identity contract — while the binned
-// quantile/median, which exist only over statistics, get their own goldens.
+// queried with -stats. Every shape the stats path answers reuses the
+// resident golden file — the byte-identity contract.
 func TestGoldenQueryStats(t *testing.T) {
 	view := filepath.Join("testdata", "golden", "view.csv.golden")
 	meta := filepath.Join("testdata", "golden", "meta.json.golden")
@@ -129,8 +127,8 @@ func TestGoldenQueryStats(t *testing.T) {
 		{"query_groupby_sum.golden", "SELECT sum(score) FROM R GROUP BY major"},
 		{"query_groupby_avg.golden", "SELECT avg(score) FROM R GROUP BY major"},
 		{"query_groupby_bin.golden", "SELECT count(1) FROM R GROUP BY bin(score)"},
-		{"query_stats_median.golden", "SELECT median(score) FROM R WHERE major = 'Math'"},
-		{"query_stats_quantile.golden", "SELECT quantile(score, 0.9) FROM R WHERE major = 'Math'"},
+		{"query_median.golden", "SELECT median(score) FROM R WHERE major = 'Math'"},
+		{"query_quantile.golden", "SELECT quantile(score, 0.9) FROM R WHERE major = 'Math'"},
 	}
 	for _, c := range cases {
 		out := captureStdout(t, func() error {

@@ -294,6 +294,37 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// A release without a bin layout (privatize -bins 0) answers resident
+// quantiles, like GROUP BY bin(a), with a typed bad-query error naming
+// -bins, from both a CSV and a .pcol view.
+func TestQueryWithoutBinLayoutNamesBins(t *testing.T) {
+	dir := t.TempDir()
+	data := writeTempCSV(t, dir)
+	out := filepath.Join(dir, "out.csv")
+	col := filepath.Join(dir, "out.pcol")
+	metaPath := filepath.Join(dir, "meta.json")
+	for _, args := range [][]string{
+		{"privatize", "-in", data, "-out", out, "-meta", metaPath, "-p", "0.15", "-b", "0.5", "-bins", "0", "-ledger", "off"},
+		{"pack", "-in", out, "-out", col},
+	} {
+		if err := run(args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, src := range [][]string{{"-in", out}, {"-col", col}} {
+		for _, sql := range []string{
+			"SELECT median(score) FROM R WHERE major = 'Math'",
+			"SELECT quantile(score, 0.9) FROM R",
+			"SELECT count(1) FROM R GROUP BY bin(score)",
+		} {
+			err := run(append(append([]string{"query"}, src...), "-meta", metaPath, sql))
+			if !errors.Is(err, faults.ErrBadQuery) || !strings.Contains(err.Error(), "-bins") {
+				t.Errorf("%s %s: got %v, want a bad-query error naming -bins", src[0], sql, err)
+			}
+		}
+	}
+}
+
 // TestExitCodeCorruptCheckpoint needs an on-disk checkpoint to corrupt, so
 // it drives an interruption through the core job first.
 func TestExitCodeCorruptCheckpoint(t *testing.T) {

@@ -1,7 +1,6 @@
 package estimator
 
 import (
-	"slices"
 	"sync"
 
 	"privateclean/internal/relation"
@@ -9,12 +8,12 @@ import (
 )
 
 // This file is the per-code aggregate layer of the resident estimators. The
-// Eq. 3/5/7 estimators and the Section 10 variance read the private
-// relation only through per-value marginals — counts, sums and central
-// moments per distinct value, plus the column moments — so each table below
-// is built once per view and every later query folds it in O(domain),
-// memoized in the estimator's ChannelCache when one is attached (built per
-// call otherwise).
+// Eq. 3/5/7 estimators, the Section 10 variance and the binned quantiles
+// read the private relation only through per-value marginals — counts,
+// sums, central moments and bin counts per distinct value, plus the column
+// moments — so each table below is built once per view and every later
+// query folds it in O(domain), memoized in the estimator's ChannelCache
+// when one is attached (built per call otherwise).
 
 // codeAggs holds one numeric column's non-NaN aggregates, per code of a
 // discrete attribute's dictionary (sums and cell counts) and over the whole
@@ -32,6 +31,9 @@ type codeAggs struct {
 
 	centralOnce sync.Once
 	byCode      *codeMoments // once central has run
+
+	binOnce sync.Once
+	bins    *binTable // once binned has run
 }
 
 // codeMoments holds, per code, the non-NaN count and the central sums
@@ -91,9 +93,10 @@ type valueTable struct {
 	moments func() (mean, variance float64, err error)
 }
 
-// tableSource builds valueTables: a resident relation or Statistics.
+// tableSource builds the tables: a resident relation or Statistics.
 type tableSource interface {
 	valueTable(c *ChannelCache, attr, agg string) (valueTable, error)
+	binTable(e *Estimator, attr, agg string) (*binTable, error)
 }
 
 // resident is a relation as a tableSource: its dictionary and the
@@ -116,6 +119,26 @@ func (r resident) valueTable(c *ChannelCache, attr, agg string) (valueTable, err
 		t.sums, t.nonNaNs, t.total, t.nonNaN, t.moments = a.sums, a.nonNaN, a.total, a.n, a.moments
 	}
 	return t, nil
+}
+
+// binTable bins agg with the released edges, grouped by attr's dictionary
+// (attr "" for the column alone), on the memoized per-code entry.
+func (r resident) binTable(e *Estimator, attr, agg string) (*binTable, error) {
+	edges, err := e.binEdges(agg)
+	if err != nil {
+		return nil, err
+	}
+	var ix *relation.DiscreteIndex
+	if attr != "" {
+		if ix, err = r.rel.DiscreteIndex(attr); err != nil {
+			return nil, err
+		}
+	}
+	a, err := columnAggs(e.Cache, r.rel, ix, attr, agg)
+	if err != nil {
+		return nil, err
+	}
+	return a.binned(ix, edges), nil
 }
 
 // count is the number of rows sel matches: S for every code, otherwise an
@@ -174,6 +197,31 @@ func (a *codeAggs) moments() (mean, variance float64, err error) {
 		a.variance, _ = stats.Variance(a.col)
 	})
 	return a.mean, a.variance, nil
+}
+
+// binned returns the column's bin table over edges, building it on the
+// first call in one row pass that places each non-NaN cell as the
+// collector does (binIndex). ix must be the dictionary a was grouped by.
+func (a *codeAggs) binned(ix *relation.DiscreteIndex, edges []float64) *binTable {
+	a.binOnce.Do(func() {
+		nb := len(edges) - 1
+		t := &binTable{ix: ix, edges: edges, hist: make([]int, nb)}
+		if ix != nil {
+			t.byCode = make([]uint32, ix.N()*nb)
+		}
+		for i, x := range a.col {
+			if x == x {
+				k := binIndex(edges, x)
+				t.hist[k]++
+				if ix != nil {
+					t.byCode[int(ix.Codes[i])*nb+k]++
+				}
+			}
+		}
+		debugCheckBins(t, a.nonNaN)
+		a.bins = t
+	})
+	return a.bins
 }
 
 // central returns the per-code moments, building them on the first call in
@@ -325,114 +373,4 @@ func buildBinMoments(edges, xs, ys []float64) *binMoments {
 		m.sumsqs[k] += y * y
 	}
 	return m
-}
-
-// codeRuns holds one numeric column's non-NaN cells grouped by code and
-// sorted ascending within each code: code c's run is vals[off[c]:off[c+1]].
-// Without a dictionary there is one run, the whole column sorted.
-type codeRuns struct {
-	off  []int
-	vals []float64
-}
-
-// buildCodeRuns keeps the cells of the codes in keep only; the runs of the
-// other codes are empty.
-func buildCodeRuns(ix *relation.DiscreteIndex, col []float64, keep selection) *codeRuns {
-	n := 1
-	if ix != nil {
-		n = ix.N()
-	}
-	code := func(i int) uint32 {
-		if ix == nil {
-			return 0
-		}
-		return ix.Codes[i]
-	}
-	off := make([]int, n+1)
-	for i, x := range col {
-		if c := code(i); x == x && keep.has(c) {
-			off[c+1]++
-		}
-	}
-	for c := 0; c < n; c++ {
-		off[c+1] += off[c]
-	}
-	vals := make([]float64, off[n])
-	next := slices.Clone(off[:n])
-	for i, x := range col {
-		if c := code(i); x == x && keep.has(c) {
-			vals[next[c]] = x
-			next[c]++
-		}
-	}
-	for c := 0; c < n; c++ {
-		slices.Sort(vals[off[c]:off[c+1]])
-	}
-	return &codeRuns{off: off, vals: vals}
-}
-
-// merge returns the selected codes' cells in ascending order: a pairwise
-// bottom-up merge of their runs, O(m·log k) for m cells in k runs. The
-// result may alias the runs and must not be written.
-func (r *codeRuns) merge(sel selection) []float64 {
-	var runs [][]float64
-	total := 0
-	for c := 0; c+1 < len(r.off); c++ {
-		if lo, hi := r.off[c], r.off[c+1]; hi > lo && sel.has(uint32(c)) {
-			runs = append(runs, r.vals[lo:hi])
-			total += hi - lo
-		}
-	}
-	var bufs [2][]float64
-	for level := 0; len(runs) > 1; level++ {
-		if bufs[level&1] == nil {
-			bufs[level&1] = make([]float64, 0, total)
-		}
-		dst := bufs[level&1][:0]
-		next := runs[:0]
-		for i := 0; i < len(runs); i += 2 {
-			start := len(dst)
-			if i+1 < len(runs) {
-				dst = mergeTwo(dst, runs[i], runs[i+1])
-			} else {
-				dst = append(dst, runs[i]...)
-			}
-			next = append(next, dst[start:])
-		}
-		runs = next
-	}
-	if len(runs) == 0 {
-		return nil
-	}
-	return runs[0]
-}
-
-// mergeTwo appends the ascending merge of a and b to dst.
-func mergeTwo(dst, a, b []float64) []float64 {
-	for len(a) > 0 && len(b) > 0 {
-		if b[0] < a[0] {
-			dst, b = append(dst, b[0]), b[1:]
-		} else {
-			dst, a = append(dst, a[0]), a[1:]
-		}
-	}
-	return append(append(dst, a...), b...)
-}
-
-// sortedMatched returns the non-NaN agg cells of rows satisfying pred (all
-// rows when pred.Match is nil) in ascending order, merged from the memoized
-// sorted runs. The result must not be written.
-func sortedMatched(c *ChannelCache, rel *relation.Relation, agg string, pred Predicate) ([]float64, error) {
-	col, err := rel.Numeric(agg)
-	if err != nil {
-		return nil, err
-	}
-	ix, attr, sel, keep, err := selectRows(c, rel, pred)
-	if err != nil {
-		return nil, err
-	}
-	runs := memo(c, entryKey{kindRuns, attr, agg}, sourceOf(ix, col, nil), func() *codeRuns {
-		return buildCodeRuns(ix, col, keep)
-	})
-	return runs.merge(sel), nil
 }

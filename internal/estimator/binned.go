@@ -10,15 +10,15 @@ import (
 	"privateclean/internal/stats"
 )
 
-// This file implements the binned-histogram estimators: DP quantiles/median
-// over the sufficient-statistics store and GROUP BY over binned numeric
-// attributes.
+// This file implements the binned-histogram estimators, on every source:
+// quantiles/median and GROUP BY over binned numeric attributes.
 //
 // The provider releases a bin layout in the view metadata (NumericMeta.Lo,
-// Bins; see privacy.NumericMeta.BinEdges), the statistics collector counts
-// private cells per bin — overall (Statistics.Hist) and per discrete value
-// (ValueStats.Bins) — and the estimator inverts the randomized-response
-// channel bin by bin:
+// Bins; see privacy.NumericMeta.BinEdges). A resident relation bins its
+// cells with it (codeAggs.binned) as the statistics collector does —
+// overall (Statistics.Hist) and per discrete value (ValueStats.Bins) — into
+// one bin table, and the estimator inverts the randomized-response channel
+// bin by bin:
 //
 //	ĉ_k = (m_k − t_k·τ_n) / (τ_p − τ_n)
 //
@@ -41,21 +41,79 @@ import (
 // The quantile point estimate carries two sources of systematic error the
 // channel inversion cannot remove: discretization (resolved by the bin
 // width) and the Laplace noise convolution on the numeric cells themselves
-// (median-zero, so bounded for central quantiles). The statistical suite
-// asserts unbiasedness against the binned inverse-CDF of the true matched
-// histogram, which isolates the channel inversion — the part this file owns.
+// (median-zero, so bounded for central quantiles; not deconvolved). The
+// statistical suite asserts unbiasedness against the binned inverse-CDF of
+// the true matched histogram, which isolates the channel inversion — the
+// part this file owns.
 
-// histogram returns the binned layout of a numeric attribute, or a typed
-// error naming the flag that records one.
-func (st *Statistics) histogram(agg string) (*Histogram, error) {
-	if h, ok := st.Hist[agg]; ok {
-		return h, nil
+// binTable is the bin table of a numeric column agg, whichever source it
+// was built from: the released edges, the histogram of agg's non-NaN cells
+// and, grouped by a discrete attribute, each code's bin counts.
+type binTable struct {
+	ix     *relation.DiscreteIndex // the grouping dictionary; nil ungrouped
+	edges  []float64
+	hist   []int    // per bin, agg's non-NaN cells
+	byCode []uint32 // code c's count in bin k at c·len(hist)+k; nil ungrouped
+}
+
+// matched returns the bin counts of the codes sel selects: the column
+// histogram when it selects every code.
+func (t *binTable) matched(sel selection) []float64 {
+	nb := len(t.hist)
+	m := make([]float64, nb)
+	if sel.all {
+		for k, c := range t.hist {
+			m[k] = float64(c)
+		}
+		return m
 	}
-	if _, ok := st.Numeric[agg]; !ok {
-		return nil, fmt.Errorf("estimator: no statistics for numeric attribute %q", agg)
+	for c := 0; c < t.ix.N(); c++ {
+		if sel.has(uint32(c)) {
+			for k, n := range t.byCode[c*nb : (c+1)*nb] {
+				m[k] += float64(n)
+			}
+		}
 	}
-	return nil, faults.Errorf(faults.ErrBadQuery,
-		"estimator: statistics for %q record no binned histogram; re-run 'privateclean stats' with -meta so the released bin edges are collected, or query the view with -in/-col", agg)
+	return m
+}
+
+// binTable builds the (attr, agg) bin table from the recorded histograms,
+// memoized until the next Add; attr "" reads the column histogram alone.
+func (st *Statistics) binTable(_ *Estimator, attr, agg string) (*binTable, error) {
+	h, ok := st.Hist[agg]
+	if !ok {
+		if _, numeric := st.Numeric[agg]; !numeric {
+			return nil, fmt.Errorf("estimator: no statistics for numeric attribute %q", agg)
+		}
+		return nil, faults.Errorf(faults.ErrBadQuery,
+			"estimator: statistics for %q record no binned histogram; re-run 'privateclean stats' with -meta so the released bin edges are collected, or query the view with -in/-col", agg)
+	}
+	if attr == "" {
+		return &binTable{edges: h.Edges, hist: h.Counts}, nil
+	}
+	key := [2]string{attr, agg}
+	if t, ok := st.bins.Load(key); ok {
+		return t.(*binTable), nil
+	}
+	ix, err := st.index(attr)
+	if err != nil {
+		return nil, err
+	}
+	nb := len(h.Counts)
+	t := &binTable{ix: ix, edges: h.Edges, hist: h.Counts, byCode: make([]uint32, ix.N()*nb)}
+	for c, v := range ix.Domain {
+		bins := st.Discrete[attr][v].Bins[agg]
+		if len(bins) != 0 && len(bins) != nb {
+			return nil, faults.Errorf(faults.ErrBadMeta,
+				"estimator: statistics record %d bins of %q for %s = %q, and %d in its histogram", len(bins), agg, attr, v, nb)
+		}
+		for k, n := range bins {
+			t.byCode[c*nb+k] = uint32(n)
+		}
+	}
+	debugCheckBins(t, nil)
+	memo, _ := st.bins.LoadOrStore(key, t)
+	return memo.(*binTable), nil
 }
 
 // binEdges returns the bin layout the provider released for a numeric
@@ -76,76 +134,68 @@ func (e *Estimator) binEdges(attr string) ([]float64, error) {
 	return edges, nil
 }
 
-// binnedMatched accumulates the observed matched count per bin for pred over
-// the recorded per-value bin counts, plus the per-bin totals.
-func (st *Statistics) binnedMatched(h *Histogram, agg string, pred Predicate) ([]float64, error) {
-	vs, ok := st.Discrete[pred.Attr]
-	if !ok {
-		return nil, fmt.Errorf("estimator: no statistics for discrete attribute %q", pred.Attr)
-	}
-	matched := make([]float64, len(h.Counts))
-	for _, v := range sortedKeys(vs) {
-		if pred.Match != nil && !pred.Match(v) {
-			continue
-		}
-		for k, c := range vs[v].Bins[agg] {
-			matched[k] += float64(c)
-		}
-	}
-	return matched, nil
+// Median is Percentile at q = 0.5.
+func (e *Estimator) Median(rel *relation.Relation, agg string, pred Predicate) (Estimate, error) {
+	return e.percentile(resident{rel}, agg, pred, 0.5)
 }
 
-// PercentileStats estimates the q-th quantile (q in [0,1]) of agg over rows
-// satisfying pred from the binned sufficient statistics: channel-inverted
-// bin counts, inverse CDF, delta-method interval. A zero-value pred (no
-// WHERE) skips the inversion and uses the raw histogram.
+// Percentile estimates the q-th quantile (q in [0,1]) of agg over rows
+// satisfying pred: the relation's cells binned with the released edges,
+// channel-inverted bin counts, inverse CDF, delta-method interval.
+func (e *Estimator) Percentile(rel *relation.Relation, agg string, pred Predicate, q float64) (Estimate, error) {
+	return e.percentile(resident{rel}, agg, pred, q)
+}
+
+// MedianStats is PercentileStats at q = 0.5.
+func (e *Estimator) MedianStats(st *Statistics, agg string, pred Predicate) (Estimate, error) {
+	return e.percentile(st, agg, pred, 0.5)
+}
+
+// PercentileStats is Percentile over sufficient statistics collected with
+// the released edges.
 func (e *Estimator) PercentileStats(st *Statistics, agg string, pred Predicate, q float64) (Estimate, error) {
-	h, err := st.histogram(agg)
+	return e.percentile(st, agg, pred, q)
+}
+
+// percentile is the one quantile body behind both sources: q is checked
+// first, then pred's channel (none for the whole column), then src's table.
+func (e *Estimator) percentile(src tableSource, agg string, pred Predicate, q float64) (Estimate, error) {
+	if !(q >= 0 && q <= 1) {
+		return Estimate{}, fmt.Errorf("estimator: percentile %v out of [0,1]", q)
+	}
+	ch, attr := channelVal{denom: 1}, ""
+	if !pred.isTotal() {
+		var err error
+		if ch, err = e.invertible(pred); err != nil {
+			return Estimate{}, err
+		}
+		attr = pred.Attr
+	}
+	t, err := src.binTable(e, attr, agg)
 	if err != nil {
 		return Estimate{}, err
 	}
-	nb := len(h.Counts)
-	matched := make([]float64, nb)
-	unbiased := make([]float64, nb)
-	denom := 1.0
-	if pred.Attr == "" {
-		for k, c := range h.Counts {
-			matched[k] = float64(c)
-			unbiased[k] = float64(c)
-		}
-	} else {
-		ch, err := e.invertible(pred)
-		if err != nil {
-			return Estimate{}, err
-		}
-		denom = ch.denom
-		matched, err = st.binnedMatched(h, agg, pred)
-		if err != nil {
-			return Estimate{}, err
-		}
-		for k := range unbiased {
-			u := (matched[k] - float64(h.Counts[k])*ch.tauN) / ch.denom
-			if u < 0 {
-				u = 0
-			}
-			unbiased[k] = u
-		}
+	est, err := e.quantileEstimate(ch, t.edges, t.matched(compileSelection(t.ix, pred)), t.hist, q)
+	if errors.Is(err, stats.ErrEmpty) && attr != "" {
+		err = fmt.Errorf("%w for %s", ErrZeroEstimatedCount, pred)
 	}
-	val, bin, err := stats.HistQuantileBin(h.Edges, unbiased, q)
-	if err != nil {
-		if errors.Is(err, stats.ErrEmpty) && pred.Attr != "" {
-			return Estimate{}, fmt.Errorf("%w for %s", ErrZeroEstimatedCount, pred)
-		}
-		return Estimate{}, err
-	}
-	// Delta-method interval through the crossed bin's density.
-	total := 0.0
-	for _, c := range h.Counts {
+	return est, err
+}
+
+// quantileEstimate is the binned quantile math: invert the channel over
+// the observed matched count of each bin out of the bin's total, then read
+// the q-th quantile and its delta-method interval off the inverted counts.
+func (e *Estimator) quantileEstimate(ch channelVal, edges, matched []float64, hist []int, q float64) (Estimate, error) {
+	unbiased := make([]float64, len(hist))
+	var total, sumU float64
+	for k, c := range hist {
+		unbiased[k] = math.Max(0, (matched[k]-float64(c)*ch.tauN)/ch.denom)
 		total += float64(c)
+		sumU += unbiased[k]
 	}
-	var sumU float64
-	for _, u := range unbiased {
-		sumU += u
+	val, bin, err := stats.HistQuantileBin(edges, unbiased, q)
+	if err != nil {
+		return Estimate{}, err
 	}
 	var cumU, cumM float64
 	for k := 0; k < bin; k++ {
@@ -156,29 +206,18 @@ func (e *Estimator) PercentileStats(st *Statistics, agg string, pred Predicate, 
 	if unbiased[bin] > 0 {
 		frac = (q*sumU - cumU) / unbiased[bin]
 	}
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
+	frac = math.Min(1, math.Max(0, frac))
 	sp := (cumM + frac*matched[bin]) / total
-	width := h.Edges[bin+1] - h.Edges[bin]
-	density := unbiased[bin] / width
+	density := unbiased[bin] / (edges[bin+1] - edges[bin])
 	z, err := stats.ZScore(e.confidence())
 	if err != nil {
 		return Estimate{}, err
 	}
 	ci := 0.0
 	if density > 0 {
-		ci = z * math.Sqrt(total*sp*(1-sp)) / denom / density
+		ci = z * math.Sqrt(total*sp*(1-sp)) / ch.denom / density
 	}
 	return Estimate{Value: val, CI: ci}, nil
-}
-
-// MedianStats is PercentileStats at q = 0.5.
-func (e *Estimator) MedianStats(st *Statistics, agg string, pred Predicate) (Estimate, error) {
-	return e.PercentileStats(st, agg, pred, 0.5)
 }
 
 // BinEstimate is one bucket of a binned GROUP BY: the bin's range, its
@@ -199,56 +238,48 @@ func binLabel(edges []float64, k int) string {
 	return fmt.Sprintf("[%g, %g)", edges[k], edges[k+1])
 }
 
-// binCountEstimates wraps per-bin counts with a multinomial sampling
+// GroupBinCounts answers count(1) GROUP BY bin(attr) over the resident
+// relation, binning the private numeric column with the released edges.
+func (e *Estimator) GroupBinCounts(rel *relation.Relation, attr string) ([]BinEstimate, error) {
+	return e.groupBinCounts(resident{rel}, attr)
+}
+
+// GroupBinCountsStats is GroupBinCounts over sufficient statistics. The
+// collector binned with the same released edges, so the counts — and
+// therefore the estimates — are identical to GroupBinCounts over the
+// relation the statistics summarize.
+func (e *Estimator) GroupBinCountsStats(st *Statistics, attr string) ([]BinEstimate, error) {
+	return e.groupBinCounts(st, attr)
+}
+
+// groupBinCounts wraps attr's column histogram with a multinomial sampling
 // interval: count_k ± z·sqrt(n·p̂(1−p̂)). The counts are direct (the
 // numeric channel adds noise to the values, not the counts; the Laplace
 // convolution across bin boundaries is a property of the release, not a
 // bias this estimator can remove).
-func (e *Estimator) binCountEstimates(edges []float64, counts []int, n int) ([]BinEstimate, error) {
+func (e *Estimator) groupBinCounts(src tableSource, attr string) ([]BinEstimate, error) {
+	t, err := src.binTable(e, "", attr)
+	if err != nil {
+		return nil, err
+	}
 	z, err := stats.ZScore(e.confidence())
 	if err != nil {
 		return nil, err
 	}
-	out := make([]BinEstimate, len(counts))
-	for k, c := range counts {
+	n := 0
+	for _, c := range t.hist {
+		n += c
+	}
+	out := make([]BinEstimate, len(t.hist))
+	for k, c := range t.hist {
 		ci := 0.0
 		if n > 0 {
 			p := float64(c) / float64(n)
 			ci = z * math.Sqrt(float64(n)*p*(1-p))
 		}
-		out[k] = BinEstimate{Lo: edges[k], Hi: edges[k+1], Label: binLabel(edges, k), Est: Estimate{Value: float64(c), CI: ci}}
+		out[k] = BinEstimate{Lo: t.edges[k], Hi: t.edges[k+1], Label: binLabel(t.edges, k), Est: Estimate{Value: float64(c), CI: ci}}
 	}
 	return out, nil
-}
-
-// GroupBinCounts answers count(1) GROUP BY bin(attr) over the resident
-// relation, binning the private numeric column with the released edges.
-func (e *Estimator) GroupBinCounts(rel *relation.Relation, attr string) ([]BinEstimate, error) {
-	edges, m, err := e.groupBinMoments(rel, attr, attr)
-	if err != nil {
-		return nil, err
-	}
-	n := 0
-	for _, c := range m.n {
-		n += c
-	}
-	return e.binCountEstimates(edges, m.n, n)
-}
-
-// GroupBinCountsStats answers count(1) GROUP BY bin(attr) over sufficient
-// statistics. The collector binned with the same released edges, so the
-// counts — and therefore the estimates — are identical to GroupBinCounts
-// over the relation the statistics summarize.
-func (e *Estimator) GroupBinCountsStats(st *Statistics, attr string) ([]BinEstimate, error) {
-	h, err := st.histogram(attr)
-	if err != nil {
-		return nil, err
-	}
-	n := 0
-	for _, c := range h.Counts {
-		n += c
-	}
-	return e.binCountEstimates(h.Edges, h.Counts, n)
 }
 
 // GroupBinSums answers sum(agg) GROUP BY bin(attr) over the resident

@@ -74,6 +74,21 @@ func TestPercentileStatsEmptyPredicate(t *testing.T) {
 	}
 }
 
+// Statistics read from JSON may record a value's bins under a layout other
+// than the histogram's: the quantile refuses them as bad metadata rather
+// than filing counts under another value's codes.
+func TestPercentileStatsRejectsMisshapenBins(t *testing.T) {
+	r := quantRel(t)
+	v, meta := privatized(t, r, 7, 0.1, 0)
+	st := collectWith(t, v, meta, nil)
+	s := st.Discrete["category"]["x"]
+	s.Bins["value"] = append(s.Bins["value"], 1)
+	est := &Estimator{Meta: meta, Confidence: 0.95}
+	if _, err := est.PercentileStats(st, "value", Eq("category", "y"), 0.5); !errors.Is(err, faults.ErrBadMeta) {
+		t.Fatalf("quantile over misshapen bins: got %v, want faults.ErrBadMeta", err)
+	}
+}
+
 func TestGroupBinCountsNoLayoutIsTyped(t *testing.T) {
 	r := quantRel(t)
 	v, meta := privatized(t, r, 7, 0.1, 0)

@@ -14,11 +14,12 @@ import (
 //     walk the cleaning provenance graph to compute a weighted vertex cut;
 //   - the per-code aggregates of a (discrete attribute, numeric column)
 //     pair: per-code sums plus the column's moments (aggs.go), from which
-//     count, sum, avg and GROUP BY fold in O(domain), and, built by the
-//     first var/std, per-code counts and central moments, from which
-//     var/std fold in O(domain);
-//   - the per-bin moments of a (binned attribute, numeric column) pair;
-//   - the per-code sorted value runs of a pair, which quantiles merge; and
+//     count, sum, avg and GROUP BY fold; built by the first var/std, per-code
+//     counts and central moments, from which var/std fold; and, built by
+//     the first quantile or binned count, the column's per-code bin counts
+//     (binned.go), from which those fold;
+//   - the per-bin moments of a (binned attribute, numeric column) pair,
+//     which binned sum and avg read; and
 //   - the joint table of a conjunction's attribute set (sorted by name)
 //     with or without a numeric column: per-cell counts and moments,
 //     which every conjunction over those attributes folds.
@@ -65,11 +66,10 @@ const (
 	kindJoint
 	kindPerCode
 	kindBin
-	kindRuns
 	numKinds
 )
 
-var kindNames = [numKinds]string{"channel", "joint", "per-code", "bin", "runs"}
+var kindNames = [numKinds]string{"channel", "joint", "per-code", "bin"}
 
 type predKey struct {
 	attr string
@@ -218,7 +218,7 @@ type CacheStats struct {
 }
 
 // Stats reports hits, misses and resident entries for each kind of entry —
-// channel, joint, per-code, bin and runs — in that order.
+// channel, joint, per-code and bin — in that order.
 func (c *ChannelCache) Stats() []CacheStats {
 	out := make([]CacheStats, numKinds)
 	c.mu.RLock()

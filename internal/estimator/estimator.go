@@ -91,13 +91,14 @@ type Estimator struct {
 
 // Nominal returns the Direct estimator: the query run as-is on the private
 // data. It is the corrected estimator over the identity channel (p = 0, so
-// τ_n = 0 and τ_p − τ_n = 1), under which Eq. 3/5/7 return the private
-// count, sum and average and var keeps the injected noise (b = 0). Every
-// entry point answers as e's does, without Meta or Prov, so it also
-// evaluates a query exactly on a non-private relation. It shares e's Cache
-// and Confidence; its channels are never cached.
+// τ_n = 0 and τ_p − τ_n = 1), under which Eq. 3/5/7 and the per-bin
+// inversion return the private count, sum, average and bin counts, and var
+// keeps the injected noise (b = 0). Every entry point answers as e's does,
+// without Prov and reading of Meta only the bin layout, so it also
+// evaluates an unbinned query exactly on a non-private relation. It shares
+// e's Meta, Cache and Confidence; its channels are never cached.
 func (e *Estimator) Nominal() *Estimator {
-	return &Estimator{Cache: e.Cache, Confidence: e.Confidence, nominal: true}
+	return &Estimator{Meta: e.Meta, Cache: e.Cache, Confidence: e.Confidence, nominal: true}
 }
 
 // channel resolves everything the corrected estimators need about a

@@ -8,76 +8,16 @@ import (
 	"privateclean/internal/stats"
 )
 
-// This file implements the Section 10 "Different Aggregates" extensions:
-//
-//   - median and percentile queries: the Laplace noise GRR adds to numeric
-//     attributes has median 0, so order statistics of the private column are
-//     consistent estimates of the true order statistics;
-//   - var and std queries: the noise is independent of the data, so
-//     var(x + noise) = var(x) + 2b², and subtracting the known noise
-//     variance de-biases the estimate.
-//
-// The paper leaves their confidence intervals to empirical methods (e.g.
-// bootstrap, its references [3,47]). Here they are asymptotic instead:
-// percentiles take the binomial order-statistic bound over the private
-// matched values, and var the CLT interval of a sample variance, from the
-// matched cells' fourth central moment.
-
-// Median estimates the median of agg over rows satisfying pred. Because the
-// Laplace mechanism's noise has median zero, the sample median of the
-// private values is a consistent estimator of the true median (up to the
-// predicate's randomized-response mixing, which is not corrected — the
-// paper's extension treats order statistics as noise-robust only).
-func (e *Estimator) Median(rel *relation.Relation, agg string, pred Predicate) (Estimate, error) {
-	return e.Percentile(rel, agg, pred, 0.5)
-}
-
-// Percentile estimates the q-th percentile (q in [0,1]) of agg over rows
-// satisfying pred, with a CLT interval for the sample quantile using the
-// asymptotic density-free binomial bound.
-func (e *Estimator) Percentile(rel *relation.Relation, agg string, pred Predicate, q float64) (Estimate, error) {
-	if q < 0 || q > 1 {
-		return Estimate{}, fmt.Errorf("estimator: percentile %v out of [0,1]", q)
-	}
-	vals, err := sortedMatched(e.Cache, rel, agg, pred)
-	if err != nil {
-		return Estimate{}, err
-	}
-	if len(vals) == 0 {
-		return Estimate{}, fmt.Errorf("estimator: no rows satisfy %s", pred)
-	}
-	point, err := stats.QuantileSorted(vals, q)
-	if err != nil {
-		return Estimate{}, err
-	}
-	// Order-statistic interval: the q-th quantile lies between the order
-	// statistics at ranks n*q ± z*sqrt(n*q*(1-q)) with the configured
-	// confidence.
-	z, err := stats.ZScore(e.confidence())
-	if err != nil {
-		return Estimate{}, err
-	}
-	n := float64(len(vals))
-	spread := z * math.Sqrt(n*q*(1-q)) / n
-	loQ := q - spread
-	hiQ := q + spread
-	if loQ < 0 {
-		loQ = 0
-	}
-	if hiQ > 1 {
-		hiQ = 1
-	}
-	lo, err := stats.QuantileSorted(vals, loQ)
-	if err != nil {
-		return Estimate{}, err
-	}
-	hi, err := stats.QuantileSorted(vals, hiQ)
-	if err != nil {
-		return Estimate{}, err
-	}
-	ci := (hi - lo) / 2
-	return Estimate{Value: point, CI: ci}, nil
-}
+// This file implements the Section 10 var and std extensions: the Laplace
+// noise GRR adds to numeric attributes is independent of the data, so
+// var(x + noise) = var(x) + 2b², and subtracting the known noise variance
+// de-biases the estimate. The paper leaves its confidence interval to
+// empirical methods (e.g. bootstrap, its references [3,47]); here it is the
+// asymptotic CLT interval of a sample variance, from the matched cells'
+// fourth central moment. Section 10's median and percentile queries, which
+// the paper treats as noise-robust order statistics, are answered by the
+// binned estimator (binned.go), which also inverts the predicate's
+// randomized-response mixing.
 
 // Var estimates the variance of agg over rows satisfying pred, subtracting
 // the known Laplace noise variance 2b² (var(x+y) = var(x)+var(y) for

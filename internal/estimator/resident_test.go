@@ -430,26 +430,38 @@ func naiveSumFP(e *Estimator, rel *relation.Relation, agg string, pred Predicate
 	return Estimate{Value: hp / tauP, CI: z / tauP * math.Sqrt(s*(sp*(1-sp)*mu*mu+v))}, nil
 }
 
-// naivePercentile is the order-statistic estimator as three copy-and-sort
-// quantiles of the row-scanned values.
+// naivePercentile is the binned quantile by row scan: every non-NaN cell,
+// and every matched one, placed in its released bin, then the quantile
+// math over those counts.
 func naivePercentile(e *Estimator, rel *relation.Relation, agg string, pred Predicate, q float64) (Estimate, error) {
-	vals, err := matchedValues(rel, agg, pred)
+	if q < 0 || q > 1 {
+		return Estimate{}, errors.New("q out of range")
+	}
+	ch, m := channelVal{denom: 1}, []bool(nil)
+	var err error
+	if pred.isTotal() {
+		m, err = naiveMatch(rel, pred)
+	} else if ch, err = e.invertible(pred); err == nil {
+		m, err = naiveMatchCol(rel, pred)
+	}
 	if err != nil {
 		return Estimate{}, err
 	}
-	if len(vals) == 0 {
-		return Estimate{}, errors.New("no rows")
-	}
-	point, err := stats.Quantile(vals, q)
+	edges, err := e.binEdges(agg)
 	if err != nil {
 		return Estimate{}, err
 	}
-	z, _ := stats.ZScore(e.confidence())
-	n := float64(len(vals))
-	spread := z * math.Sqrt(n*q*(1-q)) / n
-	lo, _ := stats.Quantile(vals, math.Max(0, q-spread))
-	hi, _ := stats.Quantile(vals, math.Min(1, q+spread))
-	return Estimate{Value: point, CI: (hi - lo) / 2}, nil
+	matched, hist := make([]float64, len(edges)-1), make([]int, len(edges)-1)
+	for i, x := range rel.MustNumeric(agg) {
+		if !math.IsNaN(x) {
+			k := binIndex(edges, x)
+			hist[k]++
+			if m[i] {
+				matched[k]++
+			}
+		}
+	}
+	return e.quantileEstimate(ch, edges, matched, hist, q)
 }
 
 // naiveVar is the noise-corrected variance with its fourth-moment interval,
@@ -594,12 +606,16 @@ func naiveBins(e *Estimator, rel *relation.Relation, tr transcript, attr, agg st
 		sumsqs[k] += ys[i] * ys[i]
 		total++
 	}
-	counts, err := e.binCountEstimates(edges, n, total)
-	tr.bins("bin-count", counts, err)
 	z, _ := stats.ZScore(e.confidence())
 	avgs := 0
 	for k := range n {
 		label := binLabel(edges, k)
+		countCI := 0.0
+		if total > 0 {
+			p := float64(n[k]) / float64(total)
+			countCI = z * math.Sqrt(float64(total)*p*(1-p))
+		}
+		tr.est("bin-count/"+label, Estimate{Value: float64(n[k]), CI: countCI}, nil)
 		ci, mu, v := 0.0, 0.0, 0.0
 		if n[k] > 0 {
 			nk := float64(n[k])
@@ -685,7 +701,8 @@ func naiveTranscript(e *Estimator, rel *relation.Relation, preds []Predicate) tr
 			qk := fmt.Sprintf("%v%s", q, k)
 			v, err := naivePercentile(e, rel, "x", p, q)
 			tr.est("quantile/"+qk, v, err)
-			tr.put("dquantile/"+qk, err, v.Value)
+			d, derr := naivePercentile(e.Nominal(), rel, "x", p, q)
+			tr.put("dquantile/"+qk, derr, d.Value)
 			if q == 0.5 {
 				tr.est("median"+k, v, err)
 			}
@@ -994,7 +1011,8 @@ func FuzzResidentCacheIdentity(f *testing.F) {
 }
 
 // Count, sum, avg, GROUP BY, binned GROUP BY, quantile and var are served
-// from per-code (var from its central moments), bin and run tables and pin no joint table. Conjunctions
+// from per-code tables (var from their central moments, quantile and binned
+// count from their bin counts) and bin tables and pin no joint table. Conjunctions
 // pin one joint table per (attribute set, column), however many distinct
 // predicates they are asked under; they used to pin one rows/8-byte match
 // bitset per distinct predicate.
@@ -1035,9 +1053,8 @@ func TestResidentAggregatesPinNoBitsets(t *testing.T) {
 		k                     kind
 		entries, misses, hits int64
 	}{
-		{kindPerCode, 2, 2, 10}, // (cat, x) and the column alone
-		{kindBin, 1, 1, 5},
-		{kindRuns, 1, 1, 1},
+		{kindPerCode, 2, 2, 14}, // (cat, x) and the column alone
+		{kindBin, 1, 1, 3},
 	} {
 		if got := st[c.k]; got.Entries != c.entries || got.Misses != c.misses || got.Hits != c.hits {
 			t.Errorf("%s: %+v, want %d entries, %d misses, %d hits", kindNames[c.k], got, c.entries, c.misses, c.hits)
@@ -1074,15 +1091,20 @@ func TestResidentAggregatesPinNoBitsets(t *testing.T) {
 	}
 }
 
-// Concurrent misses on one table build it once.
+// Concurrent misses on one table build it once, and concurrent first
+// quantiles over statistics build their memoized bin table to the same bits
+// as the resident one.
 func TestCacheBuildsOnceUnderConcurrentMisses(t *testing.T) {
 	rel := vectorRel(t, 2000)
+	catDom, _ := rel.Domain("cat")
 	e := &Estimator{Meta: &privacy.ViewMeta{
-		Discrete: map[string]privacy.DiscreteMeta{"cat": {Name: "cat", P: 0.2, Domain: []string{"v00", "v01"}}},
-		Numeric:  map[string]privacy.NumericMeta{"x": {Name: "x", B: 1}},
+		Discrete: map[string]privacy.DiscreteMeta{"cat": {Name: "cat", P: 0.2, Domain: catDom}},
+		Numeric:  map[string]privacy.NumericMeta{"x": {Name: "x", B: 1, Delta: 60, Lo: -30, Bins: 8}},
 	}, Cache: NewChannelCache()}
+	sst := collectWith(t, rel, e.Meta, nil)
 	var wg sync.WaitGroup
 	vars := make([]Estimate, 8)
+	medians := make([][2]Estimate, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -1090,10 +1112,13 @@ func TestCacheBuildsOnceUnderConcurrentMisses(t *testing.T) {
 			if _, err := e.Sum(rel, "x", Eq("cat", "v01")); err != nil {
 				t.Error(err)
 			}
-			if _, err := e.Median(rel, "x", Eq("cat", "v01")); err != nil {
+			var err error
+			if medians[g][0], err = e.Median(rel, "x", Eq("cat", "v01")); err != nil {
 				t.Error(err)
 			}
-			var err error
+			if medians[g][1], err = e.MedianStats(sst, "x", Eq("cat", "v01")); err != nil {
+				t.Error(err)
+			}
 			if vars[g], err = e.Var(rel, "x", In("cat", "v01", "v02")); err != nil {
 				t.Error(err)
 			}
@@ -1104,14 +1129,14 @@ func TestCacheBuildsOnceUnderConcurrentMisses(t *testing.T) {
 	for _, c := range []struct {
 		k            kind
 		misses, hits int64
-	}{{kindPerCode, 1, 15}, {kindRuns, 1, 7}} { // Sum and Var share the per-code table
+	}{{kindPerCode, 1, 23}} { // Sum, Median and Var share the per-code table
 		if st[c.k].Misses != c.misses || st[c.k].Hits != c.hits {
 			t.Errorf("%s: %d misses, %d hits; want %d and %d", kindNames[c.k], st[c.k].Misses, st[c.k].Hits, c.misses, c.hits)
 		}
 	}
 	for g, v := range vars {
-		if v != vars[0] {
-			t.Fatalf("goroutine %d: var %v, goroutine 0: %v", g, v, vars[0])
+		if v != vars[0] || medians[g] != [2]Estimate{medians[0][0], medians[0][0]} {
+			t.Fatalf("goroutine %d: var %v, medians %v; goroutine 0: %v, %v", g, v, medians[g], vars[0], medians[0])
 		}
 	}
 }

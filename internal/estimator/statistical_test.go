@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -366,10 +367,12 @@ func TestStatisticalRegressionSuite(t *testing.T) {
 		},
 	)
 
-	// --- Binned quantiles over statistics, per mechanism. b = 0 keeps the
-	// numeric cells exact, so the truth is the binned inverse-CDF of the
-	// true matched histogram and any deviation is the channel inversion's
-	// fault (the part PercentileStats owns). ---
+	// --- Binned quantiles over statistics and over the resident view, per
+	// mechanism. b = 0 keeps the numeric cells exact, so the truth is the
+	// binned inverse-CDF of the true matched histogram and any deviation is
+	// the channel inversion's fault. The two groups' values are disjoint, so
+	// an order statistic that leaves the predicate's mixing uncorrected is
+	// biased towards the unmatched group. ---
 	type quantCase struct {
 		mech string
 		rel  *relation.Relation
@@ -390,21 +393,30 @@ func TestStatisticalRegressionSuite(t *testing.T) {
 		_, meta0 := privatizedMech(t, c.rel, 1, c.p, 0, c.mech)
 		edges := meta0.Numeric["value"].BinEdges()
 		truth := binnedQuantileTruth(t, edges, mustMatched(t, c.rel, "value", c.pred), c.q)
-		name := c.mech + "/quantile-0.5/stats"
-		if c.q != 0.5 {
-			name = c.mech + "/quantile-0.9/stats"
-		}
-		rows = append(rows, statcheck.Row{
-			Name: name, Truth: truth, Trials: 80, Seed: c.seed, Cover: floor,
-			Slack: edges[1] - edges[0],
-			Run: func(t *testing.T, seed int64) statcheck.Sample {
-				v, meta := privatizedMech(t, c.rel, seed, c.p, 0, c.mech)
-				st := collectWith(t, v, meta, nil)
-				est := &Estimator{Meta: meta, Confidence: 0.95}
-				e, err := est.PercentileStats(st, "value", c.pred, c.q)
-				return sample(t, e, err, truth)
+		name := fmt.Sprintf("%s/quantile-%v", c.mech, c.q)
+		rows = append(rows,
+			statcheck.Row{
+				Name: name + "/stats", Truth: truth, Trials: 80, Seed: c.seed, Cover: floor,
+				Slack: edges[1] - edges[0],
+				Run: func(t *testing.T, seed int64) statcheck.Sample {
+					v, meta := privatizedMech(t, c.rel, seed, c.p, 0, c.mech)
+					st := collectWith(t, v, meta, nil)
+					est := &Estimator{Meta: meta, Confidence: 0.95}
+					e, err := est.PercentileStats(st, "value", c.pred, c.q)
+					return sample(t, e, err, truth)
+				},
 			},
-		})
+			statcheck.Row{
+				Name: name + "/resident", Truth: truth, Trials: 80, Seed: c.seed + 500, Cover: floor,
+				Slack: edges[1] - edges[0],
+				Run: func(t *testing.T, seed int64) statcheck.Sample {
+					v, meta := privatizedMech(t, c.rel, seed, c.p, 0, c.mech)
+					est := &Estimator{Meta: meta, Confidence: 0.95}
+					e, err := est.Percentile(v, "value", c.pred, c.q)
+					return sample(t, e, err, truth)
+				},
+			},
+		)
 	}
 
 	// --- Conjunctions over statistics, per mechanism: the recorded

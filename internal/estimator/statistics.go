@@ -139,7 +139,8 @@ type Statistics struct {
 	// for order-insensitive lookup (the key is cosmetic).
 	Joints map[string]*JointStats `json:"joints,omitempty"`
 
-	indexes sync.Map // attr -> *relation.DiscreteIndex, for valueTable
+	indexes sync.Map // attr -> *relation.DiscreteIndex, for valueTable and binTable
+	bins    sync.Map // [2]string{attr, agg} -> *binTable
 }
 
 // Joint returns the recorded pairwise joint of two discrete attributes, in
@@ -207,21 +208,10 @@ func (st *Statistics) moments(agg string) (Moments, error) {
 func (st *Statistics) valueTable(_ *ChannelCache, attr, agg string) (valueTable, error) {
 	t := valueTable{rows: float64(st.Rows)}
 	if attr != "" {
-		// attr's sorted domain and counts are memoized until the next Add.
-		ix, ok := st.indexes.Load(attr)
-		if !ok {
-			vs, found := st.Discrete[attr]
-			if !found {
-				return valueTable{}, fmt.Errorf("estimator: no statistics for discrete attribute %q", attr)
-			}
-			dom := sortedKeys(vs)
-			counts := make([]uint32, len(dom))
-			for c, v := range dom {
-				counts[c] = uint32(vs[v].Count)
-			}
-			ix, _ = st.indexes.LoadOrStore(attr, &relation.DiscreteIndex{Domain: dom, Counts: counts})
+		var err error
+		if t.ix, err = st.index(attr); err != nil {
+			return valueTable{}, err
 		}
-		t.ix = ix.(*relation.DiscreteIndex)
 	}
 	if agg != "" {
 		m, err := st.moments(agg)
@@ -247,6 +237,25 @@ func (st *Statistics) valueTable(_ *ChannelCache, attr, agg string) (valueTable,
 		}
 	}
 	return t, nil
+}
+
+// index returns attr's sorted domain and per-value row counts, memoized
+// until the next Add.
+func (st *Statistics) index(attr string) (*relation.DiscreteIndex, error) {
+	if ix, ok := st.indexes.Load(attr); ok {
+		return ix.(*relation.DiscreteIndex), nil
+	}
+	vs, found := st.Discrete[attr]
+	if !found {
+		return nil, fmt.Errorf("estimator: no statistics for discrete attribute %q", attr)
+	}
+	dom := sortedKeys(vs)
+	counts := make([]uint32, len(dom))
+	for c, v := range dom {
+		counts[c] = uint32(vs[v].Count)
+	}
+	ix, _ := st.indexes.LoadOrStore(attr, &relation.DiscreteIndex{Domain: dom, Counts: counts})
+	return ix.(*relation.DiscreteIndex), nil
 }
 
 // errNoNullCounts refuses avg over statistics that record no per-value NaN
@@ -455,6 +464,7 @@ func (c *Collector) Add(win *relation.Relation) error {
 	}
 	c.st.Rows += win.NumRows()
 	c.st.indexes = sync.Map{}
+	c.st.bins = sync.Map{}
 	numCols := make([][]float64, len(c.numeric))
 	// binIdx[j] caches the per-row bin of numeric attribute j (-1 for NaN)
 	// when that attribute has configured edges; nil otherwise.

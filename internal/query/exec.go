@@ -7,6 +7,7 @@ import (
 
 	"privateclean/internal/estimator"
 	"privateclean/internal/relation"
+	"privateclean/internal/stats"
 )
 
 // UDFs is a registry of user-defined predicate functions usable in WHERE
@@ -91,12 +92,16 @@ func CompileConjunction(conds []*Cond, udfs UDFs) ([]estimator.Predicate, error)
 // Exec evaluates a query exactly against a relation. This is the
 // ground-truth oracle: running Exec on the hypothetically cleaned
 // non-private relation R_clean yields the value the estimators are judged
-// against. Whole-column count, sum and avg and GROUP BY are row loops of
-// their own; every other query runs the executor under the nominal
-// estimator, which answers a query as-is.
+// against. Whole-column count, sum and avg, median and quantile (the exact
+// order statistic, where the estimators bin by the released layout) and
+// GROUP BY are row loops of their own; every other query runs the executor
+// under the nominal estimator, which answers a query as-is.
 func Exec(rel *relation.Relation, q *Query, udfs UDFs) (Result, error) {
 	if q.GroupBy != "" {
 		return execGroupBy(rel, q)
+	}
+	if (q.Agg == AggMedian || q.Agg == AggQuantile) && len(q.AndWhere) == 0 {
+		return execQuantile(rel, q, udfs)
 	}
 	if q.Where == nil {
 		switch q.Agg {
@@ -128,6 +133,38 @@ func Exec(rel *relation.Relation, q *Query, udfs UDFs) (Result, error) {
 		return Result{}, err
 	}
 	return Result{Scalar: a.Estimate.Value}, nil
+}
+
+// execQuantile is the exact q-th quantile of the non-NaN aggregate cells
+// of the rows q's condition matches (all rows without one).
+func execQuantile(rel *relation.Relation, q *Query, udfs UDFs) (Result, error) {
+	col, err := rel.Numeric(q.AggAttr)
+	if err != nil {
+		return Result{}, err
+	}
+	cells := col
+	if q.Where != nil {
+		pred, err := CompilePredicate(q.Where, udfs)
+		if err != nil {
+			return Result{}, err
+		}
+		vals, err := rel.Discrete(pred.Attr)
+		if err != nil {
+			return Result{}, err
+		}
+		cells = nil
+		for i, v := range vals {
+			if pred.Match(v) {
+				cells = append(cells, col[i])
+			}
+		}
+	}
+	level := q.Q
+	if q.Agg == AggMedian {
+		level = 0.5
+	}
+	x, err := stats.Quantile(cells, level)
+	return Result{Scalar: x}, err
 }
 
 func execGroupBy(rel *relation.Relation, q *Query) (Result, error) {

@@ -40,6 +40,11 @@ func TestExecExtensionAggregates(t *testing.T) {
 	if err != nil || res.Scalar != 1.5 {
 		t.Fatalf("predicate median = %v, %v", res, err)
 	}
+	q, _ = Parse("SELECT quantile(score, 0.25) FROM R")
+	res, err = Exec(r, q, nil)
+	if err != nil || res.Scalar != 2 {
+		t.Fatalf("quantile = %v, %v", res, err)
+	}
 	q, _ = Parse("SELECT var(score) FROM R WHERE major = 'EE'")
 	res, err = Exec(r, q, nil)
 	if err != nil || res.Scalar != 0.25 {

@@ -300,17 +300,20 @@ func checkAcrossSources(t *testing.T, s *sources, sql string) {
 		}
 	}
 
-	// Resident and statistics, on count/sum/avg and binned GROUP BY count:
-	// the same error kind, or estimates that match
+	// Resident and statistics, on count/sum/avg, median/quantile and binned
+	// GROUP BY count: the same error kind, or estimates that match
 	//   - bit for bit in every value, and in counts' intervals: both sources
 	//     answer from one per-value table through one body per aggregate;
+	//   - bit for bit in value and interval for median and quantile, which
+	//     both sources answer from one bin table under the released edges
+	//     through one body;
 	//   - bit for bit, Direct included, for conjunctions over two attributes
 	//     (statistics answer one attribute as a marginal), which fold the
 	//     same joint cells in the same order through one function;
 	//   - in rendering (sameInterval) for sum and avg intervals, which use
 	//     the column variance: two-pass over resident rows, one-pass moments
 	//     over statistics.
-	if q.Agg != AggCount && q.Agg != AggSum && q.Agg != AggAvg || q.GroupBin && q.Agg != AggCount ||
+	if q.Agg == AggVar || q.Agg == AggStd || q.GroupBin && q.Agg != AggCount ||
 		shapeOn(q, resident) != shapeOn(q, statistics) {
 		return
 	}
@@ -320,14 +323,14 @@ func checkAcrossSources(t *testing.T, s *sources, sql string) {
 	if errs[0] != nil {
 		return
 	}
-	exact := q.Agg == AggCount || ans[0].Shape == ShapeConj
+	exact := q.Agg == AggCount || q.Agg == AggMedian || q.Agg == AggQuantile || ans[0].Shape == ShapeConj
 	if err := sameEstimates(ans[0], ans[2], true, exact); err != nil {
 		t.Fatalf("%s: resident and statistics differ: %v", sql, err)
 	}
 	// Direct values are bit-identical on every source: the nominal
-	// estimator folds the same per-value counts and sums, and the same
-	// joint cells, as the corrected values above, and its channel leaves
-	// them uncorrected.
+	// estimator folds the same per-value counts, sums and bin counts, and
+	// the same joint cells, as the corrected values above, and its channel
+	// leaves them uncorrected.
 	if a, b := directBits(ans[0]), directBits(ans[2]); a != b {
 		t.Fatalf("%s: resident Direct %s, statistics Direct %s", sql, a, b)
 	}
@@ -338,8 +341,8 @@ func checkAcrossSources(t *testing.T, s *sources, sql string) {
 // with the released bin edges and one joint, and holds the three to the
 // executor's contract: -in and -col agree bit for bit (Direct included) or
 // fail alike; resident and statistics agree on count/sum/avg (scalar,
-// totals, GROUP BY) and binned GROUP BY count, as checkAcrossSources
-// details; combinations the dispatch table leaves unsupported are
+// totals, GROUP BY), median/quantile and binned GROUP BY count, as
+// checkAcrossSources details; combinations the dispatch table leaves unsupported are
 // bad-query refusals on every source that lacks them; and no error escapes
 // unclassified.
 func FuzzQueryAcrossSources(f *testing.F) {

@@ -133,7 +133,7 @@ func New(cfg Config) (*Server, error) {
 	// as metric labels; they are code-chosen strings, not data, so they join
 	// the safe vocabulary.
 	tel.Redact.Allow("timeout", "serve", "serve_query", "serve_batch",
-		"channel", "joint", "per-code", "bin", "runs")
+		"channel", "joint", "per-code", "bin")
 	s := &Server{
 		start: time.Now(),
 		rel:   cfg.Rel,

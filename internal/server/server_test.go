@@ -49,7 +49,7 @@ func testView(t *testing.T) (*relation.Relation, *privacy.ViewMeta) {
 		Discrete: map[string]privacy.DiscreteMeta{
 			"category": {Name: "category", P: 0.25, Domain: []string{"a", "b", "c", "d", "e"}},
 		},
-		Numeric: map[string]privacy.NumericMeta{"value": {Name: "value", B: 0}},
+		Numeric: map[string]privacy.NumericMeta{"value": {Name: "value", B: 0, Lo: 10, Delta: 40, Bins: 8}},
 		Rows:    len(cats),
 	}
 	return r, meta
@@ -446,15 +446,13 @@ func TestMetricsHygiene(t *testing.T) {
 		`path="/v1/query"`,
 		`status="200"`,
 		// The estimator cache, by kind: the counts resolved two channels
-		// that the sums reused, the two sums shared one per-code table, the
-		// median built one set of sorted runs, and nothing built a joint table.
+		// that the sums and the median reused, the two sums and the median
+		// shared one per-code table, and nothing built a joint table.
 		`privateclean_channel_cache_misses_total{kind="channel"} 2`,
-		`privateclean_channel_cache_hits_total{kind="channel"} 2`,
+		`privateclean_channel_cache_hits_total{kind="channel"} 3`,
 		`privateclean_channel_cache_misses_total{kind="per-code"} 1`,
-		`privateclean_channel_cache_hits_total{kind="per-code"} 1`,
-		`privateclean_channel_cache_misses_total{kind="runs"} 1`,
+		`privateclean_channel_cache_hits_total{kind="per-code"} 2`,
 		`privateclean_channel_cache_entries{kind="per-code"} 1`,
-		`privateclean_channel_cache_entries{kind="runs"} 1`,
 		`privateclean_channel_cache_entries{kind="joint"} 0`,
 		`privateclean_channel_cache_entries{kind="bin"} 0`,
 	} {
@@ -464,7 +462,7 @@ func TestMetricsHygiene(t *testing.T) {
 	}
 	// A later scrape publishes only the growth since the last one.
 	postQuery(t, ts.URL, "SELECT sum(value) FROM R WHERE category = 'a'")
-	if text := scrape(); !strings.Contains(text, `privateclean_channel_cache_hits_total{kind="per-code"} 2`) {
+	if text := scrape(); !strings.Contains(text, `privateclean_channel_cache_hits_total{kind="per-code"} 3`) {
 		t.Fatalf("per-code hits after one more sum:\n%s", text)
 	}
 }
@@ -502,7 +500,7 @@ func TestServeInPredicateWithCommaValue(t *testing.T) {
 		Discrete: map[string]privacy.DiscreteMeta{
 			"category": {Name: "category", P: 0.25, Domain: []string{"b", "c", "b, c", "d"}},
 		},
-		Numeric: map[string]privacy.NumericMeta{"value": {Name: "value", B: 0}},
+		Numeric: map[string]privacy.NumericMeta{"value": {Name: "value", B: 0, Lo: 10, Delta: 40, Bins: 8}},
 		Rows:    len(cats),
 	}
 	s, err := New(Config{Rel: r, Meta: meta, Tel: telemetry.Noop()})

@@ -93,30 +93,18 @@ func Quantile(xs []float64, q float64) (float64, error) {
 			clean = append(clean, x)
 		}
 	}
-	sort.Float64s(clean)
-	return QuantileSorted(clean, q)
-}
-
-// QuantileSorted is Quantile over NaN-free xs already in ascending order,
-// which it reads without copying.
-func QuantileSorted(xs []float64, q float64) (float64, error) {
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %v out of [0,1]", q)
-	}
-	if len(xs) == 0 {
+	if len(clean) == 0 {
 		return 0, ErrEmpty
 	}
-	if len(xs) == 1 {
-		return xs[0], nil
-	}
-	pos := q * float64(len(xs)-1)
+	sort.Float64s(clean)
+	pos := q * float64(len(clean)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return xs[lo], nil
+		return clean[lo], nil
 	}
 	frac := pos - float64(lo)
-	return xs[lo]*(1-frac) + xs[hi]*frac, nil
+	return clean[lo]*(1-frac) + clean[hi]*frac, nil
 }
 
 // HistQuantile returns the q-quantile of a binned distribution by inverting
