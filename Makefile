@@ -153,10 +153,12 @@ bench-json:
 		| $(GO) run ./tools/benchjson > BENCH_pipeline.json
 
 # Quick regression check against the committed baseline: a short-mode run of
-# the privatize benchmarks diffed report-only (never fails the build; shared
-# runners are too noisy for a hard gate — eyeball the Δ columns).
+# the privatize benchmarks and the served-query allocation benchmark, diffed
+# report-only (never fails the build; shared runners are too noisy for a
+# hard gate — eyeball the Δ columns). The baseline has no served-query rows,
+# which -ignore-missing lists as new.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPrivatize' -benchmem -benchtime 10x -short . \
+	$(GO) test -run '^$$' -bench 'BenchmarkPrivatize|BenchmarkServeQuery' -benchmem -benchtime 10x -short . ./internal/server/ \
 		| $(GO) run ./tools/benchjson \
 		| $(GO) run ./tools/benchdiff -baseline BENCH_pipeline.json -current - -ignore-missing
 

@@ -124,7 +124,7 @@ func (r resident) valueTable(c *ChannelCache, attr, agg string) (valueTable, err
 // binTable bins agg with the released edges, grouped by attr's dictionary
 // (attr "" for the column alone), on the memoized per-code entry.
 func (r resident) binTable(e *Estimator, attr, agg string) (*binTable, error) {
-	edges, err := e.binEdges(agg)
+	l, err := e.binLayout(agg)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +138,7 @@ func (r resident) binTable(e *Estimator, attr, agg string) (*binTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.binned(ix, edges), nil
+	return a.binned(ix, l), nil
 }
 
 // count is the number of rows sel matches: S for every code, otherwise an
@@ -153,10 +153,8 @@ func countCodes(counts []uint32, all float64, sel selection) float64 {
 		return all
 	}
 	n := 0
-	for c, k := range counts {
-		if sel.has(uint32(c)) {
-			n += int(k)
-		}
+	for _, c := range sel.codes {
+		n += int(counts[c])
 	}
 	return float64(n)
 }
@@ -199,13 +197,13 @@ func (a *codeAggs) moments() (mean, variance float64, err error) {
 	return a.mean, a.variance, nil
 }
 
-// binned returns the column's bin table over edges, building it on the
+// binned returns the column's bin table over layout l, building it on the
 // first call in one row pass that places each non-NaN cell as the
 // collector does (binIndex). ix must be the dictionary a was grouped by.
-func (a *codeAggs) binned(ix *relation.DiscreteIndex, edges []float64) *binTable {
+func (a *codeAggs) binned(ix *relation.DiscreteIndex, l *binLayout) *binTable {
 	a.binOnce.Do(func() {
-		nb := len(edges) - 1
-		t := &binTable{ix: ix, edges: edges, hist: make([]int, nb)}
+		edges, nb := l.edges, len(l.edges)-1
+		t := &binTable{ix: ix, edges: edges, labels: l.labels, hist: make([]int, nb)}
 		if ix != nil {
 			t.byCode = make([]uint32, ix.N()*nb)
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"privateclean/internal/faults"
+	"privateclean/internal/privacy"
 	"privateclean/internal/relation"
 	"privateclean/internal/stats"
 )
@@ -52,8 +53,17 @@ import (
 type binTable struct {
 	ix     *relation.DiscreteIndex // the grouping dictionary; nil ungrouped
 	edges  []float64
+	labels []string // per bin; nil renders them per call
 	hist   []int    // per bin, agg's non-NaN cells
 	byCode []uint32 // code c's count in bin k at c·len(hist)+k; nil ungrouped
+}
+
+// label is bin k's label.
+func (t *binTable) label(k int) string {
+	if t.labels != nil {
+		return t.labels[k]
+	}
+	return binLabel(t.edges, k)
 }
 
 // matched returns the bin counts of the codes sel selects: the column
@@ -67,11 +77,9 @@ func (t *binTable) matched(sel selection) []float64 {
 		}
 		return m
 	}
-	for c := 0; c < t.ix.N(); c++ {
-		if sel.has(uint32(c)) {
-			for k, n := range t.byCode[c*nb : (c+1)*nb] {
-				m[k] += float64(n)
-			}
+	for _, c := range sel.codes {
+		for k, n := range t.byCode[int(c)*nb : int(c+1)*nb] {
+			m[k] += float64(n)
 		}
 	}
 	return m
@@ -116,9 +124,18 @@ func (st *Statistics) binTable(_ *Estimator, attr, agg string) (*binTable, error
 	return memo.(*binTable), nil
 }
 
-// binEdges returns the bin layout the provider released for a numeric
-// attribute, or a typed error naming the flag that releases one.
-func (e *Estimator) binEdges(attr string) ([]float64, error) {
+// binLayout is a numeric attribute's released bin layout: its edges and
+// each bin's label, computed from meta.
+type binLayout struct {
+	meta   privacy.NumericMeta
+	edges  []float64
+	labels []string
+}
+
+// binLayout returns the bin layout the provider released for a numeric
+// attribute, or a typed error naming the flag that releases one. With a
+// cache attached it is computed once per attribute's metadata.
+func (e *Estimator) binLayout(attr string) (*binLayout, error) {
 	if e.Meta == nil {
 		return nil, fmt.Errorf("estimator: nil view metadata")
 	}
@@ -126,12 +143,29 @@ func (e *Estimator) binEdges(attr string) ([]float64, error) {
 	if !ok {
 		return nil, fmt.Errorf("estimator: no metadata for numeric attribute %q", attr)
 	}
-	edges := nm.BinEdges()
-	if edges == nil {
+	if nm.Bins <= 0 {
 		return nil, faults.Errorf(faults.ErrBadQuery,
 			"estimator: the release records no bin layout for %q; re-run 'privateclean privatize' with -bins to publish one", attr)
 	}
-	return edges, nil
+	return e.Cache.layout(attr, nm), nil
+}
+
+// layout returns attr's bin layout under nm, computing it on the first
+// call and whenever nm changes; a nil cache computes it on every call.
+func (c *ChannelCache) layout(attr string, nm privacy.NumericMeta) *binLayout {
+	if c != nil {
+		if l, ok := c.layouts.Load(attr); ok && l.(*binLayout).meta == nm {
+			return l.(*binLayout)
+		}
+	}
+	l := &binLayout{meta: nm, edges: nm.BinEdges(), labels: make([]string, nm.Bins)}
+	for k := range l.labels {
+		l.labels[k] = binLabel(l.edges, k)
+	}
+	if c != nil {
+		c.layouts.Store(attr, l)
+	}
+	return l
 }
 
 // Median is Percentile at q = 0.5.
@@ -166,7 +200,7 @@ func (e *Estimator) percentile(src tableSource, agg string, pred Predicate, q fl
 	ch, attr := channelVal{denom: 1}, ""
 	if !pred.isTotal() {
 		var err error
-		if ch, err = e.invertible(pred); err != nil {
+		if ch, err = invertible(e.channel(pred)); err != nil {
 			return Estimate{}, err
 		}
 		attr = pred.Attr
@@ -277,7 +311,7 @@ func (e *Estimator) groupBinCounts(src tableSource, attr string) ([]BinEstimate,
 			p := float64(c) / float64(n)
 			ci = z * math.Sqrt(float64(n)*p*(1-p))
 		}
-		out[k] = BinEstimate{Lo: t.edges[k], Hi: t.edges[k+1], Label: binLabel(t.edges, k), Est: Estimate{Value: float64(c), CI: ci}}
+		out[k] = BinEstimate{Lo: t.edges[k], Hi: t.edges[k+1], Label: t.label(k), Est: Estimate{Value: float64(c), CI: ci}}
 	}
 	return out, nil
 }
@@ -287,69 +321,57 @@ func (e *Estimator) groupBinCounts(src tableSource, attr string) ([]BinEstimate,
 // whose attr cell is binnable (both cells non-NaN), with a CLT interval
 // z·sqrt(n_k·var_k) per bin.
 func (e *Estimator) GroupBinSums(rel *relation.Relation, attr, agg string) ([]BinEstimate, error) {
-	edges, m, err := e.groupBinMoments(rel, attr, agg)
-	if err != nil {
-		return nil, err
-	}
-	n, sums, sumsqs := m.n, m.sums, m.sumsqs
-	z, err := stats.ZScore(e.confidence())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BinEstimate, len(n))
-	for k := range n {
-		ci := 0.0
-		if n[k] > 0 {
-			nk := float64(n[k])
-			mu := sums[k] / nk
-			v := sumsqs[k]/nk - mu*mu
-			if v < 0 {
-				v = 0
-			}
-			ci = z * math.Sqrt(nk*v)
-		}
-		out[k] = BinEstimate{Lo: edges[k], Hi: edges[k+1], Label: binLabel(edges, k), Est: Estimate{Value: sums[k], CI: ci}}
-	}
-	return out, nil
+	return e.groupBins(rel, attr, agg, func(n, sum, _, v, z float64) (Estimate, bool) {
+		return Estimate{Value: sum, CI: z * math.Sqrt(n*v)}, true
+	})
 }
 
 // GroupBinAvgs answers avg(agg) GROUP BY bin(attr) over the resident
 // relation. Bins with no binnable rows are omitted, mirroring GroupAvgs'
 // treatment of empty groups.
 func (e *Estimator) GroupBinAvgs(rel *relation.Relation, attr, agg string) ([]BinEstimate, error) {
-	edges, m, err := e.groupBinMoments(rel, attr, agg)
+	out, err := e.groupBins(rel, attr, agg, func(n, _, mu, v, z float64) (Estimate, bool) {
+		return Estimate{Value: mu, CI: z * math.Sqrt(v/n)}, n > 0
+	})
+	if err == nil && len(out) == 0 {
+		return nil, fmt.Errorf("estimator: no bin of %q has rows with a non-NaN %q cell", attr, agg)
+	}
+	return out, err
+}
+
+// groupBins answers a binned GROUP BY from agg's per-bin moments over
+// attr's released layout, in bin order: est gets a bin's binnable rows,
+// their sum, mean and variance (both 0 in an empty bin) and the z-score,
+// and leaves the bin out by returning false.
+func (e *Estimator) groupBins(rel *relation.Relation, attr, agg string, est func(n, sum, mu, v, z float64) (Estimate, bool)) ([]BinEstimate, error) {
+	l, m, err := e.groupBinMoments(rel, attr, agg)
 	if err != nil {
 		return nil, err
 	}
-	n, sums, sumsqs := m.n, m.sums, m.sumsqs
 	z, err := stats.ZScore(e.confidence())
 	if err != nil {
 		return nil, err
 	}
-	out := make([]BinEstimate, 0, len(n))
-	for k := range n {
-		if n[k] == 0 {
-			continue
+	out := make([]BinEstimate, 0, len(m.n))
+	for k, n := range m.n {
+		nk, mu, v := float64(n), 0.0, 0.0
+		if n > 0 {
+			mu = m.sums[k] / nk
+			if v = m.sumsqs[k]/nk - mu*mu; v < 0 {
+				v = 0
+			}
 		}
-		nk := float64(n[k])
-		mu := sums[k] / nk
-		v := sumsqs[k]/nk - mu*mu
-		if v < 0 {
-			v = 0
+		if g, ok := est(nk, m.sums[k], mu, v, z); ok {
+			out = append(out, BinEstimate{Lo: l.edges[k], Hi: l.edges[k+1], Label: l.labels[k], Est: g})
 		}
-		out = append(out, BinEstimate{Lo: edges[k], Hi: edges[k+1], Label: binLabel(edges, k),
-			Est: Estimate{Value: mu, CI: z * math.Sqrt(v/nk)}})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("estimator: no bin of %q has rows with a non-NaN %q cell", attr, agg)
 	}
 	return out, nil
 }
 
 // groupBinMoments returns attr's released bin edges and the per-bin
 // moments of agg over them, the table every binned GROUP BY reads.
-func (e *Estimator) groupBinMoments(rel *relation.Relation, attr, agg string) ([]float64, *binMoments, error) {
-	edges, err := e.binEdges(attr)
+func (e *Estimator) groupBinMoments(rel *relation.Relation, attr, agg string) (*binLayout, *binMoments, error) {
+	l, err := e.binLayout(attr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -362,7 +384,7 @@ func (e *Estimator) groupBinMoments(rel *relation.Relation, attr, agg string) ([
 		return nil, nil, err
 	}
 	m := memo(e.Cache, entryKey{kindBin, attr, agg}, sourceOf(nil, xs, ys), func() *binMoments {
-		return buildBinMoments(edges, xs, ys)
+		return buildBinMoments(l.edges, xs, ys)
 	})
-	return edges, m, nil
+	return l, m, nil
 }

@@ -46,6 +46,7 @@ type ChannelCache struct {
 	mu      sync.RWMutex
 	chans   map[predKey]channelVal
 	entries map[entryKey]*entry
+	layouts sync.Map // numeric attribute -> *binLayout; see layout
 	hits    [numKinds]atomic.Int64
 	misses  [numKinds]atomic.Int64
 }
@@ -175,18 +176,24 @@ func predCacheKey(pred Predicate) (predKey, bool) {
 	return predKey{attr: pred.Attr, desc: pred.desc}, true
 }
 
-func (c *ChannelCache) getChannel(k predKey) (channelVal, bool) {
+// cachedChannel returns the channel cached under (attr, desc), resolving
+// and storing it on a miss. desc is the predicate's canonical rendering, a
+// string or a reused buffer; the lookup copies neither.
+func cachedChannel[D string | []byte](c *ChannelCache, attr string, desc D, resolve func() (channelVal, error)) (channelVal, error) {
 	c.mu.RLock()
-	v, ok := c.chans[k]
+	ch, ok := c.chans[predKey{attr, string(desc)}]
 	c.mu.RUnlock()
 	c.count(kindChannel, ok)
-	return v, ok
-}
-
-func (c *ChannelCache) putChannel(k predKey, v channelVal) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.chans[k] = v
+	if ok {
+		return ch, nil
+	}
+	ch, err := resolve()
+	if err == nil {
+		c.mu.Lock()
+		c.chans[predKey{attr, string(desc)}] = ch
+		c.mu.Unlock()
+	}
+	return ch, err
 }
 
 // forget drops the table stored under k.

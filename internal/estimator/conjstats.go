@@ -110,13 +110,13 @@ func (e *Estimator) statsConj(st *Statistics, agg string, preds []Predicate) (co
 			pa.Attr, pb.Attr, pa.Attr, pb.Attr)
 	}
 	t := j.joint()
-	ws := make([][]float64, 2)
+	ks := make([]conjunct, 2)
 	for i, pred := range []Predicate{pa, pb} {
 		wTrue, wFalse, err := e.conjWeight(pred)
 		if err != nil {
 			return conjSums{}, err
 		}
-		ws[i] = codeWeights(t.ixs[i], pred, wTrue, wFalse)
+		ks[i] = conjunct{sel: compileSelection(t.ixs[i], pred), wTrue: wTrue, wFalse: wFalse}
 	}
 	if st.Rows == 0 {
 		return conjSums{}, fmt.Errorf("estimator: empty relation")
@@ -128,7 +128,7 @@ func (e *Estimator) statsConj(st *Statistics, agg string, preds []Predicate) (co
 		}
 		x = t.x[agg]
 	}
-	return t.fold(ws, x, st.Rows), nil
+	return t.fold(ks, x, st.Rows), nil
 }
 
 // CountConjStats is CountConj over sufficient statistics: count(1) under a

@@ -68,20 +68,38 @@ type cellMoments struct {
 // aggregate cell, which avg divides by, and its variance.
 type conjSums struct{ count, sum, countVar, sumVar, nonNaN, nonNaNVar float64 }
 
-// fold accumulates the conjunction statistics with per-code weights ws[i]
-// of attribute i and the moments x (nil: the count terms only). rows is the
-// relation's row count S. Zero-weight cells contribute nothing to the
-// count and sum terms, so a nominal fold skips the unmatched cells.
-func (t *jointTable) fold(ws [][]float64, x *cellMoments, rows int) conjSums {
+// conjunct is one conjunct compiled over its attribute's dictionary ix
+// (nil over statistics): its selection and its inverse-channel weights.
+type conjunct struct {
+	attr          string
+	ix            *relation.DiscreteIndex
+	sel           selection
+	wTrue, wFalse float64
+}
+
+// weight is the conjunct's weight of code c.
+func (k conjunct) weight(c uint32) float64 {
+	if k.sel.has(c) {
+		return k.wTrue
+	}
+	return k.wFalse
+}
+
+// fold accumulates the conjunction statistics with the weights of ks[i],
+// the conjunct on attribute i, and the moments x (nil: the count terms
+// only). rows is the relation's row count S. Zero-weight cells contribute
+// nothing to the count and sum terms, so a nominal fold skips the
+// unmatched cells.
+func (t *jointTable) fold(ks []conjunct, x *cellMoments, rows int) conjSums {
 	var cAcc, hAcc, c2Acc, h2Acc, nAcc, n2Acc float64
 	var sumRows float64 // rows with a non-NaN aggregate cell
 	for j, n := range t.n {
 		if x != nil {
 			sumRows += x.nonNaN[j]
 		}
-		w := ws[0][t.codes[0][j]]
-		for i := 1; i < len(ws); i++ {
-			w *= ws[i][t.codes[i][j]]
+		w := ks[0].weight(t.codes[0][j])
+		for i := 1; i < len(ks); i++ {
+			w *= ks[i].weight(t.codes[i][j])
 		}
 		if w == 0 {
 			continue
@@ -221,11 +239,15 @@ func newJointTable(ixs []*relation.DiscreteIndex, acc []cellAcc, order []int, mo
 	return t
 }
 
-// jointFor returns the (possibly cached) joint table of the dictionaries
-// ixs of attrs (sorted by name), over col when agg is not "". memo checks
-// the first dictionary and the column; a later dictionary replaced by a
-// relation write is caught here and its table rebuilt.
-func (c *ChannelCache) jointFor(attrs []string, ixs []*relation.DiscreteIndex, agg string, col []float64) *jointTable {
+// jointFor returns the (possibly cached) joint table of the conjuncts'
+// attributes and dictionaries (sorted by name), over col when agg is not
+// "". memo checks the first dictionary and the column; a later dictionary
+// replaced by a relation write is caught here and its table rebuilt.
+func (c *ChannelCache) jointFor(ks []conjunct, agg string, col []float64) *jointTable {
+	attrs, ixs := make([]string, len(ks)), make([]*relation.DiscreteIndex, len(ks))
+	for i, k := range ks {
+		attrs[i], ixs[i] = k.attr, k.ix
+	}
 	k := entryKey{kindJoint, strings.Join(attrs, "\x00"), agg}
 	src := sourceOf(ixs[0], col, nil)
 	build := func() *jointTable { return buildJoint(ixs, col) }
@@ -267,20 +289,6 @@ func checkConj(preds []Predicate) error {
 	return nil
 }
 
-// codeWeights evaluates a conjunct once per code of ix.
-func codeWeights(ix *relation.DiscreteIndex, pred Predicate, wTrue, wFalse float64) []float64 {
-	sel := compileSelection(ix, pred)
-	w := make([]float64, ix.N())
-	for c := range w {
-		if sel.has(uint32(c)) {
-			w[c] = wTrue
-		} else {
-			w[c] = wFalse
-		}
-	}
-	return w
-}
-
 // residentConj validates a conjunction over rel, resolves each conjunct's
 // weights and dictionary in the given order, and folds the joint table of
 // its attributes (sorted by name): the count terms only when agg is "". An
@@ -289,12 +297,7 @@ func (e *Estimator) residentConj(rel *relation.Relation, agg string, preds []Pre
 	if err := checkConj(preds); err != nil {
 		return conjSums{}, err
 	}
-	type term struct {
-		attr string
-		ix   *relation.DiscreteIndex
-		w    []float64
-	}
-	terms := make([]term, len(preds))
+	ks := make([]conjunct, len(preds))
 	for i, pred := range preds {
 		wTrue, wFalse, err := e.conjWeight(pred)
 		if err != nil {
@@ -306,7 +309,7 @@ func (e *Estimator) residentConj(rel *relation.Relation, agg string, preds []Pre
 		if err != nil {
 			return conjSums{}, err
 		}
-		terms[i] = term{pred.Attr, ix, codeWeights(ix, pred, wTrue, wFalse)}
+		ks[i] = conjunct{pred.Attr, ix, compileSelection(ix, pred), wTrue, wFalse}
 	}
 	if rel.NumRows() == 0 {
 		return conjSums{}, fmt.Errorf("estimator: empty relation")
@@ -318,15 +321,9 @@ func (e *Estimator) residentConj(rel *relation.Relation, agg string, preds []Pre
 			return conjSums{}, err
 		}
 	}
-	slices.SortFunc(terms, func(a, b term) int { return strings.Compare(a.attr, b.attr) })
-	attrs := make([]string, len(terms))
-	ixs := make([]*relation.DiscreteIndex, len(terms))
-	ws := make([][]float64, len(terms))
-	for i, t := range terms {
-		attrs[i], ixs[i], ws[i] = t.attr, t.ix, t.w
-	}
-	t := e.Cache.jointFor(attrs, ixs, agg, col)
-	return t.fold(ws, t.x, rel.NumRows()), nil
+	slices.SortFunc(ks, func(a, b conjunct) int { return strings.Compare(a.attr, b.attr) })
+	t := e.Cache.jointFor(ks, agg, col)
+	return t.fold(ks, t.x, rel.NumRows()), nil
 }
 
 // estimates turns folded conjunction sums into the count and sum

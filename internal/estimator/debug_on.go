@@ -40,3 +40,20 @@ func checkBins(t *binTable, nonNaN []uint32) error {
 	}
 	return nil
 }
+
+// debugCheckSelection panics when codes, the code list compiled from an Eq
+// or In by looking its values up in the sorted domain, is not the list of
+// codes whose value Match accepts.
+func debugCheckSelection(domain []string, pred Predicate, codes []uint32) {
+	j := 0 // codes[:j] are the codes Match accepted so far
+	for c, v := range domain {
+		if listed := j < len(codes) && codes[j] == uint32(c); listed != pred.Match(v) {
+			panic(fmt.Sprintf("estimator: %s selects codes %v, and Match(%q) is %v", pred, codes, v, !listed))
+		} else if listed {
+			j++
+		}
+	}
+	if j != len(codes) {
+		panic(fmt.Sprintf("estimator: %s selects codes %v, and Match accepts %d of them", pred, codes, j))
+	}
+}

@@ -18,7 +18,7 @@ func TestCheckBins(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bins [0,1) [1,2) [2,4]: a holds [0 1 1], b [0 0 1].
-	built := a.binned(ix, []float64{0, 1, 2, 4})
+	built := a.binned(ix, &binLayout{edges: []float64{0, 1, 2, 4}})
 	if err := checkBins(built, a.nonNaN); err != nil {
 		t.Fatal(err)
 	}
@@ -33,5 +33,29 @@ func TestCheckBins(t *testing.T) {
 		if err := checkBins(b, a.nonNaN); err == nil {
 			t.Errorf("%s: an inconsistent table passed the check", name)
 		}
+	}
+}
+
+// TestCheckSelection: the pcdebug assertion accepts the code list an Eq or
+// In compiles to and panics on one that differs from Match over the domain.
+func TestCheckSelection(t *testing.T) {
+	rel := catValRel(t, []string{"a", "b", "c", "d"}, []float64{1, 2, 3, 4})
+	ix, err := rel.DiscreteIndex("category")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := In("category", "b", "d", "zz")
+	if sel := compileSelection(ix, pred); len(sel.codes) != 2 {
+		t.Fatalf("selection %+v, want codes [1 3]", sel)
+	}
+	for _, codes := range [][]uint32{{1}, {1, 2}, {1, 3, 3}, {3, 1}, nil} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("codes %v passed the check for %s", codes, pred)
+				}
+			}()
+			debugCheckSelection(ix.Domain, pred, codes)
+		}()
 	}
 }

@@ -114,16 +114,21 @@ func (e *Estimator) channel(pred Predicate) (channelVal, error) {
 		return channelVal{denom: 1}, nil
 	}
 	key, cacheable := predCacheKey(pred)
-	if cacheable && e.Cache != nil {
-		if ch, ok := e.Cache.getChannel(key); ok {
-			return ch, nil
-		}
+	if !cacheable || e.Cache == nil {
+		return e.resolveChannel(pred)
 	}
-	ch, err := e.resolveChannel(pred)
-	if err == nil && cacheable && e.Cache != nil {
-		e.Cache.putChannel(key, ch)
+	return cachedChannel(e.Cache, key.attr, key.desc, func() (channelVal, error) { return e.resolveChannel(pred) })
+}
+
+// eqChannel is Eq(attr, v)'s invertible channel for GROUP BY, keyed by
+// Eq's rendering written into *buf, so a cached channel builds no predicate
+// and a group shares its entry with WHERE attr = v.
+func (e *Estimator) eqChannel(buf *[]byte, attr, v string) (channelVal, error) {
+	if e.nominal || e.Cache == nil {
+		return invertible(e.channel(Eq(attr, v)))
 	}
-	return ch, err
+	*buf = appendEqDesc((*buf)[:0], attr, v)
+	return invertible(cachedChannel(e.Cache, attr, *buf, func() (channelVal, error) { return e.resolveChannel(Eq(attr, v)) }))
 }
 
 // resolveChannel is the uncached channel resolution.
@@ -186,10 +191,9 @@ func (e *Estimator) confidence() float64 {
 	return e.Confidence
 }
 
-// invertible resolves pred's channel and rejects one with no signal to
+// invertible passes on a resolved channel, rejecting one with no signal to
 // invert (τ_p = τ_n).
-func (e *Estimator) invertible(pred Predicate) (channelVal, error) {
-	ch, err := e.channel(pred)
+func invertible(ch channelVal, err error) (channelVal, error) {
 	if err == nil && ch.denom <= 0 {
 		err = fmt.Errorf("estimator: p = %v leaves no signal to invert (τ_p = τ_n)", ch.p)
 	}
@@ -225,7 +229,7 @@ func (e *Estimator) count(src tableSource, pred Predicate) (Estimate, error) {
 // selectValues resolves pred's channel, rejecting one with no signal, then
 // builds the (pred.Attr, agg) table from src and compiles pred over it.
 func (e *Estimator) selectValues(src tableSource, agg string, pred Predicate) (channelVal, valueTable, selection, error) {
-	ch, err := e.invertible(pred)
+	ch, err := invertible(e.channel(pred))
 	if err != nil {
 		return channelVal{}, valueTable{}, selection{}, err
 	}
@@ -545,8 +549,9 @@ func (e *Estimator) groupBy(src tableSource, attr, agg string, est func(ch chann
 		}
 	}
 	out := make(map[string]Estimate, t.ix.N())
+	var key []byte
 	for c, v := range t.ix.Domain {
-		ch, err := e.invertible(Eq(attr, v))
+		ch, err := e.eqChannel(&key, attr, v)
 		if err != nil {
 			return nil, err
 		}

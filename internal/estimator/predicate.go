@@ -3,8 +3,7 @@ package estimator
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
+	"strconv"
 )
 
 // Predicate is a deterministic condition over a single discrete attribute —
@@ -45,12 +44,18 @@ func (p Predicate) String() string {
 
 // Eq builds the predicate attr = value.
 func Eq(attr, value string) Predicate {
+	var buf [64]byte
 	return Predicate{
 		Attr:   attr,
 		Match:  func(v string) bool { return v == value },
-		desc:   fmt.Sprintf("%s = %q", attr, value),
+		desc:   string(appendEqDesc(buf[:0], attr, value)),
 		values: []string{value},
 	}
+}
+
+// appendEqDesc appends Eq(attr, value)'s canonical rendering to b.
+func appendEqDesc(b []byte, attr, value string) []byte {
+	return strconv.AppendQuote(append(append(b, attr...), " = "...), value)
 }
 
 // NotEq builds the predicate attr != value.
@@ -62,30 +67,30 @@ func NotEq(attr, value string) Predicate {
 	}
 }
 
-// In builds the predicate attr IN (values...).
+// In builds the predicate attr IN (values...). Its rendering lists every
+// value as given, sorted and quoted, so it is unambiguous: without quotes,
+// In("cat", "b, c") and In("cat", "b", "c") would render identically and
+// alias in a ChannelCache.
 func In(attr string, values ...string) Predicate {
-	set := make(map[string]struct{}, len(values))
-	for _, v := range values {
-		set[v] = struct{}{}
-	}
-	sorted := make([]string, len(values))
-	copy(sorted, values)
-	sort.Strings(sorted)
-	// Values are quoted so the rendering is unambiguous: without quotes,
-	// In("cat", "b, c") and In("cat", "b", "c") would render identically and
-	// alias in a ChannelCache.
-	quoted := make([]string, len(sorted))
+	sorted := append(make([]string, 0, len(values)), values...) // empty, not nil
+	slices.Sort(sorted)
+	var buf [128]byte
+	b := append(append(buf[:0], attr...), " IN ("...)
 	for i, v := range sorted {
-		quoted[i] = fmt.Sprintf("%q", v)
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = strconv.AppendQuote(b, v)
 	}
+	sorted = slices.Compact(sorted)
 	return Predicate{
 		Attr: attr,
 		Match: func(v string) bool {
-			_, ok := set[v]
+			_, ok := slices.BinarySearch(sorted, v)
 			return ok
 		},
-		desc:   fmt.Sprintf("%s IN (%s)", attr, strings.Join(quoted, ", ")),
-		values: slices.Compact(sorted),
+		desc:   string(append(b, ')')),
+		values: sorted,
 	}
 }
 

@@ -323,7 +323,7 @@ func naiveTotal(col []float64) float64 {
 }
 
 func naiveCount(e *Estimator, rel *relation.Relation, pred Predicate) (Estimate, error) {
-	ch, err := e.invertible(pred)
+	ch, err := invertible(e.channel(pred))
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -359,7 +359,7 @@ func naiveSumInputs(rel *relation.Relation, agg string, pred Predicate) (hp, hpc
 }
 
 func naiveSum(e *Estimator, rel *relation.Relation, agg string, pred Predicate) (Estimate, error) {
-	ch, err := e.invertible(pred)
+	ch, err := invertible(e.channel(pred))
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -372,7 +372,7 @@ func naiveSum(e *Estimator, rel *relation.Relation, agg string, pred Predicate) 
 
 // naiveAvg is the ratio estimator over the rows whose agg cell is non-NaN.
 func naiveAvg(e *Estimator, rel *relation.Relation, agg string, pred Predicate) (Estimate, error) {
-	ch, err := e.invertible(pred)
+	ch, err := invertible(e.channel(pred))
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -441,16 +441,17 @@ func naivePercentile(e *Estimator, rel *relation.Relation, agg string, pred Pred
 	var err error
 	if pred.isTotal() {
 		m, err = naiveMatch(rel, pred)
-	} else if ch, err = e.invertible(pred); err == nil {
+	} else if ch, err = invertible(e.channel(pred)); err == nil {
 		m, err = naiveMatchCol(rel, pred)
 	}
 	if err != nil {
 		return Estimate{}, err
 	}
-	edges, err := e.binEdges(agg)
+	l, err := e.binLayout(agg)
 	if err != nil {
 		return Estimate{}, err
 	}
+	edges := l.edges
 	matched, hist := make([]float64, len(edges)-1), make([]int, len(edges)-1)
 	for i, x := range rel.MustNumeric(agg) {
 		if !math.IsNaN(x) {
@@ -569,7 +570,7 @@ func naiveGroups(e *Estimator, rel *relation.Relation, tr transcript, attr, agg 
 	v, _ := stats.Variance(col)
 	avgs := 0
 	for _, val := range dom {
-		ch, _ := e.invertible(Eq(attr, val))
+		ch, _ := invertible(e.channel(Eq(attr, val)))
 		m, _ := naiveMatch(rel, Eq(attr, val))
 		hp, _ := naiveSums(col, m)
 		h, err := e.sumEstimate(ch, hp, naiveTotal(col)-hp, countTrue(m), float64(rel.NumRows()), mu, v)
@@ -591,7 +592,7 @@ func naiveGroups(e *Estimator, rel *relation.Relation, tr transcript, attr, agg 
 
 // naiveBins evaluates GROUP BY bin(attr) by row scan.
 func naiveBins(e *Estimator, rel *relation.Relation, tr transcript, attr, agg string) {
-	edges, _ := e.binEdges(attr)
+	edges := e.Meta.Numeric[attr].BinEdges()
 	xs, ys := rel.MustNumeric(attr), rel.MustNumeric(agg)
 	nb := len(edges) - 1
 	n, sums, sumsqs := make([]int, nb), make([]float64, nb), make([]float64, nb)

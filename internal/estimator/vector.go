@@ -10,71 +10,57 @@ import (
 // once per (dictionary, predicate) pair into a selection — a description of
 // the matching domain codes — so no estimator evaluates a predicate per row.
 // The per-code aggregate layer (aggs.go) folds a selection over per-code
-// tables in O(domain), and conjunctions turn each conjunct's selection into
-// per-code weights over a joint table (conjunction.go). The selection
-// picks the cheapest representation for its shape: match-all and
-// match-none short-circuit, an equality compares one code, anything larger
-// indexes a per-code bool table.
+// tables in O(domain), and a conjunction weighs each joint cell through
+// its conjuncts' selections (conjunction.go). Match-all short-circuits;
+// anything else is the ascending list of matched codes, which an Eq or In
+// finds by binary search and no predicate needs a domain-sized table for.
 
 // selection is a compiled predicate over one dictionary encoding: which
-// domain codes match. Exactly one representation is active: all, a single
-// code in codes, a membership table, or none (all fields zero).
+// domain codes match. It is all, the ascending matched codes, or none (all
+// fields zero).
 type selection struct {
 	all   bool     // every code matches
-	codes []uint32 // exactly one matched code
-	table []bool   // per-code membership, used for 2+ matched codes
+	codes []uint32 // the matched codes, ascending
 }
 
-// compileSelection finds the domain codes pred matches and picks the
-// evaluation strategy. Eq and In look their value set up in the sorted
-// domain, O(k log N) for k values; every other predicate is evaluated once
-// per distinct domain value. A nil Match means match-all (the package-wide
-// nil-predicate contract).
+// compileSelection finds the domain codes pred matches. Eq and In look
+// their sorted value set up in the sorted domain, O(k log N) for k values;
+// every other predicate is evaluated once per distinct domain value. A nil
+// Match means match-all (the package-wide nil-predicate contract).
 func compileSelection(ix *relation.DiscreteIndex, pred Predicate) selection {
 	if pred.Match == nil {
 		return selection{all: true}
 	}
-	table := make([]bool, ix.N())
-	last, nm := 0, 0
-	mark := func(c int) {
-		table[c] = true
-		last = c
-		nm++
-	}
+	var codes []uint32
 	if pred.values != nil {
+		codes = make([]uint32, 0, len(pred.values))
 		for _, v := range pred.values {
 			if c, ok := slices.BinarySearch(ix.Domain, v); ok {
-				mark(c)
+				codes = append(codes, uint32(c))
 			}
 		}
+		debugCheckSelection(ix.Domain, pred, codes)
 	} else {
 		for c, v := range ix.Domain {
 			if pred.Match(v) {
-				mark(c)
+				codes = append(codes, uint32(c))
 			}
 		}
 	}
-	switch nm {
+	switch len(codes) {
 	case ix.N():
 		return selection{all: true}
 	case 0:
 		return selection{}
-	case 1:
-		return selection{codes: []uint32{uint32(last)}}
-	default:
-		return selection{table: table}
 	}
+	return selection{codes: codes}
 }
 
 // has reports whether code c matches.
 func (s selection) has(c uint32) bool {
-	switch {
-	case s.all:
+	if s.all {
 		return true
-	case s.table != nil:
-		return s.table[c]
-	case len(s.codes) == 1:
-		return s.codes[0] == c
 	}
-	return false
+	_, ok := slices.BinarySearch(s.codes, c)
+	return ok
 }

@@ -46,23 +46,34 @@ type ErrorInfo struct {
 	Message string `json:"message"`
 }
 
-// WriteJSON marshals v, compact, before touching the ResponseWriter, so an
-// encoding failure (e.g. a non-finite float that slipped past sanitization)
-// surfaces as a 500 error body instead of a truncated response behind a
-// success status.
+// WriteJSON encodes v, compact with a trailing newline, into a pooled
+// buffer before touching the ResponseWriter, so an encoding failure (e.g. a
+// non-finite float that slipped past sanitization) surfaces as a 500 error
+// body instead of a truncated response behind a success status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
+	b := jsonBufs.Get().(*bytes.Buffer)
+	if err := json.NewEncoder(b).Encode(v); err != nil {
 		status = http.StatusInternalServerError
-		body, _ = json.Marshal(ErrorBody{Error: ErrorInfo{
+		_ = json.NewEncoder(b).Encode(ErrorBody{Error: ErrorInfo{
 			Code:    "internal",
 			Message: "encoding response: " + err.Error(),
 		}})
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	_, _ = w.Write(append(body, '\n'))
+	_, _ = w.Write(b.Bytes())
+	if b.Cap() <= 64<<10 { // a buffer a large body grew is left to the collector
+		b.Reset()
+		jsonBufs.Put(b)
+	}
 }
+
+// jsonContentType is the Content-Type value every JSON response shares, and
+// jsonBufs the response buffers.
+var (
+	jsonContentType = []string{"application/json"}
+	jsonBufs        = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+)
 
 // JSONSafe clamps non-finite values to -1, the wire sentinel for
 // "unbounded": JSON has no NaN or Inf, and json.Marshal fails on them. Both
@@ -124,15 +135,14 @@ func Status(err error, fallback string) (int, string) {
 // decoded from a truncated prefix. A body shorter than its declared length
 // fails the read with 400. A refusal comes back as its status and message.
 func ReadBody(r *http.Request, buf []byte, limit int64) (body []byte, status int, msg string) {
-	tooLarge := fmt.Sprintf("body exceeds the %d-byte bound", limit)
-	if r.ContentLength > limit {
-		return buf, http.StatusRequestEntityTooLarge, tooLarge
-	}
+	body = buf
 	var err error
-	if r.ContentLength > 0 {
+	switch {
+	case r.ContentLength > limit:
+	case r.ContentLength > 0:
 		body = slices.Grow(buf[:0], int(r.ContentLength))[:r.ContentLength]
 		_, err = io.ReadFull(r.Body, body)
-	} else {
+	default:
 		read := bytes.NewBuffer(buf[:0])
 		_, err = read.ReadFrom(io.LimitReader(r.Body, limit+1))
 		body = read.Bytes()
@@ -140,8 +150,8 @@ func ReadBody(r *http.Request, buf []byte, limit int64) (body []byte, status int
 	if err != nil {
 		return body, http.StatusBadRequest, "reading request body: " + err.Error()
 	}
-	if int64(len(body)) > limit {
-		return body, http.StatusRequestEntityTooLarge, tooLarge
+	if r.ContentLength > limit || int64(len(body)) > limit {
+		return body, http.StatusRequestEntityTooLarge, "body exceeds the " + strconv.FormatInt(limit, 10) + "-byte bound"
 	}
 	return body, 0, ""
 }
@@ -234,22 +244,27 @@ func (r *statusRecorder) WriteHeader(code int) {
 // and in-flight gauge. Labels carry only the route and the numeric status
 // class — never request contents.
 func (c *Chassis) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
-	// The route's gauge and histogram are resolved once; only the request
-	// counter, labelled by status, is looked up per request.
+	// The route's gauge and histogram are resolved once, and its request
+	// counter for a status on that status's first response.
 	inflight := c.tel.Metrics.Gauge("privateclean_http_inflight",
 		"Requests currently being handled.", telemetry.L("path", path))
 	seconds := c.tel.Metrics.Histogram("privateclean_http_request_seconds",
 		"Wall time of HTTP request handling.",
 		telemetry.DurationBuckets, telemetry.L("path", path))
+	var requests sync.Map // status -> *telemetry.Counter
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		inflight.Add(1)
 		defer func() {
 			inflight.Add(-1)
-			c.tel.Metrics.Counter("privateclean_http_requests_total",
-				"HTTP requests, by route and status.",
-				telemetry.L("path", path), telemetry.L("status", strconv.Itoa(rec.status))).Inc()
+			n, ok := requests.Load(rec.status)
+			if !ok {
+				n, _ = requests.LoadOrStore(rec.status, c.tel.Metrics.Counter("privateclean_http_requests_total",
+					"HTTP requests, by route and status.",
+					telemetry.L("path", path), telemetry.L("status", strconv.Itoa(rec.status))))
+			}
+			n.(*telemetry.Counter).Inc()
 			seconds.Observe(time.Since(start).Seconds())
 		}()
 		h(rec, r)

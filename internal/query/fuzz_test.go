@@ -19,6 +19,9 @@ func FuzzParse(f *testing.F) {
 		"SELECT var(x) FROM t",
 		"select COUNT ( 1 ) from r where NOT NOT d <> \"x\"",
 		"SELECT count(1) FROM R WHERE major = 'O''Brien'",
+		"SELECT count(1) FROM R WHERE café = 'naïve'",
+		`SELECT sum(x) FROM R WHERE ünï IN ('O''Brien', "say ""hi""", '☃', '')`,
+		"SELECT avg(x) FROM R WHERE é <> '\xff''x' AND d != ''''",
 		"",
 		"SELECT",
 		"🙂 SELECT count(1)",

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind int
@@ -50,67 +51,59 @@ func (t token) String() string {
 	}
 }
 
-// lex splits a query string into tokens.
+// lex splits a query string into tokens. It scans src by byte offset, so
+// identifiers, numbers and most quoted strings are substrings of src;
+// positions, in tokens and in errors, count runes.
 func lex(src string) ([]token, error) {
-	var toks []token
-	i := 0
-	runes := []rune(src)
-	for i < len(runes) {
-		r := runes[i]
+	toks := make([]token, 0, len(src)/4+4) // typical queries hold a token per 4 bytes
+	runes, last := 0, 0                    // the rune count of src[:last]
+	pos := func(i int) int {
+		runes += utf8.RuneCountInString(src[last:i])
+		last = i
+		return runes
+	}
+	for i := 0; i < len(src); {
+		r, size := utf8.DecodeRuneInString(src[i:])
+		start := i
+		i += size
+		next, _ := utf8.DecodeRuneInString(src[i:]) // RuneError at the end
 		switch {
 		case unicode.IsSpace(r):
-			i++
 		case r == '\'' || r == '"':
-			quote := r
-			j := i + 1
-			var sb strings.Builder
-			closed := false
-			for j < len(runes) {
-				if runes[j] == quote {
-					// doubled quote is an escaped quote
-					if j+1 < len(runes) && runes[j+1] == quote {
-						sb.WriteRune(quote)
-						j += 2
-						continue
-					}
-					closed = true
-					break
+			q := src[start]
+			for ; i < len(src) && (src[i] != q || (i+1 < len(src) && src[i+1] == q)); i++ {
+				if src[i] == q {
+					i++ // a doubled quote is an escaped quote
 				}
-				sb.WriteRune(runes[j])
-				j++
 			}
-			if !closed {
-				return nil, fmt.Errorf("query: unterminated string starting at position %d", i)
+			if i == len(src) {
+				return nil, fmt.Errorf("query: unterminated string starting at position %d", pos(start))
 			}
-			toks = append(toks, token{kind: tokString, text: sb.String(), pos: i})
-			i = j + 1
-		case r == '!' && i+1 < len(runes) && runes[i+1] == '=':
-			toks = append(toks, token{kind: tokPunct, text: "!=", pos: i})
-			i += 2
-		case r == '<' && i+1 < len(runes) && runes[i+1] == '>':
-			toks = append(toks, token{kind: tokPunct, text: "!=", pos: i})
-			i += 2
-		case r == '(' || r == ')' || r == ',' || r == '=' || r == '*':
-			toks = append(toks, token{kind: tokPunct, text: string(r), pos: i})
+			text, qs := src[start+1:i], src[start:start+1]
+			if strings.Contains(text, qs) || !utf8.ValidString(text) {
+				// A doubled quote reads as one, an invalid byte as U+FFFD.
+				text = strings.ReplaceAll(string([]rune(text)), qs+qs, qs)
+			}
+			toks = append(toks, token{kind: tokString, text: text, pos: pos(start)})
 			i++
-		case unicode.IsDigit(r) || (r == '-' && i+1 < len(runes) && unicode.IsDigit(runes[i+1])):
-			j := i + 1
-			for j < len(runes) && (unicode.IsDigit(runes[j]) || runes[j] == '.') {
-				j++
+		case (r == '!' && next == '=') || (r == '<' && next == '>'):
+			toks = append(toks, token{kind: tokPunct, text: "!=", pos: pos(start)})
+			i++
+		case r == '(' || r == ')' || r == ',' || r == '=' || r == '*':
+			toks = append(toks, token{kind: tokPunct, text: src[start:i], pos: pos(start)})
+		case unicode.IsDigit(r) || (r == '-' && unicode.IsDigit(next)):
+			for c, n := utf8.DecodeRuneInString(src[i:]); unicode.IsDigit(c) || c == '.'; c, n = utf8.DecodeRuneInString(src[i:]) {
+				i += n
 			}
-			toks = append(toks, token{kind: tokNumber, text: string(runes[i:j]), pos: i})
-			i = j
+			toks = append(toks, token{kind: tokNumber, text: src[start:i], pos: pos(start)})
 		case unicode.IsLetter(r) || r == '_':
-			j := i + 1
-			for j < len(runes) && (unicode.IsLetter(runes[j]) || unicode.IsDigit(runes[j]) || runes[j] == '_' || runes[j] == '.') {
-				j++
+			for c, n := utf8.DecodeRuneInString(src[i:]); unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_' || c == '.'; c, n = utf8.DecodeRuneInString(src[i:]) {
+				i += n
 			}
-			toks = append(toks, token{kind: tokIdent, text: string(runes[i:j]), pos: i})
-			i = j
+			toks = append(toks, token{kind: tokIdent, text: src[start:i], pos: pos(start)})
 		default:
-			return nil, fmt.Errorf("query: unexpected character %q at position %d", r, i)
+			return nil, fmt.Errorf("query: unexpected character %q at position %d", r, pos(start))
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, pos: len(runes)})
-	return toks, nil
+	return append(toks, token{kind: tokEOF, pos: pos(len(src))}), nil
 }

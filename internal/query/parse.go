@@ -209,17 +209,25 @@ func (p *parser) isKeyword(t token, kw string) bool {
 // Parse outcomes are counted in the process telemetry registry; the query
 // text itself never reaches telemetry (predicate constants are data).
 func Parse(src string) (*Query, error) {
-	tel := telemetry.Default()
+	reg := telemetry.Default().Metrics
 	q, err := parse(src)
+	reg.Memo(parsedKey(err == nil), func() any {
+		outcome := "ok"
+		if err != nil {
+			outcome = "error"
+		}
+		return reg.Counter("privateclean_queries_parsed_total",
+			"Parsed queries, by outcome.", telemetry.L("outcome", outcome))
+	}).(*telemetry.Counter).Inc()
 	if err != nil {
-		tel.Metrics.Counter("privateclean_queries_parsed_total",
-			"Parsed queries, by outcome.", telemetry.L("outcome", "error")).Inc()
 		return nil, faults.Wrap(faults.ErrBadQuery, err)
 	}
-	tel.Metrics.Counter("privateclean_queries_parsed_total",
-		"Parsed queries, by outcome.", telemetry.L("outcome", "ok")).Inc()
 	return q, nil
 }
+
+// parsedKey keys Parse's counter for each outcome (true: ok) in a
+// registry's Memo.
+type parsedKey bool
 
 func parse(src string) (*Query, error) {
 	toks, err := lex(src)

@@ -245,14 +245,25 @@ func classify(err error) error {
 func Run(tel *telemetry.Set, est *estimator.Estimator, src Source, q *Query, udfs UDFs) (*Answer, error) {
 	start := time.Now()
 	defer func() {
-		tel.Metrics.Counter("privateclean_queries_total", "Estimated queries, by aggregate.",
-			telemetry.L("agg", q.Agg.String())).Inc()
-		tel.Metrics.Histogram("privateclean_query_seconds", "Wall time of query estimation.",
-			telemetry.DurationBuckets).Observe(time.Since(start).Seconds())
+		reg := tel.Metrics
+		reg.Memo(queriesKey(q.Agg), func() any {
+			return reg.Counter("privateclean_queries_total", "Estimated queries, by aggregate.",
+				telemetry.L("agg", q.Agg.String()))
+		}).(*telemetry.Counter).Inc()
+		reg.Memo(secondsKey{}, func() any {
+			return reg.Histogram("privateclean_query_seconds", "Wall time of query estimation.",
+				telemetry.DurationBuckets)
+		}).(*telemetry.Histogram).Observe(time.Since(start).Seconds())
 	}()
 	a, err := run(est, src, q, udfs)
 	return a, classify(err)
 }
+
+// queriesKey and secondsKey key Run's instruments in a registry's Memo.
+type (
+	queriesKey AggKind
+	secondsKey struct{}
+)
 
 func run(est *estimator.Estimator, src Source, q *Query, udfs UDFs) (*Answer, error) {
 	a := &Answer{c: call{est: est, rel: src.Rel, st: src.Stats, q: q}}

@@ -114,6 +114,7 @@ func TestConcurrentQueriesConsistent(t *testing.T) {
 		"SELECT sum(value) FROM R WHERE category = 'a'",
 		"SELECT avg(value) FROM R WHERE category = 'c'",
 		"SELECT count(1) FROM R GROUP BY category",
+		"SELECT count(1) FROM R GROUP BY bin(value)",
 	}
 	var wg sync.WaitGroup
 	texts := make([]string, workers)

@@ -27,6 +27,7 @@ type Registry struct {
 	red  *Redactor
 	mu   sync.Mutex
 	fams map[string]*family
+	memo sync.Map // see Memo
 }
 
 // NewRegistry builds a registry vetting label values against red (nil means
@@ -99,6 +100,17 @@ func (reg *Registry) renderLabels(labels []Label) string {
 		fmt.Fprintf(&sb, "%s=%q", l.Key, reg.red.Clean(l.Value))
 	}
 	return sb.String()
+}
+
+// Memo returns what build made on the first call with key, so a hot path
+// resolves an instrument on its first event only. Key with a small value
+// of an unexported type: boxing it allocates nothing.
+func (reg *Registry) Memo(key any, build func() any) any {
+	if v, ok := reg.memo.Load(key); ok {
+		return v
+	}
+	v, _ := reg.memo.LoadOrStore(key, build())
+	return v
 }
 
 // Counter returns the monotonically increasing counter for name+labels.
