@@ -153,12 +153,12 @@ bench-json:
 		| $(GO) run ./tools/benchjson > BENCH_pipeline.json
 
 # Quick regression check against the committed baseline: a short-mode run of
-# the privatize benchmarks and the served-query allocation benchmark, diffed
-# report-only (never fails the build; shared runners are too noisy for a
-# hard gate — eyeball the Δ columns). The baseline has no served-query rows,
-# which -ignore-missing lists as new.
+# the privatize benchmarks and the served-query and report-ack allocation
+# benchmarks, diffed report-only (never fails the build; shared runners are
+# too noisy for a hard gate — eyeball the Δ columns). The baseline has no
+# served-query or report-ack rows, which -ignore-missing lists as new.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPrivatize|BenchmarkServeQuery' -benchmem -benchtime 10x -short . ./internal/server/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkPrivatize|BenchmarkServeQuery|BenchmarkReportAck' -benchmem -benchtime 10x -short . ./internal/server/ ./internal/collect/ \
 		| $(GO) run ./tools/benchjson \
 		| $(GO) run ./tools/benchdiff -baseline BENCH_pipeline.json -current - -ignore-missing
 

@@ -11,11 +11,13 @@
 package atomicio
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"privateclean/internal/faults"
 )
@@ -128,9 +130,54 @@ func OpenAppend(path string) (*os.File, error) {
 // WriteJSON atomically writes v as indented JSON with a trailing newline —
 // the sidecar format shared by meta.json, provenance, and checkpoints.
 func WriteJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+	j, err := MarshalIndented(v)
 	if err != nil {
 		return fmt.Errorf("atomicio: marshal %s: %w", path, err)
 	}
-	return WriteFileBytes(path, append(data, '\n'))
+	defer j.Release()
+	return WriteFileBytes(path, j.Bytes())
+}
+
+// Indented is v rendered as WriteJSON writes it, held in a pooled buffer.
+type Indented struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// indentedBufs recycles renderings. Each keeps its buffer and its
+// encoder's indentation scratch, so a document rendered again at about the
+// same size allocates neither. One grown past maxPooledIndented is left to
+// the garbage collector, so a burst of large documents does not stay
+// pooled.
+var indentedBufs = sync.Pool{New: func() any {
+	j := new(Indented)
+	j.enc = json.NewEncoder(&j.buf)
+	j.enc.SetIndent("", "  ")
+	return j
+}}
+
+const maxPooledIndented = 1 << 20
+
+// MarshalIndented renders v as json.MarshalIndent(v, "", "  ") followed by
+// a newline, the bytes WriteJSON writes, into a pooled buffer. The caller
+// reads them with Bytes and then calls Release; an error is
+// json.MarshalIndent's.
+func MarshalIndented(v any) (*Indented, error) {
+	j := indentedBufs.Get().(*Indented)
+	if err := j.enc.Encode(v); err != nil {
+		j.Release()
+		return nil, err
+	}
+	return j, nil
+}
+
+// Bytes returns the rendering, valid until Release.
+func (j *Indented) Bytes() []byte { return j.buf.Bytes() }
+
+// Release returns the buffer to the pool; j must not be used after.
+func (j *Indented) Release() {
+	if j.buf.Cap() <= maxPooledIndented {
+		j.buf.Reset()
+		indentedBufs.Put(j)
+	}
 }

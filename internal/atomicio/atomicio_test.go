@@ -1,8 +1,10 @@
 package atomicio
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -132,6 +134,43 @@ func TestWriteJSONUnmarshalable(t *testing.T) {
 	}
 	if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
 		t.Fatal("marshal failure must not create the file")
+	}
+}
+
+// TestMarshalIndented: a pooled rendering is json.MarshalIndent's bytes and
+// a newline, also when its buffer last held a larger document, and a value
+// json.MarshalIndent refuses fails with the same error.
+func TestMarshalIndented(t *testing.T) {
+	big := map[string][]float64{}
+	for i := 0; i < 200; i++ {
+		big[strings.Repeat("k", i%7+1)+string(rune('a'+i%26))] = []float64{float64(i), 1e21, 1e-7, -0.5}
+	}
+	for _, v := range []any{
+		big,
+		map[string]any{"html": "<a & b>", "nil": nil, "nested": []any{1, "x", map[string]int{}}, "u2028": "\u2028"},
+		struct {
+			A int    `json:"a"`
+			B string `json:"b,omitempty"`
+		}{A: 3},
+		[]string{},
+		nil,
+	} {
+		want, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := MarshalIndented(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(j.Bytes()); got != string(want)+"\n" {
+			t.Errorf("MarshalIndented(%v):\n got %q\nwant %q", v, got, string(want)+"\n")
+		}
+		j.Release()
+	}
+	_, want := json.MarshalIndent(math.NaN(), "", "  ")
+	if _, err := MarshalIndented(math.NaN()); err == nil || err.Error() != want.Error() {
+		t.Errorf("MarshalIndented(NaN) error %v, want %v", err, want)
 	}
 }
 

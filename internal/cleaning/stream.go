@@ -97,7 +97,7 @@ func run(ctx *Context, open func() (relation.Iterator, error), sink func(win *re
 		}
 		if n == 0 {
 			res.Schema = win.Schema()
-		} else if win.Schema().String() != res.Schema.String() {
+		} else if !win.Schema().Equal(res.Schema) {
 			return faults.Errorf(faults.ErrInternal,
 				"cleaning: window %d schema %q differs from first window %q (non-deterministic op?)",
 				n, win.Schema(), res.Schema)

@@ -92,10 +92,10 @@ type unknownAttr struct {
 }
 
 // reset empties b for a batch of about hint reports under bs, keeping the
-// column buffers.
+// column buffers when b last held a batch of bs's width.
 func (b *batchCols) reset(bs *batchSchema, hint int) {
 	*b = batchCols{disc: b.disc, has: b.has, num: b.num, unknown: unknownAttr{report: -1}}
-	if b.disc == nil {
+	if b.disc == nil || len(b.disc) != len(bs.discrete) || len(b.num) != len(bs.numeric) {
 		b.disc = make([][]string, len(bs.discrete))
 		b.has = make([][]bool, len(bs.discrete))
 		b.num = make([][]float64, len(bs.numeric))

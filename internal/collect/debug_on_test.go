@@ -8,6 +8,10 @@ import (
 	"testing"
 )
 
+// debugChecks reports a build whose folds from retained columns re-read
+// their segments (debug_on.go).
+const debugChecks = true
+
 // TestCheckRetained: the pcdebug assertion accepts a sealed segment's own
 // retained list and names a list that differs from the records in count,
 // order, ID or a column.

@@ -25,6 +25,9 @@ import "sync"
 // list is kept, and counted, until its fold ends, whether the fold
 // succeeds or fails; the retry of a failed fold finds no list and reads
 // the WAL.
+//
+// A list owns the batches it keeps until release hands them back, for the
+// Service to recycle.
 type retention struct {
 	limit int64
 
@@ -44,8 +47,9 @@ func newRetention(limit int64) *retention {
 }
 
 // add registers b, whose WAL payload is size bytes, as the next record of
-// segment seq.
-func (r *retention) add(seq uint64, b *batchCols, size int64) {
+// segment seq, and reports whether segment seq's list kept it. A batch
+// kept belongs to the list until release.
+func (r *retention) add(seq uint64, b *batchCols, size int64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	seg := r.segs[seq]
@@ -53,11 +57,13 @@ func (r *retention) add(seq uint64, b *batchCols, size int64) {
 		seg = &retainedSeg{refused: r.bytes >= r.limit}
 		r.segs[seq] = seg
 	}
-	if !seg.refused {
-		seg.batches = append(seg.batches, b)
-		seg.bytes += size
-		r.bytes += size
+	if seg.refused {
+		return false
 	}
+	seg.batches = append(seg.batches, b)
+	seg.bytes += size
+	r.bytes += size
+	return true
 }
 
 // list returns segment seq's batches and whether the list is complete. A
@@ -73,14 +79,18 @@ func (r *retention) list(seq uint64) ([]*batchCols, bool) {
 	return seg.batches, true
 }
 
-// release forgets segment seq's list once its fold has ended, either way.
-func (r *retention) release(seq uint64) {
+// release forgets segment seq's list once its fold has ended, either way,
+// and returns the batches it kept, which nothing reads any more.
+func (r *retention) release(seq uint64) []*batchCols {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if seg := r.segs[seq]; seg != nil {
-		r.bytes -= seg.bytes
-		delete(r.segs, seq)
+	seg := r.segs[seq]
+	if seg == nil {
+		return nil
 	}
+	r.bytes -= seg.bytes
+	delete(r.segs, seq)
+	return seg.batches
 }
 
 // heldBytes returns the payload bytes of every list held.

@@ -109,6 +109,10 @@ type Service struct {
 	// retained holds the acks' decoded batches for their segments' folds.
 	// Each ack registers its batch from inside its WAL append.
 	retained *retention
+	// batches recycles decoded batches: an ack decodes into one, and it
+	// comes back when its segment's fold ends or, if no retained list kept
+	// it, when its ack returns.
+	batches sync.Pool
 
 	mu          sync.Mutex
 	stopCompact chan struct{}
@@ -253,20 +257,23 @@ func New(cfg Config) (*Service, error) {
 	if cfg.CompactEvery > 0 {
 		s.stopCompact = make(chan struct{})
 		s.compactDone = make(chan struct{})
-		go s.compactLoop(cfg.CompactEvery)
+		go s.compactLoop(cfg.CompactEvery, s.stopCompact, s.compactDone)
 	}
 	return s, nil
 }
 
 // compactLoop is the background compactor: rotate-if-nonempty then fold, on
-// a fixed cadence, until Shutdown.
-func (s *Service) compactLoop(every time.Duration) {
-	defer close(s.compactDone)
+// a fixed cadence, until stop closes; it closes done on return. It holds
+// its own copies of the channels: stopCompactor clears the fields before
+// it closes stop, so a loop that read the field after a pass would wait on
+// a nil channel and never return.
+func (s *Service) compactLoop(every time.Duration, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-s.stopCompact:
+		case <-stop:
 			return
 		case <-ticker.C:
 			if _, err := s.Compact(); err != nil {
@@ -299,7 +306,7 @@ func (s *Service) Compact() (int, error) {
 	folded := 0
 	for _, seg := range segs {
 		if seg.Seq <= s.store.AppliedSeq() {
-			s.retained.release(seg.Seq)
+			s.release(seg.Seq)
 			if err := os.Remove(seg.Path); err != nil && !os.IsNotExist(err) {
 				return folded, faults.Wrap(faults.ErrPartialWrite, err)
 			}
@@ -333,7 +340,7 @@ func (s *Service) Compact() (int, error) {
 // fold's retry reads the WAL. Callers hold cmu.
 func (s *Service) foldSegment(seg SegmentInfo) (int, error) {
 	batches, fromMemory := s.retained.list(seg.Seq)
-	defer s.retained.release(seg.Seq)
+	defer s.release(seg.Seq)
 	source := "wal"
 	if fromMemory {
 		source = "memory"
@@ -376,6 +383,34 @@ func (s *Service) foldSegment(seg SegmentInfo) (int, error) {
 	}
 	s.observeFreshness(refs)
 	return len(refs), nil
+}
+
+// maxPooledReports bounds the batches recycle keeps: one that held more
+// reports, which validation refuses by default, is left to the garbage
+// collector, so its columns do not stay pooled.
+const maxPooledReports = DefaultMaxBatchReports
+
+// batch returns a batch for an ack to decode into.
+func (s *Service) batch() *batchCols {
+	if b, ok := s.batches.Get().(*batchCols); ok {
+		return b
+	}
+	return new(batchCols)
+}
+
+// recycle returns b, which nothing reads any more, for a later ack.
+func (s *Service) recycle(b *batchCols) {
+	if b.n <= maxPooledReports {
+		s.batches.Put(b)
+	}
+}
+
+// release ends segment seq's retention and recycles the batches its list
+// kept.
+func (s *Service) release(seq uint64) {
+	for _, b := range s.retained.release(seq) {
+		s.recycle(b)
+	}
 }
 
 // observeFreshness turns recorded ack times into end-to-end freshness
@@ -502,12 +537,13 @@ var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledBody = 1 << 20
 
-// decodeReport decodes and validates one /v1/report body. A refusal comes
-// back as its status, code and message; fallback reports a body that
-// decoded, but only through encoding/json. The batch shares no memory with
-// body.
+// decodeReport decodes and validates one /v1/report body into a batch from
+// the pool, which the caller recycles unless a retained list keeps it. A
+// refusal comes back as its status, code and message; fallback reports a
+// body that decoded, but only through encoding/json. The batch shares no
+// memory with body.
 func (s *Service) decodeReport(body []byte) (b *batchCols, fallback bool, status int, code, msg string) {
-	b = new(batchCols)
+	b = s.batch()
 	d := batchDecoder{bs: s.codec}
 	fast, err := d.decode(b, body)
 	if err != nil {
@@ -546,7 +582,16 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		httpsvc.WriteError(w, status, "bad_batch", msg)
 		return
 	}
+	// The batch goes back to the pool when this handler returns, unless its
+	// segment's retained list kept it: the list then recycles it when the
+	// segment's fold ends.
 	b, fallback, status, code, msg := s.decodeReport(body)
+	kept := false
+	defer func() {
+		if !kept {
+			s.recycle(b)
+		}
+	}()
 	if fallback {
 		s.decodeFallbacks.Inc()
 	}
@@ -563,7 +608,12 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	if b.TraceID == "" && remoteTrace != "" {
 		b.TraceID = remoteTrace
 	}
-	sp.Set("reports", b.n)
+	// After the append a concurrent fold may recycle the batch, so what
+	// the ack reports is read out of it now.
+	id, n := b.ID, b.n
+	if sp.Recording() {
+		sp.Set("reports", n)
+	}
 
 	if !s.Admit(w) {
 		return
@@ -577,10 +627,10 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	// the client is retrying an ack it lost, and the data is already
 	// counted. Duplicates still in the WAL (not yet folded) do get appended
 	// again; the fold path deduplicates them by ID.
-	if s.store.HasBatch(b.ID) {
+	if s.store.HasBatch(id) {
 		s.duplicates.Inc()
 		sp.Set("duplicate", true)
-		httpsvc.WriteJSON(w, http.StatusOK, reportResponse{BatchID: b.ID, Reports: b.n, Duplicate: true})
+		httpsvc.WriteJSON(w, http.StatusOK, reportResponse{BatchID: id, Reports: n, Duplicate: true})
 		return
 	}
 
@@ -592,7 +642,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	*buf = rec[:0]
 	wsp := s.tel.Trace.StartSpan(sp, "wal_append")
 	seq, err := s.wal.appendRecord(rec, func(seq uint64) {
-		s.retained.add(seq, b, int64(len(rec)-recordHeaderSize))
+		kept = s.retained.add(seq, b, int64(len(rec)-recordHeaderSize))
 	})
 	wsp.End()
 	if err != nil {
@@ -601,11 +651,13 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		httpsvc.WriteFault(w, err, "bad_batch")
 		return
 	}
-	s.recordAck(b.ID)
-	sp.Set("segment", int(seq))
+	s.recordAck(id)
+	if sp.Recording() {
+		sp.Set("segment", int(seq))
+	}
 	s.batchesAccepted.Inc()
-	s.reportsAccepted.Add(float64(b.n))
-	httpsvc.WriteJSON(w, http.StatusOK, reportResponse{BatchID: b.ID, Reports: b.n})
+	s.reportsAccepted.Add(float64(n))
+	httpsvc.WriteJSON(w, http.StatusOK, reportResponse{BatchID: id, Reports: n})
 }
 
 // statuszResponse is the /v1/statusz pipeline-health summary. Everything in
@@ -686,14 +738,15 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		httpsvc.WriteFault(w, err, "bad_batch")
 		return
 	}
-	body, err := s.store.MarshalStats()
+	body, err := s.store.renderStats()
 	if err != nil {
 		httpsvc.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
+	defer body.Release()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	_, _ = w.Write(body.Bytes())
 }
 
 // Shutdown is the graceful drain: stop accepting connections and wait out

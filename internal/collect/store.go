@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -120,7 +121,7 @@ func OpenStore(path string, schema relation.Schema, mechanism string) (*Store, e
 		if err != nil {
 			return nil, faults.Wrap(faults.ErrCorruptCheckpoint, err)
 		}
-		if ckSchema.String() != schema.String() {
+		if !ckSchema.Equal(schema) {
 			return nil, faults.Errorf(faults.ErrBadMeta, "collect: store schema %q does not match mechanism schema %q", ckSchema, schema)
 		}
 	}
@@ -250,7 +251,7 @@ func (s *Store) fold(seq uint64, n int, batch func(i int) (*batchCols, error)) (
 		Batches:    ids,
 		Stats:      staged.Statistics(),
 	}
-	if err := atomicio.WriteJSON(s.path, ck); err != nil {
+	if err := atomicio.WriteJSON(s.path, &ck); err != nil {
 		return nil, err
 	}
 	if s.foldHook != nil {
@@ -292,11 +293,22 @@ func (s *Store) collector() *estimator.Collector {
 // format `privateclean stats` writes, so the bytes can be saved to a file
 // and fed to `query -stats` / `serve -stats` directly.
 func (s *Store) MarshalStats() ([]byte, error) {
-	data, err := json.MarshalIndent(s.collector().Statistics(), "", "  ")
+	j, err := s.renderStats()
+	if err != nil {
+		return nil, err
+	}
+	defer j.Release()
+	return bytes.Clone(j.Bytes()), nil
+}
+
+// renderStats is MarshalStats into a pooled buffer, which the caller
+// releases once it has written the bytes.
+func (s *Store) renderStats() (*atomicio.Indented, error) {
+	j, err := atomicio.MarshalIndented(s.collector().Statistics())
 	if err != nil {
 		return nil, faults.Wrap(faults.ErrInternal, err)
 	}
-	return append(data, '\n'), nil
+	return j, nil
 }
 
 // Rows returns the number of folded report rows.

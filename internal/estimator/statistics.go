@@ -458,7 +458,7 @@ func (c *Collector) Add(win *relation.Relation) error {
 				}
 			}
 		}
-	} else if win.Schema().String() != c.schema.String() {
+	} else if !win.Schema().Equal(c.schema) {
 		return faults.Errorf(faults.ErrBadInput,
 			"estimator: window schema %q differs from first window %q", win.Schema(), c.schema)
 	}

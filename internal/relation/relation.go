@@ -98,6 +98,9 @@ func (s Schema) Columns() []Column {
 	return out
 }
 
+// Equal reports whether s and o hold the same columns in the same order.
+func (s Schema) Equal(o Schema) bool { return slices.Equal(s.cols, o.cols) }
+
 // Len returns the number of columns.
 func (s Schema) Len() int { return len(s.cols) }
 

@@ -77,7 +77,9 @@ func (s *Server) execute(sp *telemetry.Span, sql string) (*queryResponse, error)
 	if err != nil {
 		return nil, err
 	}
-	sp.Set("agg", q.Agg.String())
+	if sp.Recording() {
+		sp.Set("agg", q.Agg.String())
+	}
 	ans, err := query.Run(s.tel, s.est, query.Source{Rel: s.rel, Stats: s.stats}, q, nil)
 	if err != nil {
 		return nil, err

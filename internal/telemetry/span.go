@@ -97,12 +97,12 @@ func isLowerHex(s string) bool {
 // (traceparent headers, batch fields), and only 32 lowercase hex digits may
 // pass into spans, links, or sinks verbatim.
 func ValidTraceID(s string) bool {
-	return len(s) == 32 && isLowerHex(s) && s != strings.Repeat("0", 32)
+	return len(s) == 32 && isLowerHex(s) && s != "00000000000000000000000000000000"
 }
 
 // ValidSpanID is ValidTraceID for 16-hex-digit span IDs.
 func ValidSpanID(s string) bool {
-	return len(s) == 16 && isLowerHex(s) && s != strings.Repeat("0", 16)
+	return len(s) == 16 && isLowerHex(s) && s != "0000000000000000"
 }
 
 // FormatTraceparent renders a W3C traceparent header value (version 00,
@@ -115,18 +115,20 @@ func FormatTraceparent(traceID, spanID string) string {
 // 32-hex trace ID, 16-hex parent span ID, 2-hex flags. Anything else is
 // rejected, so arbitrary header bytes can never ride a trace context into a
 // telemetry sink.
+//
+// The value has one valid shape, "00-" + 32 + "-" + 16 + "-" + 2 hex
+// digits, so it is read by offset and the IDs returned are substrings of
+// h: parsing allocates nothing, whatever the header holds.
 func ParseTraceparent(h string) (traceID, parentSpanID string, ok bool) {
-	parts := strings.Split(strings.TrimSpace(h), "-")
-	if len(parts) != 4 || parts[0] != "00" {
+	h = strings.TrimSpace(h)
+	if len(h) != len("00-")+32+1+16+1+2 || h[:3] != "00-" || h[35] != '-' || h[52] != '-' {
 		return "", "", false
 	}
-	if !ValidTraceID(parts[1]) || !ValidSpanID(parts[2]) {
+	traceID, parentSpanID = h[3:35], h[36:52]
+	if !ValidTraceID(traceID) || !ValidSpanID(parentSpanID) || !isLowerHex(h[53:]) {
 		return "", "", false
 	}
-	if len(parts[3]) != 2 || !isLowerHex(parts[3]) {
-		return "", "", false
-	}
-	return parts[1], parts[2], true
+	return traceID, parentSpanID, true
 }
 
 // Attr is one span attribute.
@@ -273,6 +275,11 @@ func (s *Span) End() {
 		_ = sink.writeLines(lines)
 	}
 }
+
+// Recording reports whether s records, which a nil span, the one a nil
+// Tracer starts, does not. Callers test it before a Set whose value would
+// allocate as an any, so an untraced request boxes nothing.
+func (s *Span) Recording() bool { return s != nil }
 
 // Set attaches an attribute to an open span (vetted like StartSpan's).
 func (s *Span) Set(key string, value any) {

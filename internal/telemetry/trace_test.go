@@ -74,6 +74,33 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseTraceparentAllocatesNothing: every request parses its
+// traceparent header, so parsing allocates nothing whether the header is
+// absent, valid (padded too), or malformed in length, separators or
+// digits.
+func TestParseTraceparentAllocatesNothing(t *testing.T) {
+	traceID, spanID := NewTraceID(), NewSpanID()
+	valid := FormatTraceparent(traceID, spanID)
+	for _, h := range []string{
+		"",
+		valid,
+		" " + valid + "\t",
+		"00-" + traceID + "-" + spanID,
+		"00-" + traceID[:31] + "-" + "-" + spanID + "-01", // a separator inside the trace ID
+		"00_" + traceID + "-" + spanID + "-01",
+		"00-" + traceID + "-" + spanID + "-0g",
+		"<script>alert(1)</script>",
+	} {
+		var ok bool
+		if n := testing.AllocsPerRun(100, func() { _, _, ok = ParseTraceparent(h) }); n != 0 {
+			t.Errorf("ParseTraceparent(%q) allocates %.0f times", h, n)
+		}
+		if want := h == valid || h == " "+valid+"\t"; ok != want {
+			t.Errorf("ParseTraceparent(%q) ok = %v, want %v", h, ok, want)
+		}
+	}
+}
+
 func TestSpanTraceContext(t *testing.T) {
 	tr := NewTracer(NewRedactor())
 	root := tr.StartSpan(nil, "privatize")
