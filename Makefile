@@ -109,15 +109,13 @@ cover:
 		echo "coverage $$total% is below the $(COVER_BASELINE)% baseline"; exit 1; \
 	fi
 
-# Re-run the packages that read dictionary encodings with the pcdebug build
-# tag, which turns every index read of a column held as strings into a full
-# staleness assertion (see internal/relation/debug_on.go; a column held only
-# as codes, as a .pcol view's are, is its own source of truth), and the
-# collector, whose every fold from retained columns then re-reads and
-# decodes its WAL segment and panics on any difference
-# (internal/collect/debug_on.go). query and server answer from opened views.
+# Re-run the packages that hold pcdebug code with that build tag: the
+# estimator then checks every per-code bin table and selection it builds
+# (internal/estimator/debug_on.go), and the collector re-reads and decodes
+# the WAL segment behind every fold from retained columns, panicking on any
+# difference (internal/collect/debug_on.go).
 debug-assert:
-	$(GO) test -tags pcdebug ./internal/relation/ ./internal/cleaning/ ./internal/estimator/ ./internal/colstore/ ./internal/collect/ ./internal/query/ ./internal/server/
+	$(GO) test -tags pcdebug ./internal/estimator/ ./internal/collect/
 
 # The statistical regression suites across the mechanism matrix: chi-square
 # goodness-of-fit on each mechanism's sampling distribution, and Monte-Carlo
@@ -153,12 +151,13 @@ bench-json:
 		| $(GO) run ./tools/benchjson > BENCH_pipeline.json
 
 # Quick regression check against the committed baseline: a short-mode run of
-# the privatize benchmarks and the served-query and report-ack allocation
-# benchmarks, diffed report-only (never fails the build; shared runners are
-# too noisy for a hard gate — eyeball the Δ columns). The baseline has no
-# served-query or report-ack rows, which -ignore-missing lists as new.
+# the privatize benchmarks, the value-cleaner benchmark and the served-query
+# and report-ack allocation benchmarks, diffed report-only (never fails the
+# build; shared runners are too noisy for a hard gate — eyeball the Δ
+# columns). The baseline has no value-cleaner, served-query or report-ack
+# rows, which -ignore-missing lists as new.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPrivatize|BenchmarkServeQuery|BenchmarkReportAck' -benchmem -benchtime 10x -short . ./internal/server/ ./internal/collect/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkPrivatize|BenchmarkCleanValueOp|BenchmarkServeQuery|BenchmarkReportAck' -benchmem -benchtime 10x -short . ./internal/server/ ./internal/collect/ \
 		| $(GO) run ./tools/benchjson \
 		| $(GO) run ./tools/benchdiff -baseline BENCH_pipeline.json -current - -ignore-missing
 

@@ -9,8 +9,9 @@
 //   - Extract(g_i): create a new discrete attribute from C(v[g_i]).
 //
 // There is one cleaning engine (stream.go): every Op compiles once into a
-// step that rewrites windows of rows in place. StreamApply runs it over
-// windows it reopens once per pass, Apply over the resident relation's.
+// step that rewrites windows of rows, each rewritten column installed whole
+// in its window. StreamApply runs it over windows it reopens once per pass,
+// Apply over the resident relation as its one window.
 //
 // When a Context carries a provenance store, finish records the dirty-to-
 // clean value mapping so the estimators can recover the original selectivity
@@ -24,6 +25,7 @@ package cleaning
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
@@ -34,7 +36,7 @@ import (
 	"privateclean/internal/telemetry"
 )
 
-// Context is the environment a cleaner runs in. Apply rewrites Rel in place
+// Context is the environment a cleaner runs in. Apply rewrites Rel's columns
 // (StreamApply reads it only in graphFor). Prov and Meta are optional: when
 // both are set, provenance is recorded against the dirty domains released in
 // Meta.
@@ -57,7 +59,7 @@ type Op interface {
 	compile(ctx *Context) (*step, error)
 }
 
-// step is one compiled op. apply rewrites one window in place (tally false:
+// step is one compiled op. apply rewrites one window (tally false:
 // only to feed a later step's summary, so transitions go uncounted); finish
 // evolves the provenance once, after every window has been applied. reads
 // names the attributes whose graphs finish evolves. A global step sets
@@ -75,32 +77,28 @@ type step struct {
 }
 
 // Apply runs a composition of cleaners C = C_1 ∘ C_2 ∘ ... ∘ C_k in order
-// over ctx.Rel's windows, which share its columns; the columns an Extract
-// adds land in ctx.Rel after the write pass.
+// over ctx.Rel as one window, so the write pass rewrites ctx.Rel itself and
+// the columns an Extract adds land in it.
 func Apply(ctx *Context, ops ...Op) error {
-	rel, added, width := ctx.Rel, map[string][]string{}, ctx.Rel.Schema().Len()
-	open := func() (relation.Iterator, error) { return relation.NewSliceIterator(rel, 0), nil }
-	res, steps, err := run(ctx, open, func(win *relation.Relation, _ bool) error {
-		for _, c := range win.Schema().Columns()[width:] {
-			added[c.Name] = append(added[c.Name], win.MustDiscrete(c.Name)...)
-		}
-		return nil
-	}, ops)
-	// The windows rewrote rel's columns behind its cached encodings.
-	for _, s := range steps {
-		for _, a := range s.reads {
-			rel.InvalidateIndex(a)
-		}
+	open := func() (relation.Iterator, error) { return &whole{rel: ctx.Rel}, nil }
+	_, err := run(ctx, open, func(*relation.Relation, bool) error { return nil }, ops)
+	return err
+}
+
+// whole yields one relation as its only window.
+type whole struct {
+	rel  *relation.Relation
+	done bool
+}
+
+func (w *whole) Schema() relation.Schema { return w.rel.Schema() }
+
+func (w *whole) Next() (*relation.Relation, error) {
+	if w.done {
+		return nil, io.EOF
 	}
-	if err != nil {
-		return err
-	}
-	for _, c := range res.Schema.Columns()[width:] {
-		if err := rel.AddDiscreteColumn(c.Name, added[c.Name]); err != nil {
-			return err
-		}
-	}
-	return nil
+	w.done = true
+	return w.rel, nil
 }
 
 func (ctx *Context) telemetry() *telemetry.Set {
@@ -154,12 +152,12 @@ func (ctx *Context) graphFor(attr string) (*provenance.Graph, error) {
 }
 
 // valueStep compiles a deterministic per-value rewrite of attr. f must be
-// pure: it rewrites every window and is replayed once against the graph,
-// whose edges stay fork-free.
+// pure: it rewrites every window's dictionary (relation.MapDomain) and is
+// replayed once against the graph, whose edges stay fork-free.
 func valueStep(attr string, f func(string) string) *step {
 	return &step{
 		reads: []string{attr},
-		apply: func(win *relation.Relation, _ bool) error { return win.MapDiscrete(attr, f) },
+		apply: func(win *relation.Relation, _ bool) error { return win.MapDomain(attr, f) },
 		finish: func(ctx *Context) error {
 			g, err := ctx.graphFor(attr)
 			if g != nil {
@@ -190,7 +188,8 @@ func (t transitions) add(from, to string) {
 // the function that gets row r's values of attrs in a scratch slice it may
 // overwrite and returns their replacements. Rows sharing a value may
 // diverge, so provenance comes from transition counts (summed over windows)
-// that Graph.ApplyTransitions turns into weighted edges (Section 7.1).
+// that Graph.ApplyTransitions turns into weighted edges (Section 7.1). Each
+// rewritten column is re-encoded and installed whole once the window is done.
 func rowStep(ctx *Context, attrs []string, rows func(win *relation.Relation) (func(r int, vals []string) []string, error)) *step {
 	trans := make([]transitions, len(attrs))
 	if ctx.Prov != nil {
@@ -209,27 +208,29 @@ func rowStep(ctx *Context, attrs []string, rows func(win *relation.Relation) (fu
 			if err != nil {
 				return err
 			}
-			// The columns are the window's backing slices: drop their
-			// encodings however the rewrite ends.
-			defer func() {
-				for _, a := range attrs {
-					win.InvalidateIndex(a)
-				}
-			}()
+			outs := make([][]string, len(attrs))
+			for i := range outs {
+				outs[i] = make([]string, win.NumRows())
+			}
 			buf := make([]string, len(attrs))
 			for r := range win.NumRows() {
-				for i, col := range cols {
-					buf[i] = col[r]
+				for i, ix := range cols {
+					buf[i] = ix.Value(r)
 				}
 				out := next(r, buf)
 				if len(out) != len(attrs) {
 					return fmt.Errorf("row transform returned %d values, want %d", len(out), len(attrs))
 				}
-				for i, col := range cols {
+				for i, ix := range cols {
 					if tally {
-						trans[i].add(col[r], out[i])
+						trans[i].add(ix.Value(r), out[i])
 					}
-					col[r] = out[i]
+					outs[i][r] = out[i]
+				}
+			}
+			for i, a := range attrs {
+				if err := win.SetDiscrete(a, outs[i]); err != nil {
+					return err
 				}
 			}
 			return nil
@@ -254,15 +255,15 @@ func rowStep(ctx *Context, attrs []string, rows func(win *relation.Relation) (fu
 // input, whose sorted keys are relation.Domain.
 type valueCounts map[string]int
 
-// observer returns the step.observe that folds attr's values into c.
+// observer returns the step.observe that folds attr's value counts into c.
 func (c valueCounts) observer(attr string) func(*relation.Relation) error {
 	return func(win *relation.Relation) error {
-		col, err := win.Discrete(attr)
+		ix, err := win.DiscreteIndex(attr)
 		if err != nil {
 			return err
 		}
-		for _, v := range col {
-			c[v]++
+		for code, v := range ix.Domain {
+			c[v] += int(ix.Counts[code])
 		}
 		return nil
 	}
@@ -430,13 +431,17 @@ func (e Extract) compile(*Context) (*step, error) {
 	return &step{
 		reads: []string{e.SrcAttr},
 		apply: func(win *relation.Relation, _ bool) error {
-			src, err := win.Discrete(e.SrcAttr)
+			src, err := win.DiscreteIndex(e.SrcAttr)
 			if err != nil {
 				return err
 			}
-			vals := make([]string, len(src))
-			for i, v := range src {
-				vals[i] = e.F(v)
+			image := make([]string, src.N())
+			for c, v := range src.Domain {
+				image[c] = e.F(v)
+			}
+			vals := make([]string, len(src.Codes))
+			for i, c := range src.Codes {
+				vals[i] = image[c]
 			}
 			return win.AddDiscreteColumn(e.NewAttr, vals)
 		},

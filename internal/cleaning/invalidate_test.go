@@ -8,11 +8,10 @@ import (
 	"privateclean/internal/relation"
 )
 
-// Every cleaning op that writes a discrete column — whether through the
-// relation API or through the column's backing slice — must leave the
-// column's cached dictionary encoding consistent: Domain read after the op
-// must reflect the rewritten values. The cache is primed before each op so a
-// stale entry cannot hide behind a first-use build.
+// Every cleaning op that writes a discrete column must install an encoding
+// whose domain is exactly the rewritten values: Domain read after the op
+// must reflect them. Each test reads the index before the op, so an op that
+// left the old index in place would show.
 
 func domainOf(t *testing.T, r *relation.Relation, attr string) []string {
 	t.Helper()
@@ -145,7 +144,7 @@ func TestFDRepairInvalidatesRHSDomain(t *testing.T) {
 
 func TestFDImputeInvalidatesRHSDomain(t *testing.T) {
 	r := fdRel(t)
-	if err := r.SetDiscrete("city", 2, relation.Null); err != nil {
+	if err := r.SetDiscrete("city", []string{"Berkeley", "Berkeley", relation.Null, "NYC"}); err != nil {
 		t.Fatal(err)
 	}
 	prime(t, r, "city")

@@ -82,8 +82,9 @@ func fdStep(ctx *Context, lhs []string, rhs string, fill func(string) bool) (*st
 			if err != nil {
 				return err
 			}
-			lhsCols := cols[:len(lhs)]
-			for r, v := range cols[len(lhs)] {
+			lhsCols, rhsCol := cols[:len(lhs)], cols[len(lhs)]
+			for r, c := range rhsCol.Codes {
+				v := rhsCol.Domain[c]
 				if fill != nil && fill(v) {
 					continue
 				}
@@ -126,11 +127,11 @@ func fdStep(ctx *Context, lhs []string, rhs string, fill func(string) bool) (*st
 	}, nil
 }
 
-// discreteCols returns the backing slices of a window's discrete columns.
-func discreteCols(win *relation.Relation, attrs []string) ([][]string, error) {
-	cols := make([][]string, len(attrs))
+// discreteCols returns the encodings of a window's discrete columns.
+func discreteCols(win *relation.Relation, attrs []string) ([]*relation.DiscreteIndex, error) {
+	cols := make([]*relation.DiscreteIndex, len(attrs))
 	for i, a := range attrs {
-		col, err := win.Discrete(a)
+		col, err := win.DiscreteIndex(a)
 		if err != nil {
 			return nil, err
 		}
@@ -141,13 +142,13 @@ func discreteCols(win *relation.Relation, attrs []string) ([][]string, error) {
 
 // groupKey writes row r's LHS tuple into buf as its values joined by the
 // unit separator, so a map lookup through string(buf) does not allocate.
-func groupKey(buf []byte, cols [][]string, r int) []byte {
+func groupKey(buf []byte, cols []*relation.DiscreteIndex, r int) []byte {
 	buf = buf[:0]
 	for i, col := range cols {
 		if i > 0 {
 			buf = append(buf, '\x1f')
 		}
-		buf = append(buf, col[r]...)
+		buf = append(buf, col.Value(r)...)
 	}
 	return buf
 }

@@ -38,7 +38,7 @@ type StreamResult struct {
 // ctx.Rel may name for graphFor's fallback.
 func StreamApply(ctx *Context, open func() (relation.Iterator, error), w io.Writer, ops ...Op) (*StreamResult, error) {
 	cw := csv.NewWriter(w)
-	res, _, err := run(ctx, open, func(win *relation.Relation, first bool) error {
+	res, err := run(ctx, open, func(win *relation.Relation, first bool) error {
 		if err := csvio.WriteRows(cw, win, first); err != nil {
 			return faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("cleaning: %w", err))
 		}
@@ -56,15 +56,14 @@ func StreamApply(ctx *Context, open func() (relation.Iterator, error), w io.Writ
 
 // run compiles ops and drives the engine: a summary pass per global step, in
 // op order, then the write pass, which hands every cleaned window to sink,
-// then each step's finish. Once the ops compile, it returns their steps,
-// built as far as their summary passes got, even when a pass fails.
-func run(ctx *Context, open func() (relation.Iterator, error), sink func(win *relation.Relation, first bool) error, ops []Op) (*StreamResult, []*step, error) {
+// then each step's finish.
+func run(ctx *Context, open func() (relation.Iterator, error), sink func(win *relation.Relation, first bool) error, ops []Op) (*StreamResult, error) {
 	tel := ctx.telemetry()
 	steps := make([]*step, len(ops))
 	for i, op := range ops {
 		s, err := op.compile(ctx)
 		if err != nil {
-			return nil, nil, failed(tel, op, err)
+			return nil, failed(tel, op, err)
 		}
 		s.op = op
 		steps[i] = s
@@ -73,7 +72,7 @@ func run(ctx *Context, open func() (relation.Iterator, error), sink func(win *re
 		if s.observe != nil {
 			built, err := summarize(ctx, tel, open, steps[:i], s)
 			if err != nil {
-				return nil, steps, err
+				return nil, err
 			}
 			steps[i] = built
 		}
@@ -84,7 +83,7 @@ func run(ctx *Context, open func() (relation.Iterator, error), sink func(win *re
 		for _, a := range s.reads {
 			if ctx.Rel != nil && ctx.Rel.Schema().Has(a) {
 				if _, err := ctx.graphFor(a); err != nil {
-					return nil, steps, failed(tel, s.op, err)
+					return nil, failed(tel, s.op, err)
 				}
 			}
 		}
@@ -106,17 +105,17 @@ func run(ctx *Context, open func() (relation.Iterator, error), sink func(win *re
 		return sink(win, n == 1)
 	})
 	if err != nil {
-		return nil, steps, err
+		return nil, err
 	}
 	res.Rows = rows
 	for _, s := range steps {
 		if err := s.finish(ctx); err != nil {
-			return nil, steps, failed(tel, s.op, err)
+			return nil, failed(tel, s.op, err)
 		}
 		observe(tel, s.op, s.wall)
 		tel.Log.Debug("cleaning op applied", "kind", telemetry.OpKind(s.op.Name()), "rows", rows)
 	}
-	return res, steps, nil
+	return res, nil
 }
 
 // summarize is global step s's summary pass: each window, rewritten by the
@@ -131,7 +130,7 @@ func summarize(ctx *Context, tel *telemetry.Set, open func() (relation.Iterator,
 	start := time.Now()
 	rows, err := eachWindow(open, func(win *relation.Relation) error {
 		if len(before) > 0 {
-			win = win.Clone() // a resident relation's window is a view of it
+			win = win.Clone() // Apply's window is the resident relation itself
 		}
 		for _, b := range before {
 			if err := b.apply(win, false); err != nil {

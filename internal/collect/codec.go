@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"unicode/utf8"
@@ -29,25 +30,34 @@ import (
 // batchSchema is the collection schema as the codec sees it: each kind's
 // attribute names in sorted order (json.Marshal's map-key order), their
 // column index by name, and their rendered object keys. domains holds each
-// discrete column's sorted released domain, nil when unknown.
+// discrete column's released domain, nil when unknown, and positions each
+// value's index in it, nil unless the domain is sorted.
 type batchSchema struct {
 	discrete, numeric []string
 	discIdx, numIdx   map[string]int
 	discKey, numKey   [][]byte // `"name":` as json.Marshal renders the key
 	domains           [][]string
+	positions         []map[string]uint32
 }
 
 // newBatchSchema lays out schema for the codec. With meta, the decoder
 // resolves a discrete value inside its attribute's domain to the domain's
-// own string, so such values cost no allocation; meta may be nil.
+// own string, so such values cost no allocation, and the fold encodes it
+// as its position there; meta may be nil.
 func newBatchSchema(schema relation.Schema, meta *privacy.ViewMeta) *batchSchema {
 	bs := &batchSchema{}
 	bs.discrete, bs.discIdx, bs.discKey = codecColumns(schema.DiscreteNames())
 	bs.numeric, bs.numIdx, bs.numKey = codecColumns(schema.NumericNames())
 	bs.domains = make([][]string, len(bs.discrete))
-	if meta != nil {
-		for j, name := range bs.discrete {
-			bs.domains[j] = meta.Discrete[name].Domain
+	bs.positions = make([]map[string]uint32, len(bs.discrete))
+	for j, name := range bs.discrete {
+		if meta == nil || !slices.IsSorted(meta.Discrete[name].Domain) {
+			continue
+		}
+		bs.domains[j] = meta.Discrete[name].Domain
+		bs.positions[j] = make(map[string]uint32, len(bs.domains[j]))
+		for k, v := range bs.domains[j] {
+			bs.positions[j][v] = uint32(k)
 		}
 	}
 	return bs
@@ -181,21 +191,75 @@ func (b *batchCols) fromBatch(bs *batchSchema, batch *Batch) {
 }
 
 // window adopts b's columns as the relation one batch folds as: one row per
-// report under schema, absent attributes missing. The relation shares b's
-// buffers, so it is valid only until b is reset.
-func (b *batchCols) window(bs *batchSchema, schema relation.Schema) (*relation.Relation, error) {
+// report under schema, absent attributes missing. Discrete columns are
+// encoded in enc's buffers, and numeric ones are b's own, so the relation is
+// valid only until b is reset or enc encodes the next window.
+func (b *batchCols) window(bs *batchSchema, schema relation.Schema, enc *encoder) (*relation.Relation, error) {
 	if u := b.unknown; u.report >= 0 {
 		return nil, fmt.Errorf("report %d: unknown %s attribute %q", u.report, u.kind, u.name)
 	}
-	disc := make(map[string][]string, len(bs.discrete))
+	enc.ix = growTo(enc.ix, len(bs.discrete))[:len(bs.discrete)]
+	coded := make(map[string]*relation.DiscreteIndex, len(bs.discrete))
 	for j, name := range bs.discrete {
-		disc[name] = b.disc[j]
+		ix, err := enc.encode(&enc.ix[j], bs.domains[j], bs.positions[j], b.disc[j])
+		if err != nil {
+			return nil, err
+		}
+		coded[name] = ix
 	}
 	num := make(map[string][]float64, len(bs.numeric))
 	for j, name := range bs.numeric {
 		num[name] = b.num[j]
 	}
-	return relation.FromBacking(schema, b.n, num, disc, nil)
+	return relation.FromBacking(schema, b.n, num, coded)
+}
+
+// encoder dictionary-encodes the discrete columns of a fold's windows in
+// buffers it reuses from one window to the next: an index per column (the
+// counts are FromBacking's) and a rank per released-domain value.
+type encoder struct {
+	ix   []relation.DiscreteIndex
+	rank []uint32
+}
+
+// encode encodes vals, a column of a window, into ix's buffers against dom,
+// the column's sorted released domain, whose positions pos maps each value
+// to. When pos finds every value, dom narrowed to the values present, in
+// its own order, is the canonical domain, and codes are ranks within it. A
+// value outside dom (or no dom at all) leaves the canonicalizing to
+// relation.NewIndex.
+func (e *encoder) encode(ix *relation.DiscreteIndex, dom []string, pos map[string]uint32, vals []string) (*relation.DiscreteIndex, error) {
+	codes := growTo(ix.Codes, len(vals))[:len(vals)]
+	ix.Codes = codes
+	var extra []string
+	for i, v := range vals {
+		k, found := pos[v]
+		if !found {
+			k, extra = uint32(len(dom)+len(extra)), append(extra, v)
+		}
+		codes[i] = k
+	}
+	if len(extra) > 0 {
+		return relation.NewIndex(append(slices.Clip(dom), extra...), codes)
+	}
+	e.rank = growTo(e.rank, len(dom))[:len(dom)]
+	rank := e.rank
+	clear(rank)
+	for _, k := range codes {
+		rank[k] = 1
+	}
+	used := ix.Domain[:0]
+	for k, seen := range rank {
+		if seen != 0 {
+			rank[k] = uint32(len(used))
+			used = append(used, dom[k])
+		}
+	}
+	for i, k := range codes {
+		codes[i] = rank[k]
+	}
+	ix.Domain = used
+	return ix, nil
 }
 
 // batchDecoder decodes batches into columns under one schema. Attribute
@@ -381,22 +445,11 @@ func (d *batchDecoder) str(dst *string) bool {
 }
 
 // value resolves a value of discrete column j: one in the column's domain
-// is the domain's own string, found by binary search, and any other is
-// interned. The search compares against string(v) inline, which does not
-// allocate.
+// is the domain's own string, and any other is interned. The lookup through
+// string(v) does not allocate.
 func (d *batchDecoder) value(j int, v []byte) string {
-	dom := d.bs.domains[j]
-	lo, hi := 0, len(dom)
-	for lo < hi {
-		h := int(uint(lo+hi) >> 1)
-		if dom[h] < string(v) {
-			lo = h + 1
-		} else {
-			hi = h
-		}
-	}
-	if lo < len(dom) && dom[lo] == string(v) {
-		return dom[lo]
+	if k, ok := d.bs.positions[j][string(v)]; ok {
+		return d.bs.domains[j][k]
 	}
 	return d.interned(v)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -330,5 +331,57 @@ func TestStatuszUnboundedEpsilon(t *testing.T) {
 	}
 	if resp.TotalEpsilon != -1 {
 		t.Errorf("total_epsilon = %v, want the -1 sentinel", resp.TotalEpsilon)
+	}
+}
+
+// TestWALGaugesAfterCompact: the sealed backlog, WAL disk bytes and segment
+// count gauges agree with the WAL directory after UpdateGauges, and after
+// the refresh that ends a compaction, when only the active segment is left.
+func TestWALGaugesAfterCompact(t *testing.T) {
+	tel := newTracedTel()
+	s := newTestService(t, t.TempDir(), func(c *Config) { c.Tel = tel })
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	gauge := func(name string) float64 { return tel.Metrics.Gauge(name, "").Value() }
+	check := func(stage string, backlog int) {
+		t.Helper()
+		entries, err := os.ReadDir(s.wal.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bytes int64
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes += info.Size()
+		}
+		if got := gauge("privateclean_collect_sealed_backlog"); got != float64(backlog) {
+			t.Errorf("%s: sealed_backlog = %v, want %d", stage, got, backlog)
+		}
+		if got := gauge("privateclean_collect_wal_segments"); got != float64(len(entries)) {
+			t.Errorf("%s: wal_segments = %v, want %d", stage, got, len(entries))
+		}
+		if got := gauge("privateclean_collect_wal_disk_bytes"); got != float64(bytes) {
+			t.Errorf("%s: wal_disk_bytes = %v, want %d", stage, got, bytes)
+		}
+	}
+	for i, b := range makeBatches(t, collectMeta(), 41, 3, 4) {
+		mustPost(t, h, b)
+		if i < 2 {
+			if _, err := s.wal.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.UpdateGauges()
+	check("before compaction", 2)
+	if _, err := s.Compact(); err != nil { // refreshes the gauges itself
+		t.Fatal(err)
+	}
+	check("after compaction", 0)
+	if got := gauge("privateclean_collect_wal_segments"); got != 1 {
+		t.Errorf("after compaction: %v segment files, want only the active one", got)
 	}
 }

@@ -217,11 +217,14 @@ func New(cfg Config) (*Service, error) {
 		wal.Close()
 		return nil, err
 	}
+	// The store decodes and encodes its windows against the released
+	// domains too (batchDecoder.value, encoder.encode).
+	store.codec = newBatchSchema(schema, cfg.Meta)
 	s := &Service{
 		meta:     cfg.Meta,
 		mech:     mech,
 		schema:   schema,
-		codec:    newBatchSchema(schema, cfg.Meta),
+		codec:    store.codec,
 		wal:      wal,
 		retained: newRetention(wal.opts.SegmentBytes),
 		store:    store,
@@ -450,8 +453,19 @@ func (s *Service) recordAck(id string) {
 // watermarks, the sealed-segment backlog awaiting a fold, WAL disk usage,
 // admission-queue depth, and the bytes of retained batches. Called after
 // every compaction and from the runtime-metrics sampling tick.
-func (s *Service) UpdateGauges() {
+func (s *Service) UpdateGauges() { s.updateGauges() }
+
+// updateGauges is UpdateGauges. The backlog, the disk bytes and the segment
+// count all come from one listing of the WAL directory, and it returns the
+// first two for /v1/statusz.
+func (s *Service) updateGauges() (backlog int, diskBytes int64) {
 	applied, active := s.store.AppliedSeq(), s.wal.ActiveSeq()
+	segs, diskBytes := s.wal.usage()
+	for _, seg := range segs {
+		if seg.Seq > applied && seg.Seq < active {
+			backlog++
+		}
+	}
 	s.tel.Metrics.Gauge("privateclean_collect_applied_seq",
 		"Highest WAL segment folded into the statistics checkpoint.").Set(float64(applied))
 	s.tel.Metrics.Gauge("privateclean_collect_active_seq",
@@ -459,15 +473,16 @@ func (s *Service) UpdateGauges() {
 	s.tel.Metrics.Gauge("privateclean_collect_seq_lag",
 		"Applied-sequence lag: sealed segments not yet folded (active_seq - 1 - applied_seq, floored at 0).").Set(float64(seqLag(applied, active)))
 	s.tel.Metrics.Gauge("privateclean_collect_sealed_backlog",
-		"Sealed WAL segments on disk awaiting compaction.").Set(float64(s.sealedBacklog()))
+		"Sealed WAL segments on disk awaiting compaction.").Set(float64(backlog))
 	s.tel.Metrics.Gauge("privateclean_collect_wal_disk_bytes",
-		"Total bytes of WAL segment files on disk.").Set(float64(s.wal.DiskBytes()))
+		"Total bytes of WAL segment files on disk.").Set(float64(diskBytes))
 	s.tel.Metrics.Gauge("privateclean_collect_wal_segments",
-		"WAL segment files on disk (sealed + active).").Set(float64(s.wal.SegmentCount()))
+		"WAL segment files on disk (sealed + active).").Set(float64(len(segs)))
 	s.tel.Metrics.Gauge("privateclean_collect_admission_inflight",
 		"Batches currently admitted past the /v1/report semaphore.").Set(float64(s.InFlight()))
 	s.tel.Metrics.Gauge("privateclean_collect_retained_bytes",
 		"WAL payload bytes of acked batches kept decoded for their segment's fold (under twice the segment rotation threshold plus one record).").Set(float64(s.retained.heldBytes()))
+	return backlog, diskBytes
 }
 
 func seqLag(applied, active uint64) uint64 {
@@ -475,21 +490,6 @@ func seqLag(applied, active uint64) uint64 {
 		return 0
 	}
 	return active - 1 - applied
-}
-
-func (s *Service) sealedBacklog() int {
-	segs, err := s.wal.Sealed()
-	if err != nil {
-		return 0
-	}
-	n := 0
-	applied := s.store.AppliedSeq()
-	for _, seg := range segs {
-		if seg.Seq > applied {
-			n++
-		}
-	}
-	return n
 }
 
 // reportResponse acknowledges one batch.
@@ -699,7 +699,7 @@ func stampAge(t, now time.Time) (unix int64, age float64) {
 }
 
 func (s *Service) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	s.UpdateGauges()
+	backlog, diskBytes := s.updateGauges()
 	now := time.Now()
 	fresh := s.tel.Metrics.Histogram("privateclean_collect_freshness_seconds",
 		"End-to-end pipeline freshness: time from a batch's durable ack to the checkpoint commit that folded it.",
@@ -714,8 +714,8 @@ func (s *Service) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		TotalEpsilon:  httpsvc.JSONSafe(s.meta.TotalEpsilon()),
 		AppliedSeq:    s.store.AppliedSeq(),
 		ActiveSeq:     s.wal.ActiveSeq(),
-		WALDiskBytes:  s.wal.DiskBytes(),
-		SealedBacklog: s.sealedBacklog(),
+		WALDiskBytes:  diskBytes,
+		SealedBacklog: backlog,
 		Rows:          s.store.Rows(),
 		Batches:       s.store.BatchCount(),
 

@@ -215,6 +215,7 @@ func (s *Store) fold(seq uint64, n int, batch func(i int) (*batchCols, error)) (
 		return nil, nil
 	}
 	staged := s.coll.Clone()
+	var enc encoder
 	seen := make(map[string]struct{})
 	var newIDs []string
 	for i := 0; i < n; i++ {
@@ -231,7 +232,7 @@ func (s *Store) fold(seq uint64, n int, batch func(i int) (*batchCols, error)) (
 		if _, ok := seen[b.ID]; ok {
 			continue
 		}
-		win, err := b.window(s.codec, s.schema)
+		win, err := b.window(s.codec, s.schema, &enc)
 		if err != nil {
 			return nil, faults.Wrap(faults.ErrCorruptCheckpoint, fmt.Errorf("collect: batch %q: %w", b.ID, err))
 		}

@@ -552,14 +552,17 @@ func (w *WAL) ActiveSeq() uint64 {
 	return w.seq
 }
 
-// DiskBytes returns the total on-disk size of every WAL segment, and
-// SegmentCount the number of segment files — the raw material for the
-// wal_disk_bytes and wal_segments gauges. Both tolerate races with the
-// compactor deleting segments (a vanished file counts as zero).
-func (w *WAL) DiskBytes() int64 {
+// DiskBytes returns the total on-disk size of every WAL segment file.
+func (w *WAL) DiskBytes() int64 { _, n := w.usage(); return n }
+
+// usage lists the WAL directory once, for the gauges: every segment file in
+// sequence order and their total size. It tolerates races with the
+// compactor deleting segments (a vanished file counts as zero bytes), and a
+// directory it cannot list reads as empty.
+func (w *WAL) usage() ([]SegmentInfo, int64) {
 	segs, err := listSegments(w.dir)
 	if err != nil {
-		return 0
+		return nil, 0
 	}
 	var total int64
 	for _, s := range segs {
@@ -567,16 +570,7 @@ func (w *WAL) DiskBytes() int64 {
 			total += info.Size()
 		}
 	}
-	return total
-}
-
-// SegmentCount returns the number of on-disk WAL segment files.
-func (w *WAL) SegmentCount() int {
-	segs, err := listSegments(w.dir)
-	if err != nil {
-		return 0
-	}
-	return len(segs)
+	return segs, total
 }
 
 // Close syncs and closes the active segment. The WAL is unusable after.

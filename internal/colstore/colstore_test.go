@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -71,11 +72,9 @@ func TestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want.Domain, gotIx.Domain) || !reflect.DeepEqual(want.Codes, gotIx.Codes) {
+		if !reflect.DeepEqual(want.Domain, gotIx.Domain) || !reflect.DeepEqual(want.Codes, gotIx.Codes) ||
+			!reflect.DeepEqual(want.Counts, gotIx.Counts) {
 			t.Fatalf("column %q: decoded index differs from rebuilt index", name)
-		}
-		if err := got.CheckIndex(name); err != nil {
-			t.Fatalf("column %q: adopted index inconsistent: %v", name, err)
 		}
 	}
 }
@@ -267,10 +266,9 @@ func TestOpenBuildsNoStringColumns(t *testing.T) {
 	}
 }
 
-// TestOpenedViewConcurrentFirstReads makes the first Discrete and
+// TestOpenedViewConcurrentFirstReads makes the first Discrete, Domain and
 // DiscreteIndex calls on one opened view from several goroutines at once;
-// run under -race it checks that building a coded column's strings on
-// demand is guarded.
+// run under -race it checks that reads of the stored codes need no lock.
 func TestOpenedViewConcurrentFirstReads(t *testing.T) {
 	v, err := Open(packBig(t))
 	if err != nil {
@@ -289,7 +287,7 @@ func TestOpenedViewConcurrentFirstReads(t *testing.T) {
 					if err != nil || len(col) != rel.NumRows() {
 						t.Errorf("Discrete(%q): %d values, %v", name, len(col), err)
 					}
-				} else if err := rel.CheckIndex(name); err != nil {
+				} else if _, err := rel.Domain(name); err != nil {
 					t.Error(err)
 				}
 				if _, err := rel.DiscreteIndex(name); err != nil {
@@ -300,8 +298,10 @@ func TestOpenedViewConcurrentFirstReads(t *testing.T) {
 	}
 	wg.Wait()
 	for _, name := range rel.Schema().DiscreteNames() {
-		if err := rel.CheckIndex(name); err != nil {
-			t.Fatal(err)
+		ix, _ := rel.DiscreteIndex(name)
+		want, err := relation.NewIndex(ix.Domain, slices.Clone(ix.Codes))
+		if err != nil || !slices.Equal(want.Counts, ix.Counts) {
+			t.Fatalf("column %q: counts %v, want %v (%v)", name, ix.Counts, want.Counts, err)
 		}
 	}
 }

@@ -159,7 +159,7 @@ func Decode(data []byte) (*relation.Relation, error) {
 	if err != nil {
 		return nil, faults.Wrap(faults.ErrBadInput, err)
 	}
-	rel, err := relation.FromBacking(schema, rows, numeric, nil, coded)
+	rel, err := relation.FromBacking(schema, rows, numeric, coded)
 	if err != nil {
 		return nil, faults.Wrap(faults.ErrBadInput, err)
 	}

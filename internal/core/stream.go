@@ -20,17 +20,17 @@ import (
 // chooses only where the windows come from:
 //
 //   - in memory (loadResident), the input is read once and windowed with
-//     relation.NewSliceIterator — zero-copy views of the loaded relation;
+//     relation.NewSliceIterator — windows of the loaded relation;
 //   - streaming (loadStreaming, Stream), two bounded-memory scans
 //     (csvio.ProfileFile) resolve the schema, domains, sensitivities, and row
 //     accounting, and a third scan (csvio.ChunkIterator) decodes the kept rows
 //     window by window, never materializing the whole relation.
 //
 // Everything after that is shared: writeChunks reads the windows in order,
-// a worker pool privatizes each window in place and renders it, and one
+// a worker pool privatizes each window and renders it, and one
 // committer makes the chunks durable in chunk order. Chunk k covers kept rows
 // [k·ChunkSize, (k+1)·ChunkSize) and draws from privacy.StreamRand(seed, k);
-// privacy.PrivatizeRange consumes randomness as a pure function of (p, row
+// privacy.PrivatizeWithMeta consumes randomness as a pure function of (p, row
 // count) per discrete column and of the column's NaN pattern per numeric
 // column, in schema order. So the released bytes, the metadata JSON, and
 // every intermediate checkpoint are byte-for-byte equal across modes and
@@ -106,9 +106,7 @@ func (job *PrivatizeJob) readInput(span string, read func(csvio.Options) (*csvio
 	return rep, nil
 }
 
-// loadResident reads the whole input once. Its windows are zero-copy views
-// of the loaded relation, each privatized in place: nothing reads the
-// relation after the run, so it needs no private copy.
+// loadResident reads the whole input once and windows the loaded relation.
 func (job *PrivatizeJob) loadResident() (*privacy.ViewMeta, *csvio.Report, relation.Iterator, error) {
 	var r *relation.Relation
 	rep, err := job.readInput("csv_load", func(opts csvio.Options) (rep *csvio.Report, err error) {
@@ -207,7 +205,7 @@ type renderedChunk struct {
 
 // writeChunks privatizes and durably appends every pending chunk, advancing
 // the checkpoint after each one. One producer reads the windows in order; a
-// pool of workers (one worker included) privatizes each window in place with
+// pool of workers (one worker included) privatizes each window with
 // its chunk's RNG stream and renders it; this goroutine commits the chunks
 // (write, sync, checkpoint, OnChunk) strictly in chunk order, so the bytes on
 // disk and every intermediate checkpoint are the same at any worker count.
@@ -326,12 +324,9 @@ func (job *PrivatizeJob) writeChunks(ck *checkpoint, it relation.Iterator, meta 
 	return nil
 }
 
-// privatizeWindow privatizes one window in place with its chunk's RNG stream
-// and renders it, the header first for chunk zero. In place is safe:
-// PrivatizeRange with view == source degenerates to a self-copy followed by
-// the in-place mechanisms, consuming the same draws. A panic becomes a
-// classified error at the chunk's commit slot, as Run's own recover would
-// make it.
+// privatizeWindow privatizes one window with its chunk's RNG stream and
+// renders it, the header first for chunk zero. A panic becomes a classified
+// error at the chunk's commit slot, as Run's own recover would make it.
 func (job *PrivatizeJob) privatizeWindow(work windowWork, meta *privacy.ViewMeta) (data []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -341,11 +336,11 @@ func (job *PrivatizeJob) privatizeWindow(work windowWork, meta *privacy.ViewMeta
 	if work.err != nil {
 		return nil, work.err
 	}
-	win := work.win
-	if err := privacy.PrivatizeRange(privacy.StreamRand(job.Seed, work.chunk), win, win, meta, 0, win.NumRows()); err != nil {
+	view, err := privacy.PrivatizeWithMeta(privacy.StreamRand(job.Seed, work.chunk), work.win, meta)
+	if err != nil {
 		return nil, err
 	}
-	return renderChunk(win, work.chunk == 0)
+	return renderChunk(view, work.chunk == 0)
 }
 
 // renderChunk renders every row of a privatized window to CSV bytes, the

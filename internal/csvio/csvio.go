@@ -470,10 +470,23 @@ func Write(w io.Writer, rel *relation.Relation) error {
 func WriteRows(cw *csv.Writer, rel *relation.Relation, header bool) error {
 	cols := rel.Schema().Columns()
 	record := make([]string, len(cols))
-	if header {
-		for c, col := range cols {
-			record[c] = col.Name
+	// Each column is read once: numeric ones as their values, discrete ones
+	// as their encoding, rendered as Domain[Codes[i]].
+	nums := make([][]float64, len(cols))
+	discs := make([]*relation.DiscreteIndex, len(cols))
+	for c, col := range cols {
+		record[c] = col.Name
+		var err error
+		if col.Kind == relation.Numeric {
+			nums[c], err = rel.Numeric(col.Name)
+		} else {
+			discs[c], err = rel.DiscreteIndex(col.Name)
 		}
+		if err != nil {
+			return err
+		}
+	}
+	if header {
 		if err := cw.Write(record); err != nil {
 			return err
 		}
@@ -482,9 +495,9 @@ func WriteRows(cw *csv.Writer, rel *relation.Relation, header bool) error {
 		for c, col := range cols {
 			switch col.Kind {
 			case relation.Numeric:
-				record[c] = strconv.FormatFloat(rel.MustNumeric(col.Name)[i], 'g', -1, 64)
+				record[c] = strconv.FormatFloat(nums[c][i], 'g', -1, 64)
 			case relation.Discrete:
-				record[c] = rel.MustDiscrete(col.Name)[i]
+				record[c] = discs[c].Value(i)
 			}
 		}
 		if err := cw.Write(record); err != nil {

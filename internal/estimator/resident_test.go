@@ -1151,7 +1151,7 @@ func TestCachedTablesFollowDiscreteRewrite(t *testing.T) {
 	if _, err := cached.Sum(rel, "value", Eq("category", "a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := rel.SetDiscrete("category", 3, "a"); err != nil {
+	if err := rel.SetDiscrete("category", []string{"a", "a", "b", "a"}); err != nil {
 		t.Fatal(err)
 	}
 	got, err1 := cached.Sum(rel, "value", Eq("category", "a"))
@@ -1178,10 +1178,12 @@ func TestCachedJointFollowsDiscreteRewrite(t *testing.T) {
 	if _, err := cached.CountConj(rel, conj...); err != nil {
 		t.Fatal(err)
 	}
+	other := rel.MustDiscrete("other")
 	for i := 0; i < 50; i++ {
-		if err := rel.SetDiscrete("other", i, "g9"); err != nil {
-			t.Fatal(err)
-		}
+		other[i] = "g9"
+	}
+	if err := rel.SetDiscrete("other", other); err != nil {
+		t.Fatal(err)
 	}
 	got, err1 := cached.CountConj(rel, conj...)
 	want, err2 := (&Estimator{Meta: meta}).CountConj(rel, conj...)

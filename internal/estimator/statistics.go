@@ -284,6 +284,10 @@ type Collector struct {
 	discrete []string
 	numeric  []string
 	opts     CollectOpts
+	// Add's per-window buffers: each code's marginals, and each code
+	// pair's joint cell.
+	byCode []*ValueStats
+	pairs  map[uint64]*JointCell
 }
 
 // NewCollector creates an empty collector; the first Add fixes the schema.
@@ -497,10 +501,16 @@ func (c *Collector) Add(win *relation.Relation) error {
 		}
 		c.st.Numeric[a] = m
 	}
+	// Each window's columns are codes, so every map below is read once per
+	// distinct code or code pair, not once per row.
 	for _, a := range c.discrete {
-		col := win.MustDiscrete(a)
+		ix, err := win.DiscreteIndex(a)
+		if err != nil {
+			return err
+		}
 		vs := c.st.Discrete[a]
-		for i, v := range col {
+		c.byCode = c.byCode[:0]
+		for _, v := range ix.Domain {
 			s := vs[v]
 			if s == nil {
 				s = &ValueStats{}
@@ -512,6 +522,10 @@ func (c *Collector) Add(win *relation.Relation) error {
 				}
 				vs[v] = s
 			}
+			c.byCode = append(c.byCode, s)
+		}
+		for i, code := range ix.Codes {
+			s := c.byCode[code]
 			s.Count++
 			for j, na := range c.numeric {
 				x := numCols[j][i]
@@ -539,22 +553,35 @@ func (c *Collector) Add(win *relation.Relation) error {
 	for _, pair := range c.opts.Joints {
 		j := c.st.Joints[jointKey(pair[0], pair[1])]
 		j.table.Store(nil)
-		colA := win.MustDiscrete(pair[0])
-		colB := win.MustDiscrete(pair[1])
-		for i := range colA {
-			row := j.Cells[colA[i]]
-			if row == nil {
-				row = make(map[string]*JointCell)
-				j.Cells[colA[i]] = row
-			}
-			cell := row[colB[i]]
+		ixA, err := win.DiscreteIndex(pair[0])
+		if err != nil {
+			return err
+		}
+		ixB, err := win.DiscreteIndex(pair[1])
+		if err != nil {
+			return err
+		}
+		if c.pairs == nil {
+			c.pairs = make(map[uint64]*JointCell)
+		}
+		clear(c.pairs)
+		for i, ca := range ixA.Codes {
+			key := uint64(ca)<<32 | uint64(ixB.Codes[i])
+			cell := c.pairs[key]
 			if cell == nil {
-				cell = &JointCell{
-					Sums:   make(map[string]float64, len(c.numeric)),
-					SumSqs: make(map[string]float64, len(c.numeric)),
-					NonNaN: make(map[string]int, len(c.numeric)),
+				a, b := ixA.Domain[ca], ixB.Domain[ixB.Codes[i]]
+				if j.Cells[a] == nil {
+					j.Cells[a] = make(map[string]*JointCell)
 				}
-				row[colB[i]] = cell
+				if cell = j.Cells[a][b]; cell == nil {
+					cell = &JointCell{
+						Sums:   make(map[string]float64, len(c.numeric)),
+						SumSqs: make(map[string]float64, len(c.numeric)),
+						NonNaN: make(map[string]int, len(c.numeric)),
+					}
+					j.Cells[a][b] = cell
+				}
+				c.pairs[key] = cell
 			}
 			cell.Count++
 			for k, na := range c.numeric {

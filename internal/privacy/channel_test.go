@@ -65,7 +65,7 @@ func TestLaplaceNoiseDistributionChiSquare(t *testing.T) {
 	counts := make([]float64, cells)
 	col := make([]float64, n)
 	out := append([]float64(nil), col...)
-	if err := LaplacePerturbInPlace(rng, out, b); err != nil {
+	if err := laplaceInPlace(rng, out, b); err != nil {
 		t.Fatal(err)
 	}
 	for _, x := range out {

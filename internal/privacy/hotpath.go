@@ -3,6 +3,7 @@ package privacy
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"privateclean/internal/faults"
 	"privateclean/internal/relation"
@@ -48,56 +49,52 @@ func resampleVisit(rng Rand, p float64, n int, visit func(int)) {
 	}
 }
 
-// SamplerTag names the RNG-consumption pattern of RandomizedResponseInPlace
-// — one Float64 per geometric gap plus one Intn per resample — which every
-// mechanism name draws through at its mapped p. Pipeline checkpoints record
-// it: a chunk's bytes are a pure function of (data, params, chunk stream)
-// only under a fixed pattern, so any change to how the sampler consumes
-// draws must bump the tag, and resume then refuses checkpoints written under
-// another pattern (such as the retired "krr-skip/2" and "rrbin-skip/1")
-// instead of splicing two into one view.
+// SamplerTag names the RNG-consumption pattern of GRR (RandomizedResponse
+// and the release path) — one Float64 per geometric gap plus one Intn per
+// resample — which every mechanism name draws through at its mapped p.
+// Pipeline checkpoints record it: a chunk's bytes are a pure function of
+// (data, params, chunk stream) only under a fixed pattern, so any change to
+// how the sampler consumes draws must bump the tag, and resume then refuses
+// checkpoints written under another pattern (such as the retired
+// "krr-skip/2" and "rrbin-skip/1") instead of splicing two into one view.
 const SamplerTag = "grr-skip/2"
 
-// RandomizedResponseInPlace applies the discrete GRR mechanism to col in
-// place: each value is kept with probability 1-p and replaced with a uniform
-// draw from domain with probability p. It performs no allocation; resampled
-// cells consume one Intn draw each on top of the geometric gap draws
-// (see resampleVisit).
-func RandomizedResponseInPlace(rng Rand, col []string, domain []string, p float64) error {
+// checkGRR vets GRR at probability p over a domain of nd values for a
+// column of n cells.
+func checkGRR(p float64, nd, n int) error {
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		return faults.Errorf(faults.ErrBadParams, "privacy: randomization probability %v out of [0,1]", p)
 	}
-	if len(domain) == 0 && len(col) > 0 {
+	if nd == 0 && n > 0 {
 		return faults.Errorf(faults.ErrBadInput, "privacy: empty domain for non-empty column")
 	}
-	nd := len(domain)
-	resampleVisit(rng, p, len(col), func(i int) {
-		col[i] = domain[rng.Intn(nd)]
-	})
 	return nil
 }
 
-// LaplacePerturbInPlace applies the Laplace mechanism to col in place: every
-// non-NaN value receives independent Laplace(0, b) noise. NaN cells (missing
-// values) stay NaN and consume no draw.
-func LaplacePerturbInPlace(rng Rand, col []float64, b float64) error {
+func checkLaplace(b float64) error {
 	if b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
 		return faults.Errorf(faults.ErrBadParams, "privacy: laplace scale %v must be finite and >= 0", b)
 	}
+	return nil
+}
+
+// perturb applies the Laplace mechanism to col in place: every non-NaN
+// value receives independent Laplace(0, b) noise. NaN cells (missing
+// values) stay NaN and consume no draw.
+func perturb(rng Rand, col []float64, b float64) {
 	for i, v := range col {
 		if math.IsNaN(v) {
 			continue
 		}
 		col[i] = stats.Laplace(rng, v, b)
 	}
-	return nil
 }
 
 // ViewMetaFor computes the ViewMeta that Privatize would release for r under
 // params without drawing any randomness: per-discrete (p, domain) and
 // per-numeric (b, delta = max-min of the true column). It performs the same
-// parameter validation as Privatize, so a nil error here means PrivatizeRange
-// over any row range cannot fail on parameters.
+// parameter validation as Privatize, so a nil error here means privatizing
+// any row range cannot fail on parameters.
 func ViewMetaFor(r *relation.Relation, params Params) (*ViewMeta, error) {
 	schema := r.Schema()
 	domains := make(map[string][]string)
@@ -149,14 +146,9 @@ func ViewMetaFromProfile(schema relation.Schema, rows int, domains map[string][]
 		if !ok {
 			return nil, faults.Errorf(faults.ErrBadParams, "privacy: no randomization probability for discrete attribute %q", name)
 		}
-		if p < 0 || p > 1 || math.IsNaN(p) {
-			return nil, fmt.Errorf("privacy: attribute %q: %w", name,
-				faults.Errorf(faults.ErrBadParams, "privacy: randomization probability %v out of [0,1]", p))
-		}
 		domain := domains[name]
-		if len(domain) == 0 && rows > 0 {
-			return nil, fmt.Errorf("privacy: attribute %q: %w", name,
-				faults.Errorf(faults.ErrBadInput, "privacy: empty domain for non-empty column"))
+		if err := checkGRR(p, len(domain), rows); err != nil {
+			return nil, fmt.Errorf("privacy: attribute %q: %w", name, err)
 		}
 		if len(domain) > 0 {
 			if err := checkP(params.Mechanism, p, len(domain)); err != nil {
@@ -174,74 +166,119 @@ func ViewMetaFromProfile(schema relation.Schema, rows int, domains map[string][]
 		if !ok {
 			return nil, faults.Errorf(faults.ErrBadParams, "privacy: no laplace scale for numeric attribute %q", name)
 		}
-		if b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
-			return nil, fmt.Errorf("privacy: attribute %q: %w", name,
-				faults.Errorf(faults.ErrBadParams, "privacy: laplace scale %v must be finite and >= 0", b))
+		if err := checkLaplace(b); err != nil {
+			return nil, fmt.Errorf("privacy: attribute %q: %w", name, err)
 		}
 		meta.Numeric[name] = NumericMeta{Name: name, B: b, Delta: deltas[name], Lo: lows[name], Bins: bins}
 	}
 	return meta, nil
 }
 
-// PrivatizeRange privatizes rows [lo, hi) of r into view, a same-schema
-// relation (typically a Clone of r). meta supplies the per-attribute
-// parameters and domains (from ViewMetaFor). Columns are processed in schema
-// order — all discrete, then all numeric — so the RNG consumption order is
-// the same for every range and per-chunk streams compose deterministically.
-//
-// PrivatizeRange allocates nothing and only writes rows [lo, hi) of view,
-// so disjoint ranges may be privatized concurrently with independent RNGs.
-// It does not invalidate view's cached discrete indexes; callers must
-// invalidate (or avoid reusing a pre-built index) after the last range.
-func PrivatizeRange(rng Rand, r, view *relation.Relation, meta *ViewMeta, lo, hi int) error {
+// release is a view being privatized from a source relation under meta:
+// one function per column, in schema order (all discrete, then all
+// numeric), that privatizes a row range of it, and the columns they write.
+// A discrete column is codes into its output domain — the released domain
+// GRR draws from, then any source value outside it — and a numeric column
+// a copy of the source's. Disjoint ranges may be privatized concurrently
+// with independent RNGs.
+type release struct {
+	src     *relation.Relation
+	cols    []func(rng Rand, lo, hi int)
+	coded   map[string]*relation.DiscreteIndex
+	numeric map[string][]float64
+}
+
+// newRelease lays out the view of r that meta releases, checking every
+// attribute's parameters in column order.
+func newRelease(r *relation.Relation, meta *ViewMeta) (*release, error) {
+	rel := &release{src: r, coded: map[string]*relation.DiscreteIndex{}, numeric: map[string][]float64{}}
 	for _, name := range r.Schema().DiscreteNames() {
 		dm, ok := meta.Discrete[name]
 		if !ok {
-			return faults.Errorf(faults.ErrBadParams, "privacy: no meta for discrete attribute %q", name)
+			return nil, faults.Errorf(faults.ErrBadParams, "privacy: no meta for discrete attribute %q", name)
 		}
-		src, err := r.Discrete(name)
+		src, err := r.DiscreteIndex(name)
 		if err != nil {
-			return err
-		}
-		dst, err := view.Discrete(name)
-		if err != nil {
-			return err
+			return nil, err
 		}
 		p, err := dm.GRRP()
+		if err == nil {
+			err = checkGRR(p, len(dm.Domain), r.NumRows())
+		}
 		if err != nil {
-			return fmt.Errorf("privacy: attribute %q: %w", name, err)
+			return nil, fmt.Errorf("privacy: attribute %q: %w", name, err)
 		}
-		copy(dst[lo:hi], src[lo:hi])
-		if err := RandomizedResponseInPlace(rng, dst[lo:hi], dm.Domain, p); err != nil {
-			return fmt.Errorf("privacy: attribute %q: %w", name, err)
+		domain, nd := slices.Clip(dm.Domain), len(dm.Domain)
+		remap := make([]uint32, src.N())
+		for c, v := range src.Domain {
+			k, found := slices.BinarySearch(dm.Domain, v)
+			if !found {
+				k, domain = len(domain), append(domain, v)
+			}
+			remap[c] = uint32(k)
 		}
+		codes := make([]uint32, r.NumRows())
+		rel.coded[name] = &relation.DiscreteIndex{Domain: domain, Codes: codes}
+		// Draws exactly as RandomizedResponse does.
+		rel.cols = append(rel.cols, func(rng Rand, lo, hi int) {
+			out := codes[lo:hi]
+			for k, c := range src.Codes[lo:hi] {
+				out[k] = remap[c]
+			}
+			resampleVisit(rng, p, hi-lo, func(k int) { out[k] = uint32(rng.Intn(nd)) })
+		})
 	}
 	for _, name := range r.Schema().NumericNames() {
 		nm, ok := meta.Numeric[name]
 		if !ok {
-			return faults.Errorf(faults.ErrBadParams, "privacy: no meta for numeric attribute %q", name)
+			return nil, faults.Errorf(faults.ErrBadParams, "privacy: no meta for numeric attribute %q", name)
 		}
 		src, err := r.Numeric(name)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		dst, err := view.Numeric(name)
-		if err != nil {
-			return err
+		if err := checkLaplace(nm.B); err != nil {
+			return nil, fmt.Errorf("privacy: attribute %q: %w", name, err)
 		}
-		copy(dst[lo:hi], src[lo:hi])
-		if err := LaplacePerturbInPlace(rng, dst[lo:hi], nm.B); err != nil {
-			return fmt.Errorf("privacy: attribute %q: %w", name, err)
-		}
+		vals := make([]float64, len(src))
+		rel.numeric[name] = vals
+		rel.cols = append(rel.cols, func(rng Rand, lo, hi int) {
+			copy(vals[lo:hi], src[lo:hi])
+			perturb(rng, vals[lo:hi], nm.B)
+		})
 	}
-	return nil
+	return rel, nil
 }
 
-// invalidateDiscrete drops every cached discrete index of a freshly
-// privatized view: the view was cloned from its source (sharing the source's
-// caches) and its discrete columns have since been rewritten.
-func invalidateDiscrete(v *relation.Relation) {
-	for _, name := range v.Schema().DiscreteNames() {
-		v.InvalidateIndex(name)
+// privatize privatizes rows [lo, hi), column by column, so the RNG
+// consumption order is the same for every range and per-chunk streams
+// compose deterministically. It allocates nothing.
+func (rel *release) privatize(rng Rand, lo, hi int) {
+	for _, col := range rel.cols {
+		col(rng, lo, hi)
 	}
+}
+
+// view installs the privatized columns as a relation of the source's schema.
+func (rel *release) view() (*relation.Relation, error) {
+	for name, ix := range rel.coded {
+		canon, err := relation.NewIndex(ix.Domain, ix.Codes)
+		if err != nil {
+			return nil, err
+		}
+		rel.coded[name] = canon
+	}
+	return relation.FromBacking(rel.src.Schema(), rel.src.NumRows(), rel.numeric, rel.coded)
+}
+
+// PrivatizeWithMeta privatizes every row of r under meta (from ViewMetaFor
+// or a profile) with one RNG stream and returns the view; r is not
+// modified. The chunk pipeline privatizes each window through it.
+func PrivatizeWithMeta(rng Rand, r *relation.Relation, meta *ViewMeta) (*relation.Relation, error) {
+	rel, err := newRelease(r, meta)
+	if err != nil {
+		return nil, err
+	}
+	rel.privatize(rng, 0, r.NumRows())
+	return rel.view()
 }

@@ -98,14 +98,15 @@ func TestGRRRandomizeByteIdentity(t *testing.T) {
 		col1[i] = domain[i%len(domain)]
 		col2[i] = col1[i]
 	}
-	if err := RandomizedResponseInPlace(rand.New(rand.NewSource(42)), col1, domain, p); err != nil {
+	col1, err := RandomizedResponse(rand.New(rand.NewSource(42)), col1, domain, p)
+	if err != nil {
 		t.Fatal(err)
 	}
 	q, err := GRRP(MechGRR, p, len(domain))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RandomizedResponseInPlace(rand.New(rand.NewSource(42)), col2, domain, q); err != nil {
+	if col2, err = RandomizedResponse(rand.New(rand.NewSource(42)), col2, domain, q); err != nil {
 		t.Fatal(err)
 	}
 	for i := range col1 {

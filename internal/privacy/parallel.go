@@ -40,7 +40,7 @@ const ShardRows = 4096
 // PrivatizeParallel is Privatize with deterministic per-shard RNG streams
 // and a bounded worker pool: the relation is split into fixed ShardRows-row
 // shards, shard s is privatized with StreamRand(seed, s), and workers write
-// disjoint row ranges of the cloned view concurrently. The output is a pure
+// disjoint row ranges of the view concurrently. The output is a pure
 // function of (seed, r, params) — byte-identical for any workers value,
 // including 1. workers <= 0 means runtime.GOMAXPROCS(0).
 //
@@ -52,19 +52,20 @@ func PrivatizeParallel(seed int64, r *relation.Relation, params Params, workers 
 	if err != nil {
 		return nil, nil, err
 	}
-	out := r.Clone()
+	rel, err := newRelease(r, meta)
+	if err != nil {
+		return nil, nil, err
+	}
 	rows := r.NumRows()
 	shards := (rows + ShardRows - 1) / ShardRows
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, shards)
-	// Each shard writes a disjoint row range of the clone, so workers need
+	// Each shard writes a disjoint row range of the view, so workers need
 	// no synchronization beyond the job channel; one worker is the serial
-	// run. Errors are collected per shard and reported lowest-shard-first to
-	// keep failures deterministic.
+	// run.
 	jobs := make(chan int)
-	errs := make([]error, shards)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -72,7 +73,7 @@ func PrivatizeParallel(seed int64, r *relation.Relation, params Params, workers 
 			defer wg.Done()
 			for s := range jobs {
 				lo := s * ShardRows
-				errs[s] = PrivatizeRange(StreamRand(seed, s), r, out, meta, lo, min(lo+ShardRows, rows))
+				rel.privatize(StreamRand(seed, s), lo, min(lo+ShardRows, rows))
 			}
 		}()
 	}
@@ -81,11 +82,9 @@ func PrivatizeParallel(seed int64, r *relation.Relation, params Params, workers 
 	}
 	close(jobs)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	out, err := rel.view()
+	if err != nil {
+		return nil, nil, err
 	}
-	invalidateDiscrete(out)
 	return out, meta, nil
 }

@@ -185,8 +185,8 @@ func TestRandomizedResponseEdgeProbabilities(t *testing.T) {
 	col := []string{"a", "c", "b", "a"}
 
 	// p = 0: pure copy, zero draws.
-	keep := append([]string(nil), col...)
-	if err := RandomizedResponseInPlace(panicRand{t}, keep, domain, 0); err != nil {
+	keep, err := RandomizedResponse(panicRand{t}, col, domain, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range keep {
@@ -196,8 +196,8 @@ func TestRandomizedResponseEdgeProbabilities(t *testing.T) {
 	}
 
 	// p = 1: every cell resampled with exactly one Intn and no Float64.
-	all := append([]string(nil), col...)
-	if err := RandomizedResponseInPlace(intnOnlyRand{t, rand.New(rand.NewSource(1))}, all, domain, 1); err != nil {
+	all, err := RandomizedResponse(intnOnlyRand{t, rand.New(rand.NewSource(1))}, col, domain, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range all {

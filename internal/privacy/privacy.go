@@ -278,11 +278,12 @@ func BForEpsilon(delta, eps float64) (float64, error) {
 // consumption differs from naive per-cell flips, so views released by older
 // versions are not reproduced draw-for-draw.
 func RandomizedResponse(rng Rand, col []string, domain []string, p float64) ([]string, error) {
-	out := make([]string, len(col))
-	copy(out, col)
-	if err := RandomizedResponseInPlace(rng, out, domain, p); err != nil {
+	if err := checkGRR(p, len(domain), len(col)); err != nil {
 		return nil, err
 	}
+	out := make([]string, len(col))
+	copy(out, col)
+	resampleVisit(rng, p, len(out), func(i int) { out[i] = domain[rng.Intn(len(domain))] })
 	return out, nil
 }
 
@@ -299,11 +300,10 @@ func Privatize(rng Rand, r *relation.Relation, params Params) (*relation.Relatio
 	if err != nil {
 		return nil, nil, err
 	}
-	out := r.Clone()
-	if err := PrivatizeRange(rng, r, out, meta, 0, r.NumRows()); err != nil {
+	out, err := PrivatizeWithMeta(rng, r, meta)
+	if err != nil {
 		return nil, nil, err
 	}
-	invalidateDiscrete(out)
 	return out, meta, nil
 }
 

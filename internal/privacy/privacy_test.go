@@ -195,7 +195,7 @@ func TestLaplacePerturb(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	col := []float64{1, 2, math.NaN()}
 	out := append([]float64(nil), col...)
-	if err := LaplacePerturbInPlace(rng, out, 1); err != nil {
+	if err := laplaceInPlace(rng, out, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsNaN(out[2]) {
@@ -204,12 +204,12 @@ func TestLaplacePerturb(t *testing.T) {
 	if out[0] == col[0] && out[1] == col[1] {
 		t.Fatal("noise should perturb values (w.h.p.)")
 	}
-	if err := LaplacePerturbInPlace(rng, append([]float64(nil), col...), -1); err == nil {
+	if err := laplaceInPlace(rng, append([]float64(nil), col...), -1); err == nil {
 		t.Fatal("want error for negative scale")
 	}
 	// b=0 is identity.
 	out = []float64{7}
-	if err := LaplacePerturbInPlace(rng, out, 0); err != nil || out[0] != 7 {
+	if err := laplaceInPlace(rng, out, 0); err != nil || out[0] != 7 {
 		t.Fatalf("b=0 = %v, %v", out, err)
 	}
 }
@@ -222,7 +222,7 @@ func TestLaplacePerturbZeroMean(t *testing.T) {
 		col[i] = 10
 	}
 	out := append([]float64(nil), col...)
-	if err := LaplacePerturbInPlace(rng, out, 5); err != nil {
+	if err := laplaceInPlace(rng, out, 5); err != nil {
 		t.Fatal(err)
 	}
 	sum := 0.0
@@ -459,4 +459,14 @@ func TestLemma1LikelihoodRatio(t *testing.T) {
 	if math.Abs(ratio-(2/p-1)) > 1e-9 {
 		t.Fatalf("exact ratio should be 2/p-1 = %v, got %v", 2/p-1, ratio)
 	}
+}
+
+// laplaceInPlace is the checked one-column Laplace draw: the scale check
+// and the perturbation the release path runs for every numeric column.
+func laplaceInPlace(rng Rand, col []float64, b float64) error {
+	if err := checkLaplace(b); err != nil {
+		return err
+	}
+	perturb(rng, col, b)
+	return nil
 }

@@ -148,13 +148,17 @@ func execQuantile(rel *relation.Relation, q *Query, udfs UDFs) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		vals, err := rel.Discrete(pred.Attr)
+		ix, err := rel.DiscreteIndex(pred.Attr)
 		if err != nil {
 			return Result{}, err
 		}
+		match := make([]bool, ix.N())
+		for c, v := range ix.Domain {
+			match[c] = pred.Match(v)
+		}
 		cells = nil
-		for i, v := range vals {
-			if pred.Match(v) {
+		for i, c := range ix.Codes {
+			if match[c] {
 				cells = append(cells, col[i])
 			}
 		}
@@ -174,43 +178,42 @@ func execGroupBy(rel *relation.Relation, q *Query) (Result, error) {
 		// the estimator paths only.
 		return Result{}, fmt.Errorf("query: GROUP BY bin(%s) needs the view's released bin layout and has no exact-oracle form", q.GroupBy)
 	}
-	groupCol, err := rel.Discrete(q.GroupBy)
+	group, err := rel.DiscreteIndex(q.GroupBy)
 	if err != nil {
 		return Result{}, err
 	}
+	var vals []float64 // nil for count, which weighs every row 1
 	switch q.Agg {
 	case AggCount:
-		counts := make(map[string]float64)
-		for _, v := range groupCol {
-			counts[v]++
-		}
-		return Result{Groups: counts, IsGroupBy: true}, nil
 	case AggSum, AggAvg:
-		vals, err := rel.Numeric(q.AggAttr)
-		if err != nil {
+		if vals, err = rel.Numeric(q.AggAttr); err != nil {
 			return Result{}, err
 		}
-		sums := make(map[string]float64)
-		counts := make(map[string]float64)
-		for i, v := range groupCol {
-			x := vals[i]
-			if x != x {
-				continue
-			}
-			sums[v] += x
-			counts[v]++
-		}
-		if q.Agg == AggSum {
-			return Result{Groups: sums, IsGroupBy: true}, nil
-		}
-		avgs := make(map[string]float64, len(sums))
-		for k, s := range sums {
-			if counts[k] > 0 {
-				avgs[k] = s / counts[k]
-			}
-		}
-		return Result{Groups: avgs, IsGroupBy: true}, nil
 	default:
 		return Result{}, fmt.Errorf("query: invalid aggregate %v", q.Agg)
 	}
+	// Per-code sums and non-NaN counts, keyed by value at the end; each
+	// group's cells are summed in row order.
+	sums, counts := make([]float64, group.N()), make([]float64, group.N())
+	for i, c := range group.Codes {
+		x := 1.0
+		if vals != nil {
+			if x = vals[i]; x != x {
+				continue
+			}
+		}
+		sums[c] += x
+		counts[c]++
+	}
+	out := make(map[string]float64, group.N())
+	for c, v := range group.Domain {
+		switch {
+		case counts[c] == 0:
+		case q.Agg == AggAvg:
+			out[v] = sums[c] / counts[c]
+		default:
+			out[v] = sums[c]
+		}
+	}
+	return Result{Groups: out, IsGroupBy: true}, nil
 }

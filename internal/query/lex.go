@@ -24,7 +24,7 @@ import (
 	"unicode/utf8"
 )
 
-type tokenKind int
+type tokenKind uint8
 
 const (
 	tokEOF tokenKind = iota
@@ -34,10 +34,12 @@ const (
 	tokPunct // single punctuation: ( ) , = and the multi-rune != <>
 )
 
+// token is 24 bytes: a rune position fits in int32, as a query body is at
+// most 1 MiB (the servers' maxBodyBytes).
 type token struct {
-	kind tokenKind
 	text string
-	pos  int
+	pos  int32
+	kind tokenKind
 }
 
 func (t token) String() string {
@@ -57,10 +59,10 @@ func (t token) String() string {
 func lex(src string) ([]token, error) {
 	toks := make([]token, 0, len(src)/4+4) // typical queries hold a token per 4 bytes
 	runes, last := 0, 0                    // the rune count of src[:last]
-	pos := func(i int) int {
+	pos := func(i int) int32 {
 		runes += utf8.RuneCountInString(src[last:i])
 		last = i
-		return runes
+		return int32(runes)
 	}
 	for i := 0; i < len(src); {
 		r, size := utf8.DecodeRuneInString(src[i:])

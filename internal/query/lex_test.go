@@ -3,7 +3,16 @@ package query
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
+
+// The lexer pre-sizes its token slice per query, so a token's size is a
+// per-request allocation.
+func TestTokenSize(t *testing.T) {
+	if n := unsafe.Sizeof(token{}); n != 24 {
+		t.Fatalf("token is %d bytes, want 24", n)
+	}
+}
 
 // TestLexTokens pins token kinds, texts and rune positions, and both lexer
 // errors, over multi-byte identifiers and strings, doubled quotes, both
@@ -56,7 +65,7 @@ func TestLexTokens(t *testing.T) {
 		}
 		got := make([]tok, len(toks))
 		for i, x := range toks {
-			got[i] = tok{x.kind, x.text, x.pos}
+			got[i] = tok{x.kind, x.text, int(x.pos)}
 		}
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 			t.Errorf("lex(%q):\n got %v\nwant %v", tc.src, got, tc.want)

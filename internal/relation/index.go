@@ -1,19 +1,22 @@
 package relation
 
-import "sort"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
-// DiscreteIndex is the dictionary encoding of one discrete column: the sorted
-// distinct values (the column's Domain) plus one uint32 code per row giving
-// the value's position in that domain. Hot paths — randomized response, the
-// estimator predicate scans, value counting — operate over the codes instead
-// of repeated string compares and map lookups.
+// DiscreteIndex is the dictionary encoding of one discrete column, and the
+// only form a relation stores one in: the sorted distinct values the column
+// holds (its Domain) plus one uint32 code per row giving the value's
+// position in that domain. Hot paths — randomized response, the estimator
+// predicate scans, value counting — operate over the codes instead of
+// repeated string compares and map lookups.
 //
-// An index is immutable once built. The relation keeps it per column and
-// drops it whenever the column is written through the relation API
-// (SetDiscrete, MapDiscrete); every write first builds the column's strings,
-// so a column held only as its index keeps its values. Code that mutates a
-// column's backing slice directly — the cleaners that rewrite rows in place —
-// must call InvalidateIndex afterwards.
+// Every index a relation holds is canonical — its domain is strictly sorted
+// and each of its values is held by some row — and immutable: a write
+// installs a new index in place of the old one, so an index once read stays
+// valid, and concurrent readers need no lock.
 type DiscreteIndex struct {
 	// Domain holds the sorted distinct values of the column.
 	Domain []string
@@ -21,42 +24,88 @@ type DiscreteIndex struct {
 	// value in Domain, so Domain[Codes[i]] is the row's value.
 	Codes []uint32
 	// Counts holds one entry per domain value: Counts[c] is the number of
-	// rows whose code is c. buildIndex and FromBacking both fill it,
-	// turning predicate counting into an O(domain) sum instead of an O(rows)
-	// scan, so every index Relation.DiscreteIndex returns carries it. A
-	// hand-assembled index may leave it nil.
+	// rows whose code is c, never 0. It turns predicate counting into an
+	// O(domain) sum instead of an O(rows) scan.
 	Counts []uint32
 }
 
 // N returns the domain size.
 func (ix *DiscreteIndex) N() int { return len(ix.Domain) }
 
-// discreteCol holds one discrete column as its strings, its index, or both;
-// whichever is missing is built from the other on first use, under
-// Relation.dmu.
-type discreteCol struct {
-	vals []string       // nil while the column is held only as codes
-	ix   *DiscreteIndex // nil until built; dropped when the column is written
+// Value returns row i's value.
+func (ix *DiscreteIndex) Value(i int) string { return ix.Domain[ix.Codes[i]] }
+
+// NewIndex returns the canonical encoding of the column whose row i holds
+// domain[codes[i]]. domain may be in any order, repeat values and hold
+// values no row uses: the result keeps the used values, sorted and merged,
+// and remaps the codes onto them. Every way of writing a discrete column
+// ends here. NewIndex never writes domain or codes; it adopts both when they
+// already form a canonical encoding, and the caller must not write them
+// afterwards.
+func NewIndex(domain []string, codes []uint32) (*DiscreteIndex, error) {
+	return canonical(&DiscreteIndex{Domain: domain, Codes: codes})
 }
 
-// strings returns the column's values, filling Domain[Codes[i]] the first
-// time a column held only as codes is read. The caller holds dmu.
-func (dc *discreteCol) strings() []string {
-	if dc.vals == nil && dc.ix != nil {
-		dc.vals = make([]string, len(dc.ix.Codes))
-		for i, c := range dc.ix.Codes {
-			dc.vals[i] = dc.ix.Domain[c]
+// canonical is NewIndex over ix's Domain and Codes. An ix that is canonical
+// already is adopted as it stands, with its Counts filled in — in the
+// storage Counts holds when it has room, so a caller that encodes window
+// after window can reuse one buffer.
+func canonical(ix *DiscreteIndex) (*DiscreteIndex, error) {
+	domain, codes := ix.Domain, ix.Codes
+	n := uint32(len(domain))
+	counts := ix.Counts[:0]
+	if cap(counts) < int(n) {
+		counts = make([]uint32, n)
+	} else {
+		counts = counts[:n]
+		clear(counts)
+	}
+	for i, c := range codes {
+		if c >= n {
+			return nil, fmt.Errorf("out-of-range code %d at row %d (domain size %d)", c, i, n)
+		}
+		counts[c]++
+	}
+	canon := true
+	for c := range domain {
+		if counts[c] == 0 || c > 0 && domain[c-1] >= domain[c] {
+			canon = false
+			break
 		}
 	}
-	return dc.vals
+	if canon {
+		ix.Counts = counts
+		return ix, nil
+	}
+	used := make([]uint32, 0, n)
+	for c, k := range counts {
+		if k > 0 {
+			used = append(used, uint32(c))
+		}
+	}
+	slices.SortFunc(used, func(a, b uint32) int { return strings.Compare(domain[a], domain[b]) })
+	remap := make([]uint32, n)
+	out := &DiscreteIndex{Domain: make([]string, 0, len(used)), Codes: make([]uint32, len(codes))}
+	for _, c := range used {
+		if last := len(out.Domain) - 1; last < 0 || out.Domain[last] != domain[c] {
+			out.Domain = append(out.Domain, domain[c])
+			out.Counts = append(out.Counts, 0)
+		}
+		remap[c] = uint32(len(out.Domain) - 1)
+		out.Counts[remap[c]] += counts[c]
+	}
+	for i, c := range codes {
+		out.Codes[i] = remap[c]
+	}
+	return out, nil
 }
 
-// buildIndex dictionary-encodes one column.
-func buildIndex(col []string) *DiscreteIndex {
+// encode dictionary-encodes a column of strings.
+func encode(vals []string) *DiscreteIndex {
 	pos := make(map[string]uint32, 64)
-	domain := make([]string, 0, 64)
-	codes := make([]uint32, len(col))
-	for i, v := range col {
+	var domain []string
+	codes := make([]uint32, len(vals))
+	for i, v := range vals {
 		c, ok := pos[v]
 		if !ok {
 			c = uint32(len(domain))
@@ -65,65 +114,14 @@ func buildIndex(col []string) *DiscreteIndex {
 		}
 		codes[i] = c
 	}
-	// Sort the domain and remap first-seen codes to sorted ranks.
-	rank := make([]uint32, len(domain))
-	order := make([]int, len(domain))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return domain[order[a]] < domain[order[b]] })
-	sorted := make([]string, len(domain))
-	for r, o := range order {
-		sorted[r] = domain[o]
-		rank[o] = uint32(r)
-	}
-	counts := make([]uint32, len(domain))
-	for i, c := range codes {
-		codes[i] = rank[c]
-		counts[rank[c]]++
-	}
-	return &DiscreteIndex{Domain: sorted, Codes: codes, Counts: counts}
+	ix, _ := NewIndex(domain, codes) // every code indexes domain
+	return ix
 }
 
-// DiscreteIndex returns the dictionary encoding of a discrete column,
-// building it from the strings on first use; a column held only as codes
-// already has it and never builds its strings here. The returned index must
-// be treated as read-only; it stays valid even if the column is later
-// modified (the entry is replaced, not mutated).
-//
-// The entry is guarded by a mutex, so any number of goroutines may call
-// DiscreteIndex (and the Domain/DomainSize/ValueCounts readers built on it)
-// and Discrete concurrently — the property the query server depends on.
-// Column *writes* remain single-threaded: the relation is read-mostly, not
-// a concurrent table.
+// DiscreteIndex returns the encoding of a discrete column. The index is the
+// relation's own and must be treated as read-only; it stays valid, and
+// describes the column as it was, after any later write, which installs a
+// new index instead of changing this one.
 func (r *Relation) DiscreteIndex(name string) (*DiscreteIndex, error) {
-	dc, err := r.lookupDiscrete(name)
-	if err != nil {
-		return nil, err
-	}
-	r.dmu.Lock()
-	defer r.dmu.Unlock()
-	if dc.ix == nil {
-		dc.ix = buildIndex(dc.vals)
-	} else if dc.vals != nil {
-		debugCheckIndex(name, dc.ix, dc.vals)
-	}
-	return dc.ix, nil
-}
-
-// InvalidateIndex drops the dictionary encoding of a column, building its
-// strings first if it is held only as codes. Callers that write a discrete
-// column through its backing slice (rather than the SetDiscrete/MapDiscrete
-// API) must invalidate before the next read of Domain, DomainSize,
-// ValueCounts, or DiscreteIndex. Invalidating a column with no index (or a
-// numeric/unknown column) is a no-op.
-func (r *Relation) InvalidateIndex(name string) {
-	dc, ok := r.discrete[name]
-	if !ok {
-		return
-	}
-	r.dmu.Lock()
-	defer r.dmu.Unlock()
-	dc.strings() // the index may be the column's only copy of its values
-	dc.ix = nil
+	return r.lookupDiscrete(name)
 }

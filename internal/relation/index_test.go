@@ -1,7 +1,9 @@
 package relation
 
 import (
-	"errors"
+	"fmt"
+	"maps"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -33,19 +35,12 @@ func codedRel(t *testing.T) *Relation {
 	)
 	ix := &DiscreteIndex{Domain: []string{"LA", "NYC", "SF"}, Codes: []uint32{2, 0, 2, 1, 0, 2}}
 	r, err := FromBacking(schema, 6,
-		map[string][]float64{"temp": {1, 2, 3, 4, 5, 6}}, nil,
+		map[string][]float64{"temp": {1, 2, 3, 4, 5, 6}},
 		map[string]*DiscreteIndex{"city": ix})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
-}
-
-// stringsBuilt reports whether a discrete column holds its strings.
-func stringsBuilt(r *Relation, name string) bool {
-	r.dmu.Lock()
-	defer r.dmu.Unlock()
-	return r.discrete[name].vals != nil
 }
 
 func TestDiscreteIndexRoundTrip(t *testing.T) {
@@ -94,13 +89,7 @@ func TestDiscreteIndexCached(t *testing.T) {
 
 func TestDomainRoutesThroughIndexAndCopies(t *testing.T) {
 	t.Run("strings", func(t *testing.T) { checkDomainReads(t, indexRel(t)) })
-	t.Run("coded", func(t *testing.T) {
-		r := codedRel(t)
-		checkDomainReads(t, r)
-		if stringsBuilt(r, "city") {
-			t.Error("Domain, DomainSize or ValueCounts built a coded column's strings")
-		}
-	})
+	t.Run("coded", func(t *testing.T) { checkDomainReads(t, codedRel(t)) })
 }
 
 func checkDomainReads(t *testing.T, r *Relation) {
@@ -135,10 +124,13 @@ func checkDomainReads(t *testing.T, r *Relation) {
 
 func TestWritesInvalidateIndex(t *testing.T) {
 	r := indexRel(t)
-	if _, err := r.DiscreteIndex("city"); err != nil {
+	before, err := r.DiscreteIndex("city")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.SetDiscrete("city", 0, "Boston"); err != nil {
+	vals := r.MustDiscrete("city")
+	vals[0] = "Boston"
+	if err := r.SetDiscrete("city", vals); err != nil {
 		t.Fatal(err)
 	}
 	d, err := r.Domain("city")
@@ -148,8 +140,11 @@ func TestWritesInvalidateIndex(t *testing.T) {
 	if !contains(d, "Boston") {
 		t.Errorf("SetDiscrete not reflected in Domain: %v", d)
 	}
+	if contains(before.Domain, "Boston") {
+		t.Error("a write changed the index read before it")
+	}
 
-	if err := r.MapDiscrete("city", func(v string) string { return v + "!" }); err != nil {
+	if err := r.MapDomain("city", func(v string) string { return v + "!" }); err != nil {
 		t.Fatal(err)
 	}
 	d, err = r.Domain("city")
@@ -157,7 +152,7 @@ func TestWritesInvalidateIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !contains(d, "Boston!") || contains(d, "Boston") {
-		t.Errorf("MapDiscrete not reflected in Domain: %v", d)
+		t.Errorf("MapDomain not reflected in Domain: %v", d)
 	}
 
 	if err := r.AddDiscreteColumn("tier", []string{"a", "b", "a", "b", "a", "b"}); err != nil {
@@ -172,35 +167,20 @@ func TestWritesInvalidateIndex(t *testing.T) {
 	}
 }
 
-func TestRawWriteNeedsExplicitInvalidate(t *testing.T) {
+// Discrete hands out a copy: writing it leaves the relation and its index
+// as they were.
+func TestDiscreteReturnsCopy(t *testing.T) {
 	r := indexRel(t)
 	ix, err := r.DiscreteIndex("city")
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := r.MustDiscrete("city")
-	col[0] = "Chicago" // backing-slice write bypasses the cache
-	if !debugAssertEnabled {
-		// In normal builds the stale entry is served as-is; under pcdebug the
-		// same read panics (covered by TestDebugAssertStaleIndex).
-		stale, err := r.DiscreteIndex("city")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stale != ix {
-			t.Fatal("raw writes are not expected to refresh the cache by themselves")
-		}
+	r.MustDiscrete("city")[0] = "Chicago"
+	if got := r.MustDiscrete("city")[0]; got != "SF" {
+		t.Fatalf("a write to Discrete's slice reached the relation: row 0 = %q", got)
 	}
-	r.InvalidateIndex("city")
-	fresh, err := r.DiscreteIndex("city")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh == ix {
-		t.Error("InvalidateIndex should force a rebuild")
-	}
-	if got := fresh.Domain[fresh.Codes[0]]; got != "Chicago" {
-		t.Errorf("rebuilt index decodes row 0 to %q", got)
+	if again, _ := r.DiscreteIndex("city"); again != ix || contains(ix.Domain, "Chicago") {
+		t.Error("a write to Discrete's slice changed the index")
 	}
 }
 
@@ -216,16 +196,21 @@ func TestCloneSharesIndexUntilInvalidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	if shared != orig {
-		t.Error("a clone's identical column should reuse the immutable cached index")
+		t.Error("a clone's identical column should reuse the immutable index")
 	}
-	// Invalidating the clone must not disturb the original's cache.
-	c.InvalidateIndex("city")
+	// A write to the clone installs its own index, leaving the original's.
+	if err := c.MapDomain("city", strings.ToLower); err != nil {
+		t.Fatal(err)
+	}
+	if mine, _ := c.DiscreteIndex("city"); mine == orig {
+		t.Error("a write to the clone kept the shared index")
+	}
 	still, err := r.DiscreteIndex("city")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if still != orig {
-		t.Error("invalidating a clone's entry must not evict the original's")
+	if still != orig || !slices.Equal(orig.Domain, []string{"LA", "NYC", "SF"}) {
+		t.Error("a write to a clone must not touch the original's index")
 	}
 }
 
@@ -247,16 +232,14 @@ func TestCodedColumnIndexReadsBuildNoStrings(t *testing.T) {
 	if want := []uint32{2, 1, 3}; !slices.Equal(ix.Counts, want) {
 		t.Errorf("Counts = %v, want %v", ix.Counts, want)
 	}
-	if err := r.CheckIndex("city"); err != nil {
-		t.Errorf("CheckIndex on a coded column: %v", err)
+	// A canonical coded column is adopted as given, codes included.
+	if want := []uint32{2, 0, 2, 1, 0, 2}; !slices.Equal(ix.Codes, want) {
+		t.Errorf("Codes = %v, want %v", ix.Codes, want)
 	}
-	if stringsBuilt(r, "city") {
-		t.Fatal("DiscreteIndex or CheckIndex built a coded column's strings")
-	}
-	// A clone keeps the column as codes, sharing the immutable index.
+	// A clone shares the immutable index.
 	c := r.Clone()
-	if cix, _ := c.DiscreteIndex("city"); cix != ix || stringsBuilt(c, "city") {
-		t.Error("Clone should share the index and leave the strings unbuilt")
+	if cix, _ := c.DiscreteIndex("city"); cix != ix {
+		t.Error("Clone should share the index")
 	}
 }
 
@@ -265,16 +248,13 @@ func TestCodedColumnReadsMatchStrings(t *testing.T) {
 	r := codedRel(t)
 	ix, _ := r.DiscreteIndex("city")
 	if !r.Equal(want) || !want.Equal(codedRel(t)) {
-		t.Fatal("a coded column should equal the same column held as strings")
+		t.Fatal("a coded column should equal the same column given as strings")
 	}
 	if got := r.MustDiscrete("city"); !slices.Equal(got, want.MustDiscrete("city")) {
 		t.Fatalf("Discrete = %v", got)
 	}
 	if again, _ := r.DiscreteIndex("city"); again != ix {
-		t.Error("building the strings must keep the stored index")
-	}
-	if err := r.CheckIndex("city"); err != nil {
-		t.Errorf("CheckIndex once both forms exist: %v", err)
+		t.Error("reading the strings must keep the stored index")
 	}
 
 	row, err := codedRel(t).Row(3)
@@ -291,9 +271,15 @@ func TestCodedColumnReadsMatchStrings(t *testing.T) {
 	if d, _ := w.Domain("city"); !slices.Equal(d, []string{"LA", "NYC", "SF"}) {
 		t.Errorf("window domain = %v", d)
 	}
+	w, _ = codedRel(t).Window(0, 3)
+	if d, _ := w.Domain("city"); !slices.Equal(d, []string{"LA", "SF"}) {
+		t.Errorf("window domain = %v, want only the values its rows hold", d)
+	}
 
 	c := codedRel(t).Clone()
-	if err := c.SetDiscrete("city", 0, "Oslo"); err != nil {
+	vals := c.MustDiscrete("city")
+	vals[0] = "Oslo"
+	if err := c.SetDiscrete("city", vals); err != nil {
 		t.Fatal(err)
 	}
 	if !codedRel(t).Equal(want) || c.Equal(want) {
@@ -303,7 +289,9 @@ func TestCodedColumnReadsMatchStrings(t *testing.T) {
 
 func TestCodedColumnWrites(t *testing.T) {
 	r := codedRel(t)
-	if err := r.SetDiscrete("city", 3, "Oslo"); err != nil {
+	vals := r.MustDiscrete("city")
+	vals[3] = "Oslo"
+	if err := r.SetDiscrete("city", vals); err != nil {
 		t.Fatal(err)
 	}
 	if d, _ := r.Domain("city"); !slices.Equal(d, []string{"LA", "Oslo", "SF"}) {
@@ -311,33 +299,95 @@ func TestCodedColumnWrites(t *testing.T) {
 	}
 
 	r = codedRel(t)
-	if err := r.MapDiscrete("city", strings.ToLower); err != nil {
+	if err := r.MapDomain("city", strings.ToLower); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.MustDiscrete("city"); !slices.Equal(got, []string{"sf", "la", "sf", "nyc", "la", "sf"}) {
-		t.Errorf("after MapDiscrete = %v", got)
+		t.Errorf("after MapDomain = %v", got)
 	}
 	if c, _ := r.ValueCounts("city"); c["sf"] != 3 || c["SF"] != 0 {
-		t.Errorf("after MapDiscrete, counts = %v", c)
+		t.Errorf("after MapDomain, counts = %v", c)
 	}
 
-	// Dropping the only form the column has keeps its values: the strings
-	// are built before the index goes.
+	// A map that merges values merges their codes and counts.
 	r = codedRel(t)
-	r.InvalidateIndex("city")
-	if !r.Equal(indexRel(t)) {
-		t.Fatal("InvalidateIndex lost a coded column's values")
+	if err := r.MapDomain("city", func(v string) string {
+		if v == "LA" {
+			return "SF"
+		}
+		return v
+	}); err != nil {
+		t.Fatal(err)
 	}
+	ix, _ := r.DiscreteIndex("city")
+	if !slices.Equal(ix.Domain, []string{"NYC", "SF"}) || !slices.Equal(ix.Counts, []uint32{1, 5}) {
+		t.Errorf("after a merging MapDomain, index = %+v", ix)
+	}
+}
 
-	// A raw write after the strings exist is caught like any other.
-	r = codedRel(t)
-	r.MustDiscrete("city")[0] = "Oslo"
-	var stale *StaleIndexError
-	if err := r.CheckIndex("city"); !errors.As(err, &stale) {
-		t.Fatalf("CheckIndex after a raw write = %v, want *StaleIndexError", err)
-	}
-	r.InvalidateIndex("city")
-	if c, _ := r.ValueCounts("city"); c["Oslo"] != 1 || c["SF"] != 2 {
-		t.Errorf("after InvalidateIndex, counts = %v", c)
+// TestMapDomainMatchesRowRewrite is the differential test of the dictionary
+// rewrite: on random columns and random maps f that both merge existing
+// values and introduce new ones, MapDomain's index must equal the encoding
+// of the column rewritten row by row, and Domain and ValueCounts must agree
+// with the rewritten rows.
+func TestMapDomainMatchesRowRewrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	schema := MustSchema(Column{Name: "d", Kind: Discrete})
+	for trial := 0; trial < 300; trial++ {
+		rows, width := rng.Intn(60), 1+rng.Intn(12)
+		vals := make([]string, rows)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("v%02d", rng.Intn(width))
+		}
+		// f sends each value to an existing value, a new one, or itself.
+		image := make(map[string]string)
+		for k := 0; k < width; k++ {
+			v := fmt.Sprintf("v%02d", k)
+			switch rng.Intn(3) {
+			case 0:
+				image[v] = fmt.Sprintf("v%02d", rng.Intn(width))
+			case 1:
+				image[v] = fmt.Sprintf("n%02d", rng.Intn(width))
+			default:
+				image[v] = v
+			}
+		}
+		f := func(v string) string { return image[v] }
+		r, err := FromColumns(schema, nil, map[string][]string{"d": vals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.MapDomain("d", f); err != nil {
+			t.Fatal(err)
+		}
+		rewritten := make([]string, rows)
+		counts := make(map[string]int)
+		for i, v := range vals {
+			rewritten[i] = f(v)
+			counts[f(v)]++
+		}
+		// The canonical encoding of the rewritten rows, built here without
+		// the package's encoder.
+		want := &DiscreteIndex{Codes: make([]uint32, rows)}
+		for v := range counts {
+			want.Domain = append(want.Domain, v)
+		}
+		slices.Sort(want.Domain)
+		for _, v := range want.Domain {
+			want.Counts = append(want.Counts, uint32(counts[v]))
+		}
+		for i, v := range rewritten {
+			c, _ := slices.BinarySearch(want.Domain, v)
+			want.Codes[i] = uint32(c)
+		}
+		got, _ := r.DiscreteIndex("d")
+		if !slices.Equal(got.Domain, want.Domain) || !slices.Equal(got.Codes, want.Codes) || !slices.Equal(got.Counts, want.Counts) {
+			t.Fatalf("trial %d: MapDomain index %+v, row rewrite encodes to %+v", trial, got, want)
+		}
+		dom, _ := r.Domain("d")
+		vc, _ := r.ValueCounts("d")
+		if len(dom) != len(counts) || !slices.IsSorted(dom) || !maps.Equal(vc, counts) {
+			t.Fatalf("trial %d: Domain %v, ValueCounts %v, rewritten rows hold %v", trial, dom, vc, counts)
+		}
 	}
 }

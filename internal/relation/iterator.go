@@ -20,11 +20,13 @@ type Iterator interface {
 	Next() (*Relation, error)
 }
 
-// Window returns a zero-copy view of rows [lo, hi): the returned relation
-// shares the backing column slices (capacity-clamped), so mutating a window
-// cell mutates the parent and vice versa. A parent column held only as codes
-// builds its strings first. Discrete indexes are not shared — their domain
-// is the parent's, which a window may not span.
+// Window returns rows [lo, hi) as a relation of their own. Numeric columns
+// share the parent's backing slices (capacity-clamped), so a numeric cell
+// written through either is written in both. Each discrete column is the slice of the parent's codes,
+// canonicalized: it shares the parent's immutable domain and codes when the
+// window holds every domain value, and is remapped onto the values it holds
+// otherwise. A write to the window installs its own column, never the
+// parent's.
 func (r *Relation) Window(lo, hi int) (*Relation, error) {
 	if lo < 0 || hi < lo || hi > r.rows {
 		return nil, fmt.Errorf("relation: window [%d,%d) out of range [0,%d]", lo, hi, r.rows)
@@ -32,22 +34,24 @@ func (r *Relation) Window(lo, hi int) (*Relation, error) {
 	out := &Relation{
 		schema:   r.schema,
 		numeric:  make(map[string][]float64, len(r.numeric)),
-		discrete: make(map[string]*discreteCol, len(r.discrete)),
+		discrete: make(map[string]*DiscreteIndex, len(r.discrete)),
 		rows:     hi - lo,
 	}
 	for name, col := range r.numeric {
 		out.numeric[name] = col[lo:hi:hi]
 	}
-	r.dmu.Lock()
-	defer r.dmu.Unlock()
-	for name, dc := range r.discrete {
-		out.discrete[name] = &discreteCol{vals: dc.strings()[lo:hi:hi]}
+	for name, ix := range r.discrete {
+		wix, err := NewIndex(ix.Domain, ix.Codes[lo:hi:hi])
+		if err != nil {
+			return nil, err
+		}
+		out.discrete[name] = wix
 	}
 	return out, nil
 }
 
 // SliceIterator adapts a resident relation to the Iterator interface by
-// yielding consecutive zero-copy windows of at most `window` rows. It lets
+// yielding consecutive windows (Window) of at most `window` rows. It lets
 // streaming consumers (statistics collection, streaming cleaning) run over
 // in-memory relations through the same code path as out-of-core sources.
 type SliceIterator struct {

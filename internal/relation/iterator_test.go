@@ -32,10 +32,20 @@ func TestWindowSharesBacking(t *testing.T) {
 	if got := w.MustNumeric("x")[0]; got != 3 {
 		t.Fatalf("window x[0] = %v, want 3", got)
 	}
-	// Zero-copy: a write through the window lands in the parent.
-	w.MustDiscrete("d")[0] = "Z"
-	if rel.MustDiscrete("d")[3] != "Z" {
-		t.Fatal("window mutation did not reach parent")
+	// The window's discrete column is its own: a write installs a column
+	// in the window and leaves the parent's as it was.
+	if err := w.SetDiscrete("d", []string{"Z", "Z", "Z", "Z"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := rel.MustDiscrete("d")[3]; got != "a" {
+		t.Fatalf("window write reached the parent: d[3] = %q", got)
+	}
+	// Rows 3..6 hold a, b, c, a: every parent value, so the window shares
+	// the parent's immutable domain.
+	pix, _ := rel.DiscreteIndex("d")
+	w, _ = rel.Window(3, 7)
+	if wix, _ := w.DiscreteIndex("d"); &wix.Domain[0] != &pix.Domain[0] {
+		t.Error("a window holding every value should share the parent's domain")
 	}
 	// Capacity-clamped: appending to a window column cannot clobber the
 	// parent's next row.

@@ -7,11 +7,13 @@
 // numerical, D = {d_1..d_m} discrete, with all cleaning confined to the
 // discrete attributes.
 //
-// A discrete column is held as its strings, its dictionary encoding
-// (DiscreteIndex: sorted domain plus one code per row), or both, and the
-// missing form is built the first time something asks for it. The
-// estimators read only the encoding, so a view loaded as codes (colstore)
-// answers queries without ever building its strings.
+// A discrete column is stored only as its dictionary encoding
+// (DiscreteIndex: sorted domain plus one code per row), which mirrors the
+// paper's view of a discrete attribute as values drawn from a finite domain.
+// Every write installs a whole column through one canonicalizing path
+// (NewIndex), so the domain always holds exactly the values some row holds.
+// Strings are built only where values leave the program: Discrete (a fresh
+// copy), Row, and the renderers that read Domain[Codes[i]].
 //
 // Missing values are represented by relation.Null for discrete attributes and
 // NaN for numerical attributes.
@@ -19,10 +21,10 @@ package relation
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strings"
-	"sync"
 )
 
 // Null is the canonical missing-value sentinel for discrete attributes.
@@ -140,12 +142,8 @@ func (s Schema) String() string {
 type Relation struct {
 	schema   Schema
 	numeric  map[string][]float64
-	discrete map[string]*discreteCol
+	discrete map[string]*DiscreteIndex
 	rows     int
-	// dmu guards every discreteCol's fields, so concurrent readers — the
-	// query server's request handlers — can share one relation, including
-	// the first read that builds a column's strings or index.
-	dmu sync.Mutex
 }
 
 // New creates an empty relation (zero rows) with the given schema.
@@ -153,18 +151,21 @@ func New(schema Schema) *Relation {
 	r := &Relation{
 		schema:   schema,
 		numeric:  make(map[string][]float64),
-		discrete: make(map[string]*discreteCol),
+		discrete: make(map[string]*DiscreteIndex),
 	}
 	for _, c := range schema.cols {
 		switch c.Kind {
 		case Numeric:
 			r.numeric[c.Name] = nil
 		case Discrete:
-			r.discrete[c.Name] = &discreteCol{}
+			r.discrete[c.Name] = emptyIndex
 		}
 	}
 	return r
 }
+
+// emptyIndex is the encoding of a column with no rows.
+var emptyIndex = &DiscreteIndex{Counts: []uint32{}}
 
 // Schema returns the relation's schema.
 func (r *Relation) Schema() Schema { return r.schema }
@@ -185,29 +186,30 @@ func (r *Relation) Numeric(name string) ([]float64, error) {
 	return col, nil
 }
 
-// Discrete returns the backing slice for a discrete column, building it
-// from the column's codes the first time a column held only as codes is
-// read. The caller must not resize it; mutating elements mutates the
-// relation (and requires InvalidateIndex, see DiscreteIndex).
+// Discrete returns a discrete column's values as a fresh slice, built from
+// its codes on every call: writing the slice does not change the relation.
+// Loops over rows should read DiscreteIndex once instead.
 func (r *Relation) Discrete(name string) ([]string, error) {
-	dc, err := r.lookupDiscrete(name)
+	ix, err := r.lookupDiscrete(name)
 	if err != nil {
 		return nil, err
 	}
-	r.dmu.Lock()
-	defer r.dmu.Unlock()
-	return dc.strings(), nil
+	out := make([]string, len(ix.Codes))
+	for i, c := range ix.Codes {
+		out[i] = ix.Domain[c]
+	}
+	return out, nil
 }
 
-func (r *Relation) lookupDiscrete(name string) (*discreteCol, error) {
-	dc, ok := r.discrete[name]
+func (r *Relation) lookupDiscrete(name string) (*DiscreteIndex, error) {
+	ix, ok := r.discrete[name]
 	if !ok {
 		if _, isNum := r.numeric[name]; isNum {
 			return nil, fmt.Errorf("relation: column %q is numeric, not discrete", name)
 		}
 		return nil, fmt.Errorf("relation: no column %q", name)
 	}
-	return dc, nil
+	return ix, nil
 }
 
 // MustNumeric is like Numeric but panics on error.
@@ -247,10 +249,8 @@ func (r *Relation) Row(i int) (Row, error) {
 	for name, col := range r.numeric {
 		row.Numeric[name] = col[i]
 	}
-	r.dmu.Lock()
-	defer r.dmu.Unlock()
-	for name, dc := range r.discrete {
-		row.Discrete[name] = dc.strings()[i]
+	for name, ix := range r.discrete {
+		row.Discrete[name] = ix.Value(i)
 	}
 	return row, nil
 }
@@ -260,28 +260,17 @@ func (r *Relation) Clone() *Relation {
 	out := &Relation{
 		schema:   r.schema,
 		numeric:  make(map[string][]float64, len(r.numeric)),
-		discrete: make(map[string]*discreteCol, len(r.discrete)),
+		discrete: maps.Clone(r.discrete), // immutable, so shared
 		rows:     r.rows,
 	}
 	for name, col := range r.numeric {
-		cp := make([]float64, len(col))
-		copy(cp, col)
-		out.numeric[name] = cp
+		out.numeric[name] = slices.Clone(col)
 	}
-	// A clone's column contents are identical, so the immutable encodings
-	// carry over (a column held only as codes stays so); either relation
-	// invalidates independently.
-	r.dmu.Lock()
-	for name, dc := range r.discrete {
-		out.discrete[name] = &discreteCol{vals: slices.Clone(dc.vals), ix: dc.ix}
-	}
-	r.dmu.Unlock()
 	return out
 }
 
 // Domain returns the sorted distinct values of a discrete column
-// (Domain(d_i) in the paper). The distinct set is served from the cached
-// dictionary encoding; the returned slice is a copy the caller may keep.
+// (Domain(d_i) in the paper), as a copy the caller may keep.
 func (r *Relation) Domain(name string) ([]string, error) {
 	ix, err := r.DiscreteIndex(name)
 	if err != nil {
@@ -315,37 +304,45 @@ func (r *Relation) ValueCounts(name string) (map[string]int, error) {
 	return counts, nil
 }
 
-// SetDiscrete overwrites one cell of a discrete column.
-func (r *Relation) SetDiscrete(name string, i int, v string) error {
-	col, err := r.Discrete(name)
-	if err != nil {
+// SetDiscrete replaces every value of a discrete column with values, which
+// must hold exactly NumRows entries; the relation keeps only their encoding.
+func (r *Relation) SetDiscrete(name string, values []string) error {
+	if _, err := r.lookupDiscrete(name); err != nil {
 		return err
 	}
-	if i < 0 || i >= r.rows {
-		return fmt.Errorf("relation: row %d out of range [0,%d)", i, r.rows)
+	if len(values) != r.rows {
+		return fmt.Errorf("relation: column %q given %d values, relation has %d rows", name, len(values), r.rows)
 	}
-	col[i] = v
-	r.InvalidateIndex(name)
+	r.discrete[name] = encode(values)
 	return nil
 }
 
-// MapDiscrete replaces every value of a discrete column with f(value). This
-// is the raw primitive behind Transform/Merge cleaners; most callers should
-// go through the cleaning package so provenance is recorded.
-func (r *Relation) MapDiscrete(name string, f func(string) string) error {
-	col, err := r.Discrete(name)
+// MapDomain replaces every value v of a discrete column with f(v),
+// evaluating f once per domain value instead of once per row: the image of
+// the domain, sorted and merged, becomes the new domain, and the codes are
+// remapped onto it. This is the raw primitive behind the value cleaners;
+// most callers should go through the cleaning package so provenance is
+// recorded.
+func (r *Relation) MapDomain(name string, f func(string) string) error {
+	ix, err := r.lookupDiscrete(name)
 	if err != nil {
 		return err
 	}
-	for i, v := range col {
-		col[i] = f(v)
+	image := make([]string, len(ix.Domain))
+	for c, v := range ix.Domain {
+		image[c] = f(v)
 	}
-	r.InvalidateIndex(name)
+	// Old and new index may share the immutable codes.
+	nix, err := NewIndex(image, ix.Codes)
+	if err != nil {
+		return err
+	}
+	r.discrete[name] = nix
 	return nil
 }
 
 // AddDiscreteColumn appends a new discrete column. The values slice must have
-// exactly NumRows entries; it is copied.
+// exactly NumRows entries; it is encoded, not kept.
 func (r *Relation) AddDiscreteColumn(name string, values []string) error {
 	if r.schema.Has(name) {
 		return fmt.Errorf("relation: column %q already exists", name)
@@ -353,8 +350,6 @@ func (r *Relation) AddDiscreteColumn(name string, values []string) error {
 	if len(values) != r.rows {
 		return fmt.Errorf("relation: column %q has %d values, relation has %d rows", name, len(values), r.rows)
 	}
-	cp := make([]string, len(values))
-	copy(cp, values)
 	r.schema.cols = append(r.schema.cols, Column{Name: name, Kind: Discrete})
 	if r.schema.index == nil {
 		r.schema.index = make(map[string]int)
@@ -368,7 +363,7 @@ func (r *Relation) AddDiscreteColumn(name string, values []string) error {
 		r.schema.index = idx
 	}
 	r.schema.index[name] = len(r.schema.cols) - 1
-	r.discrete[name] = &discreteCol{vals: cp}
+	r.discrete[name] = encode(values)
 	return nil
 }
 
@@ -394,9 +389,10 @@ func (r *Relation) Equal(o *Relation) bool {
 			}
 		}
 	}
-	for name := range r.discrete {
-		oc, err := o.Discrete(name)
-		if err != nil || !slices.Equal(r.MustDiscrete(name), oc) {
+	// Canonical encodings of equal columns are equal.
+	for name, ix := range r.discrete {
+		ox, ok := o.discrete[name]
+		if !ok || !slices.Equal(ix.Domain, ox.Domain) || !slices.Equal(ix.Codes, ox.Codes) {
 			return false
 		}
 	}
@@ -410,13 +406,14 @@ func (r *Relation) String() string {
 
 // Builder assembles a relation row by row.
 type Builder struct {
-	rel *Relation
-	err error
+	rel  *Relation
+	vals map[string][]string // each discrete column's values, encoded by Relation
+	err  error
 }
 
 // NewBuilder creates a builder for the given schema.
 func NewBuilder(schema Schema) *Builder {
-	return &Builder{rel: New(schema)}
+	return &Builder{rel: New(schema), vals: make(map[string][]string)}
 }
 
 // Append adds one row. Missing numeric entries become NaN and missing
@@ -445,12 +442,12 @@ func (b *Builder) Append(numeric map[string]float64, discrete map[string]string)
 		}
 		b.rel.numeric[name] = append(b.rel.numeric[name], v)
 	}
-	for name, dc := range b.rel.discrete {
+	for name := range b.rel.discrete {
 		v, ok := discrete[name]
 		if !ok {
 			v = Null
 		}
-		dc.vals = append(dc.vals, v)
+		b.vals[name] = append(b.vals[name], v)
 	}
 	b.rel.rows++
 	return b
@@ -461,11 +458,15 @@ func (b *Builder) Relation() (*Relation, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
+	for name := range b.rel.discrete {
+		b.rel.discrete[name] = encode(b.vals[name])
+	}
 	return b.rel, nil
 }
 
 // FromColumns builds a relation directly from column slices. All slices must
-// have the same length. Slices are copied.
+// have the same length. Numeric slices are copied; discrete ones are
+// encoded.
 func FromColumns(schema Schema, numeric map[string][]float64, discrete map[string][]string) (*Relation, error) {
 	r := New(schema)
 	n := -1
@@ -488,9 +489,7 @@ func FromColumns(schema Schema, numeric map[string][]float64, discrete map[strin
 			if err := check(c.Name, len(col)); err != nil {
 				return nil, err
 			}
-			cp := make([]float64, len(col))
-			copy(cp, col)
-			r.numeric[c.Name] = cp
+			r.numeric[c.Name] = slices.Clone(col)
 		case Discrete:
 			col, ok := discrete[c.Name]
 			if !ok {
@@ -499,9 +498,7 @@ func FromColumns(schema Schema, numeric map[string][]float64, discrete map[strin
 			if err := check(c.Name, len(col)); err != nil {
 				return nil, err
 			}
-			cp := make([]string, len(col))
-			copy(cp, col)
-			r.discrete[c.Name].vals = cp
+			r.discrete[c.Name] = encode(col)
 		}
 	}
 	if n == -1 {

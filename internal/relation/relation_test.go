@@ -174,7 +174,7 @@ func TestCloneIsDeep(t *testing.T) {
 	if !r.Equal(c) {
 		t.Fatal("clone should equal original")
 	}
-	if err := c.SetDiscrete("major", 0, "XX"); err != nil {
+	if err := c.SetDiscrete("major", []string{"XX", "ME", "EE", "CS"}); err != nil {
 		t.Fatal(err)
 	}
 	c.MustNumeric("score")[0] = 99
@@ -188,8 +188,11 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestSetOutOfRange(t *testing.T) {
 	r := mustRel(t)
-	if err := r.SetDiscrete("major", 10, "x"); err == nil {
-		t.Fatal("want out-of-range error")
+	if err := r.SetDiscrete("major", []string{"x"}); err == nil {
+		t.Fatal("want error for a column shorter than the relation")
+	}
+	if err := r.SetDiscrete("score", []string{"a", "b", "c", "d"}); err == nil {
+		t.Fatal("want error for a numeric column")
 	}
 }
 
@@ -207,9 +210,9 @@ func TestRow(t *testing.T) {
 	}
 }
 
-func TestMapDiscrete(t *testing.T) {
+func TestMapDomain(t *testing.T) {
 	r := mustRel(t)
-	if err := r.MapDiscrete("major", func(v string) string { return strings.ToLower(v) }); err != nil {
+	if err := r.MapDomain("major", func(v string) string { return strings.ToLower(v) }); err != nil {
 		t.Fatal(err)
 	}
 	if r.MustDiscrete("major")[0] != "me" {

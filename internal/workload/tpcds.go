@@ -142,8 +142,7 @@ func CorruptStates(rng *rand.Rand, rel *relation.Relation, k, states int) error 
 		}
 		col[i] = repl
 	}
-	rel.InvalidateIndex("ca_state")
-	return nil
+	return rel.SetDiscrete("ca_state", col)
 }
 
 // CorruptCountries appends a one-character corruption to ca_country in k
@@ -161,6 +160,5 @@ func CorruptCountries(rng *rand.Rand, rel *relation.Relation, k int) error {
 	for _, i := range perm[:k] {
 		col[i] = col[i] + string(rune('a'+rng.Intn(26)))
 	}
-	rel.InvalidateIndex("ca_country")
-	return nil
+	return rel.SetDiscrete("ca_country", col)
 }
