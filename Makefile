@@ -1,7 +1,7 @@
 GO ?= go
 
-# Per-target budget for the fuzz smoke; fifteen targets keep the whole pass
-# around 75 seconds.
+# Per-target budget for the fuzz smoke; sixteen targets keep the whole pass
+# around 80 seconds.
 FUZZ_TIME ?= 5s
 
 # Minimum total statement coverage; CI fails below this. Raise it when
@@ -61,6 +61,7 @@ fuzz-smoke:
 	$(GO) test ./internal/query/ -run '^$$' -fuzz '^FuzzQueryAcrossSources$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz '^FuzzReadPolicies$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/csvio/ -run '^$$' -fuzz '^FuzzLoadModes$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz '^FuzzMetaJSON$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz '^FuzzProvenanceJSON$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/colstore/ -run '^$$' -fuzz '^FuzzColstoreRead$$' -fuzztime $(FUZZ_TIME)
@@ -151,13 +152,14 @@ bench-json:
 		| $(GO) run ./tools/benchjson > BENCH_pipeline.json
 
 # Quick regression check against the committed baseline: a short-mode run of
-# the privatize benchmarks, the value-cleaner benchmark and the served-query
-# and report-ack allocation benchmarks, diffed report-only (never fails the
-# build; shared runners are too noisy for a hard gate — eyeball the Δ
-# columns). The baseline has no value-cleaner, served-query or report-ack
-# rows, which -ignore-missing lists as new.
+# the privatize benchmarks, the in-memory and streaming CSV loads, the
+# value-cleaner benchmark and the served-query and report-ack allocation
+# benchmarks, diffed report-only (never fails the build; shared runners are
+# too noisy for a hard gate — eyeball the Δ columns). The baseline has no
+# streaming-load, value-cleaner, served-query or report-ack rows, which
+# -ignore-missing lists as new.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPrivatize|BenchmarkCleanValueOp|BenchmarkServeQuery|BenchmarkReportAck' -benchmem -benchtime 10x -short . ./internal/server/ ./internal/collect/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkPrivatize|BenchmarkLoadCSV$$|BenchmarkStreamCSV$$|BenchmarkCleanValueOp|BenchmarkServeQuery|BenchmarkReportAck' -benchmem -benchtime 10x -short . ./internal/server/ ./internal/collect/ \
 		| $(GO) run ./tools/benchjson \
 		| $(GO) run ./tools/benchdiff -baseline BENCH_pipeline.json -current - -ignore-missing
 

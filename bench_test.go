@@ -13,6 +13,7 @@ package privateclean_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -714,6 +715,40 @@ func BenchmarkLoadCSV(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := csvio.ReadFileWithReport(csvPath, opts); err != nil {
 			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(100000*b.N)/b.Elapsed().Seconds(), "rows/s")
+}
+
+// BenchmarkStreamCSV loads the same 100k-row view out of core: the kind and
+// profile scans, then a ChunkIterator drained in default windows.
+func BenchmarkStreamCSV(b *testing.B) {
+	csvPath, _, _ := benchViewFiles(b, 100000)
+	opts := csvio.Options{ForceKinds: map[string]relation.Kind{"category": relation.Discrete}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prof, err := csvio.ProfileFile(csvPath, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		it, err := csvio.NewChunkIterator(csvPath, prof, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := 0
+		for {
+			w, err := it.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows += w.NumRows()
+		}
+		it.Close()
+		if rows != 100000 {
+			b.Fatalf("streamed %d rows, want 100000", rows)
 		}
 	}
 	b.ReportMetric(float64(100000*b.N)/b.Elapsed().Seconds(), "rows/s")

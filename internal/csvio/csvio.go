@@ -3,8 +3,11 @@
 //
 // On load, column kinds are inferred: a column whose every non-empty cell
 // parses as a float becomes numeric, everything else discrete. Callers can
-// force kinds per column. Empty cells become NaN (numeric) or relation.Null
-// (discrete).
+// force kinds per column. One row decoder then turns each kept record into
+// columns, for the in-memory load (ReadWithReport) and the streaming one
+// (ProfileFile, ChunkIterator) alike: numeric cells become floats and
+// discrete ones dictionary codes, the relation's own encoding, and empty
+// cells become NaN (numeric) or relation.Null (discrete).
 //
 // Loading is hardened for provider-side use: a UTF-8 BOM is stripped,
 // duplicate and empty headers are rejected with typed errors, and malformed
@@ -148,19 +151,27 @@ func (k *kindInference) add(rec []string) {
 	}
 }
 
-// kinds resolves every column's kind from the evidence so far.
-func (k *kindInference) kinds() []relation.Kind {
-	kinds := make([]relation.Kind, len(k.header))
+// columns resolves every column's kind from the evidence so far.
+func (k *kindInference) columns() []relation.Column {
+	cols := make([]relation.Column, len(k.header))
 	for c, name := range k.header {
+		cols[c] = relation.Column{Name: name, Kind: relation.Discrete}
 		if kind, ok := k.force[name]; ok {
-			kinds[c] = kind
+			cols[c].Kind = kind
 		} else if k.numeric[c] && k.seen[c] {
-			kinds[c] = relation.Numeric
-		} else {
-			kinds[c] = relation.Discrete
+			cols[c].Kind = relation.Numeric
 		}
 	}
-	return kinds
+	return cols
+}
+
+// newSchema builds the schema of resolved columns.
+func newSchema(cols []relation.Column) (relation.Schema, error) {
+	schema, err := relation.NewSchema(cols...)
+	if err != nil {
+		return relation.Schema{}, faults.Wrap(faults.ErrBadInput, fmt.Errorf("csvio: %w", err))
+	}
+	return schema, nil
 }
 
 // ReadWithReport loads a relation from CSV data with a header row, with a
@@ -198,73 +209,25 @@ func ReadWithReport(r io.Reader, opts Options) (*relation.Relation, *Report, err
 		rowNums = append(rowNums, src.physical)
 		infer.add(rec)
 	}
-	kinds := infer.kinds()
+	cols := infer.columns()
 
-	// Validate numeric cells row-major so the row policy can still drop a
-	// row whose forced-numeric cell does not parse or is non-finite.
-	clean := rows[:0]
-rowLoop:
+	dec := newRowDecoder(cols, len(rows))
 	for i, row := range rows {
-		for c, name := range header {
-			if kinds[c] != relation.Numeric || row[c] == "" {
-				continue
-			}
-			if _, bad := parseNumeric(name, row[c]); bad != "" {
-				if rerr := pol.reject(rowNums[i], row, "bad_numeric", bad); rerr != nil {
-					return nil, nil, rerr
-				}
-				continue rowLoop
+		if bad := dec.decode(row); bad != "" {
+			if rerr := pol.reject(rowNums[i], row, "bad_numeric", bad); rerr != nil {
+				return nil, nil, rerr
 			}
 		}
-		clean = append(clean, row)
 	}
-	rows = clean
-	rep, err := pol.finish(len(rows))
+	rep, err := pol.finish(dec.rows)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	cols := make([]relation.Column, len(header))
-	for c, name := range header {
-		cols[c] = relation.Column{Name: name, Kind: kinds[c]}
-	}
-	schema, err := relation.NewSchema(cols...)
+	schema, err := newSchema(cols)
 	if err != nil {
-		return nil, nil, faults.Wrap(faults.ErrBadInput, fmt.Errorf("csvio: %w", err))
+		return nil, nil, err
 	}
-
-	numeric := make(map[string][]float64)
-	discrete := make(map[string][]string)
-	for c, name := range header {
-		switch kinds[c] {
-		case relation.Numeric:
-			vals := make([]float64, len(rows))
-			for i, row := range rows {
-				if row[c] == "" {
-					vals[i] = math.NaN()
-					continue
-				}
-				// Validated above; a failure here is a bug, not bad input.
-				v, err := strconv.ParseFloat(row[c], 64)
-				if err != nil {
-					return nil, nil, faults.Errorf(faults.ErrInternal, "csvio: validated cell failed to parse: %v", err)
-				}
-				vals[i] = v
-			}
-			numeric[name] = vals
-		case relation.Discrete:
-			vals := make([]string, len(rows))
-			for i, row := range rows {
-				if row[c] == "" {
-					vals[i] = relation.Null
-					continue
-				}
-				vals[i] = row[c]
-			}
-			discrete[name] = vals
-		}
-	}
-	rel, err := relation.FromColumns(schema, numeric, discrete)
+	rel, err := dec.build(schema)
 	if err != nil {
 		return nil, nil, faults.Wrap(faults.ErrInternal, fmt.Errorf("csvio: %w", err))
 	}

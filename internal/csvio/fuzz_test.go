@@ -3,9 +3,14 @@ package csvio
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"privateclean/internal/faults"
 	"privateclean/internal/privacy"
 	"privateclean/internal/provenance"
 	"privateclean/internal/relation"
@@ -87,6 +92,76 @@ func FuzzReadPolicies(f *testing.F) {
 		}
 		if _, _, failErr := ReadWithReport(strings.NewReader(src), Options{}); skipRep.Clean() != (failErr == nil) {
 			t.Fatalf("clean report %v but fail policy says %v", skipRep.Clean(), failErr)
+		}
+	})
+}
+
+// FuzzLoadModes is the differential check between the in-memory loader and
+// the streaming one (ProfileFile, then a ChunkIterator drained in windows of
+// 1–64 rows) over one file, under the skip and fail policies: on success
+// they must give the same schema, equal relations, equal Report counters
+// and the same malformed rows; on failure the same typed error.
+func FuzzLoadModes(f *testing.F) {
+	for i, tc := range messyInputs {
+		forced, numeric := "", false
+		for name, kind := range tc.opts.ForceKinds {
+			forced, numeric = name, kind == relation.Numeric
+		}
+		f.Add(tc.text, uint8(i), forced, numeric)
+	}
+	f.Add("a,b\n1,2\n1,2,3\n", uint8(1), "", false)
+	f.Add("a,b\n1,2\nz,3\n", uint8(2), "a", true)
+	f.Add("a,b\n\"open,2\n1,2\n", uint8(3), "", false)
+	f.Fuzz(func(t *testing.T, src string, window uint8, forced string, numeric bool) {
+		path := filepath.Join(t.TempDir(), "in.csv")
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w := 1 + int(window%64)
+		var opts Options
+		if forced != "" {
+			kind := relation.Discrete
+			if numeric {
+				kind = relation.Numeric
+			}
+			opts.ForceKinds = map[string]relation.Kind{forced: kind}
+		}
+		for _, policy := range []RowErrorPolicy{RowErrorSkip, RowErrorFail} {
+			opts.OnRowError = policy
+			rel, rep, memErr := ReadFileWithReport(path, opts)
+			prof, streamErr := ProfileFile(path, opts)
+			var it *ChunkIterator
+			if streamErr == nil {
+				it, streamErr = NewChunkIterator(path, prof, w)
+			}
+			if (memErr == nil) != (streamErr == nil) {
+				t.Fatalf("%v: in-memory error %v, streaming error %v", policy, memErr, streamErr)
+			}
+			if memErr != nil {
+				if faults.Kind(memErr) != faults.Kind(streamErr) || memErr.Error() != streamErr.Error() {
+					t.Fatalf("%v: errors differ\nmem:    %v\nstream: %v", policy, memErr, streamErr)
+				}
+				continue
+			}
+			got := drain(t, it, w)
+			it.Close()
+			if gs, ws := got.Schema().String(), rel.Schema().String(); gs != ws {
+				t.Fatalf("%v: schema %q, want %q", policy, gs, ws)
+			}
+			if !got.Equal(rel) {
+				t.Fatalf("%v: streamed relation differs from in-memory load:\ngot  %v\nwant %v", policy, got, rel)
+			}
+			srep := prof.Report
+			if srep.Rows != rep.Rows || srep.Skipped != rep.Skipped || srep.Quarantined != rep.Quarantined {
+				t.Fatalf("%v: report %+v, want %+v", policy, srep, rep)
+			}
+			byRow := func(a, b RowError) int { return a.Row - b.Row }
+			gotBad, wantBad := slices.Clone(srep.BadRows), slices.Clone(rep.BadRows)
+			slices.SortFunc(gotBad, byRow)
+			slices.SortFunc(wantBad, byRow)
+			if !reflect.DeepEqual(gotBad, wantBad) {
+				t.Fatalf("%v: bad rows %v, want %v", policy, srep.BadRows, rep.BadRows)
+			}
 		}
 	})
 }

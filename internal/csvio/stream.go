@@ -5,30 +5,33 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
+	"slices"
 
 	"privateclean/internal/faults"
 	"privateclean/internal/relation"
 )
 
-// Out-of-core loading. ReadWithReport materializes every kept row before the
-// relation is built; for sources larger than RAM the same semantics are
+// Out-of-core loading. ReadWithReport buffers every structurally kept record
+// before it decodes them; for sources larger than RAM the same semantics are
 // recovered from bounded-memory scans instead:
 //
 //	scan 1 (kinds)   — infer column kinds exactly as ReadWithReport does,
 //	                   holding one row at a time;
-//	scan 2 (profile) — with kinds fixed, apply the full row policy
-//	                   (arity/syntax/bad_numeric) and accumulate the
-//	                   per-attribute domains, numeric ranges, and the load
-//	                   Report;
-//	scan 3+          — a ChunkIterator re-decodes the kept rows in bounded
-//	                   windows for the consumer (privatize, clean, collect).
+//	scan 2 (profile) — with kinds fixed, decode every row under the full row
+//	                   policy (arity/syntax/bad_numeric), one window of
+//	                   columns at a time: the decoder's dictionaries become
+//	                   the domains, its numeric columns the ranges;
+//	scan 3+          — a ChunkIterator decodes the kept rows into bounded
+//	                   windows for the consumer (privatize, clean, collect),
+//	                   checking each window's values against the domains.
 //
-// A Profile plus a ChunkIterator reproduce ReadWithReport exactly: the same
-// schema, the same kept rows in the same order, the same Report counters, and
-// the same typed errors under the fail policy. The only observable difference
-// is sidecar ordering: quarantined rows are written in input order, where the
-// in-memory loader groups arity/syntax rows before bad_numeric rows.
+// All of them, ReadWithReport included, turn a record into columns through
+// the one rowDecoder, so a Profile plus a ChunkIterator reproduce
+// ReadWithReport exactly: the same schema, the same kept rows in the same
+// order, the same Report counters, and the same typed errors under the fail
+// policy. The only observable difference is sidecar ordering: quarantined
+// rows are written in input order, where the in-memory loader groups
+// arity/syntax rows before bad_numeric rows.
 
 // Profile summarizes a CSV source after the kind and domain scans: everything
 // a streaming consumer needs before it sees the first row window.
@@ -55,17 +58,11 @@ type Profile struct {
 }
 
 // Schema builds the relation schema the profile resolved.
-func (p *Profile) Schema() (relation.Schema, error) {
-	schema, err := relation.NewSchema(p.Columns...)
-	if err != nil {
-		return relation.Schema{}, faults.Wrap(faults.ErrBadInput, fmt.Errorf("csvio: %w", err))
-	}
-	return schema, nil
-}
+func (p *Profile) Schema() (relation.Schema, error) { return newSchema(p.Columns) }
 
-// openSource is newSource over a file, reading with ReuseRecord: the fields
-// next returns are valid only until the following call, so callers copy the
-// strings that outlive a row.
+// openSource is newSource over a file, reading with ReuseRecord: the record
+// next returns is valid only until the following call, so the decoder copies
+// the values that outlive a row.
 func openSource(path string) (*source, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -86,7 +83,7 @@ func (s *source) Close() error { return s.f.Close() }
 // scanKinds is scan 1: infer column kinds over the structurally kept rows,
 // holding one row at a time. Under the fail policy a malformed row aborts
 // with the same typed error ReadWithReport raises.
-func scanKinds(path string, opts Options) ([]relation.Kind, []string, error) {
+func scanKinds(path string, opts Options) ([]relation.Column, []string, error) {
 	src, err := openSource(path)
 	if err != nil {
 		return nil, nil, err
@@ -114,18 +111,18 @@ func scanKinds(path string, opts Options) ([]relation.Kind, []string, error) {
 		}
 		infer.add(rec)
 	}
-	return infer.kinds(), header, nil
+	return infer.columns(), header, nil
 }
 
 // ProfileFile runs the kind and domain scans over a CSV file. The resulting
 // Profile carries the same schema, kept-row count, domains, sensitivities,
 // and Report as a materialized ReadFileWithReport under the same Options —
-// without ever holding more than one row resident.
+// while holding at most one window of decoded rows plus the dictionaries.
 func ProfileFile(path string, opts Options) (*Profile, error) {
 	if opts.OnRowError == RowErrorQuarantine && opts.Quarantine == nil {
 		return nil, faults.Errorf(faults.ErrUsage, "csvio: quarantine policy needs a quarantine writer")
 	}
-	kinds, header, err := scanKinds(path, opts)
+	cols, header, err := scanKinds(path, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -136,67 +133,21 @@ func ProfileFile(path string, opts Options) (*Profile, error) {
 	defer src.Close()
 	pol := newRowPolicy(opts, header)
 
-	domains := make(map[string]map[string]struct{})
-	for c, name := range header {
-		if kinds[c] == relation.Discrete {
-			domains[name] = make(map[string]struct{})
-		}
+	prof := &Profile{
+		Columns: cols,
+		Domains: make(map[string][]string),
+		Deltas:  make(map[string]float64),
+		Lows:    make(map[string]float64),
 	}
-	mins := make([]float64, len(header))
-	maxs := make([]float64, len(header))
-	seenFinite := make([]bool, len(header))
-	vals := make([]float64, len(header))
-	kept := 0
-
-rowLoop:
-	for {
-		rec, code, reason, err := src.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if code != "" {
-			if rerr := pol.reject(src.physical, rec, code, reason); rerr != nil {
-				return nil, rerr
-			}
-			continue
-		}
-		// Validate numeric cells in header order, so the first offending
-		// column is the one ReadWithReport would report.
-		for c, name := range header {
-			if kinds[c] != relation.Numeric {
-				continue
-			}
-			vals[c] = math.NaN()
-			if rec[c] == "" {
-				continue
-			}
-			v, bad := parseNumeric(name, rec[c])
-			if bad != "" {
-				if rerr := pol.reject(src.physical, rec, "bad_numeric", bad); rerr != nil {
-					return nil, rerr
-				}
-				continue rowLoop
-			}
-			vals[c] = v
-		}
-		// Row kept: fold it into domains and ranges.
-		for c, name := range header {
-			switch kinds[c] {
-			case relation.Discrete:
-				v := rec[c]
-				if v == "" {
-					v = relation.Null
-				}
-				if _, ok := domains[name][v]; !ok {
-					// rec's strings share the reader's buffer (ReuseRecord);
-					// clone the ones that outlive this row.
-					domains[name][string(append([]byte(nil), v...))] = struct{}{}
-				}
-			case relation.Numeric:
-				v := vals[c]
+	dec := newRowDecoder(cols, relation.DefaultWindow)
+	mins := make([]float64, len(cols))
+	maxs := make([]float64, len(cols))
+	seenFinite := make([]bool, len(cols))
+	// foldRanges takes the decoded window into the numeric ranges and
+	// empties the decoder's buffers in place, keeping its dictionaries.
+	foldRanges := func() {
+		for c := range cols {
+			for _, v := range dec.nums[c] {
 				switch {
 				case math.IsNaN(v):
 				case !seenFinite[c]:
@@ -207,36 +158,47 @@ rowLoop:
 					maxs[c] = v
 				}
 			}
+			dec.nums[c], dec.codes[c] = dec.nums[c][:0], dec.codes[c][:0]
 		}
-		kept++
+		prof.Rows += dec.rows
+		dec.rows = 0
 	}
-	rep, err := pol.finish(kept)
-	if err != nil {
+	for {
+		rec, code, reason, err := src.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if code == "" { // of the header's arity: decode it, or reject a bad numeric cell
+			code, reason = "bad_numeric", dec.decode(rec)
+		}
+		if reason != "" {
+			if rerr := pol.reject(src.physical, rec, code, reason); rerr != nil {
+				return nil, rerr
+			}
+		}
+		if dec.rows == relation.DefaultWindow {
+			foldRanges()
+		}
+	}
+	foldRanges()
+	if prof.Report, err = pol.finish(prof.Rows); err != nil {
 		return nil, err
 	}
 
-	prof := &Profile{
-		Columns: make([]relation.Column, len(header)),
-		Rows:    rep.Rows,
-		Domains: make(map[string][]string),
-		Deltas:  make(map[string]float64),
-		Lows:    make(map[string]float64),
-		Report:  rep,
-	}
-	for c, name := range header {
-		prof.Columns[c] = relation.Column{Name: name, Kind: kinds[c]}
-		switch kinds[c] {
+	for c, col := range cols {
+		switch col.Kind {
 		case relation.Discrete:
-			dom := make([]string, 0, len(domains[name]))
-			for v := range domains[name] {
-				dom = append(dom, v)
-			}
-			sort.Strings(dom)
-			prof.Domains[name] = dom
+			// Copied, so a column with no kept row gets an empty domain, not nil.
+			dom := append([]string{}, dec.domains[c]...)
+			slices.Sort(dom)
+			prof.Domains[col.Name] = dom
 		case relation.Numeric:
 			// Zero when the column has no finite cell.
-			prof.Deltas[name] = maxs[c] - mins[c]
-			prof.Lows[name] = mins[c]
+			prof.Deltas[col.Name] = maxs[c] - mins[c]
+			prof.Lows[col.Name] = mins[c]
 		}
 	}
 	if info, err := os.Stat(path); err == nil {
@@ -255,9 +217,12 @@ rowLoop:
 type ChunkIterator struct {
 	src    *source
 	schema relation.Schema
-	kinds  []relation.Kind
-	window int
-	done   bool
+	cols   []relation.Column
+	// domains are the profiled ones: a window value outside them means the
+	// file changed since profiling.
+	domains map[string][]string
+	window  int
+	done    bool
 	// want is the profiled kept-row count; rows counts the rows yielded.
 	want, rows int
 }
@@ -277,16 +242,16 @@ func NewChunkIterator(path string, prof *Profile, window int) (*ChunkIterator, e
 	if err != nil {
 		return nil, err
 	}
-	kinds := make([]relation.Kind, len(prof.Columns))
+	names := make([]string, len(prof.Columns))
 	for c, col := range prof.Columns {
-		if col.Name != src.header[c] {
-			src.Close()
-			return nil, faults.Errorf(faults.ErrBadInput,
-				"csvio: source column %d is %q, profile has %q (file changed since profiling?)", c+1, src.header[c], col.Name)
-		}
-		kinds[c] = col.Kind
+		names[c] = col.Name
 	}
-	return &ChunkIterator{src: src, schema: schema, kinds: kinds, window: window, want: prof.Rows}, nil
+	if !slices.Equal(names, src.header) {
+		src.Close()
+		return nil, faults.Errorf(faults.ErrBadInput,
+			"csvio: source header %q, profile has %q (file changed since profiling?)", src.header, names)
+	}
+	return &ChunkIterator{src: src, schema: schema, cols: prof.Columns, domains: prof.Domains, window: window, want: prof.Rows}, nil
 }
 
 // Schema returns the schema every window carries.
@@ -299,26 +264,14 @@ func (it *ChunkIterator) Close() error {
 }
 
 // Next decodes the next window of kept rows, or returns io.EOF after the
-// last one.
+// last one. Each window owns its columns and dictionaries, so a consumer
+// may hold several.
 func (it *ChunkIterator) Next() (*relation.Relation, error) {
 	if it.done {
 		return nil, io.EOF
 	}
-	header := it.src.header
-	numeric := make(map[string][]float64)
-	discrete := make(map[string][]string)
-	for c, name := range header {
-		switch it.kinds[c] {
-		case relation.Numeric:
-			numeric[name] = make([]float64, 0, it.window)
-		case relation.Discrete:
-			discrete[name] = make([]string, 0, it.window)
-		}
-	}
-	kept := 0
-	vals := make([]float64, len(header))
-rowLoop:
-	for kept < it.window {
+	dec := newRowDecoder(it.cols, it.window)
+	for dec.rows < it.window {
 		rec, code, _, err := it.src.next()
 		if err == io.EOF {
 			it.done = true
@@ -327,50 +280,30 @@ rowLoop:
 		if err != nil {
 			return nil, err
 		}
-		if code != "" {
-			continue
+		// A row the profile scan rejected is malformed again, or decodes to
+		// nothing.
+		if code == "" {
+			dec.decode(rec)
 		}
-		// Re-validate numeric cells with the profiled kinds so the iterator
-		// drops exactly the rows the profile scan rejected.
-		for c, name := range header {
-			if it.kinds[c] != relation.Numeric {
-				continue
-			}
-			if rec[c] == "" {
-				vals[c] = math.NaN()
-				continue
-			}
-			v, bad := parseNumeric(name, rec[c])
-			if bad != "" {
-				continue rowLoop
-			}
-			vals[c] = v
-		}
-		for c, name := range header {
-			switch it.kinds[c] {
-			case relation.Numeric:
-				numeric[name] = append(numeric[name], vals[c])
-			case relation.Discrete:
-				v := rec[c]
-				if v == "" {
-					v = relation.Null
-				} else {
-					v = string(append([]byte(nil), v...)) // outlives ReuseRecord
-				}
-				discrete[name] = append(discrete[name], v)
-			}
-		}
-		kept++
 	}
-	if it.rows += kept; it.rows > it.want || it.done && it.rows < it.want {
+	if it.rows += dec.rows; it.rows > it.want || it.done && it.rows < it.want {
 		it.done = true
 		return nil, faults.Errorf(faults.ErrBadInput,
 			"csvio: source no longer holds the %d profiled rows (file changed since profiling?)", it.want)
 	}
-	if kept == 0 {
+	for c, col := range it.cols {
+		for _, v := range dec.domains[c] {
+			if _, ok := slices.BinarySearch(it.domains[col.Name], v); !ok {
+				it.done = true
+				return nil, faults.Errorf(faults.ErrBadInput,
+					"csvio: column %q holds a value outside its profiled domain (file changed since profiling?)", col.Name)
+			}
+		}
+	}
+	if dec.rows == 0 {
 		return nil, io.EOF
 	}
-	rel, err := relation.FromColumns(it.schema, numeric, discrete)
+	rel, err := dec.build(it.schema)
 	if err != nil {
 		return nil, faults.Wrap(faults.ErrInternal, fmt.Errorf("csvio: %w", err))
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sort"
 
 	"privateclean/internal/atomicio"
 	"privateclean/internal/faults"
@@ -100,7 +101,13 @@ func (l *Ledger) Append(e LedgerEntry) LedgerEntry {
 	perAttr := make(map[string]float64, len(e.PerAttribute))
 	composed := 0.0
 	unbounded := append([]string(nil), e.Unbounded...)
-	for name, eps := range e.PerAttribute {
+	names := make([]string, 0, len(e.PerAttribute))
+	for name := range e.PerAttribute {
+		names = append(names, name)
+	}
+	sort.Strings(names) // in map order the sum and the unbounded list could vary from run to run
+	for _, name := range names {
+		eps := e.PerAttribute[name]
 		if math.IsInf(eps, 0) || math.IsNaN(eps) {
 			unbounded = append(unbounded, name)
 			continue

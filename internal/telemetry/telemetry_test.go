@@ -378,6 +378,28 @@ func TestLedgerUnboundedSanitized(t *testing.T) {
 	}
 }
 
+// TestLedgerAppendDeterministic appends one entry many times: the composed
+// sum, whose float value depends on the order of its terms, and the list of
+// unbounded attributes must come out the same every time, in name order.
+func TestLedgerAppendDeterministic(t *testing.T) {
+	perAttr := map[string]float64{"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.7, "e": 1e-16, "f": 3.3,
+		"x": math.Inf(1), "y": math.NaN(), "z": math.Inf(1)}
+	want := 0.0
+	for _, name := range []string{"a", "b", "c", "d", "e", "f"} {
+		want += perAttr[name]
+	}
+	led := &Ledger{Version: LedgerVersion}
+	for i := 0; i < 200; i++ {
+		e := led.Append(LedgerEntry{InputSHA: "aaa", ParamsSHA: "p", Seed: 1, PerAttribute: perAttr})
+		if e.Composed != want {
+			t.Fatalf("append %d: composed = %v, want %v (the name-order sum)", i, e.Composed, want)
+		}
+		if got := strings.Join(e.Unbounded, ","); got != "x,y,z" {
+			t.Fatalf("append %d: unbounded = %v, want x,y,z", i, e.Unbounded)
+		}
+	}
+}
+
 func TestLedgerLoadWriteRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.csv"+LedgerFileSuffix)
