@@ -240,6 +240,18 @@ func (cf *csvFlags) quarantinePath(in string) string {
 	return in + csvio.QuarantineFileSuffix
 }
 
+// options are the load options the flags select, with the process
+// telemetry allowed to name path.
+func (cf *csvFlags) options(path string) (csvio.Options, error) {
+	policy, err := cf.policy()
+	if err != nil {
+		return csvio.Options{}, err
+	}
+	tel := telemetry.Default()
+	tel.Redact.Allow(path)
+	return csvio.Options{ForceKinds: cf.forceKinds(), OnRowError: policy, Tel: tel}, nil
+}
+
 // read runs one row-policy scan of path — a load or a profile — with the
 // selected options. A lossy scan is reported as a structured Warn by csvio
 // through the installed logger, so it is never silent and honors
@@ -247,18 +259,15 @@ func (cf *csvFlags) quarantinePath(in string) string {
 // atomically: a crash mid-scan cannot tear it, and a failed scan leaves a
 // pre-existing sidecar untouched.
 func (cf *csvFlags) read(path string, scan func(csvio.Options) error) error {
-	policy, err := cf.policy()
+	opts, err := cf.options(path)
 	if err != nil {
 		return err
 	}
-	tel := telemetry.Default()
-	tel.Redact.Allow(path)
-	opts := csvio.Options{ForceKinds: cf.forceKinds(), OnRowError: policy, Tel: tel}
-	if policy != csvio.RowErrorQuarantine {
+	if opts.OnRowError != csvio.RowErrorQuarantine {
 		return scan(opts)
 	}
 	qpath := cf.quarantinePath(path)
-	tel.Redact.Allow(qpath)
+	opts.Tel.Redact.Allow(qpath)
 	return atomicio.WriteFileKeep(qpath, func(w io.Writer) error {
 		opts.Quarantine = w
 		return scan(opts)
@@ -428,46 +437,36 @@ func cmdPrivatize(args []string) (err error) {
 	case "off":
 		ledgerPath = ""
 	}
-	// The parameters need the schema. In-memory mode reads the input once up
-	// front (the job re-reads it when privatizing, which is what makes the
-	// checkpoint's input fingerprint meaningful); streaming mode resolves the
-	// schema with a bounded-memory profile scan instead, so the relation is
-	// never resident. Either way the job's own read rewrites the quarantine
-	// sidecar with the same rows.
+	opts, err := cf.options(*in)
+	if err != nil {
+		return err
+	}
+	// The parameters need the schema, which the kind scan alone resolves:
+	// the job's own read is then the one load that decodes rows, writes the
+	// quarantine sidecar and reports a lossy load. Tuning from -error needs
+	// the kept rows themselves, so it loads the input first.
 	var params privacy.Params
-	if *stream {
-		if *targetErr > 0 {
+	if *targetErr > 0 {
+		if *stream {
 			return faults.Errorf(faults.ErrUsage,
 				"privatize: -error (parameter tuning) needs the resident input; run 'privateclean tune' first and pass -p/-b")
 		}
-		prof, err := cf.profile(*in)
-		if err != nil {
-			return err
-		}
-		schema, err := prof.Schema()
-		if err != nil {
-			return err
-		}
-		params = privacy.Uniform(schema, *p, *b)
-	} else {
 		r, err := cf.load(*in)
 		if err != nil {
 			return err
 		}
-		params = privacy.Uniform(r.Schema(), *p, *b)
-		if *targetErr > 0 {
-			params, err = privacy.Tune(r, *targetErr, *confidence)
-			if err != nil {
-				return err
-			}
+		if params, err = privacy.Tune(r, *targetErr, *confidence); err != nil {
+			return err
 		}
+	} else {
+		schema, err := csvio.ReadSchema(*in, opts)
+		if err != nil {
+			return err
+		}
+		params = privacy.Uniform(schema, *p, *b)
 	}
 	params.Mechanism = *mechanism
 	params.Bins = *bins
-	policy, err := cf.policy()
-	if err != nil {
-		return err
-	}
 	chunkSize := *chunk
 	if *stream && budget > 0 && !chunkSet {
 		chunkSize = 0 // derived from the budget and the profiled row geometry
@@ -481,8 +480,8 @@ func cmdPrivatize(args []string) (err error) {
 		Seed:           *seed,
 		ChunkSize:      chunkSize,
 		Workers:        *workers,
-		ForceKinds:     cf.forceKinds(),
-		OnRowError:     policy,
+		ForceKinds:     opts.ForceKinds,
+		OnRowError:     opts.OnRowError,
 		QuarantinePath: *cf.quarantine,
 		Resume:         *resume,
 		Tel:            tel,

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -436,5 +437,35 @@ func TestRowPolicyFlagsCLI(t *testing.T) {
 	}
 	if !strings.Contains(string(side), "Mechanical Engineering") {
 		t.Errorf("sidecar content = %q, want the malformed row", side)
+	}
+
+	// A quarantine privatize run reads its input once: one lossy-load
+	// warning, and the malformed row counted (and written to the sidecar)
+	// once, in memory and streaming alike.
+	var logs bytes.Buffer
+	oldDest := logDest
+	logDest = &logs
+	defer func() { logDest = oldDest }()
+	for _, mode := range [][]string{nil, {"-stream"}} {
+		logs.Reset()
+		metricsPath := filepath.Join(dir, "m.prom")
+		args := append([]string{"privatize", "-in", bad, "-out", out, "-meta", metaPath, "-p", "0.15", "-b", "0.5",
+			"-discrete", "score", "-on-row-error", "quarantine", "-quarantine", sidecar, "-metrics-out", metricsPath}, mode...)
+		if err := run(args); err != nil {
+			t.Fatalf("%v quarantine privatize: %v", mode, err)
+		}
+		if n := strings.Count(logs.String(), "lossy CSV load"); n != 1 {
+			t.Errorf("%v: %d lossy-load warnings, want 1:\n%s", mode, n, logs.String())
+		}
+		prom, err := os.ReadFile(metricsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := `privateclean_csv_rows_malformed_total{code="arity",policy="quarantine"} 1` + "\n"; !strings.Contains(string(prom), want) {
+			t.Errorf("%v: metrics lack %q:\n%s", mode, want, prom)
+		}
+		if side2, err := os.ReadFile(sidecar); err != nil || !bytes.Equal(side2, side) {
+			t.Errorf("%v: sidecar %q (%v), want %q", mode, side2, err, side)
+		}
 	}
 }

@@ -32,29 +32,45 @@ func readBytes(t *testing.T, path string) []byte {
 
 // TestStreamPrivatizeCLIByteIdentical: `privatize -stream` must release the
 // same view and metadata bytes as the in-memory path for the same seed and
-// chunk size, at any worker count.
+// chunk size, at any worker count, and quarantine the same sidecar bytes
+// from an input whose non-finite cell precedes a ragged row.
 func TestStreamPrivatizeCLIByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	data := writeTempCSV(t, dir)
+	raw := readBytes(t, data)
+	dirty := faults.InjectRaggedRow(faults.InjectCell(string(raw), 3, 1, "inf"), 10)
+	if err := os.WriteFile(data, []byte(dirty), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	privatize := func(out, metaPath, sidecar string, extra ...string) {
+		t.Helper()
+		args := []string{"privatize", "-in", data, "-out", out, "-meta", metaPath,
+			"-p", "0.2", "-b", "0.5", "-seed", "7", "-chunk", "64", "-ledger", "off",
+			"-on-row-error", "quarantine", "-quarantine", sidecar}
+		if err := run(append(args, extra...)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	memOut := filepath.Join(dir, "mem.csv")
 	memMeta := filepath.Join(dir, "mem-meta.json")
-	if err := run([]string{"privatize", "-in", data, "-out", memOut, "-meta", memMeta,
-		"-p", "0.2", "-b", "0.5", "-seed", "7", "-chunk", "64", "-ledger", "off"}); err != nil {
-		t.Fatal(err)
+	memSide := filepath.Join(dir, "mem.quarantine")
+	privatize(memOut, memMeta, memSide)
+	if n := bytes.Count(readBytes(t, memSide), []byte("\n")); n != 2 {
+		t.Fatalf("in-memory sidecar holds %d rows, want 2", n)
 	}
 	for _, workers := range []string{"1", "8"} {
 		out := filepath.Join(dir, "stream-"+workers+".csv")
 		metaPath := filepath.Join(dir, "stream-meta-"+workers+".json")
-		if err := run([]string{"privatize", "-in", data, "-out", out, "-meta", metaPath,
-			"-p", "0.2", "-b", "0.5", "-seed", "7", "-chunk", "64", "-ledger", "off",
-			"-stream", "-workers", workers}); err != nil {
-			t.Fatal(err)
-		}
+		side := filepath.Join(dir, "stream-"+workers+".quarantine")
+		privatize(out, metaPath, side, "-stream", "-workers", workers)
 		if !bytes.Equal(readBytes(t, out), readBytes(t, memOut)) {
 			t.Fatalf("workers=%s: streamed view differs from in-memory view", workers)
 		}
 		if !bytes.Equal(readBytes(t, metaPath), readBytes(t, memMeta)) {
 			t.Fatalf("workers=%s: streamed metadata differs from in-memory metadata", workers)
+		}
+		if !bytes.Equal(readBytes(t, side), readBytes(t, memSide)) {
+			t.Fatalf("workers=%s: streamed sidecar differs from in-memory sidecar", workers)
 		}
 	}
 }

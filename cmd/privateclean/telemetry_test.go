@@ -108,9 +108,9 @@ func TestPrivatizeTelemetryAcceptance(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE privateclean_privatize_runs_total counter",
 		"privateclean_rows_released_total 200",
-		// 2: the input is loaded once for parameter derivation and once by
-		// the job, and the bad row is counted on each load.
-		`privateclean_csv_rows_malformed_total{code="arity",policy="quarantine"} 2`,
+		// 1: the schema comes from the kind scan, so the job's load is the
+		// one that counts the bad row.
+		`privateclean_csv_rows_malformed_total{code="arity",policy="quarantine"} 1`,
 		"# TYPE privateclean_chunk_seconds histogram",
 		"# TYPE privateclean_epsilon_composed gauge",
 		"privateclean_chunks_total 4",

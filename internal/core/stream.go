@@ -19,9 +19,10 @@ import (
 // The chunk pipeline. A run is one loop over row windows, and the input mode
 // chooses only where the windows come from:
 //
-//   - in memory (loadResident), the input is read once and windowed with
-//     relation.NewSliceIterator — windows of the loaded relation;
-//   - streaming (loadStreaming, Stream), two bounded-memory scans
+//   - in memory (loadResident), the input is loaded in two scans
+//     (csvio.ReadFileWithReport) and windowed with relation.NewSliceIterator
+//     — windows of the loaded relation;
+//   - streaming (loadStreaming, Stream), the same two scans in bounded memory
 //     (csvio.ProfileFile) resolve the schema, domains, sensitivities, and row
 //     accounting, and a third scan (csvio.ChunkIterator) decodes the kept rows
 //     window by window, never materializing the whole relation.
@@ -35,10 +36,6 @@ import (
 // column, in schema order. So the released bytes, the metadata JSON, and
 // every intermediate checkpoint are byte-for-byte equal across modes and
 // worker counts for the same (input, params, seed, chunk size).
-//
-// One observable difference between the modes, by design: under the
-// quarantine policy, the streaming sidecar lists rows in input order rather
-// than grouped arity/syntax-then-bad_numeric (same row set).
 
 // streamBytesPerRow is the conservative expansion factor from one CSV source
 // byte to resident bytes in the streaming pipeline: decoded strings/floats,
@@ -106,7 +103,7 @@ func (job *PrivatizeJob) readInput(span string, read func(csvio.Options) (*csvio
 	return rep, nil
 }
 
-// loadResident reads the whole input once and windows the loaded relation.
+// loadResident loads the whole input and windows the loaded relation.
 func (job *PrivatizeJob) loadResident() (*privacy.ViewMeta, *csvio.Report, relation.Iterator, error) {
 	var r *relation.Relation
 	rep, err := job.readInput("csv_load", func(opts csvio.Options) (rep *csvio.Report, err error) {

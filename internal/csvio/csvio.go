@@ -1,13 +1,17 @@
 // Package csvio loads and stores relations as CSV files with a header row.
 // It is the I/O substrate for the CLI and the examples.
 //
-// On load, column kinds are inferred: a column whose every non-empty cell
-// parses as a float becomes numeric, everything else discrete. Callers can
-// force kinds per column. One row decoder then turns each kept record into
-// columns, for the in-memory load (ReadWithReport) and the streaming one
-// (ProfileFile, ChunkIterator) alike: numeric cells become floats and
-// discrete ones dictionary codes, the relation's own encoding, and empty
-// cells become NaN (numeric) or relation.Null (discrete).
+// Every load is the same two scans of a seekable input. Scan 1 infers the
+// column kinds: a column whose every non-empty cell parses as a float becomes
+// numeric, everything else discrete, and callers can force kinds per column.
+// Scan 2 decodes every record in input order under the row policy through
+// one row decoder: numeric cells become floats and discrete ones dictionary
+// codes, the relation's own encoding, and empty cells become NaN (numeric)
+// or relation.Null (discrete). The in-memory load (ReadWithReport) keeps
+// every decoded row; the streaming one (ProfileFile) folds each window into
+// the profile and drops it, and a ChunkIterator later decodes the kept rows
+// window by window through the same decoder. So the two modes agree on the
+// relation, the Report and the quarantine sidecar by construction.
 //
 // Loading is hardened for provider-side use: a UTF-8 BOM is stripped,
 // duplicate and empty headers are rejected with typed errors, and malformed
@@ -27,6 +31,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 
 	"privateclean/internal/atomicio"
@@ -119,52 +124,6 @@ type Report struct {
 // Clean reports whether every source row made it into the relation.
 func (rep *Report) Clean() bool { return rep.Skipped == 0 && rep.Quarantined == 0 }
 
-// kindInference infers column kinds one kept row at a time: a column is
-// numeric unless a non-empty cell fails strconv.ParseFloat, discrete when it
-// has no non-empty cell at all, and a kind forced in Options wins.
-type kindInference struct {
-	header  []string
-	force   map[string]relation.Kind
-	numeric []bool // inferred, and no non-empty cell has failed to parse yet
-	seen    []bool // some non-empty cell was seen
-}
-
-func newKindInference(header []string, force map[string]relation.Kind) *kindInference {
-	k := &kindInference{header: header, force: force, numeric: make([]bool, len(header)), seen: make([]bool, len(header))}
-	for c, name := range header {
-		_, forced := force[name]
-		k.numeric[c] = !forced
-	}
-	return k
-}
-
-// add takes one kept row's evidence.
-func (k *kindInference) add(rec []string) {
-	for c, cell := range rec {
-		if !k.numeric[c] || cell == "" {
-			continue
-		}
-		k.seen[c] = true
-		if _, err := strconv.ParseFloat(cell, 64); err != nil {
-			k.numeric[c] = false
-		}
-	}
-}
-
-// columns resolves every column's kind from the evidence so far.
-func (k *kindInference) columns() []relation.Column {
-	cols := make([]relation.Column, len(k.header))
-	for c, name := range k.header {
-		cols[c] = relation.Column{Name: name, Kind: relation.Discrete}
-		if kind, ok := k.force[name]; ok {
-			cols[c].Kind = kind
-		} else if k.numeric[c] && k.seen[c] {
-			cols[c].Kind = relation.Numeric
-		}
-	}
-	return cols
-}
-
 // newSchema builds the schema of resolved columns.
 func newSchema(cols []relation.Column) (relation.Schema, error) {
 	schema, err := relation.NewSchema(cols...)
@@ -175,55 +134,15 @@ func newSchema(cols []relation.Column) (relation.Schema, error) {
 }
 
 // ReadWithReport loads a relation from CSV data with a header row, with a
-// per-row accounting of skipped and quarantined rows. The report is non-nil
-// whenever the error is nil.
-func ReadWithReport(r io.Reader, opts Options) (*relation.Relation, *Report, error) {
-	if opts.OnRowError == RowErrorQuarantine && opts.Quarantine == nil {
-		return nil, nil, faults.Errorf(faults.ErrUsage, "csvio: quarantine policy needs a quarantine writer")
-	}
-	src, err := newSource(r)
+// per-row accounting of skipped and quarantined rows. It runs the two scans
+// of every load (scan) over r from offset 0, and keeps every decoded row.
+// The report is non-nil whenever the error is nil.
+func ReadWithReport(r io.ReadSeeker, opts Options) (*relation.Relation, *Report, error) {
+	dec, rep, err := scan(r, opts, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	header := src.header
-	pol := newRowPolicy(opts, header)
-
-	var rows [][]string
-	var rowNums []int // physical row number per kept row, for later parse errors
-	infer := newKindInference(header, opts.ForceKinds)
-	for {
-		rec, code, reason, err := src.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if code != "" {
-			if rerr := pol.reject(src.physical, rec, code, reason); rerr != nil {
-				return nil, nil, rerr
-			}
-			continue
-		}
-		rows = append(rows, rec)
-		rowNums = append(rowNums, src.physical)
-		infer.add(rec)
-	}
-	cols := infer.columns()
-
-	dec := newRowDecoder(cols, len(rows))
-	for i, row := range rows {
-		if bad := dec.decode(row); bad != "" {
-			if rerr := pol.reject(rowNums[i], row, "bad_numeric", bad); rerr != nil {
-				return nil, nil, rerr
-			}
-		}
-	}
-	rep, err := pol.finish(dec.rows)
-	if err != nil {
-		return nil, nil, err
-	}
-	schema, err := newSchema(cols)
+	schema, err := newSchema(dec.cols)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -234,10 +153,155 @@ func ReadWithReport(r io.Reader, opts Options) (*relation.Relation, *Report, err
 	return rel, rep, nil
 }
 
+// scan is the body of every CSV load, in two scans of r:
+//
+//	scan 1 (kinds) — scanKinds infers the column kinds and counts the rows of
+//	                 the header's arity, holding one row at a time;
+//	scan 2 (rows)  — with the kinds fixed and r rewound, every record is
+//	                 decoded in input order under the full row policy
+//	                 (arity, syntax, bad_numeric) through one rowDecoder.
+//
+// With fold nil the decoder keeps every row, pre-sized from scan 1's count.
+// Otherwise it holds at most relation.DefaultWindow rows: fold takes each
+// full window, which is then truncated, and the last, partial one. Either way
+// the returned decoder's dictionaries cover every kept row.
+func scan(r io.ReadSeeker, opts Options, fold func(*rowDecoder)) (*rowDecoder, *Report, error) {
+	if opts.OnRowError == RowErrorQuarantine && opts.Quarantine == nil {
+		return nil, nil, faults.Errorf(faults.ErrUsage, "csvio: quarantine policy needs a quarantine writer")
+	}
+	cols, header, kept, err := scanKinds(r, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := r.Seek(0, io.SeekStart); err != nil {
+		return nil, nil, faults.Wrap(faults.ErrBadInput, fmt.Errorf("csvio: rewind: %w", err))
+	}
+	src, err := newSource(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !slices.Equal(src.header, header) {
+		return nil, nil, faults.Errorf(faults.ErrBadInput,
+			"csvio: source header %q, first scan read %q (input changed between scans?)", src.header, header)
+	}
+	pol := newRowPolicy(opts, header)
+	capacity := kept
+	if fold != nil {
+		capacity = min(kept, relation.DefaultWindow)
+	}
+	dec := newRowDecoder(cols, capacity)
+	for {
+		rec, code, reason, err := src.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		if code == "" { // of the header's arity: decode it, or reject a bad numeric cell
+			code, reason = "bad_numeric", dec.decode(rec)
+		}
+		if reason != "" {
+			if rerr := pol.reject(src.physical, rec, code, reason); rerr != nil {
+				return nil, nil, rerr
+			}
+		} else if fold != nil && dec.rows%relation.DefaultWindow == 0 {
+			fold(dec)
+			dec.truncate()
+		}
+	}
+	if fold != nil {
+		fold(dec)
+	}
+	rep, err := pol.finish(dec.rows)
+	if err != nil {
+		return nil, nil, err
+	}
+	return dec, rep, nil
+}
+
+// scanKinds is scan 1: it infers column kinds over the rows of the header's
+// arity, holding one row at a time, and counts them. A column is numeric
+// unless a non-empty cell fails strconv.ParseFloat, discrete when it has no
+// non-empty cell at all, and a kind forced in opts wins. Dropped rows give no
+// evidence. Under the fail policy a malformed row aborts the scan with the
+// typed error, and the one malformed-row count, of the load.
+func scanKinds(r io.Reader, opts Options) (cols []relation.Column, header []string, kept int, err error) {
+	src, err := newSource(r)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	header = src.header
+	cols = make([]relation.Column, len(header))
+	// numeric: not forced, and no non-empty cell has failed to parse yet.
+	numeric, seen := make([]bool, len(header)), make([]bool, len(header))
+	for c, name := range header {
+		kind, forced := opts.ForceKinds[name]
+		if !forced {
+			kind = relation.Discrete
+		}
+		cols[c], numeric[c] = relation.Column{Name: name, Kind: kind}, !forced
+	}
+	for {
+		rec, code, reason, err := src.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		if code != "" {
+			if opts.OnRowError == RowErrorFail {
+				return nil, nil, 0, newRowPolicy(opts, header).reject(src.physical, rec, code, reason)
+			}
+			continue
+		}
+		for c, cell := range rec {
+			if numeric[c] && cell != "" {
+				seen[c] = true
+				_, perr := strconv.ParseFloat(cell, 64)
+				numeric[c] = perr == nil
+			}
+		}
+		kept++
+	}
+	for c := range cols {
+		if numeric[c] && seen[c] {
+			cols[c].Kind = relation.Numeric
+		}
+	}
+	return cols, header, kept, nil
+}
+
+// ReadSchema resolves the schema of the CSV file at path under opts' forced
+// kinds and row policy with scan 1 alone: it decodes no cell, writes no
+// quarantine sidecar and logs no lossy load. Under the fail policy an arity
+// or syntax row fails it with the error a load raises.
+func ReadSchema(path string, opts Options) (relation.Schema, error) {
+	f, err := openFile(path)
+	if err != nil {
+		return relation.Schema{}, err
+	}
+	defer f.Close()
+	cols, _, _, err := scanKinds(f, opts)
+	if err != nil {
+		return relation.Schema{}, err
+	}
+	return newSchema(cols)
+}
+
+// openFile opens a CSV input; an unreadable one is bad input.
+func openFile(path string) (*os.File, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, faults.Wrap(faults.ErrBadInput, fmt.Errorf("csvio: %w", err))
+	}
+	return f, nil
+}
+
 // source is one sequential pass over CSV data: BOM stripped, header read
 // and validated, data rows classified for the row policy.
 type source struct {
-	f      *os.File // nil unless opened by openSource
 	cr     *csv.Reader
 	header []string
 	// physical is the 1-based physical row number of the last record read
@@ -247,7 +311,9 @@ type source struct {
 
 // newSource strips a UTF-8 BOM from r, then reads and validates the header
 // row: a missing, unreadable, empty or duplicate name is a typed
-// faults.ErrBadInput.
+// faults.ErrBadInput. Data rows are read with ReuseRecord: the record next
+// returns is valid only until the following call, so the decoder copies the
+// values that outlive a row.
 func newSource(r io.Reader) (*source, error) {
 	br := bufio.NewReader(r)
 	if head, err := br.Peek(3); err == nil && bytes.Equal(head, []byte{0xEF, 0xBB, 0xBF}) {
@@ -274,6 +340,7 @@ func newSource(r io.Reader) (*source, error) {
 		}
 		seen[name] = true
 	}
+	cr.ReuseRecord = true // after the header, which must outlive the first row
 	return &source{cr: cr, header: header, physical: 1}, nil
 }
 
@@ -317,15 +384,12 @@ func parseNumeric(name, cell string) (v float64, bad string) {
 }
 
 // rowPolicy applies Options.OnRowError to malformed rows and builds the
-// load's Report. BadRows lists arity/syntax rows before bad_numeric rows —
-// the order ReadWithReport's two passes find them in — whatever order the
-// rows are rejected in.
+// load's Report, whose BadRows list the rows in input order.
 type rowPolicy struct {
-	opts                Options
-	tel                 *telemetry.Set
-	rep                 Report
-	quarantine          *csv.Writer
-	structural, numeric []RowError
+	opts       Options
+	tel        *telemetry.Set
+	rep        Report
+	quarantine *csv.Writer
 }
 
 func newRowPolicy(opts Options, header []string) *rowPolicy {
@@ -364,12 +428,8 @@ func (pol *rowPolicy) reject(row int, fields []string, code, reason string) erro
 			return faults.Wrap(faults.ErrPartialWrite, fmt.Errorf("csvio: quarantine: %w", err))
 		}
 	}
-	detail := &pol.structural
-	if code == "bad_numeric" {
-		detail = &pol.numeric
-	}
-	if len(*detail) < maxReportedRows {
-		*detail = append(*detail, RowError{Row: row, Reason: reason})
+	if len(pol.rep.BadRows) < maxReportedRows {
+		pol.rep.BadRows = append(pol.rep.BadRows, RowError{Row: row, Reason: reason})
 	}
 	return nil
 }
@@ -385,10 +445,6 @@ func (pol *rowPolicy) finish(rows int) (*Report, error) {
 	}
 	rep := &pol.rep
 	rep.Rows = rows
-	rep.BadRows = append(pol.structural, pol.numeric...)
-	if len(rep.BadRows) > maxReportedRows {
-		rep.BadRows = rep.BadRows[:maxReportedRows]
-	}
 	pol.tel.Metrics.Counter("privateclean_csv_rows_total", "Rows kept from CSV loads.").Add(float64(rows))
 	pol.tel.Metrics.Histogram("privateclean_csv_rows_per_load", "Kept rows per CSV load.",
 		telemetry.RowBuckets).Observe(float64(rows))
@@ -401,9 +457,9 @@ func (pol *rowPolicy) finish(rows int) (*Report, error) {
 
 // ReadFileWithReport is ReadWithReport over a file.
 func ReadFileWithReport(path string, opts Options) (*relation.Relation, *Report, error) {
-	f, err := os.Open(path)
+	f, err := openFile(path)
 	if err != nil {
-		return nil, nil, faults.Wrap(faults.ErrBadInput, fmt.Errorf("csvio: %w", err))
+		return nil, nil, err
 	}
 	defer f.Close()
 	return ReadWithReport(f, opts)

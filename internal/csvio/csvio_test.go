@@ -103,7 +103,7 @@ func TestWriteRoundTrip(t *testing.T) {
 	if err := Write(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	back, _, err := ReadWithReport(&buf, Options{ForceKinds: map[string]relation.Kind{"major": relation.Discrete}})
+	back, _, err := ReadWithReport(bytes.NewReader(buf.Bytes()), Options{ForceKinds: map[string]relation.Kind{"major": relation.Discrete}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,13 @@ import (
 )
 
 // rowDecoder turns kept CSV records into columns under resolved kinds. It is
-// the one place a cell becomes a value: ReadWithReport, ProfileFile's row
-// scan and ChunkIterator.Next all decode through it, so the three loaders
-// validate, default and encode cells alike by construction. An empty cell
-// decodes to NaN (numeric) or relation.Null (discrete). A numeric cell is
-// kept as its float, a discrete one as its code in the column's dictionary,
-// which copies a value's string only the first time the column sees it.
+// the one place a cell becomes a value: the second scan of every load (scan,
+// behind ReadWithReport and ProfileFile) and ChunkIterator.Next decode
+// through it, so the loaders validate, default and encode cells alike by
+// construction. An empty cell decodes to NaN (numeric) or relation.Null
+// (discrete). A numeric cell is kept as its float, a discrete one as its code
+// in the column's dictionary, which copies a value's string only the first
+// time the column sees it.
 type rowDecoder struct {
 	cols []relation.Column
 	// Per column, the slots of its kind: nums for a numeric column; codes,
@@ -23,7 +24,7 @@ type rowDecoder struct {
 	dicts   []map[string]uint32
 	domains [][]string
 	vals    []float64 // the numeric cells of the row being decoded
-	rows    int
+	rows    int       // rows decoded, truncated ones included
 }
 
 // newRowDecoder returns a decoder whose buffers have room for capacity rows.
@@ -75,6 +76,14 @@ func (d *rowDecoder) decode(rec []string) (bad string) {
 	}
 	d.rows++
 	return ""
+}
+
+// truncate empties the column buffers in place, keeping the dictionaries
+// and the row count; build must not follow it.
+func (d *rowDecoder) truncate() {
+	for c := range d.cols {
+		d.nums[c], d.codes[c] = d.nums[c][:0], d.codes[c][:0]
+	}
 }
 
 // build builds the decoded rows as a relation that adopts the buffers; the

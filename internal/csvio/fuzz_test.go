@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -49,7 +48,7 @@ func FuzzRead(f *testing.F) {
 		for _, c := range r.Schema().Columns() {
 			opts.ForceKinds[c.Name] = c.Kind
 		}
-		back, _, err := ReadWithReport(&buf, opts)
+		back, _, err := ReadWithReport(bytes.NewReader(buf.Bytes()), opts)
 		if err != nil {
 			t.Fatalf("wrote %q from %q but cannot re-read: %v", buf.String(), src, err)
 		}
@@ -98,9 +97,10 @@ func FuzzReadPolicies(f *testing.F) {
 
 // FuzzLoadModes is the differential check between the in-memory loader and
 // the streaming one (ProfileFile, then a ChunkIterator drained in windows of
-// 1–64 rows) over one file, under the skip and fail policies: on success
-// they must give the same schema, equal relations, equal Report counters
-// and the same malformed rows; on failure the same typed error.
+// 1–64 rows) over one file, under the skip, fail and quarantine policies: on
+// success they must give the same schema, equal relations, equal Reports
+// (malformed rows in the same order) and the same quarantine sidecar bytes;
+// on failure the same typed error.
 func FuzzLoadModes(f *testing.F) {
 	for i, tc := range messyInputs {
 		forced, numeric := "", false
@@ -112,6 +112,7 @@ func FuzzLoadModes(f *testing.F) {
 	f.Add("a,b\n1,2\n1,2,3\n", uint8(1), "", false)
 	f.Add("a,b\n1,2\nz,3\n", uint8(2), "a", true)
 	f.Add("a,b\n\"open,2\n1,2\n", uint8(3), "", false)
+	f.Add("a,b\n1,2\nz,3\n4\n5,6\n", uint8(4), "a", true)
 	f.Fuzz(func(t *testing.T, src string, window uint8, forced string, numeric bool) {
 		path := filepath.Join(t.TempDir(), "in.csv")
 		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
@@ -126,9 +127,16 @@ func FuzzLoadModes(f *testing.F) {
 			}
 			opts.ForceKinds = map[string]relation.Kind{forced: kind}
 		}
-		for _, policy := range []RowErrorPolicy{RowErrorSkip, RowErrorFail} {
-			opts.OnRowError = policy
+		for _, policy := range []RowErrorPolicy{RowErrorSkip, RowErrorFail, RowErrorQuarantine} {
+			var memQ, streamQ bytes.Buffer
+			opts.OnRowError, opts.Quarantine = policy, nil
+			if policy == RowErrorQuarantine {
+				opts.Quarantine = &memQ
+			}
 			rel, rep, memErr := ReadFileWithReport(path, opts)
+			if policy == RowErrorQuarantine {
+				opts.Quarantine = &streamQ
+			}
 			prof, streamErr := ProfileFile(path, opts)
 			var it *ChunkIterator
 			if streamErr == nil {
@@ -151,16 +159,11 @@ func FuzzLoadModes(f *testing.F) {
 			if !got.Equal(rel) {
 				t.Fatalf("%v: streamed relation differs from in-memory load:\ngot  %v\nwant %v", policy, got, rel)
 			}
-			srep := prof.Report
-			if srep.Rows != rep.Rows || srep.Skipped != rep.Skipped || srep.Quarantined != rep.Quarantined {
-				t.Fatalf("%v: report %+v, want %+v", policy, srep, rep)
+			if !reflect.DeepEqual(prof.Report, rep) {
+				t.Fatalf("%v: report %+v, want %+v", policy, prof.Report, rep)
 			}
-			byRow := func(a, b RowError) int { return a.Row - b.Row }
-			gotBad, wantBad := slices.Clone(srep.BadRows), slices.Clone(rep.BadRows)
-			slices.SortFunc(gotBad, byRow)
-			slices.SortFunc(wantBad, byRow)
-			if !reflect.DeepEqual(gotBad, wantBad) {
-				t.Fatalf("%v: bad rows %v, want %v", policy, srep.BadRows, rep.BadRows)
+			if !bytes.Equal(streamQ.Bytes(), memQ.Bytes()) {
+				t.Fatalf("%v: quarantine sidecar %q, want %q", policy, streamQ.Bytes(), memQ.Bytes())
 			}
 		}
 	})

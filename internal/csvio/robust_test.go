@@ -147,15 +147,40 @@ func TestQuarantinePolicyNeedsWriter(t *testing.T) {
 
 func TestStreamFailureNotSkippable(t *testing.T) {
 	// An I/O error mid-stream is not a row error: even the skip policy must
-	// abort, otherwise a truncated transfer silently halves the dataset.
+	// abort, otherwise a truncated transfer silently halves the dataset. The
+	// fault lands in scan 1, or in scan 2 after scan 1 read the whole input.
 	src := "a,b\n" + strings.Repeat("1,x\n", 100)
-	fr := &faults.FailingReader{R: strings.NewReader(src), FailAt: 50}
-	_, _, err := ReadWithReport(fr, Options{OnRowError: RowErrorSkip})
-	if err == nil {
-		t.Fatal("mid-stream failure should abort the load")
+	for _, failAt := range []int64{50, int64(len(src)) + 50} {
+		fr := &faults.FailingReader{R: strings.NewReader(src), FailAt: failAt}
+		_, _, err := ReadWithReport(fr, Options{OnRowError: RowErrorSkip})
+		if err == nil {
+			t.Fatalf("failure at byte %d should abort the load", failAt)
+		}
+		if !errors.Is(err, faults.ErrBadInput) || !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("failure at byte %d: want typed ErrBadInput carrying the injected cause, got %v", failAt, err)
+		}
 	}
-	if !errors.Is(err, faults.ErrBadInput) || !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("want typed ErrBadInput carrying the injected cause, got %v", err)
+}
+
+// swapOnSeek reads one text, and another once rewound: an input rewritten
+// between the two scans of a load.
+type swapOnSeek struct {
+	*strings.Reader
+	next string
+}
+
+func (s *swapOnSeek) Seek(int64, int) (int64, error) {
+	s.Reader = strings.NewReader(s.next)
+	return 0, nil
+}
+
+func TestInputChangedBetweenScans(t *testing.T) {
+	// A column added after scan 1 resolved the kinds fails typed bad input
+	// instead of decoding cells scan 1 never saw.
+	in := &swapOnSeek{Reader: strings.NewReader("a,b\n1,2\n"), next: "a,b,c\n1,2,3\n"}
+	_, _, err := ReadWithReport(in, Options{})
+	if !errors.Is(err, faults.ErrBadInput) || !strings.Contains(err.Error(), "changed between scans") {
+		t.Fatalf("want ErrBadInput naming a changed input, got %v", err)
 	}
 }
 

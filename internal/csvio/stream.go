@@ -11,27 +11,18 @@ import (
 	"privateclean/internal/relation"
 )
 
-// Out-of-core loading. ReadWithReport buffers every structurally kept record
-// before it decodes them; for sources larger than RAM the same semantics are
-// recovered from bounded-memory scans instead:
+// Out-of-core loading. ProfileFile runs the same two scans as ReadWithReport
+// (scan), but its decoder holds one window of rows at a time: each window is
+// folded into the numeric ranges and dropped, and the decoder's dictionaries
+// become the domains. A ChunkIterator then makes scan 3 and later: it decodes
+// the kept rows into bounded windows for the consumer (privatize, clean,
+// collect), checking each window's values against the domains.
 //
-//	scan 1 (kinds)   — infer column kinds exactly as ReadWithReport does,
-//	                   holding one row at a time;
-//	scan 2 (profile) — with kinds fixed, decode every row under the full row
-//	                   policy (arity/syntax/bad_numeric), one window of
-//	                   columns at a time: the decoder's dictionaries become
-//	                   the domains, its numeric columns the ranges;
-//	scan 3+          — a ChunkIterator decodes the kept rows into bounded
-//	                   windows for the consumer (privatize, clean, collect),
-//	                   checking each window's values against the domains.
-//
-// All of them, ReadWithReport included, turn a record into columns through
-// the one rowDecoder, so a Profile plus a ChunkIterator reproduce
+// Every scan turns a record into columns through the one rowDecoder under
+// the one row policy, so a Profile plus a ChunkIterator reproduce
 // ReadWithReport exactly: the same schema, the same kept rows in the same
-// order, the same Report counters, and the same typed errors under the fail
-// policy. The only observable difference is sidecar ordering: quarantined
-// rows are written in input order, where the in-memory loader groups
-// arity/syntax rows before bad_numeric rows.
+// order, the same Report, the same quarantine sidecar bytes, and the same
+// typed errors under the fail policy.
 
 // Profile summarizes a CSV source after the kind and domain scans: everything
 // a streaming consumer needs before it sees the first row window.
@@ -60,94 +51,26 @@ type Profile struct {
 // Schema builds the relation schema the profile resolved.
 func (p *Profile) Schema() (relation.Schema, error) { return newSchema(p.Columns) }
 
-// openSource is newSource over a file, reading with ReuseRecord: the record
-// next returns is valid only until the following call, so the decoder copies
-// the values that outlive a row.
-func openSource(path string) (*source, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, faults.Wrap(faults.ErrBadInput, fmt.Errorf("csvio: %w", err))
-	}
-	src, err := newSource(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	src.f = f
-	src.cr.ReuseRecord = true // after the header, which must outlive the first row
-	return src, nil
-}
-
-func (s *source) Close() error { return s.f.Close() }
-
-// scanKinds is scan 1: infer column kinds over the structurally kept rows,
-// holding one row at a time. Under the fail policy a malformed row aborts
-// with the same typed error ReadWithReport raises.
-func scanKinds(path string, opts Options) ([]relation.Column, []string, error) {
-	src, err := openSource(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer src.Close()
-
-	header := src.header
-	infer := newKindInference(header, opts.ForceKinds)
-	for {
-		rec, code, reason, err := src.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if code != "" {
-			// Dropped rows contribute no kind evidence. Under the fail
-			// policy the load dies here, matching the in-memory loader —
-			// including its one malformed-row counter increment.
-			if opts.OnRowError == RowErrorFail {
-				return nil, nil, newRowPolicy(opts, header).reject(src.physical, rec, code, reason)
-			}
-			continue
-		}
-		infer.add(rec)
-	}
-	return infer.columns(), header, nil
-}
-
-// ProfileFile runs the kind and domain scans over a CSV file. The resulting
+// ProfileFile runs the two scans of a load over a CSV file. The resulting
 // Profile carries the same schema, kept-row count, domains, sensitivities,
 // and Report as a materialized ReadFileWithReport under the same Options —
 // while holding at most one window of decoded rows plus the dictionaries.
 func ProfileFile(path string, opts Options) (*Profile, error) {
-	if opts.OnRowError == RowErrorQuarantine && opts.Quarantine == nil {
-		return nil, faults.Errorf(faults.ErrUsage, "csvio: quarantine policy needs a quarantine writer")
-	}
-	cols, header, err := scanKinds(path, opts)
+	f, err := openFile(path)
 	if err != nil {
 		return nil, err
 	}
-	src, err := openSource(path)
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-	pol := newRowPolicy(opts, header)
-
-	prof := &Profile{
-		Columns: cols,
-		Domains: make(map[string][]string),
-		Deltas:  make(map[string]float64),
-		Lows:    make(map[string]float64),
-	}
-	dec := newRowDecoder(cols, relation.DefaultWindow)
-	mins := make([]float64, len(cols))
-	maxs := make([]float64, len(cols))
-	seenFinite := make([]bool, len(cols))
-	// foldRanges takes the decoded window into the numeric ranges and
-	// empties the decoder's buffers in place, keeping its dictionaries.
-	foldRanges := func() {
-		for c := range cols {
-			for _, v := range dec.nums[c] {
+	defer f.Close()
+	var mins, maxs []float64
+	var seenFinite []bool
+	// foldRanges takes a window of decoded rows into the numeric ranges.
+	foldRanges := func(dec *rowDecoder) {
+		if mins == nil {
+			n := len(dec.cols)
+			mins, maxs, seenFinite = make([]float64, n), make([]float64, n), make([]bool, n)
+		}
+		for c, col := range dec.nums {
+			for _, v := range col {
 				switch {
 				case math.IsNaN(v):
 				case !seenFinite[c]:
@@ -158,37 +81,22 @@ func ProfileFile(path string, opts Options) (*Profile, error) {
 					maxs[c] = v
 				}
 			}
-			dec.nums[c], dec.codes[c] = dec.nums[c][:0], dec.codes[c][:0]
-		}
-		prof.Rows += dec.rows
-		dec.rows = 0
-	}
-	for {
-		rec, code, reason, err := src.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if code == "" { // of the header's arity: decode it, or reject a bad numeric cell
-			code, reason = "bad_numeric", dec.decode(rec)
-		}
-		if reason != "" {
-			if rerr := pol.reject(src.physical, rec, code, reason); rerr != nil {
-				return nil, rerr
-			}
-		}
-		if dec.rows == relation.DefaultWindow {
-			foldRanges()
 		}
 	}
-	foldRanges()
-	if prof.Report, err = pol.finish(prof.Rows); err != nil {
+	dec, rep, err := scan(f, opts, foldRanges)
+	if err != nil {
 		return nil, err
 	}
 
-	for c, col := range cols {
+	prof := &Profile{
+		Columns: dec.cols,
+		Rows:    rep.Rows,
+		Domains: make(map[string][]string),
+		Deltas:  make(map[string]float64),
+		Lows:    make(map[string]float64),
+		Report:  rep,
+	}
+	for c, col := range dec.cols {
 		switch col.Kind {
 		case relation.Discrete:
 			// Copied, so a column with no kept row gets an empty domain, not nil.
@@ -201,7 +109,7 @@ func ProfileFile(path string, opts Options) (*Profile, error) {
 			prof.Lows[col.Name] = mins[c]
 		}
 	}
-	if info, err := os.Stat(path); err == nil {
+	if info, err := f.Stat(); err == nil {
 		prof.DataBytes = info.Size()
 	}
 	return prof, nil
@@ -215,6 +123,7 @@ func ProfileFile(path string, opts Options) (*Profile, error) {
 // already counted (or, under the fail policy, already fatal). A pass finding
 // other than the profiled kept rows fails with ErrBadInput.
 type ChunkIterator struct {
+	f      *os.File
 	src    *source
 	schema relation.Schema
 	cols   []relation.Column
@@ -238,8 +147,13 @@ func NewChunkIterator(path string, prof *Profile, window int) (*ChunkIterator, e
 	if window <= 0 {
 		window = relation.DefaultWindow
 	}
-	src, err := openSource(path)
+	f, err := openFile(path)
 	if err != nil {
+		return nil, err
+	}
+	src, err := newSource(f)
+	if err != nil {
+		f.Close()
 		return nil, err
 	}
 	names := make([]string, len(prof.Columns))
@@ -247,11 +161,11 @@ func NewChunkIterator(path string, prof *Profile, window int) (*ChunkIterator, e
 		names[c] = col.Name
 	}
 	if !slices.Equal(names, src.header) {
-		src.Close()
+		f.Close()
 		return nil, faults.Errorf(faults.ErrBadInput,
 			"csvio: source header %q, profile has %q (file changed since profiling?)", src.header, names)
 	}
-	return &ChunkIterator{src: src, schema: schema, cols: prof.Columns, domains: prof.Domains, window: window, want: prof.Rows}, nil
+	return &ChunkIterator{f: f, src: src, schema: schema, cols: prof.Columns, domains: prof.Domains, window: window, want: prof.Rows}, nil
 }
 
 // Schema returns the schema every window carries.
@@ -260,7 +174,7 @@ func (it *ChunkIterator) Schema() relation.Schema { return it.schema }
 // Close releases the underlying file. Next returns io.EOF afterwards.
 func (it *ChunkIterator) Close() error {
 	it.done = true
-	return it.src.Close()
+	return it.f.Close()
 }
 
 // Next decodes the next window of kept rows, or returns io.EOF after the

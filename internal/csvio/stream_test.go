@@ -162,42 +162,29 @@ func TestChunkIteratorMatchesReadWithReport(t *testing.T) {
 }
 
 func TestProfileQuarantineSameRowSet(t *testing.T) {
-	text := "a,b\n1,ok\n1,2,3\nz,bad\n\"un,closed\nx\n2,fine\n"
+	text := "a,b\n1,ok\nz,bad\n1,2,3\n\"un,closed\nx\n2,fine\n"
 	path := writeTemp(t, text)
+	force := map[string]relation.Kind{"a": relation.Numeric}
 
 	var memQ, streamQ bytes.Buffer
-	_, memRep, err := ReadFileWithReport(path, Options{OnRowError: RowErrorQuarantine, Quarantine: &memQ})
+	_, memRep, err := ReadFileWithReport(path, Options{OnRowError: RowErrorQuarantine, Quarantine: &memQ, ForceKinds: force})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := ProfileFile(path, Options{OnRowError: RowErrorQuarantine, Quarantine: &streamQ})
+	prof, err := ProfileFile(path, Options{OnRowError: RowErrorQuarantine, Quarantine: &streamQ, ForceKinds: force})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prof.Report.Quarantined != memRep.Quarantined {
-		t.Fatalf("quarantined %d, want %d", prof.Report.Quarantined, memRep.Quarantined)
+	if !reflect.DeepEqual(prof.Report, memRep) {
+		t.Fatalf("report %+v, want %+v", prof.Report, memRep)
 	}
-	// Sidecar ordering may differ between the modes (documented); the row
-	// set must not.
-	sortLines := func(b []byte) []string {
-		lines := strings.Split(strings.TrimSpace(string(b)), "\n")
-		for i := range lines {
-			lines[i] = strings.TrimSpace(lines[i])
-		}
-		return lines
+	if memRep.Quarantined != 3 {
+		t.Fatalf("quarantined %d rows, want 3", memRep.Quarantined)
 	}
-	mem, stream := sortLines(memQ.Bytes()), sortLines(streamQ.Bytes())
-	memSet := make(map[string]int)
-	for _, l := range mem {
-		memSet[l]++
-	}
-	for _, l := range stream {
-		memSet[l]--
-	}
-	for l, n := range memSet {
-		if n != 0 {
-			t.Fatalf("quarantine sidecar row sets differ at %q (delta %d)\nmem: %v\nstream: %v", l, n, mem, stream)
-		}
+	// The bad_numeric row precedes the arity and syntax rows: both modes
+	// list every row in input order.
+	if !bytes.Equal(memQ.Bytes(), streamQ.Bytes()) {
+		t.Fatalf("quarantine sidecars differ\nmem:    %q\nstream: %q", memQ.Bytes(), streamQ.Bytes())
 	}
 }
 

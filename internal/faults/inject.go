@@ -16,9 +16,11 @@ var ErrInjected = errors.New("injected fault")
 // FailingReader delivers the underlying reader's bytes until FailAt bytes
 // have been read, then returns Err (ErrInjected if nil). It deterministically
 // simulates an input that dies mid-stream — a dropped NFS mount, a truncated
-// pipe. FailAt = 0 fails on the first read.
+// pipe. FailAt = 0 fails on the first read. Seek delegates to R, and FailAt
+// counts the bytes delivered across rewinds, so a fault can be placed in any
+// pass of a reader that makes several.
 type FailingReader struct {
-	R      io.Reader
+	R      io.ReadSeeker
 	FailAt int64 // fail once this many bytes have been delivered
 	Err    error // error to return; defaults to ErrInjected
 
@@ -45,6 +47,11 @@ func (f *FailingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// Seek implements io.Seeker.
+func (f *FailingReader) Seek(offset int64, whence int) (int64, error) {
+	return f.R.Seek(offset, whence)
+}
+
 func (f *FailingReader) err() error {
 	if f.Err != nil {
 		return f.Err
@@ -52,25 +59,37 @@ func (f *FailingReader) err() error {
 	return ErrInjected
 }
 
-// TruncatingReader delivers at most Limit bytes and then reports a clean
-// io.EOF — a file that was cut short without any error, the hardest
-// truncation to detect.
+// TruncatingReader delivers R's bytes up to offset Limit and then reports a
+// clean io.EOF — a file that was cut short without any error, the hardest
+// truncation to detect. Seek delegates to R, so every pass after a rewind
+// sees the same cut.
 type TruncatingReader struct {
-	R     io.Reader
+	R     io.ReadSeeker
 	Limit int64
+
+	pos int64
 }
 
 // Read implements io.Reader.
 func (t *TruncatingReader) Read(p []byte) (int, error) {
-	if t.Limit <= 0 {
+	if t.pos >= t.Limit {
 		return 0, io.EOF
 	}
-	if int64(len(p)) > t.Limit {
-		p = p[:t.Limit]
+	if max := t.Limit - t.pos; int64(len(p)) > max {
+		p = p[:max]
 	}
 	n, err := t.R.Read(p)
-	t.Limit -= int64(n)
+	t.pos += int64(n)
 	return n, err
+}
+
+// Seek implements io.Seeker.
+func (t *TruncatingReader) Seek(offset int64, whence int) (int64, error) {
+	pos, err := t.R.Seek(offset, whence)
+	if err == nil {
+		t.pos = pos
+	}
+	return pos, err
 }
 
 // FailingWriter accepts bytes until FailAt have been written, then fails.

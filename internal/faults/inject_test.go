@@ -48,6 +48,30 @@ func TestTruncatingReader(t *testing.T) {
 	}
 }
 
+// TestReadersSeek: after a rewind a TruncatingReader cuts at the same
+// offset, and a FailingReader keeps counting the bytes it delivered.
+func TestReadersSeek(t *testing.T) {
+	tr := &TruncatingReader{R: strings.NewReader("hello world"), Limit: 5}
+	for pass := 0; pass < 2; pass++ {
+		if got, err := io.ReadAll(tr); err != nil || string(got) != "hello" {
+			t.Fatalf("pass %d: got %q, %v", pass, got, err)
+		}
+		if _, err := tr.Seek(0, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := &FailingReader{R: strings.NewReader("abcdef"), FailAt: 8}
+	if got, err := io.ReadAll(fr); err != nil || string(got) != "abcdef" {
+		t.Fatalf("first pass: got %q, %v", got, err)
+	}
+	if _, err := fr.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(fr); !errors.Is(err, ErrInjected) || string(got) != "ab" {
+		t.Fatalf("second pass: got %q, %v; want %q and ErrInjected", got, err, "ab")
+	}
+}
+
 func TestFailingWriterRejects(t *testing.T) {
 	var buf bytes.Buffer
 	fw := &FailingWriter{W: &buf, FailAt: 10}
