@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -399,6 +401,45 @@ func TestPrivatizeResumeCLI(t *testing.T) {
 	gotMeta, _ := os.ReadFile(metaB)
 	if string(gotMeta) != string(wantMeta) {
 		t.Error("resumed CLI metadata differs from uninterrupted run")
+	}
+}
+
+// TestPipeInputCLI: every CSV load reads its input twice, so an input that
+// cannot be reread, such as the /dev/fd path of a process substitution,
+// fails with exit 3 before a byte of it is read, in memory and streaming.
+func TestPipeInputCLI(t *testing.T) {
+	dir := t.TempDir()
+	raw, err := os.ReadFile(writeTempCSV(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	in := fmt.Sprintf("/dev/fd/%d", pr.Fd())
+	if _, err := os.Stat(in); err != nil {
+		t.Skipf("no %s: %v", in, err)
+	}
+	go func() {
+		pw.Write(raw)
+		pw.Close()
+	}()
+	out, metaPath := filepath.Join(dir, "out.csv"), filepath.Join(dir, "meta.json")
+	for _, args := range [][]string{
+		{"describe", "-in", in},
+		{"pack", "-in", in, "-out", filepath.Join(dir, "v.pcol")},
+		{"privatize", "-in", in, "-out", out, "-meta", metaPath, "-p", "0.15", "-b", "0.5"},
+		{"privatize", "-in", in, "-out", out, "-meta", metaPath, "-p", "0.15", "-b", "0.5", "-stream"},
+	} {
+		err := run(args)
+		if got := faults.ExitCode(err); got != faults.ExitBadInput || !strings.Contains(fmt.Sprint(err), "not a pipe") {
+			t.Errorf("%v: exit %d (err %v), want %d naming the pipe", args, got, err, faults.ExitBadInput)
+		}
+	}
+	if rest, _ := io.ReadAll(pr); !bytes.Equal(rest, raw) {
+		t.Errorf("the pipe lost %d of its %d bytes", len(raw)-len(rest), len(raw))
 	}
 }
 

@@ -135,7 +135,7 @@ func newSchema(cols []relation.Column) (relation.Schema, error) {
 
 // ReadWithReport loads a relation from CSV data with a header row, with a
 // per-row accounting of skipped and quarantined rows. It runs the two scans
-// of every load (scan) over r from offset 0, and keeps every decoded row.
+// of every load (scan), each from offset 0 of r, and keeps every decoded row.
 // The report is non-nil whenever the error is nil.
 func ReadWithReport(r io.ReadSeeker, opts Options) (*relation.Relation, *Report, error) {
 	dec, rep, err := scan(r, opts, nil)
@@ -153,28 +153,22 @@ func ReadWithReport(r io.ReadSeeker, opts Options) (*relation.Relation, *Report,
 	return rel, rep, nil
 }
 
-// scan is the body of every CSV load, in two scans of r:
-//
-//	scan 1 (kinds) — scanKinds infers the column kinds and counts the rows of
-//	                 the header's arity, holding one row at a time;
-//	scan 2 (rows)  — with the kinds fixed and r rewound, every record is
-//	                 decoded in input order under the full row policy
-//	                 (arity, syntax, bad_numeric) through one rowDecoder.
-//
-// With fold nil the decoder keeps every row, pre-sized from scan 1's count.
-// Otherwise it holds at most relation.DefaultWindow rows: fold takes each
-// full window, which is then truncated, and the last, partial one. Either way
-// the returned decoder's dictionaries cover every kept row.
-func scan(r io.ReadSeeker, opts Options, fold func(*rowDecoder)) (*rowDecoder, *Report, error) {
+// scan is the body of every CSV load: scan 1 (scanKinds) infers the column
+// kinds and counts the rows of the header's arity, holding one row at a
+// time; scan 2 decodes every record in input order under the full row
+// policy (arity, syntax, bad_numeric) through one rowDecoder. Each scan
+// starts at offset 0 of r. With rg nil the decoder keeps every row,
+// pre-sized from scan 1's count. Otherwise scan sizes rg to the columns and
+// widens it by each window of relation.DefaultWindow rows before dropping
+// the window, and by the last, partial one. Either way the returned
+// decoder's dictionaries cover every kept row.
+func scan(r io.ReadSeeker, opts Options, rg *ranges) (*rowDecoder, *Report, error) {
 	if opts.OnRowError == RowErrorQuarantine && opts.Quarantine == nil {
 		return nil, nil, faults.Errorf(faults.ErrUsage, "csvio: quarantine policy needs a quarantine writer")
 	}
 	cols, header, kept, err := scanKinds(r, opts)
 	if err != nil {
 		return nil, nil, err
-	}
-	if _, err := r.Seek(0, io.SeekStart); err != nil {
-		return nil, nil, faults.Wrap(faults.ErrBadInput, fmt.Errorf("csvio: rewind: %w", err))
 	}
 	src, err := newSource(r)
 	if err != nil {
@@ -186,8 +180,12 @@ func scan(r io.ReadSeeker, opts Options, fold func(*rowDecoder)) (*rowDecoder, *
 	}
 	pol := newRowPolicy(opts, header)
 	capacity := kept
-	if fold != nil {
+	if rg != nil {
 		capacity = min(kept, relation.DefaultWindow)
+		*rg = make(ranges, len(cols))
+		for c := range *rg {
+			(*rg)[c] = [2]float64{math.Inf(1), math.Inf(-1)}
+		}
 	}
 	dec := newRowDecoder(cols, capacity)
 	for {
@@ -205,13 +203,13 @@ func scan(r io.ReadSeeker, opts Options, fold func(*rowDecoder)) (*rowDecoder, *
 			if rerr := pol.reject(src.physical, rec, code, reason); rerr != nil {
 				return nil, nil, rerr
 			}
-		} else if fold != nil && dec.rows%relation.DefaultWindow == 0 {
-			fold(dec)
+		} else if rg != nil && dec.rows%relation.DefaultWindow == 0 {
+			rg.widen(dec.nums)
 			dec.truncate()
 		}
 	}
-	if fold != nil {
-		fold(dec)
+	if rg != nil {
+		rg.widen(dec.nums)
 	}
 	rep, err := pol.finish(dec.rows)
 	if err != nil {
@@ -220,13 +218,32 @@ func scan(r io.ReadSeeker, opts Options, fold func(*rowDecoder)) (*rowDecoder, *
 	return dec, rep, nil
 }
 
+// ranges bound each numeric column's finite cells as {lo, hi}; lo > hi while
+// it has none.
+type ranges [][2]float64
+
+// widen takes the decoded numeric columns into the ranges; NaN cells fail
+// both comparisons.
+func (rg ranges) widen(nums [][]float64) {
+	for c, col := range nums {
+		for _, v := range col {
+			if v < rg[c][0] {
+				rg[c][0] = v
+			}
+			if v > rg[c][1] {
+				rg[c][1] = v
+			}
+		}
+	}
+}
+
 // scanKinds is scan 1: it infers column kinds over the rows of the header's
 // arity, holding one row at a time, and counts them. A column is numeric
 // unless a non-empty cell fails strconv.ParseFloat, discrete when it has no
 // non-empty cell at all, and a kind forced in opts wins. Dropped rows give no
 // evidence. Under the fail policy a malformed row aborts the scan with the
 // typed error, and the one malformed-row count, of the load.
-func scanKinds(r io.Reader, opts Options) (cols []relation.Column, header []string, kept int, err error) {
+func scanKinds(r io.ReadSeeker, opts Options) (cols []relation.Column, header []string, kept int, err error) {
 	src, err := newSource(r)
 	if err != nil {
 		return nil, nil, 0, err
@@ -299,8 +316,8 @@ func openFile(path string) (*os.File, error) {
 	return f, nil
 }
 
-// source is one sequential pass over CSV data: BOM stripped, header read
-// and validated, data rows classified for the row policy.
+// source is one sequential pass over CSV data from its start: BOM stripped,
+// header read and validated, data rows classified for the row policy.
 type source struct {
 	cr     *csv.Reader
 	header []string
@@ -309,12 +326,17 @@ type source struct {
 	physical int
 }
 
-// newSource strips a UTF-8 BOM from r, then reads and validates the header
-// row: a missing, unreadable, empty or duplicate name is a typed
-// faults.ErrBadInput. Data rows are read with ReuseRecord: the record next
+// newSource rewinds r, strips a UTF-8 BOM, then reads and validates the
+// header row: a reader that cannot seek (so a load fails before it reads a
+// byte of a pipe), or a missing, unreadable, empty or duplicate name, is a
+// typed faults.ErrBadInput. Data rows are read with ReuseRecord: the record next
 // returns is valid only until the following call, so the decoder copies the
 // values that outlive a row.
-func newSource(r io.Reader) (*source, error) {
+func newSource(r io.ReadSeeker) (*source, error) {
+	if _, err := r.Seek(0, io.SeekStart); err != nil {
+		return nil, faults.Errorf(faults.ErrBadInput,
+			"csvio: a CSV load reads its input twice, so it must be a regular file, not a pipe or FIFO: %w", err)
+	}
 	br := bufio.NewReader(r)
 	if head, err := br.Peek(3); err == nil && bytes.Equal(head, []byte{0xEF, 0xBB, 0xBF}) {
 		br.Discard(3) // UTF-8 BOM

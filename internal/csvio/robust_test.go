@@ -3,6 +3,8 @@ package csvio
 import (
 	"bytes"
 	"errors"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -162,25 +164,60 @@ func TestStreamFailureNotSkippable(t *testing.T) {
 	}
 }
 
-// swapOnSeek reads one text, and another once rewound: an input rewritten
-// between the two scans of a load.
+// swapOnSeek reads the next of its texts each time it is rewound: an input
+// rewritten between the two scans of a load.
 type swapOnSeek struct {
 	*strings.Reader
-	next string
+	texts []string
 }
 
 func (s *swapOnSeek) Seek(int64, int) (int64, error) {
-	s.Reader = strings.NewReader(s.next)
+	s.Reader, s.texts = strings.NewReader(s.texts[0]), s.texts[1:]
 	return 0, nil
 }
 
 func TestInputChangedBetweenScans(t *testing.T) {
 	// A column added after scan 1 resolved the kinds fails typed bad input
 	// instead of decoding cells scan 1 never saw.
-	in := &swapOnSeek{Reader: strings.NewReader("a,b\n1,2\n"), next: "a,b,c\n1,2,3\n"}
+	in := &swapOnSeek{texts: []string{"a,b\n1,2\n", "a,b,c\n1,2,3\n"}}
 	_, _, err := ReadWithReport(in, Options{})
 	if !errors.Is(err, faults.ErrBadInput) || !strings.Contains(err.Error(), "changed between scans") {
 		t.Fatalf("want ErrBadInput naming a changed input, got %v", err)
+	}
+}
+
+func TestScansStartAtOffsetZero(t *testing.T) {
+	// A reader left mid-input loads as a fresh one: both scans rewind.
+	src := "a,b\n1,x\n2,y\n"
+	want, _, err := ReadWithReport(strings.NewReader(src), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := strings.NewReader(src)
+	r.Seek(6, io.SeekStart)
+	got, _, err := ReadWithReport(r, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Error("a load from offset 6 differs from one from offset 0")
+	}
+}
+
+func TestUnseekableInputFailsFirst(t *testing.T) {
+	// A pipe fails typed bad input before the load reads a byte of it.
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	pw.WriteString("a,b\n1,x\n")
+	pw.Close()
+	if _, _, err := ReadWithReport(pr, Options{}); !errors.Is(err, faults.ErrBadInput) {
+		t.Fatalf("pipe: want ErrBadInput, got %v", err)
+	}
+	if rest, _ := io.ReadAll(pr); string(rest) != "a,b\n1,x\n" {
+		t.Errorf("the load consumed the pipe: %q left", rest)
 	}
 }
 

@@ -3,7 +3,6 @@ package csvio
 import (
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"slices"
 
@@ -61,29 +60,8 @@ func ProfileFile(path string, opts Options) (*Profile, error) {
 		return nil, err
 	}
 	defer f.Close()
-	var mins, maxs []float64
-	var seenFinite []bool
-	// foldRanges takes a window of decoded rows into the numeric ranges.
-	foldRanges := func(dec *rowDecoder) {
-		if mins == nil {
-			n := len(dec.cols)
-			mins, maxs, seenFinite = make([]float64, n), make([]float64, n), make([]bool, n)
-		}
-		for c, col := range dec.nums {
-			for _, v := range col {
-				switch {
-				case math.IsNaN(v):
-				case !seenFinite[c]:
-					mins[c], maxs[c], seenFinite[c] = v, v, true
-				case v < mins[c]:
-					mins[c] = v
-				case v > maxs[c]:
-					maxs[c] = v
-				}
-			}
-		}
-	}
-	dec, rep, err := scan(f, opts, foldRanges)
+	var rg ranges
+	dec, rep, err := scan(f, opts, &rg)
 	if err != nil {
 		return nil, err
 	}
@@ -104,9 +82,11 @@ func ProfileFile(path string, opts Options) (*Profile, error) {
 			slices.Sort(dom)
 			prof.Domains[col.Name] = dom
 		case relation.Numeric:
-			// Zero when the column has no finite cell.
-			prof.Deltas[col.Name] = maxs[c] - mins[c]
-			prof.Lows[col.Name] = mins[c]
+			lo, hi := rg[c][0], rg[c][1]
+			if lo > hi { // no finite cell
+				lo, hi = 0, 0
+			}
+			prof.Deltas[col.Name], prof.Lows[col.Name] = hi-lo, lo
 		}
 	}
 	if info, err := f.Stat(); err == nil {
