@@ -173,7 +173,7 @@ func writeDirtyCSV(t *testing.T, dir string) string {
 }
 
 // TestGoldenClean locks the cleaned CSV and provenance bytes `clean` writes
-// for every op set, and requires -stream to write the same bytes.
+// for every op set.
 func TestGoldenClean(t *testing.T) {
 	dir := t.TempDir()
 	private := filepath.Join(dir, "private.csv")
@@ -184,28 +184,16 @@ func TestGoldenClean(t *testing.T) {
 	}
 	var want bytes.Buffer
 	for i, ops := range cleanOpSets {
-		var resident string
-		for _, stream := range []bool{false, true} {
-			out := filepath.Join(dir, fmt.Sprintf("clean-%d-%v.csv", i, stream))
-			prov := filepath.Join(dir, fmt.Sprintf("prov-%d-%v.json", i, stream))
-			args := []string{"clean", "-in", private, "-out", out, "-meta", meta, "-prov", prov}
-			if stream {
-				args = append(args, "-stream")
-			}
-			for _, op := range ops {
-				args = append(args, "-op", op)
-			}
-			if err := run(args); err != nil {
-				t.Fatalf("%v: %v", args, err)
-			}
-			got := fmt.Sprintf("== %s\n%s%s\n", strings.Join(ops, " "), readBytes(t, out), readBytes(t, prov))
-			if !stream {
-				resident = got
-				want.WriteString(got)
-			} else if got != resident {
-				t.Errorf("%v: -stream output differs from the in-memory clean:\n%s\nwant:\n%s", ops, got, resident)
-			}
+		out := filepath.Join(dir, fmt.Sprintf("clean-%d.csv", i))
+		prov := filepath.Join(dir, fmt.Sprintf("prov-%d.json", i))
+		args := []string{"clean", "-in", private, "-out", out, "-meta", meta, "-prov", prov}
+		for _, op := range ops {
+			args = append(args, "-op", op)
 		}
+		if err := run(args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		fmt.Fprintf(&want, "== %s\n%s%s\n", strings.Join(ops, " "), readBytes(t, out), readBytes(t, prov))
 	}
 	golden(t, "clean.golden", want.Bytes())
 }

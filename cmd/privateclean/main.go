@@ -284,7 +284,7 @@ func (cf *csvFlags) load(path string) (r *relation.Relation, err error) {
 }
 
 // profile runs the bounded-memory profile scans of a CSV under the selected
-// row policy, for csvio.NewChunkIterator passes over it.
+// row policy, for tuning and for csvio.NewChunkIterator passes over it.
 func (cf *csvFlags) profile(path string) (prof *csvio.Profile, err error) {
 	err = cf.read(path, func(opts csvio.Options) (err error) {
 		prof, err = csvio.ProfileFile(path, opts)
@@ -399,8 +399,7 @@ func cmdPrivatize(args []string) (err error) {
 	checkpoint := fs.String("checkpoint", "", "checkpoint path (default <out>.ckpt)")
 	resume := fs.Bool("resume", false, "resume an interrupted run from its checkpoint")
 	ledger := fs.String("ledger", "", "epsilon-budget ledger JSON (default <in>"+telemetry.LedgerFileSuffix+"; 'off' disables)")
-	stream := fs.Bool("stream", false, "out-of-core mode: never load the input; scan it in chunks (output is byte-identical)")
-	memBudget := fs.String("mem-budget", "", "streaming memory budget (bytes; k/m/g suffixes) sizing chunks when -chunk is unset")
+	memBudget := fs.String("mem-budget", "", "memory budget (bytes; k/m/g suffixes) sizing chunks when -chunk is unset")
 	cf := addCSVFlags(fs)
 	tf := addTelFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -415,9 +414,6 @@ func cmdPrivatize(args []string) (err error) {
 	budget, err := parseBytes(*memBudget)
 	if err != nil {
 		return faults.Errorf(faults.ErrUsage, "privatize: -mem-budget: %v", err)
-	}
-	if budget > 0 && !*stream {
-		return faults.Errorf(faults.ErrUsage, "privatize: -mem-budget only applies with -stream")
 	}
 	chunkSet := false
 	fs.Visit(func(f *flag.Flag) {
@@ -442,20 +438,17 @@ func cmdPrivatize(args []string) (err error) {
 		return err
 	}
 	// The parameters need the schema, which the kind scan alone resolves:
-	// the job's own read is then the one load that decodes rows, writes the
-	// quarantine sidecar and reports a lossy load. Tuning from -error needs
-	// the kept rows themselves, so it loads the input first.
+	// the job's own read is then the one profile that decodes rows, writes
+	// the quarantine sidecar and reports a lossy load. Tuning from -error
+	// needs the row count and the numeric ranges, so it profiles the input
+	// first.
 	var params privacy.Params
 	if *targetErr > 0 {
-		if *stream {
-			return faults.Errorf(faults.ErrUsage,
-				"privatize: -error (parameter tuning) needs the resident input; run 'privateclean tune' first and pass -p/-b")
-		}
-		r, err := cf.load(*in)
+		prof, err := cf.profile(*in)
 		if err != nil {
 			return err
 		}
-		if params, err = privacy.Tune(r, *targetErr, *confidence); err != nil {
+		if params, err = tuneProfile(prof, *targetErr, *confidence); err != nil {
 			return err
 		}
 	} else {
@@ -468,7 +461,7 @@ func cmdPrivatize(args []string) (err error) {
 	params.Mechanism = *mechanism
 	params.Bins = *bins
 	chunkSize := *chunk
-	if *stream && budget > 0 && !chunkSet {
+	if budget > 0 && !chunkSet {
 		chunkSize = 0 // derived from the budget and the profiled row geometry
 	}
 	job := &core.PrivatizeJob{
@@ -486,7 +479,6 @@ func cmdPrivatize(args []string) (err error) {
 		Resume:         *resume,
 		Tel:            tel,
 		LedgerPath:     ledgerPath,
-		Stream:         *stream,
 		MemBudget:      budget,
 	}
 	res, err := job.Run()
@@ -591,36 +583,43 @@ func cmdTune(args []string) (err error) {
 	defer tf.finish(&err)
 	sp := tel.Trace.StartSpan(nil, "tune")
 	defer sp.End()
-	r, err := cf.load(*in)
+	prof, err := cf.profile(*in)
 	if err != nil {
 		return err
 	}
-	params, err := privacy.Tune(r, *targetErr, *confidence)
+	params, err := tuneProfile(prof, *targetErr, *confidence)
 	if err != nil {
 		return err
 	}
-	return printDiscreteParams(r, params)
+	printDiscreteParams(prof.Domains, params)
+	return nil
 }
 
-// printDiscreteParams reports tuned/allocated per-attribute parameters.
-// Discrete attributes show two epsilons: eps_exact = ln(N(1-p)/p + 1), the
-// channel's true local-DP parameter and the one privatize reports and the
-// ledger composes, and eps_lemma1 = ln(3/p - 2), the paper's Lemma 1
-// constant, reproduced for comparison (exact only at N = 3).
-func printDiscreteParams(r *relation.Relation, params privacy.Params) error {
+// tuneProfile is privacy.Tune over a profile's schema, rows and ranges.
+func tuneProfile(prof *csvio.Profile, targetErr, confidence float64) (privacy.Params, error) {
+	schema, err := prof.Schema()
+	if err != nil {
+		return privacy.Params{}, err
+	}
+	return privacy.Tune(schema, prof.Rows, prof.Deltas, targetErr, confidence)
+}
+
+// printDiscreteParams reports tuned/allocated per-attribute parameters over
+// the discrete domains they were tuned for. Discrete attributes show two
+// epsilons: eps_exact = ln(N(1-p)/p + 1), the channel's true local-DP
+// parameter and the one privatize reports and the ledger composes, and
+// eps_lemma1 = ln(3/p - 2), the paper's Lemma 1 constant, reproduced for
+// comparison (exact only at N = 3).
+func printDiscreteParams(domains map[string][]string, params privacy.Params) {
 	for _, name := range sortedKeys(params.P) {
 		p := params.P[name]
-		n, err := r.DomainSize(name)
-		if err != nil {
-			return err
-		}
+		n := len(domains[name])
 		fmt.Printf("discrete %-16s p=%.4f (eps_lemma1=%.4f eps_exact=%.4f N=%d)\n",
 			name, p, privacy.EpsilonDiscrete(p), privacy.EpsilonDiscreteExact(p, n), n)
 	}
 	for _, name := range sortedKeys(params.B) {
 		fmt.Printf("numeric  %-16s b=%.4f\n", name, params.B[name])
 	}
-	return nil
 }
 
 func cmdMinSize(args []string) (err error) {
@@ -675,7 +674,12 @@ func cmdEpsilon(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	return printDiscreteParams(r, params)
+	domains, _, _, err := privacy.Summarize(r)
+	if err != nil {
+		return err
+	}
+	printDiscreteParams(domains, params)
+	return nil
 }
 
 func cmdDescribe(args []string) (err error) {
@@ -841,7 +845,6 @@ func cmdClean(args []string) (err error) {
 	out := fs.String("out", "", "output cleaned CSV (required)")
 	metaPath := fs.String("meta", "", "view metadata JSON from privatize (required)")
 	provPath := fs.String("prov", "", "provenance JSON (read if present, always written) (required)")
-	stream := fs.Bool("stream", false, "out-of-core mode: clean in windows without loading the input")
 	var ops opList
 	fs.Var(&ops, "op", "cleaning op spec (repeatable): replace:a:f:t | md:a:d | fd:l1,l2:r | fdimpute:l:r | nullify:a:v1,v2")
 	cf := addCSVFlags(fs)
@@ -871,28 +874,16 @@ func cmdClean(args []string) (err error) {
 			return err
 		}
 	}
-	// -stream only picks the window source. The loaded relation of a resident
-	// run also supplies the dirty domain of an attribute the metadata lacks.
-	ctx := &cleaning.Context{Prov: prov, Meta: meta, Tel: tel}
-	var open func() (relation.Iterator, error)
-	var rows int
-	if *stream {
-		prof, err := cf.profile(*in)
-		if err != nil {
-			return err
-		}
-		open = func() (relation.Iterator, error) { return csvio.NewChunkIterator(*in, prof, relation.DefaultWindow) }
-		rows = prof.Rows
-	} else {
-		r, err := cf.load(*in)
-		if err != nil {
-			return err
-		}
-		ctx.Rel = r
-		open = func() (relation.Iterator, error) { return relation.NewSliceIterator(r, 0), nil }
-		rows = r.NumRows()
+	// The clean reads its input in windows: a profile, then one pass per
+	// global op and the write pass. The profiled domains are the dirty
+	// domains of the attributes the metadata lacks.
+	prof, err := cf.profile(*in)
+	if err != nil {
+		return err
 	}
-	ctx.Span = tel.Trace.StartSpan(nil, "clean", telemetry.A("ops", len(ops)), telemetry.A("rows", rows), telemetry.A("stream", *stream))
+	ctx := &cleaning.Context{Domains: prof.Domains, Prov: prov, Meta: meta, Tel: tel}
+	open := func() (relation.Iterator, error) { return csvio.NewChunkIterator(*in, prof, relation.DefaultWindow) }
+	ctx.Span = tel.Trace.StartSpan(nil, "clean", telemetry.A("ops", len(ops)), telemetry.A("rows", prof.Rows))
 	err = writeCleaned(*out, ctx, open, ops)
 	ctx.Span.End()
 	if err != nil {
@@ -904,7 +895,7 @@ func cmdClean(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	tel.Log.Info("clean finished", "ops", len(ops), "rows", rows, "tracked_attrs", len(prov.Attrs()), "stream", *stream)
+	tel.Log.Info("clean finished", "ops", len(ops), "rows", prof.Rows, "tracked_attrs", len(prov.Attrs()))
 	fmt.Printf("applied %d ops; provenance tracks %d attribute(s)\n", len(ops), len(prov.Attrs()))
 	return nil
 }

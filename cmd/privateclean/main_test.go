@@ -406,7 +406,7 @@ func TestPrivatizeResumeCLI(t *testing.T) {
 
 // TestPipeInputCLI: every CSV load reads its input twice, so an input that
 // cannot be reread, such as the /dev/fd path of a process substitution,
-// fails with exit 3 before a byte of it is read, in memory and streaming.
+// fails with exit 3 before a byte of it is read.
 func TestPipeInputCLI(t *testing.T) {
 	dir := t.TempDir()
 	raw, err := os.ReadFile(writeTempCSV(t, dir))
@@ -431,7 +431,6 @@ func TestPipeInputCLI(t *testing.T) {
 		{"describe", "-in", in},
 		{"pack", "-in", in, "-out", filepath.Join(dir, "v.pcol")},
 		{"privatize", "-in", in, "-out", out, "-meta", metaPath, "-p", "0.15", "-b", "0.5"},
-		{"privatize", "-in", in, "-out", out, "-meta", metaPath, "-p", "0.15", "-b", "0.5", "-stream"},
 	} {
 		err := run(args)
 		if got := faults.ExitCode(err); got != faults.ExitBadInput || !strings.Contains(fmt.Sprint(err), "not a pipe") {
@@ -480,33 +479,29 @@ func TestRowPolicyFlagsCLI(t *testing.T) {
 		t.Errorf("sidecar content = %q, want the malformed row", side)
 	}
 
-	// A quarantine privatize run reads its input once: one lossy-load
+	// A quarantine privatize run profiles its input once: one lossy-load
 	// warning, and the malformed row counted (and written to the sidecar)
-	// once, in memory and streaming alike.
+	// once.
 	var logs bytes.Buffer
 	oldDest := logDest
 	logDest = &logs
 	defer func() { logDest = oldDest }()
-	for _, mode := range [][]string{nil, {"-stream"}} {
-		logs.Reset()
-		metricsPath := filepath.Join(dir, "m.prom")
-		args := append([]string{"privatize", "-in", bad, "-out", out, "-meta", metaPath, "-p", "0.15", "-b", "0.5",
-			"-discrete", "score", "-on-row-error", "quarantine", "-quarantine", sidecar, "-metrics-out", metricsPath}, mode...)
-		if err := run(args); err != nil {
-			t.Fatalf("%v quarantine privatize: %v", mode, err)
-		}
-		if n := strings.Count(logs.String(), "lossy CSV load"); n != 1 {
-			t.Errorf("%v: %d lossy-load warnings, want 1:\n%s", mode, n, logs.String())
-		}
-		prom, err := os.ReadFile(metricsPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := `privateclean_csv_rows_malformed_total{code="arity",policy="quarantine"} 1` + "\n"; !strings.Contains(string(prom), want) {
-			t.Errorf("%v: metrics lack %q:\n%s", mode, want, prom)
-		}
-		if side2, err := os.ReadFile(sidecar); err != nil || !bytes.Equal(side2, side) {
-			t.Errorf("%v: sidecar %q (%v), want %q", mode, side2, err, side)
-		}
+	metricsPath := filepath.Join(dir, "m.prom")
+	if err := run([]string{"privatize", "-in", bad, "-out", out, "-meta", metaPath, "-p", "0.15", "-b", "0.5",
+		"-discrete", "score", "-on-row-error", "quarantine", "-quarantine", sidecar, "-metrics-out", metricsPath}); err != nil {
+		t.Fatalf("quarantine privatize: %v", err)
+	}
+	if n := strings.Count(logs.String(), "lossy CSV load"); n != 1 {
+		t.Errorf("%d lossy-load warnings, want 1:\n%s", n, logs.String())
+	}
+	prom, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `privateclean_csv_rows_malformed_total{code="arity",policy="quarantine"} 1` + "\n"; !strings.Contains(string(prom), want) {
+		t.Errorf("metrics lack %q:\n%s", want, prom)
+	}
+	if side2, err := os.ReadFile(sidecar); err != nil || !bytes.Equal(side2, side) {
+		t.Errorf("sidecar %q (%v), want %q", side2, err, side)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"privateclean/internal/atomicio"
 	"privateclean/internal/cleaning"
 	"privateclean/internal/csvio"
 	"privateclean/internal/faults"
@@ -30,10 +32,10 @@ func readBytes(t *testing.T, path string) []byte {
 	return data
 }
 
-// TestStreamPrivatizeCLIByteIdentical: `privatize -stream` must release the
-// same view and metadata bytes as the in-memory path for the same seed and
-// chunk size, at any worker count, and quarantine the same sidecar bytes
-// from an input whose non-finite cell precedes a ragged row.
+// TestStreamPrivatizeCLIByteIdentical: `privatize` must release the same
+// view, metadata and quarantine sidecar bytes for the same seed and chunk
+// size at any worker count, with or without a -mem-budget (which -chunk
+// overrides), from an input whose non-finite cell precedes a ragged row.
 func TestStreamPrivatizeCLIByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	data := writeTempCSV(t, dir)
@@ -42,35 +44,28 @@ func TestStreamPrivatizeCLIByteIdentical(t *testing.T) {
 	if err := os.WriteFile(data, []byte(dirty), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	privatize := func(out, metaPath, sidecar string, extra ...string) {
-		t.Helper()
+	var want [][]byte
+	for i, extra := range [][]string{{"-workers", "1"}, {"-workers", "8"}, {"-workers", "3", "-mem-budget", "64k"}} {
+		out := filepath.Join(dir, fmt.Sprintf("view-%d.csv", i))
+		metaPath := filepath.Join(dir, fmt.Sprintf("meta-%d.json", i))
+		side := filepath.Join(dir, fmt.Sprintf("side-%d.quarantine", i))
 		args := []string{"privatize", "-in", data, "-out", out, "-meta", metaPath,
 			"-p", "0.2", "-b", "0.5", "-seed", "7", "-chunk", "64", "-ledger", "off",
-			"-on-row-error", "quarantine", "-quarantine", sidecar}
+			"-on-row-error", "quarantine", "-quarantine", side}
 		if err := run(append(args, extra...)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	memOut := filepath.Join(dir, "mem.csv")
-	memMeta := filepath.Join(dir, "mem-meta.json")
-	memSide := filepath.Join(dir, "mem.quarantine")
-	privatize(memOut, memMeta, memSide)
-	if n := bytes.Count(readBytes(t, memSide), []byte("\n")); n != 2 {
-		t.Fatalf("in-memory sidecar holds %d rows, want 2", n)
-	}
-	for _, workers := range []string{"1", "8"} {
-		out := filepath.Join(dir, "stream-"+workers+".csv")
-		metaPath := filepath.Join(dir, "stream-meta-"+workers+".json")
-		side := filepath.Join(dir, "stream-"+workers+".quarantine")
-		privatize(out, metaPath, side, "-stream", "-workers", workers)
-		if !bytes.Equal(readBytes(t, out), readBytes(t, memOut)) {
-			t.Fatalf("workers=%s: streamed view differs from in-memory view", workers)
+		got := [][]byte{readBytes(t, out), readBytes(t, metaPath), readBytes(t, side)}
+		if i == 0 {
+			if n := bytes.Count(got[2], []byte("\n")); n != 2 {
+				t.Fatalf("sidecar holds %d rows, want 2", n)
+			}
+			want = got
 		}
-		if !bytes.Equal(readBytes(t, metaPath), readBytes(t, memMeta)) {
-			t.Fatalf("workers=%s: streamed metadata differs from in-memory metadata", workers)
-		}
-		if !bytes.Equal(readBytes(t, side), readBytes(t, memSide)) {
-			t.Fatalf("workers=%s: streamed sidecar differs from in-memory sidecar", workers)
+		for k, name := range []string{"view", "metadata", "sidecar"} {
+			if !bytes.Equal(got[k], want[k]) {
+				t.Fatalf("%v: %s differs from the -workers 1 run", extra, name)
+			}
 		}
 	}
 }
@@ -86,7 +81,7 @@ func TestStreamPrivatizeMemBudget(t *testing.T) {
 		metaPath := filepath.Join(dir, "budget-meta-"+workers+".json")
 		if err := run([]string{"privatize", "-in", data, "-out", out, "-meta", metaPath,
 			"-p", "0.2", "-b", "0.5", "-seed", "7", "-ledger", "off",
-			"-stream", "-mem-budget", "64k", "-workers", workers}); err != nil {
+			"-mem-budget", "64k", "-workers", workers}); err != nil {
 			t.Fatal(err)
 		}
 		got := readBytes(t, out)
@@ -98,25 +93,21 @@ func TestStreamPrivatizeMemBudget(t *testing.T) {
 	}
 }
 
+// TestStreamPrivatizeFlagValidation: every run streams, so -stream is an
+// unknown flag of privatize and clean, and -mem-budget needs a byte count.
 func TestStreamPrivatizeFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	data := writeTempCSV(t, dir)
 	out := filepath.Join(dir, "out.csv")
 	meta := filepath.Join(dir, "meta.json")
-	err := run([]string{"privatize", "-in", data, "-out", out, "-meta", meta,
-		"-stream", "-error", "0.1"})
-	if !errors.Is(err, faults.ErrUsage) {
-		t.Fatalf("-stream with -error: got %v, want usage error", err)
-	}
-	err = run([]string{"privatize", "-in", data, "-out", out, "-meta", meta,
-		"-mem-budget", "1m"})
-	if !errors.Is(err, faults.ErrUsage) {
-		t.Fatalf("-mem-budget without -stream: got %v, want usage error", err)
-	}
-	err = run([]string{"privatize", "-in", data, "-out", out, "-meta", meta,
-		"-stream", "-mem-budget", "nope"})
-	if !errors.Is(err, faults.ErrUsage) {
-		t.Fatalf("bad -mem-budget: got %v, want usage error", err)
+	for _, args := range [][]string{
+		{"privatize", "-in", data, "-out", out, "-meta", meta, "-stream"},
+		{"clean", "-in", data, "-out", out, "-meta", meta, "-prov", filepath.Join(dir, "prov.json"), "-op", "replace:major:a:b", "-stream"},
+		{"privatize", "-in", data, "-out", out, "-meta", meta, "-mem-budget", "nope"},
+	} {
+		if err := run(args); !errors.Is(err, faults.ErrUsage) {
+			t.Errorf("%v: got %v, want usage error", args, err)
+		}
 	}
 }
 
@@ -150,8 +141,74 @@ func TestParseBytes(t *testing.T) {
 	}
 }
 
-// TestStreamCleanCLIMatches: `clean -stream` must write the same cleaned CSV
-// and provenance as the in-memory clean.
+// residentClean is what `clean` must write: cleaning.Apply over the input
+// loaded whole, with the kinds -discrete forces, rendered as the CLI renders
+// the cleaned CSV and a fresh provenance store.
+func residentClean(t *testing.T, in, metaPath, discrete string, specs []string) (csv, prov []byte) {
+	t.Helper()
+	opts := csvio.Options{ForceKinds: map[string]relation.Kind{}}
+	if discrete != "" {
+		opts.ForceKinds[discrete] = relation.Discrete
+	}
+	r, _, err := csvio.ReadFileWithReport(in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := readMeta(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]cleaning.Op, len(specs))
+	for i, spec := range specs {
+		if ops[i], err = parseOp(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := &cleaning.Context{Rel: r, Prov: provenance.NewStore(), Meta: meta}
+	if err := cleaning.Apply(ctx, ops...); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := csvio.Write(&out, r); err != nil {
+		t.Fatal(err)
+	}
+	j, err := atomicio.MarshalIndented(ctx.Prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Release()
+	return out.Bytes(), bytes.Clone(j.Bytes())
+}
+
+// cleanMatchesResident runs `clean` with a fresh provenance file and
+// requires residentClean's bytes.
+func cleanMatchesResident(t *testing.T, in, metaPath, discrete string, specs ...string) {
+	t.Helper()
+	dir := t.TempDir()
+	out, prov := filepath.Join(dir, "clean.csv"), filepath.Join(dir, "prov.json")
+	args := []string{"clean", "-in", in, "-out", out, "-meta", metaPath, "-prov", prov}
+	if discrete != "" {
+		args = append(args, "-discrete", discrete)
+	}
+	for _, spec := range specs {
+		args = append(args, "-op", spec)
+	}
+	if err := run(args); err != nil {
+		t.Fatalf("%v: %v", specs, err)
+	}
+	wantCSV, wantProv := residentClean(t, in, metaPath, discrete, specs)
+	if got := readBytes(t, out); !bytes.Equal(got, wantCSV) {
+		t.Errorf("%v: cleaned CSV differs from the resident clean:\n%s\nwant:\n%s", specs, got, wantCSV)
+	}
+	if got := readBytes(t, prov); !bytes.Equal(got, wantProv) {
+		t.Errorf("%v: provenance differs from the resident clean:\n%s\nwant:\n%s", specs, got, wantProv)
+	}
+}
+
+// TestStreamCleanCLIMatches: `clean` reads its input in windows, and must
+// write the cleaned CSV and provenance of cleaning.Apply over the input
+// loaded whole, for value ops and for the ops that compile from a summary
+// of the whole input.
 func TestStreamCleanCLIMatches(t *testing.T) {
 	dir := t.TempDir()
 	data := writeTempCSV(t, dir)
@@ -161,43 +218,31 @@ func TestStreamCleanCLIMatches(t *testing.T) {
 		"-p", "0.2", "-b", "0.5", "-seed", "7", "-ledger", "off"}); err != nil {
 		t.Fatal(err)
 	}
-	ops := []string{
-		"-op", "replace:major:Mech. Eng.:Mechanical Engineering",
-		"-op", "replace:major:Electrical Eng.:EE",
-	}
-	memOut := filepath.Join(dir, "mem-clean.csv")
-	memProv := filepath.Join(dir, "mem-prov.json")
-	if err := run(append([]string{"clean", "-in", private, "-out", memOut, "-meta", meta, "-prov", memProv}, ops...)); err != nil {
-		t.Fatal(err)
-	}
-	streamOut := filepath.Join(dir, "stream-clean.csv")
-	streamProv := filepath.Join(dir, "stream-prov.json")
-	if err := run(append([]string{"clean", "-stream", "-in", private, "-out", streamOut, "-meta", meta, "-prov", streamProv}, ops...)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(readBytes(t, streamOut), readBytes(t, memOut)) {
-		t.Fatal("streamed clean output differs from in-memory clean")
-	}
-	if !bytes.Equal(readBytes(t, streamProv), readBytes(t, memProv)) {
-		t.Fatal("streamed provenance differs from in-memory provenance")
-	}
+	cleanMatchesResident(t, private, meta, "",
+		"replace:major:Mech. Eng.:Mechanical Engineering", "replace:major:Electrical Eng.:EE")
+	cleanMatchesResident(t, private, meta, "", "md:major:2")
+	cleanMatchesResident(t, private, meta, "score", "fd:score:major")
+	cleanMatchesResident(t, private, meta, "score", "replace:major:Math:History", "fdimpute:score:major", "md:major:3")
+}
 
-	// The ops that compile from a summary of the whole input stream too.
-	for _, ops := range [][]string{
-		{"-op", "md:major:2"},
-		{"-discrete", "score", "-op", "fd:score:major"},
-		{"-discrete", "score", "-op", "replace:major:Math:History", "-op", "fdimpute:score:major", "-op", "md:major:3"},
-	} {
-		if err := run(append([]string{"clean", "-in", private, "-out", memOut, "-meta", meta, "-prov", memProv}, ops...)); err != nil {
-			t.Fatal(err)
-		}
-		if err := run(append([]string{"clean", "-stream", "-in", private, "-out", streamOut, "-meta", meta, "-prov", streamProv}, ops...)); err != nil {
-			t.Fatalf("%v: %v", ops, err)
-		}
-		if !bytes.Equal(readBytes(t, streamOut), readBytes(t, memOut)) || !bytes.Equal(readBytes(t, streamProv), readBytes(t, memProv)) {
-			t.Fatalf("%v: streamed clean differs from in-memory clean", ops)
-		}
+// TestCleanAttrMissingFromMetaCLI: cleaning an attribute the view metadata
+// lacks records its provenance against the input's own domain, as a clean
+// of the resident input does.
+func TestCleanAttrMissingFromMetaCLI(t *testing.T) {
+	dir := t.TempDir()
+	one, two := filepath.Join(dir, "one.csv"), filepath.Join(dir, "two.csv")
+	if err := os.WriteFile(one, []byte("a\nx\ny\nx\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	if err := os.WriteFile(two, []byte("a,b\nx,u\ny,v\nx,u\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	meta := filepath.Join(dir, "meta.json")
+	if err := run([]string{"privatize", "-in", one, "-out", filepath.Join(dir, "view.csv"), "-meta", meta,
+		"-p", "0.2", "-seed", "3", "-ledger", "off"}); err != nil {
+		t.Fatal(err)
+	}
+	cleanMatchesResident(t, two, meta, "", "replace:b:u:w")
 }
 
 // TestStreamCleanKeepsOutOnChangedInput: an input that gains or loses rows

@@ -154,7 +154,7 @@ func TestPrivatizeTelemetryAcceptance(t *testing.T) {
 			t.Fatalf("span %q trace %s does not match root trace %s", lines[i].Name, lines[i].Trace, root.Trace)
 		}
 	}
-	if stages["csv_load"] != 1 || stages["finalize"] != 1 || stages["chunk"] < 1 {
+	if stages["csv_profile"] != 1 || stages["finalize"] != 1 || stages["chunk"] < 1 {
 		t.Fatalf("trace sink missing stages: %v", stages)
 	}
 

@@ -36,14 +36,17 @@ import (
 	"privateclean/internal/telemetry"
 )
 
-// Context is the environment a cleaner runs in. Apply rewrites Rel's columns
-// (StreamApply reads it only in graphFor). Prov and Meta are optional: when
-// both are set, provenance is recorded against the dirty domains released in
-// Meta.
+// Context is the environment a cleaner runs in. Apply rewrites Rel's columns.
+// Prov and Meta are optional: when both are set, provenance is recorded
+// against the dirty domains released in Meta.
 type Context struct {
-	Rel  *relation.Relation
-	Prov *provenance.Store
-	Meta *privacy.ViewMeta
+	Rel *relation.Relation
+	// Domains are StreamApply's dirty domains of its input's discrete
+	// columns (csvio.Profile.Domains), for an attribute Meta lacks; Apply
+	// reads them from Rel.
+	Domains map[string][]string
+	Prov    *provenance.Store
+	Meta    *privacy.ViewMeta
 	// Tel supplies telemetry sinks (nil falls back to telemetry.Default());
 	// Span, if set, parents the spans the engine records.
 	Tel  *telemetry.Set
@@ -127,8 +130,9 @@ func failed(tel *telemetry.Set, op Op, err error) error {
 // nil when the context records no provenance. A new graph is the identity
 // over the attribute's dirty domain: the released randomization domain in
 // Meta (the domain GRR drew from, hence a superset of the attribute's
-// current values), else the resident relation's domain before the write
-// pass (the engine creates a resident run's graphs first).
+// current values), else the input's domain before the write pass: Rel's
+// (the engine creates Apply's graphs before the write pass rewrites Rel),
+// or StreamApply's Domains.
 func (ctx *Context) graphFor(attr string) (*provenance.Graph, error) {
 	if ctx.Prov == nil {
 		return nil, nil
@@ -141,12 +145,16 @@ func (ctx *Context) graphFor(attr string) (*provenance.Graph, error) {
 			return ctx.Prov.Ensure(attr, m.Domain), nil
 		}
 	}
-	if ctx.Rel == nil {
-		return nil, fmt.Errorf("no dirty domain for attribute %q: streaming provenance needs the attribute in the view metadata", attr)
+	if ctx.Rel != nil {
+		dom, err := ctx.Rel.Domain(attr)
+		if err != nil {
+			return nil, err
+		}
+		return ctx.Prov.Ensure(attr, dom), nil
 	}
-	dom, err := ctx.Rel.Domain(attr)
-	if err != nil {
-		return nil, err
+	dom, ok := ctx.Domains[attr]
+	if !ok {
+		return nil, fmt.Errorf("no dirty domain for attribute %q: it is in neither the view metadata nor the input's discrete domains", attr)
 	}
 	return ctx.Prov.Ensure(attr, dom), nil
 }

@@ -31,11 +31,11 @@ type StreamResult struct {
 
 // StreamApply applies ops to the windows open yields, writing the cleaned
 // rows as CSV (csvio.Write conventions, header included) to w. open is
-// called once per pass and must yield the same rows each time: a
+// called once per pass and must yield the same rows each time, such as a
 // csvio.ChunkIterator over a profiled file (it fails with ErrBadInput once
 // the file no longer holds the profiled rows; io.Closer iterators are
-// closed after their pass) or a relation.NewSliceIterator, whose relation
-// ctx.Rel may name for graphFor's fallback.
+// closed after their pass). ctx.Domains, the profile's domains, give the
+// dirty domain of an attribute ctx.Meta lacks; ctx.Rel must be nil.
 func StreamApply(ctx *Context, open func() (relation.Iterator, error), w io.Writer, ops ...Op) (*StreamResult, error) {
 	cw := csv.NewWriter(w)
 	res, err := run(ctx, open, func(win *relation.Relation, first bool) error {

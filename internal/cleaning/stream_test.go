@@ -200,8 +200,8 @@ func TestStreamApplyWithoutProvenance(t *testing.T) {
 
 func TestStreamApplyMissingDomainFails(t *testing.T) {
 	r := evalRel(t)
-	// Provenance requested but the attribute is absent from the metadata:
-	// with no resident relation there is no fallback dirty domain.
+	// Provenance requested but the attribute is absent from the metadata,
+	// and no Domains give a fallback dirty domain.
 	meta := &privacy.ViewMeta{Discrete: map[string]privacy.DiscreteMeta{}, Numeric: map[string]privacy.NumericMeta{}}
 	var out bytes.Buffer
 	ctx := &Context{Prov: provenance.NewStore(), Meta: meta}
@@ -212,6 +212,30 @@ func TestStreamApplyMissingDomainFails(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "view metadata") {
 		t.Fatalf("error %v does not explain the metadata requirement", err)
+	}
+}
+
+// TestStreamApplyDomainsFallback: for an attribute the metadata lacks,
+// StreamApply's provenance starts from ctx.Domains as Apply's starts from
+// its relation.
+func TestStreamApplyDomainsFallback(t *testing.T) {
+	r := evalRel(t)
+	meta := &privacy.ViewMeta{Discrete: map[string]privacy.DiscreteMeta{}, Numeric: map[string]privacy.NumericMeta{}}
+	ops := []Op{FindReplace{Attr: "major", From: "Math", To: "Maths"}, FindReplace{Attr: "major", From: "Mech. Eng.", To: "EECS"}}
+	memCtx := &Context{Rel: r.Clone(), Prov: provenance.NewStore(), Meta: meta}
+	if err := Apply(memCtx, ops...); err != nil {
+		t.Fatal(err)
+	}
+	dom, err := r.Domain("major")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &Context{Domains: map[string][]string{"major": dom}, Prov: provenance.NewStore(), Meta: meta}
+	if _, err := StreamApply(ctx, windows(r.Clone(), 2), io.Discard, ops...); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := provJSON(t, ctx.Prov), provJSON(t, memCtx.Prov); got != want {
+		t.Fatalf("provenance %s, Apply's %s", got, want)
 	}
 }
 

@@ -67,7 +67,11 @@ func (p *Provider) Release(rng privacy.Rand, params privacy.Params) (*View, erro
 // ReleaseTuned derives GRR parameters from a target count-query error via
 // the Appendix E tuning algorithm, then releases the view.
 func (p *Provider) ReleaseTuned(rng privacy.Rand, targetError, confidence float64) (*View, privacy.Params, error) {
-	params, err := privacy.Tune(p.rel, targetError, confidence)
+	_, _, deltas, err := privacy.Summarize(p.rel)
+	if err != nil {
+		return nil, privacy.Params{}, err
+	}
+	params, err := privacy.Tune(p.rel.Schema(), p.rel.NumRows(), deltas, targetError, confidence)
 	if err != nil {
 		return nil, privacy.Params{}, err
 	}

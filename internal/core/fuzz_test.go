@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
 
+	"privateclean/internal/atomicio"
 	"privateclean/internal/csvio"
 	"privateclean/internal/privacy"
 	"privateclean/internal/relation"
@@ -45,6 +47,60 @@ func modeFuzzCSV(rows []byte) string {
 	return b.String()
 }
 
+// residentRelease is the release job must write, computed with its input
+// resident: loaded whole (csvio.ReadFileWithReport), cut into ChunkSize
+// windows, each privatized with its chunk's RNG stream and rendered, the
+// header once (alone for an empty input), with no ChunkIterator, worker pool
+// or checkpoint in the way. sidecar holds the rows the quarantine policy
+// diverts; err is the failure the job must fail with.
+func residentRelease(job *PrivatizeJob) (view, meta, sidecar []byte, err error) {
+	var side bytes.Buffer
+	opts := csvio.Options{ForceKinds: job.ForceKinds, OnRowError: job.OnRowError}
+	if job.OnRowError == csvio.RowErrorQuarantine {
+		opts.Quarantine = &side
+	}
+	r, _, err := csvio.ReadFileWithReport(job.In, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if err := job.Params.Validate(r.Schema(), true); err != nil {
+		return nil, nil, nil, err
+	}
+	m, err := privacy.ViewMetaFor(r, job.Params)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var out bytes.Buffer
+	if r.NumRows() == 0 {
+		data, err := renderChunk(relation.New(r.Schema()), true)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		out.Write(data)
+	}
+	for k := 0; k*job.ChunkSize < r.NumRows(); k++ {
+		win, err := r.Window(chunkRange(k, job.ChunkSize, r.NumRows()))
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		priv, err := privacy.PrivatizeWithMeta(privacy.StreamRand(job.Seed, k), win, m)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		data, err := renderChunk(priv, k == 0)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		out.Write(data)
+	}
+	j, err := atomicio.MarshalIndented(m)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	defer j.Release()
+	return out.Bytes(), bytes.Clone(j.Bytes()), side.Bytes(), nil
+}
+
 // modeRun is what one privatize run leaves behind for comparison.
 type modeRun struct {
 	view, meta string
@@ -52,24 +108,20 @@ type modeRun struct {
 	fault      string // telemetry.FaultCode of the run's error, "" on success
 }
 
-// FuzzPrivatizeModes is the differential check between the two window
-// sources: over random small inputs under the skip policy, random chunk
-// sizes and 1 or 3 workers, the in-memory and streaming runs must agree on
-// failure, and on success release the same view and metadata bytes through
-// the same checkpoint trajectory.
+// FuzzPrivatizeModes is the differential check between the job and the
+// resident reference (residentRelease): over random small inputs under the
+// skip policy and random chunk sizes, runs at one worker and at 2 or 3 must
+// fail as the reference does, and on success release its view and metadata
+// bytes through the same checkpoint trajectory.
 func FuzzPrivatizeModes(f *testing.F) {
 	f.Add([]byte{0, 8, 16, 2, 3, 4, 24, 32, 40, 48}, uint8(3), false, false)
 	f.Add([]byte{0, 5, 6, 7, 14, 9, 17, 25, 33, 41, 49, 57}, uint8(1), true, true)
 	f.Fuzz(func(t *testing.T, rows []byte, chunk uint8, threeWorkers, forceScore bool) {
 		input := modeFuzzCSV(rows)
-		run := func(stream bool) modeRun {
+		newJob := func(workers int) *PrivatizeJob {
 			job, _ := testJob(t, input)
-			job.Stream = stream
 			job.ChunkSize = 1 + int(chunk%16)
-			job.Workers = 1
-			if threeWorkers {
-				job.Workers = 3
-			}
+			job.Workers = workers
 			job.OnRowError = csvio.RowErrorSkip
 			if forceScore {
 				job.ForceKinds = map[string]relation.Kind{"score": relation.Numeric}
@@ -79,6 +131,10 @@ func FuzzPrivatizeModes(f *testing.F) {
 				P: map[string]float64{"major": 0.3, "score": 0.3, "city": 0.2},
 				B: map[string]float64{"major": 2, "score": 2, "city": 2},
 			}
+			return job
+		}
+		run := func(workers int) modeRun {
+			job := newJob(workers)
 			var out modeRun
 			job.OnChunk = func(done, total int) error {
 				data, err := os.ReadFile(job.checkpointPath())
@@ -92,22 +148,35 @@ func FuzzPrivatizeModes(f *testing.F) {
 			out.view, out.meta = string(readFile(t, job.Out)), string(readFile(t, job.MetaPath))
 			return out
 		}
-		mem, str := run(false), run(true)
-		if mem.fault != str.fault {
-			t.Fatalf("in-memory run fault %q, streaming %q", mem.fault, str.fault)
+		var want modeRun
+		view, meta, _, err := residentRelease(newJob(1))
+		if err != nil {
+			want.fault = telemetry.FaultCode(err)
+		} else {
+			want.view, want.meta = string(view), string(meta)
 		}
-		if mem.view != str.view {
-			t.Fatalf("views differ:\nin memory:\n%s\nstreaming:\n%s", mem.view, str.view)
+		pooled := 2
+		if threeWorkers {
+			pooled = 3
 		}
-		if mem.meta != str.meta {
-			t.Fatalf("metadata differs:\nin memory: %s\nstreaming: %s", mem.meta, str.meta)
-		}
-		if len(mem.cks) != len(str.cks) {
-			t.Fatalf("in-memory run wrote %d checkpoints, streaming %d", len(mem.cks), len(str.cks))
-		}
-		for i := range mem.cks {
-			if mem.cks[i] != str.cks[i] {
-				t.Fatalf("checkpoint %d differs:\nin memory: %s\nstreaming: %s", i, mem.cks[i], str.cks[i])
+		serial := run(1)
+		for _, got := range []modeRun{serial, run(pooled)} {
+			if got.fault != want.fault {
+				t.Fatalf("run fault %q, resident reference %q", got.fault, want.fault)
+			}
+			if got.view != want.view {
+				t.Fatalf("views differ:\nrun:\n%s\nresident reference:\n%s", got.view, want.view)
+			}
+			if got.meta != want.meta {
+				t.Fatalf("metadata differs:\nrun: %s\nresident reference: %s", got.meta, want.meta)
+			}
+			if len(got.cks) != len(serial.cks) {
+				t.Fatalf("run wrote %d checkpoints, serial run %d", len(got.cks), len(serial.cks))
+			}
+			for i := range got.cks {
+				if got.cks[i] != serial.cks[i] {
+					t.Fatalf("checkpoint %d differs:\nrun: %s\nserial run: %s", i, got.cks[i], serial.cks[i])
+				}
 			}
 		}
 	})

@@ -89,14 +89,12 @@ func TestPipelineWorkersCheckpointTrajectory(t *testing.T) {
 // uninterrupted bytes.
 func TestPipelineParallelKillResumes(t *testing.T) {
 	input := testCSV(31)
-	wantView, wantMeta := uninterrupted(t, input)
 	for _, tc := range []struct{ killWorkers, resumeWorkers int }{
 		{8, 1}, {1, 8}, {8, 8}, {2, 2},
 	} {
 		t.Run(fmt.Sprintf("kill_w%d_resume_w%d", tc.killWorkers, tc.resumeWorkers), func(t *testing.T) {
-			eachMode(t, func(t *testing.T, stream bool) {
+			eachReference(t, input, func(t *testing.T, wantView, wantMeta []byte) {
 				job, _ := testJob(t, input)
-				job.Stream = stream
 				job.Workers = tc.killWorkers
 				boom := errors.New("simulated kill")
 				job.OnChunk = func(done, total int) error {
@@ -123,10 +121,10 @@ func TestPipelineParallelKillResumes(t *testing.T) {
 					t.Errorf("ResumedFrom = %d, want 3", res.ResumedFrom)
 				}
 				if got := readFile(t, job.Out); string(got) != string(wantView) {
-					t.Errorf("resumed view differs from uninterrupted run")
+					t.Errorf("resumed view differs from the reference")
 				}
 				if got := readFile(t, job.MetaPath); string(got) != string(wantMeta) {
-					t.Errorf("resumed metadata differs from uninterrupted run")
+					t.Errorf("resumed metadata differs from the reference")
 				}
 			})
 		})
@@ -138,11 +136,8 @@ func TestPipelineParallelKillResumes(t *testing.T) {
 // a worker pool — typed failure, then a byte-identical resume.
 func TestPipelineParallelShortWriteResumes(t *testing.T) {
 	input := testCSV(18)
-	wantView, wantMeta := uninterrupted(t, input)
-
-	eachMode(t, func(t *testing.T, stream bool) {
+	eachReference(t, input, func(t *testing.T, wantView, wantMeta []byte) {
 		job, _ := testJob(t, input)
-		job.Stream = stream
 		job.Workers = 8
 		appends := 0
 		job.tapOutput = func(w io.Writer) io.Writer {
@@ -171,10 +166,10 @@ func TestPipelineParallelShortWriteResumes(t *testing.T) {
 			t.Errorf("ResumedFrom = %d, want 2", res.ResumedFrom)
 		}
 		if got := readFile(t, job.Out); string(got) != string(wantView) {
-			t.Errorf("resumed view differs from uninterrupted run")
+			t.Errorf("resumed view differs from the reference")
 		}
 		if got := readFile(t, job.MetaPath); string(got) != string(wantMeta) {
-			t.Errorf("resumed metadata differs from uninterrupted run")
+			t.Errorf("resumed metadata differs from the reference")
 		}
 	})
 }

@@ -62,7 +62,8 @@ type PrivatizeJob struct {
 	Params privacy.Params
 	// Seed feeds the per-chunk RNG stream derivation.
 	Seed int64
-	// ChunkSize is the number of rows per chunk (DefaultChunkSize if <= 0).
+	// ChunkSize is the number of rows per chunk; <= 0 derives it from
+	// MemBudget, or uses DefaultChunkSize without one.
 	ChunkSize int
 	// Workers is the number of chunks privatized concurrently (<= 0 means
 	// runtime.GOMAXPROCS(0)). Chunks draw from independent per-chunk RNG
@@ -70,18 +71,11 @@ type PrivatizeJob struct {
 	// chunk order, so the released bytes, metadata, and every intermediate
 	// checkpoint are identical for any worker count.
 	Workers int
-	// Stream selects the out-of-core path: the input is profiled in two
-	// bounded-memory scans (kind inference, then domains/sensitivities) and
-	// privatized window by window from a csvio.ChunkIterator, never
-	// materializing the whole relation. The released bytes, the metadata, and
-	// every intermediate checkpoint are byte-identical to the in-memory path
-	// for the same (input, params, seed, chunk size) at any worker count.
-	Stream bool
-	// MemBudget (bytes) sizes streaming chunks when ChunkSize is unset: the
-	// chunk row count is derived from the source's observed bytes per row so
-	// the decode/privatize/render pipeline's working set stays around this
+	// MemBudget (bytes) sizes chunks when ChunkSize is unset: the chunk row
+	// count is derived from the input's profiled bytes per row so the
+	// decode/privatize/render pipeline's working set stays around this
 	// budget. It is a sizing target, not a hard cap, and is ignored when
-	// ChunkSize is set or Stream is false.
+	// ChunkSize is set.
 	MemBudget int64
 	// ForceKinds forces column kinds on load, as in csvio.Options.
 	ForceKinds map[string]relation.Kind
@@ -246,9 +240,9 @@ func (job *PrivatizeJob) Run() (res *PrivatizeResult, err error) {
 	if job.In == "" || job.Out == "" || job.MetaPath == "" {
 		return nil, faults.Errorf(faults.ErrUsage, "core: privatize job needs In, Out, and MetaPath")
 	}
-	if job.ChunkSize <= 0 && !(job.Stream && job.MemBudget > 0) {
-		// The streaming path with a memory budget derives its own chunk size
-		// from the profiled input; everything else gets the default here.
+	if job.ChunkSize <= 0 && job.MemBudget <= 0 {
+		// With a memory budget, load derives the chunk size from the
+		// profiled input.
 		job.ChunkSize = DefaultChunkSize
 	}
 	job.tel = job.Tel
@@ -278,19 +272,12 @@ func (job *PrivatizeJob) Run() (res *PrivatizeResult, err error) {
 	if err != nil {
 		return nil, err
 	}
-	// The mode chooses only where the row windows come from; no randomness
-	// is consumed before the first chunk.
-	load := job.loadResident
-	if job.Stream {
-		load = job.loadStreaming
-	}
-	meta, report, it, err := load()
+	// No randomness is consumed before the first chunk.
+	meta, report, it, err := job.load()
 	if err != nil {
 		return nil, err
 	}
-	if c, ok := it.(io.Closer); ok {
-		defer c.Close()
-	}
+	defer it.Close()
 
 	rows := meta.Rows
 	chunks := (rows + job.ChunkSize - 1) / job.ChunkSize

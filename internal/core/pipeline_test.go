@@ -83,12 +83,32 @@ func uninterrupted(t *testing.T, input string) (view, meta []byte) {
 	return readFile(t, job.Out), readFile(t, job.MetaPath)
 }
 
-// eachMode runs fn once per input mode, as subtests, so the crash matrix
-// covers both window sources against the same uninterrupted bytes.
-func eachMode(t *testing.T, fn func(t *testing.T, stream bool)) {
+// residentView is residentRelease of a pristine copy of the same job.
+func residentView(t *testing.T, input string) (view, meta []byte) {
+	t.Helper()
+	job, _ := testJob(t, input)
+	view, meta, _, err := residentRelease(job)
+	if err != nil {
+		t.Fatalf("resident reference: %v", err)
+	}
+	return view, meta
+}
+
+// eachReference runs fn as two subtests, once per release a run must
+// reproduce byte for byte. The subtests are named for the reference's window
+// source: stream=false is residentRelease, which windows the input loaded
+// whole, and stream=true an uninterrupted run of the job, which streams its
+// windows from a csvio.ChunkIterator.
+func eachReference(t *testing.T, input string, fn func(t *testing.T, wantView, wantMeta []byte)) {
 	t.Helper()
 	for _, stream := range []bool{false, true} {
-		t.Run(fmt.Sprintf("stream=%v", stream), func(t *testing.T) { fn(t, stream) })
+		t.Run(fmt.Sprintf("stream=%v", stream), func(t *testing.T) {
+			view, meta := residentView(t, input)
+			if stream {
+				view, meta = uninterrupted(t, input)
+			}
+			fn(t, view, meta)
+		})
 	}
 }
 
@@ -129,13 +149,10 @@ func TestPipelineFreshRun(t *testing.T) {
 // abort at a clean chunk boundary, resume, and demand byte-identical output.
 func TestPipelineKillBetweenChunksResumes(t *testing.T) {
 	input := testCSV(18)
-	wantView, wantMeta := uninterrupted(t, input)
-
 	for _, killAt := range []int{1, 3, 5} { // first, middle, and after-final chunk
 		t.Run(fmt.Sprintf("kill_after_chunk_%d", killAt), func(t *testing.T) {
-			eachMode(t, func(t *testing.T, stream bool) {
+			eachReference(t, input, func(t *testing.T, wantView, wantMeta []byte) {
 				job, _ := testJob(t, input)
-				job.Stream = stream
 				boom := errors.New("simulated kill")
 				job.OnChunk = func(done, total int) error {
 					if done == killAt {
@@ -161,10 +178,10 @@ func TestPipelineKillBetweenChunksResumes(t *testing.T) {
 					t.Errorf("ResumedFrom = %d, want %d", res.ResumedFrom, killAt)
 				}
 				if got := readFile(t, job.Out); string(got) != string(wantView) {
-					t.Errorf("resumed view differs from uninterrupted run")
+					t.Errorf("resumed view differs from the reference")
 				}
 				if got := readFile(t, job.MetaPath); string(got) != string(wantMeta) {
-					t.Errorf("resumed metadata differs from uninterrupted run")
+					t.Errorf("resumed metadata differs from the reference")
 				}
 				mustNotExist(t, job.partialPath())
 				mustNotExist(t, job.checkpointPath())
@@ -178,11 +195,8 @@ func TestPipelineKillBetweenChunksResumes(t *testing.T) {
 // bytes and still produce byte-identical output.
 func TestPipelineShortWriteResumes(t *testing.T) {
 	input := testCSV(18)
-	wantView, wantMeta := uninterrupted(t, input)
-
-	eachMode(t, func(t *testing.T, stream bool) {
+	eachReference(t, input, func(t *testing.T, wantView, wantMeta []byte) {
 		job, _ := testJob(t, input)
-		job.Stream = stream
 		appends := 0
 		job.tapOutput = func(w io.Writer) io.Writer {
 			appends++
@@ -209,10 +223,10 @@ func TestPipelineShortWriteResumes(t *testing.T) {
 			t.Errorf("ResumedFrom = %d, want 2", res.ResumedFrom)
 		}
 		if got := readFile(t, job.Out); string(got) != string(wantView) {
-			t.Errorf("resumed view differs from uninterrupted run")
+			t.Errorf("resumed view differs from the reference")
 		}
 		if got := readFile(t, job.MetaPath); string(got) != string(wantMeta) {
-			t.Errorf("resumed metadata differs from uninterrupted run")
+			t.Errorf("resumed metadata differs from the reference")
 		}
 	})
 }
@@ -257,11 +271,8 @@ func TestPipelineCrashBeforeFirstCheckpoint(t *testing.T) {
 // finish the bookkeeping idempotently.
 func TestPipelineCrashDuringFinalize(t *testing.T) {
 	input := testCSV(18)
-	wantView, wantMeta := uninterrupted(t, input)
-
-	eachMode(t, func(t *testing.T, stream bool) {
+	eachReference(t, input, func(t *testing.T, wantView, wantMeta []byte) {
 		job, _ := testJob(t, input)
-		job.Stream = stream
 		boom := errors.New("simulated kill")
 		job.OnChunk = func(done, total int) error {
 			if done == total {
@@ -287,10 +298,10 @@ func TestPipelineCrashDuringFinalize(t *testing.T) {
 			t.Errorf("ResumedFrom = %d, want %d (all chunks durable)", res.ResumedFrom, res.Chunks)
 		}
 		if got := readFile(t, job.Out); string(got) != string(wantView) {
-			t.Errorf("finalized view differs from uninterrupted run")
+			t.Errorf("finalized view differs from the reference")
 		}
 		if got := readFile(t, job.MetaPath); string(got) != string(wantMeta) {
-			t.Errorf("finalized metadata differs from uninterrupted run")
+			t.Errorf("finalized metadata differs from the reference")
 		}
 		mustNotExist(t, job.checkpointPath())
 	})

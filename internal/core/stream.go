@@ -16,29 +16,22 @@ import (
 	"privateclean/internal/telemetry"
 )
 
-// The chunk pipeline. A run is one loop over row windows, and the input mode
-// chooses only where the windows come from:
-//
-//   - in memory (loadResident), the input is loaded in two scans
-//     (csvio.ReadFileWithReport) and windowed with relation.NewSliceIterator
-//     — windows of the loaded relation;
-//   - streaming (loadStreaming, Stream), the same two scans in bounded memory
-//     (csvio.ProfileFile) resolve the schema, domains, sensitivities, and row
-//     accounting, and a third scan (csvio.ChunkIterator) decodes the kept rows
-//     window by window, never materializing the whole relation.
-//
-// Everything after that is shared: writeChunks reads the windows in order,
-// a worker pool privatizes each window and renders it, and one
-// committer makes the chunks durable in chunk order. Chunk k covers kept rows
-// [k·ChunkSize, (k+1)·ChunkSize) and draws from privacy.StreamRand(seed, k);
-// privacy.PrivatizeWithMeta consumes randomness as a pure function of (p, row
-// count) per discrete column and of the column's NaN pattern per numeric
-// column, in schema order. So the released bytes, the metadata JSON, and
-// every intermediate checkpoint are byte-for-byte equal across modes and
-// worker counts for the same (input, params, seed, chunk size).
+// The chunk pipeline. A run never holds its input: the input is profiled in
+// the two bounded-memory scans of every CSV load (csvio.ProfileFile: kinds,
+// then domains, sensitivities and row accounting), and a third scan
+// (csvio.ChunkIterator) decodes the kept rows window by window. writeChunks
+// reads the windows in order, a worker pool privatizes each window and
+// renders it, and one committer makes the chunks durable in chunk order.
+// Chunk k covers kept rows [k·ChunkSize, (k+1)·ChunkSize) and draws from
+// privacy.StreamRand(seed, k); privacy.PrivatizeWithMeta consumes randomness
+// as a pure function of (p, row count) per discrete column and of the
+// column's NaN pattern per numeric column, in schema order. So the released
+// bytes, the metadata JSON, and every intermediate checkpoint are those of
+// privatizing the whole loaded relation chunk by chunk, at any worker count,
+// for the same (input, params, seed, chunk size).
 
 // streamBytesPerRow is the conservative expansion factor from one CSV source
-// byte to resident bytes in the streaming pipeline: decoded strings/floats,
+// byte to resident bytes in the chunk pipeline: decoded strings/floats,
 // the rendered chunk, and the bounded ring of inflight windows. MemBudget is
 // divided by (observed bytes/row × this factor) to pick a chunk size. The
 // factor must not depend on Workers, or byte-identity across worker counts
@@ -51,7 +44,7 @@ const (
 	maxStreamChunk = 1 << 20
 )
 
-// chunkSizeForBudget derives the streaming chunk row count from a memory
+// chunkSizeForBudget derives the chunk row count from a memory
 // budget and the profiled source geometry.
 func chunkSizeForBudget(budget int64, prof *csvio.Profile) int {
 	if budget <= 0 || prof.Rows <= 0 {
@@ -71,71 +64,39 @@ func chunkSizeForBudget(budget int64, prof *csvio.Profile) int {
 	return int(cs)
 }
 
-// readInput runs one read of the input — the in-memory load or the streaming
-// profile — under the job's row policy, inside a span of the given name.
-// Under the quarantine policy the sidecar is written atomically (temp + fsync
-// + rename): a crash mid-read cannot leave a torn sidecar, and a failed read
-// leaves any pre-existing sidecar untouched instead of truncating it.
-func (job *PrivatizeJob) readInput(span string, read func(csvio.Options) (*csvio.Report, error)) (*csvio.Report, error) {
-	sp := job.tel.Trace.StartSpan(job.span, span, telemetry.A("path", job.In))
+// profile runs the two profiling scans of the input under the job's row
+// policy. Under the quarantine policy the sidecar is written atomically
+// (temp + fsync + rename): a crash mid-scan cannot leave a torn sidecar, and
+// a failed scan leaves any pre-existing sidecar untouched.
+func (job *PrivatizeJob) profile() (prof *csvio.Profile, err error) {
+	sp := job.tel.Trace.StartSpan(job.span, "csv_profile", telemetry.A("path", job.In))
 	defer sp.End()
 	start := time.Now()
 	opts := csvio.Options{ForceKinds: job.ForceKinds, OnRowError: job.OnRowError}
-	var rep *csvio.Report
-	var err error
 	if job.OnRowError != csvio.RowErrorQuarantine {
-		rep, err = read(opts)
+		prof, err = csvio.ProfileFile(job.In, opts)
 	} else {
-		err = atomicio.WriteFileKeep(job.quarantinePath(), func(w io.Writer) error {
+		err = atomicio.WriteFileKeep(job.quarantinePath(), func(w io.Writer) (err error) {
 			opts.Quarantine = w
-			var rerr error
-			rep, rerr = read(opts)
-			return rerr
+			prof, err = csvio.ProfileFile(job.In, opts)
+			return err
 		})
 	}
 	if err != nil {
 		sp.Set("err", err)
 		return nil, err
 	}
-	sp.Set("rows", rep.Rows)
+	sp.Set("rows", prof.Rows)
 	job.tel.Metrics.Histogram("privateclean_csv_load_seconds",
 		"Wall time of input CSV loads.", telemetry.DurationBuckets).Observe(time.Since(start).Seconds())
-	return rep, nil
+	return prof, nil
 }
 
-// loadResident loads the whole input and windows the loaded relation.
-func (job *PrivatizeJob) loadResident() (*privacy.ViewMeta, *csvio.Report, relation.Iterator, error) {
-	var r *relation.Relation
-	rep, err := job.readInput("csv_load", func(opts csvio.Options) (rep *csvio.Report, err error) {
-		r, rep, err = csvio.ReadFileWithReport(job.In, opts)
-		return rep, err
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := job.Params.Validate(r.Schema(), true); err != nil {
-		return nil, nil, nil, err
-	}
-	meta, err := privacy.ViewMetaFor(r, job.Params)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return meta, rep, relation.NewSliceIterator(r, job.ChunkSize), nil
-}
-
-// loadStreaming profiles the input in two bounded-memory scans and opens the
-// third, which decodes the kept rows window by window. Without a ChunkSize
-// the window size is derived from MemBudget and the profiled geometry.
-func (job *PrivatizeJob) loadStreaming() (*privacy.ViewMeta, *csvio.Report, relation.Iterator, error) {
-	job.span.Set("stream", true)
-	var prof *csvio.Profile
-	rep, err := job.readInput("csv_profile", func(opts csvio.Options) (*csvio.Report, error) {
-		var err error
-		if prof, err = csvio.ProfileFile(job.In, opts); err != nil {
-			return nil, err
-		}
-		return prof.Report, nil
-	})
+// load profiles the input and opens the third scan, which decodes the kept
+// rows window by window. Without a ChunkSize the window size is derived
+// from MemBudget and the profiled geometry.
+func (job *PrivatizeJob) load() (*privacy.ViewMeta, *csvio.Report, *csvio.ChunkIterator, error) {
+	prof, err := job.profile()
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -148,7 +109,7 @@ func (job *PrivatizeJob) loadStreaming() (*privacy.ViewMeta, *csvio.Report, rela
 	}
 	if job.ChunkSize <= 0 {
 		job.ChunkSize = chunkSizeForBudget(job.MemBudget, prof)
-		job.tel.Log.Info("derived streaming chunk size", "chunk_size", job.ChunkSize,
+		job.tel.Log.Info("derived chunk size", "chunk_size", job.ChunkSize,
 			"mem_budget", job.MemBudget, "data_bytes", prof.DataBytes, "rows", prof.Rows)
 	}
 	job.span.Set("chunk_size", job.ChunkSize)
@@ -160,7 +121,7 @@ func (job *PrivatizeJob) loadStreaming() (*privacy.ViewMeta, *csvio.Report, rela
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return meta, rep, it, nil
+	return meta, prof.Report, it, nil
 }
 
 // nextWindow pulls the next window and checks it covers exactly the rows the

@@ -17,10 +17,10 @@ import (
 )
 
 // The out-of-core contract: for the same (input, params, seed, chunk size),
-// a streaming run must release the exact bytes of the in-memory run — the
-// view, the metadata, and every intermediate checkpoint — at any worker
-// count, while keeping resident memory bounded by the chunk window rather
-// than the input size.
+// a run must release the exact bytes of privatizing the input loaded whole
+// (residentRelease): the view, the metadata, and the quarantine sidecar, at
+// any worker count and through the same checkpoints, while keeping resident
+// memory bounded by the chunk window rather than the input size.
 
 // captureRun executes a job and returns (view, meta, checkpoint trajectory).
 func captureRun(t *testing.T, job *PrivatizeJob) (view, meta []byte, cks []string) {
@@ -41,30 +41,53 @@ func captureRun(t *testing.T, job *PrivatizeJob) (view, meta []byte, cks []strin
 
 func TestStreamByteIdenticalToInMemory(t *testing.T) {
 	input := testCSV(37) // ten chunks of four
-	memJob, _ := testJob(t, input)
-	wantView, wantMeta, wantCks := captureRun(t, memJob)
-
+	wantView, wantMeta := residentView(t, input)
+	var wantCks []string
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			job, _ := testJob(t, input)
-			job.Stream = true
 			job.Workers = workers
 			gotView, gotMeta, gotCks := captureRun(t, job)
 			if string(gotView) != string(wantView) {
-				t.Errorf("streaming view differs from in-memory run")
+				t.Errorf("view differs from the resident reference")
 			}
 			if string(gotMeta) != string(wantMeta) {
-				t.Errorf("streaming metadata differs from in-memory run")
+				t.Errorf("metadata differs from the resident reference")
+			}
+			if wantCks == nil {
+				wantCks = gotCks
 			}
 			if len(gotCks) != len(wantCks) {
-				t.Fatalf("streaming wrote %d checkpoints, in-memory wrote %d", len(gotCks), len(wantCks))
+				t.Fatalf("run wrote %d checkpoints, serial run %d", len(gotCks), len(wantCks))
 			}
 			for i := range gotCks {
 				if gotCks[i] != wantCks[i] {
-					t.Errorf("checkpoint %d differs from in-memory run", i)
+					t.Errorf("checkpoint %d differs from serial run", i)
 				}
 			}
 		})
+	}
+}
+
+// checkResident runs job and requires residentRelease's view, metadata and
+// quarantine sidecar.
+func checkResident(t *testing.T, job *PrivatizeJob) {
+	t.Helper()
+	wantView, wantMeta, wantSide, err := residentRelease(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotView, gotMeta, _ := captureRun(t, job)
+	if string(gotView) != string(wantView) {
+		t.Errorf("view %q, resident reference %q", gotView, wantView)
+	}
+	if string(gotMeta) != string(wantMeta) {
+		t.Errorf("metadata differs from the resident reference")
+	}
+	if job.OnRowError == csvio.RowErrorQuarantine {
+		if got := readFile(t, job.quarantinePath()); string(got) != string(wantSide) {
+			t.Errorf("quarantine sidecar %q, resident reference %q", got, wantSide)
+		}
 	}
 }
 
@@ -81,49 +104,25 @@ func TestStreamSkipPolicyByteIdentical(t *testing.T) {
 			fmt.Fprintf(&b, "m%d,%d\n", i%3, i)
 		}
 	}
-	input := b.String()
+	job, _ := testJob(t, b.String())
+	job.OnRowError = csvio.RowErrorSkip
 	// Without forcing, the "nope" cell would demote score to a discrete
 	// column instead of exercising the bad_numeric reject path.
-	force := map[string]relation.Kind{"score": relation.Numeric}
-	memJob, _ := testJob(t, input)
-	memJob.OnRowError = csvio.RowErrorSkip
-	memJob.ForceKinds = force
-	wantView, wantMeta, _ := captureRun(t, memJob)
-
-	job, _ := testJob(t, input)
-	job.OnRowError = csvio.RowErrorSkip
-	job.ForceKinds = force
-	job.Stream = true
+	job.ForceKinds = map[string]relation.Kind{"score": relation.Numeric}
 	job.Workers = 4
-	gotView, gotMeta, _ := captureRun(t, job)
-	if string(gotView) != string(wantView) || string(gotMeta) != string(wantMeta) {
-		t.Error("streaming skip-policy run differs from in-memory run")
-	}
+	checkResident(t, job)
 }
 
 func TestStreamEmptyInput(t *testing.T) {
-	input := "major,score\n"
+	job, _ := testJob(t, "major,score\n")
 	// A header-only file has no cells to infer kinds from; force the kinds
 	// the job's params expect.
-	force := map[string]relation.Kind{"score": relation.Numeric}
-	memJob, _ := testJob(t, input)
-	memJob.ForceKinds = force
-	wantView, wantMeta, _ := captureRun(t, memJob)
-
-	job, _ := testJob(t, input)
-	job.ForceKinds = force
-	job.Stream = true
-	gotView, gotMeta, _ := captureRun(t, job)
-	if string(gotView) != string(wantView) {
-		t.Errorf("empty-input streaming view %q, want %q", gotView, wantView)
-	}
-	if string(gotMeta) != string(wantMeta) {
-		t.Error("empty-input streaming metadata differs")
-	}
+	job.ForceKinds = map[string]relation.Kind{"score": relation.Numeric}
+	checkResident(t, job)
 }
 
-// TestStreamResume aborts a streaming run at a chunk boundary and resumes it
-// (streaming again), demanding the uninterrupted in-memory bytes.
+// TestStreamResume aborts a run at a chunk boundary and resumes it at the
+// same worker count, demanding the uninterrupted bytes.
 func TestStreamResume(t *testing.T) {
 	input := testCSV(37)
 	wantView, wantMeta := uninterrupted(t, input)
@@ -131,7 +130,6 @@ func TestStreamResume(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			job, _ := testJob(t, input)
-			job.Stream = true
 			job.Workers = workers
 			boom := errors.New("injected abort")
 			job.OnChunk = func(done, total int) error {
@@ -145,7 +143,6 @@ func TestStreamResume(t *testing.T) {
 			}
 			resume, _ := testJob(t, input)
 			resume.In, resume.Out, resume.MetaPath = job.In, job.Out, job.MetaPath
-			resume.Stream = true
 			resume.Workers = workers
 			resume.Resume = true
 			res, err := resume.Run()
@@ -156,47 +153,10 @@ func TestStreamResume(t *testing.T) {
 				t.Errorf("ResumedFrom = %d, want 3", res.ResumedFrom)
 			}
 			if string(readFile(t, resume.Out)) != string(wantView) {
-				t.Error("resumed streaming view differs from uninterrupted run")
+				t.Error("resumed view differs from uninterrupted run")
 			}
 			if string(readFile(t, resume.MetaPath)) != string(wantMeta) {
-				t.Error("resumed streaming metadata differs from uninterrupted run")
-			}
-		})
-	}
-}
-
-// TestStreamCrossModeResume: a checkpoint stranded by one mode must be
-// resumable by the other — the checkpoint schema and RNG trajectory are
-// mode-independent.
-func TestStreamCrossModeResume(t *testing.T) {
-	input := testCSV(37)
-	wantView, wantMeta := uninterrupted(t, input)
-	for _, firstStream := range []bool{false, true} {
-		t.Run(fmt.Sprintf("firstStream=%v", firstStream), func(t *testing.T) {
-			job, _ := testJob(t, input)
-			job.Stream = firstStream
-			boom := errors.New("injected abort")
-			job.OnChunk = func(done, total int) error {
-				if done == 4 {
-					return boom
-				}
-				return nil
-			}
-			if _, err := job.Run(); !errors.Is(err, boom) {
-				t.Fatalf("aborted run: %v", err)
-			}
-			resume, _ := testJob(t, input)
-			resume.In, resume.Out, resume.MetaPath = job.In, job.Out, job.MetaPath
-			resume.Stream = !firstStream
-			resume.Resume = true
-			if _, err := resume.Run(); err != nil {
-				t.Fatalf("cross-mode resume: %v", err)
-			}
-			if string(readFile(t, resume.Out)) != string(wantView) {
-				t.Error("cross-mode resumed view differs from uninterrupted run")
-			}
-			if string(readFile(t, resume.MetaPath)) != string(wantMeta) {
-				t.Error("cross-mode resumed metadata differs from uninterrupted run")
+				t.Error("resumed metadata differs from uninterrupted run")
 			}
 		})
 	}
@@ -245,7 +205,6 @@ func TestStreamOutOfCore(t *testing.T) {
 	inputBytes := int64(len(input)) // ~4.5 MB
 
 	job, _ := testJob(t, input)
-	job.Stream = true
 	job.ChunkSize = 0
 	job.MemBudget = 1 << 20 // 1 MiB, several times smaller than the input
 	job.Workers = 2
@@ -284,8 +243,8 @@ func TestStreamOutOfCore(t *testing.T) {
 	if peak == 0 {
 		t.Fatal("no heap samples taken")
 	}
-	// The in-memory path would hold the decoded relation plus the private
-	// copy (≥ 2× input bytes). Streaming must stay well under one input's
+	// A resident load would hold the decoded relation plus the private
+	// copy (≥ 2× input bytes). The run must stay well under one input's
 	// worth of growth over the baseline; allow slack for the profile's
 	// domain maps, GC lag between samples, and the inflight window ring.
 	growth := int64(peak) - int64(base.HeapAlloc)
@@ -295,8 +254,8 @@ func TestStreamOutOfCore(t *testing.T) {
 	t.Logf("input=%d bytes, chunks=%d, heap growth=%d bytes", inputBytes, res.Chunks, growth)
 }
 
-// TestStreamQuarantineSidecarRowSet: the streaming quarantine sidecar holds
-// the same row set as the in-memory one (ordering is documented to differ).
+// TestStreamQuarantineSidecarRowSet: the quarantine sidecar holds the rows
+// of the resident reference's, byte for byte and in input order.
 func TestStreamQuarantineSidecarRowSet(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("major,score\n")
@@ -307,35 +266,9 @@ func TestStreamQuarantineSidecarRowSet(t *testing.T) {
 			fmt.Fprintf(&b, "m%d,%d\n", i%3, i)
 		}
 	}
-	input := b.String()
-
-	memJob, _ := testJob(t, input)
-	memJob.OnRowError = csvio.RowErrorQuarantine
-	if _, err := memJob.Run(); err != nil {
-		t.Fatal(err)
-	}
-	memRows := strings.Split(strings.TrimSpace(string(readFile(t, memJob.quarantinePath()))), "\n")
-
-	job, _ := testJob(t, input)
+	job, _ := testJob(t, b.String())
 	job.OnRowError = csvio.RowErrorQuarantine
-	job.Stream = true
-	if _, err := job.Run(); err != nil {
-		t.Fatal(err)
-	}
-	gotRows := strings.Split(strings.TrimSpace(string(readFile(t, job.quarantinePath()))), "\n")
-
-	set := make(map[string]int)
-	for _, l := range memRows {
-		set[l]++
-	}
-	for _, l := range gotRows {
-		set[l]--
-	}
-	for l, n := range set {
-		if n != 0 {
-			t.Errorf("quarantine sidecar row sets differ at %q (delta %d)", l, n)
-		}
-	}
+	checkResident(t, job)
 }
 
 // faultyWindows passes an iterator's windows through, except that chunk
@@ -370,59 +303,69 @@ func TestWriteChunksRejectsBadWindows(t *testing.T) {
 	for _, eof := range []bool{false, true} {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("eof=%v/workers=%d", eof, workers), func(t *testing.T) {
-				eachMode(t, func(t *testing.T, stream bool) {
-					job, _ := testJob(t, input)
-					job.Stream = stream
-					job.Workers = workers
-					job.tel = telemetry.Default()
-					job.span = job.tel.Trace.StartSpan(nil, "privatize")
-					load := job.loadResident
-					if stream {
-						load = job.loadStreaming
-					}
-					meta, _, it, err := load()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if c, ok := it.(io.Closer); ok {
-						defer c.Close()
-					}
-					inputSHA, err := fingerprintFile(job.In)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ck := job.freshCheckpoint(inputSHA, meta)
-					chunks := (meta.Rows + job.ChunkSize - 1) / job.ChunkSize
-					err = job.writeChunks(ck, &faultyWindows{Iterator: it, failAt: failAt, eof: eof}, meta, meta.Rows, chunks)
-					if !errors.Is(err, faults.ErrBadInput) || !strings.Contains(err.Error(), "file changed during the run?") {
-						t.Fatalf("bad window: %v, want ErrBadInput naming a changed file", err)
-					}
-
-					var disk checkpoint
-					if err := json.Unmarshal(readFile(t, job.checkpointPath()), &disk); err != nil {
-						t.Fatal(err)
-					}
-					if disk.NextChunk != failAt {
-						t.Errorf("checkpoint next_chunk = %d, want %d", disk.NextChunk, failAt)
-					}
-					if size := int64(len(readFile(t, job.partialPath()))); size != disk.PartialBytes {
-						t.Errorf("partial view is %d bytes, checkpoint covers %d", size, disk.PartialBytes)
-					}
-
-					resume := *job
-					resume.Resume = true
-					res, err := resume.Run()
-					if err != nil {
-						t.Fatalf("resume: %v", err)
-					}
-					if res.ResumedFrom != failAt {
-						t.Errorf("ResumedFrom = %d, want %d", res.ResumedFrom, failAt)
-					}
-					if string(readFile(t, job.Out)) != string(wantView) || string(readFile(t, job.MetaPath)) != string(wantMeta) {
-						t.Error("resumed release differs from uninterrupted run")
-					}
-				})
+				// The subtests name the window source: stream=false windows the
+				// input loaded whole, stream=true is the job's ChunkIterator.
+				for _, stream := range []bool{false, true} {
+					t.Run(fmt.Sprintf("stream=%v", stream), func(t *testing.T) {
+						rejectBadWindow(t, input, wantView, wantMeta, failAt, eof, workers, stream)
+					})
+				}
 			})
 		}
+	}
+}
+
+// rejectBadWindow is one case of TestWriteChunksRejectsBadWindows.
+func rejectBadWindow(t *testing.T, input string, wantView, wantMeta []byte, failAt int, eof bool, workers int, stream bool) {
+	job, _ := testJob(t, input)
+	job.Workers = workers
+	job.tel = telemetry.Default()
+	job.span = job.tel.Trace.StartSpan(nil, "privatize")
+	meta, _, it, err := job.load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	var windows relation.Iterator = it
+	if !stream {
+		r, _, err := csvio.ReadFileWithReport(job.In, csvio.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		windows = relation.NewSliceIterator(r, job.ChunkSize)
+	}
+	inputSHA, err := fingerprintFile(job.In)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := job.freshCheckpoint(inputSHA, meta)
+	chunks := (meta.Rows + job.ChunkSize - 1) / job.ChunkSize
+	err = job.writeChunks(ck, &faultyWindows{Iterator: windows, failAt: failAt, eof: eof}, meta, meta.Rows, chunks)
+	if !errors.Is(err, faults.ErrBadInput) || !strings.Contains(err.Error(), "file changed during the run?") {
+		t.Fatalf("bad window: %v, want ErrBadInput naming a changed file", err)
+	}
+
+	var disk checkpoint
+	if err := json.Unmarshal(readFile(t, job.checkpointPath()), &disk); err != nil {
+		t.Fatal(err)
+	}
+	if disk.NextChunk != failAt {
+		t.Errorf("checkpoint next_chunk = %d, want %d", disk.NextChunk, failAt)
+	}
+	if size := int64(len(readFile(t, job.partialPath()))); size != disk.PartialBytes {
+		t.Errorf("partial view is %d bytes, checkpoint covers %d", size, disk.PartialBytes)
+	}
+
+	resume := *job
+	resume.Resume = true
+	res, err := resume.Run()
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if res.ResumedFrom != failAt {
+		t.Errorf("ResumedFrom = %d, want %d", res.ResumedFrom, failAt)
+	}
+	if string(readFile(t, job.Out)) != string(wantView) || string(readFile(t, job.MetaPath)) != string(wantMeta) {
+		t.Error("resumed release differs from uninterrupted run")
 	}
 }

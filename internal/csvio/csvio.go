@@ -276,8 +276,10 @@ func scanKinds(r io.ReadSeeker, opts Options) (cols []relation.Column, header []
 		for c, cell := range rec {
 			if numeric[c] && cell != "" {
 				seen[c] = true
-				_, perr := strconv.ParseFloat(cell, 64)
-				numeric[c] = perr == nil
+				if !plainDecimal(cell) {
+					_, perr := strconv.ParseFloat(cell, 64)
+					numeric[c] = perr == nil
+				}
 			}
 		}
 		kept++
@@ -288,6 +290,37 @@ func scanKinds(r io.ReadSeeker, opts Options) (cols []relation.Column, header []
 		}
 	}
 	return cols, header, kept, nil
+}
+
+// plainDecimal reports whether the non-empty cell is [+-]digits[.digits]
+// with fewer than 300 integer digits: strconv.ParseFloat parses every such
+// cell to a finite value without error, so scan 1 need not call it. Every
+// other form (exponents, inf/nan, hex, underscores, a bare dot) goes to
+// ParseFloat.
+func plainDecimal(cell string) bool {
+	i := 0
+	if cell[0] == '+' || cell[0] == '-' {
+		i++
+	}
+	start := i
+	for i < len(cell) && '0' <= cell[i] && cell[i] <= '9' {
+		i++
+	}
+	if n := i - start; n == 0 || n >= 300 {
+		return false
+	}
+	if i == len(cell) {
+		return true
+	}
+	if cell[i] != '.' || i+1 == len(cell) {
+		return false
+	}
+	for i++; i < len(cell); i++ {
+		if cell[i] < '0' || '9' < cell[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // ReadSchema resolves the schema of the CSV file at path under opts' forced

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -151,5 +152,33 @@ func TestZeroRowRelation(t *testing.T) {
 	}
 	if !strings.HasPrefix(buf.String(), "a,b") {
 		t.Fatalf("header = %q", buf.String())
+	}
+}
+
+// plainDecimalCells are signed, exponent, hex, underscore, overflowing and
+// special-value cells around scan 1's shortcut.
+var plainDecimalCells = []string{
+	"0", "-0", "+3", "-12.5", "007.250", "1.", ".5", "-", "+.", "1.2.3", " 1", "1 ",
+	"1e5", "-2E-3", "0x1p-2", "0X1P+3", "1_000", "1__0", "inf", "-Inf", "NaN", "infinity",
+	strings.Repeat("9", 299), strings.Repeat("9", 299) + ".5", strings.Repeat("9", 300),
+	strings.Repeat("9", 400), "1e400", "-1e400", "1e-400", "0." + strings.Repeat("0", 400) + "1",
+}
+
+// TestPlainDecimalKeepsKinds: a column of any one of plainDecimalCells is
+// inferred numeric exactly when strconv.ParseFloat accepts the cell, as
+// before scan 1 had a shortcut.
+func TestPlainDecimalKeepsKinds(t *testing.T) {
+	for _, cell := range plainDecimalCells {
+		r, _, err := ReadWithReport(strings.NewReader("a,b\n\""+cell+"\",x\n"), Options{OnRowError: RowErrorSkip})
+		if err != nil {
+			t.Fatalf("%q: %v", cell, err)
+		}
+		want := relation.Discrete
+		if _, err := strconv.ParseFloat(cell, 64); err == nil {
+			want = relation.Numeric
+		}
+		if got := r.Schema().Columns()[0].Kind; got != want {
+			t.Errorf("%q: kind %v, want %v", cell, got, want)
+		}
 	}
 }

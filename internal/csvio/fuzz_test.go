@@ -3,9 +3,11 @@ package csvio
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -236,6 +238,23 @@ func FuzzProvenanceJSON(f *testing.F) {
 		back := provenance.NewStore()
 		if err := json.Unmarshal(out, back); err != nil {
 			t.Fatalf("marshaled provenance failed to re-read: %v", err)
+		}
+	})
+}
+
+// FuzzPlainDecimal: whenever scan 1's shortcut accepts a cell,
+// strconv.ParseFloat parses it to a finite value without error, so the
+// shortcut never infers a column numeric that ParseFloat would not.
+func FuzzPlainDecimal(f *testing.F) {
+	for _, s := range plainDecimalCells {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, cell string) {
+		if cell == "" || !plainDecimal(cell) {
+			return
+		}
+		if v, err := strconv.ParseFloat(cell, 64); err != nil || math.IsInf(v, 0) || math.IsNaN(v) {
+			t.Fatalf("plainDecimal accepts %q, ParseFloat gives %v, %v", cell, v, err)
 		}
 	})
 }

@@ -105,7 +105,11 @@ func TunerValidation(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			params, err := privacy.Tune(r, target, cfg.Confidence)
+			_, _, deltas, err := privacy.Summarize(r)
+			if err != nil {
+				return nil, err
+			}
+			params, err := privacy.Tune(r.Schema(), r.NumRows(), deltas, target, cfg.Confidence)
 			if err != nil {
 				return nil, err
 			}

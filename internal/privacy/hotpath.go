@@ -96,35 +96,44 @@ func perturb(rng Rand, col []float64, b float64) {
 // parameter validation as Privatize, so a nil error here means privatizing
 // any row range cannot fail on parameters.
 func ViewMetaFor(r *relation.Relation, params Params) (*ViewMeta, error) {
-	schema := r.Schema()
-	domains := make(map[string][]string)
-	for _, name := range schema.DiscreteNames() {
-		domain, err := r.Domain(name)
-		if err != nil {
-			return nil, err
-		}
-		domains[name] = domain
+	domains, lows, deltas, err := Summarize(r)
+	if err != nil {
+		return nil, err
 	}
-	lows := make(map[string]float64)
-	deltas := make(map[string]float64)
+	return ViewMetaFromProfile(r.Schema(), r.NumRows(), domains, lows, deltas, params)
+}
+
+// Summarize is the summary of a resident relation that a release and Tune
+// read: each discrete column's sorted domain, and each numeric column's
+// minimum (lows) and max-min (deltas) over its non-NaN cells, absent when it
+// has none. A csvio.Profile carries the same maps for a CSV input.
+func Summarize(r *relation.Relation) (domains map[string][]string, lows, deltas map[string]float64, err error) {
+	schema := r.Schema()
+	domains = make(map[string][]string)
+	for _, name := range schema.DiscreteNames() {
+		if domains[name], err = r.Domain(name); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	lows, deltas = make(map[string]float64), make(map[string]float64)
 	for _, name := range schema.NumericNames() {
 		col, err := r.Numeric(name)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		if lo, hi, err := stats.MinMax(col); err == nil {
 			lows[name], deltas[name] = lo, hi-lo
 		}
 	}
-	return ViewMetaFromProfile(schema, r.NumRows(), domains, lows, deltas, params)
+	return domains, lows, deltas, nil
 }
 
 // ViewMetaFromProfile is ViewMetaFor over a summary of the input instead of
 // the resident relation: the kept-row count, each discrete column's sorted
 // domain, and each numeric column's minimum (lows) and max-min (deltas) over
-// its finite cells, absent or 0 when it has none. A streaming profile
-// (csvio.Profile) supplies exactly these, so both input modes release the
-// same metadata bytes.
+// its finite cells, absent or 0 when it has none. Summarize and a
+// csvio.Profile supply exactly these, so a relation and the CSV it was
+// loaded from release the same metadata bytes.
 func ViewMetaFromProfile(schema relation.Schema, rows int, domains map[string][]string, lows, deltas map[string]float64, params Params) (*ViewMeta, error) {
 	if err := MechanismByName(params.Mechanism); err != nil {
 		return nil, faults.Wrap(faults.ErrBadParams, err)

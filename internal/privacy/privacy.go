@@ -426,19 +426,20 @@ func CountErrorBound(s int, p, confidence float64) (float64, error) {
 	return z / (1 - p) * math.Sqrt(1/(4*float64(s))), nil
 }
 
-// Tune implements the Appendix E parameter-tuning algorithm. Given the
-// dataset size S, a target maximum error for any count-query fraction
-// estimate, and the confidence level 1-alpha, it returns GRR parameters:
+// Tune implements the Appendix E parameter-tuning algorithm over a summary
+// of the input: its schema, its row count S, and each numeric attribute's
+// max-min range Delta_j (absent or 0 when it has none), as Summarize or a
+// csvio.Profile gives them. Given a target maximum error for any count-query
+// fraction estimate and the confidence level 1-alpha, it returns GRR
+// parameters:
 //
 //  1. p = 1 - z_alpha * sqrt(1 / (4*S*error^2)) for every discrete
 //     attribute, and
-//  2. b_j = Delta_j / (ln(3/p) - 2) for every numeric attribute j, where
-//     Delta_j is the attribute's max-min range.
+//  2. b_j = Delta_j / (ln(3/p) - 2) for every numeric attribute j.
 //
 // If the requested error is so small that the formula yields p <= 0, the
 // dataset is too small for the target and an error is returned.
-func Tune(r *relation.Relation, targetError, confidence float64) (Params, error) {
-	s := r.NumRows()
+func Tune(schema relation.Schema, s int, deltas map[string]float64, targetError, confidence float64) (Params, error) {
 	if s <= 0 {
 		return Params{}, faults.Errorf(faults.ErrBadInput, "privacy: cannot tune on an empty relation")
 	}
@@ -458,19 +459,12 @@ func Tune(r *relation.Relation, targetError, confidence float64) (Params, error)
 		p = 1
 	}
 	params := Params{P: make(map[string]float64), B: make(map[string]float64)}
-	for _, name := range r.Schema().DiscreteNames() {
+	for _, name := range schema.DiscreteNames() {
 		params.P[name] = p
 	}
 	denom := math.Log(3/p) - 2
-	for _, name := range r.Schema().NumericNames() {
-		col, err := r.Numeric(name)
-		if err != nil {
-			return Params{}, err
-		}
-		delta := 0.0
-		if lo, hi, err := stats.MinMax(col); err == nil {
-			delta = hi - lo
-		}
+	for _, name := range schema.NumericNames() {
+		delta := deltas[name]
 		if denom <= 0 {
 			// ln(3/p) <= 2 means the Appendix E formula degenerates (it
 			// targets small p); fall back to matching the discrete eps.

@@ -386,9 +386,18 @@ func TestCountErrorBound(t *testing.T) {
 	}
 }
 
+// tuneRel tunes from r's summary, as core.Provider does.
+func tuneRel(r *relation.Relation, targetError, confidence float64) (Params, error) {
+	_, _, deltas, err := Summarize(r)
+	if err != nil {
+		return Params{}, err
+	}
+	return Tune(r.Schema(), r.NumRows(), deltas, targetError, confidence)
+}
+
 func TestTune(t *testing.T) {
 	r := testRel(t)
-	params, err := Tune(r, 0.1, 0.95)
+	params, err := tuneRel(r, 0.1, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,14 +410,14 @@ func TestTune(t *testing.T) {
 		t.Fatalf("tuned b = %v", params.B["score"])
 	}
 	// Unmeetable target.
-	if _, err := Tune(r, 0.001, 0.95); err == nil {
+	if _, err := tuneRel(r, 0.001, 0.95); err == nil {
 		t.Fatal("want error for unmeetable target")
 	}
-	if _, err := Tune(r, -1, 0.95); err == nil {
+	if _, err := tuneRel(r, -1, 0.95); err == nil {
 		t.Fatal("want error for negative target")
 	}
 	empty := relation.New(r.Schema())
-	if _, err := Tune(empty, 0.1, 0.95); err == nil {
+	if _, err := tuneRel(empty, 0.1, 0.95); err == nil {
 		t.Fatal("want error for empty relation")
 	}
 }
@@ -418,7 +427,7 @@ func TestTuneMeetsBoundProperty(t *testing.T) {
 	r := testRel(t)
 	f := func(raw float64) bool {
 		target := math.Mod(math.Abs(raw), 0.3) + 0.06
-		params, err := Tune(r, target, 0.95)
+		params, err := tuneRel(r, target, 0.95)
 		if err != nil {
 			return true // target unmeetable for this S; fine
 		}

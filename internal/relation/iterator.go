@@ -51,9 +51,9 @@ func (r *Relation) Window(lo, hi int) (*Relation, error) {
 }
 
 // SliceIterator adapts a resident relation to the Iterator interface by
-// yielding consecutive windows (Window) of at most `window` rows. It lets
-// streaming consumers (statistics collection, streaming cleaning) run over
-// in-memory relations through the same code path as out-of-core sources.
+// yielding consecutive windows (Window) of at most `window` rows. The tests
+// use it to drive the windowed consumers (the cleaning engine, the chunk
+// pipeline) with a resident relation cut to any window size.
 type SliceIterator struct {
 	rel    *Relation
 	window int
@@ -69,7 +69,7 @@ func NewSliceIterator(rel *Relation, window int) *SliceIterator {
 	return &SliceIterator{rel: rel, window: window}
 }
 
-// DefaultWindow is the window size SliceIterator uses when the caller does
+// DefaultWindow is the window size an iterator uses when the caller does
 // not choose one.
 const DefaultWindow = 4096
 

@@ -108,8 +108,8 @@ func FaultCode(err error) string {
 // of these can carry data — they are all string literals in this repository.
 var baseline = buildBaseline(
 	// span / stage names
-	"privatize", "csv_load", "chunk", "checkpoint_read", "checkpoint_write",
-	"resume_truncate", "csv_profile", "finalize", "ledger_append",
+	"privatize", "csv_profile", "chunk", "checkpoint_read", "checkpoint_write",
+	"resume_truncate", "finalize", "ledger_append",
 	"clean", "clean_summary", "clean_window", "provenance_save",
 	"query_parse", "query_estimate", "explain", "describe", "tune", "minsize", "epsilon",
 	// distributed-collection span names and pipeline stages

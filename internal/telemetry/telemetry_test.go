@@ -18,7 +18,7 @@ import (
 
 func TestRedactorVocabulary(t *testing.T) {
 	red := NewRedactor("/tmp/data.csv")
-	for _, safe := range []string{"privatize", "csv_load", "quarantine", "count", "/tmp/data.csv", ""} {
+	for _, safe := range []string{"privatize", "csv_profile", "quarantine", "count", "/tmp/data.csv", ""} {
 		if !red.Safe(safe) {
 			t.Errorf("Safe(%q) = false, want true", safe)
 		}
