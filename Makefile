@@ -154,13 +154,14 @@ bench-json:
 
 # Quick regression check against the committed baseline: a short-mode run of
 # the privatize benchmarks, the in-memory and streaming CSV loads, the
-# value-cleaner benchmark and the served-query and report-ack allocation
-# benchmarks, diffed report-only (never fails the build; shared runners are
-# too noisy for a hard gate — eyeball the Δ columns). The baseline has no
-# streaming-load, value-cleaner, served-query or report-ack rows, which
-# -ignore-missing lists as new.
+# value-cleaner benchmark, the served-query and report-ack allocation
+# benchmarks and the estimator's bin-table builds and statistics collector,
+# diffed report-only (never fails the build; shared runners are too noisy
+# for a hard gate — eyeball the Δ columns). The baseline has no
+# streaming-load, value-cleaner, served-query, report-ack, bin-table or
+# collector rows, which -ignore-missing lists as new.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPrivatize|BenchmarkLoadCSV$$|BenchmarkStreamCSV$$|BenchmarkCleanValueOp|BenchmarkServeQuery|BenchmarkReportAck' -benchmem -benchtime 10x -short . ./internal/server/ ./internal/collect/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkPrivatize|BenchmarkLoadCSV$$|BenchmarkStreamCSV$$|BenchmarkCleanValueOp|BenchmarkServeQuery|BenchmarkReportAck|BenchmarkBinTables|BenchmarkCollectStatistics' -benchmem -benchtime 10x -short . ./internal/server/ ./internal/collect/ ./internal/estimator/ \
 		| $(GO) run ./tools/benchjson \
 		| $(GO) run ./tools/benchdiff -baseline BENCH_pipeline.json -current - -ignore-missing
 

@@ -666,19 +666,19 @@ func cmdEpsilon(args []string) (err error) {
 	defer tf.finish(&err)
 	sp := tel.Trace.StartSpan(nil, "epsilon")
 	defer sp.End()
-	r, err := cf.load(*in)
+	prof, err := cf.profile(*in)
 	if err != nil {
 		return err
 	}
-	params, err := privacy.AllocateEpsilon(r, *eps)
+	schema, err := prof.Schema()
 	if err != nil {
 		return err
 	}
-	domains, _, _, err := privacy.Summarize(r)
+	params, err := privacy.AllocateEpsilon(schema, prof.Domains, prof.Deltas, *eps)
 	if err != nil {
 		return err
 	}
-	printDiscreteParams(domains, params)
+	printDiscreteParams(prof.Domains, params)
 	return nil
 }
 

@@ -38,7 +38,11 @@ func main() {
 	// --- Budget allocation ---------------------------------------------
 	// One total epsilon, split uniformly over the three attributes.
 	const totalEps = 6.0
-	params, err := privacy.AllocateEpsilon(r, totalEps)
+	domains, _, deltas, err := privacy.Summarize(r)
+	if err != nil {
+		log.Fatal(err)
+	}
+	params, err := privacy.AllocateEpsilon(r.Schema(), domains, deltas, totalEps)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -199,17 +199,18 @@ func (a *codeAggs) moments() (mean, variance float64, err error) {
 
 // binned returns the column's bin table over layout l, building it on the
 // first call in one row pass that places each non-NaN cell as the
-// collector does (binIndex). ix must be the dictionary a was grouped by.
+// collector does (l's placement). ix must be the dictionary a was grouped
+// by.
 func (a *codeAggs) binned(ix *relation.DiscreteIndex, l *binLayout) *binTable {
 	a.binOnce.Do(func() {
-		edges, nb := l.edges, len(l.edges)-1
-		t := &binTable{ix: ix, edges: edges, labels: l.labels, hist: make([]int, nb)}
+		nb := len(l.edges) - 1
+		t := &binTable{ix: ix, edges: l.edges, labels: l.labels, hist: make([]int, nb)}
 		if ix != nil {
 			t.byCode = make([]uint32, ix.N()*nb)
 		}
 		for i, x := range a.col {
 			if x == x {
-				k := binIndex(edges, x)
+				k := l.bin(x)
 				t.hist[k]++
 				if ix != nil {
 					t.byCode[int(ix.Codes[i])*nb+k]++
@@ -357,15 +358,16 @@ type binMoments struct {
 	sums, sumsqs []float64
 }
 
-func buildBinMoments(edges, xs, ys []float64) *binMoments {
-	nb := len(edges) - 1
+// buildBinMoments places each row's x cell with layout l.
+func buildBinMoments(l *binLayout, xs, ys []float64) *binMoments {
+	nb := len(l.edges) - 1
 	m := &binMoments{n: make([]int, nb), sums: make([]float64, nb), sumsqs: make([]float64, nb)}
 	for i, x := range xs {
 		y := ys[i]
 		if x != x || y != y {
 			continue
 		}
-		k := binIndex(edges, x)
+		k := l.bin(x)
 		m.n[k]++
 		m.sums[k] += y
 		m.sumsqs[k] += y * y

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"privateclean/internal/faults"
 	"privateclean/internal/privacy"
@@ -16,10 +17,14 @@ import (
 //
 // The provider releases a bin layout in the view metadata (NumericMeta.Lo,
 // Bins; see privacy.NumericMeta.BinEdges). A resident relation bins its
-// cells with it (codeAggs.binned) as the statistics collector does —
-// overall (Statistics.Hist) and per discrete value (ValueStats.Bins) — into
-// one bin table, and the estimator inverts the randomized-response channel
-// bin by bin:
+// cells with it (codeAggs.binned, buildBinMoments) as the statistics
+// collector does — overall (Statistics.Hist) and per discrete value
+// (ValueStats.Bins) — into one bin table, and the estimator inverts the
+// randomized-response channel bin by bin. Every cell goes through one
+// placement per layout (binLayout, Collector.places), which guesses
+// the bin by arithmetic on the uniform released bins and confirms it
+// against the edges, falling back to a binary search (binIndex) on a miss.
+// The channel inversion is:
 //
 //	ĉ_k = (m_k − t_k·τ_n) / (τ_p − τ_n)
 //
@@ -124,12 +129,87 @@ func (st *Statistics) binTable(_ *Estimator, attr, agg string) (*binTable, error
 	return memo.(*binTable), nil
 }
 
-// binLayout is a numeric attribute's released bin layout: its edges and
-// each bin's label, computed from meta.
+// binLayout is a numeric attribute's released bin layout: the placement of
+// cells into its edges and each bin's label, computed from meta.
 type binLayout struct {
+	placement
 	meta   privacy.NumericMeta
-	edges  []float64
 	labels []string
+}
+
+// placement places numeric cells into the bins of one edge list (len >= 2,
+// ascending): left-closed bins, the last closed on the right, values
+// outside the edges clamped into the end bins — binIndex's rule. It
+// guesses a cell's bin by arithmetic, as if the bins were uniform, keeps
+// the guess when the edges confirm it and otherwise falls back to
+// binIndex's search. Under strictly ascending edges the confirmation
+// admits exactly one bin, so the placement is exact for any such layout;
+// on the released uniform layout (privacy.NumericMeta.BinEdges) nearly
+// every guess holds and a cell costs O(1).
+type placement struct {
+	edges []float64
+	lo    float64 // edges[0]
+	scale float64 // bins per unit of span; 0 guesses bin 0 for every cell
+	last  int     // the last bin, len(edges)-2
+}
+
+// newPlacement prepares edges for placement. Edges that are not strictly
+// ascending over a finite span get no guess beyond bin 0, which the
+// confirmation admits only below edges[1]; binIndex places the rest.
+func newPlacement(edges []float64) placement {
+	p := placement{edges: edges, lo: edges[0], last: len(edges) - 2}
+	scale := float64(len(edges)-1) / (edges[len(edges)-1] - edges[0])
+	if scale > 0 && !math.IsInf(scale, 1) && strictlyAscending(edges) {
+		p.scale = scale
+	}
+	return p
+}
+
+// bin returns the bin of x, which must not be NaN. The guess is clamped
+// into [0, last] before the int conversion, so ±Inf and huge cells are
+// safe, and the confirmation applies the same clamps: bin 0 takes every
+// cell below edges[1], the last bin every cell from edges[last] up.
+func (p *placement) bin(x float64) int {
+	k := 0
+	if f := (x - p.lo) * p.scale; f >= float64(p.last) {
+		k = p.last
+	} else if f > 0 {
+		k = int(f)
+	}
+	if (k == 0 || p.edges[k] <= x) && (k == p.last || x < p.edges[k+1]) {
+		debugCheckPlacement(p.edges, x, k)
+		return k
+	}
+	return binIndex(p.edges, x)
+}
+
+// strictlyAscending reports whether every edge exceeds the one before it.
+func strictlyAscending(edges []float64) bool {
+	for i := 1; i < len(edges); i++ {
+		if !(edges[i] > edges[i-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// binIndex places x into the bin layout of edges (len >= 2, ascending) by
+// binary search: left-closed bins, last bin closed on the right,
+// out-of-range values clamped into the end bins. It defines the rule a
+// placement follows, and places the cells whose arithmetic guess misses.
+func binIndex(edges []float64, x float64) int {
+	i := sort.SearchFloat64s(edges, x)
+	k := i - 1
+	if i < len(edges) && edges[i] == x {
+		k = i
+	}
+	if k < 0 {
+		k = 0
+	}
+	if k > len(edges)-2 {
+		k = len(edges) - 2
+	}
+	return k
 }
 
 // binLayout returns the bin layout the provider released for a numeric
@@ -158,7 +238,7 @@ func (c *ChannelCache) layout(attr string, nm privacy.NumericMeta) *binLayout {
 			return l.(*binLayout)
 		}
 	}
-	l := &binLayout{meta: nm, edges: nm.BinEdges(), labels: make([]string, nm.Bins)}
+	l := &binLayout{placement: newPlacement(nm.BinEdges()), meta: nm, labels: make([]string, nm.Bins)}
 	for k := range l.labels {
 		l.labels[k] = binLabel(l.edges, k)
 	}
@@ -384,7 +464,7 @@ func (e *Estimator) groupBinMoments(rel *relation.Relation, attr, agg string) (*
 		return nil, nil, err
 	}
 	m := memo(e.Cache, entryKey{kindBin, attr, agg}, sourceOf(nil, xs, ys), func() *binMoments {
-		return buildBinMoments(l.edges, xs, ys)
+		return buildBinMoments(l, xs, ys)
 	})
 	return l, m, nil
 }

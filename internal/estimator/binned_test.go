@@ -89,6 +89,24 @@ func TestPercentileStatsRejectsMisshapenBins(t *testing.T) {
 	}
 }
 
+// A checkpoint whose histogram has fewer than two edges, or counts of
+// another length, cannot be placed into: resuming from it is refused as
+// bad metadata instead of panicking at the next Add.
+func TestResumeRejectsMisshapenHistogram(t *testing.T) {
+	r := quantRel(t)
+	v, meta := privatized(t, r, 7, 0.1, 0)
+	for name, bend := range map[string]func(*Histogram){
+		"one edge": func(h *Histogram) { h.Edges, h.Counts = h.Edges[:1], nil },
+		"counts":   func(h *Histogram) { h.Counts = h.Counts[1:] },
+	} {
+		st := collectWith(t, v, meta, nil)
+		bend(st.Hist["value"])
+		if _, err := NewCollectorFrom(st); !errors.Is(err, faults.ErrBadMeta) {
+			t.Errorf("%s: resume got %v, want faults.ErrBadMeta", name, err)
+		}
+	}
+}
+
 func TestGroupBinCountsNoLayoutIsTyped(t *testing.T) {
 	r := quantRel(t)
 	v, meta := privatized(t, r, 7, 0.1, 0)

@@ -41,6 +41,15 @@ func checkBins(t *binTable, nonNaN []uint32) error {
 	return nil
 }
 
+// debugCheckPlacement panics when a placement's confirmed guess k for x is
+// not the bin binIndex's search gives, so every test that bins real data
+// under the tag also checks the arithmetic placement.
+func debugCheckPlacement(edges []float64, x float64, k int) {
+	if want := binIndex(edges, x); k != want {
+		panic(fmt.Sprintf("estimator: placement puts %v in bin %d of %v, and the search in bin %d", x, k, edges, want))
+	}
+}
+
 // debugCheckSelection panics when codes, the code list compiled from an Eq
 // or In by looking its values up in the sorted domain, is not the list of
 // codes whose value Match accepts.

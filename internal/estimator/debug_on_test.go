@@ -18,7 +18,7 @@ func TestCheckBins(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bins [0,1) [1,2) [2,4]: a holds [0 1 1], b [0 0 1].
-	built := a.binned(ix, &binLayout{edges: []float64{0, 1, 2, 4}})
+	built := a.binned(ix, &binLayout{placement: newPlacement([]float64{0, 1, 2, 4})})
 	if err := checkBins(built, a.nonNaN); err != nil {
 		t.Fatal(err)
 	}
@@ -34,6 +34,20 @@ func TestCheckBins(t *testing.T) {
 			t.Errorf("%s: an inconsistent table passed the check", name)
 		}
 	}
+}
+
+// TestCheckPlacement: the pcdebug assertion accepts the search's bin and
+// panics on any other.
+func TestCheckPlacement(t *testing.T) {
+	edges := []float64{0, 1, 2, 4}
+	debugCheckPlacement(edges, 2, 2)
+	debugCheckPlacement(edges, 9, 2)
+	defer func() {
+		if recover() == nil {
+			t.Error("a placement one bin off passed the check")
+		}
+	}()
+	debugCheckPlacement(edges, 2, 1)
 }
 
 // TestCheckSelection: the pcdebug assertion accepts the code list an Eq or

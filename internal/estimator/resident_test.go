@@ -455,7 +455,7 @@ func naivePercentile(e *Estimator, rel *relation.Relation, agg string, pred Pred
 	matched, hist := make([]float64, len(edges)-1), make([]int, len(edges)-1)
 	for i, x := range rel.MustNumeric(agg) {
 		if !math.IsNaN(x) {
-			k := binIndex(edges, x)
+			k := searchBin(edges, x)
 			hist[k]++
 			if m[i] {
 				matched[k]++
@@ -601,7 +601,7 @@ func naiveBins(e *Estimator, rel *relation.Relation, tr transcript, attr, agg st
 		if math.IsNaN(x) || math.IsNaN(ys[i]) {
 			continue
 		}
-		k := binIndex(edges, x)
+		k := searchBin(edges, x)
 		n[k]++
 		sums[k] += ys[i]
 		sumsqs[k] += ys[i] * ys[i]

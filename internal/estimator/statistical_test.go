@@ -193,10 +193,11 @@ func collectWith(t *testing.T, v *relation.Relation, meta *privacy.ViewMeta, joi
 // (it removes mixing, not discretization, so the truth is binned too).
 func binnedQuantileTruth(t *testing.T, edges, matched []float64, q float64) float64 {
 	t.Helper()
-	counts := buildBinMoments(edges, matched, matched).n
-	fs := make([]float64, len(counts))
-	for i, c := range counts {
-		fs[i] = float64(c)
+	fs := make([]float64, len(edges)-1)
+	for _, x := range matched {
+		if !math.IsNaN(x) {
+			fs[searchBin(edges, x)]++
+		}
 	}
 	v, err := stats.HistQuantile(edges, fs, q)
 	if err != nil {
@@ -480,7 +481,7 @@ func TestStatisticalRegressionSuite(t *testing.T) {
 		const bNoise = 2.0
 		_, meta0 := privatizedMech(t, c.rel, 1, c.p, bNoise, c.mech)
 		edges := meta0.Numeric["value"].BinEdges()
-		k := binIndex(edges, c.at)
+		k := searchBin(edges, c.at)
 		xs, err := c.rel.Numeric("value")
 		if err != nil {
 			t.Fatal(err)

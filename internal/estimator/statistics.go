@@ -165,24 +165,6 @@ func jointKey(a, b string) string {
 	return a + "&" + b
 }
 
-// binIndex places x into the bin layout of edges (len >= 2, ascending):
-// left-closed bins, last bin closed on the right, out-of-range values
-// clamped into the end bins.
-func binIndex(edges []float64, x float64) int {
-	i := sort.SearchFloat64s(edges, x)
-	k := i - 1
-	if i < len(edges) && edges[i] == x {
-		k = i
-	}
-	if k < 0 {
-		k = 0
-	}
-	if k > len(edges)-2 {
-		k = len(edges) - 2
-	}
-	return k
-}
-
 // sortedKeys returns m's keys in ascending order.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
@@ -269,7 +251,9 @@ func errNoNullCounts(agg string) error {
 type CollectOpts struct {
 	// BinEdges maps numeric attribute -> bin edges (len >= 2, strictly
 	// ascending), normally NumericMeta.BinEdges() from the view metadata so
-	// the stats path and the resident path bin identically.
+	// the stats path and the resident path bin identically. The collector
+	// builds one placement per attribute from them (see placement): O(1)
+	// per cell on that uniform layout, and exact on any valid edges.
 	BinEdges map[string][]float64
 	// Joints lists discrete attribute pairs whose joint distribution to
 	// record (the -conj spec). Order within a pair is irrelevant.
@@ -284,10 +268,15 @@ type Collector struct {
 	discrete []string
 	numeric  []string
 	opts     CollectOpts
-	// Add's per-window buffers: each code's marginals, and each code
-	// pair's joint cell.
-	byCode []*ValueStats
-	pairs  map[uint64]*JointCell
+	// places holds one placement per attribute in opts.BinEdges.
+	places map[string]*placement
+	// Add's per-window buffers: each numeric column, each binned numeric
+	// column's per-row bin (numeric order; see Add), each code's
+	// marginals, and each code pair's joint cell.
+	numCols [][]float64
+	rowBins [][]uint32
+	byCode  []*ValueStats
+	pairs   map[uint64]*JointCell
 }
 
 // NewCollector creates an empty collector; the first Add fixes the schema.
@@ -330,7 +319,19 @@ func NewCollectorWith(opts CollectOpts) (*Collector, error) {
 		}
 		return norm[i][1] < norm[j][1]
 	})
-	return &Collector{opts: CollectOpts{BinEdges: opts.BinEdges, Joints: norm}}, nil
+	c := &Collector{opts: CollectOpts{BinEdges: opts.BinEdges, Joints: norm}}
+	c.placeBins()
+	return c, nil
+}
+
+// placeBins builds the placement of each attribute in the configured bin
+// edges.
+func (c *Collector) placeBins() {
+	c.places = make(map[string]*placement, len(c.opts.BinEdges))
+	for attr, edges := range c.opts.BinEdges {
+		p := newPlacement(edges)
+		c.places[attr] = &p
+	}
 }
 
 // validateOpts checks the configured layouts against the (now known) schema.
@@ -383,11 +384,15 @@ func NewCollectorFrom(st *Statistics) (*Collector, error) {
 	// histogram edges and joint pairs are part of the stored statistics, so
 	// a resumed collector keeps accumulating into the same layout.
 	for attr, h := range st.Hist {
+		if len(h.Edges) < 2 || len(h.Counts) != len(h.Edges)-1 {
+			return nil, faults.Errorf(faults.ErrBadMeta, "estimator: statistics record %d bin edges and %d counts of %q", len(h.Edges), len(h.Counts), attr)
+		}
 		if c.opts.BinEdges == nil {
 			c.opts.BinEdges = make(map[string][]float64, len(st.Hist))
 		}
 		c.opts.BinEdges[attr] = h.Edges
 	}
+	c.placeBins()
 	for _, j := range st.Joints {
 		c.opts.Joints = append(c.opts.Joints, [2]string{j.A, j.B})
 	}
@@ -469,38 +474,46 @@ func (c *Collector) Add(win *relation.Relation) error {
 	c.st.Rows += win.NumRows()
 	c.st.indexes = sync.Map{}
 	c.st.bins = sync.Map{}
-	numCols := make([][]float64, len(c.numeric))
-	// binIdx[j] caches the per-row bin of numeric attribute j (-1 for NaN)
-	// when that attribute has configured edges; nil otherwise.
-	binIdx := make([][]int, len(c.numeric))
+	numCols := c.numCols[:0]
+	// rowBins[j] holds, per row, 1 + the bin of numeric attribute j's cell
+	// (0 for NaN) when that attribute has configured edges; nil otherwise.
+	// A uint32 holds any bin count an edge list can give.
+	if len(c.rowBins) != len(c.numeric) {
+		c.rowBins = make([][]uint32, len(c.numeric))
+	}
+	rowBins := c.rowBins
 	for i, a := range c.numeric {
 		col := win.MustNumeric(a)
-		numCols[i] = col
+		numCols = append(numCols, col)
 		m := c.st.Numeric[a]
-		edges := c.opts.BinEdges[a]
+		p := c.places[a]
 		var hist *Histogram
-		if edges != nil {
+		var rb []uint32
+		if p != nil {
 			hist = c.st.Hist[a]
-			binIdx[i] = make([]int, len(col))
+			rb = slices.Grow(rowBins[i][:0], len(col))[:len(col)]
+			rowBins[i] = rb
 		}
 		for row, x := range col {
 			if math.IsNaN(x) {
-				if edges != nil {
-					binIdx[i][row] = -1
+				if p != nil {
+					rb[row] = 0
 				}
 				continue
 			}
 			m.Count++
 			m.Sum += x
 			m.SumSq += x * x
-			if edges != nil {
-				k := binIndex(edges, x)
-				binIdx[i][row] = k
+			if p != nil {
+				k := p.bin(x)
+				rb[row] = uint32(k) + 1
 				hist.Counts[k]++
 			}
 		}
 		c.st.Numeric[a] = m
 	}
+	c.numCols = numCols
+	defer clear(numCols) // keep no window's columns past this Add
 	// Each window's columns are codes, so every map below is read once per
 	// distinct code or code pair, not once per row.
 	for _, a := range c.discrete {
@@ -537,14 +550,14 @@ func (c *Collector) Add(win *relation.Relation) error {
 					}
 					s.NaNs[na]++
 				}
-				if binIdx[j] != nil {
-					if k := binIdx[j][i]; k >= 0 {
+				if rb := rowBins[j]; rb != nil {
+					if k := rb[i]; k > 0 {
 						bins := s.Bins[na]
 						if bins == nil {
 							bins = make([]int, len(c.opts.BinEdges[na])-1)
 							s.Bins[na] = bins
 						}
-						bins[k]++
+						bins[k-1]++
 					}
 				}
 			}
@@ -615,7 +628,7 @@ func (c *Collector) Statistics() *Statistics {
 // empty in the copy. The configured layouts are read-only after
 // construction, so the copy shares them.
 func (c *Collector) Clone() *Collector {
-	out := &Collector{schema: c.schema, discrete: c.discrete, numeric: c.numeric, opts: c.opts}
+	out := &Collector{schema: c.schema, discrete: c.discrete, numeric: c.numeric, opts: c.opts, places: c.places}
 	if c.st != nil {
 		out.st = c.st.clone()
 	}

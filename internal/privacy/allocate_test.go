@@ -5,11 +5,23 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"privateclean/internal/relation"
 )
+
+// allocate is AllocateEpsilon over Summarize(r).
+func allocate(t *testing.T, r *relation.Relation, eps float64) (Params, error) {
+	t.Helper()
+	domains, _, deltas, err := Summarize(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return AllocateEpsilon(r.Schema(), domains, deltas, eps)
+}
 
 func TestAllocateEpsilonUniform(t *testing.T) {
 	r := testRel(t) // 1 discrete + 1 numeric
-	params, err := AllocateEpsilon(r, 4)
+	params, err := allocate(t, r, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +55,7 @@ func TestAllocateEpsilonUniform(t *testing.T) {
 func TestAllocateEpsilonValidation(t *testing.T) {
 	r := testRel(t)
 	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if _, err := AllocateEpsilon(r, bad); err == nil {
+		if _, err := allocate(t, r, bad); err == nil {
 			t.Errorf("AllocateEpsilon(%v) should fail", bad)
 		}
 	}
@@ -59,7 +71,7 @@ func TestAllocateEpsilonComposesProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	f := func(raw float64) bool {
 		eps := math.Mod(math.Abs(raw), 20) + 0.1
-		params, err := AllocateEpsilon(r, eps)
+		params, err := allocate(t, r, eps)
 		if err != nil {
 			return false
 		}
